@@ -33,7 +33,7 @@ use gluon_net::{
     SocketKind, SocketTransport, StatsSnapshot, Transport,
 };
 use gluon_partition::{partition_on_host, LocalGraph, PartitionStats, Policy};
-use gluon_trace::Tracer;
+use gluon_trace::{Stage, Tracer, SETUP_PHASE};
 use std::time::Instant;
 
 /// What the supervisor behind [`Run::try_launch`] does once a host failure
@@ -1036,6 +1036,36 @@ pub(crate) struct HostResult {
 /// (either may be empty), and the number of rounds it ran.
 pub(crate) type HostLabels = (Vec<u32>, Vec<f64>, u32);
 
+/// The set-up both host programs open with: this host's partition, its
+/// transpose when the algorithm walks in-edges, then the cluster-wide
+/// barrier. Returns the partition and the seconds up to the barrier's
+/// return; the construction alone (barrier excluded) is recorded as a
+/// [`Stage::Partition`] setup span on the communicator's tracer.
+fn build_partition<T: Transport>(
+    input: &Csr,
+    policy: Policy,
+    comm: &Communicator<'_, T>,
+    transpose: bool,
+) -> (LocalGraph, f64) {
+    let tracer = comm.tracer();
+    let start_ns = tracer.now_ns();
+    let start = Instant::now();
+    let mut lg = partition_on_host(input, policy, comm);
+    if transpose {
+        lg.build_transpose();
+    }
+    tracer.record_span(
+        comm.rank(),
+        SETUP_PHASE,
+        Stage::Partition,
+        None,
+        start_ns,
+        start.elapsed().as_nanos() as u64,
+    );
+    comm.barrier();
+    (lg, start.elapsed().as_secs_f64())
+}
+
 /// The SPMD body every driver shares: partition, set up the Gluon runtime
 /// (with a `threads`-wide deterministic pool), run `compute`, and gather
 /// this host's master labels.
@@ -1053,13 +1083,7 @@ fn host_program<T: Transport>(
     compute: &(dyn Fn(&LocalGraph, &mut GluonContext<'_, T>) -> HostLabels + Sync),
 ) -> HostResult {
     let comm = Communicator::with_tracer(net, tracer.clone());
-    let part_start = Instant::now();
-    let mut lg = partition_on_host(input, policy, &comm);
-    if transpose(comm.rank()) {
-        lg.build_transpose();
-    }
-    comm.barrier();
-    let partition_secs = part_start.elapsed().as_secs_f64();
+    let (lg, partition_secs) = build_partition(input, policy, &comm, transpose(comm.rank()));
     let exec_metrics = ExecMetrics::register(&hub.host_registry(comm.rank()));
     let mut ctx = GluonContext::new(&lg, &comm, opts)
         .with_pool(Pool::new(threads).with_metrics(exec_metrics))
@@ -1105,7 +1129,15 @@ fn assemble(n: usize, int_default: u32, per_host: Vec<HostResult>, stats: NetSta
         }
     }
     let host_stats: Vec<SyncStats> = per_host.iter().map(|h| h.stats.clone()).collect();
-    let partitions: Vec<LocalGraph> = per_host.iter().map(|h| h.partition.clone()).collect();
+    let proxies: Vec<u64> = per_host
+        .iter()
+        .map(|h| u64::from(h.partition.num_proxies()))
+        .collect();
+    let edges: Vec<u64> = per_host
+        .iter()
+        .map(|h| h.partition.num_local_edges())
+        .collect();
+    let global = &per_host[0].partition;
     DistOutcome {
         int_labels,
         ranks,
@@ -1117,7 +1149,12 @@ fn assemble(n: usize, int_default: u32, per_host: Vec<HostResult>, stats: NetSta
             .iter()
             .map(|h| h.partition_secs)
             .fold(0.0, f64::max),
-        partition: PartitionStats::of(&partitions),
+        partition: PartitionStats::from_scalars(
+            global.global_nodes(),
+            global.global_edges(),
+            &proxies,
+            &edges,
+        ),
         net: stats.snapshot(),
         recoveries: 0,
         degraded: false,
@@ -1159,13 +1196,7 @@ pub(crate) fn try_host_program<T: Transport>(
     ckpt: &CkptSetup,
 ) -> Result<HostResult, SyncError> {
     let comm = Communicator::with_tracer(net, tracer.clone());
-    let part_start = Instant::now();
-    let mut lg = partition_on_host(input, policy, &comm);
-    if transpose(comm.rank()) {
-        lg.build_transpose();
-    }
-    comm.barrier();
-    let partition_secs = part_start.elapsed().as_secs_f64();
+    let (lg, partition_secs) = build_partition(input, policy, &comm, transpose(comm.rank()));
     let exec_metrics = ExecMetrics::register(&hub.host_registry(comm.rank()));
     let mut ctx = GluonContext::new(&lg, &comm, opts)
         .with_pool(Pool::new(threads).with_metrics(exec_metrics))

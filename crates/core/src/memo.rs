@@ -74,11 +74,15 @@ impl MemoTable {
     ) -> MemoTable {
         let n = comm.world_size();
         let rank = comm.rank();
+        assert_eq!(
+            graph.num_hosts(),
+            n,
+            "partition built for another cluster size"
+        );
         // Describe my mirrors to each owner.
         let mut mirrors: Vec<Vec<ProxyEntry>> = Vec::with_capacity(n);
         let mut outgoing: Vec<Bytes> = Vec::with_capacity(n);
-        for h in 0..n {
-            let mine = graph.mirrors_on(h);
+        for mine in graph.mirrors_by_owner() {
             let mut buf = BytesMut::with_capacity(mine.len() * 5);
             let mut entries = Vec::with_capacity(mine.len());
             for lid in mine {
@@ -119,15 +123,23 @@ impl MemoTable {
                 });
             assert_eq!(payload.len() % 5, 0, "memoization payload framing");
             let mut entries = Vec::with_capacity(payload.len() / 5);
+            // The sender lists its mirrors in gid order and masters are
+            // laid out in gid order too, so one cursor that only moves
+            // forward over the masters translates the whole list.
+            let mut cursor = 0u32;
             for chunk in payload.chunks_exact(5) {
                 let gid = u32::from_le_bytes(chunk[..4].try_into().expect("gid"));
                 let flags = chunk[4];
-                let lid = graph
-                    .lid(gluon_graph::Gid(gid))
-                    .expect("mirror's master exists on owning host");
-                debug_assert!(graph.is_master(lid), "memoized proxy must be a master");
+                while cursor < graph.num_masters() && graph.gid(Lid(cursor)).0 < gid {
+                    cursor += 1;
+                }
+                assert!(
+                    cursor < graph.num_masters() && graph.gid(Lid(cursor)).0 == gid,
+                    "memoization exchange: host {src} lists node {gid}, which is \
+                     not mastered here or breaks the list's gid order"
+                );
                 entries.push(ProxyEntry {
-                    lid,
+                    lid: Lid(cursor),
                     mirror_has_in: flags & 1 != 0,
                     mirror_has_out: flags & 2 != 0,
                 });

@@ -315,6 +315,33 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// FNV-1a over the little-endian bytes of offsets, targets, weights.
+    fn checksum(g: &Csr) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        g.offsets().iter().for_each(|o| eat(&o.to_le_bytes()));
+        g.targets().iter().for_each(|t| eat(&t.to_le_bytes()));
+        g.weights().iter().for_each(|w| eat(&w.to_le_bytes()));
+        h
+    }
+
+    /// The benchmark's inputs are `rmat(19, 16, GRAPH500, seed)` and
+    /// `grid(512, 512)`; these small instances pin the generators (rng
+    /// stream, quadrant choice, CSR edge order) they come from, as recorded
+    /// at the commit that introduced the benchmark.
+    #[test]
+    fn benchmark_generators_match_their_golden_checksums() {
+        assert_eq!(
+            checksum(&rmat(10, 16, RmatProbs::GRAPH500, 28)),
+            0x2ecf_19b1_7ba2_6e45
+        );
+        assert_eq!(checksum(&grid(32, 32)), 0x19d1_c1a4_0e67_67b4);
+    }
+
     #[test]
     fn rmat_has_requested_size() {
         let g = rmat(7, 9, RmatProbs::GRAPH500, 0);

@@ -37,9 +37,9 @@ use gluon_net::{Communicator, Transport};
 pub fn partition_all(graph: &Csr, num_hosts: usize, policy: Policy) -> Vec<LocalGraph> {
     let ctx = PolicyCtx::new(policy, graph, num_hosts);
     let mut buckets: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); num_hosts];
-    for (src, e) in graph.edges() {
-        buckets[ctx.host_of_edge(src, e.dst)].push((src.0, e.dst.0, e.weight));
-    }
+    route_edge_slice(graph, &ctx, 0, graph.num_edges(), |host, src, dst, w| {
+        buckets[host].push((src, dst, w));
+    });
     buckets
         .into_iter()
         .enumerate()
@@ -68,46 +68,71 @@ pub fn partition_on_host<T: Transport + ?Sized>(
     let lo = m * rank as u64 / num_hosts as u64;
     let hi = m * (rank as u64 + 1) / num_hosts as u64;
 
-    let mut outgoing: Vec<BytesMut> = (0..num_hosts).map(|_| BytesMut::new()).collect();
-    let mut own: Vec<(u32, u32, u32)> = Vec::new();
-    for (src, e) in edge_slice(graph, lo, hi) {
-        let host = ctx.host_of_edge(src, e.dst);
+    // Count first, so every buffer is allocated once at its final size.
+    let mut counts = vec![0usize; num_hosts];
+    route_edge_slice(graph, &ctx, lo, hi, |host, _, _, _| counts[host] += 1);
+    let mut outgoing: Vec<BytesMut> = counts
+        .iter()
+        .enumerate()
+        .map(|(host, &c)| BytesMut::with_capacity(if host == rank { 0 } else { c * 12 }))
+        .collect();
+    let mut own: Vec<(u32, u32, u32)> = Vec::with_capacity(counts[rank]);
+    route_edge_slice(graph, &ctx, lo, hi, |host, src, dst, weight| {
         if host == rank {
-            own.push((src.0, e.dst.0, e.weight));
+            own.push((src, dst, weight));
         } else {
             let buf = &mut outgoing[host];
-            buf.put_u32_le(src.0);
-            buf.put_u32_le(e.dst.0);
-            buf.put_u32_le(e.weight);
+            buf.put_u32_le(src);
+            buf.put_u32_le(dst);
+            buf.put_u32_le(weight);
         }
-    }
+    });
     let incoming = comm.all_to_all(outgoing.into_iter().map(BytesMut::freeze).collect());
+    own.reserve_exact(incoming.iter().map(|p| p.len() / 12).sum());
     for payload in incoming {
         decode_edges(&payload, &mut own);
     }
     build_local(rank, &ctx, graph, own)
 }
 
-/// Iterates over edges `lo..hi` (by CSR edge index) of `graph`.
-fn edge_slice(
+/// Calls `sink(host, src, dst, weight)` for edges `lo..hi` (by CSR edge
+/// index) of `graph`, in CSR order, `host` being the one `ctx` assigns the
+/// edge to.
+///
+/// Walks the raw CSR arrays row by row and asks for the source's master once
+/// per [`PolicyCtx::master_run`], not once per edge.
+fn route_edge_slice(
     graph: &Csr,
+    ctx: &PolicyCtx,
     lo: u64,
     hi: u64,
-) -> impl Iterator<Item = (Gid, gluon_graph::Edge)> + '_ {
-    let offsets = graph.offsets();
-    // First node whose edge range extends past `lo`.
-    let start_node = offsets.partition_point(|&o| o <= lo).saturating_sub(1);
-    (start_node as u32..graph.num_nodes())
-        .flat_map(move |v| {
-            let base = offsets[v as usize];
-            graph
-                .out_edges(Gid(v))
-                .enumerate()
-                .map(move |(i, e)| (base + i as u64, Gid(v), e))
-        })
-        .skip_while(move |&(idx, _, _)| idx < lo)
-        .take_while(move |&(idx, _, _)| idx < hi)
-        .map(|(_, src, e)| (src, e))
+    mut sink: impl FnMut(usize, u32, u32, u32),
+) {
+    let (offsets, targets, weights) = (graph.offsets(), graph.targets(), graph.weights());
+    // The row holding edge `lo`: the last one starting at or before it.
+    let mut v = offsets.partition_point(|&o| o <= lo).saturating_sub(1);
+    let (mut src_master, mut run_end) = (0, 0);
+    let mut e = lo;
+    while e < hi {
+        while offsets[v + 1] <= e {
+            v += 1;
+        }
+        if v as u32 >= run_end {
+            (src_master, run_end) = ctx.master_run(Gid(v as u32));
+        }
+        let row_end = offsets[v + 1].min(hi);
+        for i in e as usize..row_end as usize {
+            let dst = targets[i];
+            let weight = if weights.is_empty() { 1 } else { weights[i] };
+            sink(
+                ctx.host_of_edge_from(src_master, Gid(dst)),
+                v as u32,
+                dst,
+                weight,
+            );
+        }
+        e = row_end;
+    }
 }
 
 fn decode_edges(payload: &Bytes, out: &mut Vec<(u32, u32, u32)>) {
@@ -124,67 +149,70 @@ fn decode_edges(payload: &Bytes, out: &mut Vec<(u32, u32, u32)>) {
     }
 }
 
-/// Builds host `host`'s [`LocalGraph`] from the edges assigned to it.
+/// Marks in the per-vertex scratch of [`build_local`].
+const MASTER: u8 = 1;
+const ENDPOINT: u8 = 2;
+
+/// Builds host `host`'s [`LocalGraph`] from the edges assigned to it, in
+/// linear passes over flat arrays (DESIGN.md, "Partition construction").
+///
+/// `edges` holds global ids on entry and is translated to local ids in
+/// place. Two scratch arrays indexed by global id — one byte of marks and
+/// one `u32` local id per vertex — live only inside this function.
 fn build_local(
     host: usize,
     ctx: &PolicyCtx,
     graph: &Csr,
-    edges: Vec<(u32, u32, u32)>,
+    mut edges: Vec<(u32, u32, u32)>,
 ) -> LocalGraph {
-    let num_hosts = ctx.num_hosts();
-    // Masters: every node this host owns, sorted by gid — present even when
-    // isolated, so reductions and initial values always have a home.
-    let mut master_gids: Vec<u32> = (0..graph.num_nodes())
-        .filter(|&v| ctx.master_of(Gid(v)) == host)
-        .collect();
-    master_gids.sort_unstable();
+    let n = graph.num_nodes();
+    // Masters: every node this host owns — present even when isolated, so
+    // reductions and initial values always have a home.
+    let mut marks = vec![0u8; n as usize];
+    let mut num_masters = 0u32;
+    let mut v = 0u32;
+    while v < n {
+        let (master, run_end) = ctx.master_run(Gid(v));
+        if master == host {
+            marks[v as usize..run_end as usize].fill(MASTER);
+            num_masters += run_end - v;
+        }
+        v = run_end;
+    }
     // Mirrors: endpoints of local edges whose master is remote.
-    let mut mirror_gids: Vec<u32> = Vec::new();
-    {
-        let mut seen = std::collections::HashSet::new();
-        for &(u, v, _) in &edges {
-            for g in [u, v] {
-                if ctx.master_of(Gid(g)) != host && seen.insert(g) {
-                    mirror_gids.push(g);
-                }
-            }
+    for &(u, v, _) in &edges {
+        marks[u as usize] |= ENDPOINT;
+        marks[v as usize] |= ENDPOINT;
+    }
+    // One scan in gid order hands out local ids, masters first, and leaves
+    // both proxy ranges sorted by gid.
+    let mut lid_of = vec![u32::MAX; n as usize];
+    let mut gids = Vec::with_capacity(num_masters as usize);
+    let mut mirror_gids = Vec::new();
+    for (g, &mark) in marks.iter().enumerate() {
+        if mark & MASTER != 0 {
+            lid_of[g] = gids.len() as u32;
+            gids.push(Gid(g as u32));
+        } else if mark != 0 {
+            lid_of[g] = num_masters + mirror_gids.len() as u32;
+            mirror_gids.push(Gid(g as u32));
         }
     }
-    mirror_gids.sort_unstable();
+    drop(marks);
+    let mut owner = vec![host; num_masters as usize];
+    owner.extend(mirror_gids.iter().map(|&g| ctx.master_of(g)));
+    gids.append(&mut mirror_gids);
 
-    let num_masters = master_gids.len() as u32;
-    let num_proxies = master_gids.len() + mirror_gids.len();
-    let mut gids = Vec::with_capacity(num_proxies);
-    let mut owner = Vec::with_capacity(num_proxies);
-    for &g in &master_gids {
-        gids.push(Gid(g));
-        owner.push(host);
+    for e in &mut edges {
+        (e.0, e.1) = (lid_of[e.0 as usize], lid_of[e.1 as usize]);
     }
-    for &g in &mirror_gids {
-        gids.push(Gid(g));
-        owner.push(ctx.master_of(Gid(g)));
-    }
-    let lid_of = |g: u32| -> u32 {
-        match master_gids.binary_search(&g) {
-            Ok(i) => i as u32,
-            Err(_) => {
-                let i = mirror_gids
-                    .binary_search(&g)
-                    .expect("endpoint of a local edge has a proxy");
-                (master_gids.len() + i) as u32
-            }
-        }
-    };
-    let mut builder = GraphBuilder::new(num_proxies as u32);
-    for (u, v, w) in edges {
-        builder.add_edge(Gid(lid_of(u)), Gid(lid_of(v)), w);
-    }
-    let local_csr = builder.build();
+    drop(lid_of);
+    let local_csr = GraphBuilder::from_edges(gids.len() as u32, edges).build();
     LocalGraph::from_parts(
         host,
-        num_hosts,
+        ctx.num_hosts(),
         ctx.policy(),
-        graph.num_nodes(),
+        n,
         graph.num_edges(),
         local_csr,
         gids,
@@ -256,50 +284,55 @@ mod tests {
     #[test]
     fn distributed_equals_serial() {
         let g = gen::with_random_weights(&gen::rmat(6, 4, Default::default(), 11), 5, 2);
-        for policy in [Policy::Oec, Policy::Iec, Policy::Cvc, Policy::Hvc] {
+        for policy in Policy::ALL {
             let serial = partition_all(&g, 4, policy);
             let distributed = run_cluster(4, |ep| {
                 let comm = Communicator::new(ep);
                 partition_on_host(&g, policy, &comm)
             });
             for (s, d) in serial.iter().zip(&distributed) {
-                assert_eq!(s.num_masters(), d.num_masters(), "policy {policy}");
-                assert_eq!(s.num_mirrors(), d.num_mirrors(), "policy {policy}");
-                let mut se = local_edge_gids(s);
-                let mut de = local_edge_gids(d);
-                se.sort_unstable();
-                de.sort_unstable();
-                assert_eq!(se, de, "policy {policy}");
+                crate::oracle::assert_same_partition(d, s, &format!("policy {policy}"));
             }
         }
     }
 
+    /// Edges `lo..hi` as `route_edge_slice` reports them.
+    fn routed(g: &Csr, ctx: &PolicyCtx, lo: u64, hi: u64) -> Vec<(usize, u32, u32, u32)> {
+        let mut out = Vec::new();
+        route_edge_slice(g, ctx, lo, hi, |h, s, d, w| out.push((h, s, d, w)));
+        out
+    }
+
     #[test]
-    fn edge_slice_covers_all_edges_without_overlap() {
-        let g = gen::rmat(6, 4, Default::default(), 5);
+    fn route_edge_slice_covers_all_edges_without_overlap() {
+        let g = gen::with_random_weights(&gen::rmat(6, 4, Default::default(), 5), 4, 3);
         let m = g.num_edges();
-        for n in [1u64, 2, 3, 7] {
-            let mut seen = 0u64;
-            for h in 0..n {
-                let lo = m * h / n;
-                let hi = m * (h + 1) / n;
-                seen += edge_slice(&g, lo, hi).count() as u64;
+        for policy in Policy::ALL {
+            let ctx = PolicyCtx::new(policy, &g, 3);
+            let expected: Vec<_> = g
+                .edges()
+                .map(|(s, e)| (ctx.host_of_edge(s, e.dst), s.0, e.dst.0, e.weight))
+                .collect();
+            for n in [1u64, 2, 3, 7] {
+                let seen: Vec<_> = (0..n)
+                    .flat_map(|h| routed(&g, &ctx, m * h / n, m * (h + 1) / n))
+                    .collect();
+                assert_eq!(seen, expected, "policy {policy}, {n} slices");
             }
-            assert_eq!(seen, m, "hosts {n}");
         }
     }
 
     #[test]
-    fn edge_slice_handles_isolated_leading_nodes() {
+    fn route_edge_slice_handles_isolated_leading_nodes() {
         // Node 0..9 isolated, edges start at node 10.
         let mut b = GraphBuilder::new(20);
         b.add_edge(Gid(10), Gid(1), 1);
         b.add_edge(Gid(15), Gid(2), 1);
         let g = b.build();
-        let all: Vec<_> = edge_slice(&g, 0, 2).map(|(s, e)| (s.0, e.dst.0)).collect();
-        assert_eq!(all, vec![(10, 1), (15, 2)]);
-        let second: Vec<_> = edge_slice(&g, 1, 2).map(|(s, e)| (s.0, e.dst.0)).collect();
-        assert_eq!(second, vec![(15, 2)]);
+        let ctx = PolicyCtx::new(Policy::Oec, &g, 1);
+        assert_eq!(routed(&g, &ctx, 0, 2), vec![(0, 10, 1, 1), (0, 15, 2, 1)]);
+        assert_eq!(routed(&g, &ctx, 1, 2), vec![(0, 15, 2, 1)]);
+        assert_eq!(routed(&g, &ctx, 2, 2), vec![]);
     }
 
     #[test]

@@ -26,6 +26,8 @@ mod blocks;
 mod build;
 pub mod invariants;
 mod local;
+#[cfg(test)]
+mod oracle;
 mod policy;
 mod stats;
 

@@ -2,7 +2,6 @@
 
 use crate::policy::Policy;
 use gluon_graph::{Csr, Gid, HostId, Lid};
-use std::collections::HashMap;
 
 /// A local edge: destination proxy and weight.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -38,6 +37,19 @@ pub fn partition_width(n: usize) -> usize {
     target.clamp(64, TARGET_PART_BYTES / 8)
 }
 
+/// Whether two ascending runs share no element (one merge walk).
+fn sorted_runs_are_disjoint(a: &[Gid], b: &[Gid]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return false,
+        }
+    }
+    true
+}
+
 /// One host's partitioned graph: a CSR over *proxies* plus the bookkeeping
 /// that relates proxies to the global graph.
 ///
@@ -58,10 +70,9 @@ pub struct LocalGraph {
     graph: Csr,
     /// Lazily built transpose for pull-style operators.
     transpose: Option<Box<Csr>>,
-    /// lid -> gid.
+    /// lid -> gid; the master prefix and the mirror suffix are each sorted,
+    /// which is what [`LocalGraph::lid`] searches.
     gids: Vec<Gid>,
-    /// gid -> lid for proxies present here.
-    lids: HashMap<Gid, Lid>,
     /// lid -> host owning the master proxy.
     owner: Vec<HostId>,
     num_masters: u32,
@@ -109,14 +120,15 @@ impl LocalGraph {
             owner[num_masters as usize..].iter().all(|&o| o != host),
             "mirror proxies must be owned remotely"
         );
-        let lids: HashMap<Gid, Lid> = gids
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, Lid::from_index(i)))
-            .collect();
-        assert_eq!(lids.len(), gids.len(), "duplicate gid among proxies");
-        let has_out = graph.out_degrees().iter().map(|&d| d > 0).collect();
-        let has_in = graph.in_degrees().iter().map(|&d| d > 0).collect();
+        assert!(
+            sorted_runs_are_disjoint(&gids[..num_masters as usize], &gids[num_masters as usize..]),
+            "duplicate gid among proxies"
+        );
+        let mut has_in = vec![false; gids.len()];
+        for &t in graph.targets() {
+            has_in[t as usize] = true;
+        }
+        let has_out = graph.offsets().windows(2).map(|w| w[0] < w[1]).collect();
         LocalGraph {
             host,
             num_hosts,
@@ -126,7 +138,6 @@ impl LocalGraph {
             graph,
             transpose: None,
             gids,
-            lids,
             owner,
             num_masters,
             has_out,
@@ -238,7 +249,12 @@ impl LocalGraph {
     /// Local id of global node `gid`, if this host has a proxy for it.
     #[inline]
     pub fn lid(&self, gid: Gid) -> Option<Lid> {
-        self.lids.get(&gid).copied()
+        let (masters, mirrors) = self.gids.split_at(self.num_masters as usize);
+        let index = match masters.binary_search(&gid) {
+            Ok(i) => i,
+            Err(_) => masters.len() + mirrors.binary_search(&gid).ok()?,
+        };
+        Some(Lid::from_index(index))
     }
 
     /// Whether proxy `lid` has at least one local outgoing edge.
@@ -310,6 +326,17 @@ impl LocalGraph {
         self.mirrors()
             .filter(|&m| self.owner_of(m) == remote)
             .collect()
+    }
+
+    /// [`LocalGraph::mirrors_on`] for every host at once, from one pass over
+    /// the mirrors: entry `h` lists the mirrors mastered on `h`, in gid
+    /// order.
+    pub fn mirrors_by_owner(&self) -> Vec<Vec<Lid>> {
+        let mut by_owner = vec![Vec::new(); self.num_hosts];
+        for m in self.mirrors() {
+            by_owner[self.owner_of(m)].push(m);
+        }
+        by_owner
     }
 }
 
@@ -409,6 +436,8 @@ mod tests {
                 total += ms.len();
             }
             assert_eq!(total, lg.num_mirrors() as usize);
+            let per_host: Vec<_> = (0..lg.num_hosts()).map(|h| lg.mirrors_on(h)).collect();
+            assert_eq!(lg.mirrors_by_owner(), per_host);
         }
     }
 }

@@ -208,20 +208,42 @@ impl PolicyCtx {
         }
     }
 
+    /// [`PolicyCtx::master_of`] `node`, plus the end of the run of
+    /// consecutive ids, starting at `node`, known to share that master: the
+    /// rest of the node's block under the chunked policies, the node alone
+    /// under the hashed and streamed ones. A loop over ascending ids asks
+    /// again only once it reaches that end.
+    pub fn master_run(&self, node: Gid) -> (usize, u32) {
+        match self.policy {
+            Policy::RandomOec | Policy::Fennel => (self.master_of(node), node.0 + 1),
+            _ => {
+                let block = self.blocks.owner(node);
+                (block, self.blocks.range(block).end)
+            }
+        }
+    }
+
     /// Host that edge `(src, dst)` is assigned to.
     pub fn host_of_edge(&self, src: Gid, dst: Gid) -> usize {
+        self.host_of_edge_from(self.master_of(src), dst)
+    }
+
+    /// [`PolicyCtx::host_of_edge`] for a source whose master is already
+    /// known, so a loop over one source's edges looks it up once.
+    #[inline]
+    pub fn host_of_edge_from(&self, src_master: usize, dst: Gid) -> usize {
         match self.policy {
-            Policy::Oec | Policy::RandomOec | Policy::Fennel => self.master_of(src),
+            Policy::Oec | Policy::RandomOec | Policy::Fennel => src_master,
             Policy::Iec => self.master_of(dst),
             Policy::Cvc => {
                 let (_, cols) = self.grid;
-                let row = self.master_of(src) / cols;
+                let row = src_master / cols;
                 let col = self.master_of(dst) % cols;
                 row * cols + col
             }
             Policy::Hvc => {
                 if self.in_degrees[dst.index()] > self.hub_threshold {
-                    self.master_of(src)
+                    src_master
                 } else {
                     self.master_of(dst)
                 }

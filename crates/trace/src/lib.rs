@@ -132,11 +132,15 @@ pub enum Stage {
     Sync = 11,
     /// The memoization handshake of §4.1 (setup, not a numbered phase).
     Memo = 12,
+    /// Partition construction (setup, not a numbered phase): routing the
+    /// host's edge slice, the all-to-all edge exchange, building the local
+    /// graph and, when the algorithm pulls, its transpose.
+    Partition = 13,
 }
 
 impl Stage {
     /// Every stage, in display order.
-    pub const ALL: [Stage; 13] = [
+    pub const ALL: [Stage; 14] = [
         Stage::Extract,
         Stage::MemoTranslate,
         Stage::Encode,
@@ -150,6 +154,7 @@ impl Stage {
         Stage::Collective,
         Stage::Sync,
         Stage::Memo,
+        Stage::Partition,
     ];
 
     /// Stable lower-case name (also the Chrome trace event name).
@@ -168,14 +173,15 @@ impl Stage {
             Stage::Collective => "collective",
             Stage::Sync => "sync",
             Stage::Memo => "memo",
+            Stage::Partition => "partition",
         }
     }
 
     /// True for the micro-stages whose durations decompose a phase's
     /// `comm_secs` (everything except the [`Stage::Sync`] parent and the
-    /// [`Stage::Memo`] setup span).
+    /// [`Stage::Memo`] and [`Stage::Partition`] setup spans).
     pub fn is_child(self) -> bool {
-        !matches!(self, Stage::Sync | Stage::Memo)
+        !matches!(self, Stage::Sync | Stage::Memo | Stage::Partition)
     }
 }
 

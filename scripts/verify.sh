@@ -2,8 +2,9 @@
 # Full verification gate for the workspace. Everything a PR must pass:
 #
 #   1. release build of every crate;
-#   2. the whole test suite (unit + integration + doc tests), including
-#      the default-on `chaos` lossy-network matrix;
+#   2. the whole test suite of every workspace crate (unit + integration
+#      + doc tests; a superset of what --fast runs), including the
+#      default-on `chaos` lossy-network matrix;
 #   3. the crash-chaos battery under --release: injected host crashes
 #      must recover bit-identical via checkpoints, and unrecoverable
 #      failures must surface typed errors within the detector timeout;
@@ -28,7 +29,11 @@
 #   8. the allocation guard under --release with the `alloc-meter`
 #      counting allocator: steady-state sync rounds allocate nothing,
 #      and toggling the arena changes no observable result;
-#   9. every bench compiles (`cargo bench --no-run`);
+#   9. every bench compiles (`cargo bench --no-run`), and the benchmark
+#      package under perf/ passes its own tests (unit tests plus a
+#      `--smoke` run of all seven workloads), so a break of the public
+#      functions perf/README.md lists is caught here and not by the
+#      benchmark driver;
 #  10. rustfmt, as a check only;
 #  11. clippy across the workspace with warnings denied;
 #  12. rustdoc with warnings denied (missing docs on public API fail).
@@ -40,8 +45,8 @@
 #
 # Usage: scripts/verify.sh [--fast]
 #   --fast  skip the release build, the release determinism matrix, the
-#           release alloc guard, and the chaos feature (quick pre-push
-#           sanity loop).
+#           release alloc guard, the gluon-perf smoke, and the chaos
+#           feature (quick pre-push sanity loop).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,8 +72,8 @@ watchdog() {
 if [[ "$FAST" == "0" ]]; then
     echo "==> cargo build --release"
     cargo build --release
-    echo "==> cargo test -q (chaos + crash-chaos matrices included; 900s watchdog)"
-    watchdog 900 cargo test -q
+    echo "==> cargo test -q --workspace (every crate; chaos + crash-chaos matrices included; 1200s watchdog)"
+    watchdog 1200 cargo test -q --workspace
     echo "==> cargo test --release --test crash_chaos (crash injection, recovery, typed errors; 300s watchdog)"
     watchdog 300 cargo test -q --release --test crash_chaos
     echo "==> cargo test --release --test socket_parity (multi-process TCP/UDS parity + typed peer death; 300s watchdog)"
@@ -100,6 +105,9 @@ echo "==> cargo bench --no-run (benches must always compile)"
 cargo bench --no-run --workspace --quiet
 
 if [[ "$FAST" == "0" ]]; then
+    echo "==> cargo test --release --manifest-path perf/Cargo.toml (gluon-perf unit tests + smoke of all seven workloads; 600s watchdog)"
+    watchdog 600 cargo test -q --release --offline --manifest-path perf/Cargo.toml --target-dir target
+
     # Informational: regenerates the quick-scale fig8/table4 artifacts and
     # diffs them against bench_results/baseline/. Timing drift only warns;
     # a hard mismatch (byte counters, row sets, schema) fails the gate

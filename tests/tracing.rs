@@ -129,6 +129,22 @@ fn setup_and_collective_spans_are_recorded() {
                 .any(|s| s.host == host && s.phase == SETUP_PHASE && s.stage == Stage::Memo),
             "host {host}: memoization handshake span missing"
         );
+        // Exactly one partition-construction span, ending before the
+        // handshake that needs the partition begins.
+        let partition: Vec<_> = spans
+            .iter()
+            .filter(|s| s.host == host && s.stage == Stage::Partition)
+            .collect();
+        assert_eq!(partition.len(), 1, "host {host}: partition span count");
+        assert_eq!(partition[0].phase, SETUP_PHASE);
+        let memo = spans
+            .iter()
+            .find(|s| s.host == host && s.stage == Stage::Memo)
+            .expect("checked above");
+        assert!(
+            partition[0].start_ns + partition[0].dur_ns <= memo.start_ns,
+            "host {host}: partition span overlaps the memo span"
+        );
         // BFS terminates via any_globally, which is a traced collective.
         assert!(
             spans
