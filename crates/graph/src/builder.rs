@@ -41,25 +41,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Creates a builder that already holds `edges` as `(src, dst, weight)`
-    /// triples, taking the vector over without copying it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is `>= num_nodes`.
-    pub fn from_edges(num_nodes: u32, edges: Vec<(u32, u32, u32)>) -> Self {
-        assert!(
-            edges
-                .iter()
-                .all(|&(s, d, _)| s < num_nodes && d < num_nodes),
-            "edge endpoint out of range for {num_nodes} nodes"
-        );
-        GraphBuilder {
-            edges,
-            ..GraphBuilder::new(num_nodes)
-        }
-    }
-
     /// Requests deduplication of parallel edges; the smallest weight wins.
     pub fn dedup(&mut self) -> &mut Self {
         self.dedup = true;
@@ -98,64 +79,124 @@ impl GraphBuilder {
     }
 
     /// Produces the [`Csr`]: rows ordered by source, each row by
-    /// `(dst, weight)`.
-    ///
-    /// An out-of-place counting sort by source (degree count, prefix sum,
-    /// scatter) followed by a sort of each row. Rows partition the edges by
-    /// source, so the result is the order a sort of the whole
-    /// `(src, dst, weight)` list gives. The result is unweighted exactly when
-    /// every kept edge has weight 1.
+    /// `(dst, weight)`; see [`build_csr`].
     pub fn build(&self) -> Csr {
-        let n = self.num_nodes as usize;
-        let keep = |s: u32, d: u32| !(self.drop_self_loops && s == d);
-        let mut offsets = vec![0u64; n + 1];
-        for &(s, d, _) in &self.edges {
-            if keep(s, d) {
-                offsets[s as usize + 1] += 1;
-            }
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut cursor = offsets[..n].to_vec();
-        let mut rows = vec![(0u32, 0u32); offsets[n] as usize];
-        for &(s, d, w) in &self.edges {
-            if keep(s, d) {
-                let slot = &mut cursor[s as usize];
-                rows[*slot as usize] = (d, w);
-                *slot += 1;
-            }
-        }
-        // Sort each row; with dedup, also compact the rows towards the front
-        // of `rows`, keeping the first (smallest-weight) edge per target.
-        let mut kept = 0usize;
-        let mut start = 0usize;
-        for v in 0..n {
-            let end = offsets[v + 1] as usize;
-            rows[start..end].sort_unstable();
-            if self.dedup {
-                let row_start = kept;
-                for i in start..end {
-                    if kept == row_start || rows[kept - 1].0 != rows[i].0 {
-                        rows[kept] = rows[i];
-                        kept += 1;
-                    }
-                }
-                offsets[v + 1] = kept as u64;
-            }
-            start = end;
-        }
-        if self.dedup {
-            rows.truncate(kept);
-        }
-        let targets: Vec<u32> = rows.iter().map(|&(d, _)| d).collect();
-        let weights: Vec<u32> = if rows.iter().all(|&(_, w)| w == 1) {
-            Vec::new()
-        } else {
-            rows.iter().map(|&(_, w)| w).collect()
-        };
-        Csr::from_parts(offsets, targets, weights)
+        build_csr(self.num_nodes, &Kept(self), self.dedup)
     }
+}
+
+/// Edges that can be walked more than once: every call of
+/// [`EdgeStream::for_each`] yields the same `(src, dst, weight)` triples.
+/// [`build_csr`] walks a stream twice instead of holding a copy of it, so
+/// edges that live in another form (network payloads, another id space)
+/// never have to become a triple list.
+pub trait EdgeStream {
+    /// Calls `sink(src, dst, weight)` once per edge.
+    fn for_each(&self, sink: impl FnMut(u32, u32, u32));
+}
+
+/// The edges a [`GraphBuilder`] keeps: all of them, minus the self loops
+/// when those are dropped.
+struct Kept<'a>(&'a GraphBuilder);
+
+impl EdgeStream for Kept<'_> {
+    fn for_each(&self, mut sink: impl FnMut(u32, u32, u32)) {
+        let drop_self_loops = self.0.drop_self_loops;
+        for &(s, d, w) in &self.0.edges {
+            if !(drop_self_loops && s == d) {
+                sink(s, d, w);
+            }
+        }
+    }
+}
+
+/// Builds the [`Csr`] of `edges` over `num_nodes` nodes: rows ordered by
+/// source, each row by `(dst, weight)`; with `dedup`, one edge per
+/// `(src, dst)`, the one of smallest weight.
+///
+/// An out-of-place counting sort by source (degree count, prefix sum,
+/// scatter) followed by a sort of each row. Rows partition the edges by
+/// source, so the result is the order a sort of the whole
+/// `(src, dst, weight)` list gives, whatever order the stream has. The result
+/// is unweighted exactly when every kept edge has weight 1; a stream of unit
+/// weights is scattered straight into the target array.
+///
+/// # Panics
+///
+/// Panics if an endpoint is `>= num_nodes`.
+pub fn build_csr(num_nodes: u32, edges: &impl EdgeStream, dedup: bool) -> Csr {
+    let n = num_nodes as usize;
+    let mut offsets = vec![0u64; n + 1];
+    let mut unit_weights = true;
+    edges.for_each(|s, d, w| {
+        assert!(
+            s < num_nodes && d < num_nodes,
+            "edge ({s}, {d}) out of range for {num_nodes} nodes"
+        );
+        offsets[s as usize + 1] += 1;
+        unit_weights &= w == 1;
+    });
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    if unit_weights {
+        let targets = sorted_rows(&mut offsets, edges, dedup, |d, _| d, |&d| d);
+        return Csr::from_parts(offsets, targets, Vec::new());
+    }
+    let rows = sorted_rows(&mut offsets, edges, dedup, |d, w| (d, w), |&(d, _)| d);
+    let targets = rows.iter().map(|&(d, _)| d).collect();
+    let weights = if rows.iter().all(|&(_, w)| w == 1) {
+        Vec::new()
+    } else {
+        rows.iter().map(|&(_, w)| w).collect()
+    };
+    Csr::from_parts(offsets, targets, weights)
+}
+
+/// Scatters `cell(dst, weight)` of every edge into its source's row
+/// (`offsets` holds the row bounds) and sorts each row; with `dedup`, also
+/// compacts the rows towards the front, keeping the first (smallest) cell
+/// per `target`, and rewrites `offsets` to match.
+fn sorted_rows<T: Copy + Ord + Default>(
+    offsets: &mut [u64],
+    edges: &impl EdgeStream,
+    dedup: bool,
+    cell: impl Fn(u32, u32) -> T,
+    target: impl Fn(&T) -> u32,
+) -> Vec<T> {
+    let n = offsets.len() - 1;
+    let mut cursor = offsets[..n].to_vec();
+    let mut rows = vec![T::default(); offsets[n] as usize];
+    edges.for_each(|s, d, w| {
+        let slot = &mut cursor[s as usize];
+        rows[*slot as usize] = cell(d, w);
+        *slot += 1;
+    });
+    let mut kept = 0usize;
+    let mut start = 0usize;
+    for v in 0..n {
+        let end = offsets[v + 1] as usize;
+        // The stable sort because it is the run-adaptive one (equal cells
+        // are indistinguishable, so the order is the same): a partition's
+        // stream is in source order and leaves each row as one or two
+        // ascending runs, which it merges instead of sorting from scratch.
+        rows[start..end].sort();
+        if dedup {
+            let row_start = kept;
+            for i in start..end {
+                if kept == row_start || target(&rows[kept - 1]) != target(&rows[i]) {
+                    rows[kept] = rows[i];
+                    kept += 1;
+                }
+            }
+            offsets[v + 1] = kept as u64;
+        }
+        start = end;
+    }
+    if dedup {
+        rows.truncate(kept);
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -209,7 +250,10 @@ mod tests {
                 .iter()
                 .map(|&(s, d, w)| (s % num_nodes, d % num_nodes, 1 + w % max_weight))
                 .collect();
-            let mut b = GraphBuilder::from_edges(num_nodes, edges);
+            let mut b = GraphBuilder::new(num_nodes);
+            for &(s, d, w) in &edges {
+                b.add_edge(Gid(s), Gid(d), w);
+            }
             if dedup {
                 b.dedup();
             }
@@ -222,22 +266,15 @@ mod tests {
     }
 
     #[test]
-    fn from_edges_equals_adding_one_by_one() {
-        let edges = vec![(2, 0, 7), (0, 1, 1), (0, 1, 1), (1, 1, 3)];
-        let mut one_by_one = GraphBuilder::new(3);
-        for &(s, d, w) in &edges {
-            one_by_one.add_edge(Gid(s), Gid(d), w);
-        }
-        assert_eq!(
-            GraphBuilder::from_edges(3, edges).build(),
-            one_by_one.build()
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
-    fn from_edges_rejects_out_of_range_edge() {
-        let _ = GraphBuilder::from_edges(2, vec![(0, 1, 1), (2, 0, 1)]);
+    fn build_csr_rejects_an_out_of_range_edge() {
+        struct One;
+        impl EdgeStream for One {
+            fn for_each(&self, mut sink: impl FnMut(u32, u32, u32)) {
+                sink(0, 2, 1);
+            }
+        }
+        let _ = build_csr(2, &One, false);
     }
 
     #[test]

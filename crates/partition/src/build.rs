@@ -12,9 +12,10 @@
 
 use crate::local::LocalGraph;
 use crate::policy::{Policy, PolicyCtx};
-use bytes::{BufMut, Bytes, BytesMut};
-use gluon_graph::{Csr, Gid, GraphBuilder};
+use bytes::Bytes;
+use gluon_graph::{build_csr, Csr, EdgeStream, Gid};
 use gluon_net::{Communicator, Transport};
+use std::ops::Range;
 
 /// Partitions `graph` for `num_hosts` hosts, producing all partitions at
 /// once (rank order).
@@ -36,14 +37,22 @@ use gluon_net::{Communicator, Transport};
 /// Panics if `num_hosts` is zero.
 pub fn partition_all(graph: &Csr, num_hosts: usize, policy: Policy) -> Vec<LocalGraph> {
     let ctx = PolicyCtx::new(policy, graph, num_hosts);
-    let mut buckets: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); num_hosts];
+    let mut buckets = vec![Vec::new(); num_hosts];
     route_edge_slice(graph, &ctx, 0, graph.num_edges(), |host, src, dst, w| {
-        buckets[host].push((src, dst, w));
+        put_edge(&mut buckets[host], src, dst, w);
     });
     buckets
         .into_iter()
         .enumerate()
-        .map(|(host, edges)| build_local(host, &ctx, graph, edges))
+        .map(|(host, edges)| {
+            let edges = HostEdges {
+                graph,
+                slice: 0..0,
+                stays: &[],
+                received: &[Bytes::from(edges)],
+            };
+            build_local(host, &ctx, &edges)
+        })
         .collect()
 }
 
@@ -71,36 +80,62 @@ pub fn partition_on_host<T: Transport + ?Sized>(
     // Count first, so every buffer is allocated once at its final size.
     let mut counts = vec![0usize; num_hosts];
     route_edge_slice(graph, &ctx, lo, hi, |host, _, _, _| counts[host] += 1);
-    let mut outgoing: Vec<BytesMut> = counts
+    counts[rank] = 0;
+    let mut outgoing: Vec<Vec<u8>> = counts
         .iter()
-        .enumerate()
-        .map(|(host, &c)| BytesMut::with_capacity(if host == rank { 0 } else { c * 12 }))
+        .map(|&c| Vec::with_capacity(c * EDGE_BYTES))
         .collect();
-    let mut own: Vec<(u32, u32, u32)> = Vec::with_capacity(counts[rank]);
+    // The edges that stay here are not copied anywhere: one bit per edge of
+    // the slice remembers them, and every later pass reads them from `graph`.
+    let mut stays = vec![0u64; (hi - lo).div_ceil(64) as usize];
+    let mut i = 0usize;
     route_edge_slice(graph, &ctx, lo, hi, |host, src, dst, weight| {
         if host == rank {
-            own.push((src, dst, weight));
+            stays[i / 64] |= 1 << (i % 64);
         } else {
-            let buf = &mut outgoing[host];
-            buf.put_u32_le(src);
-            buf.put_u32_le(dst);
-            buf.put_u32_le(weight);
+            put_edge(&mut outgoing[host], src, dst, weight);
         }
+        i += 1;
     });
-    let incoming = comm.all_to_all(outgoing.into_iter().map(BytesMut::freeze).collect());
-    own.reserve_exact(incoming.iter().map(|p| p.len() / 12).sum());
-    for payload in incoming {
-        decode_edges(&payload, &mut own);
+    let received = comm.all_to_all(outgoing.into_iter().map(Bytes::from).collect());
+    let edges = HostEdges {
+        graph,
+        slice: lo..hi,
+        stays: &stays,
+        received: &received,
+    };
+    build_local(rank, &ctx, &edges)
+}
+
+/// Calls `row(v, edges)` for every row `v` of `graph` that holds some of
+/// edges `lo..hi` (by CSR edge index), in order, `edges` being the row's
+/// share of them.
+fn for_each_row(graph: &Csr, lo: u64, hi: u64, mut row: impl FnMut(u32, Range<usize>)) {
+    let offsets = graph.offsets();
+    // The row holding edge `lo`: the last one starting at or before it.
+    let mut v = offsets.partition_point(|&o| o <= lo).saturating_sub(1);
+    let mut e = lo;
+    while e < hi {
+        while offsets[v + 1] <= e {
+            v += 1;
+        }
+        let row_end = offsets[v + 1].min(hi);
+        row(v as u32, e as usize..row_end as usize);
+        e = row_end;
     }
-    build_local(rank, &ctx, graph, own)
+}
+
+/// Weight of edge `i` of `graph` (1 when the graph is unweighted).
+fn weight_at(graph: &Csr, i: usize) -> u32 {
+    graph.weights().get(i).copied().unwrap_or(1)
 }
 
 /// Calls `sink(host, src, dst, weight)` for edges `lo..hi` (by CSR edge
 /// index) of `graph`, in CSR order, `host` being the one `ctx` assigns the
 /// edge to.
 ///
-/// Walks the raw CSR arrays row by row and asks for the source's master once
-/// per [`PolicyCtx::master_run`], not once per edge.
+/// Asks for the source's master once per [`PolicyCtx::master_run`], not once
+/// per edge.
 fn route_edge_slice(
     graph: &Csr,
     ctx: &PolicyCtx,
@@ -108,44 +143,84 @@ fn route_edge_slice(
     hi: u64,
     mut sink: impl FnMut(usize, u32, u32, u32),
 ) {
-    let (offsets, targets, weights) = (graph.offsets(), graph.targets(), graph.weights());
-    // The row holding edge `lo`: the last one starting at or before it.
-    let mut v = offsets.partition_point(|&o| o <= lo).saturating_sub(1);
+    let targets = graph.targets();
     let (mut src_master, mut run_end) = (0, 0);
-    let mut e = lo;
-    while e < hi {
-        while offsets[v + 1] <= e {
-            v += 1;
+    for_each_row(graph, lo, hi, |v, edges| {
+        if v >= run_end {
+            (src_master, run_end) = ctx.master_run(Gid(v));
         }
-        if v as u32 >= run_end {
-            (src_master, run_end) = ctx.master_run(Gid(v as u32));
-        }
-        let row_end = offsets[v + 1].min(hi);
-        for i in e as usize..row_end as usize {
+        for i in edges {
             let dst = targets[i];
-            let weight = if weights.is_empty() { 1 } else { weights[i] };
-            sink(
-                ctx.host_of_edge_from(src_master, Gid(dst)),
-                v as u32,
-                dst,
-                weight,
-            );
+            let host = ctx.host_of_edge_from(src_master, Gid(dst));
+            sink(host, v, dst, weight_at(graph, i));
         }
-        e = row_end;
+    });
+}
+
+/// Bytes of one routed edge: `src`, `dst` and `weight` as little-endian
+/// `u32`s.
+const EDGE_BYTES: usize = 12;
+
+fn put_edge(buf: &mut Vec<u8>, src: u32, dst: u32, weight: u32) {
+    let mut edge = [0u8; EDGE_BYTES];
+    edge[0..4].copy_from_slice(&src.to_le_bytes());
+    edge[4..8].copy_from_slice(&dst.to_le_bytes());
+    edge[8..12].copy_from_slice(&weight.to_le_bytes());
+    buf.extend_from_slice(&edge);
+}
+
+/// The edges routed to one host, in global ids: those of its own slice of
+/// the edge list that stay, read where they lie in the graph, and those its
+/// peers sent.
+struct HostEdges<'a> {
+    graph: &'a Csr,
+    /// The host's slice of the edge list (by CSR edge index); bit `i` of
+    /// `stays` set means edge `slice.start + i` stays on this host.
+    slice: Range<u64>,
+    stays: &'a [u64],
+    received: &'a [Bytes],
+}
+
+impl HostEdges<'_> {
+    /// Calls `sink(src, dst, weight)` for every edge, in the same order on
+    /// every call.
+    fn for_each(&self, mut sink: impl FnMut(u32, u32, u32)) {
+        let targets = self.graph.targets();
+        let lo = self.slice.start as usize;
+        for_each_row(self.graph, self.slice.start, self.slice.end, |v, edges| {
+            for i in edges {
+                if self.stays[(i - lo) / 64] >> ((i - lo) % 64) & 1 != 0 {
+                    sink(v, targets[i], weight_at(self.graph, i));
+                }
+            }
+        });
+        for payload in self.received {
+            assert_eq!(
+                payload.len() % EDGE_BYTES,
+                0,
+                "edge payload must be 12-byte triples"
+            );
+            let word = |edge: &[u8], i: usize| {
+                u32::from_le_bytes(edge[4 * i..4 * i + 4].try_into().expect("4 bytes"))
+            };
+            for edge in payload.chunks_exact(EDGE_BYTES) {
+                sink(word(edge, 0), word(edge, 1), word(edge, 2));
+            }
+        }
     }
 }
 
-fn decode_edges(payload: &Bytes, out: &mut Vec<(u32, u32, u32)>) {
-    assert_eq!(
-        payload.len() % 12,
-        0,
-        "edge payload must be 12-byte triples"
-    );
-    for chunk in payload.chunks_exact(12) {
-        let src = u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes"));
-        let dst = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
-        let w = u32::from_le_bytes(chunk[8..12].try_into().expect("4 bytes"));
-        out.push((src, dst, w));
+/// A host's edges in its local id space.
+struct LocalEdges<'a> {
+    edges: &'a HostEdges<'a>,
+    lid_of: &'a [u32],
+}
+
+impl EdgeStream for LocalEdges<'_> {
+    fn for_each(&self, mut sink: impl FnMut(u32, u32, u32)) {
+        self.edges.for_each(|u, v, w| {
+            sink(self.lid_of[u as usize], self.lid_of[v as usize], w);
+        });
     }
 }
 
@@ -153,18 +228,15 @@ fn decode_edges(payload: &Bytes, out: &mut Vec<(u32, u32, u32)>) {
 const MASTER: u8 = 1;
 const ENDPOINT: u8 = 2;
 
-/// Builds host `host`'s [`LocalGraph`] from the edges assigned to it, in
+/// Builds host `host`'s [`LocalGraph`] from the edges routed to it, in
 /// linear passes over flat arrays (DESIGN.md, "Partition construction").
 ///
-/// `edges` holds global ids on entry and is translated to local ids in
-/// place. Two scratch arrays indexed by global id — one byte of marks and
-/// one `u32` local id per vertex — live only inside this function.
-fn build_local(
-    host: usize,
-    ctx: &PolicyCtx,
-    graph: &Csr,
-    mut edges: Vec<(u32, u32, u32)>,
-) -> LocalGraph {
+/// The edges are never gathered into a list: `edges` is walked once to find
+/// the endpoints and twice by [`build_csr`]. Two scratch arrays indexed by
+/// global id — one byte of marks and one `u32` local id per vertex — live
+/// only inside this function.
+fn build_local(host: usize, ctx: &PolicyCtx, edges: &HostEdges<'_>) -> LocalGraph {
+    let graph = edges.graph;
     let n = graph.num_nodes();
     // Masters: every node this host owns — present even when isolated, so
     // reductions and initial values always have a home.
@@ -180,10 +252,10 @@ fn build_local(
         v = run_end;
     }
     // Mirrors: endpoints of local edges whose master is remote.
-    for &(u, v, _) in &edges {
+    edges.for_each(|u, v, _| {
         marks[u as usize] |= ENDPOINT;
         marks[v as usize] |= ENDPOINT;
-    }
+    });
     // One scan in gid order hands out local ids, masters first, and leaves
     // both proxy ranges sorted by gid.
     let mut lid_of = vec![u32::MAX; n as usize];
@@ -203,11 +275,15 @@ fn build_local(
     owner.extend(mirror_gids.iter().map(|&g| ctx.master_of(g)));
     gids.append(&mut mirror_gids);
 
-    for e in &mut edges {
-        (e.0, e.1) = (lid_of[e.0 as usize], lid_of[e.1 as usize]);
-    }
+    let local_csr = build_csr(
+        gids.len() as u32,
+        &LocalEdges {
+            edges,
+            lid_of: &lid_of,
+        },
+        false,
+    );
     drop(lid_of);
-    let local_csr = GraphBuilder::from_edges(gids.len() as u32, edges).build();
     LocalGraph::from_parts(
         host,
         ctx.num_hosts(),
@@ -235,7 +311,7 @@ pub fn local_edge_gids(lg: &LocalGraph) -> Vec<(Gid, Gid, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gluon_graph::gen;
+    use gluon_graph::{gen, GraphBuilder};
     use gluon_net::run_cluster;
 
     #[test]
