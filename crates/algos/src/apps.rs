@@ -304,6 +304,17 @@ pub fn try_pagerank<T: Transport + ?Sized>(
     }
 
     let mut contrib = vec![0.0f64; n];
+    // What every out-edge of `u` carries this iteration:
+    // `rank[u] / max(gdeg[u], 1)`, divided once per proxy instead of once
+    // per edge, so the sweep below reads one `u32` and one `f64` per edge.
+    let mut outgoing = vec![0.0f64; n];
+    let mut contrib_bits = DenseBitset::new(lg.num_proxies());
+    let mut rank_bits = DenseBitset::new(lg.num_proxies());
+    // The item list the worklist engines sweep (Ligra sweeps label slots).
+    let proxies: Vec<Lid> = match engine {
+        EngineKind::Ligra => Vec::new(),
+        EngineKind::Galois | EngineKind::Irgl => lg.proxies().collect(),
+    };
     let pool = ctx.pool().clone();
     let binned = ctx.opts().partition_bins;
     // Checked out for the whole iteration loop; an error path drops the
@@ -312,94 +323,69 @@ pub fn try_pagerank<T: Transport + ?Sized>(
     let mut device = IrglEngine::new(Default::default());
     while iters < cfg.max_iters {
         iters += 1;
-        // Pull phase: partial contribution sums at every proxy with local
-        // in-edges. `contrib` is assigned (not accumulated) per round.
-        // Chunk weights charge the pool meter one unit per in-edge
-        // scanned; each destination's sum folds in in-edge order, so the
-        // f64 result is bit-identical at any thread count.
-        let mut contrib_bits = DenseBitset::new(lg.num_proxies());
+        for ((out, &r), &deg) in outgoing.iter_mut().zip(&rank).zip(&gdeg) {
+            *out = r / f64::from(deg.max(1));
+        }
+        // Pull phase: the partial contribution sum of every proxy with
+        // local in-edges, folded from 0.0 in in-edge order, so the f64
+        // result is bit-identical at any thread count and under every
+        // engine. `contrib` is assigned (not accumulated) per round; the
+        // engines differ only in how they chunk and meter the sweep.
+        let gather = |v: Lid| -> Option<f64> {
+            let sources = lg.in_sources(v);
+            if sources.is_empty() {
+                return None;
+            }
+            let mut sum = 0.0f64;
+            for &u in sources {
+                sum += outgoing[u as usize];
+            }
+            Some(sum)
+        };
+        let assign = |_v: Lid, sum: f64, slot: &mut f64| {
+            *slot = sum;
+            true
+        };
         match engine {
             EngineKind::Ligra => {
-                // Dense-frontier pull edgeMap: every source is live.
-                contrib.fill(0.0);
-                let mut all = DenseBitset::new(lg.num_proxies());
-                all.set_all();
-                let frontier = VertexSubset::from_bitset(all);
-                ligra::edge_map_pull_pooled(
-                    lg,
-                    &frontier,
-                    &pool,
-                    &mut bins,
-                    &mut contrib,
-                    binned,
-                    |src, _dst, _w, cur| {
-                        Some(*cur + rank[src.index()] / f64::from(gdeg[src.index()].max(1)))
-                    },
-                );
-                for &v in bins.activated() {
-                    contrib_bits.set(v);
-                }
+                ligra::vertex_map_pull_pooled(lg, &pool, &mut bins, &mut contrib, |v, slot| {
+                    gather(v).is_some_and(|sum| assign(v, sum, slot))
+                });
             }
-            EngineKind::Galois => {
-                let proxies: Vec<Lid> = lg.proxies().collect();
-                galois::do_all_binned(
-                    &pool,
-                    &mut bins,
-                    &proxies,
-                    &mut contrib,
-                    binned,
-                    |v| lg.in_edges(v).count() as u64,
-                    |chunk, _contrib, sink| {
-                        for &v in chunk {
-                            if !lg.has_local_in_edges(v) {
-                                continue;
-                            }
-                            let mut sum = 0.0f64;
-                            for e in lg.in_edges(v) {
-                                let u = e.dst; // in_edges reports the source here
-                                sum += rank[u.index()] / f64::from(gdeg[u.index()].max(1));
-                            }
+            EngineKind::Galois => galois::do_all_binned(
+                &pool,
+                &mut bins,
+                &proxies,
+                &mut contrib,
+                binned,
+                |v| u64::from(lg.in_degree(v)),
+                |chunk, _contrib, sink| {
+                    for &v in chunk {
+                        if let Some(sum) = gather(v) {
                             sink.push(v, sum);
                         }
-                    },
-                    |_v, sum, slot| {
-                        *slot = sum;
-                        true
-                    },
-                );
-                for &v in bins.activated() {
-                    contrib_bits.set(v);
-                }
-            }
-            EngineKind::Irgl => {
-                let worklist: Vec<Lid> = lg.proxies().collect();
-                device.kernel_par_binned(
-                    lg,
-                    &pool,
-                    &mut bins,
-                    &worklist,
-                    &mut contrib,
-                    binned,
-                    |v, lg, _contrib, sink| {
-                        if !lg.has_local_in_edges(v) {
-                            return;
-                        }
-                        let mut sum = 0.0f64;
-                        for e in lg.in_edges(v) {
-                            let u = e.dst;
-                            sum += rank[u.index()] / f64::from(gdeg[u.index()].max(1));
-                        }
+                    }
+                },
+                assign,
+            ),
+            EngineKind::Irgl => device.kernel_par_binned(
+                lg,
+                &pool,
+                &mut bins,
+                &proxies,
+                &mut contrib,
+                binned,
+                |v, _lg, _contrib, sink| {
+                    if let Some(sum) = gather(v) {
                         sink.push(v, sum);
-                    },
-                    |_v, sum, slot| {
-                        *slot = sum;
-                        true
-                    },
-                );
-                for &v in bins.activated() {
-                    contrib_bits.set(v);
-                }
-            }
+                    }
+                },
+                assign,
+            ),
+        }
+        contrib_bits.clear_all();
+        for &v in bins.activated() {
+            contrib_bits.set(v);
         }
         // Reduce partial sums to masters; the contributions are consumed
         // there, so no broadcast of `contrib` is ever needed.
@@ -408,7 +394,7 @@ pub fn try_pagerank<T: Transport + ?Sized>(
             ctx.try_sync(&CONTRIB, &mut field, &mut contrib_bits)?;
         }
         // Apply at masters and measure the local L1 change.
-        let mut rank_bits = DenseBitset::new(lg.num_proxies());
+        rank_bits.clear_all();
         let mut local_delta = 0.0f64;
         for m in lg.masters() {
             let next = base + cfg.damping * contrib[m.index()];

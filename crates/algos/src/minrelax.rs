@@ -25,7 +25,7 @@
 //!   (a label changed iff its final value beats its initial one), so outer
 //!   round counts and wire traffic match the sequential engine.
 //! - **IrGL** launches one snapshot kernel per round
-//!   ([`IrglEngine::kernel_par`]), with device work counters unchanged.
+//!   ([`IrglEngine::kernel_par_binned`]), with device work counters unchanged.
 
 use crate::EngineKind;
 use gluon::{

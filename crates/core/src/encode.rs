@@ -546,6 +546,17 @@ pub fn encode_memoized_into<V: SyncValue>(
         return;
     }
     let same = pack_values_into(updated, &value_at, scratch);
+    if updated.len() == list_len && !(compress && same) {
+        // Every entry is dirty, so the packed values already are the dense
+        // body, and `Dense` (1 + k·v bytes) is the selector's answer: each
+        // other candidate ships the same k values plus at least one
+        // metadata byte, except the `Same*` modes, which need `compress`
+        // and byte-identical values. No sizing pass, no second gather.
+        out.reserve(1 + scratch.vals.len());
+        out.put_u8(WireMode::Dense as u8);
+        out.put_slice(&scratch.vals);
+        return;
+    }
     if compress {
         runs_of_into(updated, &mut scratch.runs);
     }

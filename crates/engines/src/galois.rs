@@ -109,37 +109,20 @@ pub fn do_all(items: impl IntoIterator<Item = Lid>, mut op: impl FnMut(Lid)) -> 
     applied
 }
 
-/// Deterministic parallel `do_all`: applies `map` to fixed
-/// [`gluon_exec::CHUNK`]-sized slices of `items` on `pool` and returns the
-/// per-chunk results in ascending chunk order for the caller to fold
-/// sequentially. `map` reads only immutable shared state (`Fn + Sync`);
-/// `weight` meters one item's work (typically its out-degree) into the
-/// pool's seq/critical-path counters. Deterministic local quiescence is
-/// built on top of this: sweep the frontier in bulk, apply the candidate
-/// chunks in order, repeat until no label changes — monotone operators
-/// reach the same fixpoint FIFO chaotic relaxation does.
-pub fn do_all_chunked<R: Send>(
-    pool: &Pool,
-    items: &[Lid],
-    weight: impl Fn(Lid) -> u64 + Sync,
-    map: impl Fn(&[Lid]) -> R + Sync,
-) -> Vec<R> {
-    pool.map_chunks_weighted(
-        items.len(),
-        |r| items[r].iter().map(|&l| weight(l)).sum(),
-        |r| map(&items[r]),
-    )
-}
-
-/// Partition-binned `do_all` on recycled scratch: item chunks scatter
-/// `(dst, value)` candidates into per-(chunk, destination-partition) bins
-/// via `emit` (which sees the current `labels` as a shared slice), then
-/// each partition drains its bins in (chunk, edge) order running
-/// `apply(dst, value, &mut labels[dst])` — in parallel across partitions,
-/// bit-identical to folding the [`do_all_chunked`] chunks sequentially.
-/// The metered scatter weights match `do_all_chunked` exactly; read the
-/// ascending activation list (destinations where `apply` returned `true`)
-/// from [`BinScratch::activated`].
+/// Deterministic parallel `do_all` on recycled scratch: fixed
+/// [`gluon_exec::CHUNK`]-sized slices of `items` scatter `(dst, value)`
+/// candidates into per-(chunk, destination-partition) bins via `emit`
+/// (which sees the current `labels` as a shared slice, nothing mutable —
+/// `Fn + Sync`), then each partition drains its bins in (chunk, edge)
+/// order running `apply(dst, value, &mut labels[dst])` — in parallel
+/// across partitions, bit-identical to folding the chunks' candidates
+/// sequentially. `weight` meters one item's work (typically its degree)
+/// into the pool's seq/critical-path counters; read the ascending
+/// activation list (destinations where `apply` returned `true`) from
+/// [`BinScratch::activated`]. Deterministic local quiescence is built on
+/// top of this: sweep the frontier in bulk, repeat on the activations
+/// until no label changes — monotone operators reach the same fixpoint
+/// FIFO chaotic relaxation does.
 #[allow(clippy::too_many_arguments)]
 pub fn do_all_binned<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     pool: &Pool,
@@ -387,72 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn do_all_chunked_sweeps_reach_the_fifo_fixpoint_at_any_thread_count() {
-        // Deterministic bulk sub-rounds (sweep -> ordered apply -> repeat)
-        // must land on the same labels as FIFO chaotic relaxation.
-        let g = gluon_graph::with_random_weights(&gen::rmat(7, 6, Default::default(), 4), 4, 7);
-        let mut parts = partition_all(&g, 1, Policy::Oec);
-        let lg = parts.remove(0);
-        let n = lg.num_proxies();
-        let mut fifo = vec![u32::MAX; n as usize];
-        fifo[0] = 0;
-        for_each(n, [Lid(0)], |v, wl| {
-            let dv = fifo[v.index()];
-            for e in lg.out_edges(v) {
-                let nd = dv.saturating_add(e.weight);
-                if nd < fifo[e.dst.index()] {
-                    fifo[e.dst.index()] = nd;
-                    wl.push(e.dst);
-                }
-            }
-        });
-        for threads in [1, 2, 5, 8] {
-            let pool = Pool::new(threads);
-            let mut dist = vec![u32::MAX; n as usize];
-            dist[0] = 0;
-            let mut frontier = vec![Lid(0)];
-            while !frontier.is_empty() {
-                let chunks = do_all_chunked(
-                    &pool,
-                    &frontier,
-                    |v| u64::from(lg.out_degree(v)),
-                    |chunk| {
-                        let mut out = Vec::new();
-                        for &v in chunk {
-                            let dv = dist[v.index()];
-                            for e in lg.out_edges(v) {
-                                let nd = dv.saturating_add(e.weight);
-                                if nd < dist[e.dst.index()] {
-                                    out.push((e.dst, nd));
-                                }
-                            }
-                        }
-                        out
-                    },
-                );
-                let mut next = Vec::new();
-                let mut queued = DenseBitset::new(n);
-                for chunk in chunks {
-                    for (dst, nd) in chunk {
-                        if nd < dist[dst.index()] {
-                            dist[dst.index()] = nd;
-                            if !queued.test(dst) {
-                                queued.set(dst);
-                                next.push(dst);
-                            }
-                        }
-                    }
-                }
-                frontier = next;
-            }
-            assert_eq!(dist, fifo, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn do_all_binned_matches_the_chunked_fold() {
-        // The binned sweep (either geometry) must land on the same labels
-        // and sub-round frontiers as the sequential candidate fold above.
+    fn do_all_binned_sweeps_reach_the_fifo_fixpoint_at_any_thread_count() {
+        // Deterministic bulk sub-rounds (sweep -> ordered apply -> repeat),
+        // in either bin geometry, must land on the same labels as FIFO
+        // chaotic relaxation.
         let g = gluon_graph::with_random_weights(&gen::rmat(7, 6, Default::default(), 4), 4, 7);
         let mut parts = partition_all(&g, 1, Policy::Oec);
         let lg = parts.remove(0);

@@ -9,12 +9,12 @@
 //! This engine runs on one host's [`LocalGraph`]; plugged into
 //! [`gluon::GluonContext::sync`] between rounds it becomes the paper's
 //! **D-Ligra**. The classic `edgeMap` runs on the host thread; the
-//! `*_par` variants drive a deterministic [`Pool`] for intra-host
+//! `*_pooled` variants drive a deterministic [`Pool`] for intra-host
 //! parallelism (candidates from immutable state, applied in chunk order,
 //! bit-identical at any thread count).
 
 use gluon::{BinScratch, BitsetIter, DenseBitset, PullScratch};
-use gluon_exec::{chunk_width, Pool};
+use gluon_exec::{chunk_width, Pool, SchedScratch};
 use gluon_graph::Lid;
 use gluon_partition::LocalGraph;
 
@@ -68,33 +68,6 @@ impl VertexSubset {
             VertexSubset::Sparse(v) => SubsetIter::Sparse(v.iter().copied()),
             VertexSubset::Dense(b) => SubsetIter::Dense(b.iter()),
         }
-    }
-
-    /// Applies `f` to fixed [`gluon_exec::CHUNK`]-sized slices of the member
-    /// list on `pool`, returning per-chunk results in ascending chunk order
-    /// for the caller to fold sequentially. `weight` meters one member's
-    /// work (typically its degree). Dense subsets materialize their member
-    /// list first, so chunk boundaries are identical whichever
-    /// representation the subset happens to be in.
-    pub fn for_each_chunked<R: Send>(
-        &self,
-        pool: &Pool,
-        weight: impl Fn(Lid) -> u64 + Sync,
-        f: impl Fn(&[Lid]) -> R + Sync,
-    ) -> Vec<R> {
-        let owned;
-        let members: &[Lid] = match self {
-            VertexSubset::Sparse(v) => v,
-            VertexSubset::Dense(b) => {
-                owned = b.iter().collect::<Vec<Lid>>();
-                &owned
-            }
-        };
-        pool.map_chunks_weighted(
-            members.len(),
-            |r| members[r].iter().map(|&l| weight(l)).sum(),
-            |r| f(&members[r]),
-        )
     }
 
     /// Materializes the subset as a bit set of `capacity` bits (Gluon's
@@ -289,129 +262,20 @@ fn edge_map_pull(
     VertexSubset::from_members(next)
 }
 
-/// Deterministic parallel push `edgeMap`: frontier chunks produce
-/// `(dst, value)` candidates on the pool via `candidate`, which reads only
-/// immutable shared state (snapshot/Jacobi semantics — an update is *not*
-/// visible to later edges of the same sweep, unlike [`edge_map`]'s
-/// sequential push); `apply` then folds the candidates sequentially in
-/// chunk order, making the result bit-identical at any thread count.
-/// Returns the destinations `apply` reported as newly activated,
-/// deduplicated in application order.
-pub fn edge_map_push_par<V: Send>(
-    graph: &LocalGraph,
-    frontier: &VertexSubset,
-    pool: &Pool,
-    candidate: impl Fn(Lid, Lid, u32) -> Option<V> + Sync,
-    mut apply: impl FnMut(Lid, V) -> bool,
-) -> VertexSubset {
-    let chunks = frontier.for_each_chunked(
-        pool,
-        |l| u64::from(graph.out_degree(l)),
-        |members| {
-            let mut out: Vec<(Lid, V)> = Vec::new();
-            for &src in members {
-                for e in graph.out_edges(src) {
-                    if let Some(v) = candidate(src, e.dst, e.weight) {
-                        out.push((e.dst, v));
-                    }
-                }
-            }
-            out
-        },
-    );
-    let mut next = Vec::new();
-    let mut added = DenseBitset::new(graph.num_proxies());
-    for chunk in chunks {
-        for (dst, v) in chunk {
-            if apply(dst, v) && !added.test(dst) {
-                added.set(dst);
-                next.push(dst);
-            }
-        }
-    }
-    VertexSubset::from_members(next)
-}
-
-/// Deterministic parallel pull `edgeMap`: `labels` is split into fixed
-/// chunks of *destination* slots, each handed exclusively to one pool
-/// worker ([`Pool::map_chunks_mut`] — disjoint slices, no write races).
-/// A worker scans its destinations' in-edges against the frontier and
-/// folds improvements into the slot **in in-edge order**, the same order
-/// the sequential pull visits them; `relax(src, dst, weight, current)`
-/// returns the improved value or `None`. Source values must come from a
-/// caller-held snapshot (capture it in `relax`), which is what makes the
-/// sweep order-free. Returns the activated destinations, ascending.
-///
-/// # Panics
-///
-/// Panics if the transpose is absent or `labels` is not one slot per
-/// proxy.
-pub fn edge_map_pull_par<T: Send>(
-    graph: &LocalGraph,
-    frontier: &VertexSubset,
-    pool: &Pool,
-    labels: &mut [T],
-    relax: impl Fn(Lid, Lid, u32, &T) -> Option<T> + Sync,
-) -> VertexSubset {
-    assert!(graph.has_transpose(), "pull requires the transpose");
-    assert_eq!(
-        labels.len(),
-        graph.num_proxies() as usize,
-        "one label slot per proxy"
-    );
-    // Pull wants O(1) membership tests on the frontier.
-    let dense_frontier;
-    let frontier: &VertexSubset = match frontier {
-        VertexSubset::Sparse(_) => {
-            dense_frontier = VertexSubset::Dense(frontier.to_bitset(graph.num_proxies()));
-            &dense_frontier
-        }
-        VertexSubset::Dense(_) => frontier,
-    };
-    let activated = pool.map_chunks_mut(
-        labels,
-        |r| {
-            r.map(|i| graph.in_edges(Lid(i as u32)).count() as u64)
-                .sum()
-        },
-        |start, chunk| {
-            let mut activated: Vec<Lid> = Vec::new();
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let dst = Lid((start + i) as u32);
-                let mut any = false;
-                for e in graph.in_edges(dst) {
-                    let src = e.dst; // in_edges reports the source in `dst`
-                    if frontier.contains(src) {
-                        if let Some(nv) = relax(src, dst, e.weight, slot) {
-                            *slot = nv;
-                            any = true;
-                        }
-                    }
-                }
-                if any {
-                    activated.push(dst);
-                }
-            }
-            activated
-        },
-    );
-    VertexSubset::from_members(activated.into_iter().flatten().collect())
-}
-
 /// Partition-binned push `edgeMap` on recycled scratch: the frontier's
 /// chunks scatter `(dst, value)` candidates into per-(chunk, partition)
 /// bins via `candidate` (which sees the *current* labels as a shared
-/// slice — the same snapshot/Jacobi semantics as [`edge_map_push_par`]),
-/// then each destination partition drains its bins in (chunk, edge)
+/// slice: snapshot/Jacobi semantics — an update is *not* visible to later
+/// edges of the same sweep, unlike [`edge_map`]'s sequential push), then
+/// each destination partition drains its bins in (chunk, edge)
 /// order, running `apply(dst, value, &mut labels[dst])`. Partitions own
 /// disjoint destination ranges, so the drain runs in parallel with the
 /// exact per-destination operation order of the flat sequential fold —
 /// bit-identical labels and activations at any thread count and either
 /// `binned` setting (flat is the same code with one partition).
 ///
-/// Unlike [`edge_map_push_par`] this returns nothing and allocates
-/// nothing after warm-up: read the ascending activation list from
-/// [`BinScratch::activated`].
+/// Returns nothing and allocates nothing after warm-up: read the
+/// ascending activation list from [`BinScratch::activated`].
 #[allow(clippy::too_many_arguments)]
 pub fn edge_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     graph: &LocalGraph,
@@ -453,17 +317,22 @@ pub fn edge_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     }
 }
 
-/// Partition-binned pull `edgeMap` on recycled scratch: destination
-/// chunks sweep their in-edges against a dense image of the frontier
-/// exactly like [`edge_map_pull_par`], but every buffer (frontier bitmap,
-/// per-chunk activation lists, schedule state) is recycled, and when the
-/// frontier is sparse a per-destination-partition probe skips chunks none
-/// of whose partitions receive any out-edge of a frontier member —
-/// skipped chunks provably perform no relaxation, so results are
-/// unchanged. Chunk weights are computed (and metered) for every chunk
-/// whether or not it is skipped, keeping the work meter identical to the
-/// flat sweep. Read the ascending activation list from
-/// [`BinScratch::activated`].
+/// Partition-binned pull `edgeMap` on recycled scratch: `labels` is split
+/// into fixed chunks of *destination* slots, each handed exclusively to
+/// one pool worker (disjoint slices, no write races). A worker scans its
+/// destinations' in-edges against a dense image of the frontier and folds
+/// improvements into the slot **in in-edge order**, the same order the
+/// sequential pull visits them; `relax(src, dst, weight, current)` returns
+/// the improved value or `None`. Source values must come from a
+/// caller-held snapshot (capture it in `relax`), which is what makes the
+/// sweep order-free. Every buffer (frontier bitmap, per-chunk activation
+/// lists, schedule state) is recycled, and when the frontier is sparse a
+/// per-destination-partition probe skips chunks none of whose partitions
+/// receive any out-edge of a frontier member — skipped chunks provably
+/// perform no relaxation, so results are unchanged. Chunk weights are
+/// computed (and metered) for every chunk whether or not it is skipped,
+/// keeping the work meter identical to the flat sweep. Read the ascending
+/// activation list from [`BinScratch::activated`].
 ///
 /// # Panics
 ///
@@ -478,17 +347,10 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     binned: bool,
     relax: impl Fn(Lid, Lid, u32, &T) -> Option<T> + Sync,
 ) {
-    assert!(graph.has_transpose(), "pull requires the transpose");
-    assert_eq!(
-        labels.len(),
-        graph.num_proxies() as usize,
-        "one label slot per proxy"
-    );
-    let n = labels.len();
+    let n = graph.num_proxies() as usize;
     let width = bins.effective_width(n, binned);
     let shift = width.trailing_zeros();
     let num_parts = n.div_ceil(width).max(1);
-    let num_chunks = Pool::num_chunks(n);
     let probe = matches!(frontier, VertexSubset::Sparse(_));
 
     let PullScratch {
@@ -522,71 +384,137 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
         VertexSubset::Dense(b) => frontier_bits.copy_from_words(b.words()),
     }
 
+    let frontier_bits: &DenseBitset = frontier_bits;
+    let untouched = |start: usize, end: usize| {
+        probe
+            && !touched[(start >> shift)..=((end - 1) >> shift)]
+                .iter()
+                .any(|&t| t)
+    };
+    let skipped = sweep_destinations(
+        graph,
+        pool,
+        labels,
+        sched,
+        chunk_active,
+        activated,
+        untouched,
+        |dst, cell| {
+            let mut any = false;
+            for e in graph.in_edges(dst) {
+                let src = e.dst; // in_edges reports the source in `dst`
+                if frontier_bits.test(src) {
+                    if let Some(nv) = relax(src, dst, e.weight, cell) {
+                        *cell = nv;
+                        any = true;
+                    }
+                }
+            }
+            any
+        },
+    );
+    // Skips are counted for observability only (fingerprint-dropped — the
+    // flat grid has one partition and never skips).
+    stats.chunks_skipped += skipped;
+    // Accepted relaxations stand in for routed updates on the pull side
+    // (pull writes destinations in place and fills no bins); the count is
+    // geometry-independent, so it stays equal between binned and flat.
+    stats.updates += activated.len() as u64;
+}
+
+/// A dense pull sweep at vertex granularity, on the same recycled scratch
+/// and chunk grid as [`edge_map_pull_pooled`] with every proxy a live
+/// source: `visit(dst, &mut labels[dst])` owns its destination's slot and
+/// gathers over [`LocalGraph::in_sources`] itself, returning whether it
+/// wrote the slot. This is the shape a whole-graph pull operator (one
+/// pagerank iteration) wants: no frontier image to build or test, and the
+/// per-destination fold stays in a register instead of going through a
+/// per-edge functor. Chunks are metered by in-degree exactly as the
+/// edge-granular sweep meters them. Read the ascending activation list
+/// from [`BinScratch::activated`].
+///
+/// # Panics
+///
+/// Panics if the transpose is absent or `labels` is not one slot per
+/// proxy.
+pub fn vertex_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
+    graph: &LocalGraph,
+    pool: &Pool,
+    bins: &mut BinScratch<V>,
+    labels: &mut [T],
+    visit: impl Fn(Lid, &mut T) -> bool + Sync,
+) {
+    let PullScratch {
+        sched,
+        chunk_active,
+        activated,
+        stats,
+        ..
+    } = bins.pull_scratch();
+    sweep_destinations(
+        graph,
+        pool,
+        labels,
+        sched,
+        chunk_active,
+        activated,
+        |_, _| false,
+        visit,
+    );
+    stats.updates += activated.len() as u64;
+}
+
+/// The destination-chunk sweep behind both pull entry points: runs
+/// `visit` on every destination of every chunk `skip(start, end)` does not
+/// exclude, and assembles the destinations it returned `true` for into
+/// `activated`, ascending. Returns the number of chunks skipped.
+#[allow(clippy::too_many_arguments)]
+fn sweep_destinations<T: Send + Sync>(
+    graph: &LocalGraph,
+    pool: &Pool,
+    labels: &mut [T],
+    sched: &mut SchedScratch,
+    chunk_active: &mut Vec<Vec<Lid>>,
+    activated: &mut Vec<Lid>,
+    skip: impl Fn(usize, usize) -> bool + Sync,
+    visit: impl Fn(Lid, &mut T) -> bool + Sync,
+) -> u64 {
+    assert!(graph.has_transpose(), "pull requires the transpose");
+    let n = labels.len();
+    assert_eq!(n, graph.num_proxies() as usize, "one label slot per proxy");
+    let num_chunks = Pool::num_chunks(n);
     if chunk_active.len() < num_chunks {
         chunk_active.resize_with(num_chunks, Vec::new);
     }
-
-    // Count skips for observability (fingerprint-dropped — the flat grid
-    // has one partition and never skips).
     let cw = chunk_width(n);
-    let untouched = |start: usize, end: usize| {
-        !touched[(start >> shift)..=((end - 1) >> shift)]
-            .iter()
-            .any(|&t| t)
-    };
-    if probe {
-        for ci in 0..num_chunks {
-            if untouched(ci * cw, ((ci + 1) * cw).min(n)) {
-                stats.chunks_skipped += 1;
+    let skipped = (0..num_chunks)
+        .filter(|ci| skip(ci * cw, ((ci + 1) * cw).min(n)))
+        .count() as u64;
+    pool.for_each_chunk_mut_scratch(
+        labels,
+        sched,
+        &mut chunk_active[..num_chunks],
+        |r| r.map(|i| u64::from(graph.in_degree(Lid(i as u32)))).sum(),
+        |start, chunk, slot| {
+            slot.clear();
+            if skip(start, start + chunk.len()) {
+                return;
             }
-        }
-    }
-
-    {
-        let frontier_bits: &DenseBitset = frontier_bits;
-        pool.for_each_chunk_mut_scratch(
-            labels,
-            sched,
-            &mut chunk_active[..num_chunks],
-            |r| {
-                r.map(|i| graph.in_edges(Lid(i as u32)).count() as u64)
-                    .sum()
-            },
-            |start, chunk, slot| {
-                slot.clear();
-                if probe && untouched(start, start + chunk.len()) {
-                    return;
+            for (i, cell) in chunk.iter_mut().enumerate() {
+                let dst = Lid((start + i) as u32);
+                if visit(dst, cell) {
+                    slot.push(dst);
                 }
-                for (i, cell) in chunk.iter_mut().enumerate() {
-                    let dst = Lid((start + i) as u32);
-                    let mut any = false;
-                    for e in graph.in_edges(dst) {
-                        let src = e.dst; // in_edges reports the source in `dst`
-                        if frontier_bits.test(src) {
-                            if let Some(nv) = relax(src, dst, e.weight, cell) {
-                                *cell = nv;
-                                any = true;
-                            }
-                        }
-                    }
-                    if any {
-                        slot.push(dst);
-                    }
-                }
-            },
-        );
-    }
-
+            }
+        },
+    );
     // Chunks are visited in ascending destination order, so the
     // concatenation is already sorted and deduplicated.
     activated.clear();
     for slot in chunk_active[..num_chunks].iter_mut() {
         activated.append(slot);
     }
-    // Accepted relaxations stand in for routed updates on the pull side
-    // (pull writes destinations in place and fills no bins); the count is
-    // geometry-independent, so it stays equal between binned and flat.
-    stats.updates += activated.len() as u64;
+    skipped
 }
 
 /// Applies `keep` to every member; returns the subset where it was true —
@@ -693,57 +621,6 @@ mod tests {
         assert_eq!(next.len(), 1);
     }
 
-    fn bfs_par(threads: usize, direction: Direction) -> Vec<u32> {
-        let g = gen::rmat(7, 6, Default::default(), 9);
-        let lg = single_host(&g);
-        let pool = gluon_exec::Pool::new(threads);
-        let mut dist = vec![u32::MAX; lg.num_proxies() as usize];
-        dist[0] = 0;
-        let mut frontier = VertexSubset::from_members(vec![Lid(0)]);
-        let mut level = 1;
-        while !frontier.is_empty() {
-            let prev = dist.clone();
-            frontier = match direction {
-                Direction::Pull => {
-                    edge_map_pull_par(&lg, &frontier, &pool, &mut dist, |src, _dst, _w, cur| {
-                        (prev[src.index()] != u32::MAX && level < *cur).then_some(level)
-                    })
-                }
-                _ => edge_map_push_par(
-                    &lg,
-                    &frontier,
-                    &pool,
-                    |src, dst, _w| {
-                        (prev[src.index()] != u32::MAX && prev[dst.index()] == u32::MAX)
-                            .then_some(level)
-                    },
-                    |dst, v| {
-                        if v < dist[dst.index()] {
-                            dist[dst.index()] = v;
-                            true
-                        } else {
-                            false
-                        }
-                    },
-                ),
-            };
-            level += 1;
-        }
-        dist
-    }
-
-    #[test]
-    fn parallel_edge_map_matches_sequential_at_any_thread_count() {
-        let oracle = bfs_with(Direction::Push);
-        for dir in [Direction::Push, Direction::Pull] {
-            let seq = bfs_par(1, dir);
-            assert_eq!(seq, oracle, "{dir:?} fixpoint");
-            for t in [2, 5, 8] {
-                assert_eq!(bfs_par(t, dir), seq, "{dir:?} threads={t}");
-            }
-        }
-    }
-
     fn bfs_pooled(threads: usize, direction: Direction, binned: bool) -> Vec<u32> {
         let g = gen::rmat(7, 6, Default::default(), 9);
         let lg = single_host(&g);
@@ -846,13 +723,46 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunked_has_representation_independent_chunks() {
-        let members: Vec<Lid> = (0..1500).filter(|i| i % 3 != 0).map(Lid).collect();
-        let sparse = VertexSubset::from_members(members.clone());
-        let dense = VertexSubset::from_bitset(sparse.to_bitset(1500));
-        let pool = gluon_exec::Pool::new(4);
-        let by = |s: &VertexSubset| s.for_each_chunked(&pool, |_| 1, |c| c.to_vec());
-        assert_eq!(by(&sparse), by(&dense));
+    fn vertex_pull_matches_the_edge_granular_dense_pull() {
+        // Summing source values over in-edges, once through the per-edge
+        // functor with an all-live frontier and once through the
+        // vertex-granular sweep: same sums (bitwise), same activations,
+        // same metered work, at any thread count.
+        let g = gen::rmat(8, 6, Default::default(), 9);
+        let lg = single_host(&g);
+        let n = lg.num_proxies();
+        let vals: Vec<f64> = (0..n).map(|i| 1.0 / f64::from(i + 3)).collect();
+        let mut all = DenseBitset::new(n);
+        all.set_all();
+        let frontier = VertexSubset::from_bitset(all);
+        for threads in [1, 4] {
+            let by_edge = gluon_exec::Pool::new(threads);
+            let mut bins = BinScratch::<f64>::new();
+            let mut want = vec![0.0f64; n as usize];
+            edge_map_pull_pooled(
+                &lg,
+                &frontier,
+                &by_edge,
+                &mut bins,
+                &mut want,
+                true,
+                |src, _dst, _w, cur| Some(*cur + vals[src.index()]),
+            );
+            let want_active = bins.activated().to_vec();
+
+            let by_vertex = gluon_exec::Pool::new(threads);
+            let mut got = vec![0.0f64; n as usize];
+            vertex_map_pull_pooled(&lg, &by_vertex, &mut bins, &mut got, |dst, cell| {
+                let sources = lg.in_sources(dst);
+                *cell = sources.iter().fold(*cell, |s, &u| s + vals[u as usize]);
+                !sources.is_empty()
+            });
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "threads = {threads}");
+            assert_eq!(bins.activated(), want_active, "threads = {threads}");
+            assert_eq!(by_vertex.drain_work(), by_edge.drain_work());
+            assert!(want_active.len() < n as usize, "some proxy has no in-edge");
+        }
     }
 
     #[test]

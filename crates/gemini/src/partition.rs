@@ -135,6 +135,12 @@ impl GeminiPartition {
         self.pull_edges.out_edges(v)
     }
 
+    /// Sources of owned node `v`'s in-edges as a raw slice, in
+    /// [`GeminiPartition::in_edges`] order (see [`Csr::neighbors`]).
+    pub fn in_sources(&self, v: Gid) -> &[u32] {
+        self.pull_edges.neighbors(v)
+    }
+
     /// Local out-degree of owned node `v`.
     pub fn out_degree(&self, v: Gid) -> u32 {
         self.push_edges.out_degree(v)

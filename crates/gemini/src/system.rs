@@ -358,6 +358,10 @@ impl<'a, T: Transport> GeminiHost<'a, T> {
         let base = (1.0 - damping) / f64::from(n.max(1));
         let out_deg = graph.out_degrees();
         let mut rank = vec![1.0 / f64::from(n.max(1)); n as usize];
+        // Gemini's `curr[v] = rank[v] / out_degree[v]`: one divide per
+        // vertex per iteration, so the pull loop moves one word per edge
+        // (the same kernel shape as `gluon_algos::apps::pagerank`).
+        let mut outgoing = vec![0.0f64; n as usize];
         let mut dirty = DenseBitset::new(n);
         for v in part.owned() {
             dirty.set(Lid(v));
@@ -396,11 +400,14 @@ impl<'a, T: Transport> GeminiHost<'a, T> {
             // bulk-synchronous rounds and the reference oracle).
             let mut local_delta = 0.0f64;
             let owned = part.owned();
+            for ((out, &r), &deg) in outgoing.iter_mut().zip(&rank).zip(&out_deg) {
+                *out = r / f64::from(deg.max(1));
+            }
             let mut next_ranks = Vec::with_capacity(owned.len());
             for v in owned.clone() {
                 let mut sum = 0.0f64;
-                for e in part.in_edges(Gid(v)) {
-                    sum += rank[e.dst.index()] / f64::from(out_deg[e.dst.index()].max(1));
+                for &u in part.in_sources(Gid(v)) {
+                    sum += outgoing[u as usize];
                 }
                 next_ranks.push(base + damping * sum);
             }

@@ -184,6 +184,21 @@ impl Csr {
         })
     }
 
+    /// The destinations of `node`'s outgoing edges as a raw slice, in edge
+    /// order — what [`Csr::out_edges`] yields without the weights. Hot
+    /// loops that need no weight walk this instead: the slice is cut once
+    /// per node, so iterating it pays no per-edge bounds check and no
+    /// per-edge `is_weighted` branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    #[inline]
+    pub fn neighbors(&self, node: Gid) -> &[u32] {
+        let v = node.index();
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+
     /// Iterates over all edges as `(src, edge)` pairs in CSR order.
     pub fn edges(&self) -> impl Iterator<Item = (Gid, Edge)> + '_ {
         self.nodes()
@@ -319,6 +334,17 @@ mod tests {
         let g = diamond();
         assert_eq!(g.out_degrees(), vec![2, 1, 1, 0]);
         assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
+    }
+
+    #[test]
+    fn neighbors_is_out_edges_without_the_weights() {
+        let g = Csr::from_weighted_edge_list(4, &[(0, 2, 7), (0, 1, 9), (2, 3, 1), (2, 0, 4)]);
+        for v in g.nodes() {
+            let dsts: Vec<u32> = g.out_edges(v).map(|e| e.dst.0).collect();
+            assert_eq!(g.neighbors(v), dsts);
+            assert_eq!(g.neighbors(v).len(), g.out_degree(v) as usize);
+        }
+        assert!(g.neighbors(Gid(1)).is_empty());
     }
 
     #[test]

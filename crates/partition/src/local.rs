@@ -290,14 +290,38 @@ impl LocalGraph {
     ///
     /// Panics unless [`LocalGraph::build_transpose`] ran first.
     pub fn in_edges(&self, lid: Lid) -> impl Iterator<Item = LocalEdge> + '_ {
-        let t = self
-            .transpose
-            .as_ref()
-            .expect("call build_transpose() before using in_edges()");
-        t.out_edges(Gid(lid.0)).map(|e| LocalEdge {
+        self.transposed().out_edges(Gid(lid.0)).map(|e| LocalEdge {
             dst: Lid(e.dst.0),
             weight: e.weight,
         })
+    }
+
+    /// The sources of proxy `lid`'s local incoming edges as raw local ids,
+    /// in the order [`LocalGraph::in_edges`] reports them (see
+    /// [`Csr::neighbors`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`LocalGraph::build_transpose`] ran first.
+    #[inline]
+    pub fn in_sources(&self, lid: Lid) -> &[u32] {
+        self.transposed().neighbors(Gid(lid.0))
+    }
+
+    /// Local in-degree of proxy `lid`, read off the transpose's offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`LocalGraph::build_transpose`] ran first.
+    #[inline]
+    pub fn in_degree(&self, lid: Lid) -> u32 {
+        self.transposed().out_degree(Gid(lid.0))
+    }
+
+    fn transposed(&self) -> &Csr {
+        self.transpose
+            .as_deref()
+            .expect("call build_transpose() before walking in-edges")
     }
 
     /// Materializes the transposed topology so [`LocalGraph::in_edges`]
@@ -382,11 +406,16 @@ mod tests {
         assert!(!lg.has_transpose());
         lg.build_transpose();
         assert!(lg.has_transpose());
-        // In-edge sources must themselves have the proxy as an out-target.
+        // In-edge sources must themselves have the proxy as an out-target,
+        // and the raw accessors must agree with the iterator.
         for p in lg.proxies() {
             for ie in lg.in_edges(p) {
                 assert!(lg.out_edges(ie.dst).any(|oe| oe.dst == p));
             }
+            let sources: Vec<u32> = lg.in_edges(p).map(|e| e.dst.0).collect();
+            assert_eq!(lg.in_sources(p), sources);
+            assert_eq!(lg.in_degree(p) as usize, sources.len());
+            assert_eq!(lg.in_degree(p) > 0, lg.has_local_in_edges(p));
         }
     }
 

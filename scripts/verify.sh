@@ -60,13 +60,14 @@ fi
 watchdog() {
     local deadline="$1"
     shift
-    if ! timeout --kill-after=10 "$deadline" "$@"; then
-        local status=$?
-        if [[ "$status" == "124" || "$status" == "137" ]]; then
-            echo "verify: HANG — '$*' exceeded ${deadline}s watchdog" >&2
-        fi
-        return "$status"
+    # `$?` after `if ! cmd` is the negation's status (always 0), which let
+    # a failed step return success; capture the command's own status.
+    local status=0
+    timeout --kill-after=10 "$deadline" "$@" || status=$?
+    if [[ "$status" == "124" || "$status" == "137" ]]; then
+        echo "verify: HANG — '$*' exceeded ${deadline}s watchdog" >&2
     fi
+    return "$status"
 }
 
 if [[ "$FAST" == "0" ]]; then

@@ -461,3 +461,53 @@ fn adaptive_never_exceeds_any_reference_encoding() {
         }
     }
 }
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// Every list entry dirty — what each pagerank sync and each
+    /// dense-frontier sync hands the encoder, which then skips candidate
+    /// sizing and emits its packed values as the `Dense` body. The payload
+    /// must still be the reference selector's, with and without
+    /// `compress`: `Dense` whenever two values differ or the list has one
+    /// entry, a `Same*` mode when they are all identical and that is
+    /// smaller.
+    #[test]
+    fn all_dirty_updates_agree_with_the_reference_selector(
+        list_len in 1usize..600,
+        salt in proptest::prelude::any::<u32>(),
+        distinct_at in 0usize..600,
+    ) {
+        let updated: Vec<u32> = (0..list_len as u32).collect();
+        let distinct = move |p: usize| (p as u32).wrapping_mul(2_654_435_761) ^ salt;
+        let identical = move |_: usize| salt;
+        // All identical but for one entry: a `Same*` mode no longer applies.
+        let odd = distinct_at % list_len;
+        let one_off = move |p: usize| if p == odd { !salt } else { salt };
+        check_case(list_len, &updated, distinct);
+        check_case(list_len, &updated, identical);
+        check_case(list_len, &updated, one_off);
+
+        let mode = |value_at: &dyn Fn(usize) -> u32, compress| {
+            WireMode::of(&encode_memoized_with(list_len, &updated, value_at, compress))
+        };
+        for compress in [true, false] {
+            if list_len > 1 {
+                proptest::prop_assert_eq!(mode(&distinct, compress), WireMode::Dense);
+                proptest::prop_assert_eq!(mode(&one_off, compress), WireMode::Dense);
+            }
+        }
+        proptest::prop_assert_eq!(mode(&identical, false), WireMode::Dense);
+        // Dense costs 1 + 4k bytes, the cheaper `Same*` layout at most
+        // 1 + 5 + 4 (run count, zero unset run, k as a varint, one value).
+        let same = mode(&identical, true);
+        if list_len == 1 {
+            proptest::prop_assert_eq!(same, WireMode::Dense);
+        } else if list_len >= 3 {
+            proptest::prop_assert!(
+                matches!(same, WireMode::SameIndicesDelta | WireMode::SameRunLength),
+                "{} identical entries went out as {}", list_len, same
+            );
+        }
+    }
+}
