@@ -316,7 +316,6 @@ pub fn try_pagerank<T: Transport + ?Sized>(
         EngineKind::Galois | EngineKind::Irgl => lg.proxies().collect(),
     };
     let pool = ctx.pool().clone();
-    let binned = ctx.opts().partition_bins;
     // Checked out for the whole iteration loop; an error path drops the
     // scratch instead of pooling it (the supervisor rebuilds the context).
     let mut bins = ctx.bin_pool().checkout::<f64>("pagerank_contrib");
@@ -357,7 +356,6 @@ pub fn try_pagerank<T: Transport + ?Sized>(
                 &mut bins,
                 &proxies,
                 &mut contrib,
-                binned,
                 |v| u64::from(lg.in_degree(v)),
                 |chunk, _contrib, sink| {
                     for &v in chunk {
@@ -374,7 +372,6 @@ pub fn try_pagerank<T: Transport + ?Sized>(
                 &mut bins,
                 &proxies,
                 &mut contrib,
-                binned,
                 |v, _lg, _contrib, sink| {
                     if let Some(sum) = gather(v) {
                         sink.push(v, sum);
@@ -456,7 +453,6 @@ pub fn kcore<T: Transport + ?Sized>(
     let mut alive: Vec<u32> = vec![1; n];
     let mut trim: Vec<u32> = vec![0; n];
     let pool = ctx.pool().clone();
-    let binned = ctx.opts().partition_bins;
     let mut bins = ctx.bin_pool().checkout::<u32>("kcore_trim");
     let mut device = IrglEngine::new(Default::default());
     let mut rounds = 0u32;
@@ -490,7 +486,6 @@ pub fn kcore<T: Transport + ?Sized>(
                     &pool,
                     &mut bins,
                     &mut trim,
-                    binned,
                     |_src, _dst, _w, _trim| Some(1u32),
                     |_dst, inc, slot| {
                         *slot += inc;
@@ -504,7 +499,6 @@ pub fn kcore<T: Transport + ?Sized>(
                     &mut bins,
                     &dead_list,
                     &mut trim,
-                    binned,
                     |v| u64::from(lg.out_degree(v)),
                     |chunk, _trim, sink| {
                         for &v in chunk {
@@ -526,7 +520,6 @@ pub fn kcore<T: Transport + ?Sized>(
                     &mut bins,
                     &dead_list,
                     &mut trim,
-                    binned,
                     |v, lg, _trim, sink| {
                         for e in lg.out_edges(v) {
                             sink.push(e.dst, 1u32);
@@ -602,7 +595,6 @@ pub fn pagerank_push<T: Transport + ?Sized>(
     }
     let mut to_push = vec![0.0f64; n];
     let pool = ctx.pool().clone();
-    let binned = ctx.opts().partition_bins;
     let mut bins = ctx.bin_pool().checkout::<f64>("pr_push");
     let mut device = IrglEngine::new(Default::default());
     let max_rounds = cfg.max_iters.saturating_mul(20).max(100);
@@ -640,7 +632,6 @@ pub fn pagerank_push<T: Transport + ?Sized>(
                     &pool,
                     &mut bins,
                     &mut residual,
-                    binned,
                     |src, _dst, _w, _residual| {
                         let share = to_push[src.index()];
                         (share != 0.0).then_some(share)
@@ -657,7 +648,6 @@ pub fn pagerank_push<T: Transport + ?Sized>(
                     &mut bins,
                     &frontier,
                     &mut residual,
-                    binned,
                     |v| u64::from(lg.out_degree(v)),
                     |chunk, _residual, sink| {
                         for &v in chunk {
@@ -683,7 +673,6 @@ pub fn pagerank_push<T: Transport + ?Sized>(
                     &mut bins,
                     &frontier,
                     &mut residual,
-                    binned,
                     |v, lg, _residual, sink| {
                         let share = to_push[v.index()];
                         if share == 0.0 {

@@ -18,8 +18,7 @@
 //! `.transport(|ep| …)` threads every host's endpoint through a wrapper,
 //! so the full suite can run over jittered, faulty, or reliable transport
 //! stacks (e.g. `ReliableTransport::over(FaultyTransport::new(..))` for
-//! chaos testing); `.tracer(&t)` records micro-stage spans; `.arena(false)`
-//! disables the sync buffer arena (results are identical either way).
+//! chaos testing); `.tracer(&t)` records micro-stage spans.
 
 use crate::apps::{self, PagerankConfig};
 use crate::reference::symmetrize;
@@ -236,7 +235,6 @@ where
     threads: usize,
     tracer: Tracer,
     metrics: MetricsHub,
-    arena: bool,
     ckpt_every: Option<u64>,
     ckpt_store: Option<CheckpointStore>,
     on_failure: FailurePolicy,
@@ -285,7 +283,6 @@ impl<'g> Run<'g> {
             threads: 1,
             tracer: Tracer::disabled(),
             metrics: MetricsHub::disabled(),
-            arena: true,
             ckpt_every: None,
             ckpt_store: None,
             on_failure: FailurePolicy::Recover,
@@ -360,39 +357,6 @@ where
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables the per-field sync buffer arena (default: on).
-    /// The arena recycles encode/decode buffers across rounds so the
-    /// steady state allocates nothing; results are bit-identical either
-    /// way — disabling it only changes where buffers come from.
-    #[must_use]
-    pub fn arena(mut self, enabled: bool) -> Self {
-        self.arena = enabled;
-        self
-    }
-
-    /// Enables or disables the pipelined sync schedule (default: on).
-    /// Pipelining overlaps each peer's extract→encode→send chain with
-    /// eager receive draining and decoding; results are bit-identical
-    /// either way — the off-switch exists for differential testing and
-    /// the recv-wait ablation, not correctness.
-    #[must_use]
-    pub fn pipeline(mut self, on: bool) -> Self {
-        self.opts.pipeline = on;
-        self
-    }
-
-    /// Enables or disables partition-centric update binning in the local
-    /// compute hot path (default: on). Binned and flat execution drain
-    /// candidate updates in the same (chunk, edge) order per destination,
-    /// so results are bit-identical either way — the off-switch exists
-    /// for differential testing and the cache-locality ablation, not
-    /// correctness.
-    #[must_use]
-    pub fn partition_bins(mut self, on: bool) -> Self {
-        self.opts.partition_bins = on;
         self
     }
 
@@ -540,7 +504,6 @@ where
             threads: self.threads,
             tracer: self.tracer,
             metrics: self.metrics,
-            arena: self.arena,
             ckpt_every: self.ckpt_every,
             ckpt_store: self.ckpt_store,
             on_failure: self.on_failure,
@@ -565,7 +528,6 @@ where
             threads,
             tracer,
             metrics,
-            arena,
             ckpt_every,
             ckpt_store,
             on_failure,
@@ -586,7 +548,6 @@ where
                 threads,
                 tracer,
                 metrics,
-                arena,
                 ckpt_every,
                 ckpt_store,
                 on_failure,
@@ -661,7 +622,6 @@ struct Setup<'g> {
     threads: usize,
     tracer: Tracer,
     metrics: MetricsHub,
-    arena: bool,
     ckpt_every: Option<u64>,
     ckpt_store: Option<CheckpointStore>,
     on_failure: FailurePolicy,
@@ -722,7 +682,6 @@ where
                 setup.policy,
                 setup.opts,
                 setup.threads,
-                setup.arena,
                 &setup.tracer,
                 &setup.metrics,
                 &|_| needs_transpose,
@@ -948,7 +907,6 @@ where
                 setup.policy,
                 setup.opts,
                 setup.threads,
-                setup.arena,
                 &setup.tracer,
                 &setup.metrics,
                 &|_| needs_transpose,
@@ -1008,7 +966,6 @@ pub fn run_heterogeneous_bfs(
                 policy,
                 opts,
                 1,
-                true,
                 &Tracer::disabled(),
                 &MetricsHub::disabled(),
                 &|rank| engines[rank] == EngineKind::Ligra,
@@ -1076,7 +1033,6 @@ fn host_program<T: Transport>(
     policy: Policy,
     opts: OptLevel,
     threads: usize,
-    arena: bool,
     tracer: &Tracer,
     hub: &MetricsHub,
     transpose: &(dyn Fn(usize) -> bool + Sync),
@@ -1087,7 +1043,6 @@ fn host_program<T: Transport>(
     let exec_metrics = ExecMetrics::register(&hub.host_registry(comm.rank()));
     let mut ctx = GluonContext::new(&lg, &comm, opts)
         .with_pool(Pool::new(threads).with_metrics(exec_metrics))
-        .with_arena(arena)
         .with_metrics(hub.host(comm.rank()));
     ctx.reset_timer();
     let algo_start = Instant::now();
@@ -1188,7 +1143,6 @@ pub(crate) fn try_host_program<T: Transport>(
     policy: Policy,
     opts: OptLevel,
     threads: usize,
-    arena: bool,
     tracer: &Tracer,
     hub: &MetricsHub,
     transpose: &(dyn Fn(usize) -> bool + Sync),
@@ -1200,7 +1154,6 @@ pub(crate) fn try_host_program<T: Transport>(
     let exec_metrics = ExecMetrics::register(&hub.host_registry(comm.rank()));
     let mut ctx = GluonContext::new(&lg, &comm, opts)
         .with_pool(Pool::new(threads).with_metrics(exec_metrics))
-        .with_arena(arena)
         .with_metrics(hub.host(comm.rank()));
     if ckpt.every.is_some() || ckpt.restore_epoch.is_some() {
         // `every` is absent only on a finalize-only relaunch of a store

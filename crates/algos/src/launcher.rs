@@ -658,7 +658,6 @@ fn encode_report(
                     s.pool_hits,
                     s.pool_misses,
                     s.recv_wait_ns,
-                    s.overlapped_ns,
                 ]);
                 ju64s(row)
             })
@@ -867,7 +866,7 @@ fn decode_report(text: &str) -> Result<WorkerReport, String> {
             Ok((name, value))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    const SERIES_WIDTH: usize = 1 + NUM_ROUND_STAGES + NUM_WIRE_MODES + 7;
+    const SERIES_WIDTH: usize = 1 + NUM_ROUND_STAGES + NUM_WIRE_MODES + 6;
     let series = field(&j, "series")?
         .items()
         .ok_or("series is not an array")?
@@ -892,7 +891,6 @@ fn decode_report(text: &str) -> Result<WorkerReport, String> {
             s.pool_hits = row[tail + 3];
             s.pool_misses = row[tail + 4];
             s.recv_wait_ns = row[tail + 5];
-            s.overlapped_ns = row[tail + 6];
             Ok(s)
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -1140,7 +1138,6 @@ fn run_worker(args: &WorkerArgs, transport: CrashAt<SocketTransport>, stats: Net
         args.policy,
         args.opts,
         args.threads,
-        true,
         &tracer,
         &hub,
         &|_| needs_transpose,

@@ -128,7 +128,6 @@ fn relax_rounds<T: Transport + ?Sized>(
     mut rounds: u32,
 ) -> Result<u32, SyncError> {
     let n = lg.num_proxies();
-    let binned = ctx.opts().partition_bins;
     let mut device = IrglEngine::new(Default::default());
     let mut frontier_buf: Vec<Lid> = Vec::new();
     loop {
@@ -151,7 +150,6 @@ fn relax_rounds<T: Transport + ?Sized>(
                             pool,
                             bins,
                             labels,
-                            binned,
                             |src, _dst, w, cur| {
                                 let candidate = relax(prev[src.index()], w);
                                 (candidate < *cur).then_some(candidate)
@@ -165,7 +163,6 @@ fn relax_rounds<T: Transport + ?Sized>(
                             pool,
                             bins,
                             labels,
-                            binned,
                             |src, dst, w, _labels| {
                                 let candidate = relax(prev[src.index()], w);
                                 (candidate < prev[dst.index()]).then_some(candidate)
@@ -199,7 +196,6 @@ fn relax_rounds<T: Transport + ?Sized>(
                         bins,
                         &frontier_buf,
                         labels,
-                        binned,
                         |v| u64::from(lg.out_degree(v)),
                         |chunk, labels, sink| {
                             for &v in chunk {
@@ -239,7 +235,6 @@ fn relax_rounds<T: Transport + ?Sized>(
                     bins,
                     &frontier_buf,
                     labels,
-                    binned,
                     |v, lg, _labels, sink| {
                         let lv = prev[v.index()];
                         for e in lg.out_edges(v) {

@@ -42,7 +42,7 @@ use gluon_trace::Tracer;
 /// Version of the report's JSON schema; bumped whenever a field is
 /// renamed, removed, or changes meaning (additions are backwards
 /// compatible and do not bump it).
-pub const REPORT_SCHEMA_VERSION: u64 = 1;
+pub const REPORT_SCHEMA_VERSION: u64 = 2;
 
 /// Exact-match keys [`RunReport::fingerprint`] strips, on top of the
 /// `_secs`/`_ns` timing suffixes: sections that are timing-derived
@@ -58,16 +58,12 @@ pub const REPORT_SCHEMA_VERSION: u64 = 1;
 /// short reads) that a memory-backend run never increments, so they are
 /// stripped too: the parity contract is that a socket run and a memory
 /// run of the same workload fingerprint identically. The
-/// `sync_pipeline_*` counters describe how much overlap the pipelined
-/// schedule achieved — a scheduling property that differs by construction
-/// between the pipelined and barrier schedules even though the results
-/// are bit-identical — so they are stripped for the same reason. The
 /// `engine_bin_*` / `engine_binned_updates` / `engine_pull_chunks_skipped`
 /// counters describe how the partition-binned hot path organized its work
-/// (fills, drains, routed updates, probe-skipped chunks) — all of which
-/// differ by construction between binned and flat execution while labels,
-/// rounds, and wire traffic stay bit-identical.
-pub const FINGERPRINT_DROPPED_KEYS: [&str; 25] = [
+/// (fills, drains, routed updates, probe-skipped chunks) — properties of
+/// the bin geometry, not of the computation: labels, rounds, and wire
+/// traffic are bit-identical at any partition width.
+pub const FINGERPRINT_DROPPED_KEYS: [&str; 22] = [
     "calibration",
     "trace",
     "reliability",
@@ -86,9 +82,6 @@ pub const FINGERPRINT_DROPPED_KEYS: [&str; 25] = [
     "net_socket_frames_sent",
     "net_socket_frames_received",
     "net_socket_short_reads",
-    "sync_pipeline_rounds",
-    "sync_pipeline_sends_overlapped",
-    "sync_pipeline_eager_decodes",
     "engine_bin_fills",
     "engine_bin_drains",
     "engine_binned_updates",
@@ -460,7 +453,6 @@ fn round_row_json(row: &gluon_metrics::RoundSample) -> Json {
         ("pool_hits", Json::from(row.pool_hits)),
         ("pool_misses", Json::from(row.pool_misses)),
         ("recv_wait_ns", Json::from(row.recv_wait_ns)),
-        ("overlapped_ns", Json::from(row.overlapped_ns)),
     ])
 }
 

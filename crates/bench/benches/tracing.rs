@@ -6,18 +6,12 @@
 //! counters to a run without any tracer, and a disabled record call stays
 //! within a generous per-call budget.
 
-use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
-use gluon::{DenseBitset, GluonContext, MinField, OptLevel, ReadLocation, SyncSpec, WriteLocation};
 use gluon_algos::{driver, Algorithm, DistConfig};
-use gluon_graph::{gen, Lid};
-use gluon_net::{Communicator, Envelope, MemoryTransport, NetError, NetStats, Transport};
-use gluon_partition::{partition_all, LocalGraph, Policy};
-use gluon_trace::{Stage, Tracer, SETUP_PHASE};
-use std::collections::HashMap;
+use gluon_graph::gen;
+use gluon_trace::{Stage, Tracer};
 use std::hint::black_box;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn bench_record_calls(c: &mut Criterion) {
     let mut group = c.benchmark_group("tracer-record");
@@ -113,312 +107,10 @@ fn guard_zero_cost(_c: &mut Criterion) {
     println!("guard: disabled record_span {per_call:.2}ns/call, counters identical");
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined-sync recv_wait guard on a deliberately skewed partition.
-// ---------------------------------------------------------------------------
-
-const SKEW_HOSTS: usize = 4;
-const SKEW_ROUNDS: u32 = 6;
-/// Receiver-side delivery latency per *source* host: a frame from host
-/// `src` becomes visible to its receiver `LINK_DELAY[src]` after it
-/// came off the wire. This models a cluster with heterogeneous links —
-/// host 1 sits behind the slow link, every other peer's frames release
-/// earlier and staggered — and it makes the skew deterministic: frame
-/// release times are fixed offsets from arrival, independent of how the
-/// OS happens to timeslice the host threads. Every receiver therefore
-/// has a wait window (until the slow frame releases) with two
-/// already-released frames inside it, which is exactly the window the
-/// pipelined schedule fills with eager decode and the barrier schedule
-/// spends fully blocked.
-const LINK_DELAY: [Duration; SKEW_HOSTS] = [
-    Duration::from_millis(4),
-    Duration::from_millis(14),
-    Duration::from_millis(6),
-    Duration::from_millis(9),
-];
-/// The straggler (slowest link). Not rank 0: the barrier schedule
-/// receives in rank order, so a slow rank-1 frame blocks it before the
-/// already-released fast frames are even looked at — the exact pattern
-/// eager decode eats.
-const SLOW_HOST: usize = 1;
-
-/// Full reduce+broadcast spec, every proxy dirty every round: each round
-/// moves one stable-size frame per peer in both directions.
-const SKEW_SPEC: SyncSpec =
-    SyncSpec::full(WriteLocation::Destination, ReadLocation::Any).named("skew");
-
-/// [`MemoryTransport`] wrapper that injects [`LINK_DELAY`]: frames are
-/// pumped off the wire eagerly, stamped with a release instant, and only
-/// handed to the caller once released. Blocking receives sleep until the
-/// next release (or a new arrival) instead of polling, so the injected
-/// waits are sharp.
-struct LatencyTransport<'a> {
-    inner: &'a MemoryTransport,
-    /// Frames pulled off the wire but not yet released, with their
-    /// release instant, keyed by tag.
-    pending: Mutex<HashMap<u32, Vec<(Instant, Envelope)>>>,
-}
-
-impl<'a> LatencyTransport<'a> {
-    fn new(inner: &'a MemoryTransport) -> Self {
-        LatencyTransport {
-            inner,
-            pending: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn buffer(&self, env: Envelope, tag: u32) {
-        let ready = Instant::now() + LINK_DELAY[env.src];
-        self.pending
-            .lock()
-            .expect("pending lock")
-            .entry(tag)
-            .or_default()
-            .push((ready, env));
-    }
-
-    /// Drains everything currently on the wire into the pending buffer.
-    fn pump(&self, tag: u32) -> Result<(), NetError> {
-        loop {
-            match self.inner.try_recv_any_timeout(tag, Duration::ZERO) {
-                Ok(env) => self.buffer(env, tag),
-                Err(NetError::Timeout) => return Ok(()),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Pops the released frame with the earliest release instant, if any.
-    fn take_released(&self, tag: u32, now: Instant) -> Option<Envelope> {
-        let mut pending = self.pending.lock().expect("pending lock");
-        let queue = pending.get_mut(&tag)?;
-        let pos = queue
-            .iter()
-            .enumerate()
-            .filter(|(_, (ready, _))| *ready <= now)
-            .min_by_key(|(_, (ready, _))| *ready)
-            .map(|(i, _)| i)?;
-        Some(queue.swap_remove(pos).1)
-    }
-
-    /// The earliest pending release instant, if any frame is buffered.
-    fn next_release(&self, tag: u32) -> Option<Instant> {
-        let pending = self.pending.lock().expect("pending lock");
-        pending.get(&tag)?.iter().map(|(ready, _)| *ready).min()
-    }
-
-    /// Pops the buffered frame from `src` (released or not) along with
-    /// its release instant.
-    fn take_src(&self, tag: u32, src: usize) -> Option<(Instant, Envelope)> {
-        let mut pending = self.pending.lock().expect("pending lock");
-        let queue = pending.get_mut(&tag)?;
-        let pos = queue.iter().position(|(_, e)| e.src == src)?;
-        Some(queue.swap_remove(pos))
-    }
-}
-
-impl Transport for LatencyTransport<'_> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-
-    fn world_size(&self) -> usize {
-        self.inner.world_size()
-    }
-
-    fn try_send(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), NetError> {
-        self.inner.try_send(dst, tag, payload)
-    }
-
-    fn try_recv(&self, src: usize, tag: u32) -> Result<Bytes, NetError> {
-        loop {
-            self.pump(tag)?;
-            if let Some((ready, env)) = self.take_src(tag, src) {
-                std::thread::sleep(ready.saturating_duration_since(Instant::now()));
-                return Ok(env.payload);
-            }
-            // Not on the wire yet: block for the next arrival (whatever
-            // its source) and re-evaluate.
-            let env = self.inner.try_recv_any(tag)?;
-            self.buffer(env, tag);
-        }
-    }
-
-    fn try_recv_any(&self, tag: u32) -> Result<Envelope, NetError> {
-        loop {
-            self.pump(tag)?;
-            let now = Instant::now();
-            if let Some(env) = self.take_released(tag, now) {
-                return Ok(env);
-            }
-            match self.next_release(tag) {
-                // Wait for the next release, waking early if a new frame
-                // arrives — it may release sooner over a faster link.
-                Some(at) => {
-                    match self
-                        .inner
-                        .try_recv_any_timeout(tag, at.saturating_duration_since(now))
-                    {
-                        Ok(env) => self.buffer(env, tag),
-                        Err(NetError::Timeout) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => {
-                    let env = self.inner.try_recv_any(tag)?;
-                    self.buffer(env, tag);
-                }
-            }
-        }
-    }
-
-    fn try_recv_any_timeout(&self, tag: u32, timeout: Duration) -> Result<Envelope, NetError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.pump(tag)?;
-            let now = Instant::now();
-            if let Some(env) = self.take_released(tag, now) {
-                return Ok(env);
-            }
-            if now >= deadline {
-                return Err(NetError::Timeout);
-            }
-            let wait = match self.next_release(tag) {
-                Some(at) => at.saturating_duration_since(now).min(deadline - now),
-                None => deadline - now,
-            };
-            match self.inner.try_recv_any_timeout(tag, wait) {
-                Ok(env) => self.buffer(env, tag),
-                Err(NetError::Timeout) => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn note_round(&self, round: u64) {
-        self.inner.note_round(round);
-    }
-
-    fn cancelled(&self) -> Option<NetError> {
-        self.inner.cancelled()
-    }
-
-    fn stats(&self) -> &NetStats {
-        self.inner.stats()
-    }
-}
-
-/// Runs the skewed workload on pre-built per-host partitions and returns
-/// the summed `recv_wait` nanoseconds of the fast (non-straggler) hosts.
-fn skewed_recv_wait_ns(parts: &[LocalGraph], pipelined: bool) -> u64 {
-    let tracer = Tracer::new(SKEW_HOSTS);
-    gluon_net::run_cluster(SKEW_HOSTS, |ep| {
-        let lat = LatencyTransport::new(ep);
-        let comm = Communicator::with_tracer(&lat, tracer.clone());
-        let lg = &parts[comm.rank()];
-        // UNOPT wire format: every frame carries global-IDs and decode
-        // resolves each one back to a local ID. That makes per-frame
-        // decode genuinely expensive, so the work the pipelined schedule
-        // moves into the wait window is large enough to measure.
-        let opts = if pipelined {
-            OptLevel::UNOPT
-        } else {
-            OptLevel::UNOPT.without_pipeline()
-        };
-        let mut ctx = GluonContext::new(lg, &comm, opts);
-        let n = lg.num_proxies();
-        let mut vals: Vec<u32> = (0..n).collect();
-        let mut dirty = DenseBitset::new(n);
-        for r in 0..SKEW_ROUNDS {
-            for (i, v) in vals.iter_mut().enumerate() {
-                *v = (i as u32).wrapping_add(r);
-            }
-            dirty.clear_all();
-            for i in 0..n {
-                dirty.set(Lid(i));
-            }
-            ctx.sync(&SKEW_SPEC, &mut MinField::new(&mut vals), &mut dirty);
-        }
-    });
-    let spans = tracer.spans();
-    if pipelined {
-        assert!(
-            spans
-                .iter()
-                .any(|s| s.host != SLOW_HOST && s.stage == Stage::EagerDecode),
-            "skewed pipelined run never decoded eagerly — the guard is not \
-             measuring overlap"
-        );
-        let eager: u64 = spans
-            .iter()
-            .filter(|s| s.host != SLOW_HOST && s.stage == Stage::EagerDecode)
-            .map(|s| s.dur_ns)
-            .sum();
-        let eager_n = spans
-            .iter()
-            .filter(|s| s.host != SLOW_HOST && s.stage == Stage::EagerDecode)
-            .count();
-        println!("guard: skew eager decode on fast hosts: {eager_n} spans, {eager}ns total");
-    } else {
-        assert!(
-            spans
-                .iter()
-                .all(|s| s.stage != Stage::SendOverlap && s.stage != Stage::EagerDecode),
-            "barrier run recorded overlap spans"
-        );
-    }
-    spans
-        .iter()
-        .filter(|s| s.host != SLOW_HOST && s.phase != SETUP_PHASE && s.stage == Stage::RecvWait)
-        .map(|s| s.dur_ns)
-        .sum()
-}
-
-/// The overlap guard proper: on a partition with one straggler host, the
-/// pipelined schedule must spend strictly less time blocked in
-/// `recv_wait` than the barrier schedule — the fast hosts fill (part of)
-/// the wait by eagerly decoding the frames that already arrived. Best of
-/// three per schedule, interleaved, to keep scheduling noise out of the
-/// comparison.
-fn guard_pipelined_recv_wait(_c: &mut Criterion) {
-    // Big enough that decoding one peer frame costs real time (tens of
-    // thousands of entries per mirror list): the recv_wait saved per
-    // round is exactly the decode work moved into the wait window, so it
-    // must dwarf per-wakeup scheduling noise. Partitioned once, reused
-    // across all runs of both schedules.
-    let g = gen::rmat(17, 16, Default::default(), 28);
-    let parts = partition_all(&g, SKEW_HOSTS, Policy::Oec);
-    let mut barrier = u64::MAX;
-    let mut piped = u64::MAX;
-    for rep in 0..5 {
-        let b = skewed_recv_wait_ns(&parts, false);
-        let p = skewed_recv_wait_ns(&parts, true);
-        println!("guard: skew rep {rep}: barrier {b}ns pipelined {p}ns");
-        barrier = barrier.min(b);
-        piped = piped.min(p);
-    }
-    assert!(
-        barrier > 0,
-        "skewed barrier run recorded no recv_wait — the straggler never stalled"
-    );
-    assert!(
-        piped < barrier,
-        "pipelining did not reduce recv_wait on the skewed partition: \
-         pipelined {piped}ns >= barrier {barrier}ns"
-    );
-    println!(
-        "guard: skewed-partition recv_wait barrier {:.2}ms -> pipelined {:.2}ms ({:.1}% overlap)",
-        barrier as f64 / 1e6,
-        piped as f64 / 1e6,
-        100.0 * (barrier - piped) as f64 / barrier as f64
-    );
-}
-
 criterion_group!(
     benches,
     bench_record_calls,
     bench_traced_run,
-    guard_zero_cost,
-    guard_pipelined_recv_wait
+    guard_zero_cost
 );
 criterion_main!(benches);

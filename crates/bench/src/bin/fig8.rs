@@ -24,11 +24,7 @@
 //! asserted bit-identical to the in-memory one (same labels, same payload
 //! traffic), so the extra column measures transport cost, never a
 //! different computation. Off by default — it roughly doubles Gluon cell
-//! time and the regression gate ignores the (environment-dependent)
-//! column either way. The same flag adds the "nopipe wall (s)" column
-//! (the barrier-schedule socket ablation) and the "nobins wall (s)"
-//! column (the flat single-partition hot-path ablation, in-memory), both
-//! asserted bit-identical and both gate-ignored.
+//! time.
 
 use gluon::OptLevel;
 use gluon_algos::{driver, phase_residuals, Algorithm, DistConfig, EngineKind, PhaseResidual};
@@ -49,17 +45,6 @@ struct Point {
     /// Measured wall seconds of the same run over TCP-loopback sockets;
     /// `None` unless `GLUON_FIG8_MEASURE` is set (and always for Gemini).
     socket_wall_secs: Option<f64>,
-    /// The pipelined-sync ablation: wall seconds of the same socket run
-    /// under the barrier schedule (`Run::pipeline(false)`). `None` unless
-    /// `GLUON_FIG8_MEASURE` is set; the regression gate ignores it (the
-    /// column is environment-dependent wall time, like `socket_wall_secs`).
-    barrier_socket_wall_secs: Option<f64>,
-    /// The partition-binning ablation: wall seconds of the same in-memory
-    /// run with the flat single-partition hot path
-    /// (`Run::partition_bins(false)`). `None` unless `GLUON_FIG8_MEASURE`
-    /// is set; the regression gate ignores it for the same reason it
-    /// ignores the other measured wall columns.
-    nobins_wall_secs: Option<f64>,
     comm_bytes: u64,
     /// Volume of the same run under the codec-v1 wire modes; `None` for
     /// systems that do not use the Gluon codec (Gemini).
@@ -142,50 +127,10 @@ fn gluon_point(
         );
         sock.algo_secs
     });
-    // The pipeline ablation: the same socket run under the barrier
-    // schedule. Bit-identity is asserted here too, so the pair of columns
-    // measures pure overlap savings on a real transport.
-    let barrier_socket_wall_secs = measure.then(|| {
-        let sock = driver::Run::new(graph, algo)
-            .config(&cfg)
-            .pipeline(false)
-            .transport_sockets(SocketKind::Tcp)
-            .launch();
-        assert_eq!(
-            out.int_labels, sock.int_labels,
-            "barrier socket run changed integer labels ({algo:?}, {hosts} hosts)"
-        );
-        assert_eq!(
-            out.net.bytes, sock.net.bytes,
-            "barrier socket run changed payload traffic ({algo:?}, {hosts} hosts)"
-        );
-        sock.algo_secs
-    });
-    // The binning ablation: the same in-memory run through the flat
-    // single-partition hot path. Bit-identity is asserted (binning may
-    // only change cache behavior, never results), so the column pair
-    // measures pure locality savings.
-    let nobins_wall_secs = measure.then(|| {
-        let flat = driver::Run::new(graph, algo)
-            .config(&cfg)
-            .partition_bins(false)
-            .launch();
-        assert_eq!(
-            out.int_labels, flat.int_labels,
-            "flat hot path changed integer labels ({algo:?}, {hosts} hosts)"
-        );
-        assert_eq!(
-            out.run.total_bytes, flat.run.total_bytes,
-            "flat hot path changed payload traffic ({algo:?}, {hosts} hosts)"
-        );
-        flat.algo_secs
-    });
     Point {
         projected_secs: out.projected_secs(&CostModel::REPRO),
         wall_secs: out.algo_secs,
         socket_wall_secs,
-        barrier_socket_wall_secs,
-        nobins_wall_secs,
         comm_bytes: out.run.total_bytes,
         baseline_bytes: Some(base.run.total_bytes),
         retx_bytes: out.net.retransmit_bytes,
@@ -214,8 +159,6 @@ fn gemini_point(graph: &Csr, algo: Algorithm, hosts: usize) -> Point {
             .projected_secs(&CostModel::REPRO, gluon::DEFAULT_EDGES_PER_SEC),
         wall_secs: out.algo_secs,
         socket_wall_secs: None, // gemini runs on the in-memory transport only
-        barrier_socket_wall_secs: None, // the pipeline knob is Gluon-only
-        nobins_wall_secs: None, // the binning knob is Gluon-only
         comm_bytes: out.run.total_bytes,
         baseline_bytes: None, // gemini does not use the Gluon codec
         retx_bytes: 0,        // gemini runs on the bare in-memory transport
@@ -235,42 +178,7 @@ fn residual_row(r: &PhaseResidual) -> Json {
     ])
 }
 
-/// `--smoke`: one measured 2-process socket cell — bfs, d-galois, the
-/// smallest quick-scale input — with the sync schedule pipelined and
-/// barriered; the verification-gate entry point. Requires
-/// `GLUON_FIG8_MEASURE=1` (the measured socket columns are what the
-/// smoke exists to exercise); `gluon_point` asserts both socket runs
-/// bit-identical to the in-memory run before this prints their walls.
-fn run_smoke() {
-    assert!(
-        std::env::var_os("GLUON_FIG8_MEASURE").is_some(),
-        "fig8 --smoke requires GLUON_FIG8_MEASURE=1: the measured socket \
-         cells are the point of the smoke"
-    );
-    let graphs = inputs::scaling_suite(Scale::Quick);
-    let bg = &graphs[0];
-    let tracer = Tracer::new(2);
-    let point = gluon_point(&bg.graph, Algorithm::Bfs, EngineKind::Galois, 2, &tracer);
-    let on = point
-        .socket_wall_secs
-        .expect("measured pipelined socket run");
-    let off = point
-        .barrier_socket_wall_secs
-        .expect("measured barrier socket run");
-    println!(
-        "fig8 smoke: {} bfs d-galois 2h over sockets: pipelined {} / barrier {} (in-memory {})",
-        bg.name,
-        report::secs(on),
-        report::secs(off),
-        report::secs(point.wall_secs),
-    );
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        run_smoke();
-        return;
-    }
     let scale = scale_from_args();
     let trace_path = trace_path_from_args();
     let mut chrome = trace_path.as_ref().map(|_| ChromeTraceBuilder::new());
@@ -288,8 +196,6 @@ fn main() {
         "proj time (s)",
         "wall (s)",
         "socket wall (s)",
-        "nopipe wall (s)",
-        "nobins wall (s)",
         "comm volume",
         "v1 baseline",
         "ratio",
@@ -407,24 +313,6 @@ fn main() {
                             "socket_wall_secs",
                             point.socket_wall_secs.map_or(Json::Null, Json::from),
                         ),
-                        // Nullable pipeline-ablation column: present only on
-                        // measured Gluon rows; the bench gate ignores it.
-                        (
-                            "pipeline",
-                            match (point.socket_wall_secs, point.barrier_socket_wall_secs) {
-                                (Some(on), Some(off)) => Json::obj([
-                                    ("socket_wall_secs_on", Json::from(on)),
-                                    ("socket_wall_secs_off", Json::from(off)),
-                                ]),
-                                _ => Json::Null,
-                            },
-                        ),
-                        // Nullable binning-ablation column: present only on
-                        // measured Gluon rows; the bench gate ignores it.
-                        (
-                            "nobins_wall_secs",
-                            point.nobins_wall_secs.map_or(Json::Null, Json::from),
-                        ),
                         ("comm_bytes", Json::from(point.comm_bytes)),
                         (
                             "v1_baseline_bytes",
@@ -447,10 +335,6 @@ fn main() {
                         report::secs(point.projected_secs),
                         report::secs(point.wall_secs),
                         point.socket_wall_secs.map_or("-".to_owned(), report::secs),
-                        point
-                            .barrier_socket_wall_secs
-                            .map_or("-".to_owned(), report::secs),
-                        point.nobins_wall_secs.map_or("-".to_owned(), report::secs),
                         report::bytes(point.comm_bytes),
                         baseline,
                         ratio,

@@ -23,9 +23,9 @@ use std::path::{Path, PathBuf};
 
 pub use gluon_metrics::json::{Json, ParseError};
 
-/// The harness output directory: `$BENCH_RESULTS_DIR` when set (the
-/// regression gate uses this to produce comparison runs side by side),
-/// `bench_results/` under the current working directory otherwise.
+/// The harness output directory: `$BENCH_RESULTS_DIR` when set (so two
+/// runs can be recorded side by side), `bench_results/` under the
+/// current working directory otherwise.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("BENCH_RESULTS_DIR")
         .map_or_else(|| PathBuf::from("bench_results"), PathBuf::from)

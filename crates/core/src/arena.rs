@@ -34,10 +34,10 @@
 //! [`ARENA_WARMUP_ROUNDS`] calls per field, while buffers grow to their
 //! high-water marks.
 //!
-//! Pooling **cannot** change results: a disabled arena routes every sync
-//! call through the *same* code path with a fresh (empty) `FieldArena`,
-//! so pooled and unpooled runs produce bit-identical payloads, counters,
-//! and labels — the property `tests/alloc_guard.rs` asserts.
+//! Pooling cannot change results: every buffer is cleared and re-filled
+//! per call, so a round over recycled buffers produces the payloads,
+//! counters, and labels of a round over fresh ones. `tests/alloc_guard.rs`
+//! holds the steady state to zero allocations.
 
 use crate::encode::{DecodeError, DecodeScratch, EncodeScratch};
 use bytes::Bytes;
@@ -63,10 +63,10 @@ pub(crate) const SLOT_RING_CAP: usize = 8;
 /// ratchet up to their high-water marks during warm-up and stay there.
 ///
 /// The receive side lives in [`RecvScratch`], deliberately a separate
-/// struct in a separate vector: the pipelined sync schedule keeps the
-/// whole send-side table borrowed by pool workers while the calling
-/// thread eagerly decodes arriving frames into the receive side, and the
-/// split is what makes those two borrows disjoint.
+/// struct in a separate vector: the sync schedule keeps the whole
+/// send-side table borrowed by pool workers while the calling thread
+/// eagerly decodes arriving frames into the receive side, and the split
+/// is what makes those two borrows disjoint.
 pub(crate) struct PeerScratch<V> {
     /// Positions (indices into the agreed proxy list) of dirty proxies.
     pub updated_pos: Vec<u32>,
@@ -85,9 +85,9 @@ pub(crate) struct PeerScratch<V> {
     /// Per-call staging: whether the last built payload reused its slot's
     /// allocation (a pool hit) or had to allocate fresh (a miss).
     pub recycled: bool,
-    /// Per-call staging (pipelined schedule): whether the payload shipped
-    /// to this peer used the dense wire mode — the deferred reset pass
-    /// needs to know after the payload itself has been handed away.
+    /// Per-call staging: whether the payload shipped to this peer used
+    /// the dense wire mode — the deferred reset pass needs to know after
+    /// the payload itself has been handed away.
     pub sent_dense: bool,
 }
 
@@ -132,9 +132,9 @@ pub(crate) struct RecvScratch<V> {
     pub payload: Option<Bytes>,
     /// Per-call staging: the decode failure of this peer's payload.
     pub decode_err: Option<DecodeError>,
-    /// Per-call staging (pipelined schedule): whether this peer's frame
-    /// has already arrived and been decoded this pattern — the duplicate
-    /// guard for `recv_any`-based draining on unprotected transports.
+    /// Per-call staging: whether this peer's frame has already arrived
+    /// and been decoded this pattern — the duplicate guard for
+    /// `recv_any`-based draining on unprotected transports.
     pub decoded: bool,
 }
 
@@ -215,30 +215,18 @@ type ArenaKey = (&'static str, TypeId);
 
 /// The per-context pool of per-field buffer arenas (see the module docs).
 ///
-/// Owned by `GluonContext`; enabled by default and toggled with
-/// `GluonContext::with_arena`. Disabling does not change any result —
-/// every sync call runs the same code over a fresh, empty arena instead
-/// of a pooled one.
+/// Owned by `GluonContext`.
+#[derive(Default)]
 pub struct SyncArena {
-    enabled: bool,
     /// Linear scan keyed by `(name, value type)`: programs sync a handful
     /// of fields, so a map would only add hashing to the hot path.
     slots: Vec<(ArenaKey, Box<dyn Any + Send>)>,
 }
 
 impl SyncArena {
-    /// Creates an arena; a disabled arena hands out fresh buffers on
-    /// every checkout and drops them on checkin.
-    pub fn new(enabled: bool) -> Self {
-        SyncArena {
-            enabled,
-            slots: Vec::new(),
-        }
-    }
-
-    /// Whether buffers are pooled across sync calls.
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// Creates an empty arena.
+    pub fn new() -> Self {
+        SyncArena::default()
     }
 
     /// Number of distinct `(field, value type)` pools held.
@@ -248,12 +236,8 @@ impl SyncArena {
 
     /// Takes the pooled buffers of `name` out of the arena for one sync
     /// call, leaving an empty `FieldArena` in the slot (a move, not an
-    /// allocation). First use of a field — or any use while disabled —
-    /// returns a fresh arena.
+    /// allocation). First use of a field returns a fresh arena.
     pub(crate) fn checkout<V: Send + 'static>(&mut self, name: &'static str) -> FieldArena<V> {
-        if !self.enabled {
-            return FieldArena::default();
-        }
         let key = (name, TypeId::of::<V>());
         if let Some((_, boxed)) = self.slots.iter_mut().find(|(k, _)| *k == key) {
             if let Some(slot) = boxed.downcast_mut::<FieldArena<V>>() {
@@ -265,11 +249,8 @@ impl SyncArena {
 
     /// Returns a field's buffers to the arena after a sync call. Boxes a
     /// new slot on the field's first checkin (warm-up); every later
-    /// checkin is a plain move. Dropped immediately when disabled.
+    /// checkin is a plain move.
     pub(crate) fn checkin<V: Send + 'static>(&mut self, name: &'static str, fa: FieldArena<V>) {
-        if !self.enabled {
-            return;
-        }
         let key = (name, TypeId::of::<V>());
         if let Some((_, boxed)) = self.slots.iter_mut().find(|(k, _)| *k == key) {
             if let Some(slot) = boxed.downcast_mut::<FieldArena<V>>() {
@@ -284,7 +265,6 @@ impl SyncArena {
 impl std::fmt::Debug for SyncArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyncArena")
-            .field("enabled", &self.enabled)
             .field("fields", &self.slots.len())
             .finish()
     }
@@ -296,7 +276,7 @@ mod tests {
 
     #[test]
     fn checkout_round_trips_buffers() {
-        let mut arena = SyncArena::new(true);
+        let mut arena = SyncArena::new();
         let mut fa = arena.checkout::<u32>("dist");
         fa.ensure_peers(4);
         fa.peers[2].updated_pos.reserve(1000);
@@ -313,7 +293,7 @@ mod tests {
 
     #[test]
     fn fields_are_isolated_by_name_and_type() {
-        let mut arena = SyncArena::new(true);
+        let mut arena = SyncArena::new();
         let mut fa = arena.checkout::<u32>("dist");
         fa.ensure_peers(2);
         arena.checkin("dist", fa);
@@ -323,17 +303,6 @@ mod tests {
         assert_eq!(arena.checkout::<f64>("dist").peers.len(), 0);
         // The original pool is untouched by the probes above.
         assert_eq!(arena.checkout::<u32>("dist").peers.len(), 2);
-    }
-
-    #[test]
-    fn disabled_arena_pools_nothing() {
-        let mut arena = SyncArena::new(false);
-        let mut fa = arena.checkout::<u32>("dist");
-        fa.ensure_peers(8);
-        arena.checkin("dist", fa);
-        assert_eq!(arena.checkout::<u32>("dist").peers.len(), 0);
-        assert_eq!(arena.num_fields(), 0);
-        assert!(!arena.enabled());
     }
 
     #[test]

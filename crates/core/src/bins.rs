@@ -18,11 +18,10 @@
 //!
 //! Because the per-slot `apply` only touches its own destination slot,
 //! the per-destination operation sequence is identical to the flat fold,
-//! making labels and activation sets bit-identical at any thread count.
-//! The *flat* baseline is simply the same machinery with a single
-//! partition spanning the whole vertex space — one code path, so the
-//! `partition_bins` ablation in [`crate::OptLevel`] only changes the
-//! partition width, never the algorithm.
+//! making labels and activation sets bit-identical at any thread count
+//! and any partition width — a single partition spanning the whole vertex
+//! space *is* the flat fold ([`BinScratch::set_width_override`] lets tests
+//! drive that geometry).
 //!
 //! Partition boundaries derive **only** from the local vertex count and a
 //! fixed bytes-per-partition target ([`gluon_partition::partition_width`]),
@@ -39,20 +38,6 @@ use gluon_graph::Lid;
 use gluon_metrics::EngineMetrics;
 use gluon_partition::partition_width;
 use std::any::{Any, TypeId};
-
-/// Destination-partition width for a local vertex space of `n` proxies.
-///
-/// `binned` selects between the cache-sized grid (the partition-centric
-/// path) and a single partition spanning the whole space (the flat
-/// differential baseline — same code path, degenerate geometry). Both are
-/// powers of two, so the scatter routes with a shift instead of a divide.
-pub fn bin_width(n: usize, binned: bool) -> usize {
-    if binned {
-        partition_width(n)
-    } else {
-        n.next_power_of_two().max(64)
-    }
-}
 
 /// The scatter target handed to an `emit` closure: one row of
 /// destination-partition bins belonging to the calling chunk.
@@ -75,8 +60,9 @@ impl<V> BinSink<'_, V> {
 /// Counters accumulated by [`BinScratch`] across calls, published to
 /// [`EngineMetrics`] when the scratch is checked back into its pool.
 ///
-/// Scheduling observability only — binned and flat runs legitimately
-/// disagree here, so every derived metric is fingerprint-dropped.
+/// Scheduling observability only — the counts depend on the partition
+/// geometry, not the computation, so every derived metric is
+/// fingerprint-dropped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BinStats {
     /// Number of (chunk, partition) bins that received at least one
@@ -210,9 +196,11 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
     }
 
     /// The destination-partition width this scratch will use for a space
-    /// of `n` slots: [`bin_width`] unless a test override is set.
-    pub fn effective_width(&self, n: usize, binned: bool) -> usize {
-        self.width_override.unwrap_or_else(|| bin_width(n, binned))
+    /// of `n` slots: the cache-sized grid of [`partition_width`] (a power
+    /// of two, so the scatter routes with a shift instead of a divide)
+    /// unless a test override is set.
+    pub fn effective_width(&self, n: usize) -> usize {
+        self.width_override.unwrap_or_else(|| partition_width(n))
     }
 
     /// The activation list of the most recent [`BinScratch::run`] (or
@@ -236,23 +224,17 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
     /// `weight(member)` is the member's metered work-unit cost (e.g. its
     /// out-degree); the scatter is metered exactly like the flat chunked
     /// map, and the drain — like the flat sequential fold — is not.
-    ///
-    /// `binned` selects the partition geometry (see [`bin_width`]); both
-    /// settings execute this same code, so results are bit-identical by
-    /// construction.
-    #[allow(clippy::too_many_arguments)]
     pub fn run<T: Send + Sync>(
         &mut self,
         pool: &Pool,
         members: &[Lid],
         labels: &mut [T],
-        binned: bool,
         weight: impl Fn(Lid) -> u64 + Sync,
         emit: impl Fn(&[Lid], &[T], &mut BinSink<'_, V>) + Sync,
         apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
     ) {
         let n = labels.len();
-        let width = self.effective_width(n, binned);
+        let width = self.effective_width(n);
         debug_assert!(width.is_power_of_two());
         let shift = width.trailing_zeros();
         let num_parts = n.div_ceil(width).max(1);
@@ -387,13 +369,11 @@ type BinKey = (&'static str, TypeId);
 
 /// The per-context pool of [`BinScratch`] workspaces.
 ///
-/// Owned by `GluonContext` next to the [`crate::SyncArena`]; enabled by
-/// default and toggled together with the arena. Disabling does not change
-/// any result — every operation runs the same code over a fresh scratch.
-/// Checkin publishes the scratch's accumulated [`BinStats`] to the
-/// context's [`EngineMetrics`] and resets them.
+/// Owned by `GluonContext` next to the [`crate::SyncArena`]. Checkin
+/// publishes the scratch's accumulated [`BinStats`] to the context's
+/// [`EngineMetrics`] and resets them.
+#[derive(Default)]
 pub struct BinPool {
-    enabled: bool,
     metrics: EngineMetrics,
     /// Linear scan keyed by `(site, value type)`: engines bin a handful
     /// of operations, so a map would only add hashing to the hot path.
@@ -401,28 +381,9 @@ pub struct BinPool {
 }
 
 impl BinPool {
-    /// Creates a pool; a disabled pool hands out fresh scratches on every
-    /// checkout and drops them on checkin (stats still publish).
-    pub fn new(enabled: bool) -> Self {
-        BinPool {
-            enabled,
-            metrics: EngineMetrics::disabled(),
-            slots: Vec::new(),
-        }
-    }
-
-    /// Whether scratches are pooled across operations.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Toggles pooling; disabling drops every held scratch (the metrics
-    /// sink is kept).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.slots.clear();
-        }
+    /// Creates an empty pool publishing to no metrics sink.
+    pub fn new() -> Self {
+        BinPool::default()
     }
 
     /// Number of distinct `(site, value type)` scratches held.
@@ -437,15 +398,11 @@ impl BinPool {
 
     /// Takes the pooled scratch of `name` out for one operation (or round
     /// loop), leaving an empty one in the slot — a move, not an
-    /// allocation. First use of a site — or any use while disabled —
-    /// returns a fresh scratch.
+    /// allocation. First use of a site returns a fresh scratch.
     pub fn checkout<V: Copy + Send + Sync + 'static>(
         &mut self,
         name: &'static str,
     ) -> BinScratch<V> {
-        if !self.enabled {
-            return BinScratch::default();
-        }
         let key = (name, TypeId::of::<V>());
         if let Some((_, boxed)) = self.slots.iter_mut().find(|(k, _)| *k == key) {
             if let Some(slot) = boxed.downcast_mut::<BinScratch<V>>() {
@@ -457,8 +414,7 @@ impl BinPool {
 
     /// Returns a scratch to the pool, publishing and resetting its
     /// accumulated counters. Boxes a new slot on first checkin; every
-    /// later checkin is a plain move. The scratch itself is dropped when
-    /// the pool is disabled (the stats still publish).
+    /// later checkin is a plain move.
     pub fn checkin<V: Copy + Send + Sync + 'static>(
         &mut self,
         name: &'static str,
@@ -467,9 +423,6 @@ impl BinPool {
         let s = std::mem::take(&mut scratch.stats);
         self.metrics
             .on_bins(s.fills, s.drains, s.updates, s.chunks_skipped);
-        if !self.enabled {
-            return;
-        }
         let key = (name, TypeId::of::<V>());
         if let Some((_, boxed)) = self.slots.iter_mut().find(|(k, _)| *k == key) {
             if let Some(slot) = boxed.downcast_mut::<BinScratch<V>>() {
@@ -484,7 +437,6 @@ impl BinPool {
 impl std::fmt::Debug for BinPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BinPool")
-            .field("enabled", &self.enabled)
             .field("sites", &self.slots.len())
             .finish()
     }
@@ -501,14 +453,12 @@ mod tests {
         scratch: &mut BinScratch<u32>,
         members: &[Lid],
         labels: &mut [u32],
-        binned: bool,
     ) -> Vec<Lid> {
         let n = labels.len() as u32;
         scratch.run(
             pool,
             members,
             labels,
-            binned,
             |_| 3,
             |chunk, labels, sink| {
                 for &m in chunk {
@@ -531,37 +481,20 @@ mod tests {
     }
 
     #[test]
-    fn binned_and_flat_agree_bit_for_bit() {
+    fn thread_count_never_changes_results() {
         let n = 1500usize;
         let members: Vec<Lid> = (0..400).map(|i| Lid(i * 3 % n as u32)).collect();
         let mut base = vec![u32::MAX; n];
         for i in (0..n).step_by(17) {
             base[i] = (i % 5) as u32;
         }
-        let pool = Pool::new(4);
-        let mut reference: Option<(Vec<u32>, Vec<Lid>)> = None;
-        for binned in [false, true] {
-            for threads in [1usize, 4] {
-                let pool = if threads == 1 {
-                    Pool::sequential()
-                } else {
-                    pool.clone()
-                };
-                let mut labels = base.clone();
-                let mut scratch = BinScratch::<u32>::new();
-                let act = relax_round(&pool, &mut scratch, &members, &mut labels, binned);
-                match &reference {
-                    None => reference = Some((labels, act)),
-                    Some((l, a)) => {
-                        assert_eq!(&labels, l, "labels diverge (binned={binned}, t={threads})");
-                        assert_eq!(
-                            &act, a,
-                            "activations diverge (binned={binned}, t={threads})"
-                        );
-                    }
-                }
-            }
-        }
+        let run = |pool: Pool| {
+            let mut labels = base.clone();
+            let mut scratch = BinScratch::<u32>::new();
+            let act = relax_round(&pool, &mut scratch, &members, &mut labels);
+            (labels, act)
+        };
+        assert_eq!(run(Pool::new(4)), run(Pool::sequential()));
     }
 
     #[test]
@@ -577,7 +510,7 @@ mod tests {
             let mut labels = base.clone();
             let mut scratch = BinScratch::<u32>::new();
             scratch.set_width_override(Some(width));
-            let act = relax_round(&pool, &mut scratch, &members, &mut labels, true);
+            let act = relax_round(&pool, &mut scratch, &members, &mut labels);
             match &reference {
                 None => reference = Some((labels, act)),
                 Some((l, a)) => {
@@ -600,7 +533,6 @@ mod tests {
             &pool,
             &members,
             &mut labels,
-            true,
             |_| 1,
             |chunk, _, sink| {
                 for &m in chunk {
@@ -628,7 +560,7 @@ mod tests {
 
     #[test]
     fn pool_round_trips_scratch_and_publishes_stats() {
-        let mut pool = BinPool::new(true);
+        let mut pool = BinPool::new();
         let mut s = pool.checkout::<u32>("relax");
         let exec = Pool::sequential();
         let mut labels = vec![u32::MAX; 128];
@@ -636,7 +568,6 @@ mod tests {
             &exec,
             &[Lid(0), Lid(1)],
             &mut labels,
-            true,
             |_| 1,
             |chunk, _, sink| {
                 for &m in chunk {
@@ -660,27 +591,5 @@ mod tests {
         pool.checkin("relax", s);
         // Different value type: fresh scratch.
         assert_eq!(pool.checkout::<f64>("relax").bins.capacity(), 0);
-    }
-
-    #[test]
-    fn disabled_pool_hands_out_fresh_scratches() {
-        let mut pool = BinPool::new(false);
-        let mut s = pool.checkout::<u32>("relax");
-        s.bins.resize_with(64, Vec::new);
-        pool.checkin("relax", s);
-        assert_eq!(pool.num_sites(), 0);
-        assert_eq!(pool.checkout::<u32>("relax").bins.capacity(), 0);
-        assert!(!pool.enabled());
-    }
-
-    #[test]
-    fn flat_width_spans_the_space_in_one_partition() {
-        assert_eq!(bin_width(1000, false), 1024);
-        assert_eq!(bin_width(0, false), 64);
-        assert!(bin_width(100_000, true) < 100_000);
-        for n in [1usize, 63, 64, 65, 1 << 20] {
-            assert!(bin_width(n, false) >= n);
-            assert!(bin_width(n, true).is_power_of_two());
-        }
     }
 }

@@ -273,7 +273,7 @@ struct CheckpointCfg {
 ///
 /// The segment clock is shared by two consumers: the tracer (per-segment
 /// child spans) and the metrics layer (per-stage duration totals plus
-/// per-peer send/recv-wait attribution). It runs when *either* is enabled;
+/// per-peer send attribution). It runs when *either* is enabled;
 /// with both disabled every method is a no-op behind one `Option` check.
 struct Segmenter {
     inner: Option<SegState>,
@@ -338,10 +338,6 @@ impl Segmenter {
         }
     }
 
-    fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Closes the open segment and opens the next one.
     #[inline]
     fn stage(&mut self, stage: Stage, peer: Option<usize>) {
@@ -376,18 +372,12 @@ impl SegState {
         if let Some(i) = round_stage_index(stage) {
             self.stage_totals[i] += dur;
         }
-        if let Some(p) = peer {
-            // Send and recv_wait keep their peer in both the sequential
-            // and the parallel paths, so this attribution works at every
-            // thread count.
-            match stage {
-                // A pipelined send is still this peer's send time; folding
-                // it in keeps per-peer send attribution meaningful under
-                // either schedule.
-                Stage::Send | Stage::SendOverlap => self.peers.add_send_ns(p, dur),
-                Stage::RecvWait => self.peers.add_recv_wait_ns(p, dur),
-                _ => {}
-            }
+        // A send keeps its peer under both the sequential and the
+        // spawning pool, so per-peer send attribution works at every
+        // thread count; the blocking receive takes whichever frame lands
+        // first and has no peer to charge.
+        if let (Stage::Send, Some(p)) = (stage, peer) {
+            self.peers.add_send_ns(p, dur);
         }
         self.last_wall = now;
         self.last_ns = now_ns;
@@ -453,8 +443,8 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             pending_work: 0,
             pending_crit_work: 0,
             pool: Pool::sequential(),
-            arena: SyncArena::new(true),
-            bins: BinPool::new(true),
+            arena: SyncArena::new(),
+            bins: BinPool::new(),
             ckpt: None,
             metrics: SyncMetrics::disabled(),
         }
@@ -587,25 +577,13 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         &self.pool
     }
 
-    /// Enables or disables the cross-round sync buffer arena (builder
-    /// style; enabled by default). Disabling changes no result — every
-    /// sync call runs the identical code path over fresh buffers instead
-    /// of pooled ones — only the allocation profile.
-    #[must_use]
-    pub fn with_arena(mut self, enabled: bool) -> Self {
-        self.arena = SyncArena::new(enabled);
-        self.bins.set_enabled(enabled);
-        self
-    }
-
     /// The sync buffer arena (for inspection and tests).
     pub fn arena(&self) -> &SyncArena {
         &self.arena
     }
 
     /// The engine-side bin scratch pool: recycled workspaces for the
-    /// partition-binned scatter-gather path, keyed by operation site and
-    /// toggled together with the arena (see [`GluonContext::with_arena`]).
+    /// partition-binned scatter-gather path, keyed by operation site.
     pub fn bin_pool(&mut self) -> &mut BinPool {
         &mut self.bins
     }
@@ -924,79 +902,31 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     ) -> Result<(), SyncError> {
         if let Some(w) = spec.write {
             let fr = filter_index(w.filter(structural));
-            if self.opts.pipeline {
-                self.sync_pattern_pipelined(
-                    seq,
-                    0,
-                    PatternRole::MirrorToMaster,
-                    fr,
-                    field_name,
-                    field,
-                    updated,
-                    seg,
-                    fa,
-                )?;
-            } else {
-                self.send_pattern(
-                    seq,
-                    0,
-                    PatternRole::MirrorToMaster,
-                    fr,
-                    field_name,
-                    field,
-                    updated,
-                    seg,
-                    fa,
-                )?;
-                self.recv_pattern(
-                    seq,
-                    0,
-                    PatternRole::MirrorToMaster,
-                    fr,
-                    field,
-                    updated,
-                    seg,
-                    fa,
-                )?;
-            }
+            self.sync_pattern(
+                seq,
+                0,
+                PatternRole::MirrorToMaster,
+                fr,
+                field_name,
+                field,
+                updated,
+                seg,
+                fa,
+            )?;
         }
         if let Some(r) = spec.read {
             let fb = filter_index(r.filter(structural));
-            if self.opts.pipeline {
-                self.sync_pattern_pipelined(
-                    seq,
-                    1,
-                    PatternRole::MasterToMirror,
-                    fb,
-                    field_name,
-                    field,
-                    updated,
-                    seg,
-                    fa,
-                )?;
-            } else {
-                self.send_pattern(
-                    seq,
-                    1,
-                    PatternRole::MasterToMirror,
-                    fb,
-                    field_name,
-                    field,
-                    updated,
-                    seg,
-                    fa,
-                )?;
-                self.recv_pattern(
-                    seq,
-                    1,
-                    PatternRole::MasterToMirror,
-                    fb,
-                    field,
-                    updated,
-                    seg,
-                    fa,
-                )?;
-            }
+            self.sync_pattern(
+                seq,
+                1,
+                PatternRole::MasterToMirror,
+                fb,
+                field_name,
+                field,
+                updated,
+                seg,
+                fa,
+            )?;
         }
         Ok(())
     }
@@ -1008,13 +938,12 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         self.comm.transport().stats().host_sent(self.rank())
     }
 
-    /// The per-peer accounting tail shared by every send path — pool
-    /// hit/miss counters, wire-mode and message-size records, and the
-    /// metrics payload publication. Every record here is an
-    /// order-independent sum or histogram bump, which is what lets the
-    /// pipelined schedule run it in payload-completion order and still
-    /// produce the exact counters of the rank-ordered barrier schedule.
-    /// Returns the payload, ready to ship.
+    /// The per-peer accounting tail of the send side — pool hit/miss
+    /// counters, wire-mode and message-size records, and the metrics
+    /// payload publication. Every record here is an order-independent sum
+    /// or histogram bump, which is what lets a spawning pool run it in
+    /// payload-completion order and still produce the exact counters of
+    /// a rank-ordered run. Returns the payload, ready to ship.
     fn account_send_payload<V>(
         &self,
         field_name: &'static str,
@@ -1041,48 +970,16 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         payload
     }
 
-    /// The sequential per-peer tail of the send side — pool accounting,
-    /// trace records, the mirror reset, and the send itself — shared
-    /// verbatim by the sequential and parallel barrier paths so both
-    /// produce the same counters and stage sequence in rank order.
+    /// One reduce or broadcast pattern: each peer's extract→encode→send
+    /// chain issues as soon as its payload is ready, arriving frames are
+    /// drained and decoded eagerly whenever this host would otherwise
+    /// idle, and only the apply step is held to strict rank order.
+    /// Rank-ordered apply — plus order-independent send accounting and
+    /// rank-ordered first-error selection — is what keeps results
+    /// bit-identical at every thread count and arrival order (see
+    /// DESIGN.md, "The sync schedule").
     #[allow(clippy::too_many_arguments)]
-    fn finish_send_peer<F: FieldSync>(
-        &self,
-        seq: u32,
-        pat: u32,
-        role: PatternRole,
-        field_name: &'static str,
-        temporal: bool,
-        h: usize,
-        list: &[Lid],
-        ps: &mut PeerScratch<F::Value>,
-        field: &mut F,
-        updated: &mut DenseBitset,
-        seg: &mut Segmenter,
-    ) -> Result<(), SyncError> {
-        let payload = self.account_send_payload(field_name, h, ps);
-        if role == PatternRole::MirrorToMaster {
-            seg.stage(Stage::Reset, Some(h));
-            let dense = temporal && WireMode::of(&payload) == WireMode::Dense;
-            reset_shipped(dense, list, &ps.updated_pos, field, updated);
-        }
-        seg.stage(Stage::Send, Some(h));
-        self.comm
-            .transport()
-            .try_send(h, sync_tag(seq, pat), payload)?;
-        Ok(())
-    }
-
-    /// One pattern under the pipelined schedule: each peer's
-    /// extract→encode→send chain issues as soon as its payload is ready,
-    /// arriving frames are drained and decoded eagerly whenever this host
-    /// would otherwise idle, and only the apply step is held to strict
-    /// rank order. Rank-ordered apply — plus order-independent send
-    /// accounting and rank-ordered first-error selection — is what keeps
-    /// results bit-identical to the barrier schedule at every thread
-    /// count (see DESIGN.md, "Pipelined sync").
-    #[allow(clippy::too_many_arguments)]
-    fn sync_pattern_pipelined<F: FieldSync>(
+    fn sync_pattern<F: FieldSync>(
         &mut self,
         seq: u32,
         pat: u32,
@@ -1099,7 +996,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         let temporal = self.opts.temporal;
         let compress = self.opts.compress;
         let graph = self.graph;
-        let prewarm = self.arena.enabled() && fa.rounds < crate::arena::ARENA_WARMUP_ROUNDS;
+        let prewarm = fa.rounds < crate::arena::ARENA_WARMUP_ROUNDS;
         let (send_lists, recv_lists) = match role {
             PatternRole::MirrorToMaster => (
                 &self.mirror_lists[filter_idx],
@@ -1135,7 +1032,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             // are deferred past the region (the workers still hold the
             // field shared); per-peer reduce lists are disjoint, so
             // resetting after every extraction has finished is equivalent
-            // to the barrier schedule's per-peer reset.
+            // to resetting each peer right after its own extraction.
             seg.stage(Stage::Extract, None);
             let field_ref: &F = field;
             let updated_ref: &DenseBitset = updated;
@@ -1169,20 +1066,18 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                     }
                     let payload = self.account_send_payload(field_name, h, ps);
                     ps.sent_dense = temporal && WireMode::of(&payload) == WireMode::Dense;
-                    seg.stage(Stage::SendOverlap, Some(h));
-                    self.metrics.on_send_overlap();
+                    seg.stage(Stage::Send, Some(h));
                     if let Err(e) = transport.try_send(h, tag, payload) {
                         io_err = Some(e);
                     }
                     while pending > 0 && io_err.is_none() {
                         match transport.try_recv_any_now(tag) {
                             Ok(Some(env)) => {
-                                seg.stage(Stage::EagerDecode, Some(env.src));
+                                seg.stage(Stage::Decode, Some(env.src));
                                 if eager_decode_frame::<F::Value>(
                                     temporal, graph, rank, recv_lists, recv, env,
                                 ) {
                                     pending -= 1;
-                                    self.metrics.on_eager_decode();
                                 }
                             }
                             Ok(None) => break,
@@ -1208,9 +1103,8 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             }
         } else {
             // Sequential (or inline-parallel) pool: peers are prepared,
-            // reset, and shipped in rank order exactly as under the
-            // barrier schedule; after each send, drain whatever already
-            // arrived before extracting the next peer.
+            // reset, and shipped in rank order; after each send, drain
+            // whatever already arrived before extracting the next peer.
             for (h, list) in send_lists.iter().enumerate() {
                 if h == rank || list.is_empty() {
                     continue;
@@ -1233,18 +1127,16 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                     let dense = temporal && WireMode::of(&payload) == WireMode::Dense;
                     reset_shipped(dense, list, &peers[h].updated_pos, field, updated);
                 }
-                seg.stage(Stage::SendOverlap, Some(h));
-                self.metrics.on_send_overlap();
+                seg.stage(Stage::Send, Some(h));
                 transport.try_send(h, tag, payload)?;
                 while pending > 0 {
                     match transport.try_recv_any_now(tag)? {
                         Some(env) => {
-                            seg.stage(Stage::EagerDecode, Some(env.src));
+                            seg.stage(Stage::Decode, Some(env.src));
                             if eager_decode_frame::<F::Value>(
                                 temporal, graph, rank, recv_lists, recv, env,
                             ) {
                                 pending -= 1;
-                                self.metrics.on_eager_decode();
                             }
                         }
                         None => break,
@@ -1263,17 +1155,16 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                     transport.try_recv_any(tag)?
                 }
             };
-            seg.stage(Stage::EagerDecode, Some(env.src));
+            seg.stage(Stage::Decode, Some(env.src));
             if eager_decode_frame::<F::Value>(temporal, graph, rank, recv_lists, recv, env) {
                 pending -= 1;
-                self.metrics.on_eager_decode();
             }
         }
-        // Apply strictly in rank order: the same combination order as the
-        // barrier schedule, so reductions over non-associative values
-        // (floats) stay bit-identical — and the first malformed payload
-        // in rank order wins, so the surfaced error does not depend on
-        // arrival order.
+        // Apply strictly in rank order: one fixed combination order, so
+        // reductions over non-associative values (floats) stay
+        // bit-identical whatever the arrival order — and the first
+        // malformed payload in rank order wins, so the surfaced error
+        // does not depend on arrival order either.
         for (h, list) in recv_lists.iter().enumerate() {
             if h == rank || list.is_empty() {
                 continue;
@@ -1306,380 +1197,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         }
         Ok(())
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_pattern<F: FieldSync>(
-        &mut self,
-        seq: u32,
-        pat: u32,
-        role: PatternRole,
-        filter_idx: usize,
-        field_name: &'static str,
-        field: &mut F,
-        updated: &mut DenseBitset,
-        seg: &mut Segmenter,
-        fa: &mut FieldArena<F::Value>,
-    ) -> Result<(), SyncError> {
-        if self.pool.is_parallel() {
-            return self.send_pattern_par(
-                seq, pat, role, filter_idx, field_name, field, updated, seg, fa,
-            );
-        }
-        let rank = self.rank();
-        let temporal = self.opts.temporal;
-        let compress = self.opts.compress;
-        let graph = self.graph;
-        let prewarm = self.arena.enabled() && fa.rounds < crate::arena::ARENA_WARMUP_ROUNDS;
-        for h in 0..self.world_size() {
-            if h == rank {
-                continue;
-            }
-            let list: &[Lid] = match role {
-                PatternRole::MirrorToMaster => &self.mirror_lists[filter_idx][h],
-                PatternRole::MasterToMirror => &self.master_lists[filter_idx][h],
-            };
-            if list.is_empty() {
-                continue;
-            }
-            prepare_send_peer::<F>(
-                graph,
-                temporal,
-                compress,
-                pat,
-                list,
-                field,
-                updated,
-                &mut fa.peers[h],
-                prewarm,
-                &mut |st| seg.stage(st, Some(h)),
-            );
-            self.finish_send_peer::<F>(
-                seq,
-                pat,
-                role,
-                field_name,
-                temporal,
-                h,
-                list,
-                &mut fa.peers[h],
-                field,
-                updated,
-                seg,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Parallel send side: per-peer dirty-set scans, extraction, and
-    /// encoding are independent reads of the field and the proxy lists, so
-    /// each peer's payload is built on a pool worker directly into that
-    /// peer's arena scratch; the mutating tail (pool accounting, trace,
-    /// reset, send) then runs sequentially in rank order, producing
-    /// byte-for-byte the payloads and counters of the sequential path.
-    #[allow(clippy::too_many_arguments)]
-    fn send_pattern_par<F: FieldSync>(
-        &mut self,
-        seq: u32,
-        pat: u32,
-        role: PatternRole,
-        filter_idx: usize,
-        field_name: &'static str,
-        field: &mut F,
-        updated: &mut DenseBitset,
-        seg: &mut Segmenter,
-        fa: &mut FieldArena<F::Value>,
-    ) -> Result<(), SyncError> {
-        let rank = self.rank();
-        let temporal = self.opts.temporal;
-        let compress = self.opts.compress;
-        let lists = match role {
-            PatternRole::MirrorToMaster => &self.mirror_lists[filter_idx],
-            PatternRole::MasterToMirror => &self.master_lists[filter_idx],
-        };
-        // One Extract segment covers the whole concurrent extract+encode
-        // region: per-peer wall-clock attribution is meaningless when the
-        // peers' payloads are built at the same time (stage switching
-        // inside the workers is likewise suppressed).
-        seg.stage(Stage::Extract, None);
-        let graph = self.graph;
-        let field_ref: &F = field;
-        let updated_ref: &DenseBitset = updated;
-        let prewarm = self.arena.enabled() && fa.rounds < crate::arena::ARENA_WARMUP_ROUNDS;
-        self.pool.for_each_scratch(&mut fa.peers, |h, ps| {
-            if h == rank {
-                return;
-            }
-            let list: &[Lid] = &lists[h];
-            if list.is_empty() {
-                return;
-            }
-            prepare_send_peer::<F>(
-                graph,
-                temporal,
-                compress,
-                pat,
-                list,
-                field_ref,
-                updated_ref,
-                ps,
-                prewarm,
-                &mut |_| {},
-            );
-        });
-        for (h, list) in lists.iter().enumerate() {
-            if h == rank || list.is_empty() {
-                continue;
-            }
-            self.finish_send_peer::<F>(
-                seq,
-                pat,
-                role,
-                field_name,
-                temporal,
-                h,
-                list,
-                &mut fa.peers[h],
-                field,
-                updated,
-                seg,
-            )?;
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn recv_pattern<F: FieldSync>(
-        &mut self,
-        seq: u32,
-        pat: u32,
-        role: PatternRole,
-        filter_idx: usize,
-        field: &mut F,
-        updated: &mut DenseBitset,
-        seg: &mut Segmenter,
-        fa: &mut FieldArena<F::Value>,
-    ) -> Result<(), SyncError> {
-        if self.pool.is_parallel() {
-            return self.recv_pattern_par(seq, pat, role, filter_idx, field, updated, seg, fa);
-        }
-        let rank = self.rank();
-        let temporal = self.opts.temporal;
-        let graph = self.graph;
-        for h in 0..self.world_size() {
-            if h == rank {
-                continue;
-            }
-            // I receive exactly when the sender's list toward me is
-            // non-empty; by the memoization agreement that is my master (or
-            // mirror) list for `h` under the same filter.
-            let list: &[Lid] = match role {
-                PatternRole::MirrorToMaster => &self.master_lists[filter_idx][h],
-                PatternRole::MasterToMirror => &self.mirror_lists[filter_idx][h],
-            };
-            if list.is_empty() {
-                continue;
-            }
-            seg.stage(Stage::RecvWait, Some(h));
-            let payload = self.comm.transport().try_recv(h, sync_tag(seq, pat))?;
-            let RecvScratch { dec, entries, .. } = &mut fa.recv[h];
-            if seg.enabled() {
-                // Traced path: decode into the peer's staging list first so
-                // the decode and apply stages get separate spans; the
-                // untraced path below fuses them into one pass.
-                seg.stage(Stage::Decode, Some(h));
-                if let Err(e) =
-                    decode_into_entries::<F::Value>(temporal, graph, &payload, list, dec, entries)
-                {
-                    return Err(self.decode_failed(h, payload.len(), e));
-                }
-                seg.stage(Stage::Apply, Some(h));
-                match role {
-                    PatternRole::MirrorToMaster => {
-                        for &(lid, v) in entries.iter() {
-                            if field.reduce(lid, v) {
-                                updated.set(lid);
-                            }
-                        }
-                    }
-                    PatternRole::MasterToMirror => {
-                        for &(lid, v) in entries.iter() {
-                            field.set(lid, v);
-                            updated.set(lid);
-                        }
-                    }
-                }
-                entries.clear();
-                continue;
-            }
-            // Untraced path: fuse decode and apply to keep the hot loop
-            // allocation-free. A mid-payload decode error can leave some
-            // entries already applied — acceptable because every decode
-            // error is terminal for the run. Unknown-GID lookups cannot
-            // early-return from inside the closure, so they latch into
-            // `bad_gid` and surface right after.
-            let mut bad_gid: Option<Gid> = None;
-            let res = match role {
-                PatternRole::MirrorToMaster => {
-                    // I am the master side: combine partial values.
-                    if temporal {
-                        decode_memoized_scratch::<F::Value>(
-                            &payload,
-                            list.len(),
-                            dec,
-                            &mut |pos, v| {
-                                let lid = list[pos];
-                                if field.reduce(lid, v) {
-                                    updated.set(lid);
-                                }
-                            },
-                        )
-                    } else {
-                        decode_gid_values::<F::Value>(&payload, &mut |gid, v| {
-                            if bad_gid.is_some() {
-                                return;
-                            }
-                            match graph.lid(gid) {
-                                Some(lid) => {
-                                    if field.reduce(lid, v) {
-                                        updated.set(lid);
-                                    }
-                                }
-                                None => bad_gid = Some(gid),
-                            }
-                        })
-                    }
-                }
-                PatternRole::MasterToMirror => {
-                    // I am the mirror side: adopt canonical values. The bit
-                    // is set even when the value is unchanged: under
-                    // general vertex-cuts a mirror with outgoing edges may
-                    // have *originated* this update — its dirty bit was
-                    // cleared when the reduce shipped it, but its local
-                    // out-edges still have to see the value, so the
-                    // broadcast must re-activate it.
-                    if temporal {
-                        decode_memoized_scratch::<F::Value>(
-                            &payload,
-                            list.len(),
-                            dec,
-                            &mut |pos, v| {
-                                let lid = list[pos];
-                                field.set(lid, v);
-                                updated.set(lid);
-                            },
-                        )
-                    } else {
-                        decode_gid_values::<F::Value>(&payload, &mut |gid, v| {
-                            if bad_gid.is_some() {
-                                return;
-                            }
-                            match graph.lid(gid) {
-                                Some(lid) => {
-                                    field.set(lid, v);
-                                    updated.set(lid);
-                                }
-                                None => bad_gid = Some(gid),
-                            }
-                        })
-                    }
-                }
-            };
-            let res = res.and(match bad_gid {
-                Some(g) => Err(DecodeError::UnknownGid(g.0)),
-                None => Ok(()),
-            });
-            if let Err(e) = res {
-                return Err(self.decode_failed(h, payload.len(), e));
-            }
-        }
-        Ok(())
-    }
-
-    /// Parallel receive side: payloads are collected from peers in rank
-    /// order (receive order is fixed by the protocol, not by the pool),
-    /// decoded concurrently into the per-peer `(lid, value)` staging of
-    /// the field's arena, then applied sequentially in rank order — the
-    /// same combination order as the sequential path, so reductions over
-    /// non-associative values (floats) stay bit-identical at any thread
-    /// count.
-    #[allow(clippy::too_many_arguments)]
-    fn recv_pattern_par<F: FieldSync>(
-        &mut self,
-        seq: u32,
-        pat: u32,
-        role: PatternRole,
-        filter_idx: usize,
-        field: &mut F,
-        updated: &mut DenseBitset,
-        seg: &mut Segmenter,
-        fa: &mut FieldArena<F::Value>,
-    ) -> Result<(), SyncError> {
-        let rank = self.rank();
-        let n = self.world_size();
-        let temporal = self.opts.temporal;
-        let lists = match role {
-            PatternRole::MirrorToMaster => &self.master_lists[filter_idx],
-            PatternRole::MasterToMirror => &self.mirror_lists[filter_idx],
-        };
-        for (h, list) in lists.iter().enumerate().take(n) {
-            if h == rank || list.is_empty() {
-                continue;
-            }
-            seg.stage(Stage::RecvWait, Some(h));
-            fa.recv[h].payload = Some(self.comm.transport().try_recv(h, sync_tag(seq, pat))?);
-        }
-        seg.stage(Stage::Decode, None);
-        let graph = self.graph;
-        self.pool.for_each_scratch(&mut fa.recv, |h, rs| {
-            let RecvScratch {
-                payload,
-                dec,
-                entries,
-                decode_err,
-                ..
-            } = rs;
-            *decode_err = None;
-            let Some(payload) = payload.as_ref() else {
-                return;
-            };
-            *decode_err =
-                decode_into_entries::<F::Value>(temporal, graph, payload, &lists[h], dec, entries)
-                    .err();
-        });
-        seg.stage(Stage::Apply, None);
-        // Apply in rank order; the first malformed payload in rank order
-        // wins, so the surfaced error does not depend on worker scheduling.
-        for h in 0..n {
-            let rs = &mut fa.recv[h];
-            if let Some(e) = rs.decode_err.take() {
-                let len = rs.payload.as_ref().map_or(0, |p| p.len());
-                return Err(self.decode_failed(h, len, e));
-            }
-            if rs.payload.is_none() {
-                continue;
-            }
-            match role {
-                PatternRole::MirrorToMaster => {
-                    for &(lid, v) in rs.entries.iter() {
-                        if field.reduce(lid, v) {
-                            updated.set(lid);
-                        }
-                    }
-                }
-                PatternRole::MasterToMirror => {
-                    for &(lid, v) in rs.entries.iter() {
-                        field.set(lid, v);
-                        updated.set(lid);
-                    }
-                }
-            }
-            rs.entries.clear();
-            // Dropping our handle is what lets the sender's slot recycle
-            // this buffer next round.
-            rs.payload = None;
-        }
-        Ok(())
-    }
 }
 
 /// Scans the dirty set and builds one peer's wire payload into that
@@ -1688,7 +1205,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
 /// finished payload in `ps.payload` (with a retained twin in the ring)
 /// and records hit/miss in `ps.recycled`.
 ///
-/// Free function (not a method) so the parallel path can run it from pool
+/// Free function (not a method) so a spawning pool can run it from its
 /// workers while `self` stays immutably shared; `stage` is the segmenter
 /// hook — a no-op closure in workers, where per-peer wall-clock
 /// attribution would be meaningless.
@@ -1824,8 +1341,8 @@ fn fill_payload<F: FieldSync>(
 /// now live at the master) and deactivates their dirty bits. Dense mode
 /// ships *every* list entry, so reset them all. Per-peer reduce lists are
 /// disjoint (each mirror has exactly one master host), which is what lets
-/// the pipelined spawning path defer these resets past the whole
-/// extraction region without changing any later peer's extraction.
+/// the spawning-pool path defer these resets past the whole extraction
+/// region without changing any later peer's extraction.
 fn reset_shipped<F: FieldSync>(
     dense: bool,
     list: &[Lid],
@@ -1847,13 +1364,12 @@ fn reset_shipped<F: FieldSync>(
 }
 
 /// Eagerly decodes one arriving frame into the receive staging of its
-/// source peer (pipelined schedule only). Returns whether the frame was a
-/// fresh expected one: a duplicate (possible under fault injection on an
-/// unprotected transport) or stray frame is consumed and dropped — the
-/// barrier schedule's per-source receive would simply have left it
-/// unread. A decode failure is *stashed*, not surfaced: the rank-ordered
-/// apply pass picks the first failure in rank order so the surfaced error
-/// does not depend on arrival order, and books it exactly once.
+/// source peer. Returns whether the frame was a fresh expected one: a
+/// duplicate (possible under fault injection on an unprotected transport)
+/// or stray frame is consumed and dropped. A decode failure is *stashed*,
+/// not surfaced: the rank-ordered apply pass picks the first failure in
+/// rank order so the surfaced error does not depend on arrival order, and
+/// books it exactly once.
 fn eager_decode_frame<V: SyncValue>(
     temporal: bool,
     graph: &LocalGraph,
@@ -1883,8 +1399,7 @@ fn eager_decode_frame<V: SyncValue>(
 
 /// Decodes one peer's payload into `(lid, value)` staging entries
 /// (cleared first), translating memoized positions — or, without temporal
-/// invariance, global IDs — to local IDs. Shared by the traced sequential
-/// path and the parallel decode workers so both surface identical errors.
+/// invariance, global IDs — to local IDs.
 fn decode_into_entries<V: SyncValue>(
     temporal: bool,
     graph: &LocalGraph,

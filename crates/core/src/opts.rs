@@ -16,20 +16,6 @@ use std::fmt;
 ///   collapsing — as extra candidates for the §4.2 size-based selector.
 ///   Only meaningful when `temporal` is on; turning it off reproduces the
 ///   original three-mode wire format byte for byte.
-/// * `pipeline`: run the pipelined sync schedule — per-peer
-///   extract→encode→send issues as each peer completes, arriving frames
-///   are drained and decoded eagerly, and only the apply step is held to
-///   strict rank order. Results are bit-identical to the barrier schedule
-///   (see DESIGN.md "Pipelined sync"); the off-switch exists for
-///   differential testing and ablation, not correctness.
-/// * `partition_bins`: run the partition-centric scatter-gather engine
-///   path — candidate updates are binned by cache-sized destination
-///   partition during scatter and each partition's bins drain in parallel
-///   across partitions (disjoint destination ranges, so no write races),
-///   in (chunk index, edge order) within a partition. Results are
-///   bit-identical to the single-partition drain (see DESIGN.md
-///   "Partition-centric execution"); the off-switch exists for
-///   differential testing and ablation, not correctness.
 ///
 /// # Examples
 ///
@@ -43,14 +29,6 @@ use std::fmt;
 /// let baseline = OptLevel::OSTI.without_compression();
 /// assert_eq!(baseline.to_string(), "osti-nc");
 /// assert_eq!("osti-nc".parse::<OptLevel>().unwrap(), baseline);
-/// // The barrier-schedule ablation for differential testing.
-/// let barrier = OptLevel::OSTI.without_pipeline();
-/// assert_eq!(barrier.to_string(), "osti-nopipe");
-/// assert_eq!("osti-nopipe".parse::<OptLevel>().unwrap(), barrier);
-/// // The flat-drain ablation for the binning differential battery.
-/// let flat = OptLevel::OSTI.without_partition_bins();
-/// assert_eq!(flat.to_string(), "osti-nobins");
-/// assert_eq!("osti-nobins".parse::<OptLevel>().unwrap(), flat);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct OptLevel {
@@ -60,10 +38,6 @@ pub struct OptLevel {
     pub temporal: bool,
     /// Admit the codec-v2 compressed wire modes as selector candidates.
     pub compress: bool,
-    /// Run the pipelined sync schedule (overlap send with recv/decode).
-    pub pipeline: bool,
-    /// Bin updates by destination partition and drain bins in parallel.
-    pub partition_bins: bool,
 }
 
 impl OptLevel {
@@ -73,32 +47,24 @@ impl OptLevel {
         structural: false,
         temporal: false,
         compress: true,
-        pipeline: true,
-        partition_bins: true,
     };
     /// Structural invariants only.
     pub const OSI: OptLevel = OptLevel {
         structural: true,
         temporal: false,
         compress: true,
-        pipeline: true,
-        partition_bins: true,
     };
     /// Temporal invariance only.
     pub const OTI: OptLevel = OptLevel {
         structural: false,
         temporal: true,
         compress: true,
-        pipeline: true,
-        partition_bins: true,
     };
     /// Both on: standard Gluon.
     pub const OSTI: OptLevel = OptLevel {
         structural: true,
         temporal: true,
         compress: true,
-        pipeline: true,
-        partition_bins: true,
     };
 
     /// The four levels in the paper's presentation order.
@@ -123,25 +89,6 @@ impl OptLevel {
             ..self
         }
     }
-
-    /// The same level under the barrier sync schedule — the differential
-    /// baseline the pipelined schedule must match bit for bit.
-    pub fn without_pipeline(self) -> OptLevel {
-        OptLevel {
-            pipeline: false,
-            ..self
-        }
-    }
-
-    /// The same level with the flat (single-partition) bin drain — the
-    /// differential baseline the partition-parallel drain must match bit
-    /// for bit.
-    pub fn without_partition_bins(self) -> OptLevel {
-        OptLevel {
-            partition_bins: false,
-            ..self
-        }
-    }
 }
 
 impl Default for OptLevel {
@@ -157,12 +104,6 @@ impl fmt::Display for OptLevel {
         if !self.compress {
             f.write_str("-nc")?;
         }
-        if !self.pipeline {
-            f.write_str("-nopipe")?;
-        }
-        if !self.partition_bins {
-            f.write_str("-nobins")?;
-        }
         Ok(())
     }
 }
@@ -171,48 +112,18 @@ impl std::str::FromStr for OptLevel {
     type Err = ParseOptLevelError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        // Suffixes render in a fixed order (`-nc`, `-nopipe`, `-nobins`),
-        // but parse in any order so hand-written flags also work.
-        let mut rest = s;
-        let mut compress = true;
-        let mut pipeline = true;
-        let mut partition_bins = true;
-        loop {
-            if let Some(base) = rest.strip_suffix("-nopipe") {
-                if !pipeline {
-                    return Err(ParseOptLevelError(s.to_owned()));
-                }
-                pipeline = false;
-                rest = base;
-            } else if let Some(base) = rest.strip_suffix("-nobins") {
-                if !partition_bins {
-                    return Err(ParseOptLevelError(s.to_owned()));
-                }
-                partition_bins = false;
-                rest = base;
-            } else if let Some(base) = rest.strip_suffix("-nc") {
-                if !compress {
-                    return Err(ParseOptLevelError(s.to_owned()));
-                }
-                compress = false;
-                rest = base;
-            } else {
-                break;
-            }
-        }
-        let level = match rest {
+        let (base, compress) = match s.strip_suffix("-nc") {
+            Some(base) => (base, false),
+            None => (s, true),
+        };
+        let level = match base {
             "unopt" => OptLevel::UNOPT,
             "osi" => OptLevel::OSI,
             "oti" => OptLevel::OTI,
             "osti" => OptLevel::OSTI,
             _ => return Err(ParseOptLevelError(s.to_owned())),
         };
-        Ok(OptLevel {
-            compress,
-            pipeline,
-            partition_bins,
-            ..level
-        })
+        Ok(OptLevel { compress, ..level })
     }
 }
 
@@ -224,7 +135,7 @@ impl fmt::Display for ParseOptLevelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown optimization level {:?}, expected unopt/osi/oti/osti with optional -nc/-nopipe/-nobins suffixes",
+            "unknown optimization level {:?}, expected unopt/osi/oti/osti with an optional -nc suffix",
             self.0
         )
     }
@@ -240,57 +151,23 @@ mod tests {
     fn names_round_trip() {
         for level in OptLevel::ALL {
             assert_eq!(level.name().parse::<OptLevel>().expect("parses"), level);
+            assert_eq!(level.to_string(), level.name());
             let nc = level.without_compression();
+            assert_eq!(nc.to_string(), format!("{}-nc", level.name()));
             assert_eq!(nc.to_string().parse::<OptLevel>().expect("parses"), nc);
-            let np = level.without_pipeline();
-            assert_eq!(np.to_string().parse::<OptLevel>().expect("parses"), np);
-            let nb = level.without_partition_bins();
-            assert_eq!(nb.to_string().parse::<OptLevel>().expect("parses"), nb);
-            let both = level.without_compression().without_pipeline();
-            assert_eq!(both.to_string(), format!("{}-nc-nopipe", level.name()));
-            assert_eq!(both.to_string().parse::<OptLevel>().expect("parses"), both);
-            let all = both.without_partition_bins();
-            assert_eq!(
-                all.to_string(),
-                format!("{}-nc-nopipe-nobins", level.name())
-            );
-            assert_eq!(all.to_string().parse::<OptLevel>().expect("parses"), all);
         }
-        assert!("best".parse::<OptLevel>().is_err());
-        assert!("-nc".parse::<OptLevel>().is_err());
-        assert!("-nopipe".parse::<OptLevel>().is_err());
-        assert!("-nobins".parse::<OptLevel>().is_err());
-        assert!("osti-nopipe-nopipe".parse::<OptLevel>().is_err());
-        assert!("osti-nobins-nobins".parse::<OptLevel>().is_err());
-    }
-
-    #[test]
-    fn suffixes_parse_in_either_order() {
-        let both = OptLevel::OSTI.without_compression().without_pipeline();
-        assert_eq!("osti-nopipe-nc".parse::<OptLevel>().expect("parses"), both);
-        let all = both.without_partition_bins();
-        assert_eq!(
-            "osti-nobins-nc-nopipe".parse::<OptLevel>().expect("parses"),
-            all
-        );
+        for bad in ["best", "-nc", "osti-nc-nc", "osti-fast", "osti-"] {
+            assert_eq!(
+                bad.parse::<OptLevel>(),
+                Err(ParseOptLevelError(bad.to_owned())),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 
     #[test]
     fn default_is_full_gluon() {
         assert_eq!(OptLevel::default(), OptLevel::OSTI);
         assert!(OptLevel::default().compress);
-        assert!(OptLevel::default().pipeline);
-        assert!(OptLevel::default().partition_bins);
-    }
-
-    #[test]
-    fn nobins_renders_only_off_default() {
-        // Default-configuration runs must render exactly as before the
-        // flag existed, so stored names and logs stay stable.
-        assert_eq!(OptLevel::OSTI.to_string(), "osti");
-        assert_eq!(
-            OptLevel::OSTI.without_partition_bins().to_string(),
-            "osti-nobins"
-        );
     }
 }

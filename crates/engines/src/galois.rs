@@ -123,18 +123,16 @@ pub fn do_all(items: impl IntoIterator<Item = Lid>, mut op: impl FnMut(Lid)) -> 
 /// top of this: sweep the frontier in bulk, repeat on the activations
 /// until no label changes — monotone operators reach the same fixpoint
 /// FIFO chaotic relaxation does.
-#[allow(clippy::too_many_arguments)]
 pub fn do_all_binned<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     pool: &Pool,
     bins: &mut BinScratch<V>,
     items: &[Lid],
     labels: &mut [T],
-    binned: bool,
     weight: impl Fn(Lid) -> u64 + Sync,
     emit: impl Fn(&[Lid], &[T], &mut BinSink<'_, V>) + Sync,
     apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
 ) {
-    bins.run(pool, items, labels, binned, weight, emit, apply);
+    bins.run(pool, items, labels, weight, emit, apply);
 }
 
 /// A delta-stepping priority worklist (Meyer & Sanders): work items carry a
@@ -372,8 +370,8 @@ mod tests {
     #[test]
     fn do_all_binned_sweeps_reach_the_fifo_fixpoint_at_any_thread_count() {
         // Deterministic bulk sub-rounds (sweep -> ordered apply -> repeat),
-        // in either bin geometry, must land on the same labels as FIFO
-        // chaotic relaxation.
+        // on the production grid or a single partition, must land on the
+        // same labels as FIFO chaotic relaxation.
         let g = gluon_graph::with_random_weights(&gen::rmat(7, 6, Default::default(), 4), 4, 7);
         let mut parts = partition_all(&g, 1, Policy::Oec);
         let lg = parts.remove(0);
@@ -390,10 +388,11 @@ mod tests {
                 }
             }
         });
-        for binned in [false, true] {
+        for width in [None, Some(1 << 20)] {
             for threads in [1, 4, 8] {
                 let pool = Pool::new(threads);
                 let mut bins = BinScratch::<u32>::new();
+                bins.set_width_override(width);
                 let mut dist = vec![u32::MAX; n as usize];
                 dist[0] = 0;
                 let mut frontier = vec![Lid(0)];
@@ -403,7 +402,6 @@ mod tests {
                         &mut bins,
                         &frontier,
                         &mut dist,
-                        binned,
                         |v| u64::from(lg.out_degree(v)),
                         |chunk, dist, sink| {
                             for &v in chunk {
@@ -427,7 +425,7 @@ mod tests {
                     );
                     frontier = bins.activated().to_vec();
                 }
-                assert_eq!(dist, fifo, "binned = {binned}, threads = {threads}");
+                assert_eq!(dist, fifo, "width = {width:?}, threads = {threads}");
             }
         }
     }

@@ -168,7 +168,6 @@ impl IrglEngine {
         bins: &mut BinScratch<V>,
         worklist: &[Lid],
         labels: &mut [T],
-        binned: bool,
         op: impl Fn(Lid, &LocalGraph, &[T], &mut BinSink<'_, V>) + Sync,
         apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
     ) {
@@ -176,7 +175,6 @@ impl IrglEngine {
             pool,
             worklist,
             labels,
-            binned,
             |l| u64::from(graph.out_degree(l)),
             |chunk, labels, sink| {
                 for &lid in chunk {
@@ -312,13 +310,15 @@ mod tests {
             });
         }
         // The snapshot launch must reproduce those labels, and the same
-        // device stats, at any thread count and either bin geometry.
+        // device stats, at any thread count, on the production grid or a
+        // single partition.
         let mut want_stats = None;
-        for binned in [false, true] {
+        for width in [None, Some(1 << 20)] {
             for threads in [1, 4, 8] {
                 let pool = Pool::new(threads);
                 let mut dev = IrglEngine::new(Default::default());
                 let mut bins = BinScratch::<u32>::new();
+                bins.set_width_override(width);
                 let mut dist = vec![u32::MAX; lg.num_proxies() as usize];
                 dist[0] = 0;
                 let mut wl = vec![Lid(0)];
@@ -330,7 +330,6 @@ mod tests {
                         &mut bins,
                         &wl,
                         &mut dist,
-                        binned,
                         |v, lg, _labels, sink| {
                             let lv = prev[v.index()];
                             for e in lg.out_edges(v) {
@@ -351,13 +350,13 @@ mod tests {
                     );
                     wl = bins.activated().to_vec();
                 }
-                assert_eq!(dist, oracle, "binned = {binned}, threads = {threads}");
+                assert_eq!(dist, oracle, "width = {width:?}, threads = {threads}");
                 let stats = dev.stats();
                 assert!(stats.kernels > 1 && stats.edges_traversed > 0);
                 assert_eq!(
                     *want_stats.get_or_insert(stats),
                     stats,
-                    "binned = {binned}, threads = {threads}"
+                    "width = {width:?}, threads = {threads}"
                 );
             }
         }

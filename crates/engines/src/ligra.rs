@@ -271,19 +271,17 @@ fn edge_map_pull(
 /// order, running `apply(dst, value, &mut labels[dst])`. Partitions own
 /// disjoint destination ranges, so the drain runs in parallel with the
 /// exact per-destination operation order of the flat sequential fold —
-/// bit-identical labels and activations at any thread count and either
-/// `binned` setting (flat is the same code with one partition).
+/// bit-identical labels and activations at any thread count and any
+/// partition width.
 ///
 /// Returns nothing and allocates nothing after warm-up: read the
 /// ascending activation list from [`BinScratch::activated`].
-#[allow(clippy::too_many_arguments)]
 pub fn edge_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     graph: &LocalGraph,
     frontier: &VertexSubset,
     pool: &Pool,
     bins: &mut BinScratch<V>,
     labels: &mut [T],
-    binned: bool,
     candidate: impl Fn(Lid, Lid, u32, &[T]) -> Option<V> + Sync,
     apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
 ) {
@@ -292,7 +290,6 @@ pub fn edge_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
             pool,
             members,
             labels,
-            binned,
             |l| u64::from(graph.out_degree(l)),
             |chunk, labels, sink| {
                 for &src in chunk {
@@ -344,11 +341,10 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     pool: &Pool,
     bins: &mut BinScratch<V>,
     labels: &mut [T],
-    binned: bool,
     relax: impl Fn(Lid, Lid, u32, &T) -> Option<T> + Sync,
 ) {
     let n = graph.num_proxies() as usize;
-    let width = bins.effective_width(n, binned);
+    let width = bins.effective_width(n);
     let shift = width.trailing_zeros();
     let num_parts = n.div_ceil(width).max(1);
     let probe = matches!(frontier, VertexSubset::Sparse(_));
@@ -413,12 +409,12 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
             any
         },
     );
-    // Skips are counted for observability only (fingerprint-dropped — the
-    // flat grid has one partition and never skips).
+    // Skips are counted for observability only (fingerprint-dropped: they
+    // depend on the partition geometry, not the computation).
     stats.chunks_skipped += skipped;
     // Accepted relaxations stand in for routed updates on the pull side
     // (pull writes destinations in place and fills no bins); the count is
-    // geometry-independent, so it stays equal between binned and flat.
+    // geometry-independent.
     stats.updates += activated.len() as u64;
 }
 
@@ -621,11 +617,14 @@ mod tests {
         assert_eq!(next.len(), 1);
     }
 
-    fn bfs_pooled(threads: usize, direction: Direction, binned: bool) -> Vec<u32> {
+    /// `width`: `None` for the production grid, `Some(w)` to force one
+    /// (a width covering every proxy is the flat single-partition fold).
+    fn bfs_pooled(threads: usize, direction: Direction, width: Option<usize>) -> Vec<u32> {
         let g = gen::rmat(7, 6, Default::default(), 9);
         let lg = single_host(&g);
         let pool = gluon_exec::Pool::new(threads);
         let mut bins = BinScratch::<u32>::new();
+        bins.set_width_override(width);
         let mut dist = vec![u32::MAX; lg.num_proxies() as usize];
         dist[0] = 0;
         let mut frontier = VertexSubset::from_members(vec![Lid(0)]);
@@ -639,7 +638,6 @@ mod tests {
                     &pool,
                     &mut bins,
                     &mut dist,
-                    binned,
                     |src, _dst, _w, cur| {
                         (prev[src.index()] != u32::MAX && level < *cur).then_some(level)
                     },
@@ -650,7 +648,6 @@ mod tests {
                     &pool,
                     &mut bins,
                     &mut dist,
-                    binned,
                     |src, dst, _w, _labels| {
                         (prev[src.index()] != u32::MAX && prev[dst.index()] == u32::MAX)
                             .then_some(level)
@@ -675,12 +672,12 @@ mod tests {
     fn pooled_edge_map_matches_flat_in_both_geometries() {
         let oracle = bfs_with(Direction::Push);
         for dir in [Direction::Push, Direction::Pull] {
-            for binned in [false, true] {
+            for width in [None, Some(64), Some(1 << 20)] {
                 for t in [1, 2, 8] {
                     assert_eq!(
-                        bfs_pooled(t, dir, binned),
+                        bfs_pooled(t, dir, width),
                         oracle,
-                        "{dir:?} binned={binned} threads={t}"
+                        "{dir:?} width={width:?} threads={t}"
                     );
                 }
             }
@@ -695,8 +692,9 @@ mod tests {
         let g = gen::path(1000);
         let lg = single_host(&g);
         let pool = gluon_exec::Pool::new(4);
-        let run = |binned: bool| {
+        let run = |width: Option<usize>| {
             let mut bins = BinScratch::<u32>::new();
+            bins.set_width_override(width);
             let mut dist = vec![u32::MAX; 1000];
             dist[0] = 0;
             let frontier = VertexSubset::from_members(vec![Lid(0)]);
@@ -706,17 +704,16 @@ mod tests {
                 &pool,
                 &mut bins,
                 &mut dist,
-                binned,
                 |src, _dst, _w, cur| (src == Lid(0) && 1 < *cur).then_some(1u32),
             );
             (dist, bins.activated().to_vec(), bins.stats().chunks_skipped)
         };
-        let (flat_dist, flat_act, flat_skips) = run(false);
-        let (bin_dist, bin_act, bin_skips) = run(true);
+        let (flat_dist, flat_act, flat_skips) = run(Some(1024));
+        let (bin_dist, bin_act, bin_skips) = run(None);
         assert_eq!(flat_dist, bin_dist);
         assert_eq!(flat_act, bin_act);
         assert_eq!(bin_act, vec![Lid(1)]);
-        // The flat grid is one partition and can never skip; the binned
+        // One partition spanning the space can never skip; the production
         // grid must skip the chunks past the frontier's reach.
         assert_eq!(flat_skips, 0);
         assert!(bin_skips > 0, "expected distant chunks to be skipped");
@@ -745,7 +742,6 @@ mod tests {
                 &by_edge,
                 &mut bins,
                 &mut want,
-                true,
                 |src, _dst, _w, cur| Some(*cur + vals[src.index()]),
             );
             let want_active = bins.activated().to_vec();

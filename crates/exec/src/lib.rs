@@ -699,61 +699,20 @@ impl Pool {
         out.into_iter().map(|r| r.expect("index covered")).collect()
     }
 
-    /// One task per scratch slot: runs `f(i, &mut scratch[i])` for every
-    /// index, handing each worker a contiguous block of slots. Unlike
-    /// [`Pool::map_per`] there is no result vector — workers write their
-    /// output *into* their slots — so a steady-state caller performs no
-    /// allocations of its own (and an [`Pool::inline`] pool none at all).
-    ///
-    /// Determinism: every index writes only its own slot, so the outcome
-    /// is identical to the sequential loop at any thread count and in
-    /// either spawn mode. Not metered (sync work is accounted as
-    /// communication, not compute).
-    pub fn for_each_scratch<S: Send>(&self, scratch: &mut [S], f: impl Fn(usize, &mut S) + Sync) {
-        let n = scratch.len();
-        if !self.spawn || !self.is_parallel() || n <= 1 {
-            for (i, s) in scratch.iter_mut().enumerate() {
-                f(i, s);
-            }
-            return;
-        }
-        let t = self.threads.min(n);
-        let base = n / t;
-        let rem = n % t;
-        let block = |b: usize| base + usize::from(b < rem);
-        let f = &f;
-        crossbeam::thread::scope(|s| {
-            let (mine, mut rest) = scratch.split_at_mut(block(0));
-            let mut start = mine.len();
-            for b in 1..t {
-                let (head, tail) = rest.split_at_mut(block(b));
-                rest = tail;
-                let head_start = start;
-                start += head.len();
-                s.spawn(move || {
-                    for (off, slot) in head.iter_mut().enumerate() {
-                        f(head_start + off, slot);
-                    }
-                });
-            }
-            for (i, slot) in mine.iter_mut().enumerate() {
-                f(i, slot);
-            }
-        });
-    }
-
-    /// As [`Pool::for_each_scratch`], with a **completion-ordered sink**:
-    /// after `work(i, &mut scratch[i])` finishes for a slot, the calling
-    /// thread runs `sink(i, &mut scratch[i])` as soon as that slot is
-    /// done — not after the whole region. This is the overlap primitive
-    /// of the pipelined sync schedule: `work` prepares a peer's payload,
-    /// `sink` hands it to the transport while other peers are still being
-    /// prepared.
+    /// One task per scratch slot with a **completion-ordered sink**:
+    /// workers run `work(i, &mut scratch[i])` over contiguous blocks of
+    /// slots, and the calling thread runs `sink(i, &mut scratch[i])` as
+    /// soon as that slot is done — not after the whole region. This is
+    /// the overlap primitive of the sync schedule: `work` prepares a
+    /// peer's payload, `sink` hands it to the transport while other peers
+    /// are still being prepared. There is no result vector — workers
+    /// write their output *into* their slots. Not metered (sync work is
+    /// accounted as communication, not compute).
     ///
     /// Determinism: slot *contents* are deterministic (every index writes
-    /// only its own slot, exactly as [`Pool::for_each_scratch`]), but the
-    /// *order* in which `sink` observes finished slots is completion
-    /// order — nondeterministic on a spawning pool. Callers must perform
+    /// only its own slot), but the *order* in which `sink` observes
+    /// finished slots is completion order — nondeterministic on a
+    /// spawning pool. Callers must perform
     /// only order-independent effects in `sink` (tag-routed transport
     /// sends, commutative counter sums). On a non-spawning pool
     /// ([`Pool::inline`], [`Pool::sequential`]) the schedule degenerates
@@ -950,15 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_scratch_covers_every_slot_in_place() {
-        for t in [1, 3, 4, 7] {
-            let mut scratch = vec![0usize; 13];
-            Pool::new(t).for_each_scratch(&mut scratch, |i, s| *s = i * i);
-            assert_eq!(scratch, (0..13).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn for_each_scratch_eager_sinks_every_slot_exactly_once() {
         for t in [1, 2, 3, 4, 7] {
             let mut scratch = vec![0usize; 13];
@@ -1004,12 +954,6 @@ mod tests {
         assert!(Pool::new(4).spawns());
         assert!(!Pool::inline(4).spawns());
         assert!(Pool::inline(4).is_parallel());
-
-        let mut a = vec![0usize; 11];
-        let mut b = vec![0usize; 11];
-        Pool::new(4).for_each_scratch(&mut a, |i, s| *s = i + 1);
-        Pool::inline(4).for_each_scratch(&mut b, |i, s| *s = i + 1);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A minimal JSON tree: emitter **and** parser, shared by the metrics
-//! exports, the harness binaries, and the bench regression gate.
+//! exports, the harness binaries, and the multi-process launcher.
 //!
 //! Hand-rolled on purpose: the workspace vendors no JSON dependency, and
 //! the consumers only need a small, strict subset — objects with

@@ -72,9 +72,8 @@ pub const WIRE_MODE_NAMES: [&str; NUM_WIRE_MODES] = [
 ];
 
 /// Number of per-round micro-stages sampled into [`RoundSample::stage_ns`].
-/// Indices coincide with the first ten `gluon_trace::Stage` variants
-/// (the eight barrier stages plus the two pipelined-overlap stages).
-pub const NUM_ROUND_STAGES: usize = 10;
+/// Indices coincide with the first eight `gluon_trace::Stage` variants.
+pub const NUM_ROUND_STAGES: usize = 8;
 
 /// Display names of the round stages, indexed like
 /// [`RoundSample::stage_ns`].
@@ -87,20 +86,10 @@ pub const ROUND_STAGE_NAMES: [&str; NUM_ROUND_STAGES] = [
     "recv_wait",
     "decode",
     "apply",
-    "send_overlap",
-    "eager_decode",
 ];
 
 /// Index of the `recv_wait` stage in [`RoundSample::stage_ns`].
 pub const RECV_WAIT_STAGE: usize = 5;
-
-/// Index of the `send_overlap` stage in [`RoundSample::stage_ns`]
-/// (pipelined schedule only; zero under the barrier schedule).
-pub const SEND_OVERLAP_STAGE: usize = 8;
-
-/// Index of the `eager_decode` stage in [`RoundSample::stage_ns`]
-/// (pipelined schedule only; zero under the barrier schedule).
-pub const EAGER_DECODE_STAGE: usize = 9;
 
 /// Number of log₂ buckets a [`Histogram`] tracks (bucket `i` counts
 /// observations with `floor(log2(v)) == i`; zero lands in bucket 0).
@@ -684,11 +673,6 @@ pub struct RoundSample {
     /// Nanoseconds blocked waiting on peers this round (equals
     /// `stage_ns[RECV_WAIT_STAGE]`).
     pub recv_wait_ns: u64,
-    /// Nanoseconds of communication overlapped with computation this
-    /// round by the pipelined schedule (equals
-    /// `stage_ns[SEND_OVERLAP_STAGE] + stage_ns[EAGER_DECODE_STAGE]`;
-    /// zero under the barrier schedule).
-    pub overlapped_ns: u64,
 }
 
 #[derive(Debug)]
@@ -1054,8 +1038,6 @@ const STAGE_COUNTER_NAMES: [&str; NUM_ROUND_STAGES] = [
     "stage_recv_wait_ns",
     "stage_decode_ns",
     "stage_apply_ns",
-    "stage_send_overlap_ns",
-    "stage_eager_decode_ns",
 ];
 
 const MODE_MSG_COUNTER_NAMES: [&str; NUM_WIRE_MODES] = [
@@ -1117,18 +1099,6 @@ pub struct SyncMetrics {
     payload_bytes: Histogram,
     /// Shared (by name) with the reliability layer's [`NetMetrics`].
     retransmits: Counter,
-    /// Rounds in which the pipelined schedule achieved any overlap
-    /// (prometheus: `gluon_sync_pipeline_rounds`).
-    pipeline_rounds: Counter,
-    /// Sends issued while later peers were still extracting/encoding
-    /// (prometheus: `gluon_sync_pipeline_sends_overlapped`).
-    pipeline_sends_overlapped: Counter,
-    /// Frames decoded eagerly before the phase's last send completed
-    /// (prometheus: `gluon_sync_pipeline_eager_decodes`).
-    pipeline_eager_decodes: Counter,
-    /// Cumulative overlapped nanoseconds (prometheus:
-    /// `gluon_sync_pipeline_overlapped_ns`).
-    pipeline_overlapped_ns: Counter,
 }
 
 impl SyncMetrics {
@@ -1156,10 +1126,6 @@ impl SyncMetrics {
             mode_bytes: MODE_BYTE_COUNTER_NAMES.map(|n| r.counter(n)),
             payload_bytes: r.histogram("payload_bytes"),
             retransmits: r.counter("retransmits"),
-            pipeline_rounds: r.counter("sync_pipeline_rounds"),
-            pipeline_sends_overlapped: r.counter("sync_pipeline_sends_overlapped"),
-            pipeline_eager_decodes: r.counter("sync_pipeline_eager_decodes"),
-            pipeline_overlapped_ns: r.counter("sync_pipeline_overlapped_ns"),
         }
     }
 
@@ -1219,20 +1185,6 @@ impl SyncMetrics {
         self.checkpoints_saved.incr();
     }
 
-    /// Books one send issued while later peers were still being prepared
-    /// (pipelined schedule only).
-    #[inline]
-    pub fn on_send_overlap(&self) {
-        self.pipeline_sends_overlapped.incr();
-    }
-
-    /// Books one frame decoded eagerly ahead of its in-order apply slot
-    /// (pipelined schedule only).
-    #[inline]
-    pub fn on_eager_decode(&self) {
-        self.pipeline_eager_decodes.incr();
-    }
-
     /// Snapshots the cumulative counters at the start of a sync round.
     pub fn round_begin(&self) -> RoundMark {
         if !self.is_enabled() {
@@ -1263,11 +1215,6 @@ impl SyncMetrics {
             c.add(ns);
         }
         self.sync_rounds.incr();
-        let overlapped_ns = stage_ns[SEND_OVERLAP_STAGE] + stage_ns[EAGER_DECODE_STAGE];
-        if overlapped_ns > 0 {
-            self.pipeline_rounds.incr();
-            self.pipeline_overlapped_ns.add(overlapped_ns);
-        }
         let mut mode_bytes = [0u64; NUM_WIRE_MODES];
         for (i, slot) in mode_bytes.iter_mut().enumerate() {
             *slot = self.mode_bytes[i].total() - mark.mode_bytes[i];
@@ -1282,7 +1229,6 @@ impl SyncMetrics {
             pool_hits: self.pool_hits.total() - mark.pool_hits,
             pool_misses: self.pool_misses.total() - mark.pool_misses,
             recv_wait_ns: stage_ns[RECV_WAIT_STAGE],
-            overlapped_ns,
         });
     }
 }
@@ -1380,10 +1326,10 @@ impl ExecMetrics {
 /// The engine layer's pre-registered metrics: partition-bin fill/drain
 /// traffic and the pull-side partition skip count.
 ///
-/// All four counters are *scheduling* observability, not results: binned
-/// and flat (single-partition) executions legitimately disagree on them
-/// while producing bit-identical labels, so every name here must also be
-/// listed in the report fingerprint's dropped keys.
+/// All four counters are *scheduling* observability, not results: they
+/// follow the bin geometry while labels are bit-identical at any
+/// partition width, so every name here must also be listed in the report
+/// fingerprint's dropped keys.
 #[derive(Clone, Debug, Default)]
 pub struct EngineMetrics {
     bin_fills: Counter,

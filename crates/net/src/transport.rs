@@ -77,9 +77,6 @@ pub struct Envelope {
 /// The `try_*` methods are therefore the *required* surface every
 /// implementation provides, and every runtime call site — the Gluon sync
 /// paths, the collectives, the reliability layer — programs against them.
-/// The infallible `send`/`recv`/`recv_any` are deprecated default-provided
-/// wrappers that panic on any [`NetError`]; they exist only for quick
-/// in-memory experiments where failure genuinely cannot happen.
 pub trait Transport: Send + Sync {
     /// This host's rank in `0..world_size()`.
     fn rank(&self) -> usize;
@@ -135,7 +132,7 @@ pub trait Transport: Send + Sync {
     /// Non-blocking poll for a message with tag `tag` from any host:
     /// `Ok(None)` when nothing is buffered right now.
     ///
-    /// This is the pipelined sync schedule's drain hook — called between
+    /// This is the sync schedule's drain hook — called between
     /// per-peer sends to pull already-arrived frames off the wire and
     /// decode them eagerly without ever blocking the send side. The
     /// default delegates to [`Transport::try_recv_any_timeout`] with a
@@ -151,59 +148,6 @@ pub trait Transport: Send + Sync {
             Ok(env) => Ok(Some(env)),
             Err(NetError::Timeout) => Ok(None),
             Err(e) => Err(e),
-        }
-    }
-
-    /// Infallible [`Transport::try_send`]; panics on any transport error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying `try_send` reports a [`NetError`] — only
-    /// safe on in-memory backends, where sends cannot fail.
-    #[deprecated(note = "program against try_send; this wrapper panics on transport errors")]
-    fn send(&self, dst: usize, tag: u32, payload: Bytes) {
-        if let Err(e) = self.try_send(dst, tag, payload) {
-            panic!("transport send to {dst} failed: {e}");
-        }
-    }
-
-    /// Infallible [`Transport::try_recv`]; panics on any transport error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying `try_recv` reports a [`NetError`].
-    #[deprecated(note = "program against try_recv; this wrapper panics on transport errors")]
-    fn recv(&self, src: usize, tag: u32) -> Bytes {
-        self.try_recv(src, tag)
-            .unwrap_or_else(|e| panic!("transport recv from {src} failed: {e}"))
-    }
-
-    /// Infallible [`Transport::try_recv_any`]; panics on any transport
-    /// error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying `try_recv_any` reports a [`NetError`].
-    #[deprecated(note = "program against try_recv_any; this wrapper panics on transport errors")]
-    fn recv_any(&self, tag: u32) -> Envelope {
-        self.try_recv_any(tag)
-            .unwrap_or_else(|e| panic!("transport recv_any failed: {e}"))
-    }
-
-    /// Sentinel-style [`Transport::try_recv_any_timeout`]: `None` on
-    /// expiry, panicking on real transport errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`NetError`] other than [`NetError::Timeout`].
-    #[deprecated(
-        note = "program against try_recv_any_timeout; expiry is the typed NetError::Timeout"
-    )]
-    fn recv_any_timeout(&self, tag: u32, timeout: Duration) -> Option<Envelope> {
-        match self.try_recv_any_timeout(tag, timeout) {
-            Ok(env) => Some(env),
-            Err(NetError::Timeout) => None,
-            Err(e) => panic!("transport recv_any_timeout failed: {e}"),
         }
     }
 
@@ -686,7 +630,7 @@ mod tests {
         );
     }
 
-    /// The pipelined schedule's drain hook: silence is `Ok(None)`, an
+    /// The sync schedule's drain hook: silence is `Ok(None)`, an
     /// already-arrived frame is returned without blocking, and the
     /// message pool is shared with the blocking receives.
     #[test]
@@ -700,21 +644,6 @@ mod tests {
         assert_eq!(env.src, 0);
         assert_eq!(&env.payload[..], b"early");
         assert_eq!(b.try_recv_any_now(4).expect("poll"), None);
-    }
-
-    /// The deprecated infallible wrappers stay behaviorally intact for
-    /// in-memory experiments: they delegate to the fallible methods.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_fallible_forms() {
-        let mut eps = MemoryTransport::cluster(2);
-        let b = eps.pop().expect("two endpoints");
-        let a = eps.pop().expect("two endpoints");
-        a.send(1, 1, Bytes::from_static(b"wrapped"));
-        assert_eq!(&b.recv(0, 1)[..], b"wrapped");
-        a.send(1, 2, Bytes::from_static(b"any"));
-        assert_eq!(b.recv_any(2).src, 0);
-        assert!(b.recv_any_timeout(3, Duration::from_millis(1)).is_none());
     }
 
     #[test]

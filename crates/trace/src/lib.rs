@@ -107,40 +107,35 @@ pub enum Stage {
     MemoTranslate = 1,
     /// Building the wire payload (§4.2 mode selection + value extraction).
     Encode = 2,
-    /// Handing the payload to the transport.
+    /// Handing the payload to the transport (each peer's send issues as
+    /// soon as its payload is ready, while later peers are still
+    /// extracting/encoding).
     Send = 3,
     /// Resetting shipped mirrors to the reduction identity.
     Reset = 4,
     /// Blocking on an expected payload from a peer.
     RecvWait = 5,
-    /// Parsing a received payload back into (position, value) entries.
+    /// Parsing a received payload back into (position, value) entries,
+    /// as each frame arrives (the apply itself stays in rank order).
     Decode = 6,
     /// Reducing/overwriting local proxies with received values.
     Apply = 7,
-    /// Pipelined schedule only: handing an already-encoded payload to the
-    /// transport while later peers are still extracting/encoding (the
-    /// send half of the overlap window).
-    SendOverlap = 8,
-    /// Pipelined schedule only: decoding a frame that arrived early,
-    /// before the last send of the phase was issued (the receive half of
-    /// the overlap window; the apply itself stays in rank order).
-    EagerDecode = 9,
     /// A whole collective (termination detection, global sums) timed as
     /// one slice — these phases have no finer structure.
-    Collective = 10,
+    Collective = 8,
     /// Parent span covering one entire sync phase.
-    Sync = 11,
+    Sync = 9,
     /// The memoization handshake of §4.1 (setup, not a numbered phase).
-    Memo = 12,
+    Memo = 10,
     /// Partition construction (setup, not a numbered phase): routing the
     /// host's edge slice, the all-to-all edge exchange, building the local
     /// graph and, when the algorithm pulls, its transpose.
-    Partition = 13,
+    Partition = 11,
 }
 
 impl Stage {
     /// Every stage, in display order.
-    pub const ALL: [Stage; 14] = [
+    pub const ALL: [Stage; 12] = [
         Stage::Extract,
         Stage::MemoTranslate,
         Stage::Encode,
@@ -149,8 +144,6 @@ impl Stage {
         Stage::RecvWait,
         Stage::Decode,
         Stage::Apply,
-        Stage::SendOverlap,
-        Stage::EagerDecode,
         Stage::Collective,
         Stage::Sync,
         Stage::Memo,
@@ -168,8 +161,6 @@ impl Stage {
             Stage::RecvWait => "recv_wait",
             Stage::Decode => "decode",
             Stage::Apply => "apply",
-            Stage::SendOverlap => "send_overlap",
-            Stage::EagerDecode => "eager_decode",
             Stage::Collective => "collective",
             Stage::Sync => "sync",
             Stage::Memo => "memo",
@@ -756,13 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_stages_are_children_with_stable_names() {
-        assert_eq!(Stage::SendOverlap as usize, 8);
-        assert_eq!(Stage::EagerDecode as usize, 9);
-        assert_eq!(Stage::SendOverlap.name(), "send_overlap");
-        assert_eq!(Stage::EagerDecode.name(), "eager_decode");
-        assert!(Stage::SendOverlap.is_child());
-        assert!(Stage::EagerDecode.is_child());
+    fn stage_order_matches_discriminants() {
         for (i, s) in Stage::ALL.iter().enumerate() {
             assert_eq!(*s as usize, i, "Stage::ALL order must match discriminants");
         }

@@ -14,21 +14,15 @@
 #      a typed peer-death error) plus the 2-process `gluon-host smoke`;
 #   5. the determinism matrix (threads × algorithms × policies,
 #      bit-identical results and wire counters) under --release;
-#   6. the pipelined-sync differential battery under --release: the
-#      pipelined and barrier schedules must be bit-identical (labels,
-#      ranks, rounds, wire counters, report fingerprints) across
-#      algorithms × policies × thread counts, plus the measured fig8
-#      socket smoke (`GLUON_FIG8_MEASURE=1 fig8 --smoke`: one 2-process
-#      TCP cell run pipelined and barriered, both checked against the
-#      in-memory backend), plus the partition-binning differential
-#      battery (binned vs flat hot paths bit-identical across the same
-#      matrix) and the binning acceptance bench in smoke mode;
+#   6. the golden run records under --release: results, rounds, wire
+#      counters and work units recorded from retired code paths (the
+#      pre-rewrite pagerank kernel, the barrier sync schedule) must be
+#      reproduced bit for bit at 1 and 4 threads;
 #   7. the codec battery under --release: the differential oracle
 #      against the naive reference codec plus the fixed-seed fuzz smoke
 #      (truncations, bit flips, garbage — the decoder must never panic);
 #   8. the allocation guard under --release with the `alloc-meter`
-#      counting allocator: steady-state sync rounds allocate nothing,
-#      and toggling the arena changes no observable result;
+#      counting allocator: steady-state sync rounds allocate nothing;
 #   9. every bench compiles (`cargo bench --no-run`), and the benchmark
 #      package under perf/ passes its own tests (unit tests plus a
 #      `--smoke` run of all seven workloads), so a break of the public
@@ -81,16 +75,10 @@ if [[ "$FAST" == "0" ]]; then
     watchdog 300 cargo test -q --release --test socket_parity
     echo "==> gluon-host smoke (2-process TCP bfs vs the memory backend; 120s watchdog)"
     watchdog 120 cargo run -q --release --bin gluon-host -- smoke
-    echo "==> cargo test --release --test pipeline_parity (pipelined vs barrier schedules bit-identical; 600s watchdog)"
-    watchdog 600 cargo test -q --release --test pipeline_parity
-    echo "==> cargo test --release --test binning_parity (binned vs flat hot paths bit-identical; 600s watchdog)"
-    watchdog 600 cargo test -q --release --test binning_parity
-    echo "==> cargo bench edge_map_bins --test (binning acceptance matrix smoke; 600s watchdog)"
-    watchdog 600 cargo bench -p gluon-bench --bench edge_map_bins -- --test
-    echo "==> fig8 --smoke (measured 2-process socket cell, pipelined + barrier; 300s watchdog)"
-    watchdog 300 env GLUON_FIG8_MEASURE=1 cargo run -q --release -p gluon-bench --bin fig8 -- --smoke
     echo "==> cargo test --release --test determinism (thread-count invariance; 600s watchdog)"
     watchdog 600 cargo test -q --release --test determinism
+    echo "==> cargo test --release --test run_golden (recorded results, rounds, wire counters; 600s watchdog)"
+    watchdog 600 cargo test -q --release --test run_golden
     echo "==> cargo test --release codec battery (differential oracle + fuzz smoke; 600s watchdog)"
     watchdog 600 cargo test -q --release --test codec_differential --test codec_fuzz --test codec_golden
     echo "==> cargo test --release --features alloc-meter --test alloc_guard (zero steady-state allocations; 300s watchdog)"
@@ -108,17 +96,6 @@ cargo bench --no-run --workspace --quiet
 if [[ "$FAST" == "0" ]]; then
     echo "==> cargo test --release --manifest-path perf/Cargo.toml (gluon-perf unit tests + smoke of all seven workloads; 600s watchdog)"
     watchdog 600 cargo test -q --release --offline --manifest-path perf/Cargo.toml --target-dir target
-
-    # Informational: regenerates the quick-scale fig8/table4 artifacts and
-    # diffs them against bench_results/baseline/. Timing drift only warns;
-    # a hard mismatch (byte counters, row sets, schema) fails the gate
-    # binary — but the step as a whole never blocks verification, so a
-    # stale baseline shows up as a loud warning, not a red build.
-    echo "==> scripts/bench_gate.sh (informational benchmark regression gate; 900s watchdog)"
-    if ! watchdog 900 scripts/bench_gate.sh; then
-        echo "verify: WARNING — bench gate reported regressions (see above);" \
-             "rerun scripts/bench_gate.sh --rebaseline if the drift is intended" >&2
-    fi
 fi
 
 echo "==> cargo fmt --check"

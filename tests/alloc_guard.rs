@@ -1,6 +1,5 @@
 //! The allocation-metering guard: steady-state sync rounds perform **zero**
-//! heap allocations, and the arena that makes that possible never changes
-//! what is computed.
+//! heap allocations.
 //!
 //! Requires the `alloc-meter` feature (`cargo test --release --features
 //! alloc-meter --test alloc_guard`): this binary installs
@@ -20,10 +19,6 @@
 //! steady-state work from every host, so a zero delta on all hosts proves
 //! no steady round anywhere allocated.
 //!
-//! The shapes run under both sync schedules — pipelined (the default,
-//! with its eager receive drain and recv-side staging tables) and the
-//! barrier ablation — since both must hit the same zero.
-//!
 //! The shapes run both without metrics and under a live `MetricsHub`:
 //! the observability layer's publication path (atomic counters, interned
 //! names, a preallocated round-series ring) must also add zero
@@ -34,8 +29,6 @@
 //! spawn) would show up in the measurement window.
 
 use gluon_meter::CountingAlloc;
-use gluon_suite::algos::driver::{DistOutcome, Run};
-use gluon_suite::algos::{Algorithm, DistConfig, EngineKind, PagerankConfig};
 use gluon_suite::graph::{gen, Csr, Lid};
 use gluon_suite::metrics::MetricsHub;
 use gluon_suite::net::{run_cluster_with_stats, Communicator, NetStats};
@@ -98,7 +91,6 @@ fn round<F: FieldSync>(
 fn run_guard<V, S>(
     threads: usize,
     spawn: bool,
-    pipelined: bool,
     hub: &MetricsHub,
     value_of: impl Fn(usize) -> V + Sync,
     sync_round: S,
@@ -123,12 +115,7 @@ where
         // Metric registration (name interning, ring preallocation) happens
         // here, before the measured window: the steady-state publication
         // path is all atomics and in-place ring writes.
-        let opts = if pipelined {
-            OptLevel::default()
-        } else {
-            OptLevel::default().without_pipeline()
-        };
-        let mut ctx = GluonContext::new(&lg, &comm, opts)
+        let mut ctx = GluonContext::new(&lg, &comm, OptLevel::default())
             .with_pool(pool)
             .with_metrics(hub.host(comm.rank()));
         let n = lg.num_proxies();
@@ -183,97 +170,38 @@ fn assert_zero_allocs(name: &str, threads: usize, reports: &[HostReport], stats:
     );
 }
 
-fn bfs_shape(
-    threads: usize,
-    spawn: bool,
-    pipelined: bool,
-    hub: &MetricsHub,
-) -> (Vec<HostReport>, NetStats) {
+fn bfs_shape(threads: usize, spawn: bool, hub: &MetricsHub) -> (Vec<HostReport>, NetStats) {
     run_guard(
         threads,
         spawn,
-        pipelined,
         hub,
         |i| (i as u32) % 977,
         |ctx, vals, dirty, n| round(ctx, &DIST, &mut MinField::new(vals), dirty, n),
     )
 }
 
-fn pagerank_shape(
-    threads: usize,
-    spawn: bool,
-    pipelined: bool,
-    hub: &MetricsHub,
-) -> (Vec<HostReport>, NetStats) {
+fn pagerank_shape(threads: usize, spawn: bool, hub: &MetricsHub) -> (Vec<HostReport>, NetStats) {
     run_guard(
         threads,
         spawn,
-        pipelined,
         hub,
         |i| ((i % 13) as f64) * 0.5 + 1.0,
         |ctx, vals, dirty, n| round(ctx, &RANK, &mut SumField::new(vals), dirty, n),
     )
 }
 
-fn launch(algo: Algorithm, threads: usize, arena: bool, pipelined: bool) -> DistOutcome {
-    Run::new(graph(), algo)
-        .config(&DistConfig {
-            hosts: HOSTS,
-            policy: Policy::Cvc,
-            opts: OptLevel::default(),
-            engine: EngineKind::Galois,
-        })
-        .pagerank(PagerankConfig {
-            max_iters: 10,
-            ..Default::default()
-        })
-        .threads(threads)
-        .arena(arena)
-        .pipeline(pipelined)
-        .launch()
-}
-
-/// The arena must be invisible in every observable: labels, rank bits,
-/// round counts, and the wire counters (bytes and messages). Pool
-/// hit/miss counters legitimately differ — they are the only thing the
-/// toggle is allowed to change.
-fn assert_arena_toggle_invisible(algo: Algorithm, threads: usize) {
-    let on = launch(algo, threads, true, true);
-    let off = launch(algo, threads, false, true);
-    let ctx = format!("{algo:?}/{threads}t");
-    assert_eq!(on.rounds, off.rounds, "{ctx}: rounds diverged");
-    assert_eq!(on.int_labels, off.int_labels, "{ctx}: labels diverged");
-    let on_bits: Vec<u64> = on.ranks.iter().map(|r| r.to_bits()).collect();
-    let off_bits: Vec<u64> = off.ranks.iter().map(|r| r.to_bits()).collect();
-    assert_eq!(on_bits, off_bits, "{ctx}: rank bits diverged");
-    assert_eq!(
-        on.run.total_bytes, off.run.total_bytes,
-        "{ctx}: wire bytes diverged"
-    );
-    assert_eq!(
-        on.run.total_messages, off.run.total_messages,
-        "{ctx}: message count diverged"
-    );
-}
-
 #[test]
-fn steady_state_sync_is_allocation_free_and_arena_is_invisible() {
+fn steady_state_sync_is_allocation_free() {
     // Zero allocations per steady round, at 1 and 4 threads, for both
     // steady-state shapes. Inline pools: thread *spawning* allocates, the
-    // sync path itself must not.
-    // Both sync schedules are held to the same zero: the pipelined
-    // schedule's eager drain stages frames and decode results in the
-    // recv-side arena tables, so overlapping must not cost a single
-    // allocation more than the barrier schedule.
-    for pipelined in [true, false] {
-        let tag = if pipelined { "piped" } else { "barrier" };
-        for threads in [1usize, 4] {
-            let (reports, stats) = bfs_shape(threads, false, pipelined, &MetricsHub::disabled());
-            assert_zero_allocs(&format!("bfs/{tag}"), threads, &reports, &stats);
-            let (reports, stats) =
-                pagerank_shape(threads, false, pipelined, &MetricsHub::disabled());
-            assert_zero_allocs(&format!("pagerank/{tag}"), threads, &reports, &stats);
-        }
+    // sync path itself must not — the eager drain stages frames and
+    // decode results in the recv-side arena tables, so overlapping sends
+    // with decodes must not cost a single allocation.
+    for threads in [1usize, 4] {
+        let (reports, stats) = bfs_shape(threads, false, &MetricsHub::disabled());
+        assert_zero_allocs("bfs", threads, &reports, &stats);
+        let (reports, stats) = pagerank_shape(threads, false, &MetricsHub::disabled());
+        assert_zero_allocs("pagerank", threads, &reports, &stats);
     }
 
     // The metrics layer must be free where it matters: with a live hub
@@ -283,7 +211,7 @@ fn steady_state_sync_is_allocation_free_and_arena_is_invisible() {
     // registration).
     for threads in [1usize, 4] {
         let hub = MetricsHub::new(HOSTS);
-        let (reports, stats) = bfs_shape(threads, false, true, &hub);
+        let (reports, stats) = bfs_shape(threads, false, &hub);
         assert_zero_allocs("bfs+metrics", threads, &reports, &stats);
         assert!(
             hub.counter_across_hosts("sync_rounds") > 0
@@ -295,7 +223,7 @@ fn steady_state_sync_is_allocation_free_and_arena_is_invisible() {
     // With a real spawning pool the per-round cost is the pool's own
     // bookkeeping — a small constant, not a function of graph size (rmat16
     // has 65k nodes; anything O(n) per round would blow far past this).
-    let (reports, _) = bfs_shape(4, true, true, &MetricsHub::disabled());
+    let (reports, _) = bfs_shape(4, true, &MetricsHub::disabled());
     for (rank, r) in reports.iter().enumerate() {
         let per_round = r.window_allocs / STEADY_ROUNDS as u64;
         assert!(
@@ -308,9 +236,7 @@ fn steady_state_sync_is_allocation_free_and_arena_is_invisible() {
     // Edge-map hot path: with a warmed bin scratch and a stable frontier,
     // a steady push sweep allocates exactly nothing — bins, the chunk
     // schedule, the per-partition dedup state, and the activation list
-    // all recycle at their high-water capacity. Both grid geometries are
-    // held to the same zero (flat is the same machinery with a single
-    // partition spanning the id space).
+    // all recycle at their high-water capacity.
     {
         use gluon_suite::engines::ligra::{self, VertexSubset};
         use gluon_suite::substrate::BinScratch;
@@ -321,76 +247,40 @@ fn steady_state_sync_is_allocation_free_and_arena_is_invisible() {
         let mut shares = vec![0.0f64; n as usize];
         for threads in [1usize, 4] {
             let pool = Pool::inline(threads);
-            for binned in [true, false] {
-                let mut bins: BinScratch<f64> = BinScratch::new();
-                let mut sweep = || {
-                    shares.fill(0.0);
-                    ligra::edge_map_push_pooled(
-                        lg,
-                        &frontier,
-                        &pool,
-                        &mut bins,
-                        &mut shares,
-                        binned,
-                        |_src, _dst, _w, _shares| Some(0.25f64),
-                        |_dst, v, slot| {
-                            *slot += v;
-                            true
-                        },
-                    );
-                };
-                for _ in 0..ARENA_WARMUP_ROUNDS {
-                    sweep();
-                }
-                let before = gluon_meter::snapshot();
-                for _ in 0..STEADY_ROUNDS {
-                    sweep();
-                }
-                let after = gluon_meter::snapshot();
-                let tag = if binned { "binned" } else { "flat" };
-                assert_eq!(
-                    after.allocs_since(&before),
-                    0,
-                    "edge_map/{tag}/{threads}t: steady push sweeps allocated \
-                     (the bin scratch must recycle everything post warm-up)"
+            let mut bins: BinScratch<f64> = BinScratch::new();
+            let mut sweep = || {
+                shares.fill(0.0);
+                ligra::edge_map_push_pooled(
+                    lg,
+                    &frontier,
+                    &pool,
+                    &mut bins,
+                    &mut shares,
+                    |_src, _dst, _w, _shares| Some(0.25f64),
+                    |_dst, v, slot| {
+                        *slot += v;
+                        true
+                    },
                 );
-                assert!(
-                    bins.stats().updates > 0,
-                    "edge_map/{tag}/{threads}t: no updates routed — guard measured nothing"
-                );
+            };
+            for _ in 0..ARENA_WARMUP_ROUNDS {
+                sweep();
             }
+            let before = gluon_meter::snapshot();
+            for _ in 0..STEADY_ROUNDS {
+                sweep();
+            }
+            let after = gluon_meter::snapshot();
+            assert_eq!(
+                after.allocs_since(&before),
+                0,
+                "edge_map/{threads}t: steady push sweeps allocated \
+                 (the bin scratch must recycle everything post warm-up)"
+            );
+            assert!(
+                bins.stats().updates > 0,
+                "edge_map/{threads}t: no updates routed — guard measured nothing"
+            );
         }
-    }
-
-    // Determinism: toggling the arena changes nothing observable.
-    for algo in [Algorithm::Bfs, Algorithm::Pagerank] {
-        for threads in [1usize, 4] {
-            assert_arena_toggle_invisible(algo, threads);
-        }
-    }
-
-    // And neither does toggling the sync schedule: pipelined and barrier
-    // runs agree on every observable (the differential battery in
-    // `tests/pipeline_parity.rs` widens this to full report fingerprints).
-    for algo in [Algorithm::Bfs, Algorithm::Pagerank] {
-        let piped = launch(algo, 4, true, true);
-        let barrier = launch(algo, 4, true, false);
-        let ctx = format!("{algo:?}/pipeline-toggle");
-        assert_eq!(piped.rounds, barrier.rounds, "{ctx}: rounds diverged");
-        assert_eq!(
-            piped.int_labels, barrier.int_labels,
-            "{ctx}: labels diverged"
-        );
-        let on_bits: Vec<u64> = piped.ranks.iter().map(|r| r.to_bits()).collect();
-        let off_bits: Vec<u64> = barrier.ranks.iter().map(|r| r.to_bits()).collect();
-        assert_eq!(on_bits, off_bits, "{ctx}: rank bits diverged");
-        assert_eq!(
-            piped.run.total_bytes, barrier.run.total_bytes,
-            "{ctx}: wire bytes diverged"
-        );
-        assert_eq!(
-            piped.run.total_messages, barrier.run.total_messages,
-            "{ctx}: message count diverged"
-        );
     }
 }

@@ -1,159 +1,16 @@
-//! Differential parity battery for partition-centric update binning.
+//! Parity battery for partition-centric update binning.
 //!
 //! The binned hot path scatters candidate updates into cache-sized
-//! destination-partition bins and drains the partitions in parallel;
-//! the flat path is the same machinery with a single partition spanning
-//! the local id space. The contract is *bit-identity*: each destination
-//! sees its candidates in the same (chunk, edge) order either way, so
-//! labels, bitwise ranks, round counts, wire-traffic counters, and the
-//! [`RunReport::fingerprint`] must all be equal — for every algorithm,
-//! partition policy, thread count, and sync schedule.
-//!
-//! The modes are toggled through [`Run::partition_bins`]; the
-//! `engine_binned_updates` counter proves both sides actually routed
-//! their updates through the pooled path.
-
-use gluon_suite::algos::driver::DistOutcome;
-use gluon_suite::algos::{Algorithm, DistConfig, EngineKind, Run, RunReport};
-use gluon_suite::graph::{gen, with_random_weights, Csr};
-use gluon_suite::metrics::MetricsHub;
-use gluon_suite::net::CostModel;
-use gluon_suite::partition::Policy;
-use gluon_suite::substrate::{bin_width, BinScratch, OptLevel, Pool};
-use proptest::prelude::*;
+//! destination-partition bins and drains the partitions in parallel.
+//! The contract is *bit-identity with the sequential fold*: each
+//! destination sees its candidates in the same (chunk, edge) order at
+//! any partition width, so labels and activations never depend on the
+//! geometry — from 64-slot partitions up to a single partition spanning
+//! the local id space (the flat fold itself).
 
 use gluon_suite::graph::Lid;
-
-const HOSTS: usize = 3;
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-const POLICIES: [Policy; 2] = [Policy::Oec, Policy::Cvc];
-const PIPELINE: [bool; 2] = [false, true];
-
-fn parity_graph(algo: Algorithm) -> Csr {
-    let g = gen::rmat(7, 8, Default::default(), 42);
-    if algo == Algorithm::Sssp {
-        with_random_weights(&g, 50, 9)
-    } else {
-        g
-    }
-}
-
-/// One run of `algo` with the binning knob set, reporting through a
-/// fresh hub so the `engine_binned_updates` counter can be interrogated.
-fn run_with(
-    g: &Csr,
-    algo: Algorithm,
-    cfg: &DistConfig,
-    threads: usize,
-    pipelined: bool,
-    binned: bool,
-) -> (DistOutcome, RunReport, u64) {
-    let hub = MetricsHub::new(HOSTS);
-    let out = Run::new(g, algo)
-        .config(cfg)
-        .threads(threads)
-        .pipeline(pipelined)
-        .partition_bins(binned)
-        .metrics(&hub)
-        .launch();
-    let routed = hub.counter_across_hosts("engine_binned_updates");
-    let report = out.report(&hub, &CostModel::REPRO);
-    (out, report, routed)
-}
-
-/// Everything the parity contract covers must be bit-identical.
-fn assert_identical(out: &DistOutcome, baseline: &DistOutcome, ctx: &str) {
-    assert_eq!(out.rounds, baseline.rounds, "{ctx}: round count diverged");
-    assert_eq!(
-        out.int_labels, baseline.int_labels,
-        "{ctx}: integer labels diverged"
-    );
-    let got: Vec<u64> = out.ranks.iter().map(|r| r.to_bits()).collect();
-    let want: Vec<u64> = baseline.ranks.iter().map(|r| r.to_bits()).collect();
-    assert_eq!(got, want, "{ctx}: ranks diverged (bitwise)");
-    assert_eq!(
-        out.run.total_bytes, baseline.run.total_bytes,
-        "{ctx}: wire bytes diverged"
-    );
-    assert_eq!(
-        out.run.total_messages, baseline.run.total_messages,
-        "{ctx}: message count diverged"
-    );
-    assert_eq!(
-        out.run.max_work_units, baseline.run.max_work_units,
-        "{ctx}: work accounting diverged"
-    );
-}
-
-/// The core matrix: policies × thread counts × sync schedules, binned
-/// vs. flat, with fingerprint equality on top of the outcome-level
-/// identity.
-fn check_parity_matrix(algo: Algorithm, engine: EngineKind) {
-    let g = parity_graph(algo);
-    for policy in POLICIES {
-        let cfg = DistConfig {
-            hosts: HOSTS,
-            policy,
-            opts: OptLevel::OSTI,
-            engine,
-        };
-        for threads in THREADS {
-            for pipelined in PIPELINE {
-                let ctx = format!("{algo} / {policy:?} / {threads} threads / pipe {pipelined}");
-                let (flat, flat_report, flat_routed) =
-                    run_with(&g, algo, &cfg, threads, pipelined, false);
-                let (binned, binned_report, binned_routed) =
-                    run_with(&g, algo, &cfg, threads, pipelined, true);
-                assert!(flat.rounds > 0, "{ctx}: ran no rounds");
-                assert!(flat_routed > 0, "{ctx}: flat run bypassed the pooled path");
-                assert!(
-                    binned_routed > 0,
-                    "{ctx}: binned run bypassed the pooled path"
-                );
-                assert_identical(&binned, &flat, &ctx);
-                assert_eq!(
-                    binned_report.fingerprint(),
-                    flat_report.fingerprint(),
-                    "{ctx}: report fingerprints diverged"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn bfs_binned_matches_flat_bitwise() {
-    check_parity_matrix(Algorithm::Bfs, EngineKind::Ligra);
-}
-
-#[test]
-fn sssp_binned_matches_flat_bitwise() {
-    check_parity_matrix(Algorithm::Sssp, EngineKind::Galois);
-}
-
-#[test]
-fn cc_binned_matches_flat_bitwise() {
-    check_parity_matrix(Algorithm::Cc, EngineKind::Irgl);
-}
-
-#[test]
-fn pagerank_binned_matches_flat_bitwise() {
-    check_parity_matrix(Algorithm::Pagerank, EngineKind::Galois);
-}
-
-/// The binning toggle round-trips through the `OptLevel` string form the
-/// multi-process launcher ships to socket workers, so in-process and
-/// process-cluster runs agree on the hot-path layout.
-#[test]
-fn binning_flag_survives_the_opt_level_wire_format() {
-    let binned = OptLevel::OSTI;
-    let flat = OptLevel::OSTI.without_partition_bins();
-    assert!(binned.partition_bins && !flat.partition_bins);
-    for level in [binned, flat, flat.without_pipeline()] {
-        let round_tripped: OptLevel = level.to_string().parse().expect("round trip");
-        assert_eq!(round_tripped, level, "{level} did not survive parsing");
-    }
-}
+use gluon_suite::substrate::{BinScratch, Pool};
+use proptest::prelude::*;
 
 /// Oracle for the property below: fold every candidate in (member,
 /// edge) order sequentially, keeping per-destination minima, and record
@@ -186,9 +43,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Varying the target partition width across the whole legal range
-    /// (including widths far smaller and far larger than the derived
-    /// default) never changes labels or activations: the per-destination
-    /// drain order is (chunk, edge) regardless of geometry.
+    /// (widths far smaller and far larger than the derived default, the
+    /// default itself, and the single partition `1 << ceil(log2 n)`
+    /// spanning the space) never changes labels or activations: the
+    /// per-destination drain order is (chunk, edge) regardless of
+    /// geometry.
     #[test]
     fn any_partition_width_preserves_the_fold(
         n in 65usize..600,
@@ -217,37 +76,35 @@ proptest! {
         let (want_labels, want_active) = sequential_min_fold(n, &members, &edges, &init);
 
         let pool = Pool::new(threads);
-        let mut bins: BinScratch<u32> = BinScratch::new();
-        bins.set_width_override(Some(1usize << width_exp));
-        let mut labels = init.clone();
-        bins.run(
-            &pool,
-            &members,
-            &mut labels,
-            true,
-            |m| edges[m.index()].len() as u64,
-            |chunk, labels, sink| {
-                for &m in chunk {
-                    let lv = labels[m.index()];
-                    for &(dst, w) in &edges[m.index()] {
-                        sink.push(Lid(dst), lv.saturating_add(w));
+        let flat = n.next_power_of_two();
+        for width in [Some(1usize << width_exp), Some(flat), None] {
+            let mut bins: BinScratch<u32> = BinScratch::new();
+            bins.set_width_override(width);
+            let mut labels = init.clone();
+            bins.run(
+                &pool,
+                &members,
+                &mut labels,
+                |m| edges[m.index()].len() as u64,
+                |chunk, labels, sink| {
+                    for &m in chunk {
+                        let lv = labels[m.index()];
+                        for &(dst, w) in &edges[m.index()] {
+                            sink.push(Lid(dst), lv.saturating_add(w));
+                        }
                     }
-                }
-            },
-            |_dst, candidate, slot| {
-                if candidate < *slot {
-                    *slot = candidate;
-                    true
-                } else {
-                    false
-                }
-            },
-        );
-        prop_assert_eq!(&labels, &want_labels, "width 2^{} diverged", width_exp);
-        prop_assert_eq!(bins.activated(), &want_active[..]);
-        // Sanity: the derived default geometry is inside the range the
-        // property sweeps.
-        let derived = bin_width(n, true);
-        prop_assert!((64..=32768).contains(&derived));
+                },
+                |_dst, candidate, slot| {
+                    if candidate < *slot {
+                        *slot = candidate;
+                        true
+                    } else {
+                        false
+                    }
+                },
+            );
+            prop_assert_eq!(&labels, &want_labels, "width {:?} diverged", width);
+            prop_assert_eq!(bins.activated(), &want_active[..], "width {:?}", width);
+        }
     }
 }

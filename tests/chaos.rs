@@ -187,14 +187,16 @@ fn betweenness_is_bit_identical_under_chaos() {
     );
 }
 
-/// A policy tuned so a dead peer is detected in milliseconds, not the
-/// production-grade seconds.
+/// A policy tuned so a dead peer is detected in tens of milliseconds, not
+/// the production-grade seconds. The retry budget (2+4+8+16+20+20 = 70 ms)
+/// is still long enough that a live peer descheduled on a loaded 2-core
+/// box is not declared dead during the disarmed warm-up.
 fn fail_fast() -> RetryPolicy {
     RetryPolicy {
-        initial_rto: Duration::from_micros(200),
+        initial_rto: Duration::from_millis(2),
         backoff: 2,
-        max_rto: Duration::from_millis(2),
-        max_retries: 4,
+        max_rto: Duration::from_millis(20),
+        max_retries: 6,
         window: 8,
         recv_budget: Duration::from_millis(400),
     }

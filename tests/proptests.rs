@@ -17,7 +17,7 @@ use std::time::Duration;
 
 /// Delivers any-tag receives in a seeded random order among the frames
 /// currently available, instead of the wire's arrival order. The
-/// pipelined sync schedule's eager-decode drain consumes frames through
+/// sync schedule's eager-decode drain consumes frames through
 /// the any-path in whatever order peers produce them; this wrapper
 /// explores *every* such order, so the in-order apply pass must make the
 /// post-apply field state arrival-order invariant for the runs below to
@@ -337,13 +337,13 @@ proptest! {
         seed in any::<u64>(),
         float_values in any::<bool>(),
     ) {
-        // The in-order apply invariant: feeding the pipelined schedule's
+        // The in-order apply invariant: feeding the sync schedule's
         // eager-decode drain a *random* cross-peer frame arrival order
-        // must produce the same post-apply field state as sorted arrival
-        // — observable as bit-identical labels/ranks, rounds, and wire
-        // counters against the barrier schedule (which receives in fixed
-        // rank order). Pagerank covers the non-associative float path
-        // where apply order would otherwise leak into the results.
+        // must produce the same post-apply field state as the wire's own
+        // arrival order — observable as bit-identical labels/ranks,
+        // rounds, and wire counters against the un-shuffled run. Pagerank
+        // covers the non-associative float path where apply order would
+        // otherwise leak into the results.
         let graph = gen::rmat(6, 8, Default::default(), 7);
         let algo = if float_values { Algorithm::Pagerank } else { Algorithm::Bfs };
         let cfg = DistConfig {
@@ -352,14 +352,10 @@ proptest! {
             opts: OptLevel::OSTI,
             engine: EngineKind::Galois,
         };
-        let baseline = driver::Run::new(&graph, algo)
-            .config(&cfg)
-            .pipeline(false)
-            .launch();
+        let baseline = driver::Run::new(&graph, algo).config(&cfg).launch();
         let shuffled = driver::Run::new(&graph, algo)
             .config(&cfg)
             .threads(4)
-            .pipeline(true)
             .transport(move |ep| ShuffledAnyTransport::new(ep, seed))
             .launch();
         prop_assert_eq!(shuffled.rounds, baseline.rounds);

@@ -1,0 +1,269 @@
+//! Golden run results: values recorded at the commit *before* a second
+//! production path was retired, which the one remaining path must keep
+//! reproducing — results (bit for bit), round counts, wire traffic and the
+//! sequential work meter, at every thread count.
+//!
+//! * `RMAT10` / `CORNERS`: pagerank before the pull kernel was rewritten
+//!   to gather a precomputed per-source quotient
+//!   (`outgoing[u] = rank[u] / max(gdeg[u], 1)`) through raw in-source
+//!   slices. The rewrite adds the identical quotient in the identical
+//!   in-edge order, for every policy, engine and host count.
+//! * `BARRIER`: the four benchmarks under the *barrier* sync schedule
+//!   (send every peer, then receive and apply peer by peer in rank
+//!   order), recorded from the barrier side of the differential battery
+//!   that compared it with today's schedule, just before the barrier
+//!   schedule was deleted. Sends that overlap eager decodes, with only
+//!   the apply held to rank order, must land on the same values — also
+//!   under a lossy network and across a crash recovery.
+
+use gluon_suite::algos::driver::{DistOutcome, Run};
+use gluon_suite::algos::{Algorithm, EngineKind};
+use gluon_suite::graph::{gen, with_random_weights, Csr, RmatProbs};
+use gluon_suite::net::{
+    CrashRule, DetectorConfig, FaultCounters, FaultPlan, FaultyTransport, ReliableConfig,
+    ReliableTransport, RetryPolicy,
+};
+use gluon_suite::partition::Policy;
+use std::time::Duration;
+
+const ENGINES: [EngineKind; 3] = [EngineKind::Galois, EngineKind::Ligra, EngineKind::Irgl];
+const THREADS: [usize; 2] = [1, 4];
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The run's result as one number: FNV-1a over the little-endian bytes of
+/// every rank's bit pattern (pagerank) or of every integer label.
+fn result_checksum(algo: Algorithm, out: &DistOutcome) -> u64 {
+    if algo == Algorithm::Pagerank {
+        fnv1a(out.ranks.iter().flat_map(|r| r.to_bits().to_le_bytes()))
+    } else {
+        fnv1a(out.int_labels.iter().flat_map(|l| l.to_le_bytes()))
+    }
+}
+
+/// What one (policy, hosts) cell must reproduce under every listed engine
+/// and thread count: `(policy, hosts, result checksum, rounds, sync bytes,
+/// sync messages, the worst host's metered work units)`.
+type Golden = (Policy, usize, u64, u32, u64, u64, u64);
+
+fn launch(
+    g: &Csr,
+    algo: Algorithm,
+    policy: Policy,
+    hosts: usize,
+    engine: EngineKind,
+    threads: usize,
+) -> DistOutcome {
+    Run::new(g, algo)
+        .hosts(hosts)
+        .policy(policy)
+        .engine(engine)
+        .threads(threads)
+        .launch()
+}
+
+fn check(g: &Csr, algo: Algorithm, engines: &[EngineKind], golden: &[Golden]) {
+    for &(policy, hosts, result, rounds, bytes, messages, work_units) in golden {
+        for &engine in engines {
+            for threads in THREADS {
+                let out = launch(g, algo, policy, hosts, engine, threads);
+                let ctx =
+                    format!("{algo} / {policy:?} / {hosts} hosts / {engine} / {threads} threads");
+                let got = result_checksum(algo, &out);
+                assert_eq!(got, result, "{ctx}: result bits moved (got {got:#018x})");
+                assert_eq!(out.rounds, rounds, "{ctx}: round count");
+                assert_eq!(out.run.total_bytes, bytes, "{ctx}: wire bytes");
+                assert_eq!(out.run.total_messages, messages, "{ctx}: messages");
+                assert_eq!(out.run.max_work_units, work_units, "{ctx}: work units");
+            }
+        }
+    }
+}
+
+#[test]
+fn rmat10_pagerank_matches_the_pre_rewrite_record() {
+    let g = gen::rmat(10, 16, RmatProbs::GRAPH500, 28);
+    check(&g, Algorithm::Pagerank, &ENGINES, &RMAT10);
+}
+
+/// Seven vertices built to hit the kernel's two special cases on every
+/// partitioning: vertex 4 is a sink (global out-degree 0, so its quotient
+/// divides by `max(0, 1)`), vertex 3 has no in-edge anywhere (its `contrib`
+/// is never written and must read as zero), vertex 6 is isolated (both).
+fn corner_graph() -> Csr {
+    Csr::from_edge_list(
+        7,
+        &[
+            (0, 1),
+            (0, 2),
+            (1, 2),
+            (2, 0),
+            (2, 4),
+            (3, 0),
+            (3, 5),
+            (5, 4),
+            (5, 1),
+        ],
+    )
+}
+
+#[test]
+fn sinks_and_sourceless_vertices_match_the_pre_rewrite_record() {
+    check(&corner_graph(), Algorithm::Pagerank, &ENGINES, &CORNERS);
+}
+
+/// The input of the `BARRIER` rows: rmat7, with random weights for sssp.
+fn barrier_graph(algo: Algorithm) -> Csr {
+    let g = gen::rmat(7, 8, Default::default(), 42);
+    if algo == Algorithm::Sssp {
+        with_random_weights(&g, 50, 9)
+    } else {
+        g
+    }
+}
+
+fn check_barrier_rows(algo: Algorithm) {
+    let g = barrier_graph(algo);
+    for &(_, engine, golden) in BARRIER.iter().filter(|row| row.0 == algo) {
+        check(&g, algo, &[engine], &[golden]);
+    }
+}
+
+#[test]
+fn bfs_matches_the_barrier_schedule_record() {
+    check_barrier_rows(Algorithm::Bfs);
+}
+
+#[test]
+fn sssp_matches_the_barrier_schedule_record() {
+    check_barrier_rows(Algorithm::Sssp);
+}
+
+#[test]
+fn cc_matches_the_barrier_schedule_record() {
+    check_barrier_rows(Algorithm::Cc);
+}
+
+#[test]
+fn pagerank_matches_the_barrier_schedule_record() {
+    check_barrier_rows(Algorithm::Pagerank);
+}
+
+/// Results-only identity for runs whose wire totals legitimately differ
+/// from the clean run (retransmissions under chaos, replayed rounds after
+/// crash recovery).
+fn assert_same_results(out: &DistOutcome, clean: &DistOutcome, ctx: &str) {
+    assert_eq!(out.rounds, clean.rounds, "{ctx}: round count diverged");
+    assert_eq!(
+        out.int_labels, clean.int_labels,
+        "{ctx}: integer labels diverged"
+    );
+}
+
+/// Chaos spot-check: frames dropped, duplicated, corrupted, and delayed
+/// under the reliable layer reshuffle every arrival order the eager
+/// decode sees — the run must still land exactly on the clean results.
+#[test]
+fn chaos_run_matches_the_clean_run() {
+    let g = barrier_graph(Algorithm::Bfs);
+    let clean = launch(&g, Algorithm::Bfs, Policy::Cvc, 3, EngineKind::Galois, 1);
+    for seed in [11u64, 1213] {
+        let counters = FaultCounters::new();
+        let shared = counters.clone();
+        let chaotic = Run::new(&g, Algorithm::Bfs)
+            .hosts(3)
+            .policy(Policy::Cvc)
+            .engine(EngineKind::Galois)
+            .threads(4)
+            .transport(move |ep| {
+                ReliableTransport::over(FaultyTransport::new(
+                    ep,
+                    FaultPlan::lossy(seed),
+                    shared.clone(),
+                ))
+            })
+            .launch();
+        let ctx = format!("chaos seed {seed}");
+        assert!(counters.dropped() > 0, "{ctx}: no frames were dropped");
+        assert!(counters.corrupted() > 0, "{ctx}: no frames were corrupted");
+        assert_same_results(&chaotic, &clean, &ctx);
+    }
+}
+
+/// Crash-recovery spot-check: a host dies mid-run, the supervisor
+/// restores from the latest checkpoint epoch, and the final labels are
+/// bit-identical to the crash-free run.
+#[test]
+fn crash_recovery_matches_the_clean_run() {
+    let g = barrier_graph(Algorithm::Bfs);
+    let clean = launch(&g, Algorithm::Bfs, Policy::Oec, 3, EngineKind::Ligra, 1);
+    let detecting = ReliableConfig {
+        retry: RetryPolicy::default(),
+        detector: Some(DetectorConfig::default().with_max_silence(Duration::from_millis(200))),
+    };
+    let counters = FaultCounters::new();
+    let shared = counters.clone();
+    let plan = FaultPlan::none(77).with_crash(CrashRule::at(1, 3));
+    let out = Run::new(&g, Algorithm::Bfs)
+        .hosts(3)
+        .policy(Policy::Oec)
+        .engine(EngineKind::Ligra)
+        .checkpoint_every(2)
+        .reliable(detecting)
+        .transport_per_attempt(move |ep, attempt| {
+            FaultyTransport::new(ep, plan.for_attempt(attempt), shared.clone())
+        })
+        .try_launch()
+        .expect("supervised run must recover");
+    assert!(counters.crashed() >= 1, "the crash never fired");
+    assert!(out.recoveries >= 1, "result came without recovery");
+    assert!(!out.degraded, "full recovery must not be degraded");
+    assert_same_results(&out, &clean, "crash recovery");
+}
+
+#[rustfmt::skip]
+const RMAT10: [Golden; 9] = [
+    (Policy::Oec, 1, 0x522d_04fd_9521_ceb3, 52, 0, 0, 851_968),
+    (Policy::Oec, 2, 0x0c0c_9393_21d0_d986, 52, 299_624, 104, 446_784),
+    (Policy::Oec, 3, 0x1410_6de6_eddc_c8ad, 52, 541_944, 312, 303_420),
+    (Policy::Iec, 1, 0x522d_04fd_9521_ceb3, 52, 0, 0, 851_968),
+    (Policy::Iec, 2, 0xfc3a_a7db_28e4_268e, 52, 283_423, 108, 444_652),
+    (Policy::Iec, 3, 0x3dcd_073a_51c7_4487, 52, 511_446, 324, 303_940),
+    (Policy::Cvc, 1, 0x522d_04fd_9521_ceb3, 52, 0, 0, 851_968),
+    (Policy::Cvc, 2, 0x4a46_dce2_883b_3ce1, 52, 282_967, 108, 438_308),
+    (Policy::Cvc, 3, 0xbe31_1efd_ccd9_c141, 52, 511_870, 324, 303_940),
+];
+
+#[rustfmt::skip]
+const CORNERS: [Golden; 9] = [
+    (Policy::Oec, 1, 0x0ce7_ef72_4510_3b80, 29, 0, 0, 261),
+    (Policy::Oec, 2, 0x0ce7_ef72_4510_3b80, 29, 749, 58, 145),
+    (Policy::Oec, 3, 0x0ce7_ef72_4510_3b80, 29, 1_305, 145, 145),
+    (Policy::Iec, 1, 0x0ce7_ef72_4510_3b80, 29, 0, 0, 261),
+    (Policy::Iec, 2, 0x0ce7_ef72_4510_3b80, 29, 333, 62, 174),
+    (Policy::Iec, 3, 0x0ce7_ef72_4510_3b80, 29, 941, 155, 116),
+    (Policy::Cvc, 1, 0x0ce7_ef72_4510_3b80, 29, 0, 0, 261),
+    (Policy::Cvc, 2, 0x0ce7_ef72_4510_3b80, 29, 333, 62, 174),
+    (Policy::Cvc, 3, 0x0ce7_ef72_4510_3b80, 29, 1_143, 124, 116),
+];
+
+#[rustfmt::skip]
+const BARRIER: [(Algorithm, EngineKind, Golden); 12] = [
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Oec, 3, 0xa0aa_3903_fe20_7837, 4, 594, 24, 763)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Iec, 3, 0xa0aa_3903_fe20_7837, 3, 582, 18, 487)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Cvc, 3, 0xa0aa_3903_fe20_7837, 3, 590, 18, 465)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Oec, 3, 0x4f25_8d77_6541_860a, 5, 762, 30, 1_057)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Iec, 3, 0x4f25_8d77_6541_860a, 5, 1_011, 30, 737)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Cvc, 3, 0x4f25_8d77_6541_860a, 5, 1_021, 30, 731)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Oec, 3, 0x192a_e206_cd07_28d5, 3, 619, 18, 1_282)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Iec, 3, 0x192a_e206_cd07_28d5, 3, 691, 18, 1_332)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Cvc, 3, 0x192a_e206_cd07_28d5, 3, 691, 18, 1_332)),
+    (Algorithm::Pagerank, EngineKind::Galois, (Policy::Oec, 3, 0xc0e4_458b_3336_aadb, 53, 66_462, 318, 22_154)),
+    (Algorithm::Pagerank, EngineKind::Galois, (Policy::Iec, 3, 0x8b34_a70e_f4f2_3dbc, 53, 60_174, 330, 20_776)),
+    (Algorithm::Pagerank, EngineKind::Galois, (Policy::Cvc, 3, 0xc43e_f703_1a19_ce06, 53, 60_658, 330, 19_610)),
+];

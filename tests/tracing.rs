@@ -67,46 +67,27 @@ fn span_sums_match_comm_secs_for_every_algorithm() {
 }
 
 #[test]
-fn pipelined_overlap_spans_appear_and_still_sum_to_comm_secs() {
+fn threaded_send_and_decode_spans_still_sum_to_comm_secs() {
     let g = gen::rmat(7, 6, Default::default(), 3);
     let cfg = DistConfig::new(4);
 
-    // Pipelined schedule (the default): the overlap stages must be
-    // present, attributed as children, and the span-sum identity must
-    // keep holding with them included.
+    // On a spawning pool the sends issue in payload-completion order,
+    // interleaved with eager decodes of frames that already arrived: both
+    // stages must be present, attributed as children, and the span-sum
+    // identity must keep holding with them interleaved.
     let tracer = Tracer::new(cfg.hosts);
     let out = driver::Run::new(&g, Algorithm::Bfs)
         .config(&cfg)
         .threads(4)
-        .pipeline(true)
         .tracer(&tracer)
         .launch();
-    assert_span_sums(&tracer, &out, "pipelined bfs");
+    assert_span_sums(&tracer, &out, "4-thread bfs");
     let spans = tracer.spans();
-    for stage in [Stage::SendOverlap, Stage::EagerDecode] {
+    for stage in [Stage::Send, Stage::Decode] {
         assert!(stage.is_child(), "{} must sum into comm_secs", stage.name());
         assert!(
             spans.iter().any(|s| s.stage == stage),
-            "pipelined run recorded no {} spans",
-            stage.name()
-        );
-    }
-
-    // Barrier schedule: the overlap stages must be entirely absent (the
-    // ablation's recv_wait/send attribution stays comparable), and the
-    // span-sum identity holds there too.
-    let tracer = Tracer::new(cfg.hosts);
-    let out = driver::Run::new(&g, Algorithm::Bfs)
-        .config(&cfg)
-        .threads(4)
-        .pipeline(false)
-        .tracer(&tracer)
-        .launch();
-    assert_span_sums(&tracer, &out, "barrier bfs");
-    for stage in [Stage::SendOverlap, Stage::EagerDecode] {
-        assert!(
-            tracer.spans().iter().all(|s| s.stage != stage),
-            "barrier run must not record {} spans",
+            "4-thread run recorded no {} spans",
             stage.name()
         );
     }
@@ -514,9 +495,9 @@ fn exported_chrome_trace_validates_against_the_schema() {
     assert_eq!(instants, tracer.events().len() as u64);
     assert_eq!(process_names, 1, "one process per add() call");
     assert!(instants > 0, "chaos run must contribute instant events");
-    // The run uses the default (pipelined) schedule, so the overlap
-    // stages must survive the export under their wire names.
-    for name in ["send_overlap", "eager_decode"] {
+    // The send and decode stages must survive the export under their
+    // wire names.
+    for name in ["send", "decode"] {
         assert!(
             span_names.iter().any(|n| n == name),
             "exported trace is missing {name} spans"
