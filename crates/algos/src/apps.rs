@@ -99,7 +99,7 @@ pub fn bfs<T: Transport + ?Sized>(
         dist[s.index()] = 0;
         active.set(s);
     }
-    let rounds = minrelax::run(lg, ctx, &mut dist, &mut active, engine, |l, _| {
+    let rounds = minrelax::run(lg, ctx, &mut dist, active, engine, |l, _| {
         l.saturating_add(1)
     });
     (dist, rounds)
@@ -125,7 +125,7 @@ pub fn try_bfs<T: Transport + ?Sized>(
         dist[s.index()] = 0;
         active.set(s);
     }
-    let rounds = minrelax::try_run(lg, ctx, &mut dist, &mut active, engine, |l, _| {
+    let rounds = minrelax::try_run(lg, ctx, &mut dist, active, engine, |l, _| {
         l.saturating_add(1)
     })?;
     Ok((dist, rounds))
@@ -146,7 +146,7 @@ pub fn sssp<T: Transport + ?Sized>(
         dist[s.index()] = 0;
         active.set(s);
     }
-    let rounds = minrelax::run(lg, ctx, &mut dist, &mut active, engine, |l, w| {
+    let rounds = minrelax::run(lg, ctx, &mut dist, active, engine, |l, w| {
         l.saturating_add(w)
     });
     (dist, rounds)
@@ -171,7 +171,7 @@ pub fn try_sssp<T: Transport + ?Sized>(
         dist[s.index()] = 0;
         active.set(s);
     }
-    let rounds = minrelax::try_run(lg, ctx, &mut dist, &mut active, engine, |l, w| {
+    let rounds = minrelax::try_run(lg, ctx, &mut dist, active, engine, |l, w| {
         l.saturating_add(w)
     })?;
     Ok((dist, rounds))
@@ -191,7 +191,7 @@ pub fn cc<T: Transport + ?Sized>(
     let mut label: Vec<u32> = (0..n).map(|l| lg.gid(Lid(l)).0).collect();
     let mut active = DenseBitset::new(n);
     active.set_all();
-    let rounds = minrelax::run(lg, ctx, &mut label, &mut active, engine, |l, _| l);
+    let rounds = minrelax::run(lg, ctx, &mut label, active, engine, |l, _| l);
     (label, rounds)
 }
 
@@ -210,7 +210,7 @@ pub fn try_cc<T: Transport + ?Sized>(
     let mut label: Vec<u32> = (0..n).map(|l| lg.gid(Lid(l)).0).collect();
     let mut active = DenseBitset::new(n);
     active.set_all();
-    let rounds = minrelax::try_run(lg, ctx, &mut label, &mut active, engine, |l, _| l)?;
+    let rounds = minrelax::try_run(lg, ctx, &mut label, active, engine, |l, _| l)?;
     Ok((label, rounds))
 }
 
@@ -455,11 +455,14 @@ pub fn kcore<T: Transport + ?Sized>(
     let pool = ctx.pool().clone();
     let mut bins = ctx.bin_pool().checkout::<u32>("kcore_trim");
     let mut device = IrglEngine::new(Default::default());
+    // Per-round dirty sets, allocated once and cleared per round.
+    let mut newly_dead = DenseBitset::new(lg.num_proxies());
+    let mut trim_bits = DenseBitset::new(lg.num_proxies());
     let mut rounds = 0u32;
     let result = loop {
         rounds += 1;
         // 1. Masters kill nodes whose degree dropped below k.
-        let mut newly_dead = DenseBitset::new(lg.num_proxies());
+        newly_dead.clear_all();
         let mut any_death = false;
         for m in lg.masters() {
             if alive[m.index()] == 1 && degree[m.index()] < k {
@@ -475,7 +478,7 @@ pub fn kcore<T: Transport + ?Sized>(
         }
         // 3. Every newly dead proxy trims its local neighbors. The chunked
         // sweep is metered by out-degree.
-        let mut trim_bits = DenseBitset::new(lg.num_proxies());
+        trim_bits.clear_all();
         let dead_list: Vec<Lid> = newly_dead.iter().collect();
         match engine {
             EngineKind::Ligra => {
@@ -598,11 +601,14 @@ pub fn pagerank_push<T: Transport + ?Sized>(
     let mut bins = ctx.bin_pool().checkout::<f64>("pr_push");
     let mut device = IrglEngine::new(Default::default());
     let max_rounds = cfg.max_iters.saturating_mul(20).max(100);
+    // Per-round dirty sets, allocated once and cleared per round.
+    let mut push_bits = DenseBitset::new(lg.num_proxies());
+    let mut res_bits = DenseBitset::new(lg.num_proxies());
     let mut rounds = 0u32;
     let result = loop {
         rounds += 1;
         // 1. Apply at masters whose residual is worth draining.
-        let mut push_bits = DenseBitset::new(lg.num_proxies());
+        push_bits.clear_all();
         for m in lg.masters() {
             let r = residual[m.index()];
             if r > eps {
@@ -621,7 +627,7 @@ pub fn pagerank_push<T: Transport + ?Sized>(
         // 3. Push along local out-edges into local residuals. Candidates
         // apply in frontier order (ascending lids), so the f64 residual
         // sums fold in the same order at any thread count.
-        let mut res_bits = DenseBitset::new(lg.num_proxies());
+        res_bits.clear_all();
         let frontier: Vec<Lid> = push_bits.iter().collect();
         match engine {
             EngineKind::Ligra => {
@@ -744,13 +750,20 @@ pub fn betweenness_source<T: Transport + ?Sized>(
         ctx.sync(&SIGMA_BCAST, &mut field, &mut seed_bits);
     }
 
+    // Per-level dirty sets of both phases, allocated once and cleared
+    // where a level starts filling them.
+    let mut dist_bits = DenseBitset::new(caps);
+    let mut sig_bits = DenseBitset::new(caps);
+    let mut bcast_bits = DenseBitset::new(caps);
+    let mut delta_bits = DenseBitset::new(caps);
+
     // ---- Forward phase: level-synchronous BFS with path counting. ----
     let mut level = 0u32;
     loop {
         // Expansion: discover level + 1 through local frontier edges. The
         // dist field is read at *both* ends later (the sigma pass checks
         // destinations), so it broadcasts to every mirror.
-        let mut dist_bits = DenseBitset::new(caps);
+        dist_bits.clear_all();
         let frontier: Vec<Lid> = lg.proxies().filter(|&v| dist[v.index()] == level).collect();
         ctx.add_work(frontier.iter().map(|&v| u64::from(lg.out_degree(v))).sum());
         for &v in &frontier {
@@ -768,7 +781,7 @@ pub fn betweenness_source<T: Transport + ?Sized>(
         // Path counting: each local edge from level to level + 1 forwards
         // sigma. Partial sums reduce to masters, canonical values broadcast
         // everywhere (the backward phase reads sigma at both ends too).
-        let mut sig_bits = DenseBitset::new(caps);
+        sig_bits.clear_all();
         // Re-derive: the sync may have revealed remotely-discovered
         // level-`level` proxies.
         let frontier: Vec<Lid> = lg.proxies().filter(|&v| dist[v.index()] == level).collect();
@@ -789,7 +802,7 @@ pub fn betweenness_source<T: Transport + ?Sized>(
             let mut field = SumField::new(&mut sigma);
             ctx.sync(&SIGMA_REDUCE, &mut field, &mut sig_bits);
         }
-        let mut bcast_bits = DenseBitset::new(caps);
+        bcast_bits.clear_all();
         for m in lg.masters() {
             if dist[m.index()] == level + 1 {
                 bcast_bits.set(m);
@@ -813,7 +826,7 @@ pub fn betweenness_source<T: Transport + ?Sized>(
     loop {
         // Partial dependency sums at every proxy of a level-l node that
         // holds outgoing edges — written at edge *sources*.
-        let mut delta_bits = DenseBitset::new(caps);
+        delta_bits.clear_all();
         let level_nodes: Vec<Lid> = lg.proxies().filter(|&v| dist[v.index()] == l).collect();
         ctx.add_work(
             level_nodes
@@ -845,7 +858,7 @@ pub fn betweenness_source<T: Transport + ?Sized>(
             let mut field = SumField::new(&mut delta);
             ctx.sync(&DELTA_REDUCE, &mut field, &mut delta_bits);
         }
-        let mut bcast_bits = DenseBitset::new(caps);
+        bcast_bits.clear_all();
         for m in lg.masters() {
             if dist[m.index()] == l && delta[m.index()] != 0.0 {
                 bcast_bits.set(m);
@@ -884,10 +897,11 @@ pub fn sssp_delta<T: Transport + ?Sized>(
         dist[s.index()] = 0;
         active.set(s);
     }
+    // The spent frontier is cleared and becomes the next changed set.
+    let mut changed = DenseBitset::new(n);
     let mut rounds = 0u32;
     loop {
         rounds += 1;
-        let mut changed = DenseBitset::new(n);
         let seeds: Vec<(Lid, u32)> = active
             .iter()
             .map(|v| (v, dist[v.index()]))
@@ -910,7 +924,8 @@ pub fn sssp_delta<T: Transport + ?Sized>(
             }
         });
         ctx.add_work(work);
-        active = changed;
+        std::mem::swap(&mut active, &mut changed);
+        changed.clear_all();
         let mut field = MinField::new(&mut dist);
         ctx.sync(&DIST_PUSH, &mut field, &mut active);
         if !ctx.any_globally(!active.is_empty()) {

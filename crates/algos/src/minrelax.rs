@@ -7,6 +7,14 @@
 //! local compute, then a `WriteAtDestination / ReadAtSource` Gluon sync —
 //! until global quiescence.
 //!
+//! # One kernel
+//!
+//! Every push arm runs [`scatter`] per frontier member and [`lower`] per
+//! binned candidate. Only the drain writes labels, so what a scatter reads
+//! *is* the (sub-)round's snapshot; only the Ligra pull sweep, which writes
+//! destinations in place, keeps a (recycled) copy. Frontier and changed
+//! set are two bitsets allocated once per run that swap roles each round.
+//!
 //! # Determinism
 //!
 //! Every engine path drives the context's [`gluon::Pool`] and is
@@ -15,7 +23,7 @@
 //! - **Ligra** keeps the direction heuristic (which depends only on the
 //!   frontier) and runs snapshot (Jacobi) sweeps: candidates are computed
 //!   from the previous round's labels and applied in chunk order. A
-//!   relaxation is no longer visible to later edges of the same sweep, so
+//!   relaxation is not visible to later edges of the same sweep, so
 //!   round counts can differ from an in-sweep-visible execution, but the
 //!   fixpoint labels cannot (monotone min-relaxation has a unique one).
 //! - **Galois** runs deterministic bulk *sub-rounds* to local quiescence:
@@ -23,19 +31,21 @@
 //!   order, repeat until no label improves. This reaches exactly the local
 //!   fixpoint FIFO chaotic relaxation reaches, with the same changed set
 //!   (a label changed iff its final value beats its initial one), so outer
-//!   round counts and wire traffic match the sequential engine.
+//!   round counts and wire traffic match the sequential engine. Proxies
+//!   without a local out-edge are marked changed but never swept: they
+//!   emit nothing and weigh nothing on the work meter.
 //! - **IrGL** launches one snapshot kernel per round
 //!   ([`IrglEngine::kernel_par_binned`]), with device work counters unchanged.
 
 use crate::EngineKind;
 use gluon::{
-    BinScratch, CheckpointSnapshot, DenseBitset, GluonContext, MinField, Pool, ReadLocation,
-    SyncError, SyncSpec, WriteLocation,
+    BinScratch, BinSink, CheckpointSnapshot, DenseBitset, GluonContext, MinField, Pool,
+    ReadLocation, SyncError, SyncSpec, WriteLocation,
 };
 use gluon_engines::irgl::IrglEngine;
 use gluon_engines::ligra::{Direction, VertexSubset};
 use gluon_engines::{galois, ligra};
-use gluon_graph::Lid;
+use gluon_graph::{for_each_edge, Lid};
 use gluon_net::Transport;
 use gluon_partition::LocalGraph;
 
@@ -49,6 +59,36 @@ pub(crate) type RelaxFn = fn(u32, u32) -> u32;
 const SPEC: SyncSpec =
     SyncSpec::full(WriteLocation::Destination, ReadLocation::Source).named("minrelax");
 
+/// The scatter half of a relaxation: bins a candidate for every local
+/// out-edge of `v` whose destination it would lower, over `v`'s raw
+/// adjacency slices. Unweighted, every edge weighs 1: the candidate is
+/// computed once per source and an edge costs one `u32` and one compare.
+#[inline]
+fn scatter(lg: &LocalGraph, relax: RelaxFn, v: Lid, labels: &[u32], sink: &mut BinSink<'_, u32>) {
+    let lv = labels[v.index()];
+    let mut offer = |dst: u32, candidate: u32| {
+        if candidate < labels[dst as usize] {
+            sink.push(Lid(dst), candidate);
+        }
+    };
+    let (targets, weights) = (lg.out_targets(v), lg.out_weights(v));
+    if weights.is_empty() {
+        let candidate = relax(lv, 1);
+        targets.iter().for_each(|&dst| offer(dst, candidate));
+    } else {
+        for_each_edge(targets, weights, |dst, w| offer(dst, relax(lv, w)));
+    }
+}
+
+/// The drain half: keep the minimum; `true` when the label was lowered.
+fn lower(_dst: Lid, candidate: u32, slot: &mut u32) -> bool {
+    let improved = candidate < *slot;
+    if improved {
+        *slot = candidate;
+    }
+    improved
+}
+
 /// Runs min-relaxation rounds to global quiescence; `labels` and `active`
 /// must be initialized by the caller (labels seeded, active bits set for
 /// the seeds). Returns the number of BSP rounds executed.
@@ -56,7 +96,7 @@ pub(crate) fn run<T: Transport + ?Sized>(
     lg: &LocalGraph,
     ctx: &mut GluonContext<'_, T>,
     labels: &mut [u32],
-    active: &mut DenseBitset,
+    active: DenseBitset,
     engine: EngineKind,
     relax: RelaxFn,
 ) -> u32 {
@@ -73,7 +113,7 @@ pub(crate) fn try_run<T: Transport + ?Sized>(
     lg: &LocalGraph,
     ctx: &mut GluonContext<'_, T>,
     labels: &mut [u32],
-    active: &mut DenseBitset,
+    mut active: DenseBitset,
     engine: EngineKind,
     relax: RelaxFn,
 ) -> Result<u32, SyncError> {
@@ -102,10 +142,9 @@ pub(crate) fn try_run<T: Transport + ?Sized>(
         // without running (or syncing) any further rounds.
         return Ok(rounds);
     }
-    // Bin scratch is checked out around the whole round loop and checked
-    // back in afterwards (publishing its counters), so the steady state
-    // recycles every buffer. An error path drops the scratch instead —
-    // the supervisor rebuilds the context anyway.
+    // Bin scratch is checked out around the whole round loop (checkin
+    // publishes its counters), so the steady state recycles every buffer.
+    // An error path drops it — the supervisor rebuilds the context anyway.
     let mut bins = ctx.bin_pool().checkout::<u32>("minrelax");
     let result = relax_rounds(
         lg, ctx, labels, active, engine, relax, &pool, &mut bins, rounds,
@@ -114,13 +153,15 @@ pub(crate) fn try_run<T: Transport + ?Sized>(
     result
 }
 
-/// The BSP round loop of [`try_run`], over a checked-out bin scratch.
+/// The BSP round loop of [`try_run`], over a checked-out bin scratch:
+/// `active` enters a round as its frontier, the round marks `changed`, the
+/// two swap, and the spent frontier is cleared into the next `changed`.
 #[allow(clippy::too_many_arguments)]
 fn relax_rounds<T: Transport + ?Sized>(
     lg: &LocalGraph,
     ctx: &mut GluonContext<'_, T>,
     labels: &mut [u32],
-    active: &mut DenseBitset,
+    mut active: DenseBitset,
     engine: EngineKind,
     relax: RelaxFn,
     pool: &Pool,
@@ -130,20 +171,21 @@ fn relax_rounds<T: Transport + ?Sized>(
     let n = lg.num_proxies();
     let mut device = IrglEngine::new(Default::default());
     let mut frontier_buf: Vec<Lid> = Vec::new();
+    let mut changed = DenseBitset::new(n);
+    // Source labels as of the round's start, for the Ligra pull sweep only.
+    let mut prev: Vec<u32> = Vec::new();
     loop {
         rounds += 1;
         // Work model: edges examined this round are metered by the pool
         // (chunk weights = degrees), absorbed into the next phase's stats.
-        let mut changed = DenseBitset::new(n);
         match engine {
             EngineKind::Ligra => {
-                // Level-synchronous snapshot sweep: one edgeMap per round,
-                // candidates from the previous labels, applied in chunk
-                // order.
-                let frontier = VertexSubset::from_bitset(active.clone());
-                let prev = labels.to_vec();
+                // One level-synchronous snapshot edgeMap, applied in chunk order.
+                let frontier = VertexSubset::from_bitset(active);
                 match ligra::choose_direction(lg, &frontier, Direction::Auto) {
                     Direction::Pull => {
+                        prev.clear();
+                        prev.extend_from_slice(labels);
                         ligra::edge_map_pull_pooled(
                             lg,
                             &frontier,
@@ -156,40 +198,26 @@ fn relax_rounds<T: Transport + ?Sized>(
                             },
                         );
                     }
-                    _ => {
-                        ligra::edge_map_push_pooled(
-                            lg,
-                            &frontier,
-                            pool,
-                            bins,
-                            labels,
-                            |src, dst, w, _labels| {
-                                let candidate = relax(prev[src.index()], w);
-                                (candidate < prev[dst.index()]).then_some(candidate)
-                            },
-                            |_dst, candidate, slot| {
-                                if candidate < *slot {
-                                    *slot = candidate;
-                                    true
-                                } else {
-                                    false
-                                }
-                            },
-                        );
-                    }
+                    _ => ligra::vertex_map_push_pooled(
+                        lg,
+                        &frontier,
+                        pool,
+                        bins,
+                        labels,
+                        |v, labels, sink| scatter(lg, relax, v, labels, sink),
+                        lower,
+                    ),
                 }
+                active = frontier.into_bitset(n);
                 for &dst in bins.activated() {
                     changed.set(dst);
                 }
             }
             EngineKind::Galois => {
                 // Deterministic bulk sub-rounds to local quiescence (the
-                // D-Galois hybrid of §5.4 with a determinism contract).
-                // Sub-round frontiers come out of the binned sweep sorted;
-                // a monotone min-relaxation reaches the same local
-                // fixpoint and changed set regardless of frontier order.
+                // D-Galois hybrid of §5.4), sweeping only what has out-edges.
                 frontier_buf.clear();
-                frontier_buf.extend(active.iter());
+                frontier_buf.extend(active.iter().filter(|&v| lg.has_local_out_edges(v)));
                 while !frontier_buf.is_empty() {
                     galois::do_all_binned(
                         pool,
@@ -199,28 +227,17 @@ fn relax_rounds<T: Transport + ?Sized>(
                         |v| u64::from(lg.out_degree(v)),
                         |chunk, labels, sink| {
                             for &v in chunk {
-                                let lv = labels[v.index()];
-                                for e in lg.out_edges(v) {
-                                    let candidate = relax(lv, e.weight);
-                                    if candidate < labels[e.dst.index()] {
-                                        sink.push(e.dst, candidate);
-                                    }
-                                }
+                                scatter(lg, relax, v, labels, sink);
                             }
                         },
-                        |_dst, candidate, slot| {
-                            if candidate < *slot {
-                                *slot = candidate;
-                                true
-                            } else {
-                                false
-                            }
-                        },
+                        lower,
                     );
                     frontier_buf.clear();
                     for &dst in bins.activated() {
                         changed.set(dst);
-                        frontier_buf.push(dst);
+                        if lg.has_local_out_edges(dst) {
+                            frontier_buf.push(dst);
+                        }
                     }
                 }
             }
@@ -228,41 +245,24 @@ fn relax_rounds<T: Transport + ?Sized>(
                 // One bulk snapshot kernel per round.
                 frontier_buf.clear();
                 frontier_buf.extend(active.iter());
-                let prev = labels.to_vec();
                 device.kernel_par_binned(
                     lg,
                     pool,
                     bins,
                     &frontier_buf,
                     labels,
-                    |v, lg, _labels, sink| {
-                        let lv = prev[v.index()];
-                        for e in lg.out_edges(v) {
-                            let candidate = relax(lv, e.weight);
-                            if candidate < prev[e.dst.index()] {
-                                sink.push(e.dst, candidate);
-                            }
-                        }
-                    },
-                    |_dst, candidate, slot| {
-                        if candidate < *slot {
-                            *slot = candidate;
-                            true
-                        } else {
-                            false
-                        }
-                    },
+                    |v, lg, labels, sink| scatter(lg, relax, v, labels, sink),
+                    lower,
                 );
                 for &dst in bins.activated() {
                     changed.set(dst);
                 }
             }
         }
-        *active = changed;
-        let mut field = MinField::new(labels);
-        ctx.try_sync(&SPEC, &mut field, active)?;
-        let live = ctx.try_any_globally(!active.is_empty())?;
-        if !live {
+        std::mem::swap(&mut active, &mut changed);
+        changed.clear_all();
+        ctx.try_sync(&SPEC, &mut MinField::new(labels), &mut active)?;
+        if !ctx.try_any_globally(!active.is_empty())? {
             return Ok(rounds);
         }
         if ctx.checkpoint_due(u64::from(rounds)) {

@@ -27,8 +27,8 @@
 //! fixed bytes-per-partition target ([`gluon_partition::partition_width`]),
 //! so they are deterministic across runs, thread counts, and hosts.
 //!
-//! All buffers (bins, schedule state, per-partition dedup bitmaps,
-//! activation lists) live in a [`BinScratch`] recycled through a
+//! All buffers (bins, schedule state, per-partition activation bitmaps
+//! and the lists drained out of them) live in a [`BinScratch`] recycled through a
 //! [`BinPool`] keyed like [`crate::SyncArena`] — after a warm-up call the
 //! steady state performs zero heap allocations on a non-spawning pool.
 
@@ -77,8 +77,9 @@ pub struct BinStats {
     pub chunks_skipped: u64,
 }
 
-/// Per-partition drain state: the first-activation dedup bitmap and the
-/// partition's activation list, both recycled across calls.
+/// Per-partition drain state: the bitmap of destinations activated this
+/// call (empty between calls) and the activation list drained out of it,
+/// both recycled across calls.
 #[derive(Debug)]
 struct PartScratch {
     seen: DenseBitset,
@@ -95,8 +96,8 @@ impl Default for PartScratch {
 }
 
 impl PartScratch {
-    /// Sizes the dedup bitmap to the partition width (re-allocates only
-    /// when the geometry changes, i.e. once per graph).
+    /// Sizes the activation bitmap to the partition width (re-allocates
+    /// only when the geometry changes, i.e. once per graph).
     fn ensure(&mut self, width: usize) {
         if self.seen.capacity() as usize != width {
             self.seen = DenseBitset::new(width as u32);
@@ -301,27 +302,35 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
                 part_weights,
                 &mut parts[..num_parts],
                 |pi, start, slice, ps| {
+                    let mut any = false;
                     for ci in 0..num_chunks {
                         for &(d, v) in bins_ro[ci * num_parts + pi].iter() {
                             let local = Lid((d as usize - start) as u32);
-                            if apply(Lid(d), v, &mut slice[local.index()]) && !ps.seen.test(local) {
+                            if apply(Lid(d), v, &mut slice[local.index()]) {
                                 ps.seen.set(local);
-                                ps.active.push(Lid(d));
+                                any = true;
                             }
                         }
                     }
-                    ps.seen.clear_all();
+                    // The bitmap is the activation list: draining it word
+                    // by word yields each activated destination once, in
+                    // ascending order, and leaves it clear for the next
+                    // call. A partition nothing activated in is skipped.
+                    if any {
+                        ps.seen.drain_into(start as u32, &mut ps.active);
+                    }
                 },
             );
         }
 
-        // Assemble the canonical (ascending) activation list and reset
-        // the bins for the next call — lengths only, capacities kept.
+        // Partitions own ascending, disjoint destination ranges, so their
+        // lists concatenate into the canonical (ascending) activation
+        // list. Then reset the bins for the next call — lengths only,
+        // capacities kept.
         activated.clear();
         for ps in parts[..num_parts].iter_mut() {
             activated.append(&mut ps.active);
         }
-        activated.sort_unstable();
         for bin in bins[..needed].iter_mut() {
             bin.clear();
         }
@@ -556,6 +565,88 @@ mod tests {
         let stats = scratch.stats();
         assert_eq!(stats.updates, 600);
         assert!(stats.fills > 0 && stats.fills == stats.drains);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The bitmap drain against the list it replaced: push a
+        /// destination the first time `apply` accepts a candidate for it,
+        /// then sort the whole list. Random candidate streams, an `apply`
+        /// that accepts the same destination many times, a random
+        /// partition width whose last partition is always short
+        /// (`n = full_parts * width + tail`), and the single partition
+        /// spanning the space; the scratch is reused across streams, so a
+        /// mark left behind by one call would surface in the next.
+        #[test]
+        fn activated_equals_the_push_then_sort_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            width_exp in 6u32..=8,
+            full_parts in 0usize..4,
+            tail in 1usize..64,
+            threads in 1usize..=4,
+        ) {
+            let width = 1usize << width_exp;
+            let n = full_parts * width + tail;
+            let mut rng = seed | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let pool = Pool::new(threads);
+            for geometry in [width, n.next_power_of_two().max(64)] {
+                let mut scratch = BinScratch::<u32>::new();
+                scratch.set_width_override(Some(geometry));
+                for _stream in 0..3 {
+                    // Each member offers 0..6 (dst, value) candidates;
+                    // `apply` accepts every even value, so a destination
+                    // can be accepted many times, once, or never.
+                    let stream: Vec<Vec<(u32, u32)>> = (0..n)
+                        .map(|_| {
+                            (0..next() % 6)
+                                .map(|_| ((next() % n as u64) as u32, (next() % 4) as u32))
+                                .collect()
+                        })
+                        .collect();
+                    let members: Vec<Lid> =
+                        (0..n as u32).filter(|_| next() % 2 == 0).map(Lid).collect();
+                    let mut seen = vec![false; n];
+                    let mut want = Vec::new();
+                    for &m in &members {
+                        for &(dst, v) in &stream[m.index()] {
+                            if v % 2 == 0 && !seen[dst as usize] {
+                                seen[dst as usize] = true;
+                                want.push(Lid(dst));
+                            }
+                        }
+                    }
+                    want.sort_unstable();
+                    let mut labels = vec![0u32; n];
+                    scratch.run(
+                        &pool,
+                        &members,
+                        &mut labels,
+                        |m| stream[m.index()].len() as u64,
+                        |chunk, _labels, sink| {
+                            for &m in chunk {
+                                for &(dst, v) in &stream[m.index()] {
+                                    sink.push(Lid(dst), v);
+                                }
+                            }
+                        },
+                        |_dst, v, slot| {
+                            *slot += 1;
+                            v % 2 == 0
+                        },
+                    );
+                    proptest::prop_assert_eq!(
+                        scratch.activated(), &want[..], "width {}, n {}", geometry, n
+                    );
+                }
+            }
+        }
     }
 
     #[test]

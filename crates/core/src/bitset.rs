@@ -152,6 +152,19 @@ impl DenseBitset {
         }
     }
 
+    /// Appends `base + bit` for every set bit to `out`, ascending, and
+    /// leaves the set empty: each word is taken and zeroed as it is read,
+    /// so one pass both lists the members and clears them.
+    pub fn drain_into(&mut self, base: u32, out: &mut Vec<Lid>) {
+        for (i, word) in self.words.iter_mut().enumerate() {
+            let mut w = std::mem::take(word);
+            while w != 0 {
+                out.push(Lid(base + (i * 64) as u32 + w.trailing_zeros()));
+                w &= w - 1;
+            }
+        }
+    }
+
     /// Iterates over set bits in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -248,6 +261,36 @@ mod tests {
         b.clear_all();
         assert!(b.is_empty());
         assert_eq!(b.iter().count(), 0);
+    }
+
+    #[test]
+    fn drain_lists_members_ascending_and_empties_the_set() {
+        // Nothing set: nothing listed, whatever `out` already holds stays.
+        let mut out = vec![Lid(7)];
+        DenseBitset::new(0).drain_into(5, &mut out);
+        DenseBitset::new(130).drain_into(5, &mut out);
+        assert_eq!(out, vec![Lid(7)]);
+
+        // 130 bits: a short tail word (bits 128 and 129), both word edges.
+        let mut b = DenseBitset::new(130);
+        let picks = [0u32, 63, 64, 127, 128, 129];
+        for &p in &picks {
+            b.set(Lid(p));
+        }
+        out.clear();
+        b.drain_into(0, &mut out);
+        assert_eq!(out, picks.map(Lid));
+        assert!(b.is_empty(), "drained bits are cleared");
+        b.drain_into(0, &mut out);
+        assert_eq!(out.len(), picks.len(), "a second drain finds nothing");
+
+        // A non-zero base shifts every member; a full set lists them all.
+        let mut b = DenseBitset::new(70);
+        b.set_all();
+        out.clear();
+        b.drain_into(1000, &mut out);
+        assert_eq!(out, (1000..1070).map(Lid).collect::<Vec<_>>());
+        assert!(b.is_empty());
     }
 
     #[test]

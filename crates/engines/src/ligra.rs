@@ -13,9 +13,9 @@
 //! parallelism (candidates from immutable state, applied in chunk order,
 //! bit-identical at any thread count).
 
-use gluon::{BinScratch, BitsetIter, DenseBitset, PullScratch};
+use gluon::{BinScratch, BinSink, BitsetIter, DenseBitset, PullScratch};
 use gluon_exec::{chunk_width, Pool, SchedScratch};
-use gluon_graph::Lid;
+use gluon_graph::{for_each_edge, Lid};
 use gluon_partition::LocalGraph;
 
 /// A set of active proxies, kept sparse (list) or dense (bit set) depending
@@ -89,6 +89,22 @@ impl VertexSubset {
                 assert_eq!(b.capacity(), capacity, "bitset capacity mismatch");
                 b.clone()
             }
+        }
+    }
+
+    /// [`VertexSubset::to_bitset`] by value: a dense subset hands back the
+    /// bit set it wraps instead of cloning it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member exceeds `capacity`.
+    pub fn into_bitset(self, capacity: u32) -> DenseBitset {
+        match self {
+            VertexSubset::Dense(b) => {
+                assert_eq!(b.capacity(), capacity, "bitset capacity mismatch");
+                b
+            }
+            sparse => sparse.to_bitset(capacity),
         }
     }
 
@@ -285,6 +301,46 @@ pub fn edge_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     candidate: impl Fn(Lid, Lid, u32, &[T]) -> Option<V> + Sync,
     apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
 ) {
+    vertex_map_push_pooled(
+        graph,
+        frontier,
+        pool,
+        bins,
+        labels,
+        |src, labels, sink| {
+            for_each_edge(
+                graph.out_targets(src),
+                graph.out_weights(src),
+                |dst, weight| {
+                    let dst = Lid(dst);
+                    if let Some(v) = candidate(src, dst, weight, labels) {
+                        sink.push(dst, v);
+                    }
+                },
+            );
+        },
+        apply,
+    );
+}
+
+/// [`edge_map_push_pooled`] at vertex granularity: `emit(src, labels,
+/// sink)` runs once per frontier member and walks the member's out-edges
+/// itself (over [`LocalGraph::out_targets`]), pushing candidates into
+/// `sink`. This is the shape an operator wants when part of its per-edge
+/// work is the same for every edge of a source — a relaxation whose
+/// candidate depends only on the source label computes it once per
+/// source instead of once per edge. Members are metered by out-degree
+/// and everything else (bins, drain order, activation list, zero
+/// steady-state allocations) is exactly [`edge_map_push_pooled`].
+pub fn vertex_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
+    graph: &LocalGraph,
+    frontier: &VertexSubset,
+    pool: &Pool,
+    bins: &mut BinScratch<V>,
+    labels: &mut [T],
+    emit: impl Fn(Lid, &[T], &mut BinSink<'_, V>) + Sync,
+    apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
+) {
     let run = |bins: &mut BinScratch<V>, members: &[Lid], labels: &mut [T]| {
         bins.run(
             pool,
@@ -293,11 +349,7 @@ pub fn edge_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
             |l| u64::from(graph.out_degree(l)),
             |chunk, labels, sink| {
                 for &src in chunk {
-                    for e in graph.out_edges(src) {
-                        if let Some(v) = candidate(src, e.dst, e.weight, labels) {
-                            sink.push(e.dst, v);
-                        }
-                    }
+                    emit(src, labels, sink);
                 }
             },
             apply,
@@ -372,8 +424,8 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
                 frontier_bits.set(m);
                 // The probe: a destination partition can only see updates
                 // if some frontier member has an out-edge into it.
-                for e in graph.out_edges(m) {
-                    touched[(e.dst.index()) >> shift] = true;
+                for &dst in graph.out_targets(m) {
+                    touched[dst as usize >> shift] = true;
                 }
             }
         }
@@ -397,15 +449,19 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
         untouched,
         |dst, cell| {
             let mut any = false;
-            for e in graph.in_edges(dst) {
-                let src = e.dst; // in_edges reports the source in `dst`
-                if frontier_bits.test(src) {
-                    if let Some(nv) = relax(src, dst, e.weight, cell) {
-                        *cell = nv;
-                        any = true;
+            for_each_edge(
+                graph.in_sources(dst),
+                graph.in_weights(dst),
+                |src, weight| {
+                    let src = Lid(src);
+                    if frontier_bits.test(src) {
+                        if let Some(nv) = relax(src, dst, weight, cell) {
+                            *cell = nv;
+                            any = true;
+                        }
                     }
-                }
-            }
+                },
+            );
             any
         },
     );
@@ -590,6 +646,9 @@ mod tests {
         assert_eq!(back.len(), 3);
         assert!(back.contains(Lid(1)) && back.contains(Lid(5)) && back.contains(Lid(9)));
         assert!(!back.contains(Lid(2)));
+        // By value: same members from either representation, no clone.
+        assert_eq!(back.clone().into_bitset(16), s.to_bitset(16));
+        assert_eq!(s.clone().into_bitset(16), s.to_bitset(16));
     }
 
     #[test]
@@ -681,6 +740,69 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pooled_walks_report_the_weights_the_iterators_report() {
+        // Weighted shortest paths to a fixpoint, three ways: sequentially
+        // over the `out_edges` iterator, and through the pooled push and
+        // pull sweeps, whose raw-slice walks must hand the functor the
+        // same (endpoint, weight) pairs.
+        let g = gluon_graph::with_random_weights(&gen::rmat(7, 6, Default::default(), 9), 20, 3);
+        let lg = single_host(&g);
+        let n = lg.num_proxies() as usize;
+        let mut oracle = vec![u32::MAX; n];
+        oracle[0] = 0;
+        let mut work = vec![Lid(0)];
+        while let Some(v) = work.pop() {
+            for e in lg.out_edges(v) {
+                let nd = oracle[v.index()] + e.weight;
+                if nd < oracle[e.dst.index()] {
+                    oracle[e.dst.index()] = nd;
+                    work.push(e.dst);
+                }
+            }
+        }
+        assert!(oracle.iter().any(|&d| d != u32::MAX && d > 20));
+        let pool = gluon_exec::Pool::new(2);
+        for direction in [Direction::Push, Direction::Pull] {
+            let mut bins = BinScratch::<u32>::new();
+            let mut dist = vec![u32::MAX; n];
+            dist[0] = 0;
+            let mut frontier = VertexSubset::from_members(vec![Lid(0)]);
+            while !frontier.is_empty() {
+                let prev = dist.clone();
+                let offer = |src: Lid, w: u32, cur: u32| {
+                    let nd = prev[src.index()].saturating_add(w);
+                    (nd < cur).then_some(nd)
+                };
+                match direction {
+                    Direction::Pull => edge_map_pull_pooled(
+                        &lg,
+                        &frontier,
+                        &pool,
+                        &mut bins,
+                        &mut dist,
+                        |src, _dst, w, cur| offer(src, w, *cur),
+                    ),
+                    _ => edge_map_push_pooled(
+                        &lg,
+                        &frontier,
+                        &pool,
+                        &mut bins,
+                        &mut dist,
+                        |src, dst, w, labels| offer(src, w, labels[dst.index()]),
+                        |_dst, nd, slot| {
+                            let lower = nd < *slot;
+                            *slot = (*slot).min(nd);
+                            lower
+                        },
+                    ),
+                }
+                frontier = VertexSubset::from_members(bins.activated().to_vec());
+            }
+            assert_eq!(dist, oracle, "{direction:?}");
         }
     }
 

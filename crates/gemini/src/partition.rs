@@ -141,6 +141,24 @@ impl GeminiPartition {
         self.pull_edges.neighbors(v)
     }
 
+    /// Weights parallel to [`GeminiPartition::in_sources`]; empty when the
+    /// graph is unweighted (see [`Csr::neighbor_weights`]).
+    pub fn in_weights(&self, v: Gid) -> &[u32] {
+        self.pull_edges.neighbor_weights(v)
+    }
+
+    /// Destinations of owned node `v`'s out-edges as a raw slice, in
+    /// [`GeminiPartition::out_edges`] order (see [`Csr::neighbors`]).
+    pub fn out_targets(&self, v: Gid) -> &[u32] {
+        self.push_edges.neighbors(v)
+    }
+
+    /// Weights parallel to [`GeminiPartition::out_targets`]; empty when
+    /// the graph is unweighted.
+    pub fn out_weights(&self, v: Gid) -> &[u32] {
+        self.push_edges.neighbor_weights(v)
+    }
+
     /// Local out-degree of owned node `v`.
     pub fn out_degree(&self, v: Gid) -> u32 {
         self.push_edges.out_degree(v)

@@ -19,7 +19,7 @@
 use crate::partition::{replication_factor, GeminiPartition};
 use bytes::{BufMut, Bytes, BytesMut};
 use gluon::{DenseBitset, PhaseStats, RunStats, SyncStats};
-use gluon_graph::{Csr, Gid, Lid};
+use gluon_graph::{for_each_edge, Csr, Gid, Lid};
 use gluon_net::{run_cluster_with_stats, Communicator, NetStats, Transport};
 use std::time::Instant;
 
@@ -235,6 +235,11 @@ impl<'a, T: Transport> GeminiHost<'a, T> {
         for v in active.iter() {
             dirty.set(v);
         }
+        // Round scratch, allocated once: the changed set (swapped with
+        // `active` every round) and the sparse rounds' remote-write marks.
+        let mut changed = DenseBitset::new(n);
+        let mut touched = DenseBitset::new(n);
+        let mut touched_remote: Vec<u32> = Vec::new();
         let mut rounds = 0u32;
         loop {
             rounds += 1;
@@ -246,7 +251,6 @@ impl<'a, T: Transport> GeminiHost<'a, T> {
             let global_active_edges =
                 self.phase(|h| h.comm.all_reduce_u64(local_active_edges, |a, b| a + b));
             let dense = global_active_edges > part.global_edges() / DENSE_THRESHOLD_DENOM;
-            let mut changed = DenseBitset::new(n);
             if dense {
                 // Work model: a dense pull scans all in-edges of owned nodes.
                 self.add_work(self.part.num_pull_edges());
@@ -282,12 +286,10 @@ impl<'a, T: Transport> GeminiHost<'a, T> {
                 });
                 for v in part.owned() {
                     let mut best = labels[v as usize];
-                    for e in part.in_edges(Gid(v)) {
-                        let candidate = relax(labels[e.dst.index()], e.weight);
-                        if candidate < best {
-                            best = candidate;
-                        }
-                    }
+                    let (sources, weights) = (part.in_sources(Gid(v)), part.in_weights(Gid(v)));
+                    for_each_edge(sources, weights, |src, w| {
+                        best = best.min(relax(labels[src as usize], w));
+                    });
                     if best < labels[v as usize] {
                         labels[v as usize] = best;
                         changed.set(Lid(v));
@@ -298,22 +300,32 @@ impl<'a, T: Transport> GeminiHost<'a, T> {
                 // Sparse round: push from the active frontier, signal
                 // remote owners with (gid, value) pairs.
                 self.add_work(local_active_edges);
-                let mut touched_remote: Vec<u32> = Vec::new();
-                let mut touched = DenseBitset::new(n);
+                for g in touched_remote.drain(..) {
+                    touched.clear(Lid(g));
+                }
+                let owned = part.owned();
                 for v in active.iter() {
                     let lv = labels[v.index()];
-                    for e in part.out_edges(Gid(v.0)) {
-                        let candidate = relax(lv, e.weight);
-                        if candidate < labels[e.dst.index()] {
-                            labels[e.dst.index()] = candidate;
-                            if part.owns(e.dst) {
-                                changed.set(Lid(e.dst.0));
-                                dirty.set(Lid(e.dst.0));
-                            } else if !touched.test(Lid(e.dst.0)) {
-                                touched.set(Lid(e.dst.0));
-                                touched_remote.push(e.dst.0);
+                    let mut lower = |dst: u32, candidate: u32| {
+                        if candidate < labels[dst as usize] {
+                            labels[dst as usize] = candidate;
+                            if owned.contains(&dst) {
+                                changed.set(Lid(dst));
+                                dirty.set(Lid(dst));
+                            } else if !touched.test(Lid(dst)) {
+                                touched.set(Lid(dst));
+                                touched_remote.push(dst);
                             }
                         }
+                    };
+                    let (targets, weights) =
+                        (part.out_targets(Gid(v.0)), part.out_weights(Gid(v.0)));
+                    if weights.is_empty() {
+                        // Unweighted: one candidate for the whole source.
+                        let candidate = relax(lv, 1);
+                        targets.iter().for_each(|&dst| lower(dst, candidate));
+                    } else {
+                        for_each_edge(targets, weights, |dst, w| lower(dst, relax(lv, w)));
                     }
                 }
                 self.phase(|h| {
@@ -336,7 +348,8 @@ impl<'a, T: Transport> GeminiHost<'a, T> {
                     }
                 });
             }
-            active = changed;
+            std::mem::swap(&mut active, &mut changed);
+            changed.clear_all();
             let done = self.phase(|h| !h.comm.any(!active.is_empty()));
             if done {
                 return (labels, rounds);

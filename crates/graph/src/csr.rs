@@ -19,6 +19,24 @@ pub struct Edge {
     pub weight: u32,
 }
 
+/// Walks one node's adjacency over the raw slices cut once per node
+/// ([`Csr::neighbors`] and [`Csr::neighbor_weights`]): `visit(other end,
+/// weight)` per edge, in edge order. An empty `weights` means unweighted —
+/// every edge weighs 1 — so the weighted-or-not decision is made once per
+/// node, not once per edge as in [`Csr::out_edges`].
+#[inline]
+pub fn for_each_edge(ends: &[u32], weights: &[u32], mut visit: impl FnMut(u32, u32)) {
+    if weights.is_empty() {
+        for &end in ends {
+            visit(end, 1);
+        }
+    } else {
+        for (&end, &w) in ends.iter().zip(weights) {
+            visit(end, w);
+        }
+    }
+}
+
 /// A directed graph in compressed-sparse-row form.
 ///
 /// Nodes are `0..num_nodes()` in the [`Gid`] space; edges of node `v` are
@@ -199,6 +217,23 @@ impl Csr {
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
+    /// The weights of `node`'s outgoing edges as a raw slice parallel to
+    /// [`Csr::neighbors`] — empty when the graph is unweighted (every edge
+    /// then weighs 1), so a hot loop decides weighted-or-not once per node
+    /// instead of once per edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    #[inline]
+    pub fn neighbor_weights(&self, node: Gid) -> &[u32] {
+        if self.weights.is_empty() {
+            return &[];
+        }
+        let v = node.index();
+        &self.weights[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+
     /// Iterates over all edges as `(src, edge)` pairs in CSR order.
     pub fn edges(&self) -> impl Iterator<Item = (Gid, Edge)> + '_ {
         self.nodes()
@@ -343,8 +378,24 @@ mod tests {
             let dsts: Vec<u32> = g.out_edges(v).map(|e| e.dst.0).collect();
             assert_eq!(g.neighbors(v), dsts);
             assert_eq!(g.neighbors(v).len(), g.out_degree(v) as usize);
+            let weights: Vec<u32> = g.out_edges(v).map(|e| e.weight).collect();
+            assert_eq!(g.neighbor_weights(v), weights);
         }
         assert!(g.neighbors(Gid(1)).is_empty());
+        let plain = g.to_unweighted();
+        assert!(plain.nodes().all(|v| plain.neighbor_weights(v).is_empty()));
+        // The raw walk reports what the iterator reports, weighted or not.
+        for graph in [&g, &plain] {
+            for v in graph.nodes() {
+                let mut walked = Vec::new();
+                for_each_edge(graph.neighbors(v), graph.neighbor_weights(v), |dst, w| {
+                    walked.push((dst, w));
+                });
+                let edges: Vec<(u32, u32)> =
+                    graph.out_edges(v).map(|e| (e.dst.0, e.weight)).collect();
+                assert_eq!(walked, edges);
+            }
+        }
     }
 
     #[test]

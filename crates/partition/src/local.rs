@@ -283,6 +283,21 @@ impl LocalGraph {
         })
     }
 
+    /// The destinations of proxy `lid`'s local outgoing edges as raw local
+    /// ids, in the order [`LocalGraph::out_edges`] reports them (see
+    /// [`Csr::neighbors`]).
+    #[inline]
+    pub fn out_targets(&self, lid: Lid) -> &[u32] {
+        self.graph.neighbors(Gid(lid.0))
+    }
+
+    /// The weights parallel to [`LocalGraph::out_targets`]; empty when the
+    /// graph is unweighted (see [`Csr::neighbor_weights`]).
+    #[inline]
+    pub fn out_weights(&self, lid: Lid) -> &[u32] {
+        self.graph.neighbor_weights(Gid(lid.0))
+    }
+
     /// Iterates over local incoming edges of proxy `lid` as
     /// `(source, weight)`.
     ///
@@ -306,6 +321,17 @@ impl LocalGraph {
     #[inline]
     pub fn in_sources(&self, lid: Lid) -> &[u32] {
         self.transposed().neighbors(Gid(lid.0))
+    }
+
+    /// The weights parallel to [`LocalGraph::in_sources`]; empty when the
+    /// graph is unweighted (see [`Csr::neighbor_weights`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`LocalGraph::build_transpose`] ran first.
+    #[inline]
+    pub fn in_weights(&self, lid: Lid) -> &[u32] {
+        self.transposed().neighbor_weights(Gid(lid.0))
     }
 
     /// Local in-degree of proxy `lid`, read off the transpose's offsets.
@@ -416,6 +442,20 @@ mod tests {
             assert_eq!(lg.in_sources(p), sources);
             assert_eq!(lg.in_degree(p) as usize, sources.len());
             assert_eq!(lg.in_degree(p) > 0, lg.has_local_in_edges(p));
+            let targets: Vec<u32> = lg.out_edges(p).map(|e| e.dst.0).collect();
+            assert_eq!(lg.out_targets(p), targets);
+            // `sample()` is unweighted: no weight slice on either side.
+            assert!(lg.out_weights(p).is_empty() && lg.in_weights(p).is_empty());
+        }
+        // Weighted: the slices run parallel to the target / source slices.
+        let g = gluon_graph::with_random_weights(&gen::rmat(6, 4, Default::default(), 3), 9, 5);
+        let mut lg = partition_all(&g, 2, Policy::Cvc).remove(1);
+        lg.build_transpose();
+        for p in lg.proxies() {
+            let out: Vec<u32> = lg.out_edges(p).map(|e| e.weight).collect();
+            assert_eq!(lg.out_weights(p), out);
+            let inc: Vec<u32> = lg.in_edges(p).map(|e| e.weight).collect();
+            assert_eq!(lg.in_weights(p), inc);
         }
     }
 

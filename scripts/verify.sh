@@ -16,13 +16,15 @@
 #      bit-identical results and wire counters) under --release;
 #   6. the golden run records under --release: results, rounds, wire
 #      counters and work units recorded from retired code paths (the
-#      pre-rewrite pagerank kernel, the barrier sync schedule) must be
-#      reproduced bit for bit at 1 and 4 threads;
+#      pre-rewrite pagerank kernel, the barrier sync schedule, the
+#      per-engine min-relax edge loops) must be reproduced bit for bit
+#      at 1 and 4 threads;
 #   7. the codec battery under --release: the differential oracle
 #      against the naive reference codec plus the fixed-seed fuzz smoke
 #      (truncations, bit flips, garbage — the decoder must never panic);
 #   8. the allocation guard under --release with the `alloc-meter`
-#      counting allocator: steady-state sync rounds allocate nothing;
+#      counting allocator: steady-state sync rounds, push sweeps and
+#      bfs rounds allocate nothing;
 #   9. every bench compiles (`cargo bench --no-run`), and the benchmark
 #      package under perf/ passes its own tests (unit tests plus a
 #      `--smoke` run of all seven workloads), so a break of the public

@@ -24,6 +24,12 @@
 //! names, a preallocated round-series ring) must also add zero
 //! steady-state allocations.
 //!
+//! The same binary holds the engine side to the same standard: a steady
+//! push sweep over a warmed bin scratch allocates nothing, and a whole
+//! warm bfs — one BSP round per level under the Ligra push arm, one
+//! sub-round per level under Galois — allocates a handful of run-level
+//! buffers however many levels it runs.
+//!
 //! Everything runs inside a single `#[test]` on purpose: the counters are
 //! process-wide, and a concurrently scheduled test (even just its thread
 //! spawn) would show up in the measurement window.
@@ -231,6 +237,49 @@ fn steady_state_sync_is_allocation_free() {
             "spawning pool host {rank}: {per_round} allocs/round — \
              steady-state sync is no longer O(1) in allocations"
         );
+    }
+
+    // A whole bfs on a warm context: the Ligra push arm (no transpose, so
+    // the direction heuristic can only push) runs one BSP round per level
+    // of a 64x64 grid, the Galois arm one sub-round per level inside its
+    // first round. The run's allocations are its result vector and its two
+    // frontier bitsets (Ligra: 3 in all) plus, under Galois, the doubling
+    // of the sub-round frontier list (14 in all) — a count that does not
+    // grow with the 126 levels. One allocation per round or sub-round (a
+    // label snapshot, a cloned frontier, a fresh changed set) would put
+    // it in the hundreds.
+    {
+        use gluon_suite::algos::{apps::bfs, EngineKind};
+        use gluon_suite::graph::Gid;
+        use gluon_suite::net::run_cluster;
+        let grid = gen::grid(64, 64);
+        for engine in [EngineKind::Ligra, EngineKind::Galois] {
+            for threads in [1usize, 4] {
+                let (allocs, levels) = run_cluster(1, |net| {
+                    let comm = Communicator::new(net);
+                    let lg = partition_on_host(&grid, Policy::Oec, &comm);
+                    let mut ctx = GluonContext::new(&lg, &comm, OptLevel::default())
+                        .with_pool(Pool::inline(threads));
+                    for _ in 0..ARENA_WARMUP_ROUNDS {
+                        bfs(&lg, &mut ctx, Gid(0), engine);
+                    }
+                    let before = gluon_meter::snapshot();
+                    let (dist, _) = bfs(&lg, &mut ctx, Gid(0), engine);
+                    let after = gluon_meter::snapshot();
+                    let levels = dist.iter().copied().max().expect("non-empty grid");
+                    (after.allocs_since(&before), levels)
+                })[0];
+                assert_eq!(
+                    levels, 126,
+                    "{engine}/{threads}t: corner-to-corner distance"
+                );
+                assert!(
+                    allocs <= 16,
+                    "{engine}/{threads}t: a warm bfs of {levels} levels allocated {allocs} times \
+                     (min-relax rounds must allocate nothing after warm-up)"
+                );
+            }
+        }
     }
 
     // Edge-map hot path: with a warmed bin scratch and a stable frontier,

@@ -15,6 +15,13 @@
 //!   schedule was deleted. Sends that overlap eager decodes, with only
 //!   the apply held to rank order, must land on the same values — also
 //!   under a lossy network and across a crash recovery.
+//! * `MINRELAX` / `DETOUR`: bfs, sssp and cc before the three engine arms
+//!   of `minrelax` were rewritten around one raw-slice scatter kernel (the
+//!   candidate hoisted out of the edge loop on unweighted graphs, proxies
+//!   without a local out-edge kept out of the Galois sub-round frontier)
+//!   and the bins' activation list became a bitmap drain. Labels, rounds,
+//!   wire traffic and metered work per (algorithm, engine, policy, hosts)
+//!   must not move.
 
 use gluon_suite::algos::driver::{DistOutcome, Run};
 use gluon_suite::algos::{Algorithm, EngineKind};
@@ -85,6 +92,19 @@ fn check(g: &Csr, algo: Algorithm, engines: &[EngineKind], golden: &[Golden]) {
     }
 }
 
+/// [`check`] for a table with one engine per row: every row of `rows`
+/// for `algo`, on `graph_of(algo)`.
+fn check_rows(
+    rows: &[(Algorithm, EngineKind, Golden)],
+    algo: Algorithm,
+    graph_of: fn(Algorithm) -> Csr,
+) {
+    let g = graph_of(algo);
+    for &(_, engine, golden) in rows.iter().filter(|row| row.0 == algo) {
+        check(&g, algo, &[engine], &[golden]);
+    }
+}
+
 #[test]
 fn rmat10_pagerank_matches_the_pre_rewrite_record() {
     let g = gen::rmat(10, 16, RmatProbs::GRAPH500, 28);
@@ -128,10 +148,7 @@ fn barrier_graph(algo: Algorithm) -> Csr {
 }
 
 fn check_barrier_rows(algo: Algorithm) {
-    let g = barrier_graph(algo);
-    for &(_, engine, golden) in BARRIER.iter().filter(|row| row.0 == algo) {
-        check(&g, algo, &[engine], &[golden]);
-    }
+    check_rows(&BARRIER, algo, barrier_graph);
 }
 
 #[test]
@@ -152,6 +169,81 @@ fn cc_matches_the_barrier_schedule_record() {
 #[test]
 fn pagerank_matches_the_barrier_schedule_record() {
     check_barrier_rows(Algorithm::Pagerank);
+}
+
+/// The input of the `MINRELAX` rows: rmat10, with random weights for sssp
+/// (so sssp walks the weighted branch of the kernel, bfs and cc the
+/// unweighted one).
+fn minrelax_graph(algo: Algorithm) -> Csr {
+    let g = gen::rmat(10, 16, RmatProbs::GRAPH500, 28);
+    if algo == Algorithm::Sssp {
+        with_random_weights(&g, 50, 9)
+    } else {
+        g
+    }
+}
+
+/// Twelve vertices built so that, from source 0 (the largest out-degree),
+/// every partitioning puts the kernel's special cases in a frontier:
+///
+/// * vertex 3 is first reached over the local-looking path 0→1→2→3 and
+///   later lowered through 0→9→3, vertex 10 first over 6→7→8→10 and later
+///   through 6→4→10 — one detour runs from low ids through a high one, the
+///   other from high ids through a low one, so whichever way a policy cuts
+///   the id space one of the short paths crosses hosts (on the weighted
+///   copy the long paths are also the heavy ones: 6 against 4, 5 against 3);
+/// * vertices 5 and 11 are isolated;
+/// * mirrors (OEC) and masters whose out-edges all live elsewhere (IEC,
+///   CVC) are activated with no local out-edge to sweep.
+///
+/// An instrumented build of the rewritten kernel confirmed on all eighteen
+/// (algorithm, policy, hosts) cells that the Galois frontier filter drops
+/// a member, and on all twelve bfs and sssp cells that a label lowered in
+/// one round is lowered again in a later one (EXPERIMENTS.md, "Record:
+/// PR 22").
+fn detour_graph(algo: Algorithm) -> Csr {
+    let edges = [
+        (0, 1, 1),
+        (1, 2, 1),
+        (2, 3, 4),
+        (0, 9, 2),
+        (9, 3, 2),
+        (0, 6, 1),
+        (6, 7, 1),
+        (7, 8, 1),
+        (8, 10, 3),
+        (6, 4, 1),
+        (4, 10, 2),
+        (3, 2, 1),
+        (10, 0, 1),
+    ];
+    if algo == Algorithm::Sssp {
+        Csr::from_weighted_edge_list(12, &edges)
+    } else {
+        Csr::from_edge_list(12, &edges.map(|(src, dst, _)| (src, dst)))
+    }
+}
+
+#[test]
+fn bfs_matches_the_pre_kernel_record() {
+    check_rows(&MINRELAX, Algorithm::Bfs, minrelax_graph);
+}
+
+#[test]
+fn sssp_matches_the_pre_kernel_record() {
+    check_rows(&MINRELAX, Algorithm::Sssp, minrelax_graph);
+}
+
+#[test]
+fn cc_matches_the_pre_kernel_record() {
+    check_rows(&MINRELAX, Algorithm::Cc, minrelax_graph);
+}
+
+#[test]
+fn detours_isolated_vertices_and_edgeless_proxies_match_the_pre_kernel_record() {
+    for algo in [Algorithm::Bfs, Algorithm::Sssp, Algorithm::Cc] {
+        check_rows(&DETOUR, algo, detour_graph);
+    }
 }
 
 /// Results-only identity for runs whose wire totals legitimately differ
@@ -266,4 +358,147 @@ const BARRIER: [(Algorithm, EngineKind, Golden); 12] = [
     (Algorithm::Pagerank, EngineKind::Galois, (Policy::Oec, 3, 0xc0e4_458b_3336_aadb, 53, 66_462, 318, 22_154)),
     (Algorithm::Pagerank, EngineKind::Galois, (Policy::Iec, 3, 0x8b34_a70e_f4f2_3dbc, 53, 60_174, 330, 20_776)),
     (Algorithm::Pagerank, EngineKind::Galois, (Policy::Cvc, 3, 0xc43e_f703_1a19_ce06, 53, 60_658, 330, 19_610)),
+];
+
+#[rustfmt::skip]
+const MINRELAX: [(Algorithm, EngineKind, Golden); 81] = [
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Oec, 1, 0xb599_7de0_2540_6092, 2, 0, 0, 31_454)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Oec, 2, 0xb599_7de0_2540_6092, 4, 2_895, 8, 16_399)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Oec, 3, 0xb599_7de0_2540_6092, 4, 4_985, 24, 11_546)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Iec, 1, 0xb599_7de0_2540_6092, 2, 0, 0, 31_454)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Iec, 2, 0xb599_7de0_2540_6092, 4, 2_812, 8, 12_227)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Iec, 3, 0xb599_7de0_2540_6092, 4, 5_062, 24, 7_628)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Cvc, 1, 0xb599_7de0_2540_6092, 2, 0, 0, 31_454)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Cvc, 2, 0xb599_7de0_2540_6092, 4, 2_811, 8, 12_020)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Cvc, 3, 0xb599_7de0_2540_6092, 4, 5_067, 24, 7_539)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Oec, 1, 0xb599_7de0_2540_6092, 4, 0, 0, 49_161)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Oec, 2, 0xb599_7de0_2540_6092, 4, 545, 8, 24_985)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Oec, 3, 0xb599_7de0_2540_6092, 4, 723, 24, 17_192)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Iec, 1, 0xb599_7de0_2540_6092, 4, 0, 0, 49_161)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Iec, 2, 0xb599_7de0_2540_6092, 4, 613, 8, 25_658)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Iec, 3, 0xb599_7de0_2540_6092, 4, 1_153, 24, 17_539)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Cvc, 1, 0xb599_7de0_2540_6092, 4, 0, 0, 49_161)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Cvc, 2, 0xb599_7de0_2540_6092, 4, 608, 8, 25_292)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Cvc, 3, 0xb599_7de0_2540_6092, 4, 1_151, 24, 17_539)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Oec, 1, 0xb599_7de0_2540_6092, 4, 0, 0, 16_232)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Oec, 2, 0xb599_7de0_2540_6092, 4, 545, 8, 10_221)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Oec, 3, 0xb599_7de0_2540_6092, 4, 723, 24, 7_235)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Iec, 1, 0xb599_7de0_2540_6092, 4, 0, 0, 16_232)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Iec, 2, 0xb599_7de0_2540_6092, 4, 613, 8, 8_465)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Iec, 3, 0xb599_7de0_2540_6092, 4, 1_153, 24, 5_785)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Cvc, 1, 0xb599_7de0_2540_6092, 4, 0, 0, 16_232)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Cvc, 2, 0xb599_7de0_2540_6092, 4, 608, 8, 8_355)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Cvc, 3, 0xb599_7de0_2540_6092, 4, 1_151, 24, 5_792)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Oec, 1, 0xf42c_371d_e0c1_4a63, 2, 0, 0, 43_052)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Oec, 2, 0xf42c_371d_e0c1_4a63, 5, 3_316, 10, 26_297)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Oec, 3, 0xf42c_371d_e0c1_4a63, 6, 6_656, 36, 17_831)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Iec, 1, 0xf42c_371d_e0c1_4a63, 2, 0, 0, 43_052)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Iec, 2, 0xf42c_371d_e0c1_4a63, 5, 4_395, 10, 19_458)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Iec, 3, 0xf42c_371d_e0c1_4a63, 6, 8_936, 36, 12_512)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Cvc, 1, 0xf42c_371d_e0c1_4a63, 2, 0, 0, 43_052)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Cvc, 2, 0xf42c_371d_e0c1_4a63, 5, 4_406, 10, 19_397)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Cvc, 3, 0xf42c_371d_e0c1_4a63, 6, 8_929, 36, 12_241)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Oec, 1, 0xf42c_371d_e0c1_4a63, 7, 0, 0, 66_285)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Oec, 2, 0xf42c_371d_e0c1_4a63, 7, 5_180, 14, 42_208)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Oec, 3, 0xf42c_371d_e0c1_4a63, 7, 9_546, 42, 28_411)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Iec, 1, 0xf42c_371d_e0c1_4a63, 7, 0, 0, 66_285)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Iec, 2, 0xf42c_371d_e0c1_4a63, 7, 5_211, 14, 42_790)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Iec, 3, 0xf42c_371d_e0c1_4a63, 7, 9_486, 42, 29_247)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Cvc, 1, 0xf42c_371d_e0c1_4a63, 7, 0, 0, 66_285)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Cvc, 2, 0xf42c_371d_e0c1_4a63, 7, 5_198, 14, 42_180)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Cvc, 3, 0xf42c_371d_e0c1_4a63, 7, 9_491, 42, 29_249)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Oec, 1, 0xf42c_371d_e0c1_4a63, 7, 0, 0, 27_830)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Oec, 2, 0xf42c_371d_e0c1_4a63, 7, 5_180, 14, 15_939)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Oec, 3, 0xf42c_371d_e0c1_4a63, 7, 9_546, 42, 11_310)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Iec, 1, 0xf42c_371d_e0c1_4a63, 7, 0, 0, 27_830)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Iec, 2, 0xf42c_371d_e0c1_4a63, 7, 5_211, 14, 14_562)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Iec, 3, 0xf42c_371d_e0c1_4a63, 7, 9_486, 42, 9_983)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Cvc, 1, 0xf42c_371d_e0c1_4a63, 7, 0, 0, 27_830)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Cvc, 2, 0xf42c_371d_e0c1_4a63, 7, 5_198, 14, 14_366)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Cvc, 3, 0xf42c_371d_e0c1_4a63, 7, 9_491, 42, 9_992)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Oec, 1, 0x262e_992c_ddbc_46bf, 2, 0, 0, 64_541)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Oec, 2, 0x262e_992c_ddbc_46bf, 3, 22, 6, 34_749)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Oec, 3, 0x262e_992c_ddbc_46bf, 4, 1_670, 24, 29_639)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Iec, 1, 0x262e_992c_ddbc_46bf, 2, 0, 0, 64_541)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Iec, 2, 0x262e_992c_ddbc_46bf, 3, 2_515, 6, 26_834)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Iec, 3, 0x262e_992c_ddbc_46bf, 3, 5_622, 18, 17_038)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Cvc, 1, 0x262e_992c_ddbc_46bf, 2, 0, 0, 64_541)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Cvc, 2, 0x262e_992c_ddbc_46bf, 3, 2_569, 6, 26_520)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Cvc, 3, 0x262e_992c_ddbc_46bf, 3, 5_631, 18, 16_930)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Oec, 1, 0x262e_992c_ddbc_46bf, 4, 0, 0, 63_191)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Oec, 2, 0x262e_992c_ddbc_46bf, 4, 3_640, 8, 32_383)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Oec, 3, 0x262e_992c_ddbc_46bf, 4, 8_753, 24, 21_615)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Iec, 1, 0x262e_992c_ddbc_46bf, 4, 0, 0, 63_191)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Iec, 2, 0x262e_992c_ddbc_46bf, 4, 4_634, 8, 32_382)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Iec, 3, 0x262e_992c_ddbc_46bf, 4, 8_433, 24, 21_806)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Cvc, 1, 0x262e_992c_ddbc_46bf, 4, 0, 0, 63_191)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Cvc, 2, 0x262e_992c_ddbc_46bf, 4, 4_661, 8, 32_067)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Cvc, 3, 0x262e_992c_ddbc_46bf, 4, 8_416, 24, 21_476)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Oec, 1, 0x262e_992c_ddbc_46bf, 4, 0, 0, 43_960)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Oec, 2, 0x262e_992c_ddbc_46bf, 4, 3_640, 8, 22_829)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Oec, 3, 0x262e_992c_ddbc_46bf, 4, 8_753, 24, 15_674)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Iec, 1, 0x262e_992c_ddbc_46bf, 4, 0, 0, 43_960)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Iec, 2, 0x262e_992c_ddbc_46bf, 4, 4_634, 8, 22_712)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Iec, 3, 0x262e_992c_ddbc_46bf, 4, 8_433, 24, 15_378)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Cvc, 1, 0x262e_992c_ddbc_46bf, 4, 0, 0, 43_960)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Cvc, 2, 0x262e_992c_ddbc_46bf, 4, 4_661, 8, 22_505)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Cvc, 3, 0x262e_992c_ddbc_46bf, 4, 8_416, 24, 15_154)),
+];
+
+#[rustfmt::skip]
+const DETOUR: [(Algorithm, EngineKind, Golden); 54] = [
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Oec, 2, 0xa4b8_05f5_8281_d85c, 4, 27, 8, 16)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Oec, 3, 0xa4b8_05f5_8281_d85c, 3, 32, 12, 12)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Iec, 2, 0xa4b8_05f5_8281_d85c, 4, 30, 8, 14)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Iec, 3, 0xa4b8_05f5_8281_d85c, 3, 30, 12, 11)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Cvc, 2, 0xa4b8_05f5_8281_d85c, 4, 30, 8, 14)),
+    (Algorithm::Bfs, EngineKind::Galois, (Policy::Cvc, 3, 0xa4b8_05f5_8281_d85c, 3, 29, 12, 11)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Oec, 2, 0xa4b8_05f5_8281_d85c, 4, 27, 8, 27)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Oec, 3, 0xa4b8_05f5_8281_d85c, 4, 36, 16, 21)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Iec, 2, 0xa4b8_05f5_8281_d85c, 4, 25, 8, 28)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Iec, 3, 0xa4b8_05f5_8281_d85c, 4, 36, 16, 24)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Cvc, 2, 0xa4b8_05f5_8281_d85c, 4, 25, 8, 28)),
+    (Algorithm::Bfs, EngineKind::Ligra, (Policy::Cvc, 3, 0xa4b8_05f5_8281_d85c, 4, 33, 16, 24)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Oec, 2, 0xa4b8_05f5_8281_d85c, 4, 27, 8, 11)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Oec, 3, 0xa4b8_05f5_8281_d85c, 4, 36, 16, 9)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Iec, 2, 0xa4b8_05f5_8281_d85c, 4, 25, 8, 8)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Iec, 3, 0xa4b8_05f5_8281_d85c, 4, 36, 16, 6)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Cvc, 2, 0xa4b8_05f5_8281_d85c, 4, 25, 8, 8)),
+    (Algorithm::Bfs, EngineKind::Irgl, (Policy::Cvc, 3, 0xa4b8_05f5_8281_d85c, 4, 33, 16, 6)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Oec, 2, 0x33f1_d52d_8d17_5506, 4, 31, 8, 16)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Oec, 3, 0x33f1_d52d_8d17_5506, 3, 33, 12, 12)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Iec, 2, 0x33f1_d52d_8d17_5506, 4, 30, 8, 14)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Iec, 3, 0x33f1_d52d_8d17_5506, 3, 30, 12, 11)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Cvc, 2, 0x33f1_d52d_8d17_5506, 4, 30, 8, 14)),
+    (Algorithm::Sssp, EngineKind::Galois, (Policy::Cvc, 3, 0x33f1_d52d_8d17_5506, 3, 29, 12, 11)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Oec, 2, 0x33f1_d52d_8d17_5506, 4, 31, 8, 27)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Oec, 3, 0x33f1_d52d_8d17_5506, 4, 37, 16, 21)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Iec, 2, 0x33f1_d52d_8d17_5506, 4, 27, 8, 28)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Iec, 3, 0x33f1_d52d_8d17_5506, 4, 36, 16, 24)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Cvc, 2, 0x33f1_d52d_8d17_5506, 4, 27, 8, 28)),
+    (Algorithm::Sssp, EngineKind::Ligra, (Policy::Cvc, 3, 0x33f1_d52d_8d17_5506, 4, 33, 16, 24)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Oec, 2, 0x33f1_d52d_8d17_5506, 4, 31, 8, 11)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Oec, 3, 0x33f1_d52d_8d17_5506, 4, 37, 16, 9)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Iec, 2, 0x33f1_d52d_8d17_5506, 4, 27, 8, 8)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Iec, 3, 0x33f1_d52d_8d17_5506, 4, 36, 16, 6)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Cvc, 2, 0x33f1_d52d_8d17_5506, 4, 27, 8, 8)),
+    (Algorithm::Sssp, EngineKind::Irgl, (Policy::Cvc, 3, 0x33f1_d52d_8d17_5506, 4, 33, 16, 6)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Oec, 2, 0xce9d_e18a_ef2e_006b, 3, 20, 6, 47)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Oec, 3, 0xce9d_e18a_ef2e_006b, 3, 55, 18, 35)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Iec, 2, 0xce9d_e18a_ef2e_006b, 3, 23, 6, 35)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Iec, 3, 0xce9d_e18a_ef2e_006b, 2, 42, 12, 28)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Cvc, 2, 0xce9d_e18a_ef2e_006b, 3, 23, 6, 35)),
+    (Algorithm::Cc, EngineKind::Galois, (Policy::Cvc, 3, 0xce9d_e18a_ef2e_006b, 2, 42, 12, 28)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Oec, 2, 0xce9d_e18a_ef2e_006b, 3, 20, 6, 36)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Oec, 3, 0xce9d_e18a_ef2e_006b, 3, 64, 18, 30)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Iec, 2, 0xce9d_e18a_ef2e_006b, 3, 25, 6, 36)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Iec, 3, 0xce9d_e18a_ef2e_006b, 3, 64, 18, 30)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Cvc, 2, 0xce9d_e18a_ef2e_006b, 3, 25, 6, 36)),
+    (Algorithm::Cc, EngineKind::Ligra, (Policy::Cvc, 3, 0xce9d_e18a_ef2e_006b, 3, 64, 18, 30)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Oec, 2, 0xce9d_e18a_ef2e_006b, 3, 20, 6, 30)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Oec, 3, 0xce9d_e18a_ef2e_006b, 3, 64, 18, 21)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Iec, 2, 0xce9d_e18a_ef2e_006b, 3, 25, 6, 30)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Iec, 3, 0xce9d_e18a_ef2e_006b, 3, 64, 18, 23)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Cvc, 2, 0xce9d_e18a_ef2e_006b, 3, 25, 6, 30)),
+    (Algorithm::Cc, EngineKind::Irgl, (Policy::Cvc, 3, 0xce9d_e18a_ef2e_006b, 3, 64, 18, 23)),
 ];
