@@ -462,7 +462,9 @@ fn round_row_json(row: &gluon_metrics::RoundSample) -> Json {
 pub struct PhaseResidual {
     /// 0-based aligned phase index.
     pub phase: usize,
-    /// Measured phase time: max `comm_secs` across hosts (seconds).
+    /// Measured phase time: max `comm_secs` across hosts (seconds) — the
+    /// sync call plus the wait of the collective that ended the round,
+    /// whose messages the projection does not charge.
     pub measured_secs: f64,
     /// The cost model's projection for the phase (seconds).
     pub projected_secs: f64,
@@ -652,12 +654,14 @@ mod tests {
             .map(|m| m.get("bytes").unwrap().as_u64().unwrap())
             .sum();
         assert_eq!(mode_sum, out.run.total_bytes);
-        // One calibration row per aligned phase.
+        // One calibration row per aligned phase, one phase per BSP round
+        // (the termination vote books into its round's sync phase).
         let cal = json.get("calibration").unwrap();
         assert_eq!(
             cal.get("phases").unwrap().items().unwrap().len(),
             out.run.phases
         );
+        assert_eq!(out.run.phases, out.rounds as usize);
         // The document round-trips through the parser (text-level: the
         // parser reads integral floats back as unsigned integers, so the
         // trees may differ in numeric flavor while the text is stable).

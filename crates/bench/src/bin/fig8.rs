@@ -377,7 +377,8 @@ fn main() {
         &mut txt,
         &calib.section(
             "Cost-model calibration: measured vs projected comm time \
-             (CostModel::REPRO, summed over phases; per-phase rows in report.json)",
+             (CostModel::REPRO, summed over phases: one per sync call, the round's \
+             vote included; per-phase rows in report.json)",
         ),
     );
 

@@ -25,9 +25,13 @@ use gluon_trace::{Stage, Tracer, SETUP_PHASE};
 use std::time::Instant;
 
 /// Phase-record headroom reserved at setup so steady-state rounds never
-/// grow the phase log (one entry per sync or collective call; growth past
-/// this is still correct, merely no longer allocation-free).
-const PHASE_RESERVE: usize = 1024;
+/// grow the phase log (one entry per sync call; growth past this is still
+/// correct, merely no longer allocation-free). Address space the log never
+/// reaches is never touched, so the reserve is sized for a long run — two
+/// seconds of 10 µs rounds — not a short one: every doubling past it
+/// strands the outgrown buffer in the allocator's heap, which on a
+/// 140 000-round benchmark session was 2 MiB of the process's peak.
+const PHASE_RESERVE: usize = 1 << 18;
 
 /// Why a [`GluonContext::try_sync`] call failed.
 ///
@@ -767,24 +771,68 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         // exactly; otherwise keep the plain wall-clock measurement.
         let totals = seg.finish();
         let after = self.host_sent();
-        let (work_units, crit_work_units) = self.take_pending_work();
-        self.stats.phases.push(PhaseStats {
+        let comm_secs = match &totals {
+            Some(t) => t.total_ns as f64 / 1e9,
+            None => start.elapsed().as_secs_f64(),
+        };
+        self.stats.phases.push(PhaseStats::default());
+        self.book(
             compute_secs,
-            comm_secs: match &totals {
-                Some(t) => t.total_ns as f64 / 1e9,
-                None => start.elapsed().as_secs_f64(),
-            },
-            bytes_sent: after.0 - before.0,
-            messages_sent: after.1 - before.1,
-            work_units,
-            crit_work_units,
-        });
+            comm_secs,
+            after.0 - before.0,
+            after.1 - before.1,
+        );
         if let Some(t) = totals {
             self.metrics
                 .round_end(round_mark, u64::from(seq), t.stage_ns);
         }
-        self.mark = Instant::now();
         Ok(())
+    }
+
+    /// Adds what the clocks, the wire and the work meters gathered since
+    /// the last booking to the newest phase record, and restarts the
+    /// compute clock.
+    fn book(&mut self, compute_secs: f64, comm_secs: f64, bytes_sent: u64, messages_sent: u64) {
+        let (work_units, crit_work_units) = self.take_pending_work();
+        let p = self.stats.phases.last_mut().expect("a record was opened");
+        p.compute_secs += compute_secs;
+        p.comm_secs += comm_secs;
+        p.bytes_sent += bytes_sent;
+        p.messages_sent += messages_sent;
+        p.work_units += work_units;
+        p.crit_work_units += crit_work_units;
+        self.mark = Instant::now();
+    }
+
+    /// Runs one collective, timed as communication of the sync phase it
+    /// follows: a BSP round is a sync and the vote that ends it, and keeps
+    /// one phase record. (Only a collective issued before any sync opens a
+    /// record of its own.) The wait shows in the trace as a
+    /// [`Stage::Collective`] child span of that phase.
+    fn collective<R>(
+        &mut self,
+        op: impl FnOnce(&Communicator<'a, T>) -> Result<R, NetError>,
+    ) -> Result<R, NetError> {
+        let compute_secs = self.mark.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let start_ns = self.tracer.now_ns();
+        let out = op(self.comm)?;
+        self.metrics.on_collective();
+        let dur_ns = start.elapsed().as_nanos() as u64;
+        if self.stats.phases.is_empty() {
+            self.stats.phases.push(PhaseStats::default());
+        }
+        let phase = self.stats.phases.len() as u32 - 1;
+        self.tracer.record_span(
+            self.rank(),
+            phase,
+            Stage::Collective,
+            None,
+            start_ns,
+            dur_ns,
+        );
+        self.book(compute_secs, dur_ns as f64 / 1e9, 0, 0);
+        Ok(out)
     }
 
     /// Distributed termination detection: true iff `local_active` is true on
@@ -801,33 +849,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     ///
     /// Returns [`NetError`] if a peer becomes unreachable.
     pub fn try_any_globally(&mut self, local_active: bool) -> Result<bool, NetError> {
-        let compute_secs = self.mark.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let phase_idx = self.stats.phases.len() as u32;
-        let seg = Segmenter::begin(
-            &self.tracer,
-            &self.metrics,
-            self.rank(),
-            phase_idx,
-            Stage::Collective,
-        );
-        let any = self.comm.try_any(local_active)?;
-        self.metrics.on_collective();
-        let traced_ns = seg.finish().map(|t| t.total_ns);
-        let (work_units, crit_work_units) = self.take_pending_work();
-        self.stats.phases.push(PhaseStats {
-            compute_secs,
-            comm_secs: match traced_ns {
-                Some(ns) => ns as f64 / 1e9,
-                None => start.elapsed().as_secs_f64(),
-            },
-            bytes_sent: 0,
-            messages_sent: 0,
-            work_units,
-            crit_work_units,
-        });
-        self.mark = Instant::now();
-        Ok(any)
+        self.collective(|comm| comm.try_any(local_active))
     }
 
     /// Global sum over hosts (e.g. pagerank residual norms). Timed as
@@ -844,33 +866,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     ///
     /// Returns [`NetError`] if a peer becomes unreachable.
     pub fn try_sum_globally(&mut self, local: f64) -> Result<f64, NetError> {
-        let compute_secs = self.mark.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let phase_idx = self.stats.phases.len() as u32;
-        let seg = Segmenter::begin(
-            &self.tracer,
-            &self.metrics,
-            self.rank(),
-            phase_idx,
-            Stage::Collective,
-        );
-        let sum = self.comm.try_all_reduce_f64(local, |a, b| a + b)?;
-        self.metrics.on_collective();
-        let traced_ns = seg.finish().map(|t| t.total_ns);
-        let (work_units, crit_work_units) = self.take_pending_work();
-        self.stats.phases.push(PhaseStats {
-            compute_secs,
-            comm_secs: match traced_ns {
-                Some(ns) => ns as f64 / 1e9,
-                None => start.elapsed().as_secs_f64(),
-            },
-            bytes_sent: 0,
-            messages_sent: 0,
-            work_units,
-            crit_work_units,
-        });
-        self.mark = Instant::now();
-        Ok(sum)
+        self.collective(|comm| comm.try_all_reduce_f64(local, |a, b| a + b))
     }
 
     /// Books one undecodable payload from `peer` into every counter that

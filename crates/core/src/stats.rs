@@ -13,12 +13,14 @@ use serde::{Deserialize, Serialize};
 /// modern server core streaming a CSR; override per call as needed.
 pub const DEFAULT_EDGES_PER_SEC: f64 = 4.0e8;
 
-/// Statistics of one sync phase (one `sync` call on one host).
+/// Statistics of one sync phase on one host: one `sync` call and the
+/// collectives (termination vote, global sum) issued before the next one.
 #[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
 pub struct PhaseStats {
     /// Compute time since the previous phase ended (seconds).
     pub compute_secs: f64,
-    /// Time spent inside the sync call (seconds).
+    /// Time spent inside the sync call and the collectives that followed
+    /// it (seconds).
     pub comm_secs: f64,
     /// Payload bytes this host sent during the phase.
     pub bytes_sent: u64,

@@ -33,6 +33,7 @@ mod cost;
 mod detector;
 mod error;
 mod fault;
+mod inbox;
 mod jitter;
 mod reliable;
 mod socket;

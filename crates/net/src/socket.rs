@@ -18,8 +18,8 @@
 //!   to the destination's send queue; the loop drains queues into the
 //!   sockets, carrying partial writes across iterations.
 //! * **Inbound:** the loop accumulates bytes per peer, parses complete
-//!   frames, verifies their CRC, and demultiplexes payloads into the same
-//!   twin [`Stash`] indexes the in-memory backend uses, waking blocked
+//!   frames, verifies their CRC, and files payloads into the same
+//!   [`Inbox`] index the in-memory backend uses, waking blocked
 //!   receivers through a condvar.
 //! * **Supervision:** EOF or a socket error on a peer connection latches a
 //!   typed [`NetError::PeerDown`] for that rank (stamped with the last
@@ -51,9 +51,10 @@
 //! `socket_*` counters on [`NetStats`].
 
 use crate::error::NetError;
+use crate::inbox::Inbox;
 use crate::reliable::crc32_parts;
 use crate::stats::NetStats;
-use crate::transport::{Envelope, PtrEqLen, Stash, Transport};
+use crate::transport::{Envelope, Transport};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -126,12 +127,9 @@ struct Conn {
     outbuf: Vec<u8>,
 }
 
-/// Receiver-visible state: the twin stash indexes plus latched failures.
+/// Receiver-visible state: arrived messages plus latched failures.
 struct RecvState {
-    /// `(src, tag)`-keyed index serving [`Transport::try_recv`].
-    stash: Stash<(usize, u32), Bytes>,
-    /// Tag-keyed index serving the `recv_any` family.
-    stash_any: Stash<u32, (usize, Bytes)>,
+    inbox: Inbox,
     /// First terminal error observed per peer (EOF, reset, broken pipe),
     /// latched for the lifetime of the endpoint.
     dead: Vec<Option<NetError>>,
@@ -159,12 +157,10 @@ struct Shared {
 }
 
 impl Shared {
-    /// Files one received payload into the twin stash indexes and wakes
-    /// blocked receivers (mirror of the in-memory backend's `file`).
+    /// Files one received payload and wakes blocked receivers.
     fn file(&self, src: usize, tag: u32, payload: Bytes) {
         let mut st = self.state.lock().expect("socket state lock");
-        st.stash.push((src, tag), payload.clone());
-        st.stash_any.push(tag, (src, payload));
+        st.inbox.file(src, tag, payload);
         drop(st);
         self.wake.notify_all();
     }
@@ -245,8 +241,7 @@ impl SocketTransport {
             world,
             stats,
             state: Mutex::new(RecvState {
-                stash: Stash::new(),
-                stash_any: Stash::new(),
+                inbox: Inbox::new(),
                 dead: vec![None; world],
                 reported_any: vec![false; world],
             }),
@@ -279,43 +274,6 @@ impl SocketTransport {
             shared,
             pump: Some(pump),
         }
-    }
-
-    fn take_exact(&self, st: &mut RecvState, src: usize, tag: u32) -> Option<Bytes> {
-        let queue = st.stash.map.get_mut(&(src, tag))?;
-        let payload = queue.pop_front()?;
-        if queue.is_empty() {
-            st.stash.retire(&(src, tag));
-        }
-        if let Some(q) = st.stash_any.map.get_mut(&tag) {
-            if let Some(pos) = q
-                .iter()
-                .position(|(s, p)| *s == src && Bytes::ptr_eq_len(p, &payload))
-            {
-                q.remove(pos);
-            }
-            if q.is_empty() {
-                st.stash_any.retire(&tag);
-            }
-        }
-        Some(payload)
-    }
-
-    fn take_any(&self, st: &mut RecvState, tag: u32) -> Option<(usize, Bytes)> {
-        let queue = st.stash_any.map.get_mut(&tag)?;
-        let (src, payload) = queue.pop_front()?;
-        if queue.is_empty() {
-            st.stash_any.retire(&tag);
-        }
-        if let Some(q) = st.stash.map.get_mut(&(src, tag)) {
-            if let Some(pos) = q.iter().position(|p| Bytes::ptr_eq_len(p, &payload)) {
-                q.remove(pos);
-            }
-            if q.is_empty() {
-                st.stash.retire(&(src, tag));
-            }
-        }
-        Some((src, payload))
     }
 }
 
@@ -361,7 +319,7 @@ impl Transport for SocketTransport {
         loop {
             // Buffered data outranks failure: frames the peer sent before
             // dying are still delivered in order.
-            if let Some(payload) = self.take_exact(&mut st, src, tag) {
+            if let Some((_, payload)) = st.inbox.take(Some(src), tag) {
                 return Ok(payload);
             }
             if let Some(err) = st.dead[src] {
@@ -379,7 +337,7 @@ impl Transport for SocketTransport {
     fn try_recv_any(&self, tag: u32) -> Result<Envelope, NetError> {
         let mut st = self.shared.state.lock().expect("socket state lock");
         loop {
-            if let Some((src, payload)) = self.take_any(&mut st, tag) {
+            if let Some((src, payload)) = st.inbox.take(None, tag) {
                 return Ok(Envelope { src, tag, payload });
             }
             // Any dead peer fails the wait: a blocking any-recv is only
@@ -388,7 +346,7 @@ impl Transport for SocketTransport {
             // just died. Peer death is terminal for the whole BSP run, so
             // fail fast with the latched typed error — exactly the
             // per-source `try_recv` contract. Buffered frames the peer
-            // sent before dying were already drained by `take_any` above.
+            // sent before dying were already taken above.
             for p in 0..self.shared.world {
                 if p == self.shared.rank {
                     continue;
@@ -410,7 +368,7 @@ impl Transport for SocketTransport {
         let deadline = Instant::now() + timeout;
         let mut st = self.shared.state.lock().expect("socket state lock");
         loop {
-            if let Some((src, payload)) = self.take_any(&mut st, tag) {
+            if let Some((src, payload)) = st.inbox.take(None, tag) {
                 return Ok(Envelope { src, tag, payload });
             }
             // Surface each peer failure exactly once through this path:

@@ -2,9 +2,11 @@
 //!
 //! [`Transport`] is the narrow waist the rest of the workspace programs
 //! against — the role MPI/LCI play in the paper (Figure 1 shows Gluon
-//! sitting on "Network (LCI/MPI)"). The only implementation here is the
-//! in-memory [`MemoryTransport`], which simulates a cluster with one OS
-//! thread per host; a real MPI binding would slot in behind the same trait.
+//! sitting on "Network (LCI/MPI)"). This module holds the in-memory
+//! [`MemoryTransport`], which simulates a cluster with one OS thread per
+//! host; [`crate::SocketTransport`] puts separate processes behind the same
+//! trait, and [`crate::ReliableTransport`] / [`crate::FaultyTransport`] wrap
+//! either.
 //!
 //! Matching semantics mirror MPI two-sided messaging: a receive names a
 //! `(source, tag)` pair, messages between a given pair of hosts with the
@@ -12,19 +14,27 @@
 //! may be consumed out of order (they are buffered until asked for).
 
 use crate::error::NetError;
+use crate::inbox::Inbox;
 use crate::stats::NetStats;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded_with_capacity, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long a cancel-aware blocking receive sleeps between checks of the
+/// How long a parked blocking receive sleeps between checks of the
 /// cluster's [`CancelToken`]. Chosen well below any failure-detector
 /// threshold so cancellation latency is never the bottleneck.
 const CANCEL_POLL: Duration = Duration::from_millis(1);
+
+/// Polls of its inbox's arrival counter, a `yield_now` before each, that an
+/// empty-handed receive makes before it parks. Alone on its core a yield
+/// returns at once (about 0.25 µs here), so the stage lasts about as long
+/// as the futex wake that parking would cost (20–40 µs across cores);
+/// oversubscribed, every yield runs another host's thread instead. There
+/// is no busy-wait stage ahead of it: DESIGN.md, "The in-memory hand-off",
+/// has the measurement.
+const YIELD_POLLS: u32 = 128;
 
 /// A shared abort flag for one simulated cluster.
 ///
@@ -176,12 +186,43 @@ pub trait Transport: Send + Sync {
     fn stats(&self) -> &NetStats;
 }
 
-type Packet = (usize, u32, Bytes);
+/// One endpoint's receive side, reachable by every sender of its cluster.
+#[derive(Debug)]
+struct Mailbox {
+    state: Mutex<MailState>,
+    /// Signalled by a sender that found a receiver parked.
+    arrived: Condvar,
+    /// Messages ever filed here: bumped under the lock, polled without it
+    /// by a receiver that has not parked yet.
+    arrivals: AtomicU64,
+}
+
+#[derive(Debug)]
+struct MailState {
+    inbox: Inbox,
+    /// Receivers blocked on `arrived`; a sender that reads 0 skips the
+    /// wake system call.
+    parked: usize,
+    /// Set when the owning endpoint is dropped; later sends are discarded.
+    closed: bool,
+}
+
+/// What the endpoints of one cluster share.
+#[derive(Debug)]
+struct Wire {
+    /// In rank order.
+    mailboxes: Vec<Mailbox>,
+    /// Endpoints not yet dropped.
+    alive: AtomicUsize,
+}
 
 /// One host's endpoint of the in-memory cluster transport.
 ///
-/// Created in bulk by [`MemoryTransport::cluster`]; every endpoint can reach
-/// every other through unbounded FIFO channels.
+/// Created in bulk by [`MemoryTransport::cluster`]. A send files the
+/// message straight into the destination's inbox, under that inbox's lock;
+/// a receive that finds nothing polls the inbox's arrival counter, yielding
+/// its core between polls, then parks on the inbox's condvar (DESIGN.md,
+/// "The in-memory hand-off").
 ///
 /// # Examples
 ///
@@ -198,78 +239,10 @@ type Packet = (usize, u32, Bytes);
 #[derive(Debug)]
 pub struct MemoryTransport {
     rank: usize,
-    world_size: usize,
-    senders: Vec<Sender<Packet>>,
-    receiver: Receiver<Packet>,
-    /// Messages that arrived but did not match the pending `recv`.
-    stash: Mutex<Stash<(usize, u32), Bytes>>,
-    /// Stash for `recv_any`, keyed by tag only.
-    stash_any: Mutex<Stash<u32, (usize, Bytes)>>,
+    wire: Arc<Wire>,
     stats: NetStats,
     /// Shared abort flag; one token per cluster.
     cancel: CancelToken,
-}
-
-/// One stash index plus a free-list of emptied queues.
-///
-/// Sync tags cycle through a large window (and collective tags through
-/// epochs), so map keys keep appearing and disappearing far past any
-/// warm-up. Removing an emptied queue keeps the map small, but dropping
-/// it would allocate a fresh `VecDeque` ring for every future message;
-/// parking the capacity-retaining husk on `free` and handing it back out
-/// on the next insert keeps steady-state filing allocation-free. Both
-/// the map's table and a stock of queues are reserved at construction:
-/// the number of *simultaneously* pending keys depends on how far peers
-/// drift apart, which peaks long after any warm-up, so a first-touch
-/// high-water must not cost an allocation mid-run.
-#[derive(Debug)]
-pub(crate) struct Stash<K, T> {
-    pub(crate) map: HashMap<K, VecDeque<T>>,
-    free: Vec<VecDeque<T>>,
-}
-
-/// Map-table slots reserved per stash (distinct simultaneously pending
-/// `(src, tag)` keys; drift bounds this at a few per peer).
-const STASH_KEY_RESERVE: usize = 64;
-/// Pre-stocked queues on the free-list, each with a few message slots.
-const STASH_QUEUE_RESERVE: usize = 32;
-/// Message slots per pre-stocked queue (per-key queues are nearly always
-/// length 1: sync tags encode the round, so a key collects one message).
-const STASH_QUEUE_DEPTH: usize = 8;
-
-impl<K: Eq + std::hash::Hash, T> Stash<K, T> {
-    pub(crate) fn new() -> Self {
-        let mut free = Vec::with_capacity(STASH_QUEUE_RESERVE);
-        free.resize_with(STASH_QUEUE_RESERVE, || {
-            VecDeque::with_capacity(STASH_QUEUE_DEPTH)
-        });
-        Stash {
-            map: HashMap::with_capacity(STASH_KEY_RESERVE),
-            free,
-        }
-    }
-
-    /// Appends `item` to `key`'s queue, reviving a recycled queue (or, on
-    /// a cold pool, allocating one) if the key is new.
-    pub(crate) fn push(&mut self, key: K, item: T) {
-        match self.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push_back(item),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let mut q = self.free.pop().unwrap_or_default();
-                q.push_back(item);
-                e.insert(q);
-            }
-        }
-    }
-
-    /// Drops `key`'s (empty) queue from the map, parking its storage on
-    /// the free-list.
-    pub(crate) fn retire(&mut self, key: &K) {
-        if let Some(q) = self.map.remove(key) {
-            debug_assert!(q.is_empty(), "retired a non-empty stash queue");
-            self.free.push(q);
-        }
-    }
 }
 
 impl MemoryTransport {
@@ -296,28 +269,24 @@ impl MemoryTransport {
             world_size,
             "stats sized for a different cluster"
         );
-        let mut senders = Vec::with_capacity(world_size);
-        let mut receivers = Vec::with_capacity(world_size);
-        for _ in 0..world_size {
-            // Reserved up front: a host's inbound backlog (packets sent but
-            // not yet pumped) peaks when a receiver lags its peers, which
-            // happens mid-run — growing the ring then would allocate in
-            // what must be an allocation-free steady state.
-            let (tx, rx) = unbounded_with_capacity::<Packet>(1024);
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let mailbox = |_| Mailbox {
+            state: Mutex::new(MailState {
+                inbox: Inbox::new(),
+                parked: 0,
+                closed: false,
+            }),
+            arrived: Condvar::new(),
+            arrivals: AtomicU64::new(0),
+        };
+        let wire = Arc::new(Wire {
+            mailboxes: (0..world_size).map(mailbox).collect(),
+            alive: AtomicUsize::new(world_size),
+        });
         let cancel = CancelToken::new();
-        receivers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, receiver)| MemoryTransport {
+        (0..world_size)
+            .map(|rank| MemoryTransport {
                 rank,
-                world_size,
-                senders: senders.clone(),
-                receiver,
-                stash: Mutex::new(Stash::new()),
-                stash_any: Mutex::new(Stash::new()),
+                wire: Arc::clone(&wire),
                 stats: stats.clone(),
                 cancel: cancel.clone(),
             })
@@ -331,96 +300,85 @@ impl MemoryTransport {
         self.cancel.clone()
     }
 
-    /// Pulls one packet from the wire into the appropriate stash, waking up
-    /// periodically to check the cluster's [`CancelToken`] instead of
-    /// blocking indefinitely, so a failed sibling host can abort this one
-    /// promptly. A disconnected channel (every other endpoint dropped) is
-    /// reported as [`NetError::Cancelled`] too: nothing can ever arrive.
-    fn pump_cancellable(&self) -> Result<(), NetError> {
+    /// Takes the oldest message under `tag` (from `src`, if named), waiting
+    /// for one in two stages: poll the arrival counter without the lock,
+    /// offering the core between polls, then park on the condvar. Without
+    /// a `deadline` the parked stage wakes every [`CANCEL_POLL`] to look for
+    /// a tripped [`CancelToken`] or a cluster whose other endpoints are all
+    /// gone — nothing can ever arrive — and reports either as
+    /// [`NetError::Cancelled`]; with one, expiry is [`NetError::Timeout`]
+    /// and nothing else ends the wait.
+    fn recv(
+        &self,
+        src: Option<usize>,
+        tag: u32,
+        deadline: Option<Instant>,
+    ) -> Result<Envelope, NetError> {
+        let mail = &self.wire.mailboxes[self.rank];
+        let envelope = |(src, payload)| Envelope { src, tag, payload };
+        // Read before the look it guards: a message filed after the look
+        // moves the counter past `seen`.
+        let mut seen = mail.arrivals.load(Ordering::Acquire);
+        if let Some(m) = mail.state.lock().inbox.take(src, tag) {
+            return Ok(envelope(m));
+        }
+        for _ in 0..YIELD_POLLS {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(NetError::Timeout);
+            }
+            std::thread::yield_now();
+            let now = mail.arrivals.load(Ordering::Acquire);
+            if now != seen {
+                seen = now;
+                if let Some(m) = mail.state.lock().inbox.take(src, tag) {
+                    return Ok(envelope(m));
+                }
+            }
+        }
+        let mut st = mail.state.lock();
         loop {
-            // Drain without blocking first so an already-delivered packet
-            // is never delayed by the cancellation check.
-            if let Ok(packet) = self.receiver.try_recv() {
-                self.file(packet);
-                return Ok(());
+            // Buffered data outranks cancellation and expiry.
+            if let Some(m) = st.inbox.take(src, tag) {
+                return Ok(envelope(m));
             }
-            if let Some(err) = self.cancelled() {
-                return Err(err);
-            }
-            match self.receiver.recv_timeout(CANCEL_POLL) {
-                Ok(packet) => {
-                    self.file(packet);
-                    return Ok(());
+            let wait = match deadline {
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(NetError::Timeout);
+                    }
+                    left
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(NetError::Cancelled);
+                None => {
+                    if self.cancel.is_tripped() || self.alone() {
+                        return Err(NetError::Cancelled);
+                    }
+                    CANCEL_POLL
                 }
-            }
+            };
+            st.parked += 1;
+            st = mail
+                .arrived
+                .wait_timeout(st, wait)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            st.parked -= 1;
         }
     }
 
-    /// Files one wire packet into the twin stash indexes. A packet serves
-    /// either a `(src, tag)` recv or a tag-only recv_any; whichever recv
-    /// runs first takes it, removing it from the twin index.
-    fn file(&self, (src, tag, payload): Packet) {
-        self.stash.lock().push((src, tag), payload.clone());
-        self.stash_any.lock().push(tag, (src, payload));
-    }
-
-    fn take_exact(&self, src: usize, tag: u32) -> Option<Bytes> {
-        let mut stash = self.stash.lock();
-        let queue = stash.map.get_mut(&(src, tag))?;
-        let payload = queue.pop_front()?;
-        if queue.is_empty() {
-            stash.retire(&(src, tag));
-        }
-        // Remove the twin entry from the any-index.
-        let mut any = self.stash_any.lock();
-        if let Some(q) = any.map.get_mut(&tag) {
-            if let Some(pos) = q
-                .iter()
-                .position(|(s, p)| *s == src && Bytes::ptr_eq_len(p, &payload))
-            {
-                q.remove(pos);
-            }
-            if q.is_empty() {
-                any.retire(&tag);
-            }
-        }
-        Some(payload)
-    }
-
-    fn take_any(&self, tag: u32) -> Option<(usize, Bytes)> {
-        let mut any = self.stash_any.lock();
-        let queue = any.map.get_mut(&tag)?;
-        let (src, payload) = queue.pop_front()?;
-        if queue.is_empty() {
-            any.retire(&tag);
-        }
-        drop(any);
-        let mut stash = self.stash.lock();
-        if let Some(q) = stash.map.get_mut(&(src, tag)) {
-            if let Some(pos) = q.iter().position(|p| Bytes::ptr_eq_len(p, &payload)) {
-                q.remove(pos);
-            }
-            if q.is_empty() {
-                stash.retire(&(src, tag));
-            }
-        }
-        Some((src, payload))
+    /// Whether every other endpoint of a multi-host cluster was dropped.
+    fn alone(&self) -> bool {
+        self.world_size() > 1 && self.wire.alive.load(Ordering::Acquire) == 1
     }
 }
 
-/// Identity comparison helper for de-duplicating the two stash indexes.
-pub(crate) trait PtrEqLen {
-    fn ptr_eq_len(a: &Bytes, b: &Bytes) -> bool;
-}
-
-impl PtrEqLen for Bytes {
-    /// True when `a` and `b` are the same buffer (pointer and length).
-    fn ptr_eq_len(a: &Bytes, b: &Bytes) -> bool {
-        a.as_ptr() == b.as_ptr() && a.len() == b.len()
+impl Drop for MemoryTransport {
+    fn drop(&mut self) {
+        let mut st = self.wire.mailboxes[self.rank].state.lock();
+        st.closed = true;
+        st.inbox.clear();
+        drop(st);
+        self.wire.alive.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -430,72 +388,53 @@ impl Transport for MemoryTransport {
     }
 
     fn world_size(&self) -> usize {
-        self.world_size
+        self.wire.mailboxes.len()
     }
 
     fn try_send(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), NetError> {
-        assert!(dst < self.world_size, "destination rank out of range");
+        assert!(dst < self.world_size(), "destination rank out of range");
         self.stats
             .record_send(self.rank, dst, tag, payload.len() as u64);
+        let mail = &self.wire.mailboxes[dst];
+        let mut st = mail.state.lock();
         // A send to a departed endpoint vanishes silently, like a packet to
         // a crashed host on a real network. This matters during teardown: a
         // reliability layer may still be retransmitting to a peer whose
         // thread already finished and dropped its endpoint.
-        let _ = self.senders[dst].send((self.rank, tag, payload));
+        if st.closed {
+            return Ok(());
+        }
+        st.inbox.file(self.rank, tag, payload);
+        mail.arrivals.fetch_add(1, Ordering::Release);
+        let wake = st.parked > 0;
+        drop(st);
+        if wake {
+            mail.arrived.notify_all();
+        }
         Ok(())
     }
 
     /// Cancel-aware [`Transport::try_recv`]: blocks until a matching
     /// message arrives or the cluster's [`CancelToken`] trips.
     fn try_recv(&self, src: usize, tag: u32) -> Result<Bytes, NetError> {
-        assert!(src < self.world_size, "source rank out of range");
-        loop {
-            if let Some(payload) = self.take_exact(src, tag) {
-                return Ok(payload);
-            }
-            self.pump_cancellable()?;
-        }
+        assert!(src < self.world_size(), "source rank out of range");
+        self.recv(Some(src), tag, None).map(|env| env.payload)
     }
 
     /// Cancel-aware [`Transport::try_recv_any`].
     fn try_recv_any(&self, tag: u32) -> Result<Envelope, NetError> {
-        loop {
-            if let Some((src, payload)) = self.take_any(tag) {
-                return Ok(Envelope { src, tag, payload });
-            }
-            self.pump_cancellable()?;
-        }
+        self.recv(None, tag, None)
     }
 
     fn cancelled(&self) -> Option<NetError> {
         self.cancel.is_tripped().then_some(NetError::Cancelled)
     }
 
+    /// A zero timeout still observes what has arrived — the reliability
+    /// layer polls this way to collect ACKs without waiting. Every peer
+    /// endpoint being gone is silence like any other: the wait runs out.
     fn try_recv_any_timeout(&self, tag: u32, timeout: Duration) -> Result<Envelope, NetError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            // Drain everything already on the wire first, so that a
-            // zero-timeout call still observes packets that have arrived —
-            // the reliability layer polls this way to collect ACKs without
-            // waiting.
-            while let Ok(packet) = self.receiver.try_recv() {
-                self.file(packet);
-            }
-            if let Some((src, payload)) = self.take_any(tag) {
-                return Ok(Envelope { src, tag, payload });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout);
-            }
-            match self.receiver.recv_timeout(deadline - now) {
-                Ok(packet) => self.file(packet),
-                // Timed out, or every peer endpoint is gone: either way
-                // nothing more can arrive within the deadline, which is
-                // silence, not failure.
-                Err(_) => return Err(NetError::Timeout),
-            }
-        }
+        self.recv(None, tag, Some(Instant::now() + timeout))
     }
 
     fn stats(&self) -> &NetStats {
@@ -566,19 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_and_recv_share_one_message_pool() {
-        let mut eps = MemoryTransport::cluster(2);
-        let b = eps.pop().expect("two endpoints");
-        let a = eps.pop().expect("two endpoints");
-        send(&a, 1, 3, b"only");
-        let env = b.try_recv_any(3).expect("delivered");
-        assert_eq!(env.src, 0);
-        // The message must not be receivable twice.
-        send(&a, 1, 3, b"next");
-        assert_eq!(&recv(&b, 0, 3)[..], b"next");
-    }
-
-    #[test]
     fn self_send_works() {
         let mut eps = MemoryTransport::cluster(1);
         let a = eps.pop().expect("one endpoint");
@@ -628,22 +554,6 @@ mod tests {
                 .unwrap_err(),
             NetError::Timeout
         );
-    }
-
-    /// The sync schedule's drain hook: silence is `Ok(None)`, an
-    /// already-arrived frame is returned without blocking, and the
-    /// message pool is shared with the blocking receives.
-    #[test]
-    fn recv_any_now_polls_without_blocking() {
-        let mut eps = MemoryTransport::cluster(2);
-        let b = eps.pop().expect("two endpoints");
-        let a = eps.pop().expect("two endpoints");
-        assert_eq!(b.try_recv_any_now(4).expect("poll"), None);
-        send(&a, 1, 4, b"early");
-        let env = b.try_recv_any_now(4).expect("poll").expect("buffered");
-        assert_eq!(env.src, 0);
-        assert_eq!(&env.payload[..], b"early");
-        assert_eq!(b.try_recv_any_now(4).expect("poll"), None);
     }
 
     #[test]

@@ -271,8 +271,6 @@ fn build_local(host: usize, ctx: &PolicyCtx, edges: &HostEdges<'_>) -> LocalGrap
         }
     }
     drop(marks);
-    let mut owner = vec![host; num_masters as usize];
-    owner.extend(mirror_gids.iter().map(|&g| ctx.master_of(g)));
     gids.append(&mut mirror_gids);
 
     let local_csr = build_csr(
@@ -292,8 +290,8 @@ fn build_local(host: usize, ctx: &PolicyCtx, edges: &HostEdges<'_>) -> LocalGrap
         graph.num_edges(),
         local_csr,
         gids,
-        owner,
         num_masters,
+        |g| ctx.master_of(g),
     )
 }
 

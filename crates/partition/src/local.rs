@@ -73,8 +73,9 @@ pub struct LocalGraph {
     /// lid -> gid; the master prefix and the mirror suffix are each sorted,
     /// which is what [`LocalGraph::lid`] searches.
     gids: Vec<Gid>,
-    /// lid -> host owning the master proxy.
-    owner: Vec<HostId>,
+    /// Mirror `num_masters + i` -> host owning its master proxy; every
+    /// master is owned by `host`, so only the mirror suffix is stored.
+    mirror_owner: Vec<u16>,
     num_masters: u32,
     /// lid -> has at least one local outgoing edge.
     has_out: Vec<bool>,
@@ -88,7 +89,8 @@ impl LocalGraph {
     /// # Panics
     ///
     /// Panics if the parts disagree in length or ordering (masters first,
-    /// each range sorted by gid).
+    /// each range sorted by gid), or if `master_of` places a mirror's master
+    /// on this host.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         host: HostId,
@@ -98,11 +100,10 @@ impl LocalGraph {
         global_edges: u64,
         graph: Csr,
         gids: Vec<Gid>,
-        owner: Vec<HostId>,
         num_masters: u32,
+        master_of: impl Fn(Gid) -> HostId,
     ) -> Self {
         assert_eq!(graph.num_nodes() as usize, gids.len(), "gids per proxy");
-        assert_eq!(gids.len(), owner.len(), "owner per proxy");
         assert!(num_masters as usize <= gids.len(), "masters within range");
         assert!(
             gids[..num_masters as usize].windows(2).all(|w| w[0] < w[1]),
@@ -112,12 +113,12 @@ impl LocalGraph {
             gids[num_masters as usize..].windows(2).all(|w| w[0] < w[1]),
             "mirrors must be sorted by gid"
         );
+        let mirror_owner: Vec<u16> = gids[num_masters as usize..]
+            .iter()
+            .map(|&g| u16::try_from(master_of(g)).expect("host ranks fit 16 bits"))
+            .collect();
         assert!(
-            owner[..num_masters as usize].iter().all(|&o| o == host),
-            "master proxies must be owned locally"
-        );
-        assert!(
-            owner[num_masters as usize..].iter().all(|&o| o != host),
+            mirror_owner.iter().all(|&o| usize::from(o) != host),
             "mirror proxies must be owned remotely"
         );
         assert!(
@@ -138,7 +139,7 @@ impl LocalGraph {
             graph,
             transpose: None,
             gids,
-            owner,
+            mirror_owner,
             num_masters,
             has_out,
             has_in,
@@ -237,7 +238,10 @@ impl LocalGraph {
     /// Host owning the master proxy of `lid`.
     #[inline]
     pub fn owner_of(&self, lid: Lid) -> HostId {
-        self.owner[lid.index()]
+        match lid.index().checked_sub(self.num_masters as usize) {
+            Some(mirror) => HostId::from(self.mirror_owner[mirror]),
+            None => self.host,
+        }
     }
 
     /// Global id of proxy `lid`.

@@ -45,16 +45,11 @@ fn oracle_build_local(
     }
     mirror_gids.sort_unstable();
 
-    let mut gids = Vec::new();
-    let mut owner = Vec::new();
-    for &g in &master_gids {
-        gids.push(Gid(g));
-        owner.push(host);
-    }
-    for &g in &mirror_gids {
-        gids.push(Gid(g));
-        owner.push(ctx.master_of(Gid(g)));
-    }
+    let gids: Vec<Gid> = master_gids
+        .iter()
+        .chain(&mirror_gids)
+        .map(|&g| Gid(g))
+        .collect();
     let lid_of = |g: u32| -> u32 {
         match master_gids.binary_search(&g) {
             Ok(i) => i as u32,
@@ -92,8 +87,8 @@ fn oracle_build_local(
         graph.num_edges(),
         Csr::from_parts(offsets, targets, weights),
         gids,
-        owner,
         master_gids.len() as u32,
+        |g| ctx.master_of(g),
     )
 }
 

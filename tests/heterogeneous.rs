@@ -41,8 +41,10 @@ fn mixed_engines_align_sync_phases() {
         &[EngineKind::Galois, EngineKind::Irgl, EngineKind::Ligra],
         source,
     );
+    // One record per BSP round on every host, whatever its engine: the
+    // termination vote books into the round's sync phase.
     let phases: Vec<usize> = out.host_stats.iter().map(|h| h.num_phases()).collect();
-    assert!(phases.windows(2).all(|w| w[0] == w[1]), "{phases:?}");
+    assert_eq!(phases, vec![out.rounds as usize; 3]);
 }
 
 #[test]

@@ -22,6 +22,9 @@
 //!   and the bins' activation list became a bitmap drain. Labels, rounds,
 //!   wire traffic and metered work per (algorithm, engine, policy, hosts)
 //!   must not move.
+//! * `GRID`: bfs on a grid at two and at eight hosts, recorded before the
+//!   in-memory transport's receive learned to poll, yielding its core,
+//!   ahead of parking; eight hosts oversubscribe any box the suite runs on.
 
 use gluon_suite::algos::driver::{DistOutcome, Run};
 use gluon_suite::algos::{Algorithm, EngineKind};
@@ -246,6 +249,22 @@ fn detours_isolated_vertices_and_edgeless_proxies_match_the_pre_kernel_record() 
     }
 }
 
+/// Eight hosts on a box with two cores: a receive that finds nothing must
+/// hand its core to the host it waits for, or the run crawls. A 64×64 grid is 127 rounds of a few frontier
+/// members each, so the run is nothing but hand-offs; the level-synchronous
+/// Ligra arm makes labels and rounds independent of the host count.
+#[test]
+fn oversubscribed_grid_bfs_matches_the_two_host_record() {
+    let [two, eight] = GRID;
+    assert_eq!((two.2, two.3), (eight.2, eight.3), "labels and rounds");
+    check(
+        &gen::grid(64, 64),
+        Algorithm::Bfs,
+        &[EngineKind::Ligra],
+        &GRID,
+    );
+}
+
 /// Results-only identity for runs whose wire totals legitimately differ
 /// from the clean run (retransmissions under chaos, replayed rounds after
 /// crash recovery).
@@ -317,6 +336,12 @@ fn crash_recovery_matches_the_clean_run() {
     assert!(!out.degraded, "full recovery must not be degraded");
     assert_same_results(&out, &clean, "crash recovery");
 }
+
+#[rustfmt::skip]
+const GRID: [Golden; 2] = [
+    (Policy::Oec, 2, 0x7c9e_b672_11f2_5525, 127, 506, 127, 6_069),
+    (Policy::Oec, 8, 0x7c9e_b672_11f2_5525, 127, 3_542, 889, 1_977),
+];
 
 #[rustfmt::skip]
 const RMAT10: [Golden; 9] = [

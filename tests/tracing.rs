@@ -98,12 +98,27 @@ fn setup_and_collective_spans_are_recorded() {
     let g = gen::rmat(7, 6, Default::default(), 3);
     let cfg = DistConfig::new(4);
     let tracer = Tracer::new(cfg.hosts);
-    driver::Run::new(&g, Algorithm::Bfs)
+    let out = driver::Run::new(&g, Algorithm::Bfs)
         .config(&cfg)
         .tracer(&tracer)
         .launch();
     let spans = tracer.spans();
     for host in 0..cfg.hosts {
+        // One stats record and one `Sync` parent span per BSP round; the
+        // vote that ends the round is a child span of that same phase.
+        let phases = out.host_stats[host].num_phases();
+        assert_eq!(phases, out.rounds as usize, "host {host}: records");
+        let parents = spans
+            .iter()
+            .filter(|s| s.host == host && s.stage == Stage::Sync)
+            .count();
+        assert_eq!(parents, phases, "host {host}: Sync parent spans");
+        let votes: Vec<u32> = spans
+            .iter()
+            .filter(|s| s.host == host && s.stage == Stage::Collective)
+            .map(|s| s.phase)
+            .collect();
+        assert_eq!(votes, (0..phases as u32).collect::<Vec<_>>(), "host {host}");
         assert!(
             spans
                 .iter()
@@ -125,13 +140,6 @@ fn setup_and_collective_spans_are_recorded() {
         assert!(
             partition[0].start_ns + partition[0].dur_ns <= memo.start_ns,
             "host {host}: partition span overlaps the memo span"
-        );
-        // BFS terminates via any_globally, which is a traced collective.
-        assert!(
-            spans
-                .iter()
-                .any(|s| s.host == host && s.stage == Stage::Collective),
-            "host {host}: collective span missing"
         );
     }
     assert!(tracer.barrier_wait_secs() >= 0.0);
