@@ -308,13 +308,14 @@ pub fn try_pagerank<T: Transport + ?Sized>(
     // `rank[u] / max(gdeg[u], 1)`, divided once per proxy instead of once
     // per edge, so the sweep below reads one `u32` and one `f64` per edge.
     let mut outgoing = vec![0.0f64; n];
-    let mut contrib_bits = DenseBitset::new(lg.num_proxies());
+    // The gather writes every proxy with a local in-edge each iteration,
+    // so that set is the reduce's dirty set, copied in once per iteration.
+    let mut has_in = DenseBitset::new(lg.num_proxies());
+    for v in lg.proxies().filter(|&v| lg.has_local_in_edges(v)) {
+        has_in.set(v);
+    }
+    let mut contrib_bits = has_in.clone();
     let mut rank_bits = DenseBitset::new(lg.num_proxies());
-    // The item list the worklist engines sweep (Ligra sweeps label slots).
-    let proxies: Vec<Lid> = match engine {
-        EngineKind::Ligra => Vec::new(),
-        EngineKind::Galois | EngineKind::Irgl => lg.proxies().collect(),
-    };
     let pool = ctx.pool().clone();
     // Checked out for the whole iteration loop; an error path drops the
     // scratch instead of pooling it (the supervisor rebuilds the context).
@@ -325,65 +326,27 @@ pub fn try_pagerank<T: Transport + ?Sized>(
         for ((out, &r), &deg) in outgoing.iter_mut().zip(&rank).zip(&gdeg) {
             *out = r / f64::from(deg.max(1));
         }
-        // Pull phase: the partial contribution sum of every proxy with
-        // local in-edges, folded from 0.0 in in-edge order, so the f64
-        // result is bit-identical at any thread count and under every
-        // engine. `contrib` is assigned (not accumulated) per round; the
-        // engines differ only in how they chunk and meter the sweep.
-        let gather = |v: Lid| -> Option<f64> {
-            let sources = lg.in_sources(v);
-            if sources.is_empty() {
-                return None;
-            }
-            let mut sum = 0.0f64;
-            for &u in sources {
-                sum += outgoing[u as usize];
-            }
-            Some(sum)
-        };
-        let assign = |_v: Lid, sum: f64, slot: &mut f64| {
-            *slot = sum;
-            true
+        // Pull phase: every destination folds its in-sources from 0.0 in
+        // in-edge order and assigns its own slot, so the f64 sums are
+        // bit-identical at any thread count and under every engine. A
+        // proxy without in-edges assigns the 0.0 its slot already holds:
+        // the apply loop zeroes every master, and a mirror's slot is
+        // written by nothing else but the reduce's reset to 0.0. Nothing
+        // is activated: the dirty set is `has_in`.
+        let gather = |v: Lid, slot: &mut f64| {
+            *slot = lg
+                .in_sources(v)
+                .iter()
+                .fold(0.0, |sum, &u| sum + outgoing[u as usize]);
+            false
         };
         match engine {
-            EngineKind::Ligra => {
-                ligra::vertex_map_pull_pooled(lg, &pool, &mut bins, &mut contrib, |v, slot| {
-                    gather(v).is_some_and(|sum| assign(v, sum, slot))
-                });
+            EngineKind::Irgl => device.kernel_pull_all(lg, &pool, &mut bins, &mut contrib, gather),
+            EngineKind::Galois | EngineKind::Ligra => {
+                ligra::vertex_map_pull_pooled(lg, &pool, &mut bins, &mut contrib, gather);
             }
-            EngineKind::Galois => galois::do_all_binned(
-                &pool,
-                &mut bins,
-                &proxies,
-                &mut contrib,
-                |v| u64::from(lg.in_degree(v)),
-                |chunk, _contrib, sink| {
-                    for &v in chunk {
-                        if let Some(sum) = gather(v) {
-                            sink.push(v, sum);
-                        }
-                    }
-                },
-                assign,
-            ),
-            EngineKind::Irgl => device.kernel_par_binned(
-                lg,
-                &pool,
-                &mut bins,
-                &proxies,
-                &mut contrib,
-                |v, _lg, _contrib, sink| {
-                    if let Some(sum) = gather(v) {
-                        sink.push(v, sum);
-                    }
-                },
-                assign,
-            ),
         }
-        contrib_bits.clear_all();
-        for &v in bins.activated() {
-            contrib_bits.set(v);
-        }
+        contrib_bits.copy_from_words(has_in.words());
         // Reduce partial sums to masters; the contributions are consumed
         // there, so no broadcast of `contrib` is ever needed.
         {

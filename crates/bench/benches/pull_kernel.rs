@@ -5,19 +5,26 @@
 //!   gather-sum over in-source slices, the master apply. Reported as
 //!   ns/edge and Medges/s at 1 and 4 pool threads. The floor is one
 //!   sequential `u32` and one random `f64` read per edge.
-//! * **All-dirty encode** — `encode_memoized_into` with every list entry
-//!   updated and distinct `f64` values, which is what every pagerank sync
-//!   and every dense-frontier sync hands the codec. Reported as ns/update;
-//!   the floor is one gather of the values plus one copy into the payload.
+//! * **Encode** — `encode_memoized_into` with distinct `f64` values and
+//!   every list entry updated (what every pagerank contribution reduce
+//!   hands the codec: a `Dense` body), then about 70 % of them scattered
+//!   (a converging rank broadcast: a `Bitvec` body). Reported as
+//!   ns/update; the floor is one read of each value, written once.
+//! * **Receive** — one frame of each shape reduced into a sum field
+//!   through an agreed list, two ways: decoded into a `(lid, value)` table
+//!   that a second pass applies (the staged receive), and decoded straight
+//!   into the field (the receive `GluonContext::sync` runs). Reported as
+//!   ns/update.
 //!
 //! `-- --quick` swaps the rmat18 stand-in for rmat12 so CI can run the
 //! whole file in a second; its numbers mean nothing.
 
-use gluon::encode::{encode_memoized_into, EncodeScratch, WireMode};
-use gluon::{GluonContext, OptLevel, Pool};
+use gluon::encode::WireMode;
+use gluon::encode::{decode_memoized_scratch, encode_memoized_into, DecodeScratch, EncodeScratch};
+use gluon::{DenseBitset, FieldSync, GluonContext, OptLevel, Pool, SumField};
 use gluon_algos::apps::{pagerank, PagerankConfig};
 use gluon_algos::EngineKind;
-use gluon_graph::{gen, RmatProbs};
+use gluon_graph::{gen, Lid, RmatProbs};
 use gluon_net::{run_cluster, Communicator};
 use gluon_partition::{partition_all, Policy};
 use std::hint::black_box;
@@ -70,19 +77,64 @@ fn bench_sweep(scale: u32) {
     }
 }
 
-fn bench_encode(scale: u32) {
+fn bench_codec(scale: u32) {
     let n = 1usize << scale;
     let values: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
-    let updated: Vec<u32> = (0..n as u32).collect();
+    let all: Vec<u32> = (0..n as u32).collect();
+    let most: Vec<u32> = (0..n as u32)
+        .filter(|p| (p.wrapping_mul(2_654_435_761) >> 7) % 10 < 7)
+        .collect();
+    let list: Vec<Lid> = (0..n as u32).map(Lid).collect();
     let mut scratch = EncodeScratch::default();
-    let mut out = Vec::new();
-    let secs = fastest(|| {
-        encode_memoized_into(n, &updated, |p| values[p], true, &mut scratch, &mut out);
-        black_box(&out);
-    });
-    assert_eq!(WireMode::of(&out), WireMode::Dense);
-    println!("\nall-dirty encode_memoized_into ({n} f64 entries, best of {REPS})");
-    println!("{:>10.3} ns/update", secs * 1e9 / n as f64);
+    let mut dec = DecodeScratch::default();
+    let mut field = vec![0.0f64; n];
+    let mut dirty = DenseBitset::new(n as u32);
+    let mut table: Vec<(Lid, f64)> = Vec::new();
+    println!("\nf64 codec over a {n}-entry list, ns/update (best of {REPS})");
+    println!(
+        "{:>8} {:>8} {:>10} {:>10} {:>10}",
+        "dirty", "mode", "encode", "staged rx", "fused rx"
+    );
+    for (name, updated, mode) in [
+        ("100 %", &all, WireMode::Dense),
+        ("~70 %", &most, WireMode::Bitvec),
+    ] {
+        let mut out = Vec::new();
+        let encode = fastest(|| {
+            encode_memoized_into(n, updated, |p| values[p], true, &mut scratch, &mut out);
+            black_box(&out);
+        });
+        assert_eq!(WireMode::of(&out), mode);
+        let staged = fastest(|| {
+            table.clear();
+            decode_memoized_scratch::<f64>(&out, n, &mut dec, &mut |p, v| table.push((list[p], v)))
+                .expect("own payload decodes");
+            let mut sums = SumField::new(&mut field);
+            for &(lid, v) in &table {
+                if sums.reduce(lid, v) {
+                    dirty.set(lid);
+                }
+            }
+        });
+        let fused = fastest(|| {
+            let mut sums = SumField::new(&mut field);
+            decode_memoized_scratch::<f64>(&out, n, &mut dec, &mut |p, v| {
+                if sums.reduce(list[p], v) {
+                    dirty.set(list[p]);
+                }
+            })
+            .expect("own payload decodes");
+        });
+        let per = |secs: f64| secs * 1e9 / updated.len() as f64;
+        println!(
+            "{name:>8} {:>8} {:>10.3} {:>10.3} {:>10.3}",
+            mode.name(),
+            per(encode),
+            per(staged),
+            per(fused)
+        );
+    }
+    black_box((&field, &dirty));
 }
 
 fn main() {
@@ -92,5 +144,5 @@ fn main() {
         18
     };
     bench_sweep(scale);
-    bench_encode(scale);
+    bench_codec(scale);
 }

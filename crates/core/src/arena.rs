@@ -5,15 +5,14 @@
 //! therefore every proxy list — never changes after setup. The memory-side
 //! consequence is that the *shapes* of all sync buffers are stable too:
 //! the dirty-position scan, the encode scratch, the wire payload, the
-//! decode staging — all of them reach a high-water size within a couple of
+//! decode scratch — all of them reach a high-water size within a couple of
 //! rounds and never need to grow again. [`SyncArena`] exploits that by
 //! keeping every per-peer buffer alive between `sync` calls, keyed by
 //! `(field name, value type)`:
 //!
 //! * `updated_pos` — the positions of dirty proxies in the agreed list;
 //! * [`EncodeScratch`] / [`DecodeScratch`] — codec workspaces;
-//! * `entries` / `gid_pairs` — decoded `(lid, value)` staging and the
-//!   non-memoized global-ID translation table;
+//! * `gid_pairs` — the non-memoized global-ID translation table;
 //! * `send_slots` — the *wire payloads themselves*: a small ring of
 //!   recyclable [`Bytes`] per (peer, pattern). A payload handed to the
 //!   transport is consumed by the peer within a round or two; once the
@@ -39,9 +38,9 @@
 //! counters, and labels of a round over fresh ones. `tests/alloc_guard.rs`
 //! holds the steady state to zero allocations.
 
-use crate::encode::{DecodeError, DecodeScratch, EncodeScratch};
+use crate::encode::{DecodeScratch, EncodeScratch};
 use bytes::Bytes;
-use gluon_graph::{Gid, Lid};
+use gluon_graph::Gid;
 use std::any::{Any, TypeId};
 
 /// Number of sync calls per field after which the steady state is
@@ -65,12 +64,12 @@ pub(crate) const SLOT_RING_CAP: usize = 8;
 /// The receive side lives in [`RecvScratch`], deliberately a separate
 /// struct in a separate vector: the sync schedule keeps the whole
 /// send-side table borrowed by pool workers while the calling thread
-/// eagerly decodes arriving frames into the receive side, and the split
-/// is what makes those two borrows disjoint.
+/// files arriving frames into the receive side, and the split is what
+/// makes those two borrows disjoint.
 pub(crate) struct PeerScratch<V> {
     /// Positions (indices into the agreed proxy list) of dirty proxies.
     pub updated_pos: Vec<u32>,
-    /// Encoder workspace (value packing, bitvec, run lengths).
+    /// Encoder workspace (position metadata staging).
     pub enc: EncodeScratch,
     /// Global-ID translation table for the non-memoized send path.
     pub gid_pairs: Vec<(Gid, V)>,
@@ -122,39 +121,17 @@ impl<V> PeerScratch<V> {
 
 /// Reusable per-peer **receive-side** scratch of one synchronized field
 /// (see [`PeerScratch`] for why the two sides are separate structs).
-pub(crate) struct RecvScratch<V> {
+#[derive(Default)]
+pub(crate) struct RecvScratch {
     /// Decoder workspace (position/run validation buffers).
     pub dec: DecodeScratch,
-    /// Decoded `(lid, value)` staging, applied in rank order.
-    pub entries: Vec<(Lid, V)>,
-    /// Per-call staging: the payload received from this peer. Always
-    /// `None` between calls.
+    /// Per-call staging: this peer's frame, held as bytes until its rank
+    /// comes up. Always `None` between calls.
     pub payload: Option<Bytes>,
-    /// Per-call staging: the decode failure of this peer's payload.
-    pub decode_err: Option<DecodeError>,
     /// Per-call staging: whether this peer's frame has already arrived
-    /// and been decoded this pattern — the duplicate guard for
-    /// `recv_any`-based draining on unprotected transports.
-    pub decoded: bool,
-}
-
-impl<V> Default for RecvScratch<V> {
-    fn default() -> Self {
-        RecvScratch {
-            dec: DecodeScratch::default(),
-            entries: Vec::new(),
-            payload: None,
-            decode_err: None,
-            decoded: false,
-        }
-    }
-}
-
-impl<V> RecvScratch<V> {
-    /// Current pooled footprint of this peer's receive buffers, in bytes.
-    fn footprint_bytes(&self) -> usize {
-        self.dec.capacity_bytes() + self.entries.capacity() * std::mem::size_of::<(Lid, V)>()
-    }
+    /// this pattern — the duplicate guard for `recv_any`-based draining
+    /// on unprotected transports.
+    pub arrived: bool,
 }
 
 /// All pooled buffers of one synchronized field: one send-side
@@ -167,7 +144,7 @@ pub(crate) struct FieldArena<V> {
     pub peers: Vec<PeerScratch<V>>,
     /// Receive-side scratch, indexed by peer rank; grown once to the
     /// world size.
-    pub recv: Vec<RecvScratch<V>>,
+    pub recv: Vec<RecvScratch>,
     /// Number of sync calls this field has performed.
     pub rounds: u64,
 }
@@ -202,7 +179,7 @@ impl<V> FieldArena<V> {
             + self
                 .recv
                 .iter()
-                .map(RecvScratch::footprint_bytes)
+                .map(|r| r.dec.capacity_bytes())
                 .sum::<usize>()
     }
 }

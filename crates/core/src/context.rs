@@ -7,8 +7,8 @@ use crate::bitset::DenseBitset;
 use crate::checkpoint::{CheckpointSnapshot, CheckpointStore};
 use crate::comm_tags::{sync_tag, SYNC_TAG_WINDOW};
 use crate::encode::{
-    decode_gid_values, decode_memoized_scratch, encode_gid_values_into, encode_memoized_into,
-    DecodeError, DecodeScratch, EncodeScratch, WireMode,
+    decode_gid_values, encode_gid_values_into, validate_memoized, DecodeError, DecodeScratch,
+    EncodeScratch, MemoEncoder, WireMode,
 };
 use crate::field::FieldSync;
 use crate::memo::{FlagFilter, MemoTable};
@@ -967,13 +967,12 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     }
 
     /// One reduce or broadcast pattern: each peer's extract→encode→send
-    /// chain issues as soon as its payload is ready, arriving frames are
-    /// drained and decoded eagerly whenever this host would otherwise
-    /// idle, and only the apply step is held to strict rank order.
-    /// Rank-ordered apply — plus order-independent send accounting and
-    /// rank-ordered first-error selection — is what keeps results
-    /// bit-identical at every thread count and arrival order (see
-    /// DESIGN.md, "The sync schedule").
+    /// chain issues as soon as its payload is ready, and each arriving
+    /// frame is held until every lower rank's frame has been applied, then
+    /// decoded straight into the field. Rank-ordered apply — plus
+    /// order-independent send accounting and rank-ordered first-error
+    /// selection — is what keeps results bit-identical at every thread
+    /// count and arrival order (see DESIGN.md, "The sync schedule").
     #[allow(clippy::too_many_arguments)]
     fn sync_pattern<F: FieldSync>(
         &mut self,
@@ -1004,19 +1003,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             ),
         };
         let FieldArena { peers, recv, .. } = fa;
-        // One frame is expected from every peer whose agreed list toward
-        // us is non-empty (the sender skips empty lists symmetrically);
-        // reset the per-pattern receive staging.
-        let mut pending = 0usize;
-        for (h, list) in recv_lists.iter().enumerate() {
-            let rs = &mut recv[h];
-            rs.payload = None;
-            rs.decode_err = None;
-            rs.decoded = false;
-            if h != rank && !list.is_empty() {
-                pending += 1;
-            }
-        }
+        let mut rx = Receiver::new(rank, role, temporal, graph, recv_lists, recv);
         let transport = self.comm.transport();
         if self.pool.is_parallel() && self.pool.spawns() {
             // Spawning pool: payloads are built on workers, and the
@@ -1024,11 +1011,12 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             // completion order, not rank order, which is safe because the
             // payload bytes are fixed per peer and the accounting is
             // order-independent. Between completions the calling thread
-            // drains frames that have already arrived. The mirror resets
-            // are deferred past the region (the workers still hold the
-            // field shared); per-peer reduce lists are disjoint, so
-            // resetting after every extraction has finished is equivalent
-            // to resetting each peer right after its own extraction.
+            // files frames that have already arrived; they are applied once
+            // the workers release the field. The mirror resets are deferred
+            // past the region for the same reason; per-peer reduce lists
+            // are disjoint, so resetting after every extraction has
+            // finished is equivalent to resetting each peer right after
+            // its own extraction.
             seg.stage(Stage::Extract, None);
             let field_ref: &F = field;
             let updated_ref: &DenseBitset = updated;
@@ -1066,16 +1054,9 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                     if let Err(e) = transport.try_send(h, tag, payload) {
                         io_err = Some(e);
                     }
-                    while pending > 0 && io_err.is_none() {
+                    while rx.pending > 0 && io_err.is_none() {
                         match transport.try_recv_any_now(tag) {
-                            Ok(Some(env)) => {
-                                seg.stage(Stage::Decode, Some(env.src));
-                                if eager_decode_frame::<F::Value>(
-                                    temporal, graph, rank, recv_lists, recv, env,
-                                ) {
-                                    pending -= 1;
-                                }
-                            }
+                            Ok(Some(env)) => rx.hold(env),
                             Ok(None) => break,
                             Err(e) => io_err = Some(e),
                         }
@@ -1099,8 +1080,10 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             }
         } else {
             // Sequential (or inline-parallel) pool: peers are prepared,
-            // reset, and shipped in rank order; after each send, drain
-            // whatever already arrived before extracting the next peer.
+            // reset, and shipped in rank order; after each send, file
+            // whatever already arrived and apply what is next in rank
+            // order before extracting the next peer. Applying touches only
+            // the receive lists, which are disjoint from every send list.
             for (h, list) in send_lists.iter().enumerate() {
                 if h == rank || list.is_empty() {
                     continue;
@@ -1125,25 +1108,19 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                 }
                 seg.stage(Stage::Send, Some(h));
                 transport.try_send(h, tag, payload)?;
-                while pending > 0 {
+                while rx.pending > 0 {
                     match transport.try_recv_any_now(tag)? {
-                        Some(env) => {
-                            seg.stage(Stage::Decode, Some(env.src));
-                            if eager_decode_frame::<F::Value>(
-                                temporal, graph, rank, recv_lists, recv, env,
-                            ) {
-                                pending -= 1;
-                            }
-                        }
+                        Some(env) => rx.hold(env),
                         None => break,
                     }
                 }
+                rx.apply_ready(field, updated, seg);
             }
         }
-        // Drain the remaining frames, decoding each as it arrives — the
-        // eager half of the receive side; only the apply below waits for
-        // rank order.
-        while pending > 0 {
+        // Drain the remaining frames; each one is applied as soon as every
+        // lower rank's frame has been.
+        rx.apply_ready(field, updated, seg);
+        while rx.pending > 0 {
             let env = match transport.try_recv_any_now(tag)? {
                 Some(env) => env,
                 None => {
@@ -1151,47 +1128,13 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                     transport.try_recv_any(tag)?
                 }
             };
-            seg.stage(Stage::Decode, Some(env.src));
-            if eager_decode_frame::<F::Value>(temporal, graph, rank, recv_lists, recv, env) {
-                pending -= 1;
-            }
+            rx.hold(env);
+            rx.apply_ready(field, updated, seg);
         }
-        // Apply strictly in rank order: one fixed combination order, so
-        // reductions over non-associative values (floats) stay
-        // bit-identical whatever the arrival order — and the first
-        // malformed payload in rank order wins, so the surfaced error
-        // does not depend on arrival order either.
-        for (h, list) in recv_lists.iter().enumerate() {
-            if h == rank || list.is_empty() {
-                continue;
-            }
-            let rs = &mut recv[h];
-            if let Some(e) = rs.decode_err.take() {
-                let len = rs.payload.as_ref().map_or(0, |p| p.len());
-                return Err(self.decode_failed(h, len, e));
-            }
-            seg.stage(Stage::Apply, Some(h));
-            match role {
-                PatternRole::MirrorToMaster => {
-                    for &(lid, v) in rs.entries.iter() {
-                        if field.reduce(lid, v) {
-                            updated.set(lid);
-                        }
-                    }
-                }
-                PatternRole::MasterToMirror => {
-                    for &(lid, v) in rs.entries.iter() {
-                        field.set(lid, v);
-                        updated.set(lid);
-                    }
-                }
-            }
-            rs.entries.clear();
-            // Dropping our handle is what lets the sender's slot recycle
-            // this buffer next round.
-            rs.payload = None;
+        match rx.failed {
+            Some((peer, len, error)) => Err(self.decode_failed(peer, len, error)),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -1227,13 +1170,21 @@ fn prepare_send_peer<F: FieldSync>(
         recycled,
         ..
     } = ps;
-    stage(Stage::Extract);
-    updated_pos.clear();
-    for (i, &lid) in list.iter().enumerate() {
-        if updated.test(lid) {
-            updated_pos.push(i as u32);
-        }
-    }
+    let mut fill = |out: &mut Vec<u8>| {
+        fill_payload::<F>(
+            graph,
+            temporal,
+            compress,
+            list,
+            field,
+            updated,
+            updated_pos,
+            enc,
+            gid_pairs,
+            out,
+            stage,
+        );
+    };
     let ring = &mut send_slots[pat as usize];
     let reuse = ring
         .iter_mut()
@@ -1242,20 +1193,10 @@ fn prepare_send_peer<F: FieldSync>(
     *recycled = reuse.is_some();
     let bytes = match reuse {
         Some(mut bytes) => {
-            let out = bytes
-                .try_unique_vec()
-                .expect("buffer uniqueness cannot be lost while we hold the sole handle");
-            fill_payload::<F>(
-                graph,
-                temporal,
-                compress,
-                list,
-                field,
-                updated_pos,
-                enc,
-                gid_pairs,
-                out,
-                stage,
+            fill(
+                bytes
+                    .try_unique_vec()
+                    .expect("buffer uniqueness cannot be lost while we hold the sole handle"),
             );
             bytes
         }
@@ -1263,20 +1204,13 @@ fn prepare_send_peer<F: FieldSync>(
             // Every pooled buffer is still held by a consumer (a lagging
             // peer, a history log) — or the ring is empty (warm-up).
             // Build into a fresh buffer and let the ring deepen to the
-            // observed in-flight depth. Same bytes either way.
-            let mut out = Vec::new();
-            fill_payload::<F>(
-                graph,
-                temporal,
-                compress,
-                list,
-                field,
-                updated_pos,
-                enc,
-                gid_pairs,
-                &mut out,
-                stage,
-            );
+            // observed in-flight depth. Same bytes either way. Sized for the
+            // largest body the encoder lays out for this list (a bit-vector
+            // and every value), so building it never regrows the buffer
+            // and strands the outgrown copies in the heap.
+            let v = F::Value::WIRE_BYTES;
+            let mut out = Vec::with_capacity(1 + list.len().div_ceil(8) + list.len() * v);
+            fill(&mut out);
             if prewarm {
                 // Consumers can drift deeper only after warm-up, when an
                 // allocation would break the steady-state contract — so
@@ -1295,9 +1229,12 @@ fn prepare_send_peer<F: FieldSync>(
     *payload = Some(bytes);
 }
 
-/// Encodes one peer's update batch into `out` (cleared first): the
-/// memoized positional encoding under temporal invariance, the explicit
-/// global-ID encoding otherwise — the cost §4.1 memoizes away.
+/// Builds one peer's update batch into `out` and its dirty positions into
+/// `updated_pos`. Under temporal invariance this is one pass over the
+/// agreed list and the dirty bits: each dirty entry's value is read once,
+/// straight into the memoized payload. Otherwise the positions are
+/// translated to the explicit global-ID encoding — the cost §4.1 memoizes
+/// away.
 #[allow(clippy::too_many_arguments)]
 fn fill_payload<F: FieldSync>(
     graph: &LocalGraph,
@@ -1305,23 +1242,32 @@ fn fill_payload<F: FieldSync>(
     compress: bool,
     list: &[Lid],
     field: &F,
-    updated_pos: &[u32],
+    updated: &DenseBitset,
+    updated_pos: &mut Vec<u32>,
     enc: &mut EncodeScratch,
     gid_pairs: &mut Vec<(Gid, F::Value)>,
     out: &mut Vec<u8>,
     stage: &mut impl FnMut(Stage),
 ) {
+    stage(Stage::Extract);
+    updated_pos.clear();
     if temporal {
+        let mut scan = MemoEncoder::new(list.len(), std::mem::take(out));
+        for (i, &lid) in list.iter().enumerate() {
+            if updated.test(lid) {
+                updated_pos.push(i as u32);
+                scan.push(i as u32, field.extract(lid));
+            }
+        }
         stage(Stage::Encode);
-        encode_memoized_into(
-            list.len(),
-            updated_pos,
-            |p| field.extract(list[p]),
-            compress,
-            enc,
-            out,
-        );
+        *out = scan.finish(updated_pos, |p| field.extract(list[p]), compress, enc);
     } else {
+        updated_pos.extend(
+            list.iter()
+                .enumerate()
+                .filter(|&(_, &lid)| updated.test(lid))
+                .map(|(i, _)| i as u32),
+        );
         stage(Stage::MemoTranslate);
         gid_pairs.clear();
         gid_pairs.extend(updated_pos.iter().map(|&p| {
@@ -1359,72 +1305,161 @@ fn reset_shipped<F: FieldSync>(
     }
 }
 
-/// Eagerly decodes one arriving frame into the receive staging of its
-/// source peer. Returns whether the frame was a fresh expected one: a
-/// duplicate (possible under fault injection on an unprotected transport)
-/// or stray frame is consumed and dropped. A decode failure is *stashed*,
-/// not surfaced: the rank-ordered apply pass picks the first failure in
-/// rank order so the surfaced error does not depend on arrival order, and
-/// books it exactly once.
-fn eager_decode_frame<V: SyncValue>(
-    temporal: bool,
-    graph: &LocalGraph,
+/// The receive side of one pattern: a rank-order cursor over the peers'
+/// frames. A frame is held as bytes from its arrival until every lower
+/// rank's frame has been applied; then it is validated in full and decoded
+/// straight into the field. The first malformed frame in rank order stops
+/// the cursor: every lower rank is applied, it and every higher rank are
+/// not, whatever the arrival order.
+struct Receiver<'r> {
     rank: usize,
-    recv_lists: &[Vec<Lid>],
-    recv: &mut [RecvScratch<V>],
-    env: Envelope,
-) -> bool {
-    let src = env.src;
-    let rs = &mut recv[src];
-    if src == rank || recv_lists[src].is_empty() || rs.decoded {
-        return false;
-    }
-    rs.decoded = true;
-    rs.decode_err = decode_into_entries::<V>(
-        temporal,
-        graph,
-        &env.payload,
-        &recv_lists[src],
-        &mut rs.dec,
-        &mut rs.entries,
-    )
-    .err();
-    rs.payload = Some(env.payload);
-    true
+    role: PatternRole,
+    temporal: bool,
+    graph: &'r LocalGraph,
+    lists: &'r [Vec<Lid>],
+    slots: &'r mut [RecvScratch],
+    /// Expected frames that have not arrived yet.
+    pending: usize,
+    /// The next peer to apply: every lower rank's frame has been applied.
+    next: usize,
+    /// The malformed frame that stopped the cursor: peer, payload length,
+    /// and what was wrong.
+    failed: Option<(usize, usize, DecodeError)>,
 }
 
-/// Decodes one peer's payload into `(lid, value)` staging entries
-/// (cleared first), translating memoized positions — or, without temporal
-/// invariance, global IDs — to local IDs.
-fn decode_into_entries<V: SyncValue>(
+impl<'r> Receiver<'r> {
+    /// Resets the per-pattern staging. One frame is expected from every
+    /// peer whose agreed list toward us is non-empty (the sender skips
+    /// empty lists symmetrically).
+    fn new(
+        rank: usize,
+        role: PatternRole,
+        temporal: bool,
+        graph: &'r LocalGraph,
+        lists: &'r [Vec<Lid>],
+        slots: &'r mut [RecvScratch],
+    ) -> Self {
+        let mut pending = 0;
+        for (h, (list, rs)) in lists.iter().zip(slots.iter_mut()).enumerate() {
+            rs.payload = None;
+            rs.arrived = false;
+            if h != rank && !list.is_empty() {
+                pending += 1;
+            }
+        }
+        Receiver {
+            rank,
+            role,
+            temporal,
+            graph,
+            lists,
+            slots,
+            pending,
+            next: 0,
+            failed: None,
+        }
+    }
+
+    /// Holds an arriving frame until its turn. A duplicate (possible
+    /// under fault injection on an unprotected transport) or stray frame
+    /// is consumed and dropped.
+    fn hold(&mut self, env: Envelope) {
+        let src = env.src;
+        let rs = &mut self.slots[src];
+        if src == self.rank || self.lists[src].is_empty() || rs.arrived {
+            return;
+        }
+        rs.arrived = true;
+        rs.payload = Some(env.payload);
+        self.pending -= 1;
+    }
+
+    /// Applies, in rank order, every held frame whose turn has come.
+    /// Dropping a frame's bytes once applied is what lets the sender's
+    /// slot recycle the buffer next round.
+    fn apply_ready<F: FieldSync>(
+        &mut self,
+        field: &mut F,
+        updated: &mut DenseBitset,
+        seg: &mut Segmenter,
+    ) {
+        while self.failed.is_none() && self.next < self.lists.len() {
+            let h = self.next;
+            if h != self.rank && !self.lists[h].is_empty() {
+                let rs = &mut self.slots[h];
+                let Some(payload) = rs.payload.take() else {
+                    return;
+                };
+                if let Err(e) = apply_frame(
+                    self.role,
+                    self.temporal,
+                    self.graph,
+                    &payload,
+                    &self.lists[h],
+                    &mut rs.dec,
+                    field,
+                    updated,
+                    seg,
+                    h,
+                ) {
+                    self.failed = Some((h, payload.len(), e));
+                }
+            }
+            self.next += 1;
+        }
+    }
+}
+
+/// Validates one peer's frame in full, then decodes it straight into the
+/// field through the agreed list — reduce at masters, set at mirrors —
+/// marking every proxy it changed. A rejected frame changes nothing.
+#[allow(clippy::too_many_arguments)]
+fn apply_frame<F: FieldSync>(
+    role: PatternRole,
     temporal: bool,
     graph: &LocalGraph,
     payload: &[u8],
     list: &[Lid],
     dec: &mut DecodeScratch,
-    entries: &mut Vec<(Lid, V)>,
+    field: &mut F,
+    updated: &mut DenseBitset,
+    seg: &mut Segmenter,
+    peer: usize,
 ) -> Result<(), DecodeError> {
-    entries.clear();
-    if temporal {
-        decode_memoized_scratch::<V>(payload, list.len(), dec, &mut |pos, v| {
-            entries.push((list[pos], v));
-        })
-    } else {
-        let mut bad_gid: Option<Gid> = None;
-        decode_gid_values::<V>(payload, &mut |gid, v| {
-            if bad_gid.is_some() {
-                return;
+    let mut put = |lid: Lid, v: F::Value| match role {
+        PatternRole::MirrorToMaster => {
+            if field.reduce(lid, v) {
+                updated.set(lid);
             }
-            match graph.lid(gid) {
-                Some(lid) => entries.push((lid, v)),
-                None => bad_gid = Some(gid),
+        }
+        PatternRole::MasterToMirror => {
+            field.set(lid, v);
+            updated.set(lid);
+        }
+    };
+    seg.stage(Stage::Decode, Some(peer));
+    if temporal {
+        let frame = validate_memoized::<F::Value>(payload, list.len(), dec)?;
+        seg.stage(Stage::Apply, Some(peer));
+        frame.for_each(|p, v| put(list[p], v));
+    } else {
+        // Every global ID must name a proxy here before the first value
+        // lands.
+        let mut unknown = None;
+        decode_gid_values::<F::Value>(payload, &mut |gid, _| {
+            if graph.lid(gid).is_none() {
+                unknown.get_or_insert(gid);
             }
         })?;
-        match bad_gid {
-            Some(g) => Err(DecodeError::UnknownGid(g.0)),
-            None => Ok(()),
+        if let Some(gid) = unknown {
+            return Err(DecodeError::UnknownGid(gid.0));
         }
+        seg.stage(Stage::Apply, Some(peer));
+        decode_gid_values::<F::Value>(payload, &mut |gid, v| {
+            put(graph.lid(gid).expect("validated above"), v);
+        })?;
     }
+    Ok(())
 }
 
 impl<T: Transport + ?Sized> std::fmt::Debug for GluonContext<'_, T> {

@@ -42,15 +42,17 @@
 //! [`decode_gid_values`] return [`DecodeError`] on any malformed input —
 //! truncated payloads, unknown mode bytes, out-of-range or non-increasing
 //! positions, varint overflows, trailing bytes — and never panic, whatever
-//! the bytes. Structural validation happens before values are applied
-//! wherever the layout allows it. The *encoders* still assert their local
-//! preconditions (sorted in-range positions): those inputs come from this
-//! process, not from the wire.
+//! the bytes. A memoized payload is validated in full before its first
+//! value is applied ([`validate_memoized`] returns a [`MemoFrame`] that
+//! cannot fail to apply), so a rejected payload applies nothing. The
+//! *encoders* still assert their local preconditions (sorted in-range
+//! positions): those inputs come from this process, not from the wire.
 
 use crate::value::SyncValue;
 use bytes::{BufMut, Bytes};
 use gluon_graph::Gid;
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Number of distinct wire modes (mode bytes `0..NUM_WIRE_MODES`).
 pub const NUM_WIRE_MODES: usize = 9;
@@ -208,6 +210,7 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Exact LEB128 length of `x`.
+#[inline]
 fn varint_len(x: u64) -> usize {
     ((64 - x.leading_zeros()).max(1) as usize).div_ceil(7)
 }
@@ -243,47 +246,107 @@ fn read_varint(body: &[u8], cursor: &mut usize) -> Result<u64, DecodeError> {
     }
 }
 
-/// Exact metadata bytes of the delta-coded position list (varint count +
-/// varint first position + varint gaps).
-fn delta_meta_bytes(updated: &[u32]) -> usize {
-    let mut n = varint_len(updated.len() as u64) + varint_len(updated[0] as u64);
-    for w in updated.windows(2) {
-        n += varint_len((w[1] - w[0] - 1) as u64);
+/// The metadata sizes of the position-list layouts, accumulated one update
+/// position at a time (ascending) so that mode selection needs no pass of
+/// its own over the positions.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct PosMeta {
+    /// Positions seen.
+    k: usize,
+    first: u32,
+    last: u32,
+    /// Varint bytes of every `delta − 1` gap ([`WireMode::IndicesDelta`]).
+    gap_bytes: usize,
+    /// Varint bytes of the closed runs: the unset prefix, then one
+    /// (set run, unset gap) pair per gap ([`WireMode::RunLength`]).
+    run_bytes: usize,
+    /// Runs closed so far.
+    runs: u64,
+    /// Length of the open set run, which closes the run list.
+    set_len: u64,
+}
+
+impl PosMeta {
+    fn of(positions: &[u32]) -> PosMeta {
+        let mut meta = PosMeta::default();
+        for &p in positions {
+            meta.push(p);
+        }
+        meta
     }
-    n
-}
 
-/// The alternating run lengths of the update set: `[unset, set, unset,
-/// set, …]`, starting with the (possibly zero) unset prefix and ending
-/// with the final set run. The implicit unset tail is not encoded.
-fn runs_of(updated: &[u32]) -> Vec<u64> {
-    let mut runs = Vec::new();
-    runs_of_into(updated, &mut runs);
-    runs
-}
-
-/// As [`runs_of`], writing into a reusable buffer (cleared first) so the
-/// steady-state encode path performs no allocation.
-fn runs_of_into(updated: &[u32], runs: &mut Vec<u64>) {
-    runs.clear();
-    runs.push(updated[0] as u64);
-    let mut set_len = 1u64;
-    for w in updated.windows(2) {
-        if w[1] == w[0] + 1 {
-            set_len += 1;
-        } else {
-            runs.push(set_len);
-            runs.push((w[1] - w[0] - 1) as u64);
-            set_len = 1;
+    /// The metadata of the positions `0..k`, without walking them.
+    fn prefix(k: usize) -> PosMeta {
+        if k == 0 {
+            return PosMeta::default();
+        }
+        PosMeta {
+            k,
+            first: 0,
+            last: k as u32 - 1,
+            gap_bytes: k - 1,
+            run_bytes: 1,
+            runs: 1,
+            set_len: k as u64,
         }
     }
-    runs.push(set_len);
+
+    #[inline]
+    fn push(&mut self, p: u32) {
+        if self.k == 0 {
+            self.first = p;
+            self.run_bytes = varint_len(u64::from(p));
+            self.runs = 1;
+            self.set_len = 1;
+        } else if p == self.last + 1 {
+            self.gap_bytes += 1;
+            self.set_len += 1;
+        } else {
+            let gap = u64::from(p - self.last - 1);
+            self.gap_bytes += varint_len(gap);
+            self.run_bytes += varint_len(self.set_len) + varint_len(gap);
+            self.runs += 2;
+            self.set_len = 1;
+        }
+        self.last = p;
+        self.k += 1;
+    }
+
+    /// Varint count, varint first position, varint gaps.
+    fn delta_bytes(&self) -> usize {
+        varint_len(self.k as u64) + varint_len(u64::from(self.first)) + self.gap_bytes
+    }
+
+    /// Varint run count, then every run length as a varint.
+    fn run_list_bytes(&self) -> usize {
+        varint_len(self.runs + 1) + self.run_bytes + varint_len(self.set_len)
+    }
 }
 
-/// Exact metadata bytes of the run-length layout (varint run count + each
-/// run length as a varint).
-fn run_meta_bytes(runs: &[u64]) -> usize {
-    varint_len(runs.len() as u64) + runs.iter().map(|&r| varint_len(r)).sum::<usize>()
+/// Calls `f(mode, size)` for every candidate encoding of the update set
+/// `meta` describes, in the fixed candidate order.
+fn for_each_candidate(
+    list_len: usize,
+    v: usize,
+    meta: &PosMeta,
+    values_identical: bool,
+    compress: bool,
+    mut f: impl FnMut(WireMode, usize),
+) {
+    let k = meta.k;
+    f(WireMode::Dense, 1 + list_len * v);
+    f(WireMode::Bitvec, 1 + list_len.div_ceil(8) + k * v);
+    f(WireMode::Indices, 1 + 4 + k * 4 + k * v);
+    if compress && k > 0 {
+        let dmeta = meta.delta_bytes();
+        let rmeta = meta.run_list_bytes();
+        f(WireMode::IndicesDelta, 1 + dmeta + k * v);
+        f(WireMode::RunLength, 1 + rmeta + k * v);
+        if values_identical {
+            f(WireMode::SameIndicesDelta, 1 + dmeta + v);
+            f(WireMode::SameRunLength, 1 + rmeta + v);
+        }
+    }
 }
 
 /// Exact wire sizes of every encoding applicable to this update set, in
@@ -301,163 +364,276 @@ pub fn candidate_sizes<V: SyncValue>(
     values_identical: bool,
     compress: bool,
 ) -> Vec<(WireMode, usize)> {
-    let v = V::WIRE_BYTES;
-    let k = updated.len();
-    let mut out = vec![
-        (WireMode::Dense, 1 + list_len * v),
-        (WireMode::Bitvec, 1 + list_len.div_ceil(8) + k * v),
-        (WireMode::Indices, 1 + 4 + k * 4 + k * v),
-    ];
-    if compress && k > 0 {
-        let dmeta = delta_meta_bytes(updated);
-        let rmeta = run_meta_bytes(&runs_of(updated));
-        out.push((WireMode::IndicesDelta, 1 + dmeta + k * v));
-        out.push((WireMode::RunLength, 1 + rmeta + k * v));
-        if values_identical {
-            out.push((WireMode::SameIndicesDelta, 1 + dmeta + v));
-            out.push((WireMode::SameRunLength, 1 + rmeta + v));
-        }
-    }
+    let mut out = Vec::new();
+    let meta = PosMeta::of(updated);
+    for_each_candidate(
+        list_len,
+        V::WIRE_BYTES,
+        &meta,
+        values_identical,
+        compress,
+        |m, s| out.push((m, s)),
+    );
     out
 }
 
-/// The adaptive selection of [`candidate_sizes`] without materializing the
-/// candidate list — the steady-state encode path must not allocate. `runs`
-/// is the precomputed [`runs_of`] buffer (unused unless `compress` admits
-/// the run-length candidates). Ties resolve exactly as
-/// `candidate_sizes(..).min_by_key(size)` does: the *earliest* candidate
-/// in the fixed order wins (`min_by_key` keeps the first minimum).
-fn select_mode<V: SyncValue>(
-    list_len: usize,
-    updated: &[u32],
-    values_identical: bool,
-    compress: bool,
-    runs: &[u64],
-) -> (WireMode, usize) {
-    let v = V::WIRE_BYTES;
-    let k = updated.len();
-    let mut best = (WireMode::Dense, 1 + list_len * v);
-    let mut consider = |m: WireMode, s: usize| {
-        if s < best.1 {
-            best = (m, s);
-        }
-    };
-    consider(WireMode::Bitvec, 1 + list_len.div_ceil(8) + k * v);
-    consider(WireMode::Indices, 1 + 4 + k * 4 + k * v);
-    if compress && k > 0 {
-        let dmeta = delta_meta_bytes(updated);
-        let rmeta = run_meta_bytes(runs);
-        consider(WireMode::IndicesDelta, 1 + dmeta + k * v);
-        consider(WireMode::RunLength, 1 + rmeta + k * v);
-        if values_identical {
-            consider(WireMode::SameIndicesDelta, 1 + dmeta + v);
-            consider(WireMode::SameRunLength, 1 + rmeta + v);
-        }
-    }
-    best
-}
-
-/// Reusable scratch for [`encode_memoized_into`]: the packed value bytes,
-/// the bit-vector, and the run-length buffer every encode needs. Sized by
+/// Reusable scratch for [`encode_memoized_into`]: the position metadata of
+/// the sparse layouts, staged while their values move into place. Sized by
 /// high-water mark — after a warm-up round the sync arena's per-peer
 /// scratch never grows again (the paper's temporal invariance applied to
 /// memory: stable partitioning means stable buffer shapes).
 #[derive(Clone, Debug, Default)]
 pub struct EncodeScratch {
-    /// Packed wire bytes of the updated values, in position order.
-    vals: Vec<u8>,
-    /// Bit-vector workspace for [`WireMode::Bitvec`].
-    bits: Vec<u8>,
-    /// Alternating run lengths for the run-length modes.
-    runs: Vec<u64>,
+    head: Vec<u8>,
 }
 
 impl EncodeScratch {
     /// Current high-water footprint of the scratch buffers, in bytes.
     pub fn capacity_bytes(&self) -> usize {
-        self.vals.capacity() + self.bits.capacity() + self.runs.capacity() * 8
+        self.head.capacity()
     }
 }
 
-/// Builds the payload for one specific (non-empty, memoized) mode into
-/// `out`. `scratch.vals` holds the packed wire bytes of the updated
-/// values, in position order; `scratch.runs` the precomputed run lengths
-/// (run-length modes only).
-fn assemble_into<V: SyncValue>(
-    mode: WireMode,
+/// The one pass of a memoized encode: takes the update set as ascending
+/// `(position, value)` pairs, writes each value's wire bytes into the
+/// payload as it arrives, and accumulates everything mode selection needs
+/// — the count, the delta and run metadata sizes, whether every value is
+/// byte-identical — along the way.
+///
+/// The values land where the likeliest body wants them. While the
+/// positions run `0, 1, 2, …` the payload is `mode, values`: the
+/// [`WireMode::Dense`] body of an all-dirty list. At the first gap, if more
+/// than one position in eight has been dirty so far, it turns into `mode,
+/// bit-vector, values` — the [`WireMode::Bitvec`] body — and the bits are
+/// set as positions arrive; otherwise the values stay packed behind the
+/// mode byte, ready to move behind a position list. A body the selector
+/// agrees with is finished by writing the mode byte; any other is
+/// rearranged once, and a dense body with gaps is rebuilt from `value_at`.
+pub(crate) struct MemoEncoder<V> {
+    /// Owned while the pass runs, so its length stays in a register.
+    out: Vec<u8>,
     list_len: usize,
-    updated: &[u32],
-    scratch: &mut EncodeScratch,
-    value_at: &impl Fn(usize) -> V,
-    out: &mut Vec<u8>,
-) {
-    let v = V::WIRE_BYTES;
-    let k = updated.len();
-    out.put_u8(mode as u8);
-    match mode {
-        WireMode::Dense => {
-            for pos in 0..list_len {
-                value_at(pos).write_to(out);
-            }
-        }
-        WireMode::Bitvec => {
-            scratch.bits.clear();
-            scratch.bits.resize(list_len.div_ceil(8), 0);
-            for &p in updated {
-                scratch.bits[p as usize / 8] |= 1 << (p % 8);
-            }
-            out.put_slice(&scratch.bits);
-            out.put_slice(&scratch.vals);
-        }
-        WireMode::Indices => {
-            out.put_u32_le(k as u32);
-            for &p in updated {
-                out.put_u32_le(p);
-            }
-            out.put_slice(&scratch.vals);
-        }
-        WireMode::IndicesDelta | WireMode::SameIndicesDelta => {
-            put_varint(out, k as u64);
-            put_varint(out, updated[0] as u64);
-            for w in updated.windows(2) {
-                put_varint(out, (w[1] - w[0] - 1) as u64);
-            }
-            if mode == WireMode::SameIndicesDelta {
-                out.put_slice(&scratch.vals[..v]);
-            } else {
-                out.put_slice(&scratch.vals);
-            }
-        }
-        WireMode::RunLength | WireMode::SameRunLength => {
-            put_varint(out, scratch.runs.len() as u64);
-            for i in 0..scratch.runs.len() {
-                put_varint(out, scratch.runs[i]);
-            }
-            if mode == WireMode::SameRunLength {
-                out.put_slice(&scratch.vals[..v]);
-            } else {
-                out.put_slice(&scratch.vals);
-            }
-        }
-        WireMode::Empty | WireMode::GidValues => unreachable!("not assembled here"),
-    }
+    meta: PosMeta,
+    same: bool,
+    layout: Layout,
+    _value: PhantomData<fn(V)>,
 }
 
-/// Packs the wire bytes of every updated value into `scratch.vals`, in
-/// position order, and reports whether they are all byte-identical.
-fn pack_values_into<V: SyncValue>(
-    updated: &[u32],
-    value_at: &impl Fn(usize) -> V,
-    scratch: &mut EncodeScratch,
-) -> bool {
-    let v = V::WIRE_BYTES;
-    scratch.vals.clear();
-    scratch.vals.reserve(updated.len() * v);
-    for &p in updated {
-        value_at(p as usize).write_to(&mut scratch.vals);
+/// What follows the mode byte of a payload being built.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Layout {
+    /// The values of positions `0..k`, whose metadata is implied.
+    Prefix,
+    /// The values of the positions in `meta`, packed.
+    Packed,
+    /// The bit-vector of the list, then the values.
+    Bitvec,
+}
+
+impl<V: SyncValue> MemoEncoder<V> {
+    /// Starts a payload for an agreed list of `list_len` entries in `out`
+    /// (cleared first; capacity is kept). [`MemoEncoder::finish`] hands it
+    /// back.
+    pub(crate) fn new(list_len: usize, mut out: Vec<u8>) -> Self {
+        out.clear();
+        out.push(WireMode::Empty as u8);
+        MemoEncoder {
+            out,
+            list_len,
+            meta: PosMeta::default(),
+            same: true,
+            layout: Layout::Prefix,
+            _value: PhantomData,
+        }
     }
-    let (first, rest) = scratch.vals.split_at(v.min(scratch.vals.len()));
-    rest.chunks_exact(v).all(|c| c == first)
+
+    /// Reserves room for a body of `k` updates, when the caller knows `k`
+    /// up front.
+    pub(crate) fn reserve(&mut self, k: usize) {
+        let v = V::WIRE_BYTES;
+        let body = match k {
+            0 => 0,
+            k if k == self.list_len => k * v,
+            k => self.list_len.div_ceil(8) + k * v,
+        };
+        self.out.reserve(body);
+    }
+
+    /// Adds the next update: `pos` must exceed every position pushed
+    /// before it and lie inside the list. Always inlined: an out-of-line
+    /// call per update costs about as much as the update.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, pos: u32, value: V) {
+        if self.layout == Layout::Prefix && pos as usize == self.meta.k {
+            self.meta.k += 1;
+        } else {
+            if self.layout == Layout::Prefix {
+                self.leave_prefix(pos);
+            }
+            if self.layout == Layout::Bitvec {
+                self.out[1 + pos as usize / 8] |= 1 << (pos % 8);
+            }
+            self.meta.push(pos);
+        }
+        let at = self.out.len();
+        value.write_to(&mut self.out);
+        if self.same {
+            let (first, v) = (self.values_start(), V::WIRE_BYTES);
+            self.same = self.out[first..first + v] == self.out[at..at + v];
+        }
+    }
+
+    /// The first gap: spells out the metadata of the prefix, and takes the
+    /// bit-vector layout if the update set looks dense enough for it.
+    #[cold]
+    #[inline(never)]
+    fn leave_prefix(&mut self, pos: u32) {
+        let k = self.meta.k;
+        self.settle_meta();
+        if 8 * (k + 1) > pos as usize + 1 {
+            self.insert_bits(0..k as u32);
+        } else {
+            self.layout = Layout::Packed;
+        }
+    }
+
+    /// Spells out the metadata a prefix leaves implied.
+    fn settle_meta(&mut self) {
+        if self.layout == Layout::Prefix {
+            self.meta = PosMeta::prefix(self.meta.k);
+        }
+    }
+
+    fn values_start(&self) -> usize {
+        match self.layout {
+            Layout::Bitvec => 1 + self.list_len.div_ceil(8),
+            Layout::Prefix | Layout::Packed => 1,
+        }
+    }
+
+    /// Moves the packed values behind a bit-vector of `positions`.
+    fn insert_bits(&mut self, positions: impl IntoIterator<Item = u32>) {
+        let nb = self.list_len.div_ceil(8);
+        let vals = self.out.len() - 1;
+        self.out.resize(1 + nb + vals, 0);
+        self.out.copy_within(1..1 + vals, 1 + nb);
+        self.out[1..1 + vals.min(nb)].fill(0);
+        for p in positions {
+            self.out[1 + p as usize / 8] |= 1 << (p % 8);
+        }
+        self.layout = Layout::Bitvec;
+    }
+
+    /// Picks the smallest mode among the candidates (the earliest on a tie)
+    /// and finishes the payload in it. `positions` are the positions pushed,
+    /// `value_at` reads any list entry (only a dense body with gaps needs
+    /// it).
+    pub(crate) fn finish(
+        mut self,
+        positions: &[u32],
+        value_at: impl Fn(usize) -> V,
+        compress: bool,
+        scratch: &mut EncodeScratch,
+    ) -> Vec<u8> {
+        self.settle_meta();
+        let mut best = (WireMode::Empty, usize::MAX);
+        if self.meta.k > 0 {
+            for_each_candidate(
+                self.list_len,
+                V::WIRE_BYTES,
+                &self.meta,
+                self.same,
+                compress,
+                |m, s| {
+                    if s < best.1 {
+                        best = (m, s);
+                    }
+                },
+            );
+        }
+        self.emit(best.0, positions, value_at, &mut scratch.head)
+    }
+
+    /// Finishes the payload in `mode`, which must represent the update set
+    /// (`Same*` modes need byte-identical values).
+    fn emit(
+        mut self,
+        mode: WireMode,
+        positions: &[u32],
+        value_at: impl Fn(usize) -> V,
+        head: &mut Vec<u8>,
+    ) -> Vec<u8> {
+        debug_assert_eq!(positions.len(), self.meta.k, "one position per update");
+        self.settle_meta();
+        let v = V::WIRE_BYTES;
+        let k = self.meta.k;
+        match mode {
+            WireMode::Empty => self.out.truncate(1),
+            WireMode::Dense if self.layout == Layout::Prefix && k == self.list_len => {}
+            WireMode::Dense => {
+                self.out.truncate(1);
+                for pos in 0..self.list_len {
+                    value_at(pos).write_to(&mut self.out);
+                }
+            }
+            WireMode::Bitvec if self.layout == Layout::Bitvec => {}
+            WireMode::Bitvec => self.insert_bits(positions.iter().copied()),
+            WireMode::GidValues => unreachable!("not a memoized mode"),
+            _ => {
+                let same = matches!(mode, WireMode::SameIndicesDelta | WireMode::SameRunLength);
+                let vals = if same { v } else { k * v };
+                head.clear();
+                self.put_positions(mode, positions, head);
+                let start = self.values_start();
+                let len = 1 + head.len() + vals;
+                if len > self.out.len() {
+                    self.out.resize(len, 0);
+                }
+                self.out.copy_within(start..start + vals, 1 + head.len());
+                self.out[1..1 + head.len()].copy_from_slice(head);
+                self.out.truncate(len);
+            }
+        }
+        self.out[0] = mode as u8;
+        self.out
+    }
+
+    /// The position metadata of a position-list mode.
+    fn put_positions(&self, mode: WireMode, positions: &[u32], head: &mut Vec<u8>) {
+        match mode {
+            WireMode::Indices => {
+                head.put_u32_le(positions.len() as u32);
+                for &p in positions {
+                    head.put_u32_le(p);
+                }
+            }
+            WireMode::IndicesDelta | WireMode::SameIndicesDelta => {
+                put_varint(head, positions.len() as u64);
+                put_varint(head, u64::from(positions[0]));
+                for w in positions.windows(2) {
+                    put_varint(head, u64::from(w[1] - w[0] - 1));
+                }
+            }
+            _ => {
+                // The alternating run lengths, starting with the (possibly
+                // zero) unset prefix and ending with the final set run; the
+                // implicit unset tail is not encoded.
+                put_varint(head, self.meta.runs + 1);
+                put_varint(head, u64::from(positions[0]));
+                let mut set_len = 1u64;
+                for w in positions.windows(2) {
+                    if w[1] == w[0] + 1 {
+                        set_len += 1;
+                    } else {
+                        put_varint(head, set_len);
+                        put_varint(head, u64::from(w[1] - w[0] - 1));
+                        set_len = 1;
+                    }
+                }
+                put_varint(head, set_len);
+            }
+        }
+    }
 }
 
 /// Encodes the update set `updated` (sorted positions into the agreed list
@@ -535,35 +711,22 @@ pub fn encode_memoized_into<V: SyncValue>(
     scratch: &mut EncodeScratch,
     out: &mut Vec<u8>,
 ) {
+    check_positions(list_len, updated);
+    let mut enc = MemoEncoder::new(list_len, std::mem::take(out));
+    enc.reserve(updated.len());
+    for &p in updated {
+        enc.push(p, value_at(p as usize));
+    }
+    *out = enc.finish(updated, value_at, compress, scratch);
+}
+
+/// The encoders' local-caller contract: sorted, in-range positions.
+fn check_positions(list_len: usize, updated: &[u32]) {
     debug_assert!(updated.windows(2).all(|w| w[0] < w[1]), "positions sorted");
     assert!(
         updated.last().is_none_or(|&p| (p as usize) < list_len),
         "update position out of list range"
     );
-    out.clear();
-    if updated.is_empty() {
-        out.put_u8(WireMode::Empty as u8);
-        return;
-    }
-    let same = pack_values_into(updated, &value_at, scratch);
-    if updated.len() == list_len && !(compress && same) {
-        // Every entry is dirty, so the packed values already are the dense
-        // body, and `Dense` (1 + k·v bytes) is the selector's answer: each
-        // other candidate ships the same k values plus at least one
-        // metadata byte, except the `Same*` modes, which need `compress`
-        // and byte-identical values. No sizing pass, no second gather.
-        out.reserve(1 + scratch.vals.len());
-        out.put_u8(WireMode::Dense as u8);
-        out.put_slice(&scratch.vals);
-        return;
-    }
-    if compress {
-        runs_of_into(updated, &mut scratch.runs);
-    }
-    let (mode, size) = select_mode::<V>(list_len, updated, same, compress, &scratch.runs);
-    out.reserve(size);
-    assemble_into(mode, list_len, updated, scratch, &value_at, out);
-    debug_assert_eq!(out.len(), size);
 }
 
 /// Builds the payload for one *forced* wire mode, bypassing the adaptive
@@ -583,11 +746,7 @@ pub fn encode_memoized_as<V: SyncValue>(
     updated: &[u32],
     value_at: impl Fn(usize) -> V,
 ) -> Option<Bytes> {
-    debug_assert!(updated.windows(2).all(|w| w[0] < w[1]), "positions sorted");
-    assert!(
-        updated.last().is_none_or(|&p| (p as usize) < list_len),
-        "update position out of list range"
-    );
+    check_positions(list_len, updated);
     if mode == WireMode::Empty {
         return updated
             .is_empty()
@@ -596,19 +755,19 @@ pub fn encode_memoized_as<V: SyncValue>(
     if updated.is_empty() || mode == WireMode::GidValues {
         return None;
     }
-    let mut scratch = EncodeScratch::default();
-    let same = pack_values_into(updated, &value_at, &mut scratch);
-    if matches!(mode, WireMode::SameIndicesDelta | WireMode::SameRunLength) && !same {
+    let mut enc = MemoEncoder::new(list_len, Vec::new());
+    for &p in updated {
+        enc.push(p, value_at(p as usize));
+    }
+    if matches!(mode, WireMode::SameIndicesDelta | WireMode::SameRunLength) && !enc.same {
         return None;
     }
-    let size = candidate_sizes::<V>(list_len, updated, same, true)
-        .into_iter()
-        .find(|&(m, _)| m == mode)
-        .map(|(_, s)| s)?;
-    runs_of_into(updated, &mut scratch.runs);
-    let mut out = Vec::with_capacity(size);
-    assemble_into(mode, list_len, updated, &mut scratch, &value_at, &mut out);
-    Some(Bytes::from(out))
+    Some(Bytes::from(enc.emit(
+        mode,
+        updated,
+        value_at,
+        &mut Vec::new(),
+    )))
 }
 
 /// Decodes a payload produced by [`encode_memoized`], calling
@@ -617,10 +776,9 @@ pub fn encode_memoized_as<V: SyncValue>(
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on any malformed payload — this function is
-/// total over arbitrary bytes and never panics. When the error is detected
-/// after decoding began (only possible for layouts whose value section
-/// length depends on already-applied metadata), some entries may already
-/// have been applied; the caller must treat the message as poisoned.
+/// total over arbitrary bytes and never panics. The whole payload is
+/// validated before the first `apply` call ([`validate_memoized`]), so a
+/// rejected payload applies nothing.
 pub fn decode_memoized<V: SyncValue>(
     payload: &[u8],
     list_len: usize,
@@ -629,12 +787,12 @@ pub fn decode_memoized<V: SyncValue>(
     decode_memoized_scratch(payload, list_len, &mut DecodeScratch::default(), apply)
 }
 
-/// Reusable scratch for [`decode_memoized_scratch`]: the position and run
-/// buffers the delta-coded and run-length layouts validate into before
-/// applying any value. Sized by high-water mark, like [`EncodeScratch`].
+/// Reusable scratch for [`validate_memoized`]: the positions and set runs
+/// the position-list and run-length layouts are validated into before any
+/// value is applied. Sized by high-water mark, like [`EncodeScratch`].
 #[derive(Clone, Debug, Default)]
 pub struct DecodeScratch {
-    /// Decoded positions of an `IndicesDelta`-family payload.
+    /// Decoded positions of an `Indices`- or `IndicesDelta`-family payload.
     positions: Vec<usize>,
     /// Decoded `(start, end)` set runs of a `RunLength`-family payload.
     set_ranges: Vec<(usize, usize)>,
@@ -649,8 +807,8 @@ impl DecodeScratch {
 }
 
 /// As [`decode_memoized`], with caller-owned scratch — the
-/// allocation-free entry point the sync arena uses. Decoding behavior and
-/// errors are identical in every case.
+/// allocation-free entry point. Decoding behavior and errors are
+/// identical in every case.
 ///
 /// # Errors
 ///
@@ -661,26 +819,133 @@ pub fn decode_memoized_scratch<V: SyncValue>(
     scratch: &mut DecodeScratch,
     apply: &mut impl FnMut(usize, V),
 ) -> Result<(), DecodeError> {
+    validate_memoized::<V>(payload, list_len, scratch)?.for_each(apply);
+    Ok(())
+}
+
+/// A memoized payload that passed [`validate_memoized`]: every position
+/// lies inside the agreed list and increases strictly, and the value
+/// section holds exactly one value per carried entry (or the one shared
+/// value). Applying it cannot fail.
+#[derive(Debug)]
+pub struct MemoFrame<'a, V> {
+    body: FrameBody<'a>,
+    _value: PhantomData<fn() -> V>,
+}
+
+#[derive(Debug)]
+enum FrameBody<'a> {
+    Empty,
+    Dense(&'a [u8]),
+    Bitvec {
+        bits: &'a [u8],
+        values: &'a [u8],
+    },
+    Listed {
+        positions: &'a [usize],
+        values: &'a [u8],
+        same: bool,
+    },
+    Runs {
+        ranges: &'a [(usize, usize)],
+        values: &'a [u8],
+        same: bool,
+    },
+}
+
+impl<V: SyncValue> MemoFrame<'_, V> {
+    /// Calls `apply(position, value)` for every carried entry, in
+    /// ascending position order.
+    pub fn for_each(&self, mut apply: impl FnMut(usize, V)) {
+        let v = V::WIRE_BYTES;
+        match self.body {
+            FrameBody::Empty => {}
+            FrameBody::Dense(values) => {
+                for (pos, raw) in values.chunks_exact(v).enumerate() {
+                    apply(pos, V::read_from(raw));
+                }
+            }
+            FrameBody::Bitvec { bits, values } => {
+                let mut values = values.chunks_exact(v);
+                for (i, &byte) in bits.iter().enumerate() {
+                    let mut b = byte;
+                    while b != 0 {
+                        let raw = values.next().expect("validated: a value per set bit");
+                        apply(i * 8 + b.trailing_zeros() as usize, V::read_from(raw));
+                        b &= b - 1;
+                    }
+                }
+            }
+            FrameBody::Listed {
+                positions,
+                values,
+                same,
+            } => apply_listed(positions.iter().copied(), values, same, apply),
+            FrameBody::Runs {
+                ranges,
+                values,
+                same,
+            } => apply_listed(ranges.iter().flat_map(|&(s, e)| s..e), values, same, apply),
+        }
+    }
+}
+
+/// Pairs ascending positions with their values — one each, or the one
+/// shared value.
+fn apply_listed<V: SyncValue>(
+    positions: impl Iterator<Item = usize>,
+    values: &[u8],
+    same: bool,
+    mut apply: impl FnMut(usize, V),
+) {
+    if same {
+        let value = V::read_from(values);
+        positions.for_each(|p| apply(p, value));
+    } else {
+        for (p, raw) in positions.zip(values.chunks_exact(V::WIRE_BYTES)) {
+            apply(p, V::read_from(raw));
+        }
+    }
+}
+
+/// Checks that a value section holds exactly `need` bytes.
+fn exact_values(values: &[u8], need: usize) -> Result<(), DecodeError> {
+    if values.len() < need {
+        return Err(DecodeError::Truncated);
+    }
+    if values.len() > need {
+        return Err(DecodeError::TrailingBytes(values.len() - need));
+    }
+    Ok(())
+}
+
+/// Validates a payload produced by [`encode_memoized`] against an agreed
+/// list of `list_len` entries, in full, without applying anything: the
+/// first half of [`decode_memoized`]. Positions of the sparse layouts are
+/// decoded into `scratch`, which the returned frame borrows.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on any malformed payload; total over arbitrary
+/// bytes, never panics.
+pub fn validate_memoized<'a, V: SyncValue>(
+    payload: &'a [u8],
+    list_len: usize,
+    scratch: &'a mut DecodeScratch,
+) -> Result<MemoFrame<'a, V>, DecodeError> {
     let mode = WireMode::try_of(payload)?;
     let body = &payload[1..];
     let v = V::WIRE_BYTES;
-    match mode {
+    let body = match mode {
         WireMode::Empty => {
             if !body.is_empty() {
                 return Err(DecodeError::TrailingBytes(body.len()));
             }
+            FrameBody::Empty
         }
         WireMode::Dense => {
-            let need = list_len * v;
-            if body.len() < need {
-                return Err(DecodeError::Truncated);
-            }
-            if body.len() > need {
-                return Err(DecodeError::TrailingBytes(body.len() - need));
-            }
-            for pos in 0..list_len {
-                apply(pos, V::read_from(&body[pos * v..]));
-            }
+            exact_values(body, list_len * v)?;
+            FrameBody::Dense(body)
         }
         WireMode::Bitvec => {
             let nbytes = list_len.div_ceil(8);
@@ -692,20 +957,8 @@ pub fn decode_memoized_scratch<V: SyncValue>(
                 return Err(DecodeError::Malformed("bit set beyond the list range"));
             }
             let k: usize = bits.iter().map(|b| b.count_ones() as usize).sum();
-            let need = k * v;
-            if values.len() < need {
-                return Err(DecodeError::Truncated);
-            }
-            if values.len() > need {
-                return Err(DecodeError::TrailingBytes(values.len() - need));
-            }
-            let mut cursor = 0usize;
-            for pos in 0..list_len {
-                if bits[pos / 8] & (1 << (pos % 8)) != 0 {
-                    apply(pos, V::read_from(&values[cursor..]));
-                    cursor += v;
-                }
-            }
+            exact_values(values, k * v)?;
+            FrameBody::Bitvec { bits, values }
         }
         WireMode::Indices => {
             if body.len() < 4 {
@@ -717,31 +970,27 @@ pub fn decode_memoized_scratch<V: SyncValue>(
                     "index count exceeds the list length",
                 ));
             }
-            let need = 4 + k * 4 + k * v;
-            if body.len() < need {
-                return Err(DecodeError::Truncated);
-            }
-            if body.len() > need {
-                return Err(DecodeError::TrailingBytes(body.len() - need));
-            }
-            let (positions, values) = body[4..].split_at(k * 4);
-            let mut prev: Option<u32> = None;
-            for i in 0..k {
-                let p = u32::from_le_bytes(positions[i * 4..i * 4 + 4].try_into().expect("4"));
-                if (p as usize) >= list_len {
+            exact_values(&body[4..], k * 4 + k * v)?;
+            let (raw, values) = body[4..].split_at(k * 4);
+            let positions = &mut scratch.positions;
+            positions.clear();
+            for raw in raw.chunks_exact(4) {
+                let p = u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize;
+                if p >= list_len {
                     return Err(DecodeError::IndexOutOfRange {
                         pos: p as u64,
                         list_len,
                     });
                 }
-                if prev.is_some_and(|q| p <= q) {
+                if positions.last().is_some_and(|&q| p <= q) {
                     return Err(DecodeError::Malformed("positions not strictly increasing"));
                 }
-                prev = Some(p);
+                positions.push(p);
             }
-            for i in 0..k {
-                let p = u32::from_le_bytes(positions[i * 4..i * 4 + 4].try_into().expect("4"));
-                apply(p as usize, V::read_from(&values[i * v..]));
+            FrameBody::Listed {
+                positions,
+                values,
+                same: false,
             }
         }
         WireMode::IndicesDelta | WireMode::SameIndicesDelta => {
@@ -777,16 +1026,11 @@ pub fn decode_memoized_scratch<V: SyncValue>(
                 positions.push(pos as usize);
             }
             let values = &body[cur..];
-            let need = if same { v } else { k * v };
-            if values.len() < need {
-                return Err(DecodeError::Truncated);
-            }
-            if values.len() > need {
-                return Err(DecodeError::TrailingBytes(values.len() - need));
-            }
-            for (i, &p) in positions.iter().enumerate() {
-                let off = if same { 0 } else { i * v };
-                apply(p, V::read_from(&values[off..]));
+            exact_values(values, if same { v } else { k * v })?;
+            FrameBody::Listed {
+                positions,
+                values,
+                same,
             }
         }
         WireMode::RunLength | WireMode::SameRunLength => {
@@ -799,9 +1043,9 @@ pub fn decode_memoized_scratch<V: SyncValue>(
             if n_runs > list_len as u64 + 1 {
                 return Err(DecodeError::Malformed("more runs than list entries"));
             }
-            let set_ranges = &mut scratch.set_ranges;
-            set_ranges.clear();
-            set_ranges.reserve(n_runs as usize / 2);
+            let ranges = &mut scratch.set_ranges;
+            ranges.clear();
+            ranges.reserve(n_runs as usize / 2);
             let mut pos = 0u64;
             for i in 0..n_runs {
                 let r = read_varint(body, &mut cur)?;
@@ -816,31 +1060,25 @@ pub fn decode_memoized_scratch<V: SyncValue>(
                     });
                 }
                 if i % 2 == 1 {
-                    set_ranges.push((pos as usize, end as usize));
+                    ranges.push((pos as usize, end as usize));
                 }
                 pos = end;
             }
-            let k: usize = set_ranges.iter().map(|&(s, e)| e - s).sum();
+            let k: usize = ranges.iter().map(|&(s, e)| e - s).sum();
             let values = &body[cur..];
-            let need = if same { v } else { k * v };
-            if values.len() < need {
-                return Err(DecodeError::Truncated);
-            }
-            if values.len() > need {
-                return Err(DecodeError::TrailingBytes(values.len() - need));
-            }
-            let mut i = 0usize;
-            for &(s, e) in set_ranges.iter() {
-                for p in s..e {
-                    let off = if same { 0 } else { i * v };
-                    apply(p, V::read_from(&values[off..]));
-                    i += 1;
-                }
+            exact_values(values, if same { v } else { k * v })?;
+            FrameBody::Runs {
+                ranges,
+                values,
+                same,
             }
         }
         WireMode::GidValues => return Err(DecodeError::UnexpectedMode(WireMode::GidValues)),
-    }
-    Ok(())
+    };
+    Ok(MemoFrame {
+        body,
+        _value: PhantomData,
+    })
 }
 
 /// Encodes `(global-ID, value)` pairs — the non-memoized wire format that
@@ -1052,6 +1290,58 @@ mod tests {
         let forced =
             encode_memoized_as(WireMode::of(&adaptive), list_len, &updated, value_at).unwrap();
         assert_eq!(adaptive, forced);
+    }
+
+    #[test]
+    fn every_layout_finishes_in_every_mode() {
+        // A dense prefix ending in a short gap (the bit-vector layout) or a
+        // long one (packed values), no prefix at all, a prefix with no gap,
+        // and a lone update: each forced into every mode must carry exactly
+        // its updates, and the adaptive payload must be its own forced twin.
+        let list_len = 300usize;
+        let value_at = |p: usize| p as u32 * 3 + 1;
+        let shapes: [&[u32]; 5] = [
+            &[0, 1, 2, 3, 5, 6, 9, 299],
+            &[0, 1, 2, 3, 50, 51, 299],
+            &[7, 8, 9, 200],
+            &[0, 1, 2, 3],
+            &[5],
+        ];
+        for updated in shapes {
+            for mode in [
+                WireMode::Dense,
+                WireMode::Bitvec,
+                WireMode::Indices,
+                WireMode::IndicesDelta,
+                WireMode::RunLength,
+            ] {
+                let msg = encode_memoized_as(mode, list_len, updated, value_at).expect("applies");
+                assert_eq!(WireMode::of(&msg), mode);
+                let mut got = Vec::new();
+                decode_memoized::<u32>(&msg, list_len, &mut |p, v| got.push((p, v)))
+                    .expect("decodes");
+                if mode == WireMode::Dense {
+                    assert_eq!(got.len(), list_len, "{updated:?}");
+                    got.retain(|&(p, _)| updated.contains(&(p as u32)));
+                }
+                let want: Vec<(usize, u32)> = updated
+                    .iter()
+                    .map(|&p| (p as usize, value_at(p as usize)))
+                    .collect();
+                assert_eq!(got, want, "{updated:?} as {mode}");
+            }
+            let adaptive = encode_memoized(list_len, updated, value_at);
+            let forced = encode_memoized_as(WireMode::of(&adaptive), list_len, updated, value_at);
+            assert_eq!(Some(adaptive), forced, "{updated:?}");
+        }
+    }
+
+    #[test]
+    fn prefix_metadata_matches_the_walked_metadata() {
+        for k in [0u32, 1, 2, 127, 128, 129, 20_000] {
+            let walked = PosMeta::of(&(0..k).collect::<Vec<_>>());
+            assert_eq!(PosMeta::prefix(k as usize), walked, "k = {k}");
+        }
     }
 
     #[test]

@@ -191,6 +191,28 @@ impl IrglEngine {
         self.stats.kernels += 1;
     }
 
+    /// Deterministic parallel topology-driven pull kernel on recycled
+    /// scratch: one launch over every proxy, each thread owning its
+    /// destination's slot — the destination-chunk sweep of
+    /// [`crate::ligra::vertex_map_pull_pooled`], with `visit(dst, &mut
+    /// labels[dst])` gathering over [`LocalGraph::in_sources`] and
+    /// returning whether it activated `dst`. Work counters advance exactly
+    /// as in [`IrglEngine::kernel_all`]; read the ascending activation list
+    /// from [`BinScratch::activated`].
+    pub fn kernel_pull_all<T: Send + Sync, V: Copy + Send + Sync + 'static>(
+        &mut self,
+        graph: &LocalGraph,
+        pool: &Pool,
+        bins: &mut BinScratch<V>,
+        labels: &mut [T],
+        visit: impl Fn(Lid, &mut T) -> bool + Sync,
+    ) {
+        crate::ligra::vertex_map_pull_pooled(graph, pool, bins, labels, visit);
+        self.stats.nodes_visited += u64::from(graph.num_proxies());
+        self.stats.edges_traversed += graph.num_local_edges();
+        self.stats.kernels += 1;
+    }
+
     /// Launches a topology-driven kernel: one sweep over every proxy.
     pub fn kernel_all(&mut self, graph: &LocalGraph, mut op: impl FnMut(Lid, &LocalGraph)) {
         for lid in graph.proxies() {
@@ -359,6 +381,35 @@ mod tests {
                     "width = {width:?}, threads = {threads}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn pull_launch_is_the_pooled_pull_sweep_booked_as_one_kernel() {
+        let g = gen::rmat(8, 6, Default::default(), 5);
+        let mut lg = partition_all(&g, 1, Policy::Oec).remove(0);
+        lg.build_transpose();
+        let n = lg.num_proxies() as usize;
+        let vals: Vec<f64> = (0..n).map(|i| 1.0 / (i + 3) as f64).collect();
+        let gather = |dst: Lid, cell: &mut f64| {
+            let sources = lg.in_sources(dst);
+            *cell = sources.iter().fold(0.0, |s, &u| s + vals[u as usize]);
+            !sources.is_empty()
+        };
+        let mut topo = IrglEngine::new(Default::default());
+        topo.kernel_all(&lg, |_, _| {});
+        for threads in [1, 4] {
+            let pool = Pool::new(threads);
+            let mut bins = BinScratch::<f64>::new();
+            let mut want = vec![0.0f64; n];
+            crate::ligra::vertex_map_pull_pooled(&lg, &pool, &mut bins, &mut want, gather);
+            let want_active = bins.activated().to_vec();
+            let mut dev = IrglEngine::new(Default::default());
+            let mut got = vec![0.0f64; n];
+            dev.kernel_pull_all(&lg, &pool, &mut bins, &mut got, gather);
+            assert_eq!(got, want, "threads = {threads}");
+            assert_eq!(bins.activated(), want_active, "threads = {threads}");
+            assert_eq!(dev.stats(), topo.stats(), "threads = {threads}");
         }
     }
 

@@ -41,8 +41,10 @@ impl GeminiPartition {
     pub fn build(graph: &Csr, num_hosts: usize, host: usize) -> GeminiPartition {
         assert!(num_hosts > 0, "need at least one host");
         assert!(host < num_hosts, "host out of range");
-        // Chunk the node space balancing out-edges (Gemini's alpha-balanced
-        // chunking, simplified to the same heuristic our OEC uses).
+        // Chunk the node space balancing out-edges only — the heuristic our
+        // OEC uses. Gemini itself balances `α·|V_i| + |E_i|`; the vertex
+        // term is left out on purpose, here and in our policies: at 16
+        // hosts it skews edge balance and raises CVC's replication.
         let blocks = gluon_partition::BlockMap::balanced(&graph.out_degrees(), num_hosts);
         let starts: Vec<u32> = (0..=num_hosts)
             .map(|b| {

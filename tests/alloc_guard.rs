@@ -25,10 +25,11 @@
 //! steady-state allocations.
 //!
 //! The same binary holds the engine side to the same standard: a steady
-//! push sweep over a warmed bin scratch allocates nothing, and a whole
-//! warm bfs — one BSP round per level under the Ligra push arm, one
-//! sub-round per level under Galois — allocates a handful of run-level
-//! buffers however many levels it runs.
+//! push sweep over a warmed bin scratch allocates nothing, a whole warm
+//! bfs — one BSP round per level under the Ligra push arm, one sub-round
+//! per level under Galois — allocates a handful of run-level buffers
+//! however many levels it runs, and a warm pagerank iteration (gather,
+//! sync and vote) allocates nothing under any engine.
 //!
 //! Everything runs inside a single `#[test]` on purpose: the counters are
 //! process-wide, and a concurrently scheduled test (even just its thread
@@ -277,6 +278,61 @@ fn steady_state_sync_is_allocation_free() {
                     allocs <= 16,
                     "{engine}/{threads}t: a warm bfs of {levels} levels allocated {allocs} times \
                      (min-relax rounds must allocate nothing after warm-up)"
+                );
+            }
+        }
+    }
+
+    // A warm pagerank *iteration* — gather, contribution reduce, rank
+    // broadcast and residual vote — allocates nothing, under every engine
+    // at 1 and 4 inline threads. A 2- and a 6-iteration run on the same
+    // warm cluster allocate the same run-level buffers (rank vectors, dirty
+    // sets), so the two windows must read the same count; each window is
+    // bracketed by barriers so that it holds every host's whole run.
+    {
+        use gluon_suite::algos::apps::{pagerank, PagerankConfig};
+        use gluon_suite::algos::EngineKind;
+        use gluon_suite::net::run_cluster;
+        let short = PagerankConfig {
+            tolerance: 0.0,
+            max_iters: 2,
+            ..Default::default()
+        };
+        let long = PagerankConfig {
+            max_iters: 6,
+            ..short
+        };
+        for engine in [EngineKind::Galois, EngineKind::Ligra, EngineKind::Irgl] {
+            for threads in [1usize, 4] {
+                let windows = run_cluster(HOSTS, |net| {
+                    let comm = Communicator::new(net);
+                    let mut lg = partition_on_host(graph(), Policy::Cvc, &comm);
+                    lg.build_transpose();
+                    let mut ctx = GluonContext::new(&lg, &comm, OptLevel::default())
+                        .with_pool(Pool::inline(threads));
+                    for _ in 0..ARENA_WARMUP_ROUNDS {
+                        pagerank(&lg, &mut ctx, long, engine);
+                    }
+                    let mut window = |cfg| {
+                        comm.barrier();
+                        let before = gluon_meter::snapshot();
+                        comm.barrier();
+                        let (_, iters) = pagerank(&lg, &mut ctx, cfg, engine);
+                        assert_eq!(iters, cfg.max_iters);
+                        comm.barrier();
+                        let after = gluon_meter::snapshot();
+                        comm.barrier();
+                        after.allocs_since(&before)
+                    };
+                    (window(short), window(long))
+                });
+                let (short_allocs, long_allocs) = windows[0];
+                assert_eq!(
+                    long_allocs,
+                    short_allocs,
+                    "{engine}/{threads}t: 4 more warm pagerank iterations on {HOSTS} hosts \
+                     allocated {} more times (an iteration must allocate nothing)",
+                    long_allocs as i64 - short_allocs as i64
                 );
             }
         }
