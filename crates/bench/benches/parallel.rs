@@ -7,16 +7,20 @@
 //! reflects the real chunk imbalance of the skewed input rather than an
 //! assumed ideal.
 //!
-//! The `b.iter` micro-benchmark at the end times the pool primitive itself
-//! (a weighted chunked map over a degree-skewed weight profile), which *is*
-//! meaningful wall-clock.
+//! Two parts time the pool itself, which *is* meaningful wall-clock: the
+//! dispatch table first (the fixed cost of one trivial op, the same shape
+//! as the `exec.dispatch_us` probe of `perf/`), and the `b.iter`
+//! micro-benchmark at the end (a weighted chunked map over a
+//! degree-skewed weight profile).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gluon::exec::SchedScratch;
 use gluon::Pool;
 use gluon_algos::{driver, Algorithm, DistConfig, PagerankConfig};
 use gluon_bench::inputs;
 use gluon_graph::{gen, RmatProbs};
 use std::hint::black_box;
+use std::time::Instant;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -67,6 +71,64 @@ fn bench_scaling(_c: &mut Criterion) {
     }
 }
 
+const DISPATCH_OPS: usize = 1000;
+/// Elements per dispatched op: 64 chunks of the pool's minimum width.
+const DISPATCH_LEN: usize = 4096;
+const BATCHES: usize = 10;
+
+/// Lower quartile over [`BATCHES`] batches of the mean microseconds per
+/// call of `op`.
+fn per_call_us(calls: usize, mut op: impl FnMut()) -> f64 {
+    let per_batch = calls.div_ceil(BATCHES);
+    let mut us: Vec<f64> = (0..BATCHES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..per_batch {
+                op();
+            }
+            start.elapsed().as_secs_f64() * 1e6 / per_batch as f64
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[BATCHES / 4]
+}
+
+fn bench_dispatch(_c: &mut Criterion) {
+    // What one op costs when its chunks do nothing: the deal plus, above
+    // one thread, spawning and joining the workers. `map_chunks` also
+    // allocates its scheduling state and result slots; the scratch-fed
+    // scatter reuses both.
+    println!(
+        "\npool dispatch, us per op of {DISPATCH_LEN} elements (p25 of {BATCHES} batches, {} cores)",
+        std::thread::available_parallelism().map_or(0, usize::from)
+    );
+    println!(
+        "{:>8} {:>12} {:>14}",
+        "threads", "map_chunks", "chunk_scratch"
+    );
+    for threads in [1usize, 2] {
+        let pool = Pool::new(threads);
+        let map = per_call_us(DISPATCH_OPS, || {
+            black_box(pool.map_chunks(DISPATCH_LEN, |r| r.len()));
+        });
+        let mut sched = SchedScratch::new();
+        let mut rows = vec![0usize; Pool::num_chunks(DISPATCH_LEN)];
+        let scratch = per_call_us(DISPATCH_OPS, || {
+            pool.for_each_chunk_scratch(
+                DISPATCH_LEN,
+                &mut sched,
+                &mut rows,
+                1,
+                |r| r.len() as u64,
+                |r, row| row[0] = r.len(),
+            );
+            black_box(&rows);
+        });
+        println!("{threads:>8} {map:>12.2} {scratch:>14.2}");
+        let _ = pool.drain_work();
+    }
+}
+
 fn bench_pool_primitive(c: &mut Criterion) {
     // Wall-clock for the primitive itself: a weighted chunked reduction
     // over a skewed per-element weight profile (rmat-like degree shape).
@@ -91,5 +153,5 @@ fn bench_pool_primitive(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_scaling, bench_pool_primitive);
+criterion_group!(benches, bench_dispatch, bench_scaling, bench_pool_primitive);
 criterion_main!(benches);

@@ -1005,7 +1005,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         let FieldArena { peers, recv, .. } = fa;
         let mut rx = Receiver::new(rank, role, temporal, graph, recv_lists, recv);
         let transport = self.comm.transport();
-        if self.pool.is_parallel() && self.pool.spawns() {
+        if self.pool.spawns() {
             // Spawning pool: payloads are built on workers, and the
             // calling thread ships each one the moment it completes —
             // completion order, not rank order, which is safe because the

@@ -33,14 +33,19 @@
 //! cluster shares physical cores between hosts, so wall-clock cannot show
 //! intra-host scaling; the critical path under the real assignment can.
 //!
-//! Threads are crossbeam-style scoped threads, spawned per call: pool
-//! lifetime management would buy little here (the chunked loops dominate),
-//! and scoped spawning keeps the closures free to borrow the caller's
-//! stack. For workloads that must not allocate at all (the sync arena's
-//! steady-state guarantee), [`Pool::inline`] builds a pool that keeps the
-//! configured thread count for scheduling and metering — chunk widths,
-//! assignments, and the critical-path meter are exactly those of the
-//! spawning pool — but executes every bucket on the calling thread, so no
+//! Every primitive is a thin wrapper over one deal and one dispatch core.
+//! It stages one weight per chunk (or partition) in a [`SchedScratch`]; the
+//! deal maps chunks to workers; the dispatch core runs the per-worker job
+//! lists on `std::thread::scope` threads — the crate's only spawn site —
+//! while the calling thread runs worker 0's list (or, for the eager sync
+//! primitive, the completion-ordered sink). Threads are spawned per call:
+//! pool lifetime management would buy little here (the chunked loops
+//! dominate), and scoped spawning keeps the closures free to borrow the
+//! caller's stack. For workloads that must not allocate at all (the sync
+//! arena's steady-state guarantee), [`Pool::inline`] builds a pool that
+//! keeps the configured thread count for scheduling and metering — chunk
+//! widths, assignments, and the critical-path meter are exactly those of
+//! the spawning pool — but executes every job on the calling thread, so no
 //! spawn-time allocations (closure boxes, join handles) occur. Results are
 //! bit-identical either way; only wall-clock parallelism differs.
 //!
@@ -66,7 +71,7 @@
 
 use gluon_metrics::ExecMetrics;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Maximum chunk width (elements per chunk) for all chunked operations.
 ///
@@ -92,19 +97,13 @@ pub fn chunk_width(len: usize) -> usize {
     ((len / MIN_CHUNK) / MIN_CHUNK * MIN_CHUNK).clamp(MIN_CHUNK, CHUNK)
 }
 
-/// Reusable scheduling state for the `*_scratch` chunked entry points.
+/// Reusable scheduling state for the chunked entry points.
 ///
-/// [`Pool::map_chunks_weighted`] allocates its weight vector and worker
-/// buckets on every call; that is fine for sync micro-stages but not for
-/// the engine hot loop, which must stay allocation-free in the steady
-/// state (the partition-binned edge_map contract). A `SchedScratch` owns
-/// those buffers instead: every vector is cleared (never shrunk) between
-/// calls, so capacities ratchet up to their high-water marks within a
-/// couple of rounds and scheduling allocates nothing afterwards.
-///
-/// The assignment computed through a `SchedScratch` is *identical* to the
-/// allocating path: same LPT greedy, same tie-breaks, same metered
-/// seq/critical-path split.
+/// The engine hot loop must stay allocation-free in the steady state (the
+/// partition-binned edge_map contract), so the deal's buffers live here
+/// rather than in each call: every vector is cleared (never shrunk)
+/// between calls, so capacities ratchet up to their high-water marks
+/// within a couple of rounds and scheduling allocates nothing afterwards.
 #[derive(Debug, Default)]
 pub struct SchedScratch {
     /// Per-chunk declared weights of the current call.
@@ -123,6 +122,50 @@ impl SchedScratch {
     /// Creates an empty scheduling scratch (buffers grow on first use).
     pub fn new() -> SchedScratch {
         SchedScratch::default()
+    }
+
+    /// The deal: a longest-processing-time greedy over the staged
+    /// `weights`, heaviest chunk first (ties by chunk index), each onto the
+    /// worker with the least load, then the fewest chunks, then the lowest
+    /// index — fully deterministic. Fills `owner` and returns the
+    /// sequential total and the resulting critical path (the heaviest
+    /// worker share).
+    ///
+    /// The deal only decides *who computes* each chunk; results are
+    /// recombined by chunk index, so it cannot affect what is computed.
+    fn deal(&mut self, threads: usize) -> WorkSplit {
+        let n = self.weights.len();
+        assert!(u32::try_from(n).is_ok(), "chunk count fits u32");
+        let SchedScratch {
+            weights,
+            order,
+            loads,
+            counts,
+            owner,
+        } = self;
+        order.clear();
+        order.extend(0..n as u32);
+        // The key carries the unique chunk index, so the unstable in-place
+        // sort orders ties exactly as a stable one would.
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(weights[i as usize]), i));
+        loads.clear();
+        loads.resize(threads, 0);
+        counts.clear();
+        counts.resize(threads, 0);
+        owner.clear();
+        owner.resize(n, 0);
+        for &i in order.iter() {
+            let w = (0..threads)
+                .min_by_key(|&w| (loads[w], counts[w], w))
+                .expect("at least one worker");
+            loads[w] += weights[i as usize];
+            counts[w] += 1;
+            owner[i as usize] = w as u32;
+        }
+        WorkSplit {
+            seq: weights.iter().sum(),
+            crit: loads.iter().copied().max().unwrap_or(0),
+        }
     }
 }
 
@@ -153,6 +196,24 @@ impl WorkSplit {
             self.seq as f64 / self.crit as f64
         }
     }
+}
+
+/// The crate's one spawn site: every list in `spawned` runs through `run`
+/// on a scoped thread of its own while the calling thread runs `caller`.
+/// Returns once every thread has joined. A panic in a job or in `caller`
+/// surfaces from here only after that, so no job outlives the borrows it
+/// was handed.
+fn dispatch<W: Send>(
+    spawned: impl Iterator<Item = W>,
+    run: &(impl Fn(W) + Sync),
+    caller: impl FnOnce(),
+) {
+    std::thread::scope(|s| {
+        for list in spawned {
+            s.spawn(move || run(list));
+        }
+        caller();
+    });
 }
 
 /// A deterministic worker pool for one simulated host.
@@ -194,7 +255,7 @@ impl Pool {
 
     /// A pool that schedules and meters as if it had `threads` workers —
     /// identical chunk widths, identical deterministic assignment,
-    /// identical critical-path accounting — but runs every bucket on the
+    /// identical critical-path accounting — but runs every job on the
     /// calling thread instead of spawning. Scoped thread spawning
     /// allocates (closure boxes, join state); an inline pool performs no
     /// allocations of its own, which is what the allocation-metering
@@ -221,10 +282,10 @@ impl Pool {
         self.threads > 1
     }
 
-    /// Whether this pool actually spawns OS threads (false for
-    /// [`Pool::inline`] pools).
+    /// Whether this pool runs jobs on more than one OS thread (false for
+    /// one-worker and [`Pool::inline`] pools).
     pub fn spawns(&self) -> bool {
-        self.spawn
+        self.spawn && self.is_parallel()
     }
 
     /// Returns and resets the work metered since the last drain.
@@ -254,78 +315,66 @@ impl Pool {
         len.div_ceil(chunk_width(len))
     }
 
-    /// Deals chunks to workers: longest-processing-time greedy over the
-    /// declared chunk weights, ties broken by worker load, then bucket
-    /// size, then worker index — fully deterministic. Meters the sequential
-    /// total and the resulting critical path (the heaviest worker share).
-    ///
-    /// The assignment only decides *who computes* each chunk; results are
-    /// recombined by chunk index, so this cannot affect what is computed.
-    fn assign(&self, weights: &[u64]) -> Vec<Vec<usize>> {
-        let mut order: Vec<usize> = (0..weights.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
-        let mut buckets: Vec<Vec<usize>> = (0..self.threads).map(|_| Vec::new()).collect();
-        let mut loads = vec![0u64; self.threads];
-        for i in order {
-            let w = (0..self.threads)
-                .min_by_key(|&w| (loads[w], buckets[w].len(), w))
-                .expect("at least one worker");
-            loads[w] += weights[i];
-            buckets[w].push(i);
-        }
-        self.record(WorkSplit {
-            seq: weights.iter().sum(),
-            crit: loads.iter().copied().max().unwrap_or(0),
-        });
-        buckets
+    /// Stages one weight per fixed chunk of `0..len` in `sched`, deals the
+    /// chunks and meters the split.
+    fn deal_chunks(
+        &self,
+        len: usize,
+        sched: &mut SchedScratch,
+        weight: impl Fn(Range<usize>) -> u64,
+    ) {
+        sched.weights.clear();
+        sched.weights.extend(Self::chunk_ranges(len).map(weight));
+        self.record(sched.deal(self.threads));
     }
 
-    /// [`Pool::assign`] without allocations: deals the chunks whose weights
-    /// are already staged in `sched.weights` to workers, writing the
-    /// chunk->worker map into `sched.owner`. The greedy, its tie-breaks,
-    /// and the metered [`WorkSplit`] are exactly those of `assign` (the
-    /// sort key carries the unique chunk index, so the unstable in-place
-    /// sort cannot reorder ties differently from the stable one).
-    fn assign_into(&self, sched: &mut SchedScratch) {
-        let n = sched.weights.len();
-        assert!(u32::try_from(n).is_ok(), "chunk count fits u32");
-        let SchedScratch {
-            weights,
-            order,
-            loads,
-            counts,
-            owner,
-        } = sched;
-        order.clear();
-        order.extend(0..n as u32);
-        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(weights[i as usize]), i));
-        loads.clear();
-        loads.resize(self.threads, 0);
-        counts.clear();
-        counts.resize(self.threads, 0);
-        owner.clear();
-        owner.resize(n, 0);
-        for &i in order.iter() {
-            let w = (0..self.threads)
-                .min_by_key(|&w| (loads[w], counts[w], w))
-                .expect("at least one worker");
-            loads[w] += weights[i as usize];
-            counts[w] += 1;
-            owner[i as usize] = w as u32;
+    /// Runs every job through `run`. A pool that does not spawn, or a call
+    /// with at most one job, runs them in order on the calling thread;
+    /// otherwise job `k` joins the list of worker `owner[k]` and the lists
+    /// are dispatched, worker 0's on the calling thread.
+    fn run_dealt<J: Send>(
+        &self,
+        owner: &[u32],
+        jobs: impl Iterator<Item = J>,
+        run: impl Fn(J) + Sync,
+    ) {
+        if !self.spawns() || owner.len() <= 1 {
+            jobs.for_each(run);
+            return;
         }
-        self.record(WorkSplit {
-            seq: weights.iter().sum(),
-            crit: loads.iter().copied().max().unwrap_or(0),
-        });
+        let mut lists: Vec<Vec<J>> = (0..self.threads).map(|_| Vec::new()).collect();
+        for (job, &w) in jobs.zip(owner) {
+            lists[w as usize].push(job);
+        }
+        let mut lists = lists.into_iter();
+        let mine = lists.next().expect("at least one worker");
+        let run_list = |list: Vec<J>| list.into_iter().for_each(&run);
+        dispatch(lists, &run_list, || run_list(mine));
+    }
+
+    /// Runs `f(k, slice_k, &mut slots[k])` over the disjoint `width`-wide
+    /// slices of `data` (the last one may be shorter), slice `k` on worker
+    /// `owner[k]`.
+    fn for_each_slice_mut<T: Send, S: Send>(
+        &self,
+        data: &mut [T],
+        width: usize,
+        owner: &[u32],
+        slots: &mut [S],
+        f: impl Fn(usize, &mut [T], &mut S) + Sync,
+    ) {
+        let jobs = data.chunks_mut(width).zip(slots).enumerate();
+        self.run_dealt(owner, jobs, |(k, (slice, slot))| f(k, slice, slot));
     }
 
     /// Chunked parallel scatter into per-chunk scratch rows: chunk `i` of
     /// `0..len` runs `f(range, row_i)` where `row_i` is the exclusive
     /// sub-slice `rows[i*stride..(i+1)*stride]` — disjoint rows, no write
-    /// races. Metered exactly like [`Pool::map_chunks_weighted`] (same
-    /// chunk widths, same weights, same LPT assignment), but with all
-    /// scheduling state drawn from `sched`, so on a non-spawning pool the
-    /// steady state performs **zero** heap allocations. This is the
+    /// races. `weight(range)` is the work-unit cost of a chunk (e.g. the
+    /// out-degree sum of its vertices); the pool meters the sequential
+    /// total and the critical path of the weight-balanced deal. All
+    /// scheduling state is drawn from `sched`, so on a non-spawning pool
+    /// the steady state performs **zero** heap allocations. This is the
     /// scatter half of the partition-binned edge_map: each chunk owns one
     /// row of destination-partition bins.
     ///
@@ -342,52 +391,26 @@ impl Pool {
         weight: impl Fn(Range<usize>) -> u64 + Sync,
         f: impl Fn(Range<usize>, &mut [S]) + Sync,
     ) {
-        let width = chunk_width(len);
-        let num_chunks = len.div_ceil(width);
         assert!(stride > 0, "row stride must be positive");
         assert!(
-            rows.len() >= num_chunks * stride,
+            rows.len() >= Self::num_chunks(len) * stride,
             "one stride-sized row per chunk"
         );
-        sched.weights.clear();
-        sched.weights.extend(Self::chunk_ranges(len).map(weight));
-        self.assign_into(sched);
-        if !self.spawn || !self.is_parallel() || num_chunks <= 1 {
-            for (i, row) in rows.chunks_mut(stride).take(num_chunks).enumerate() {
-                f(i * width..((i + 1) * width).min(len), row);
-            }
-            return;
-        }
-        let mut per_worker: Vec<Vec<(usize, &mut [S])>> =
-            (0..self.threads).map(|_| Vec::new()).collect();
-        for (i, row) in rows.chunks_mut(stride).take(num_chunks).enumerate() {
-            per_worker[sched.owner[i] as usize].push((i, row));
-        }
-        let f = &f;
-        crossbeam::thread::scope(|s| {
-            let mut buckets = per_worker.into_iter();
-            let mine = buckets.next().expect("at least one worker");
-            for work in buckets {
-                s.spawn(move || {
-                    for (i, row) in work {
-                        f(i * width..((i + 1) * width).min(len), row);
-                    }
-                });
-            }
-            for (i, row) in mine {
-                f(i * width..((i + 1) * width).min(len), row);
-            }
-        });
+        self.deal_chunks(len, sched, weight);
+        let jobs = Self::chunk_ranges(len).zip(rows.chunks_mut(stride));
+        self.run_dealt(&sched.owner, jobs, |(range, row)| f(range, row));
     }
 
-    /// [`Pool::map_chunks_mut`] with recycled scheduling state and one
-    /// exclusive scratch slot per chunk instead of a result vector: chunk
-    /// `i` runs `f(start, chunk, &mut scratch[i])`, writing any output
-    /// into its slot. Metered identically to `map_chunks_mut`; on a
-    /// non-spawning pool the steady state allocates nothing. This is the
-    /// pull half of the partition-binned edge_map: destination chunks own
-    /// disjoint label slices and park their activation lists in their
-    /// slots.
+    /// Chunked parallel mutation with one exclusive scratch slot per chunk:
+    /// splits `data` into fixed chunks and runs `f(start, chunk,
+    /// &mut scratch[i])` on each — workers own **disjoint** slices, so no
+    /// write races are possible — writing any output into the slot.
+    /// `weight` meters each chunk by its range within `data` (e.g.
+    /// in-degree sums for a pull kernel writing per-destination slots);
+    /// metering and scheduling state are those of
+    /// [`Pool::for_each_chunk_scratch`]. This is the pull half of the
+    /// partition-binned edge_map: destination chunks own disjoint label
+    /// slices and park their activation lists in their slots.
     ///
     /// # Panics
     ///
@@ -400,38 +423,14 @@ impl Pool {
         weight: impl Fn(Range<usize>) -> u64 + Sync,
         f: impl Fn(usize, &mut [T], &mut S) + Sync,
     ) {
-        let len = data.len();
-        let width = chunk_width(len);
-        let num_chunks = len.div_ceil(width);
-        assert!(scratch.len() >= num_chunks, "one scratch slot per chunk");
-        sched.weights.clear();
-        sched.weights.extend(Self::chunk_ranges(len).map(weight));
-        self.assign_into(sched);
-        if !self.spawn || !self.is_parallel() || num_chunks <= 1 {
-            for ((i, chunk), slot) in data.chunks_mut(width).enumerate().zip(scratch.iter_mut()) {
-                f(i * width, chunk, slot);
-            }
-            return;
-        }
-        let mut per_worker: Vec<Vec<(usize, &mut [T], &mut S)>> =
-            (0..self.threads).map(|_| Vec::new()).collect();
-        for ((i, chunk), slot) in data.chunks_mut(width).enumerate().zip(scratch.iter_mut()) {
-            per_worker[sched.owner[i] as usize].push((i, chunk, slot));
-        }
-        let f = &f;
-        crossbeam::thread::scope(|s| {
-            let mut buckets = per_worker.into_iter();
-            let mine = buckets.next().expect("at least one worker");
-            for work in buckets {
-                s.spawn(move || {
-                    for (i, chunk, slot) in work {
-                        f(i * width, chunk, slot);
-                    }
-                });
-            }
-            for (i, chunk, slot) in mine {
-                f(i * width, chunk, slot);
-            }
+        let width = chunk_width(data.len());
+        assert!(
+            scratch.len() >= Self::num_chunks(data.len()),
+            "one scratch slot per chunk"
+        );
+        self.deal_chunks(data.len(), sched, weight);
+        self.for_each_slice_mut(data, width, &sched.owner, scratch, |i, chunk, slot| {
+            f(i * width, chunk, slot)
         });
     }
 
@@ -467,112 +466,38 @@ impl Pool {
         let num_parts = data.len().div_ceil(part_len);
         assert!(part_weights.len() >= num_parts, "one weight per partition");
         assert!(scratch.len() >= num_parts, "one scratch slot per partition");
-        if !self.spawn || !self.is_parallel() || num_parts <= 1 {
-            let mut rest = data;
-            for (p, slot) in scratch.iter_mut().take(num_parts).enumerate() {
-                let (head, tail) = rest.split_at_mut(part_len.min(rest.len()));
-                rest = tail;
-                f(p, p * part_len, head, slot);
-            }
-            return;
+        // Dealt only when the partitions can spread over threads, so the
+        // inline path allocates nothing; a spawning call allocates for its
+        // threads anyway.
+        let mut sched = SchedScratch::new();
+        if self.spawns() {
+            sched.weights.extend_from_slice(&part_weights[..num_parts]);
+            sched.deal(self.threads);
         }
-        // LPT deal over the declared partition weights (ties by partition
-        // index) — allocation is fine here, the spawn path allocates for
-        // thread state anyway.
-        let mut order: Vec<usize> = (0..num_parts).collect();
-        order.sort_unstable_by_key(|&p| (std::cmp::Reverse(part_weights[p]), p));
-        let mut owner = vec![0usize; num_parts];
-        let mut loads = vec![0u64; self.threads];
-        let mut counts = vec![0usize; self.threads];
-        for p in order {
-            let w = (0..self.threads)
-                .min_by_key(|&w| (loads[w], counts[w], w))
-                .expect("at least one worker");
-            loads[w] += part_weights[p];
-            counts[w] += 1;
-            owner[p] = w;
-        }
-        let mut per_worker: Vec<Vec<(usize, &mut [T], &mut S)>> =
-            (0..self.threads).map(|_| Vec::new()).collect();
-        let mut rest = data;
-        for (p, slot) in scratch.iter_mut().take(num_parts).enumerate() {
-            let (head, tail) = rest.split_at_mut(part_len.min(rest.len()));
-            rest = tail;
-            per_worker[owner[p]].push((p, head, slot));
-        }
-        let f = &f;
-        crossbeam::thread::scope(|s| {
-            let mut buckets = per_worker.into_iter();
-            let mine = buckets.next().expect("at least one worker");
-            for work in buckets {
-                s.spawn(move || {
-                    for (p, slice, slot) in work {
-                        f(p, p * part_len, slice, slot);
-                    }
-                });
-            }
-            for (p, slice, slot) in mine {
-                f(p, p * part_len, slice, slot);
-            }
+        self.for_each_slice_mut(data, part_len, &sched.owner, scratch, |p, slice, slot| {
+            f(p, p * part_len, slice, slot)
         });
     }
 
-    /// Chunked parallel map with metered weights: applies `f` to each fixed
-    /// chunk of `0..len` and returns the results in ascending chunk order.
-    ///
-    /// `weight(range)` is the work-unit cost of a chunk (e.g. the out-degree
-    /// sum of its vertices); the pool meters the sequential total and the
-    /// critical path of the weight-balanced assignment. `f` must read only
-    /// shared immutable state — the `Fn + Sync` bounds enforce this — which
-    /// is what makes the result independent of the thread count.
-    pub fn map_chunks_weighted<R: Send>(
-        &self,
-        len: usize,
-        weight: impl Fn(Range<usize>) -> u64 + Sync,
-        f: impl Fn(Range<usize>) -> R + Sync,
-    ) -> Vec<R> {
-        let num_chunks = len.div_ceil(chunk_width(len));
-        let weights: Vec<u64> = Self::chunk_ranges(len).map(weight).collect();
-        let buckets = self.assign(&weights);
-        if !self.spawn || !self.is_parallel() || num_chunks <= 1 {
-            return Self::chunk_ranges(len).map(f).collect();
-        }
-        let width = chunk_width(len);
-        let f = &f;
-        let run = move |bucket: &[usize]| {
-            bucket
-                .iter()
-                .map(|&i| (i, f(i * width..((i + 1) * width).min(len))))
-                .collect::<Vec<(usize, R)>>()
-        };
-        let mut per_worker: Vec<Vec<(usize, R)>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = buckets[1..]
-                .iter()
-                .map(|bucket| s.spawn(move || run(bucket)))
-                .collect();
-            let mine = run(&buckets[0]);
-            let mut all = vec![mine];
-            all.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked")),
-            );
-            all
-        });
-        // Reassemble in ascending chunk order (in-order combination).
-        let mut out: Vec<Option<R>> = (0..num_chunks).map(|_| None).collect();
-        for bucket in &mut per_worker {
-            for (i, r) in bucket.drain(..) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter().map(|r| r.expect("chunk covered")).collect()
-    }
-
-    /// As [`Pool::map_chunks_weighted`] with each chunk weighted by its
-    /// element count.
+    /// Chunked parallel map: applies `f` to each fixed chunk of `0..len`
+    /// and returns the results in ascending chunk order, metering each
+    /// chunk by its element count. `f` must read only shared immutable
+    /// state — the `Fn + Sync` bounds enforce this — which is what makes
+    /// the result independent of the thread count.
     pub fn map_chunks<R: Send>(&self, len: usize, f: impl Fn(Range<usize>) -> R + Sync) -> Vec<R> {
-        self.map_chunks_weighted(len, |r| r.len() as u64, f)
+        let mut slots: Vec<Option<R>> = (0..Self::num_chunks(len)).map(|_| None).collect();
+        self.for_each_chunk_scratch(
+            len,
+            &mut SchedScratch::new(),
+            &mut slots,
+            1,
+            |r| r.len() as u64,
+            |r, slot| slot[0] = Some(f(r)),
+        );
+        slots
+            .into_iter()
+            .map(|r| r.expect("chunk covered"))
+            .collect()
     }
 
     /// Chunked parallel reduction: maps each fixed chunk with `map`, then
@@ -590,113 +515,6 @@ impl Pool {
         self.map_chunks(len, map)
             .into_iter()
             .fold(identity, &mut combine)
-    }
-
-    /// Chunked parallel mutation: splits `data` into fixed chunks, runs
-    /// `f(chunk_start, chunk)` on each — workers own **disjoint** slices,
-    /// so no write races are possible — and returns the per-chunk results
-    /// in ascending chunk order.
-    ///
-    /// `weight` meters each chunk by its range within `data` (e.g. in-degree
-    /// sums for a pull kernel writing per-destination slots).
-    pub fn map_chunks_mut<T: Send, R: Send>(
-        &self,
-        data: &mut [T],
-        weight: impl Fn(Range<usize>) -> u64 + Sync,
-        f: impl Fn(usize, &mut [T]) -> R + Sync,
-    ) -> Vec<R> {
-        let len = data.len();
-        let width = chunk_width(len);
-        let num_chunks = len.div_ceil(width);
-        let weights: Vec<u64> = Self::chunk_ranges(len).map(weight).collect();
-        let buckets = self.assign(&weights);
-        if !self.spawn || !self.is_parallel() || num_chunks <= 1 {
-            return data
-                .chunks_mut(width)
-                .enumerate()
-                .map(|(i, c)| f(i * width, c))
-                .collect();
-        }
-        let mut owner = vec![0usize; num_chunks];
-        for (w, bucket) in buckets.iter().enumerate() {
-            for &i in bucket {
-                owner[i] = w;
-            }
-        }
-        let mut per_worker: Vec<Vec<(usize, &mut [T])>> =
-            (0..self.threads).map(|_| Vec::new()).collect();
-        for (i, chunk) in data.chunks_mut(width).enumerate() {
-            per_worker[owner[i]].push((i, chunk));
-        }
-        let f = &f;
-        let mut results: Vec<Vec<(usize, R)>> = crossbeam::thread::scope(|s| {
-            let mut buckets = per_worker.into_iter();
-            let mine = buckets.next().expect("at least one worker");
-            let handles: Vec<_> = buckets
-                .map(|work| {
-                    s.spawn(move || {
-                        work.into_iter()
-                            .map(|(i, c)| (i, f(i * width, c)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let own: Vec<(usize, R)> = mine
-                .into_iter()
-                .map(|(i, c)| (i, f(i * width, c)))
-                .collect();
-            let mut all = vec![own];
-            all.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked")),
-            );
-            all
-        });
-        let mut out: Vec<Option<R>> = (0..num_chunks).map(|_| None).collect();
-        for bucket in &mut results {
-            for (i, r) in bucket.drain(..) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter().map(|r| r.expect("chunk covered")).collect()
-    }
-
-    /// One task per index `0..n`, results in index order — for small fixed
-    /// fan-outs like per-peer extract/encode in the sync hot path. Not
-    /// metered (sync work is accounted as communication, not compute).
-    pub fn map_per<R: Send>(&self, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        if !self.spawn || !self.is_parallel() || n <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let f = &f;
-        let mut per_worker: Vec<Vec<(usize, R)>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (1..self.threads.min(n))
-                .map(|w| {
-                    s.spawn(move || {
-                        (w..n)
-                            .step_by(self.threads)
-                            .map(|i| (i, f(i)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mine: Vec<(usize, R)> = (0..n).step_by(self.threads).map(|i| (i, f(i))).collect();
-            let mut all = vec![mine];
-            all.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked")),
-            );
-            all
-        });
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for bucket in &mut per_worker {
-            for (i, r) in bucket.drain(..) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter().map(|r| r.expect("index covered")).collect()
     }
 
     /// One task per scratch slot with a **completion-ordered sink**:
@@ -726,50 +544,91 @@ impl Pool {
         mut sink: impl FnMut(usize, &mut S),
     ) {
         let n = scratch.len();
-        if !self.spawn || !self.is_parallel() || n <= 1 {
+        if !self.spawns() || n <= 1 {
             for (i, s) in scratch.iter_mut().enumerate() {
                 work(i, s);
                 sink(i, s);
             }
             return;
         }
+        // One contiguous block per thread, each with its own sender: a
+        // worker that finishes — or panics — hangs up, so the sink loop
+        // ends once the last block is done either way.
         let t = self.threads.min(n);
-        let base = n / t;
-        let rem = n % t;
-        let block = |b: usize| base + usize::from(b < rem);
-        let work = &work;
-        crossbeam::thread::scope(|s| {
-            let (tx, rx) = crossbeam::channel::unbounded_with_capacity::<(usize, &mut S)>(n);
-            let mut rest: &mut [S] = scratch;
-            let mut start = 0usize;
-            for b in 0..t {
-                let (head, tail) = rest.split_at_mut(block(b));
-                rest = tail;
-                let head_start = start;
-                start += head.len();
-                let tx = tx.clone();
-                s.spawn(move || {
-                    for (off, slot) in head.iter_mut().enumerate() {
-                        work(head_start + off, slot);
-                        assert!(
-                            tx.send((head_start + off, slot)).is_ok(),
-                            "eager sink receiver outlives the workers"
-                        );
-                    }
-                });
-            }
-            drop(tx);
-            for _ in 0..n {
-                let (i, slot) = rx.recv().expect("every slot is sent exactly once");
-                sink(i, slot);
-            }
-        });
+        let (tx, rx) = mpsc::channel();
+        let mut blocks = Vec::with_capacity(t);
+        let (mut rest, mut start) = (scratch, 0);
+        for b in 0..t {
+            let (head, tail) = rest.split_at_mut(n / t + usize::from(b < n % t));
+            rest = tail;
+            let len = head.len();
+            blocks.push((start, head, tx.clone()));
+            start += len;
+        }
+        drop(tx);
+        dispatch(
+            blocks.into_iter(),
+            &|(start, block, tx)| {
+                for (i, slot) in (start..).zip(block) {
+                    work(i, slot);
+                    // A send fails only once the sink has panicked; the
+                    // scope reports that panic after this block is done.
+                    let _ = tx.send((i, slot));
+                }
+            },
+            || rx.into_iter().for_each(|(i, slot)| sink(i, slot)),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// Runs a no-op chunk scatter over `0..len` with the given chunk
+    /// weights and drains the meter.
+    fn metered(pool: &Pool, len: usize, weight: impl Fn(Range<usize>) -> u64 + Sync) -> WorkSplit {
+        let mut rows = vec![(); Pool::num_chunks(len)];
+        pool.for_each_chunk_scratch(
+            len,
+            &mut SchedScratch::new(),
+            &mut rows,
+            1,
+            weight,
+            |_, _| {},
+        );
+        pool.drain_work()
+    }
+
+    /// The deal written the plain way, as an oracle: a stable sort
+    /// heaviest-first, then a scan for the least-loaded, least-filled,
+    /// lowest-numbered worker.
+    fn reference_deal(weights: &[u64], threads: usize) -> (Vec<u32>, WorkSplit) {
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
+        let mut loads = vec![0u64; threads];
+        let mut counts = vec![0u32; threads];
+        let mut owner = vec![0u32; weights.len()];
+        for i in order {
+            let mut w = 0;
+            for v in 1..threads {
+                if (loads[v], counts[v]) < (loads[w], counts[w]) {
+                    w = v;
+                }
+            }
+            loads[w] += weights[i];
+            counts[w] += 1;
+            owner[i] = w as u32;
+        }
+        let split = WorkSplit {
+            seq: weights.iter().sum(),
+            crit: loads.into_iter().max().unwrap_or(0),
+        };
+        (owner, split)
+    }
 
     #[test]
     fn chunk_boundaries_are_thread_independent() {
@@ -830,35 +689,12 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_mut_writes_disjoint_slices() {
-        let mut data = vec![0u32; 2 * CHUNK + 100];
-        let touched: Vec<usize> = Pool::new(4)
-            .map_chunks_mut(
-                &mut data,
-                |r| r.len() as u64,
-                |start, chunk| {
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v = (start + i) as u32;
-                    }
-                    chunk.len()
-                },
-            )
-            .into_iter()
-            .collect();
-        assert_eq!(touched.iter().sum::<usize>(), data.len());
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v as usize, i);
-        }
-    }
-
-    #[test]
     fn meter_records_seq_and_critical_path() {
         let pool = Pool::new(2);
         // Two chunks with weights 10 and 30: seq 40, worker shares {10, 30}.
         let len = 2 * MIN_CHUNK;
         assert_eq!(chunk_width(len), MIN_CHUNK);
-        let _ = pool.map_chunks_weighted(len, |r| if r.start == 0 { 10 } else { 30 }, |_| ());
-        let w = pool.drain_work();
+        let w = metered(&pool, len, |r| if r.start == 0 { 10 } else { 30 });
         assert_eq!(w, WorkSplit { seq: 40, crit: 30 });
         assert!((w.speedup() - 40.0 / 30.0).abs() < 1e-12);
         // Drained.
@@ -871,9 +707,7 @@ mod tests {
         // the greedy assignment must isolate the hub so the critical path
         // is the hub chunk, not hub + round-robin extras.
         let len = 8 * MIN_CHUNK;
-        let pool = Pool::new(4);
-        let _ = pool.map_chunks_weighted(len, |r| if r.start == 0 { 100 } else { 10 }, |_| ());
-        let w = pool.drain_work();
+        let w = metered(&Pool::new(4), len, |r| if r.start == 0 { 100 } else { 10 });
         assert_eq!(
             w,
             WorkSplit {
@@ -884,20 +718,63 @@ mod tests {
     }
 
     #[test]
+    fn part_deal_isolates_the_hub_partition() {
+        // The same profile through the unmetered partition drain, with the
+        // hub in the middle: the heaviest partition goes to worker 0 — the
+        // calling thread — alone, and the seven light ones share the three
+        // spawned workers.
+        let pool = Pool::new(4);
+        let part_len = 100;
+        let weights: Vec<u64> = (0..8).map(|p| if p == 3 { 100 } else { 10 }).collect();
+        let mut data = vec![0u8; 8 * part_len];
+        let mut ran_on = vec![None; 8];
+        pool.for_each_part_mut(
+            &mut data,
+            part_len,
+            &weights,
+            &mut ran_on,
+            |_, _, _, slot| {
+                *slot = Some(std::thread::current().id());
+            },
+        );
+        let caller = std::thread::current().id();
+        let ran_on: Vec<_> = ran_on.into_iter().map(Option::unwrap).collect();
+        for (p, &id) in ran_on.iter().enumerate() {
+            assert_eq!(id == caller, p == 3, "partition {p}");
+        }
+        let threads: std::collections::HashSet<_> = ran_on.into_iter().collect();
+        assert_eq!(threads.len(), 4, "hub worker plus three spawned workers");
+    }
+
+    #[test]
+    fn deal_matches_the_plain_reference() {
+        let profiles: [&[u64]; 5] = [
+            &[],
+            &[7],
+            &[5, 5, 5, 5, 5, 5, 5],
+            &[100, 10, 10, 10, 10, 10, 10, 10],
+            &[3, 9, 1, 9, 4, 0, 12, 7, 7, 2, 9, 11, 5],
+        ];
+        let mut sched = SchedScratch::new();
+        for weights in profiles {
+            for threads in [1, 2, 3, 4, 8] {
+                sched.weights.clear();
+                sched.weights.extend_from_slice(weights);
+                let split = sched.deal(threads);
+                let (owner, expected) = reference_deal(weights, threads);
+                assert_eq!(sched.owner, owner, "{weights:?} at {threads} threads");
+                assert_eq!(split, expected, "{weights:?} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
     fn sequential_pool_has_crit_equal_seq() {
         let pool = Pool::sequential();
         let _ = pool.map_chunks(3 * CHUNK, |_| ());
         let w = pool.drain_work();
         assert_eq!(w.seq, w.crit);
         assert_eq!(w.seq, 3 * CHUNK as u64);
-    }
-
-    #[test]
-    fn map_per_preserves_index_order() {
-        for t in [1, 3, 7] {
-            let out = Pool::new(t).map_per(13, |i| i * i);
-            assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
-        }
     }
 
     #[test]
@@ -952,6 +829,7 @@ mod tests {
         // critical path even though it never spawned.
         assert_eq!(spawned_work, inline_work);
         assert!(Pool::new(4).spawns());
+        assert!(!Pool::new(1).spawns());
         assert!(!Pool::inline(4).spawns());
         assert!(Pool::inline(4).is_parallel());
     }
@@ -961,13 +839,13 @@ mod tests {
         let hub = gluon_metrics::MetricsHub::new(1);
         let pool = Pool::new(2).with_metrics(ExecMetrics::register(&hub.host_registry(0)));
         let len = 2 * MIN_CHUNK;
-        let _ = pool.map_chunks_weighted(len, |r| if r.start == 0 { 10 } else { 30 }, |_| ());
+        // The drainable meter is unaffected by the mirror.
+        let w = metered(&pool, len, |r| if r.start == 0 { 10 } else { 30 });
+        assert_eq!(w, WorkSplit { seq: 40, crit: 30 });
         let r = hub.host_registry(0);
         assert_eq!(r.counter_value("pool_parallel_ops"), 1);
         assert_eq!(r.counter_value("pool_seq_work"), 40);
         assert_eq!(r.counter_value("pool_crit_work"), 30);
-        // The drainable meter is unaffected by the mirror.
-        assert_eq!(pool.drain_work(), WorkSplit { seq: 40, crit: 30 });
     }
 
     #[test]
@@ -978,20 +856,19 @@ mod tests {
     }
 
     #[test]
-    fn chunk_scratch_meters_exactly_like_the_allocating_path() {
-        // Same weights through map_chunks_weighted and
-        // for_each_chunk_scratch: the LPT loads (and therefore crit) must
-        // agree, proving assign_into reproduces assign.
+    fn map_chunks_and_chunk_scratch_record_the_same_split() {
         let len = 9 * MIN_CHUNK + 17;
-        let weight = |r: Range<usize>| (r.start as u64 * 7 + r.len() as u64) % 13 + 1;
+        let weights: Vec<u64> = Pool::chunk_ranges(len).map(|r| r.len() as u64).collect();
         for threads in [1, 2, 3, 8] {
             let pool = Pool::new(threads);
-            let _ = pool.map_chunks_weighted(len, weight, |_| ());
-            let reference = pool.drain_work();
-            let mut sched = SchedScratch::new();
-            let mut rows = vec![0u64; Pool::num_chunks(len) * 2];
-            pool.for_each_chunk_scratch(len, &mut sched, &mut rows, 2, weight, |_, _| {});
-            assert_eq!(pool.drain_work(), reference, "threads = {threads}");
+            let _ = pool.map_chunks(len, |_| ());
+            let mapped = pool.drain_work();
+            assert_eq!(mapped, metered(&pool, len, |r| r.len() as u64));
+            assert_eq!(
+                mapped,
+                reference_deal(&weights, threads).1,
+                "threads = {threads}"
+            );
         }
     }
 
@@ -1027,37 +904,34 @@ mod tests {
     }
 
     #[test]
-    fn chunk_mut_scratch_matches_map_chunks_mut() {
-        let len = 7 * MIN_CHUNK + 5;
-        let weight = |r: Range<usize>| r.len() as u64;
-        let mut reference = vec![0u32; len];
-        let ref_pool = Pool::new(4);
-        let _ = ref_pool.map_chunks_mut(&mut reference, weight, |start, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (start + i) as u32 * 3;
-            }
-        });
-        let ref_work = ref_pool.drain_work();
-        for pool in [Pool::sequential(), Pool::inline(4), Pool::new(4)] {
-            let mut data = vec![0u32; len];
-            let mut scratch = vec![0usize; Pool::num_chunks(len)];
-            let mut sched = SchedScratch::new();
-            pool.for_each_chunk_mut_scratch(
-                &mut data,
-                &mut sched,
-                &mut scratch,
-                weight,
-                |start, chunk, slot| {
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v = (start + i) as u32 * 3;
-                    }
-                    *slot = chunk.len();
-                },
-            );
-            assert_eq!(data, reference);
-            assert_eq!(scratch.iter().sum::<usize>(), len);
-            if pool.threads() == 4 {
-                assert_eq!(pool.drain_work(), ref_work);
+    fn chunk_mut_scratch_writes_disjoint_slices() {
+        for len in [7 * MIN_CHUNK + 5, 2 * CHUNK + 100] {
+            let weight = |r: Range<usize>| r.len() as u64;
+            let expected: Vec<u32> = (0..len as u32).map(|i| i * 3).collect();
+            let weights: Vec<u64> = Pool::chunk_ranges(len).map(weight).collect();
+            for pool in [Pool::sequential(), Pool::inline(4), Pool::new(4)] {
+                let mut data = vec![0u32; len];
+                let mut scratch = vec![0usize; Pool::num_chunks(len)];
+                let mut sched = SchedScratch::new();
+                pool.for_each_chunk_mut_scratch(
+                    &mut data,
+                    &mut sched,
+                    &mut scratch,
+                    weight,
+                    |start, chunk, slot| {
+                        for (i, v) in chunk.iter_mut().enumerate() {
+                            *v = (start + i) as u32 * 3;
+                        }
+                        *slot = chunk.len();
+                    },
+                );
+                assert_eq!(data, expected);
+                let widths: Vec<usize> = Pool::chunk_ranges(len).map(|r| r.len()).collect();
+                assert_eq!(scratch, widths);
+                assert_eq!(
+                    pool.drain_work(),
+                    reference_deal(&weights, pool.threads()).1
+                );
             }
         }
     }
@@ -1094,26 +968,129 @@ mod tests {
 
     #[test]
     fn sched_scratch_is_reusable_across_geometries() {
-        let pool = Pool::new(2);
-        let mut sched = SchedScratch::new();
-        for len in [3 * MIN_CHUNK, 11 * MIN_CHUNK + 9, MIN_CHUNK / 2, 0] {
-            let chunks = Pool::num_chunks(len);
-            let mut rows = vec![0u8; chunks.max(1)];
-            let mut hits = vec![false; chunks];
-            pool.for_each_chunk_scratch(
-                len,
-                &mut sched,
-                &mut rows,
-                1,
-                |r| r.len() as u64,
-                |range, _| {
-                    // Single-threaded observation is fine: this closure runs
-                    // once per chunk whatever the schedule.
-                    assert!(range.end <= len);
-                },
-            );
-            let _ = &mut hits;
-            let _ = pool.drain_work();
+        for pool in [Pool::sequential(), Pool::inline(2), Pool::new(2)] {
+            let mut sched = SchedScratch::new();
+            for len in [3 * MIN_CHUNK, 11 * MIN_CHUNK + 9, MIN_CHUNK / 2, 0] {
+                // Each chunk writes its range into its own row and counts
+                // its visits there.
+                let mut rows = vec![(0..0, 0u32); Pool::num_chunks(len)];
+                pool.for_each_chunk_scratch(
+                    len,
+                    &mut sched,
+                    &mut rows,
+                    1,
+                    |r| r.len() as u64,
+                    |range, row| {
+                        row[0].0 = range;
+                        row[0].1 += 1;
+                    },
+                );
+                let width = chunk_width(len);
+                let expected: Vec<_> = (0..Pool::num_chunks(len))
+                    .map(|i| (i * width..((i + 1) * width).min(len), 1))
+                    .collect();
+                assert_eq!(rows, expected, "len {len} at {} threads", pool.threads());
+                assert_eq!(pool.drain_work().seq, len as u64);
+            }
+        }
+    }
+
+    /// Holds a job until another job has raised `failed` (or ten seconds
+    /// pass, so a pool that never runs the failing job cannot hang the
+    /// test).
+    fn wait_for(failed: &AtomicBool) {
+        let start = Instant::now();
+        while !failed.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(10) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_surfaces_after_every_other_worker_finishes() {
+        let len = 8 * MIN_CHUNK;
+        let weight = |r: Range<usize>| r.len() as u64;
+        for threads in [2, 4] {
+            let pool = Pool::new(threads);
+            let mut sched = SchedScratch::new();
+            let mut rows = vec![(); Pool::num_chunks(len)];
+            pool.for_each_chunk_scratch(len, &mut sched, &mut rows, 1, weight, |_, _| {});
+            let owner = sched.owner.clone();
+            // Worker 0's list runs on the calling thread, worker 1's on a
+            // spawned one. The victim is the first job of its list, and
+            // every other job starts only after the victim has failed.
+            for victim_worker in [0, 1] {
+                let victim = owner.iter().position(|&w| w == victim_worker).unwrap();
+                let failed = AtomicBool::new(false);
+                let done = AtomicUsize::new(0);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    pool.for_each_chunk_scratch(len, &mut sched, &mut rows, 1, weight, |r, _| {
+                        if r.start == victim * MIN_CHUNK {
+                            failed.store(true, Ordering::SeqCst);
+                            panic!("chunk {victim} fails");
+                        }
+                        wait_for(&failed);
+                        done.fetch_add(1, Ordering::SeqCst);
+                    });
+                }));
+                assert!(outcome.is_err(), "{threads} threads: the panic surfaces");
+                // The victim's list stops at the victim; every other list
+                // ran to its end before the pool call returned.
+                let others = owner.iter().filter(|&&w| w != victim_worker).count();
+                assert_eq!(
+                    done.load(Ordering::SeqCst),
+                    others,
+                    "{threads} threads, victim on worker {victim_worker}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_eager_worker_or_sink_surfaces_after_the_workers_finish() {
+        let n = 8;
+        for threads in [2, 4] {
+            for sink_fails in [false, true] {
+                // Slot 0 either fails on its worker or completes at once and
+                // makes the sink fail; every other slot starts only after
+                // the failure.
+                let failed = AtomicBool::new(false);
+                let fail = |what: &str| {
+                    failed.store(true, Ordering::SeqCst);
+                    panic!("{what} fails");
+                };
+                let mut scratch = vec![0usize; n];
+                let done = AtomicUsize::new(0);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    Pool::new(threads).for_each_scratch_eager(
+                        &mut scratch,
+                        |i, _| {
+                            match (i, sink_fails) {
+                                (0, false) => fail("slot 0"),
+                                (0, true) => {}
+                                _ => wait_for(&failed),
+                            }
+                            done.fetch_add(1, Ordering::SeqCst);
+                        },
+                        |_, _| {
+                            if sink_fails {
+                                fail("the sink");
+                            }
+                        },
+                    );
+                }));
+                assert!(
+                    outcome.is_err(),
+                    "{threads} threads, sink fails: {sink_fails}"
+                );
+                // A failing worker abandons the rest of its block (slots
+                // 0..n/threads); a failing sink stops no worker.
+                let expected = if sink_fails { n } else { n - n / threads };
+                assert_eq!(
+                    done.load(Ordering::SeqCst),
+                    expected,
+                    "{threads} threads, sink fails: {sink_fails}"
+                );
+            }
         }
     }
 }

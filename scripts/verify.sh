@@ -35,6 +35,11 @@
 #  11. clippy across the workspace with warnings denied;
 #  12. rustdoc with warnings denied (missing docs on public API fail).
 #
+# Before all of these, the gate fails if a Rust file under crates/ src/
+# tests/ examples/ names `crossbeam` (threads are `std::thread::scope`,
+# channels `std::sync::mpsc`), so the vendored stand-in can go with a
+# lockfile-only diff.
+#
 # Every test invocation runs under a hang watchdog: the crash-tolerance
 # contract is "typed error, never a hang", so a test step that exceeds
 # its deadline is itself a red verification result, not something to
@@ -66,6 +71,12 @@ watchdog() {
     fi
     return "$status"
 }
+
+echo "==> no crossbeam in Rust source (crates/ src/ tests/ examples/)"
+if grep -rln --include='*.rs' crossbeam crates src tests examples; then
+    echo "verify: the Rust files above name crossbeam; use std::thread::scope / std::sync::mpsc" >&2
+    exit 1
+fi
 
 if [[ "$FAST" == "0" ]]; then
     echo "==> cargo build --release"
