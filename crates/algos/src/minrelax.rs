@@ -15,6 +15,16 @@
 //! destinations in place, keeps a (recycled) copy. Frontier and changed
 //! set are two bitsets allocated once per run that swap roles each round.
 //!
+//! # What a round scans
+//!
+//! Every arm lists the frontier bitset once per round into one recycled
+//! member list, and everything after that is O(frontier): the Ligra
+//! direction heuristic and push read the list (only a pull round is handed
+//! the bitset, for O(1) membership per in-edge), Galois and IrGL sweep it.
+//! Three passes per round still walk a bitset's words, O(proxies/64) each:
+//! that listing, the `clear_all` of the spent frontier, and the `is_empty`
+//! behind the termination vote (which stops at the first set word).
+//!
 //! # Determinism
 //!
 //! Every engine path drives the context's [`gluon::Pool`] and is
@@ -180,12 +190,18 @@ fn relax_rounds<T: Transport + ?Sized>(
         // (chunk weights = degrees), absorbed into the next phase's stats.
         match engine {
             EngineKind::Ligra => {
-                // One level-synchronous snapshot edgeMap, applied in chunk order.
-                let frontier = VertexSubset::from_bitset(active);
-                match ligra::choose_direction(lg, &frontier, Direction::Auto) {
+                // One level-synchronous snapshot edgeMap, applied in chunk
+                // order. The frontier is listed once; the heuristic and the
+                // push read the list, and only a pull round, which tests
+                // membership per in-edge, is handed the bitset.
+                frontier_buf.clear();
+                frontier_buf.extend(active.iter());
+                let listed = VertexSubset::Sparse(std::mem::take(&mut frontier_buf));
+                match ligra::choose_direction(lg, &listed, Direction::Auto) {
                     Direction::Pull => {
                         prev.clear();
                         prev.extend_from_slice(labels);
+                        let frontier = VertexSubset::from_bitset(active);
                         ligra::edge_map_pull_pooled(
                             lg,
                             &frontier,
@@ -197,10 +213,11 @@ fn relax_rounds<T: Transport + ?Sized>(
                                 (candidate < *cur).then_some(candidate)
                             },
                         );
+                        active = frontier.into_bitset(n);
                     }
                     _ => ligra::vertex_map_push_pooled(
                         lg,
-                        &frontier,
+                        &listed,
                         pool,
                         bins,
                         labels,
@@ -208,7 +225,7 @@ fn relax_rounds<T: Transport + ?Sized>(
                         lower,
                     ),
                 }
-                active = frontier.into_bitset(n);
+                frontier_buf = listed.into_members();
                 for &dst in bins.activated() {
                     changed.set(dst);
                 }

@@ -46,7 +46,8 @@ impl VertexSubset {
         VertexSubset::Dense(bits)
     }
 
-    /// Number of members.
+    /// Number of members: O(1) sparse, a `count_ones` pass over every word
+    /// (O(proxies/64)) dense.
     pub fn len(&self) -> usize {
         match self {
             VertexSubset::Sparse(v) => v.len(),
@@ -54,7 +55,8 @@ impl VertexSubset {
         }
     }
 
-    /// Whether the subset is empty.
+    /// Whether the subset is empty: O(1) sparse; dense, a scan up to the
+    /// first set word (O(proxies/64) when empty or sparse at the top).
     pub fn is_empty(&self) -> bool {
         match self {
             VertexSubset::Sparse(v) => v.is_empty(),
@@ -62,7 +64,8 @@ impl VertexSubset {
         }
     }
 
-    /// Iterates over members in ascending order.
+    /// Iterates over members in ascending order: O(members) sparse, every
+    /// word of the bit set (O(proxies/64 + members)) dense.
     pub fn iter(&self) -> SubsetIter<'_> {
         match self {
             VertexSubset::Sparse(v) => SubsetIter::Sparse(v.iter().copied()),
@@ -105,6 +108,16 @@ impl VertexSubset {
                 b
             }
             sparse => sparse.to_bitset(capacity),
+        }
+    }
+
+    /// The member list by value, ascending: a sparse subset hands back the
+    /// list it wraps (the twin of [`VertexSubset::into_bitset`]), a dense
+    /// one lists its bits.
+    pub fn into_members(self) -> Vec<Lid> {
+        match self {
+            VertexSubset::Sparse(v) => v,
+            VertexSubset::Dense(b) => b.iter().collect(),
         }
     }
 
@@ -201,7 +214,9 @@ pub fn edge_map(
 /// Resolves [`Direction::Auto`] with Ligra's frontier-size heuristic
 /// (never returns `Auto`). The decision depends only on the frontier and
 /// the graph — not on the thread count — so parallel and sequential runs
-/// traverse in the same direction every round.
+/// traverse in the same direction every round. Members are counted in the
+/// same pass that sums their out-degrees, so a dense frontier is walked
+/// once.
 pub fn choose_direction(
     graph: &LocalGraph,
     frontier: &VertexSubset,
@@ -209,11 +224,10 @@ pub fn choose_direction(
 ) -> Direction {
     match direction {
         Direction::Auto => {
-            let frontier_degree: u64 = frontier
+            let size: u64 = frontier
                 .iter()
-                .map(|l| u64::from(graph.out_degree(l)))
+                .map(|l| 1 + u64::from(graph.out_degree(l)))
                 .sum();
-            let size = frontier.len() as u64 + frontier_degree;
             if graph.has_transpose() && size > graph.num_local_edges() / PULL_THRESHOLD_DENOM {
                 Direction::Pull
             } else {
@@ -649,6 +663,9 @@ mod tests {
         // By value: same members from either representation, no clone.
         assert_eq!(back.clone().into_bitset(16), s.to_bitset(16));
         assert_eq!(s.clone().into_bitset(16), s.to_bitset(16));
+        let members = vec![Lid(1), Lid(5), Lid(9)];
+        assert_eq!(back.into_members(), members);
+        assert_eq!(s.into_members(), members);
     }
 
     #[test]
@@ -880,6 +897,94 @@ mod tests {
             assert_eq!(bins.activated(), want_active, "threads = {threads}");
             assert_eq!(by_vertex.drain_work(), by_edge.drain_work());
             assert!(want_active.len() < n as usize, "some proxy has no in-edge");
+        }
+    }
+
+    #[test]
+    fn a_round_does_not_depend_on_the_frontier_representation() {
+        // The same members handed over as a list or as a bit set must pick
+        // the same direction and push the same candidates in the same
+        // order: same labels, same activations, same metered work.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let g = gen::rmat(10, 8, Default::default(), 5);
+        let lg = single_host(&g);
+        let n = lg.num_proxies();
+        let weight = |v: Lid| 1 + u64::from(lg.out_degree(v));
+        let threshold = lg.num_local_edges() / PULL_THRESHOLD_DENOM;
+        let mut rng = StdRng::seed_from_u64(27);
+
+        // Random members, each proxy in with probability `p`.
+        let mut frontiers: Vec<Vec<Lid>> = [0.0, 0.002, 0.01, 0.05, 0.2, 0.6, 1.0]
+            .iter()
+            .map(|&p| lg.proxies().filter(|_| rng.gen::<f64>() < p).collect())
+            .collect();
+        // Frontiers whose `len + degree sum` is exactly the pull threshold
+        // and one above it: proxies in a random order, each taken while it
+        // still fits (the many degree-0 proxies close the gap).
+        for target in [threshold, threshold + 1] {
+            let mut order: Vec<Lid> = lg.proxies().collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let mut size = 0;
+            order.retain(|&v| {
+                let fits = size + weight(v) <= target;
+                size += if fits { weight(v) } else { 0 };
+                fits
+            });
+            assert_eq!(size, target, "no frontier of exactly {target}");
+            order.sort_unstable();
+            frontiers.push(order);
+        }
+
+        let labels0: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..64)).collect();
+        for (i, members) in frontiers.into_iter().enumerate() {
+            let size: u64 = members.iter().map(|&v| weight(v)).sum();
+            let sparse = VertexSubset::Sparse(members);
+            let dense = VertexSubset::Dense(sparse.to_bitset(n));
+            let direction = choose_direction(&lg, &sparse, Direction::Auto);
+            assert_eq!(direction, choose_direction(&lg, &dense, Direction::Auto));
+            let want = if size > threshold {
+                Direction::Pull
+            } else {
+                Direction::Push
+            };
+            assert_eq!(
+                direction, want,
+                "frontier {i}: size {size}, threshold {threshold}"
+            );
+
+            for pool in [Pool::sequential(), Pool::inline(4)] {
+                let push = |frontier: &VertexSubset| {
+                    let mut bins = BinScratch::<u32>::new();
+                    let mut labels = labels0.clone();
+                    vertex_map_push_pooled(
+                        &lg,
+                        frontier,
+                        &pool,
+                        &mut bins,
+                        &mut labels,
+                        |v, labels, sink| {
+                            let candidate = labels[v.index()] + 1;
+                            for &dst in lg.out_targets(v) {
+                                if candidate < labels[dst as usize] {
+                                    sink.push(Lid(dst), candidate);
+                                }
+                            }
+                        },
+                        |_dst, candidate, slot| {
+                            let lower = candidate < *slot;
+                            *slot = (*slot).min(candidate);
+                            lower
+                        },
+                    );
+                    (labels, bins.activated().to_vec(), pool.drain_work())
+                };
+                let (listed, bitset) = (push(&sparse), push(&dense));
+                assert_eq!(listed, bitset, "frontier {i}, {} threads", pool.threads());
+                assert_eq!(listed.2.seq, size - sparse.len() as u64, "metered degrees");
+            }
         }
     }
 

@@ -26,7 +26,9 @@
 #      counting allocator: steady-state sync rounds, push sweeps and
 #      bfs rounds allocate nothing;
 #   9. every bench compiles (`cargo bench --no-run`), the hand-off bench
-#      runs its `--quick` pass (8 hosts on however few cores), and the benchmark
+#      runs its `--quick` pass (8 hosts on however few cores), the push
+#      kernel bench runs its `--quick` pass (its assertions: metered work,
+#      and a dense and a listed frontier activating the same), and the benchmark
 #      package under perf/ passes its own tests (unit tests plus a
 #      `--smoke` run of all seven workloads), so a break of the public
 #      functions perf/README.md lists is caught here and not by the
@@ -108,6 +110,8 @@ echo "==> cargo bench --no-run (benches must always compile)"
 cargo bench --no-run --workspace --quiet
 echo "==> handoff bench --quick (2 and 8 hosts over MemoryTransport: an oversubscribed receive must not hang; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench handoff -- --quick
+echo "==> push_kernel bench --quick (bfs push, activation list, a D-Ligra round from a dense and a listed frontier; 120s watchdog)"
+watchdog 120 cargo bench --quiet -p gluon-bench --bench push_kernel -- --quick
 
 if [[ "$FAST" == "0" ]]; then
     echo "==> cargo test --release --manifest-path perf/Cargo.toml (gluon-perf unit tests + smoke of all seven workloads; 600s watchdog)"

@@ -244,9 +244,10 @@ fn steady_state_sync_is_allocation_free() {
     // the direction heuristic can only push) runs one BSP round per level
     // of a 64x64 grid, the Galois arm one sub-round per level inside its
     // first round. The run's allocations are its result vector and its two
-    // frontier bitsets (Ligra: 3 in all) plus, under Galois, the doubling
-    // of the sub-round frontier list (14 in all) — a count that does not
-    // grow with the 126 levels. One allocation per round or sub-round (a
+    // frontier bitsets plus the doubling of the frontier list it recycles
+    // across rounds (Ligra: 8 in all, five of them the list growing to the
+    // 64-member diagonal; Galois: 14) — a count that does not grow with
+    // the 126 levels. One allocation per round or sub-round (a
     // label snapshot, a cloned frontier, a fresh changed set) would put
     // it in the hundreds.
     {
