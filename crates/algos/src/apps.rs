@@ -92,17 +92,7 @@ pub fn bfs<T: Transport + ?Sized>(
     source: Gid,
     engine: EngineKind,
 ) -> (Vec<u32>, u32) {
-    let n = lg.num_proxies();
-    let mut dist = vec![INFINITY; n as usize];
-    let mut active = DenseBitset::new(n);
-    if let Some(s) = lg.lid(source) {
-        dist[s.index()] = 0;
-        active.set(s);
-    }
-    let rounds = minrelax::run(lg, ctx, &mut dist, active, engine, |l, _| {
-        l.saturating_add(1)
-    });
-    (dist, rounds)
+    try_bfs(lg, ctx, source, engine).unwrap_or_else(|e| panic!("bfs failed: {e}"))
 }
 
 /// As [`bfs`], surfacing sync failures as errors and honoring the
@@ -139,17 +129,7 @@ pub fn sssp<T: Transport + ?Sized>(
     source: Gid,
     engine: EngineKind,
 ) -> (Vec<u32>, u32) {
-    let n = lg.num_proxies();
-    let mut dist = vec![INFINITY; n as usize];
-    let mut active = DenseBitset::new(n);
-    if let Some(s) = lg.lid(source) {
-        dist[s.index()] = 0;
-        active.set(s);
-    }
-    let rounds = minrelax::run(lg, ctx, &mut dist, active, engine, |l, w| {
-        l.saturating_add(w)
-    });
-    (dist, rounds)
+    try_sssp(lg, ctx, source, engine).unwrap_or_else(|e| panic!("sssp failed: {e}"))
 }
 
 /// As [`sssp`], surfacing sync failures as errors and honoring the
@@ -186,13 +166,7 @@ pub fn cc<T: Transport + ?Sized>(
     ctx: &mut GluonContext<'_, T>,
     engine: EngineKind,
 ) -> (Vec<u32>, u32) {
-    let n = lg.num_proxies();
-    // Every proxy starts with its own global id and every node is active.
-    let mut label: Vec<u32> = (0..n).map(|l| lg.gid(Lid(l)).0).collect();
-    let mut active = DenseBitset::new(n);
-    active.set_all();
-    let rounds = minrelax::run(lg, ctx, &mut label, active, engine, |l, _| l);
-    (label, rounds)
+    try_cc(lg, ctx, engine).unwrap_or_else(|e| panic!("cc failed: {e}"))
 }
 
 /// As [`cc`], surfacing sync failures as errors and honoring the
@@ -207,6 +181,7 @@ pub fn try_cc<T: Transport + ?Sized>(
     engine: EngineKind,
 ) -> Result<(Vec<u32>, u32), SyncError> {
     let n = lg.num_proxies();
+    // Every proxy starts with its own global id and every node is active.
     let mut label: Vec<u32> = (0..n).map(|l| lg.gid(Lid(l)).0).collect();
     let mut active = DenseBitset::new(n);
     active.set_all();

@@ -370,8 +370,8 @@ where
     }
 
     /// Publishes typed metrics into `hub` (size it with
-    /// `MetricsHub::new(hosts)`): per-host counters/gauges/histograms, the
-    /// per-round time series, and per-peer communication attribution.
+    /// `MetricsHub::new(hosts)`): per-host counters/gauges/histograms,
+    /// deterministic and observed, and the per-round time series.
     /// After the run, build a [`crate::RunReport`] with
     /// [`DistOutcome::report`], or scrape [`MetricsHub::prometheus`]
     /// directly. Each supervised attempt rebaselines the hub
@@ -567,7 +567,7 @@ where
         let hub = setup.metrics.clone();
         match reliable {
             Some(cfg) => launch_infallible(&setup, |ep| {
-                let net_metrics = NetMetrics::register(&hub.host_registry(ep.rank()));
+                let net_metrics = NetMetrics::register(&hub.host(ep.rank()));
                 ReliableTransport::with_config(wrap(ep, 0), cfg)
                     .with_tracer(tracer.clone())
                     .with_metrics(net_metrics)
@@ -599,7 +599,7 @@ where
         let hub = setup.metrics.clone();
         match reliable {
             Some(cfg) => supervise(&setup, algo, &move |ep, attempt| {
-                let net_metrics = NetMetrics::register(&hub.host_registry(ep.rank()));
+                let net_metrics = NetMetrics::register(&hub.host(ep.rank()));
                 ReliableTransport::with_config(wrap(ep, attempt), cfg)
                     .with_tracer(tracer.clone())
                     .with_metrics(net_metrics)
@@ -693,12 +693,15 @@ where
 }
 
 /// Publishes the socket backend's wire-mechanics counters into the hub's
-/// cluster registry (Prometheus `gluon_net_socket_*`). Memory-backend
+/// cluster registry (Prometheus `gluon_net_socket_*`), which is observed,
+/// so the socket-vs-memory parity of the fingerprint is untouched. Both
+/// backends go through here: an in-process run with the cluster's shared
+/// counters, and every `gluon-host` worker with its own, which the
+/// launcher sums into the parent hub's cluster registry. Memory-backend
 /// runs never increment them, so publication is skipped when all five
-/// are zero; either way the names are fingerprint-dropped, keeping the
-/// socket-vs-memory parity contract intact. Under a supervisor this runs
-/// per attempt and the hub rebaselines between attempts, so the exported
-/// values describe the final attempt.
+/// are zero. Under a supervisor this runs per attempt and the hub
+/// rebaselines between attempts, so the exported values describe the
+/// final attempt.
 pub(crate) fn publish_socket_counters(hub: &MetricsHub, stats: &NetStats) {
     if !hub.is_enabled() {
         return;
@@ -1040,10 +1043,10 @@ fn host_program<T: Transport>(
 ) -> HostResult {
     let comm = Communicator::with_tracer(net, tracer.clone());
     let (lg, partition_secs) = build_partition(input, policy, &comm, transpose(comm.rank()));
-    let exec_metrics = ExecMetrics::register(&hub.host_registry(comm.rank()));
+    let host = hub.host(comm.rank());
     let mut ctx = GluonContext::new(&lg, &comm, opts)
-        .with_pool(Pool::new(threads).with_metrics(exec_metrics))
-        .with_metrics(hub.host(comm.rank()));
+        .with_pool(Pool::new(threads).with_metrics(ExecMetrics::register(&host)))
+        .with_metrics(host);
     ctx.reset_timer();
     let algo_start = Instant::now();
     let (ints, floats, rounds) = compute(&lg, &mut ctx);
@@ -1151,10 +1154,10 @@ pub(crate) fn try_host_program<T: Transport>(
 ) -> Result<HostResult, SyncError> {
     let comm = Communicator::with_tracer(net, tracer.clone());
     let (lg, partition_secs) = build_partition(input, policy, &comm, transpose(comm.rank()));
-    let exec_metrics = ExecMetrics::register(&hub.host_registry(comm.rank()));
+    let host = hub.host(comm.rank());
     let mut ctx = GluonContext::new(&lg, &comm, opts)
-        .with_pool(Pool::new(threads).with_metrics(exec_metrics))
-        .with_metrics(hub.host(comm.rank()));
+        .with_pool(Pool::new(threads).with_metrics(ExecMetrics::register(&host)))
+        .with_metrics(host);
     if ckpt.every.is_some() || ckpt.restore_epoch.is_some() {
         // `every` is absent only on a finalize-only relaunch of a store
         // populated by an earlier configuration; u64::MAX never divides a

@@ -31,12 +31,17 @@
 //!   relaunches, up to `max_recoveries` times — process-level
 //!   rollback-restart, mirroring the in-process supervisor.
 
-use crate::driver::{try_dispatch, try_host_program, CkptSetup, DistOutcome, HostResult, Run};
+use crate::driver::{
+    publish_socket_counters, try_dispatch, try_host_program, CkptSetup, DistOutcome, HostResult,
+    Run,
+};
 use crate::{Algorithm, EngineKind, PagerankConfig};
 use gluon::{CheckpointStore, PhaseStats, RunStats, SyncError, SyncStats};
 use gluon_graph::{io as graph_io, max_out_degree_node, Csr, Gid};
 use gluon_metrics::json::Json;
-use gluon_metrics::{MetricValue, MetricsHub, RoundSample, NUM_ROUND_STAGES, NUM_WIRE_MODES};
+use gluon_metrics::{
+    MetricValue, MetricsHub, Registry, RoundSample, NUM_ROUND_STAGES, NUM_WIRE_MODES,
+};
 use gluon_net::{
     join, CancelToken, NetError, NetStats, Rendezvous, SocketKind, SocketTransport, StatsSnapshot,
     Transport,
@@ -191,11 +196,16 @@ struct WorkerReport {
     global_edges: u64,
     net_bytes: Vec<u64>,
     net_messages: Vec<u64>,
-    net_scalars: [u64; 5],
-    registry: Vec<(String, MetricValue)>,
+    net_scalars: [u64; 4],
+    /// The worker's deterministic, observed and cluster registries, in
+    /// that order, each imported back into the same registry of the
+    /// parent's hub.
+    registries: [Vec<(String, MetricValue)>; 3],
     series: Vec<RoundSample>,
-    peers: Vec<(u64, u64)>,
 }
+
+/// The codec keys of [`WorkerReport::registries`].
+const REGISTRY_KEYS: [&str; 3] = ["deterministic", "observed", "cluster"];
 
 fn unique_scratch_dir() -> std::io::Result<PathBuf> {
     static UNIQUE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -508,7 +518,7 @@ fn merge_reports(
     // are recorded at the source), so an elementwise sum merges them.
     let mut bytes = vec![0u64; world * world];
     let mut messages = vec![0u64; world * world];
-    let mut scalars = [0u64; 5];
+    let mut scalars = [0u64; 4];
     for r in &reports {
         if r.net_bytes.len() != world * world || r.net_messages.len() != world * world {
             return Err(LaunchError::Fatal(format!(
@@ -528,17 +538,15 @@ fn merge_reports(
     }
     let hub = MetricsHub::new(world);
     for r in &reports {
-        let registry = hub.host_registry(r.rank);
-        for (name, value) in &r.registry {
-            registry.import(name, value);
-        }
         let host = hub.host(r.rank);
+        let targets = [host.deterministic(), host.observed(), &hub.cluster()];
+        for (into, entries) in targets.into_iter().zip(&r.registries) {
+            for (name, value) in entries {
+                into.import(name, value);
+            }
+        }
         for sample in &r.series {
             host.series().push(*sample);
-        }
-        for (peer, &(send_ns, recv_wait_ns)) in r.peers.iter().enumerate() {
-            host.peers().add_send_ns(peer, send_ns);
-            host.peers().add_recv_wait_ns(peer, recv_wait_ns);
         }
     }
     let outcome = DistOutcome {
@@ -563,7 +571,6 @@ fn merge_reports(
             retransmit_messages: scalars[1],
             dup_suppressed: scalars[2],
             corruption_detected: scalars[3],
-            decode_errors: scalars[4],
         },
         recoveries: attempt,
         degraded: false,
@@ -609,16 +616,9 @@ fn ju64s(vs: impl IntoIterator<Item = u64>) -> Json {
     Json::Arr(vs.into_iter().map(Json::from).collect())
 }
 
-fn encode_report(
-    rank: usize,
-    world: usize,
-    hr: &HostResult,
-    stats: &NetStats,
-    hub: &MetricsHub,
-) -> Json {
-    let snap = stats.snapshot();
-    let registry = Json::Arr(
-        hub.host_registry(rank)
+fn registry_entries(registry: &Registry) -> Json {
+    Json::Arr(
+        registry
             .snapshot()
             .into_iter()
             .map(|(name, value)| {
@@ -641,7 +641,11 @@ fn encode_report(
                 Json::obj([("n", Json::from(name)), v])
             })
             .collect(),
-    );
+    )
+}
+
+fn encode_report(rank: usize, hr: &HostResult, stats: &NetStats, hub: &MetricsHub) -> Json {
+    let snap = stats.snapshot();
     let host = hub.host(rank);
     let series = Json::Arr(
         host.series()
@@ -657,20 +661,14 @@ fn encode_report(
                     s.retransmits,
                     s.pool_hits,
                     s.pool_misses,
-                    s.recv_wait_ns,
                 ]);
                 ju64s(row)
             })
             .collect(),
     );
-    let peers = Json::Arr(
-        (0..world)
-            .map(|p| ju64s([host.peers().send_ns(p), host.peers().recv_wait_ns(p)]))
-            .collect(),
-    );
-    Json::obj([
+    let registries = [host.deterministic(), host.observed(), &hub.cluster()];
+    let mut doc = vec![
         ("rank", Json::from(rank)),
-        ("world", Json::from(world)),
         ("rounds", Json::from(hr.rounds)),
         ("algo_secs_bits", jbits(hr.algo_secs)),
         ("partition_secs_bits", jbits(hr.partition_secs)),
@@ -750,15 +748,18 @@ fn encode_report(
                         snap.retransmit_messages,
                         snap.dup_suppressed,
                         snap.corruption_detected,
-                        snap.decode_errors,
                     ]),
                 ),
             ]),
         ),
-        ("registry", registry),
         ("series", series),
-        ("peers", peers),
-    ])
+    ];
+    doc.extend(
+        REGISTRY_KEYS
+            .into_iter()
+            .zip(registries.map(registry_entries)),
+    );
+    Json::obj(doc)
 }
 
 fn field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
@@ -782,6 +783,34 @@ fn u64_items(j: &Json, what: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
+fn decode_registry(j: &Json, key: &str) -> Result<Vec<(String, MetricValue)>, String> {
+    field(j, key)?
+        .items()
+        .ok_or_else(|| format!("{key} is not an array"))?
+        .iter()
+        .map(|entry| {
+            let name = field(entry, "n")?
+                .as_str()
+                .ok_or("registry entry without a name")?
+                .to_string();
+            let value = if let Some(c) = entry.get("c") {
+                MetricValue::Counter(c.as_u64().ok_or("bad counter")?)
+            } else if let Some(g) = entry.get("g") {
+                MetricValue::Gauge(g.as_u64().ok_or("bad gauge")?)
+            } else if let Some(h) = entry.get("h") {
+                MetricValue::Histogram {
+                    buckets: u64_items(field(h, "b")?, "histogram buckets")?,
+                    count: as_u64(h, "c")?,
+                    sum: as_u64(h, "s")?,
+                }
+            } else {
+                return Err(format!("registry entry {name} has no value"));
+            };
+            Ok((name, value))
+        })
+        .collect()
+}
+
 fn pairs(j: &Json, what: &str) -> Result<Vec<(u64, u64)>, String> {
     j.items()
         .ok_or_else(|| format!("{what} is not an array"))?
@@ -799,7 +828,6 @@ fn pairs(j: &Json, what: &str) -> Result<Vec<(u64, u64)>, String> {
 fn decode_report(text: &str) -> Result<WorkerReport, String> {
     let j = Json::parse(text).map_err(|e| format!("unparsable JSON: {e:?}"))?;
     let rank = as_u64(&j, "rank")? as usize;
-    let world = as_u64(&j, "world")? as usize;
     let masters_int = pairs(field(&j, "masters_int")?, "masters_int")?
         .into_iter()
         .map(|(g, v)| (g as u32, v as u32))
@@ -838,35 +866,12 @@ fn decode_report(text: &str) -> Result<WorkerReport, String> {
     let part = field(&j, "partition")?;
     let net = field(&j, "net")?;
     let net_scalars_v = u64_items(field(net, "scalars")?, "net.scalars")?;
-    let net_scalars: [u64; 5] = net_scalars_v
+    let net_scalars: [u64; 4] = net_scalars_v
         .try_into()
-        .map_err(|_| "net.scalars is not 5-wide".to_string())?;
-    let registry = field(&j, "registry")?
-        .items()
-        .ok_or("registry is not an array")?
-        .iter()
-        .map(|entry| {
-            let name = field(entry, "n")?
-                .as_str()
-                .ok_or("registry entry without a name")?
-                .to_string();
-            let value = if let Some(c) = entry.get("c") {
-                MetricValue::Counter(c.as_u64().ok_or("bad counter")?)
-            } else if let Some(g) = entry.get("g") {
-                MetricValue::Gauge(g.as_u64().ok_or("bad gauge")?)
-            } else if let Some(h) = entry.get("h") {
-                MetricValue::Histogram {
-                    buckets: u64_items(field(h, "b")?, "histogram buckets")?,
-                    count: as_u64(h, "c")?,
-                    sum: as_u64(h, "s")?,
-                }
-            } else {
-                return Err(format!("registry entry {name} has no value"));
-            };
-            Ok((name, value))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    const SERIES_WIDTH: usize = 1 + NUM_ROUND_STAGES + NUM_WIRE_MODES + 6;
+        .map_err(|_| "net.scalars is not 4-wide".to_string())?;
+    let [deterministic, observed, cluster] = REGISTRY_KEYS.map(|key| decode_registry(&j, key));
+    let registries = [deterministic?, observed?, cluster?];
+    const SERIES_WIDTH: usize = 1 + NUM_ROUND_STAGES + NUM_WIRE_MODES + 5;
     let series = field(&j, "series")?
         .items()
         .ok_or("series is not an array")?
@@ -890,14 +895,9 @@ fn decode_report(text: &str) -> Result<WorkerReport, String> {
             s.retransmits = row[tail + 2];
             s.pool_hits = row[tail + 3];
             s.pool_misses = row[tail + 4];
-            s.recv_wait_ns = row[tail + 5];
             Ok(s)
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let peers = pairs(field(&j, "peers")?, "peers")?;
-    if peers.len() != world {
-        return Err("peers table is not world-sized".to_string());
-    }
     Ok(WorkerReport {
         rank,
         masters_int,
@@ -913,9 +913,8 @@ fn decode_report(text: &str) -> Result<WorkerReport, String> {
         net_bytes: u64_items(field(net, "bytes")?, "net.bytes")?,
         net_messages: u64_items(field(net, "messages")?, "net.messages")?,
         net_scalars,
-        registry,
+        registries,
         series,
-        peers,
     })
 }
 
@@ -1146,27 +1145,8 @@ fn run_worker(args: &WorkerArgs, transport: CrashAt<SocketTransport>, stats: Net
     );
     match result {
         Ok(hr) => {
-            // Per-host Prometheus satellite: the wire-mechanics counters
-            // surface in this host's registry as `net_socket_*` (the hub
-            // prefixes `gluon_` on export). They are fingerprint-dropped,
-            // so parity with the memory backend is unaffected.
-            let registry = hub.host_registry(rank);
-            registry
-                .counter("net_socket_connects")
-                .add(stats.socket_connects());
-            registry
-                .counter("net_socket_reconnect_attempts")
-                .add(stats.socket_reconnect_attempts());
-            registry
-                .counter("net_socket_frames_sent")
-                .add(stats.socket_frames_sent());
-            registry
-                .counter("net_socket_frames_received")
-                .add(stats.socket_frames_received());
-            registry
-                .counter("net_socket_short_reads")
-                .add(stats.socket_short_reads());
-            let doc = encode_report(rank, args.world, &hr, &stats, &hub);
+            publish_socket_counters(&hub, &stats);
+            let doc = encode_report(rank, &hr, &stats, &hub);
             if let Err(e) = std::fs::write(&args.out, doc.render()) {
                 return worker_fail(rank, format!("cannot write result: {e}"), EXIT_BOOTSTRAP);
             }
@@ -1230,14 +1210,16 @@ mod tests {
         // Synthesize a report from the outcome's pieces plus a populated
         // hub, then decode it and compare every field.
         let hub = MetricsHub::new(2);
-        hub.host_registry(0).counter("rounds").add(9);
-        hub.host_registry(0).histogram("payload").observe(300);
-        hub.host(0).series().push(RoundSample {
+        let host = hub.host(0);
+        host.deterministic().counter("rounds").add(9);
+        host.deterministic().histogram("payload").observe(300);
+        host.observed().counter("stage_send_ns").add(1234);
+        hub.cluster().counter("net_socket_frames_sent").add(5);
+        host.series().push(RoundSample {
             round: 3,
             bytes_sent: 77,
             ..RoundSample::default()
         });
-        hub.host(0).peers().add_send_ns(1, 1234);
         let stats = NetStats::new(2);
         stats.record_send(0, 1, 7, 100);
         let hr = HostResult {
@@ -1257,7 +1239,7 @@ mod tests {
                 .pop()
                 .expect("one part"),
         };
-        let doc = encode_report(0, 2, &hr, &stats, &hub).render();
+        let doc = encode_report(0, &hr, &stats, &hub).render();
         let decoded = decode_report(&doc).expect("decodes");
         assert_eq!(decoded.rank, 0);
         assert_eq!(decoded.masters_int, hr.masters_int);
@@ -1268,15 +1250,23 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "rank bits must survive the wire");
         }
         assert_eq!(decoded.net_bytes[1], 100);
-        assert_eq!(decoded.peers, vec![(0, 0), (1234, 0)]);
         assert_eq!(decoded.series.len(), 1);
         assert_eq!(decoded.series[0].bytes_sent, 77);
-        let rounds = decoded
-            .registry
-            .iter()
-            .find(|(n, _)| n == "rounds")
-            .expect("counter shipped");
-        assert_eq!(rounds.1, MetricValue::Counter(9));
+        // Each registry comes back on the side it was shipped from.
+        let value = |side: usize, name: &str| {
+            decoded.registries[side]
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.clone())
+        };
+        assert_eq!(value(0, "rounds"), Some(MetricValue::Counter(9)));
+        assert_eq!(value(1, "rounds"), None);
+        assert_eq!(value(1, "stage_send_ns"), Some(MetricValue::Counter(1234)));
+        assert_eq!(value(0, "stage_send_ns"), None);
+        assert_eq!(
+            value(2, "net_socket_frames_sent"),
+            Some(MetricValue::Counter(5))
+        );
     }
 
     #[test]

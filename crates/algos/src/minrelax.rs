@@ -101,24 +101,10 @@ fn lower(_dst: Lid, candidate: u32, slot: &mut u32) -> bool {
 
 /// Runs min-relaxation rounds to global quiescence; `labels` and `active`
 /// must be initialized by the caller (labels seeded, active bits set for
-/// the seeds). Returns the number of BSP rounds executed.
-pub(crate) fn run<T: Transport + ?Sized>(
-    lg: &LocalGraph,
-    ctx: &mut GluonContext<'_, T>,
-    labels: &mut [u32],
-    active: DenseBitset,
-    engine: EngineKind,
-    relax: RelaxFn,
-) -> u32 {
-    try_run(lg, ctx, labels, active, engine, relax)
-        .unwrap_or_else(|e| panic!("minrelax failed: {e}"))
-}
-
-/// As [`run`], surfacing sync failures as errors, restoring from the
-/// context's selected checkpoint epoch (if any) before computing, and
-/// snapshotting `labels` + the active set whenever a completed round is a
-/// checkpoint boundary. With checkpointing off this is exactly the
-/// infallible loop.
+/// the seeds). Returns the number of BSP rounds executed, or the first
+/// sync failure. Restores from the context's selected checkpoint epoch
+/// (if any) before computing, and snapshots `labels` + the active set
+/// whenever a completed round is a checkpoint boundary.
 pub(crate) fn try_run<T: Transport + ?Sized>(
     lg: &LocalGraph,
     ctx: &mut GluonContext<'_, T>,
@@ -152,8 +138,8 @@ pub(crate) fn try_run<T: Transport + ?Sized>(
         // without running (or syncing) any further rounds.
         return Ok(rounds);
     }
-    // Bin scratch is checked out around the whole round loop (checkin
-    // publishes its counters), so the steady state recycles every buffer.
+    // Bin scratch is checked out around the whole round loop, so the
+    // steady state recycles every buffer.
     // An error path drops it — the supervisor rebuilds the context anyway.
     let mut bins = ctx.bin_pool().checkout::<u32>("minrelax");
     let result = relax_rounds(

@@ -4,6 +4,22 @@
 //! a stable machine-readable JSON document and as Prometheus text
 //! exposition.
 //!
+//! # Two sections
+//!
+//! The document is `{schema_version, deterministic, observed}`. The
+//! `deterministic` section holds what a deterministic run reproduces
+//! exactly: round and phase counts, payload totals, the wire-mode table,
+//! and per host the deterministic registry and the deterministic columns
+//! of the round series. Everything else is `observed`: timings,
+//! calibration, reliability and supervisor counters, the observed
+//! registries, the series' stage times and the trace ring's health. A
+//! metric's section is decided where it is registered (see
+//! [`gluon_metrics::HostMetrics`]), not here, and
+//! [`RunReport::fingerprint`] is the `deterministic` section, rendered.
+//! Two fingerprints are equal whenever two runs performed the same
+//! communication — across thread counts, transports, and crash-free vs.
+//! crash-recovered executions of the same configuration.
+//!
 //! # Calibration
 //!
 //! The harness projects communication time with
@@ -16,77 +32,21 @@
 //! Retransmissions are charged zero in the per-phase projection: the
 //! per-phase byte counters come from [`SyncStats`], which counts raw
 //! payloads below the reliability layer.
-//!
-//! Per-peer rows decompose each host's residual by the share of that
-//! host's measured send + recv-wait time attributed to each peer (the
-//! [`gluon_metrics::PeerTable`]); per-peer byte counts are not tracked,
-//! so the decomposition is proportional, not independently measured.
-//!
-//! # Stability
-//!
-//! [`RunReport::fingerprint`] renders the subset of the document that a
-//! deterministic run reproduces exactly: it drops every timing field
-//! (keys suffixed `_secs`/`_ns`), the calibration and trace sections,
-//! reliability- and scheduling-dependent counters, and supervisor
-//! bookkeeping. Two fingerprints are equal whenever two runs performed
-//! the same communication — across thread counts, and across crash-free
-//! vs. crash-recovered executions of the same configuration.
 
 use crate::driver::DistOutcome;
 use gluon::SyncStats;
 use gluon_metrics::json::Json;
-use gluon_metrics::{MetricValue, MetricsHub, NUM_WIRE_MODES, ROUND_STAGE_NAMES, WIRE_MODE_NAMES};
+use gluon_metrics::{
+    HostMetrics, MetricValue, MetricsHub, Registry, RoundSeries, MODE_BYTE_COUNTER_NAMES,
+    MODE_MSG_COUNTER_NAMES, NUM_WIRE_MODES, ROUND_STAGE_NAMES, WIRE_MODE_NAMES,
+};
 use gluon_net::{CostModel, StatsDelta};
 use gluon_trace::Tracer;
 
 /// Version of the report's JSON schema; bumped whenever a field is
 /// renamed, removed, or changes meaning (additions are backwards
 /// compatible and do not bump it).
-pub const REPORT_SCHEMA_VERSION: u64 = 2;
-
-/// Exact-match keys [`RunReport::fingerprint`] strips, on top of the
-/// `_secs`/`_ns` timing suffixes: sections that are timing-derived
-/// (`calibration`, `trace`), counters that depend on wall-clock or
-/// scheduling (`reliability` and the per-host retransmission/duplicate/
-/// detector counters it aggregates — retransmits fire on timeouts, so
-/// their counts vary run to run even on identical traffic — plus `exec`
-/// and the per-host `pool_crit_work` counter whose critical path varies
-/// with thread count), and supervisor bookkeeping that legitimately
-/// differs between a crash-free and a recovered run (`cluster`,
-/// `recoveries`, `checkpoints_saved`). The `net_socket_*` counters are
-/// wire-mechanics bookkeeping of the socket backend (connects, frames,
-/// short reads) that a memory-backend run never increments, so they are
-/// stripped too: the parity contract is that a socket run and a memory
-/// run of the same workload fingerprint identically. The
-/// `engine_bin_*` / `engine_binned_updates` / `engine_pull_chunks_skipped`
-/// counters describe how the partition-binned hot path organized its work
-/// (fills, drains, routed updates, probe-skipped chunks) — properties of
-/// the bin geometry, not of the computation: labels, rounds, and wire
-/// traffic are bit-identical at any partition width.
-pub const FINGERPRINT_DROPPED_KEYS: [&str; 22] = [
-    "calibration",
-    "trace",
-    "reliability",
-    "exec",
-    "pool_crit_work",
-    "cluster",
-    "recoveries",
-    "checkpoints_saved",
-    "retransmits",
-    "retransmit_bytes",
-    "dups_suppressed",
-    "crc_rejections",
-    "peers_down",
-    "net_socket_connects",
-    "net_socket_reconnect_attempts",
-    "net_socket_frames_sent",
-    "net_socket_frames_received",
-    "net_socket_short_reads",
-    "engine_bin_fills",
-    "engine_bin_drains",
-    "engine_binned_updates",
-    "engine_pull_chunks_skipped",
-];
+pub const REPORT_SCHEMA_VERSION: u64 = 3;
 
 /// A merged, exportable view of one run: outcome + metrics + calibration.
 ///
@@ -106,7 +66,9 @@ pub const FINGERPRINT_DROPPED_KEYS: [&str; 22] = [
 /// let hub = MetricsHub::new(2);
 /// let out = Run::new(&g, Algorithm::Bfs).hosts(2).metrics(&hub).launch();
 /// let report = out.report(&hub, &CostModel::REPRO);
-/// assert_eq!(report.json().get("hosts").unwrap().as_u64(), Some(2));
+/// let deterministic = report.json().get("deterministic").unwrap();
+/// assert_eq!(deterministic.get("hosts").unwrap().as_u64(), Some(2));
+/// assert_eq!(report.fingerprint(), deterministic.render());
 /// assert!(report.prometheus().contains("gluon_bytes_sent"));
 /// ```
 #[derive(Clone, Debug)]
@@ -154,16 +116,13 @@ impl RunReport {
         &self.prometheus
     }
 
-    /// The deterministic subset of the report, rendered: every timing
-    /// field and every scheduling- or reliability-dependent section
-    /// stripped (see [`FINGERPRINT_DROPPED_KEYS`]). Equal for runs that
-    /// performed identical communication — across thread counts and
-    /// across crash-free vs. recovered executions.
+    /// The `deterministic` section, rendered. Equal for runs that
+    /// performed identical communication — across thread counts,
+    /// transports, and crash-free vs. recovered executions.
     pub fn fingerprint(&self) -> String {
         self.json
-            .prune(&|k| {
-                k.ends_with("_secs") || k.ends_with("_ns") || FINGERPRINT_DROPPED_KEYS.contains(&k)
-            })
+            .get("deterministic")
+            .expect("every report has a deterministic section")
             .render()
     }
 }
@@ -190,28 +149,41 @@ impl DistOutcome {
 }
 
 fn build_json(outcome: &DistOutcome, hub: &MetricsHub, model: &CostModel, tracer: &Tracer) -> Json {
-    let fields: Vec<(String, Json)> = vec![
-        ("schema_version".into(), Json::from(REPORT_SCHEMA_VERSION)),
-        ("hosts".into(), Json::from(outcome.host_stats.len())),
-        ("rounds".into(), Json::from(outcome.rounds)),
-        ("phases".into(), Json::from(outcome.run.phases)),
-        ("recoveries".into(), Json::from(outcome.recoveries)),
-        ("degraded".into(), Json::from(outcome.degraded)),
-        ("metrics_enabled".into(), Json::from(hub.is_enabled())),
-        ("totals".into(), totals_json(outcome, hub)),
-        ("timing".into(), timing_json(outcome)),
-        ("wire_modes".into(), wire_modes_json(hub)),
-        ("reliability".into(), reliability_json(outcome, hub)),
-        ("exec".into(), exec_json(hub)),
-        ("cluster".into(), registry_json(&hub.cluster().snapshot())),
-        ("per_host".into(), per_host_json(hub)),
+    let deterministic = Json::obj([
+        ("hosts", Json::from(outcome.host_stats.len())),
+        ("rounds", Json::from(outcome.rounds)),
+        ("phases", Json::from(outcome.run.phases)),
+        ("degraded", Json::from(outcome.degraded)),
+        ("metrics_enabled", Json::from(hub.is_enabled())),
+        ("totals", totals_json(outcome, hub)),
+        ("wire_modes", wire_modes_json(hub)),
         (
-            "calibration".into(),
-            calibration_json(&outcome.host_stats, hub, model),
+            "per_host",
+            per_host_json(hub, HostMetrics::deterministic, deterministic_series_json),
         ),
-        ("trace".into(), trace_json(tracer)),
-    ];
-    Json::Obj(fields)
+    ]);
+    let observed = Json::obj([
+        ("recoveries", Json::from(outcome.recoveries)),
+        (
+            "checkpoints_saved",
+            Json::from(hub.counter_across_hosts("checkpoints_saved")),
+        ),
+        ("timing", timing_json(outcome)),
+        ("reliability", reliability_json(outcome, hub)),
+        ("exec", exec_json(hub)),
+        ("cluster", registry_json(&hub.cluster())),
+        (
+            "per_host",
+            per_host_json(hub, HostMetrics::observed, observed_series_json),
+        ),
+        ("calibration", calibration_json(&outcome.host_stats, model)),
+        ("trace", trace_json(tracer)),
+    ]);
+    Json::obj([
+        ("schema_version", Json::from(REPORT_SCHEMA_VERSION)),
+        ("deterministic", deterministic),
+        ("observed", observed),
+    ])
 }
 
 fn totals_json(outcome: &DistOutcome, hub: &MetricsHub) -> Json {
@@ -228,7 +200,7 @@ fn totals_json(outcome: &DistOutcome, hub: &MetricsHub) -> Json {
     let (bytes, messages, max_bytes, max_messages) = if hub.is_enabled() {
         let sum_and_max = |name: &str| {
             (0..hub.world_size())
-                .map(|r| hub.host(r).registry().counter_value(name))
+                .map(|r| hub.host(r).deterministic().counter_value(name))
                 .fold((0u64, 0u64), |(s, m), v| (s + v, m.max(v)))
         };
         let (bytes, max_bytes) = sum_and_max("bytes_sent");
@@ -256,7 +228,6 @@ fn totals_json(outcome: &DistOutcome, hub: &MetricsHub) -> Json {
             "decode_errors",
             "pool_hits",
             "pool_misses",
-            "checkpoints_saved",
         ] {
             fields.push((name, Json::from(hub.counter_across_hosts(name))));
         }
@@ -281,28 +252,6 @@ fn wire_modes_json(hub: &MetricsHub) -> Json {
     if !hub.is_enabled() {
         return Json::Arr(Vec::new());
     }
-    const MSG_NAMES: [&str; NUM_WIRE_MODES] = [
-        "wire_msgs_empty",
-        "wire_msgs_dense",
-        "wire_msgs_bitvec",
-        "wire_msgs_indices",
-        "wire_msgs_gid_values",
-        "wire_msgs_idx_delta",
-        "wire_msgs_run_len",
-        "wire_msgs_same_idx",
-        "wire_msgs_same_run",
-    ];
-    const BYTE_NAMES: [&str; NUM_WIRE_MODES] = [
-        "wire_bytes_empty",
-        "wire_bytes_dense",
-        "wire_bytes_bitvec",
-        "wire_bytes_indices",
-        "wire_bytes_gid_values",
-        "wire_bytes_idx_delta",
-        "wire_bytes_run_len",
-        "wire_bytes_same_idx",
-        "wire_bytes_same_run",
-    ];
     Json::Arr(
         (0..NUM_WIRE_MODES)
             .map(|m| {
@@ -310,9 +259,12 @@ fn wire_modes_json(hub: &MetricsHub) -> Json {
                     ("mode", Json::from(WIRE_MODE_NAMES[m])),
                     (
                         "messages",
-                        Json::from(hub.counter_across_hosts(MSG_NAMES[m])),
+                        Json::from(hub.counter_across_hosts(MODE_MSG_COUNTER_NAMES[m])),
                     ),
-                    ("bytes", Json::from(hub.counter_across_hosts(BYTE_NAMES[m]))),
+                    (
+                        "bytes",
+                        Json::from(hub.counter_across_hosts(MODE_BYTE_COUNTER_NAMES[m])),
+                    ),
                 ])
             })
             .collect(),
@@ -333,9 +285,8 @@ fn reliability_json(outcome: &DistOutcome, hub: &MetricsHub) -> Json {
     .map(|n| (n, Json::from(hub.counter_across_hosts(n))))
     .into();
     // The transport's frame-level accounting (heartbeats and
-    // retransmissions included). Timing-dependent under a reliable
-    // transport, hence reported here — inside a fingerprint-stripped
-    // section — rather than under `totals`.
+    // retransmissions included): timing-dependent under a reliable
+    // transport, hence observed.
     fields.push(("frame_bytes_sent", Json::from(outcome.run.total_bytes)));
     fields.push((
         "frame_messages_sent",
@@ -354,15 +305,16 @@ fn exec_json(hub: &MetricsHub) -> Json {
     )
 }
 
-/// Renders one registry snapshot generically, histograms included
-/// (buckets trimmed at the last non-empty one).
-fn registry_json(snapshot: &[(&'static str, MetricValue)]) -> Json {
+/// Renders one registry generically, histograms included (buckets
+/// trimmed at the last non-empty one).
+fn registry_json(registry: &Registry) -> Json {
     Json::Obj(
-        snapshot
-            .iter()
+        registry
+            .snapshot()
+            .into_iter()
             .map(|(name, value)| {
                 let v = match value {
-                    MetricValue::Counter(v) | MetricValue::Gauge(v) => Json::from(*v),
+                    MetricValue::Counter(v) | MetricValue::Gauge(v) => Json::from(v),
                     MetricValue::Histogram {
                         buckets,
                         count,
@@ -376,84 +328,86 @@ fn registry_json(snapshot: &[(&'static str, MetricValue)]) -> Json {
                                     buckets.iter().take(last).map(|&b| Json::from(b)).collect(),
                                 ),
                             ),
-                            ("count", Json::from(*count)),
-                            ("sum", Json::from(*sum)),
+                            ("count", Json::from(count)),
+                            ("sum", Json::from(sum)),
                         ])
                     }
                 };
-                ((*name).to_owned(), v)
+                (name.to_owned(), v)
             })
             .collect(),
     )
 }
 
-fn per_host_json(hub: &MetricsHub) -> Json {
+/// One entry per host: its registry on one side, and that side's columns
+/// of its round series.
+fn per_host_json(
+    hub: &MetricsHub,
+    side: fn(&HostMetrics) -> &Registry,
+    series: fn(&RoundSeries) -> Json,
+) -> Json {
     Json::Arr(
         (0..hub.world_size())
             .map(|rank| {
                 let host = hub.host(rank);
-                let peers = host.peers();
-                let peer_rows: Vec<Json> = (0..peers.len())
-                    .filter(|&p| p != rank)
-                    .map(|p| {
-                        Json::obj([
-                            ("peer", Json::from(p)),
-                            ("send_ns", Json::from(peers.send_ns(p))),
-                            ("recv_wait_ns", Json::from(peers.recv_wait_ns(p))),
-                        ])
-                    })
-                    .collect();
-                let series = host.series();
-                let rows: Vec<Json> = series.rows().iter().map(round_row_json).collect();
                 Json::obj([
                     ("host", Json::from(rank)),
-                    ("metrics", registry_json(&host.registry().snapshot())),
-                    ("peers", Json::Arr(peer_rows)),
-                    (
-                        "series",
-                        Json::obj([
-                            ("rows", Json::Arr(rows)),
-                            ("dropped", Json::from(series.dropped())),
-                            ("capacity", Json::from(series.capacity())),
-                        ]),
-                    ),
+                    ("metrics", registry_json(side(&host))),
+                    ("series", series(host.series())),
                 ])
             })
             .collect(),
     )
 }
 
-fn round_row_json(row: &gluon_metrics::RoundSample) -> Json {
+/// The round series' deterministic columns, and the ring's health.
+fn deterministic_series_json(series: &RoundSeries) -> Json {
+    let rows = series.rows().into_iter().map(|row| {
+        Json::obj([
+            ("round", Json::from(row.round)),
+            (
+                "mode_bytes",
+                Json::Obj(
+                    WIRE_MODE_NAMES
+                        .iter()
+                        .zip(row.mode_bytes)
+                        .filter(|(_, v)| *v > 0)
+                        .map(|(n, v)| ((*n).to_owned(), Json::from(v)))
+                        .collect(),
+                ),
+            ),
+            ("bytes_sent", Json::from(row.bytes_sent)),
+            ("messages_sent", Json::from(row.messages_sent)),
+            ("pool_hits", Json::from(row.pool_hits)),
+            ("pool_misses", Json::from(row.pool_misses)),
+        ])
+    });
     Json::obj([
-        ("round", Json::from(row.round)),
-        (
-            "stage_ns",
-            Json::Obj(
-                ROUND_STAGE_NAMES
-                    .iter()
-                    .zip(row.stage_ns)
-                    .map(|(n, v)| ((*n).to_owned(), Json::from(v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "mode_bytes",
-            Json::Obj(
-                WIRE_MODE_NAMES
-                    .iter()
-                    .zip(row.mode_bytes)
-                    .filter(|(_, v)| *v > 0)
-                    .map(|(n, v)| ((*n).to_owned(), Json::from(v)))
-                    .collect(),
-            ),
-        ),
-        ("bytes_sent", Json::from(row.bytes_sent)),
-        ("messages_sent", Json::from(row.messages_sent)),
-        ("retransmits", Json::from(row.retransmits)),
-        ("pool_hits", Json::from(row.pool_hits)),
-        ("pool_misses", Json::from(row.pool_misses)),
-        ("recv_wait_ns", Json::from(row.recv_wait_ns)),
+        ("rows", Json::Arr(rows.collect())),
+        ("dropped", Json::from(series.dropped())),
+        ("capacity", Json::from(series.capacity())),
     ])
+}
+
+/// The round series' observed columns: stage times and retransmissions.
+fn observed_series_json(series: &RoundSeries) -> Json {
+    let rows = series.rows().into_iter().map(|row| {
+        Json::obj([
+            ("round", Json::from(row.round)),
+            (
+                "stage_ns",
+                Json::Obj(
+                    ROUND_STAGE_NAMES
+                        .iter()
+                        .zip(row.stage_ns)
+                        .map(|(n, v)| ((*n).to_owned(), Json::from(v)))
+                        .collect(),
+                ),
+            ),
+            ("retransmits", Json::from(row.retransmits)),
+        ])
+    });
+    Json::obj([("rows", Json::Arr(rows.collect()))])
 }
 
 /// One phase's calibration numbers, as plain data for callers that want
@@ -534,7 +488,7 @@ fn residual_fields(r: &PhaseResidual) -> Vec<(&'static str, Json)> {
     ]
 }
 
-fn calibration_json(host_stats: &[SyncStats], hub: &MetricsHub, model: &CostModel) -> Json {
+fn calibration_json(host_stats: &[SyncStats], model: &CostModel) -> Json {
     let rows = phase_residuals(host_stats, model);
     let total = PhaseResidual {
         phase: 0,
@@ -553,7 +507,7 @@ fn calibration_json(host_stats: &[SyncStats], hub: &MetricsHub, model: &CostMode
         })
         .collect();
     // Per-host: measured total comm vs. the model on the host's own
-    // traffic, decomposed over peers by measured time share.
+    // traffic.
     let per_host: Vec<Json> = host_stats
         .iter()
         .enumerate()
@@ -567,34 +521,11 @@ fn calibration_json(host_stats: &[SyncStats], hub: &MetricsHub, model: &CostMode
                 ..StatsDelta::default()
             };
             let projected = model.phase_time(&delta);
-            let residual = measured - projected;
-            let peers = hub.host(rank).peers().clone();
-            let peer_total: u64 = (0..peers.len())
-                .map(|p| peers.send_ns(p) + peers.recv_wait_ns(p))
-                .sum();
-            let peer_rows: Vec<Json> = (0..peers.len())
-                .filter(|&p| p != rank)
-                .map(|p| {
-                    let mine = peers.send_ns(p) + peers.recv_wait_ns(p);
-                    let share = if peer_total > 0 {
-                        mine as f64 / peer_total as f64
-                    } else {
-                        0.0
-                    };
-                    Json::obj([
-                        ("peer", Json::from(p)),
-                        ("measured_secs", Json::from(mine as f64 / 1e9)),
-                        ("share", Json::from(share)),
-                        ("residual_secs", Json::from(residual * share)),
-                    ])
-                })
-                .collect();
             Json::obj([
                 ("host", Json::from(rank)),
                 ("measured_secs", Json::from(measured)),
                 ("projected_secs", Json::from(projected)),
-                ("residual_secs", Json::from(residual)),
-                ("peers", Json::Arr(peer_rows)),
+                ("residual_secs", Json::from(measured - projected)),
             ])
         })
         .collect();
@@ -627,12 +558,13 @@ mod tests {
         let hub = MetricsHub::new(2);
         let out = Run::new(&g, Algorithm::Bfs).hosts(2).metrics(&hub).launch();
         let report = out.report(&hub, &CostModel::REPRO);
-        let json = report.json();
-        assert_eq!(json.get("hosts").unwrap().as_u64(), Some(2));
         assert_eq!(
-            json.get("schema_version").unwrap().as_u64(),
+            report.json().get("schema_version").unwrap().as_u64(),
             Some(REPORT_SCHEMA_VERSION)
         );
+        let json = report.json().get("deterministic").unwrap();
+        let observed = report.json().get("observed").unwrap();
+        assert_eq!(json.get("hosts").unwrap().as_u64(), Some(2));
         assert_eq!(json.get("metrics_enabled").unwrap().as_bool(), Some(true));
         // Payload accounting agrees between the hub and the outcome.
         assert_eq!(
@@ -656,7 +588,7 @@ mod tests {
         assert_eq!(mode_sum, out.run.total_bytes);
         // One calibration row per aligned phase, one phase per BSP round
         // (the termination vote books into its round's sync phase).
-        let cal = json.get("calibration").unwrap();
+        let cal = observed.get("calibration").unwrap();
         assert_eq!(
             cal.get("phases").unwrap().items().unwrap().len(),
             out.run.phases
@@ -678,9 +610,18 @@ mod tests {
         let out = Run::new(&g, Algorithm::Bfs).hosts(2).launch();
         let report = out.report(&hub, &CostModel::REPRO);
         let json = report.json();
-        assert_eq!(json.get("metrics_enabled").unwrap().as_bool(), Some(false));
         assert_eq!(
-            json.get("calibration")
+            json.get("deterministic")
+                .unwrap()
+                .get("metrics_enabled")
+                .unwrap()
+                .as_bool(),
+            Some(false)
+        );
+        assert_eq!(
+            json.get("observed")
+                .unwrap()
+                .get("calibration")
                 .unwrap()
                 .get("phases")
                 .unwrap()
@@ -691,20 +632,6 @@ mod tests {
         );
         assert_eq!(report.prometheus(), "");
         assert!(Json::parse(&report.render_json()).is_ok());
-    }
-
-    #[test]
-    fn fingerprint_strips_timing_but_keeps_traffic() {
-        let g = gen::rmat(6, 6, Default::default(), 4);
-        let hub = MetricsHub::new(2);
-        let out = Run::new(&g, Algorithm::Bfs).hosts(2).metrics(&hub).launch();
-        let fp = out.report(&hub, &CostModel::REPRO).fingerprint();
-        assert!(!fp.contains("_secs"));
-        assert!(!fp.contains("_ns"));
-        assert!(!fp.contains("\"calibration\""));
-        assert!(fp.contains("\"bytes_sent\""));
-        assert!(fp.contains("\"wire_modes\""));
-        assert!(fp.contains("\"rounds\""));
     }
 
     #[test]

@@ -104,21 +104,6 @@ impl<V> Default for PeerScratch<V> {
     }
 }
 
-impl<V> PeerScratch<V> {
-    /// Current pooled footprint of this peer's send buffers, in bytes.
-    fn footprint_bytes(&self) -> usize {
-        self.updated_pos.capacity() * 4
-            + self.enc.capacity_bytes()
-            + self.gid_pairs.capacity() * std::mem::size_of::<(Gid, V)>()
-            + self
-                .send_slots
-                .iter()
-                .flat_map(|ring| ring.iter())
-                .map(|b| b.len())
-                .sum::<usize>()
-    }
-}
-
 /// Reusable per-peer **receive-side** scratch of one synchronized field
 /// (see [`PeerScratch`] for why the two sides are separate structs).
 #[derive(Default)]
@@ -168,19 +153,6 @@ impl<V> FieldArena<V> {
         if self.recv.len() < n {
             self.recv.resize_with(n, RecvScratch::default);
         }
-    }
-
-    /// Current pooled footprint of every peer's buffers, in bytes.
-    pub fn footprint_bytes(&self) -> usize {
-        self.peers
-            .iter()
-            .map(PeerScratch::footprint_bytes)
-            .sum::<usize>()
-            + self
-                .recv
-                .iter()
-                .map(|r| r.dec.capacity_bytes())
-                .sum::<usize>()
     }
 }
 
@@ -280,14 +252,5 @@ mod tests {
         assert_eq!(arena.checkout::<f64>("dist").peers.len(), 0);
         // The original pool is untouched by the probes above.
         assert_eq!(arena.checkout::<u32>("dist").peers.len(), 2);
-    }
-
-    #[test]
-    fn footprint_tracks_held_capacity() {
-        let mut fa = FieldArena::<u64>::default();
-        fa.ensure_peers(1);
-        assert_eq!(fa.footprint_bytes(), 0);
-        fa.peers[0].updated_pos.reserve_exact(16);
-        assert!(fa.footprint_bytes() >= 64);
     }
 }

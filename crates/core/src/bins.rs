@@ -35,7 +35,6 @@
 use crate::bitset::DenseBitset;
 use gluon_exec::{Pool, SchedScratch};
 use gluon_graph::Lid;
-use gluon_metrics::EngineMetrics;
 use gluon_partition::partition_width;
 use std::any::{Any, TypeId};
 
@@ -57,22 +56,12 @@ impl<V> BinSink<'_, V> {
     }
 }
 
-/// Counters accumulated by [`BinScratch`] across calls, published to
-/// [`EngineMetrics`] when the scratch is checked back into its pool.
+/// Counters accumulated by [`BinScratch`] across calls.
 ///
-/// Scheduling observability only — the counts depend on the partition
-/// geometry, not the computation, so every derived metric is
-/// fingerprint-dropped.
+/// Scheduling observability only: the counts depend on the partition
+/// geometry, not the computation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BinStats {
-    /// Number of (chunk, partition) bins that received at least one
-    /// candidate during scatter.
-    pub fills: u64,
-    /// Number of non-empty bins drained during apply (equals `fills`
-    /// within one call; tracked separately for the metrics contract).
-    pub drains: u64,
-    /// Total candidate updates routed through bins.
-    pub updates: u64,
     /// Destination chunks skipped by the pull-side frontier probe.
     pub chunks_skipped: u64,
 }
@@ -191,7 +180,7 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
         self.width_override = width;
     }
 
-    /// Counters accumulated so far (reset on pool checkin).
+    /// Counters accumulated so far.
     pub fn stats(&self) -> BinStats {
         self.stats
     }
@@ -248,7 +237,6 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
             parts,
             part_weights,
             activated,
-            stats,
             ..
         } = self;
 
@@ -273,17 +261,12 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
         }
 
         // Partition weights (total candidates targeting each partition)
-        // drive the LPT deal of the drain; count fills along the way.
+        // drive the LPT deal of the drain.
         part_weights.clear();
         part_weights.resize(num_parts, 0);
-        let mut fills = 0u64;
         for (i, bin) in bins[..needed].iter().enumerate() {
-            if !bin.is_empty() {
-                fills += 1;
-                part_weights[i % num_parts] += bin.len() as u64;
-            }
+            part_weights[i % num_parts] += bin.len() as u64;
         }
-        let updates: u64 = part_weights.iter().sum();
 
         // Drain: partitions apply in parallel (disjoint destination
         // ranges); within a partition, (chunk, edge) order — the flat
@@ -334,10 +317,6 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
         for bin in bins[..needed].iter_mut() {
             bin.clear();
         }
-
-        stats.fills += fills;
-        stats.drains += fills;
-        stats.updates += updates;
     }
 
     /// Moves the recycled member-list buffer out of the scratch (cleared).
@@ -378,19 +357,16 @@ type BinKey = (&'static str, TypeId);
 
 /// The per-context pool of [`BinScratch`] workspaces.
 ///
-/// Owned by `GluonContext` next to the [`crate::SyncArena`]. Checkin
-/// publishes the scratch's accumulated [`BinStats`] to the context's
-/// [`EngineMetrics`] and resets them.
+/// Owned by `GluonContext` next to the [`crate::SyncArena`].
 #[derive(Default)]
 pub struct BinPool {
-    metrics: EngineMetrics,
     /// Linear scan keyed by `(site, value type)`: engines bin a handful
     /// of operations, so a map would only add hashing to the hot path.
     slots: Vec<(BinKey, Box<dyn Any + Send>)>,
 }
 
 impl BinPool {
-    /// Creates an empty pool publishing to no metrics sink.
+    /// Creates an empty pool.
     pub fn new() -> Self {
         BinPool::default()
     }
@@ -398,11 +374,6 @@ impl BinPool {
     /// Number of distinct `(site, value type)` scratches held.
     pub fn num_sites(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Routes future checkin stats to `metrics`.
-    pub fn set_metrics(&mut self, metrics: EngineMetrics) {
-        self.metrics = metrics;
     }
 
     /// Takes the pooled scratch of `name` out for one operation (or round
@@ -421,17 +392,13 @@ impl BinPool {
         BinScratch::default()
     }
 
-    /// Returns a scratch to the pool, publishing and resetting its
-    /// accumulated counters. Boxes a new slot on first checkin; every
-    /// later checkin is a plain move.
+    /// Returns a scratch to the pool. Boxes a new slot on first checkin;
+    /// every later checkin is a plain move.
     pub fn checkin<V: Copy + Send + Sync + 'static>(
         &mut self,
         name: &'static str,
-        mut scratch: BinScratch<V>,
+        scratch: BinScratch<V>,
     ) {
-        let s = std::mem::take(&mut scratch.stats);
-        self.metrics
-            .on_bins(s.fills, s.drains, s.updates, s.chunks_skipped);
         let key = (name, TypeId::of::<V>());
         if let Some((_, boxed)) = self.slots.iter_mut().find(|(k, _)| *k == key) {
             if let Some(slot) = boxed.downcast_mut::<BinScratch<V>>() {
@@ -562,9 +529,6 @@ mod tests {
         assert!(act.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
         assert!(act.contains(&Lid(7)));
         assert_eq!(labels[7], 0);
-        let stats = scratch.stats();
-        assert_eq!(stats.updates, 600);
-        assert!(stats.fills > 0 && stats.fills == stats.drains);
     }
 
     proptest::proptest! {
@@ -650,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_trips_scratch_and_publishes_stats() {
+    fn pool_round_trips_scratch() {
         let mut pool = BinPool::new();
         let mut s = pool.checkout::<u32>("relax");
         let exec = Pool::sequential();
@@ -672,12 +636,11 @@ mod tests {
         );
         let grown = s.bins.capacity();
         assert!(grown > 0);
-        assert_eq!(s.stats().updates, 2);
+        assert_eq!(s.activated(), [Lid(0), Lid(1)]);
         pool.checkin("relax", s);
         assert_eq!(pool.num_sites(), 1);
-        // Stats reset on checkin; buffers persist.
+        // Buffers persist.
         let s = pool.checkout::<u32>("relax");
-        assert_eq!(s.stats(), BinStats::default());
         assert_eq!(s.bins.capacity(), grown);
         pool.checkin("relax", s);
         // Different value type: fresh scratch.

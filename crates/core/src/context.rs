@@ -18,7 +18,7 @@ use crate::value::SyncValue;
 use bytes::Bytes;
 use gluon_exec::Pool;
 use gluon_graph::{Gid, HostId, Lid};
-use gluon_metrics::{EngineMetrics, HostMetrics, PeerTable, SyncMetrics, NUM_ROUND_STAGES};
+use gluon_metrics::{HostMetrics, SyncMetrics, NUM_ROUND_STAGES};
 use gluon_net::{Communicator, Envelope, NetError, Transport};
 use gluon_partition::LocalGraph;
 use gluon_trace::{Stage, Tracer, SETUP_PHASE};
@@ -41,8 +41,8 @@ const PHASE_RESERVE: usize = 1 << 18;
 /// format) both leave the field partially reconciled: the error is
 /// terminal for the run, not retryable, but it *is* survivable — the host
 /// thread gets the error instead of aborting, and every decode failure is
-/// counted in [`crate::SyncStats::decode_errors`], in
-/// `gluon_net::NetStats`, and as a `decode_error` trace event.
+/// counted in [`crate::SyncStats::decode_errors`], in the metrics hub, and
+/// as a `decode_error` trace event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SyncError {
     /// A peer became unreachable mid-sync.
@@ -276,16 +276,15 @@ struct CheckpointCfg {
 /// (up to float accumulation).
 ///
 /// The segment clock is shared by two consumers: the tracer (per-segment
-/// child spans) and the metrics layer (per-stage duration totals plus
-/// per-peer send attribution). It runs when *either* is enabled;
-/// with both disabled every method is a no-op behind one `Option` check.
+/// child spans) and the metrics layer (per-stage duration totals). It runs
+/// when *either* is enabled; with both disabled every method is a no-op
+/// behind one `Option` check.
 struct Segmenter {
     inner: Option<SegState>,
 }
 
 struct SegState {
     tracer: Tracer,
-    peers: PeerTable,
     host: usize,
     phase: u32,
     start_ns: u64,
@@ -329,7 +328,6 @@ impl Segmenter {
                 let start_ns = tracer.now_ns();
                 SegState {
                     tracer: tracer.clone(),
-                    peers: metrics.peers().clone(),
                     host,
                     phase,
                     start_ns,
@@ -375,13 +373,6 @@ impl SegState {
             .record_span(self.host, self.phase, stage, peer, self.last_ns, dur);
         if let Some(i) = round_stage_index(stage) {
             self.stage_totals[i] += dur;
-        }
-        // A send keeps its peer under both the sequential and the
-        // spawning pool, so per-peer send attribution works at every
-        // thread count; the blocking receive takes whichever frame lands
-        // first and has no peer to charge.
-        if let (Stage::Send, Some(p)) = (stage, peer) {
-            self.peers.add_send_ns(p, dur);
         }
         self.last_wall = now;
         self.last_ns = now_ns;
@@ -467,8 +458,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     /// failure detector is configured.
     #[must_use]
     pub fn with_metrics(mut self, host: HostMetrics) -> Self {
-        self.bins
-            .set_metrics(EngineMetrics::register(host.registry()));
         self.metrics = SyncMetrics::register(&host);
         self
     }
@@ -707,8 +696,8 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     /// terminal for the run: local field state may have been partially
     /// reconciled, so the caller should abandon the computation (or
     /// restart it), not retry the call. Decode failures are additionally
-    /// counted in [`crate::SyncStats::decode_errors`], in the transport's
-    /// `NetStats`, and as a `decode_error` trace event.
+    /// counted in [`crate::SyncStats::decode_errors`], in the metrics hub,
+    /// and as a `decode_error` trace event.
     pub fn try_sync<F: FieldSync>(
         &mut self,
         spec: &SyncSpec,
@@ -759,10 +748,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             self.stats.steady_state_allocs += gluon_meter::snapshot().allocs_since(&alloc_before);
         }
         fa.rounds += 1;
-        self.comm
-            .transport()
-            .stats()
-            .record_pool_high_water(fa.footprint_bytes() as u64);
         self.arena.checkin(field_name, fa);
         res?;
 
@@ -869,12 +854,11 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         self.collective(|comm| comm.try_all_reduce_f64(local, |a, b| a + b))
     }
 
-    /// Books one undecodable payload from `peer` into every counter that
-    /// tracks it (per-host stats, transport-level `NetStats`, trace event
-    /// stream) and builds the terminal [`SyncError::Decode`].
+    /// Books one undecodable payload from `peer` (per-host stats, metrics
+    /// hub, trace event stream) and builds the terminal
+    /// [`SyncError::Decode`].
     fn decode_failed(&mut self, peer: usize, payload_len: usize, error: DecodeError) -> SyncError {
         self.stats.decode_errors += 1;
-        self.comm.transport().stats().record_decode_error();
         self.metrics.on_decode_error();
         self.tracer
             .record_event(self.rank(), "decode_error", peer, payload_len as u64);
@@ -947,12 +931,9 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         ps: &mut PeerScratch<V>,
     ) -> Bytes {
         let payload = ps.payload.take().expect("peer payload was prepared");
-        let stats = self.comm.transport().stats();
         if ps.recycled {
-            stats.record_pool_hit();
             self.metrics.pool_hit();
         } else {
-            stats.record_pool_miss();
             self.metrics.pool_miss();
             if self.tracer.is_enabled() {
                 self.tracer

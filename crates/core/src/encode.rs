@@ -387,13 +387,6 @@ pub struct EncodeScratch {
     head: Vec<u8>,
 }
 
-impl EncodeScratch {
-    /// Current high-water footprint of the scratch buffers, in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.head.capacity()
-    }
-}
-
 /// The one pass of a memoized encode: takes the update set as ascending
 /// `(position, value)` pairs, writes each value's wire bytes into the
 /// payload as it arrives, and accumulates everything mode selection needs
@@ -796,14 +789,6 @@ pub struct DecodeScratch {
     positions: Vec<usize>,
     /// Decoded `(start, end)` set runs of a `RunLength`-family payload.
     set_ranges: Vec<(usize, usize)>,
-}
-
-impl DecodeScratch {
-    /// Current high-water footprint of the scratch buffers, in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.positions.capacity() * std::mem::size_of::<usize>()
-            + self.set_ranges.capacity() * std::mem::size_of::<(usize, usize)>()
-    }
 }
 
 /// As [`decode_memoized`], with caller-owned scratch — the

@@ -422,7 +422,7 @@ fn a_corrupt_frame_stops_the_apply_at_its_rank_and_is_booked_once() {
     for bad in 0..VICTIM {
         for arrival in ARRIVALS {
             let tracer = Tracer::new(HOSTS);
-            let (results, stats) = run_cluster_wrapped(
+            let (results, _) = run_cluster_wrapped(
                 HOSTS,
                 NetStats::new(HOSTS),
                 |ep| {
@@ -480,11 +480,6 @@ fn a_corrupt_frame_stops_the_apply_at_its_rank_and_is_booked_once() {
             );
             let booked: u64 = results.iter().map(|&(n, _)| n).sum();
             assert_eq!(booked, 1, "bad rank {bad}, {arrival:?}: SyncStats");
-            assert_eq!(
-                stats.decode_errors(),
-                1,
-                "bad rank {bad}, {arrival:?}: NetStats"
-            );
             assert_eq!(
                 tracer.decode_error_events(),
                 1,

@@ -479,13 +479,9 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
             any
         },
     );
-    // Skips are counted for observability only (fingerprint-dropped: they
-    // depend on the partition geometry, not the computation).
+    // Skips are counted for observability only: they depend on the
+    // partition geometry, not the computation.
     stats.chunks_skipped += skipped;
-    // Accepted relaxations stand in for routed updates on the pull side
-    // (pull writes destinations in place and fills no bins); the count is
-    // geometry-independent.
-    stats.updates += activated.len() as u64;
 }
 
 /// A dense pull sweep at vertex granularity, on the same recycled scratch
@@ -514,7 +510,6 @@ pub fn vertex_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
         sched,
         chunk_active,
         activated,
-        stats,
         ..
     } = bins.pull_scratch();
     sweep_destinations(
@@ -527,7 +522,6 @@ pub fn vertex_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
         |_, _| false,
         visit,
     );
-    stats.updates += activated.len() as u64;
 }
 
 /// The destination-chunk sweep behind both pull entry points: runs

@@ -214,24 +214,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Returns a copy of the tree with every object field whose key
-    /// `drop` accepts removed, recursively (arrays are pruned
-    /// element-wise; non-containers pass through). Used to strip timing
-    /// fields before comparing two reports for structural identity.
-    pub fn prune(&self, drop: &dyn Fn(&str) -> bool) -> Json {
-        match self {
-            Json::Obj(fields) => Json::Obj(
-                fields
-                    .iter()
-                    .filter(|(k, _)| !drop(k))
-                    .map(|(k, v)| (k.clone(), v.prune(drop)))
-                    .collect(),
-            ),
-            Json::Arr(items) => Json::Arr(items.iter().map(|v| v.prune(drop)).collect()),
-            other => other.clone(),
-        }
-    }
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -560,16 +542,5 @@ mod tests {
         assert_eq!(arr.items().unwrap()[1].as_str(), Some("x"));
         assert!(v.get("missing").is_none());
         assert_eq!(v.fields().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn prune_strips_matching_keys_recursively() {
-        let v = Json::parse(
-            "{\"bytes\": 10, \"wall_secs\": 1.5, \
-             \"rows\": [{\"n\": 1, \"stage_ns\": 7}]}",
-        )
-        .unwrap();
-        let pruned = v.prune(&|k| k.ends_with("_secs") || k.ends_with("_ns"));
-        assert_eq!(pruned.render(), "{\"bytes\": 10, \"rows\": [{\"n\": 1}]}");
     }
 }

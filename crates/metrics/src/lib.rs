@@ -1,4 +1,4 @@
-//! Typed metrics for the Gluon substrate: a per-host registry of counters,
+//! Typed metrics for the Gluon substrate: per-host registries of counters,
 //! gauges, and log₂ histograms; a per-round time-series recorder; and
 //! export renderers (Prometheus text exposition via
 //! [`MetricsHub::prometheus`], machine-readable JSON via [`json`]).
@@ -11,15 +11,27 @@
 //! a branch on a `None` — safe to thread through the hot path
 //! unconditionally.
 //!
+//! # Deterministic and observed
+//!
+//! Each host has two registries, and the one a metric is registered in is
+//! its declaration. [`HostMetrics::deterministic`] holds what a
+//! deterministic run reproduces exactly — payload bytes and messages,
+//! wire-mode counts, rounds, pool hits — at any thread count, on any
+//! transport, and after a crash recovery. [`HostMetrics::observed`] holds
+//! everything else: stage times, retransmissions, critical-path work,
+//! checkpoints. The cluster registry ([`MetricsHub::cluster`]) is
+//! observed. A run report's fingerprint is the deterministic side,
+//! rendered; nothing else decides what it contains.
+//!
 //! # Allocation discipline
 //!
 //! Registration ([`Registry::counter`] and friends) allocates and must
 //! happen at setup time. After that, every publication — counter adds,
 //! gauge stores, histogram observes, [`RoundSeries`] pushes into its
-//! preallocated ring, [`PeerTable`] adds — is lock-free atomics or a short
-//! uncontended mutex over preallocated storage, so a metrics-enabled sync
-//! round performs **zero** heap allocations (enforced by the workspace's
-//! alloc-guard test).
+//! preallocated ring — is lock-free atomics or a short uncontended mutex
+//! over preallocated storage, so a metrics-enabled sync round performs
+//! **zero** heap allocations (enforced by the workspace's alloc-guard
+//! test).
 //!
 //! # Attempt baselines
 //!
@@ -36,12 +48,12 @@
 //! use gluon_metrics::MetricsHub;
 //!
 //! let hub = MetricsHub::new(2);
-//! let host0 = hub.host_registry(0);
-//! let bytes = host0.counter("bytes_sent");
+//! let host0 = hub.host(0);
+//! let bytes = host0.deterministic().counter("bytes_sent");
 //! bytes.add(1024);
-//! assert_eq!(host0.counter_value("bytes_sent"), 1024);
+//! assert_eq!(host0.deterministic().counter_value("bytes_sent"), 1024);
 //! hub.begin_attempt();
-//! assert_eq!(host0.counter_value("bytes_sent"), 0);
+//! assert_eq!(host0.deterministic().counter_value("bytes_sent"), 0);
 //! assert!(hub.prometheus().contains("gluon_bytes_sent"));
 //! ```
 
@@ -87,9 +99,6 @@ pub const ROUND_STAGE_NAMES: [&str; NUM_ROUND_STAGES] = [
     "decode",
     "apply",
 ];
-
-/// Index of the `recv_wait` stage in [`RoundSample::stage_ns`].
-pub const RECV_WAIT_STAGE: usize = 5;
 
 /// Number of log₂ buckets a [`Histogram`] tracks (bucket `i` counts
 /// observations with `floor(log2(v)) == i`; zero lands in bucket 0).
@@ -559,98 +568,12 @@ impl Registry {
 }
 
 // ---------------------------------------------------------------------------
-// Per-peer attribution table
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct PeerCell {
-    send_ns: AtomicU64,
-    recv_wait_ns: AtomicU64,
-    send_base: AtomicU64,
-    recv_base: AtomicU64,
-}
-
-/// Per-peer measured communication time: how long this host spent in the
-/// `send` and `recv_wait` stages directed at each peer. Preallocated to
-/// the world size, so steady-state adds are a single atomic op.
-#[derive(Clone, Debug, Default)]
-pub struct PeerTable {
-    inner: Option<Arc<Vec<PeerCell>>>,
-}
-
-impl PeerTable {
-    fn new(world_size: usize) -> PeerTable {
-        PeerTable {
-            inner: Some(Arc::new(
-                (0..world_size).map(|_| PeerCell::default()).collect(),
-            )),
-        }
-    }
-
-    /// Number of peers the table is sized for (0 when disabled).
-    pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |v| v.len())
-    }
-
-    /// Whether the table is disabled or sized for zero peers.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Attributes `ns` nanoseconds of send-stage time to `peer`.
-    #[inline]
-    pub fn add_send_ns(&self, peer: usize, ns: u64) {
-        if let Some(v) = &self.inner {
-            v[peer].send_ns.fetch_add(ns, Ordering::Relaxed);
-        }
-    }
-
-    /// Attributes `ns` nanoseconds of recv-wait time to `peer`.
-    #[inline]
-    pub fn add_recv_wait_ns(&self, peer: usize, ns: u64) {
-        if let Some(v) = &self.inner {
-            v[peer].recv_wait_ns.fetch_add(ns, Ordering::Relaxed);
-        }
-    }
-
-    /// Attempt-relative send-stage nanoseconds attributed to `peer`.
-    pub fn send_ns(&self, peer: usize) -> u64 {
-        self.inner.as_ref().map_or(0, |v| {
-            v[peer]
-                .send_ns
-                .load(Ordering::Relaxed)
-                .saturating_sub(v[peer].send_base.load(Ordering::Relaxed))
-        })
-    }
-
-    /// Attempt-relative recv-wait nanoseconds attributed to `peer`.
-    pub fn recv_wait_ns(&self, peer: usize) -> u64 {
-        self.inner.as_ref().map_or(0, |v| {
-            v[peer]
-                .recv_wait_ns
-                .load(Ordering::Relaxed)
-                .saturating_sub(v[peer].recv_base.load(Ordering::Relaxed))
-        })
-    }
-
-    fn rebaseline(&self) {
-        if let Some(v) = &self.inner {
-            for c in v.iter() {
-                c.send_base
-                    .store(c.send_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-                c.recv_base
-                    .store(c.recv_wait_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Round time-series
 // ---------------------------------------------------------------------------
 
 /// One sampled sync round: what the recorder captures at the end of every
-/// `sync` call.
+/// `sync` call. `stage_ns` and `retransmits` are observed columns; the
+/// rest are deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundSample {
     /// 0-based sync-phase sequence number on the host.
@@ -670,9 +593,6 @@ pub struct RoundSample {
     pub pool_hits: u64,
     /// Send-buffer pool misses this round.
     pub pool_misses: u64,
-    /// Nanoseconds blocked waiting on peers this round (equals
-    /// `stage_ns[RECV_WAIT_STAGE]`).
-    pub recv_wait_ns: u64,
 }
 
 #[derive(Debug)]
@@ -786,21 +706,15 @@ impl RoundSeries {
 // ---------------------------------------------------------------------------
 
 #[derive(Debug)]
-struct HostSlot {
-    registry: Registry,
-    series: RoundSeries,
-    peers: PeerTable,
-}
-
-#[derive(Debug)]
 struct HubInner {
-    hosts: Vec<HostSlot>,
+    hosts: Vec<HostMetrics>,
     cluster: Registry,
 }
 
-/// The run-wide metrics root: one [`Registry`] + [`RoundSeries`] +
-/// [`PeerTable`] per host, plus a cluster-level registry the supervisor
-/// publishes into. Cheap to clone; clones share everything.
+/// The run-wide metrics root: per host a deterministic and an observed
+/// [`Registry`] plus a [`RoundSeries`] (bundled as [`HostMetrics`]), and a
+/// cluster-level registry the supervisor publishes into. Cheap to clone;
+/// clones share everything.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsHub {
     inner: Option<Arc<HubInner>>,
@@ -819,10 +733,10 @@ impl MetricsHub {
         MetricsHub {
             inner: Some(Arc::new(HubInner {
                 hosts: (0..world_size)
-                    .map(|_| HostSlot {
-                        registry: Registry::new(),
+                    .map(|_| HostMetrics {
+                        deterministic: Registry::new(),
+                        observed: Registry::new(),
                         series: RoundSeries::new(capacity),
-                        peers: PeerTable::new(world_size),
                     })
                     .collect(),
                 cluster: Registry::new(),
@@ -849,25 +763,13 @@ impl MetricsHub {
     /// is disabled; `rank` is ignored in that case).
     pub fn host(&self, rank: usize) -> HostMetrics {
         match &self.inner {
-            Some(i) => HostMetrics {
-                registry: i.hosts[rank].registry.clone(),
-                series: i.hosts[rank].series.clone(),
-                peers: i.hosts[rank].peers.clone(),
-            },
+            Some(i) => i.hosts[rank].clone(),
             None => HostMetrics::disabled(),
         }
     }
 
-    /// Host `rank`'s registry (disabled when the hub is disabled).
-    pub fn host_registry(&self, rank: usize) -> Registry {
-        match &self.inner {
-            Some(i) => i.hosts[rank].registry.clone(),
-            None => Registry::disabled(),
-        }
-    }
-
     /// The cluster-level registry (supervisor counters: recoveries,
-    /// attempts).
+    /// attempts; the socket backend's wire counters). Observed.
     pub fn cluster(&self) -> Registry {
         match &self.inner {
             Some(i) => i.cluster.clone(),
@@ -876,23 +778,26 @@ impl MetricsHub {
     }
 
     /// Marks the start of a (re)attempt: snapshots every metric's current
-    /// value as its baseline and clears every round series, so subsequent
-    /// reads describe only the newest attempt.
+    /// value, on both sides of every host, as its baseline and clears every
+    /// round series, so subsequent reads describe only the newest attempt.
     pub fn begin_attempt(&self) {
         let Some(i) = &self.inner else { return };
         for h in &i.hosts {
-            h.registry.rebaseline();
+            h.deterministic.rebaseline();
+            h.observed.rebaseline();
             h.series.clear();
-            h.peers.rebaseline();
         }
         i.cluster.rebaseline();
     }
 
-    /// Sums the attempt-relative value of counter `name` across all host
-    /// registries.
+    /// Sums the attempt-relative value of counter `name` across all hosts,
+    /// on whichever side it was registered.
     pub fn counter_across_hosts(&self, name: &str) -> u64 {
         self.inner.as_ref().map_or(0, |i| {
-            i.hosts.iter().map(|h| h.registry.counter_value(name)).sum()
+            i.hosts
+                .iter()
+                .map(|h| h.deterministic.counter_value(name) + h.observed.counter_value(name))
+                .sum()
         })
     }
 
@@ -909,8 +814,15 @@ impl MetricsHub {
         // Union of metric names across hosts, in first-seen order so the
         // exposition is stable for a deterministic run.
         let mut names: Vec<(&'static str, &'static str)> = Vec::new();
-        let per_host: Vec<Vec<(&'static str, MetricValue)>> =
-            inner.hosts.iter().map(|h| h.registry.snapshot()).collect();
+        let per_host: Vec<Vec<(&'static str, MetricValue)>> = inner
+            .hosts
+            .iter()
+            .map(|h| {
+                let mut snap = h.deterministic.snapshot();
+                snap.extend(h.observed.snapshot());
+                snap
+            })
+            .collect();
         for snap in &per_host {
             for (name, value) in snap {
                 if !names.iter().any(|(n, _)| n == name) {
@@ -987,13 +899,13 @@ fn render_prom_sample(out: &mut String, name: &str, labels: &str, value: &Metric
     }
 }
 
-/// The per-host bundle a publisher needs: the registry plus the round
-/// series and peer table. Obtained from [`MetricsHub::host`].
+/// The per-host bundle a publisher needs: the two registries plus the
+/// round series. Obtained from [`MetricsHub::host`].
 #[derive(Clone, Debug, Default)]
 pub struct HostMetrics {
-    registry: Registry,
+    deterministic: Registry,
+    observed: Registry,
     series: RoundSeries,
-    peers: PeerTable,
 }
 
 impl HostMetrics {
@@ -1004,22 +916,25 @@ impl HostMetrics {
 
     /// Whether the bundle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.registry.is_enabled()
+        self.deterministic.is_enabled()
     }
 
-    /// The host's registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    /// The host's deterministic registry: what a deterministic run
+    /// reproduces exactly, at any thread count, on any transport, after
+    /// any recovery.
+    pub fn deterministic(&self) -> &Registry {
+        &self.deterministic
+    }
+
+    /// The host's observed registry: timings, and counts that depend on
+    /// the clock, the schedule or the attempt.
+    pub fn observed(&self) -> &Registry {
+        &self.observed
     }
 
     /// The host's round time-series.
     pub fn series(&self) -> &RoundSeries {
         &self.series
-    }
-
-    /// The host's per-peer attribution table.
-    pub fn peers(&self) -> &PeerTable {
-        &self.peers
     }
 }
 
@@ -1040,7 +955,9 @@ const STAGE_COUNTER_NAMES: [&str; NUM_ROUND_STAGES] = [
     "stage_apply_ns",
 ];
 
-const MODE_MSG_COUNTER_NAMES: [&str; NUM_WIRE_MODES] = [
+/// Names of the per-mode message counters, indexed like
+/// [`WIRE_MODE_NAMES`].
+pub const MODE_MSG_COUNTER_NAMES: [&str; NUM_WIRE_MODES] = [
     "wire_msgs_empty",
     "wire_msgs_dense",
     "wire_msgs_bitvec",
@@ -1052,7 +969,9 @@ const MODE_MSG_COUNTER_NAMES: [&str; NUM_WIRE_MODES] = [
     "wire_msgs_same_run",
 ];
 
-const MODE_BYTE_COUNTER_NAMES: [&str; NUM_WIRE_MODES] = [
+/// Names of the per-mode payload byte counters, indexed like
+/// [`WIRE_MODE_NAMES`].
+pub const MODE_BYTE_COUNTER_NAMES: [&str; NUM_WIRE_MODES] = [
     "wire_bytes_empty",
     "wire_bytes_dense",
     "wire_bytes_bitvec",
@@ -1084,7 +1003,6 @@ pub struct RoundMark {
 #[derive(Clone, Debug, Default)]
 pub struct SyncMetrics {
     series: RoundSeries,
-    peers: PeerTable,
     sync_rounds: Counter,
     collective_ops: Counter,
     bytes_sent: Counter,
@@ -1107,25 +1025,26 @@ impl SyncMetrics {
         SyncMetrics::default()
     }
 
-    /// Registers the sync runtime's metrics on `host`'s registry.
+    /// Registers the sync runtime's metrics on `host`: traffic, rounds,
+    /// pool hit/miss and decode errors on the deterministic side; stage
+    /// times, checkpoints and retransmissions on the observed side.
     pub fn register(host: &HostMetrics) -> SyncMetrics {
-        let r = host.registry();
+        let (det, obs) = (host.deterministic(), host.observed());
         SyncMetrics {
             series: host.series().clone(),
-            peers: host.peers().clone(),
-            sync_rounds: r.counter("sync_rounds"),
-            collective_ops: r.counter("collective_ops"),
-            bytes_sent: r.counter("bytes_sent"),
-            messages_sent: r.counter("messages_sent"),
-            pool_hits: r.counter("pool_hits"),
-            pool_misses: r.counter("pool_misses"),
-            decode_errors: r.counter("decode_errors"),
-            checkpoints_saved: r.counter("checkpoints_saved"),
-            stage_ns: STAGE_COUNTER_NAMES.map(|n| r.counter(n)),
-            mode_msgs: MODE_MSG_COUNTER_NAMES.map(|n| r.counter(n)),
-            mode_bytes: MODE_BYTE_COUNTER_NAMES.map(|n| r.counter(n)),
-            payload_bytes: r.histogram("payload_bytes"),
-            retransmits: r.counter("retransmits"),
+            sync_rounds: det.counter("sync_rounds"),
+            collective_ops: det.counter("collective_ops"),
+            bytes_sent: det.counter("bytes_sent"),
+            messages_sent: det.counter("messages_sent"),
+            pool_hits: det.counter("pool_hits"),
+            pool_misses: det.counter("pool_misses"),
+            decode_errors: det.counter("decode_errors"),
+            checkpoints_saved: obs.counter("checkpoints_saved"),
+            stage_ns: STAGE_COUNTER_NAMES.map(|n| obs.counter(n)),
+            mode_msgs: MODE_MSG_COUNTER_NAMES.map(|n| det.counter(n)),
+            mode_bytes: MODE_BYTE_COUNTER_NAMES.map(|n| det.counter(n)),
+            payload_bytes: det.histogram("payload_bytes"),
+            retransmits: obs.counter("retransmits"),
         }
     }
 
@@ -1133,11 +1052,6 @@ impl SyncMetrics {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.series.is_enabled()
-    }
-
-    /// The per-peer attribution table (for the segment clock).
-    pub fn peers(&self) -> &PeerTable {
-        &self.peers
     }
 
     /// Books one outgoing sync payload: `mode` is the wire-mode byte,
@@ -1228,7 +1142,6 @@ impl SyncMetrics {
             retransmits: self.retransmits.total() - mark.retransmits,
             pool_hits: self.pool_hits.total() - mark.pool_hits,
             pool_misses: self.pool_misses.total() - mark.pool_misses,
-            recv_wait_ns: stage_ns[RECV_WAIT_STAGE],
         });
     }
 }
@@ -1250,16 +1163,19 @@ impl NetMetrics {
         NetMetrics::default()
     }
 
-    /// Registers the reliability layer's metrics on `registry`. The
-    /// `retransmits` counter is shared by name with [`SyncMetrics`], which
-    /// is how the round recorder attributes retransmissions to rounds.
-    pub fn register(registry: &Registry) -> NetMetrics {
+    /// Registers the reliability layer's metrics on `host`'s observed
+    /// side: retransmissions fire on timeouts, so their counts vary run to
+    /// run even on identical traffic. The `retransmits` counter is shared
+    /// by name with [`SyncMetrics`], which is how the round recorder
+    /// attributes retransmissions to rounds.
+    pub fn register(host: &HostMetrics) -> NetMetrics {
+        let obs = host.observed();
         NetMetrics {
-            retransmits: registry.counter("retransmits"),
-            retransmit_bytes: registry.counter("retransmit_bytes"),
-            dups_suppressed: registry.counter("dups_suppressed"),
-            crc_rejections: registry.counter("crc_rejections"),
-            peers_down: registry.counter("peers_down"),
+            retransmits: obs.counter("retransmits"),
+            retransmit_bytes: obs.counter("retransmit_bytes"),
+            dups_suppressed: obs.counter("dups_suppressed"),
+            crc_rejections: obs.counter("crc_rejections"),
+            peers_down: obs.counter("peers_down"),
         }
     }
 
@@ -1304,12 +1220,14 @@ impl ExecMetrics {
         ExecMetrics::default()
     }
 
-    /// Registers the pool's metrics on `registry`.
-    pub fn register(registry: &Registry) -> ExecMetrics {
+    /// Registers the pool's metrics on `host`: operations and total work
+    /// are deterministic; the critical path varies with the thread count,
+    /// so it is observed.
+    pub fn register(host: &HostMetrics) -> ExecMetrics {
         ExecMetrics {
-            parallel_ops: registry.counter("pool_parallel_ops"),
-            seq_work: registry.counter("pool_seq_work"),
-            crit_work: registry.counter("pool_crit_work"),
+            parallel_ops: host.deterministic().counter("pool_parallel_ops"),
+            seq_work: host.deterministic().counter("pool_seq_work"),
+            crit_work: host.observed().counter("pool_crit_work"),
         }
     }
 
@@ -1323,50 +1241,6 @@ impl ExecMetrics {
     }
 }
 
-/// The engine layer's pre-registered metrics: partition-bin fill/drain
-/// traffic and the pull-side partition skip count.
-///
-/// All four counters are *scheduling* observability, not results: they
-/// follow the bin geometry while labels are bit-identical at any
-/// partition width, so every name here must also be listed in the report
-/// fingerprint's dropped keys.
-#[derive(Clone, Debug, Default)]
-pub struct EngineMetrics {
-    bin_fills: Counter,
-    bin_drains: Counter,
-    binned_updates: Counter,
-    pull_chunks_skipped: Counter,
-}
-
-impl EngineMetrics {
-    /// The all-disabled bundle.
-    pub fn disabled() -> EngineMetrics {
-        EngineMetrics::default()
-    }
-
-    /// Registers the engine bin metrics on `registry`.
-    pub fn register(registry: &Registry) -> EngineMetrics {
-        EngineMetrics {
-            bin_fills: registry.counter("engine_bin_fills"),
-            bin_drains: registry.counter("engine_bin_drains"),
-            binned_updates: registry.counter("engine_binned_updates"),
-            pull_chunks_skipped: registry.counter("engine_pull_chunks_skipped"),
-        }
-    }
-
-    /// Books the traffic of one scatter/drain pass batch: `fills` scatter
-    /// passes, `drains` drain passes, `updates` total `(dst, value)`
-    /// entries routed through bins, `skipped` pull chunks skipped by the
-    /// frontier-partition probe.
-    #[inline]
-    pub fn on_bins(&self, fills: u64, drains: u64, updates: u64, skipped: u64) {
-        self.bin_fills.add(fills);
-        self.bin_drains.add(drains);
-        self.binned_updates.add(updates);
-        self.pull_chunks_skipped.add(skipped);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1377,13 +1251,13 @@ mod tests {
         assert!(!hub.is_enabled());
         let host = hub.host(0);
         assert!(!host.is_enabled());
-        let c = host.registry().counter("x");
+        let c = host.deterministic().counter("x");
         c.add(7);
         assert_eq!(c.value(), 0);
         let sm = SyncMetrics::register(&host);
         sm.on_payload(1, 100);
         sm.round_end(sm.round_begin(), 0, [0; NUM_ROUND_STAGES]);
-        assert!(sm.peers().is_empty());
+        assert!(host.series().rows().is_empty());
         assert_eq!(hub.prometheus(), "");
     }
 
@@ -1455,8 +1329,8 @@ mod tests {
     #[test]
     fn rebaseline_resets_reads_but_not_totals() {
         let hub = MetricsHub::new(1);
-        let c = hub.host_registry(0).counter("c");
-        let h = hub.host_registry(0).histogram("h");
+        let c = hub.host(0).deterministic().counter("c");
+        let h = hub.host(0).deterministic().histogram("h");
         c.add(10);
         h.observe(5);
         hub.begin_attempt();
@@ -1509,7 +1383,7 @@ mod tests {
         sm.on_payload(3, 50);
         sm.pool_hit();
         let mut stage = [0u64; NUM_ROUND_STAGES];
-        stage[RECV_WAIT_STAGE] = 77;
+        stage[5] = 77;
         sm.round_end(mark, 0, stage);
         let mark = sm.round_begin();
         sm.on_payload(1, 10);
@@ -1522,47 +1396,77 @@ mod tests {
         assert_eq!(rows[0].mode_bytes[1], 100);
         assert_eq!(rows[0].mode_bytes[3], 50);
         assert_eq!(rows[0].pool_hits, 1);
-        assert_eq!(rows[0].recv_wait_ns, 77);
+        assert_eq!(rows[0].stage_ns[5], 77);
         assert_eq!(rows[1].bytes_sent, 10);
         assert_eq!(rows[1].pool_misses, 1);
-        assert_eq!(hub.host_registry(0).counter_value("sync_rounds"), 2);
+        let host = hub.host(0);
+        assert_eq!(host.deterministic().counter_value("sync_rounds"), 2);
+        assert_eq!(host.observed().counter_value("stage_recv_wait_ns"), 77);
+        assert_eq!(host.deterministic().counter_value("stage_recv_wait_ns"), 0);
         assert_eq!(hub.counter_across_hosts("bytes_sent"), 160);
+        assert_eq!(hub.counter_across_hosts("stage_recv_wait_ns"), 77);
     }
 
     #[test]
     fn shared_retransmit_counter_feeds_rounds() {
         let hub = MetricsHub::new(1);
         let sm = SyncMetrics::register(&hub.host(0));
-        let nm = NetMetrics::register(&hub.host_registry(0));
+        let nm = NetMetrics::register(&hub.host(0));
         let mark = sm.round_begin();
         nm.on_retransmit(64);
         nm.on_retransmit(64);
         sm.round_end(mark, 0, [0; NUM_ROUND_STAGES]);
         assert_eq!(hub.host(0).series().rows()[0].retransmits, 2);
-        assert_eq!(hub.host_registry(0).counter_value("retransmit_bytes"), 128);
+        let obs = hub.host(0).observed().clone();
+        assert_eq!(obs.counter_value("retransmits"), 2);
+        assert_eq!(obs.counter_value("retransmit_bytes"), 128);
     }
 
     #[test]
-    fn peer_table_attributes_and_rebaselines() {
-        let hub = MetricsHub::new(3);
-        let peers = hub.host(1).peers().clone();
-        assert_eq!(peers.len(), 3);
-        peers.add_send_ns(2, 10);
-        peers.add_recv_wait_ns(2, 20);
-        assert_eq!(peers.send_ns(2), 10);
-        assert_eq!(peers.recv_wait_ns(2), 20);
-        hub.begin_attempt();
-        assert_eq!(peers.send_ns(2), 0);
-        peers.add_send_ns(0, 5);
-        assert_eq!(peers.send_ns(0), 5);
+    fn begin_attempt_rebaselines_both_sides_and_import_keeps_the_side() {
+        let src = MetricsHub::new(1);
+        let host = src.host(0);
+        let bytes = host.deterministic().counter("bytes_sent");
+        let waited = host.observed().counter("stage_recv_wait_ns");
+        bytes.add(5);
+        waited.add(7);
+        src.begin_attempt();
+        assert_eq!(bytes.value(), 0);
+        assert_eq!(waited.value(), 0);
+        bytes.add(3);
+        waited.add(4);
+
+        // What the multi-process launcher does: ship each side's snapshot
+        // and import it into the same side of another hub.
+        let dst = MetricsHub::new(1);
+        let into = dst.host(0);
+        for (name, value) in host.deterministic().snapshot() {
+            into.deterministic().import(name, &value);
+        }
+        for (name, value) in host.observed().snapshot() {
+            into.observed().import(name, &value);
+        }
+        assert_eq!(into.deterministic().counter_value("bytes_sent"), 3);
+        assert_eq!(into.observed().counter_value("stage_recv_wait_ns"), 4);
+        assert!(into
+            .deterministic()
+            .snapshot()
+            .iter()
+            .all(|(n, _)| *n != "stage_recv_wait_ns"));
+        assert!(into
+            .observed()
+            .snapshot()
+            .iter()
+            .all(|(n, _)| *n != "bytes_sent"));
     }
 
     #[test]
     fn prometheus_renders_counters_and_histograms() {
         let hub = MetricsHub::new(2);
-        hub.host_registry(0).counter("bytes_sent").add(100);
-        hub.host_registry(1).counter("bytes_sent").add(50);
-        let h = hub.host_registry(0).histogram("payload_bytes");
+        hub.host(0).deterministic().counter("bytes_sent").add(100);
+        hub.host(1).deterministic().counter("bytes_sent").add(50);
+        hub.host(1).observed().counter("stage_send_ns").add(9);
+        let h = hub.host(0).deterministic().histogram("payload_bytes");
         h.observe(3);
         h.observe(100);
         hub.cluster().counter("recoveries").incr();
@@ -1574,35 +1478,21 @@ mod tests {
         assert!(text.contains("gluon_payload_bytes_bucket{host=\"0\",le=\"3\"} 1\n"));
         assert!(text.contains("gluon_payload_bytes_bucket{host=\"0\",le=\"+Inf\"} 2\n"));
         assert!(text.contains("gluon_payload_bytes_sum{host=\"0\"} 103\n"));
+        assert!(text.contains("gluon_stage_send_ns{host=\"1\"} 9\n"));
         assert!(text.contains("gluon_recoveries 1\n"));
     }
 
     #[test]
     fn exec_metrics_accumulate() {
         let hub = MetricsHub::new(1);
-        let em = ExecMetrics::register(&hub.host_registry(0));
+        let host = hub.host(0);
+        let em = ExecMetrics::register(&host);
         em.on_work(100, 30);
         em.on_work(10, 10);
-        let r = hub.host_registry(0);
-        assert_eq!(r.counter_value("pool_parallel_ops"), 2);
-        assert_eq!(r.counter_value("pool_seq_work"), 110);
-        assert_eq!(r.counter_value("pool_crit_work"), 40);
-    }
-
-    #[test]
-    fn engine_metrics_accumulate_and_disable() {
-        let hub = MetricsHub::new(1);
-        let em = EngineMetrics::register(&hub.host_registry(0));
-        em.on_bins(2, 2, 500, 3);
-        em.on_bins(1, 1, 100, 0);
-        let r = hub.host_registry(0);
-        assert_eq!(r.counter_value("engine_bin_fills"), 3);
-        assert_eq!(r.counter_value("engine_bin_drains"), 3);
-        assert_eq!(r.counter_value("engine_binned_updates"), 600);
-        assert_eq!(r.counter_value("engine_pull_chunks_skipped"), 3);
-        // The disabled bundle publishes nowhere.
-        EngineMetrics::disabled().on_bins(9, 9, 9, 9);
-        assert_eq!(r.counter_value("engine_bin_fills"), 3);
+        let det = host.deterministic();
+        assert_eq!(det.counter_value("pool_parallel_ops"), 2);
+        assert_eq!(det.counter_value("pool_seq_work"), 110);
+        assert_eq!(host.observed().counter_value("pool_crit_work"), 40);
     }
 
     #[test]

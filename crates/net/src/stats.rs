@@ -40,17 +40,6 @@ struct StatsInner {
     dup_suppressed: AtomicU64,
     /// Frames that failed their checksum on receive.
     corruption_detected: AtomicU64,
-    /// Payloads that passed transport delivery but failed to decode at the
-    /// codec layer (recorded by the substrate's sync paths).
-    decode_errors: AtomicU64,
-    /// Sync payloads built into a recycled arena buffer (no allocation).
-    pool_hits: AtomicU64,
-    /// Sync payloads that had to allocate because the previous round's
-    /// buffer was still held by a consumer (or had never been created).
-    pool_misses: AtomicU64,
-    /// Largest per-field arena footprint observed, in bytes (updated with
-    /// `fetch_max` once per sync round).
-    pool_high_water_bytes: AtomicU64,
     /// Per-host-pair log is optional; the matrix above is always on. The
     /// log is a bounded ring: once `history_capacity` records are held,
     /// each new record evicts the oldest and bumps `dropped_records`.
@@ -118,8 +107,6 @@ pub struct StatsSnapshot {
     pub dup_suppressed: u64,
     /// Checksum failures detected on receive at snapshot time.
     pub corruption_detected: u64,
-    /// Codec-layer decode failures at snapshot time.
-    pub decode_errors: u64,
 }
 
 /// Difference between two snapshots.
@@ -141,8 +128,6 @@ pub struct StatsDelta {
     pub dup_suppressed: u64,
     /// Checksum failures detected on receive in the interval.
     pub corruption_detected: u64,
-    /// Codec-layer decode failures in the interval.
-    pub decode_errors: u64,
 }
 
 impl NetStats {
@@ -180,10 +165,6 @@ impl NetStats {
                 retransmit_messages: AtomicU64::new(0),
                 dup_suppressed: AtomicU64::new(0),
                 corruption_detected: AtomicU64::new(0),
-                decode_errors: AtomicU64::new(0),
-                pool_hits: AtomicU64::new(0),
-                pool_misses: AtomicU64::new(0),
-                pool_high_water_bytes: AtomicU64::new(0),
                 history: Mutex::new(VecDeque::new()),
                 record_history,
                 history_capacity: capacity,
@@ -272,50 +253,6 @@ impl NetStats {
         self.inner.corruption_detected.load(Ordering::Relaxed)
     }
 
-    /// Records one payload that was delivered by the transport but failed
-    /// to decode at the codec layer.
-    pub fn record_decode_error(&self) {
-        self.inner.decode_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Codec-layer decode failures recorded so far.
-    pub fn decode_errors(&self) -> u64 {
-        self.inner.decode_errors.load(Ordering::Relaxed)
-    }
-
-    /// Records one sync payload built into a recycled arena buffer.
-    pub fn record_pool_hit(&self) {
-        self.inner.pool_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one sync payload that had to allocate a fresh buffer.
-    pub fn record_pool_miss(&self) {
-        self.inner.pool_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Raises the observed arena footprint high-water mark to `bytes` if
-    /// it is the largest seen so far.
-    pub fn record_pool_high_water(&self, bytes: u64) {
-        self.inner
-            .pool_high_water_bytes
-            .fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// Sync payloads built into recycled arena buffers so far.
-    pub fn pool_hits(&self) -> u64 {
-        self.inner.pool_hits.load(Ordering::Relaxed)
-    }
-
-    /// Sync payloads that allocated a fresh buffer so far.
-    pub fn pool_misses(&self) -> u64 {
-        self.inner.pool_misses.load(Ordering::Relaxed)
-    }
-
-    /// Largest per-field arena footprint observed, in bytes.
-    pub fn pool_high_water_bytes(&self) -> u64 {
-        self.inner.pool_high_water_bytes.load(Ordering::Relaxed)
-    }
-
     /// Total bytes and messages host `src` has sent, summed straight off
     /// the atomic matrices — the allocation-free fast path the sync layer
     /// brackets every round with (unlike [`NetStats::snapshot`], which
@@ -358,7 +295,6 @@ impl NetStats {
             retransmit_messages: self.retransmit_messages(),
             dup_suppressed: self.dup_suppressed(),
             corruption_detected: self.corruption_detected(),
-            decode_errors: self.decode_errors(),
         }
     }
 
@@ -530,10 +466,6 @@ impl StatsSnapshot {
                 .corruption_detected
                 .checked_sub(earlier.corruption_detected)
                 .expect("snapshot taken before `earlier`"),
-            decode_errors: self
-                .decode_errors
-                .checked_sub(earlier.decode_errors)
-                .expect("snapshot taken before `earlier`"),
         }
     }
 }
@@ -628,17 +560,13 @@ mod tests {
         s.record_retransmit(2);
         s.record_dup_suppressed();
         s.record_corruption_detected();
-        s.record_decode_error();
-        s.record_decode_error();
         assert_eq!(s.retransmit_bytes(), 42);
         assert_eq!(s.retransmit_messages(), 2);
-        assert_eq!(s.decode_errors(), 2);
         let d = s.snapshot().since(&before);
         assert_eq!(d.retransmit_bytes, 42);
         assert_eq!(d.retransmit_messages, 2);
         assert_eq!(d.dup_suppressed, 1);
         assert_eq!(d.corruption_detected, 1);
-        assert_eq!(d.decode_errors, 2);
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! the three export surfaces:
 //!
 //! 1. the Prometheus text exposition (scrape-ready counters/gauges),
-//! 2. the stable machine-readable JSON document,
+//! 2. the stable machine-readable JSON document, split into a
+//!    `deterministic` and an `observed` section,
 //! 3. the per-phase calibration table (measured comm time vs. the α–β
 //!    cost model's projection).
 //!
-//! It also demonstrates the determinism fingerprint: the report with all
-//! timing fields stripped is bit-identical across thread counts, because
-//! the simulated cluster moves exactly the same bytes no matter how the
-//! compute is scheduled.
+//! It also demonstrates the determinism fingerprint: the `deterministic`
+//! section is bit-identical across thread counts, because the simulated
+//! cluster moves exactly the same bytes no matter how the compute is
+//! scheduled.
 //!
 //! Run with: `cargo run --release --example run_report`
 //!
@@ -47,14 +48,25 @@ fn main() {
     println!();
     println!("== JSON document ==");
     let json = report.json();
+    let deterministic = json.get("deterministic").unwrap();
+    let observed = json.get("observed").unwrap();
     println!(
-        "schema v{}, {} hosts, {} rounds, {} bytes on the wire",
+        "schema v{}, {} hosts, {} rounds, {} bytes on the wire, {:.6} s of communication",
         json.get("schema_version").and_then(|v| v.as_u64()).unwrap(),
-        json.get("hosts").and_then(|v| v.as_u64()).unwrap(),
-        json.get("rounds").and_then(|v| v.as_u64()).unwrap(),
-        json.get("totals")
+        deterministic.get("hosts").and_then(|v| v.as_u64()).unwrap(),
+        deterministic
+            .get("rounds")
+            .and_then(|v| v.as_u64())
+            .unwrap(),
+        deterministic
+            .get("totals")
             .and_then(|t| t.get("bytes_sent"))
             .and_then(|v| v.as_u64())
+            .unwrap(),
+        observed
+            .get("timing")
+            .and_then(|t| t.get("comm_secs"))
+            .and_then(|v| v.as_f64())
             .unwrap(),
     );
     let rendered = report.render_json();
@@ -70,7 +82,7 @@ fn main() {
         );
     }
 
-    // The fingerprint strips timing; what remains is scheduling-invariant.
+    // The fingerprint is the deterministic section: scheduling-invariant.
     let single_hub = MetricsHub::new(cfg.hosts);
     let single = driver::Run::new(&graph, Algorithm::Bfs)
         .config(&cfg)

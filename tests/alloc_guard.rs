@@ -165,15 +165,12 @@ fn assert_zero_allocs(name: &str, threads: usize, reports: &[HostReport], stats:
             r.sync_allocs
         );
     }
-    // The zero above must be earned by recycling, not by idleness: the
-    // steady rounds moved traffic and the pools were actually hit.
+    // The zero above must be earned by work, not by idleness: the rounds
+    // moved traffic. (The metrics runs below also check that the arena's
+    // send buffers were recycled.)
     assert!(
-        stats.pool_hits() > 0,
-        "{name}/{threads}t: no pool hits recorded — arena not exercised"
-    );
-    assert!(
-        stats.pool_high_water_bytes() > 0,
-        "{name}/{threads}t: pool high-water never recorded"
+        stats.total_bytes() > 0,
+        "{name}/{threads}t: no traffic — guard measured nothing"
     );
 }
 
@@ -224,6 +221,10 @@ fn steady_state_sync_is_allocation_free() {
             hub.counter_across_hosts("sync_rounds") > 0
                 && hub.counter_across_hosts("bytes_sent") > 0,
             "bfs+metrics/{threads}t: the hub recorded nothing — guard measured a dead layer"
+        );
+        assert!(
+            hub.counter_across_hosts("pool_hits") > 0,
+            "bfs+metrics/{threads}t: no pool hits recorded — arena not exercised"
         );
     }
 
@@ -384,8 +385,8 @@ fn steady_state_sync_is_allocation_free() {
                  (the bin scratch must recycle everything post warm-up)"
             );
             assert!(
-                bins.stats().updates > 0,
-                "edge_map/{threads}t: no updates routed — guard measured nothing"
+                !bins.activated().is_empty(),
+                "edge_map/{threads}t: nothing activated — guard measured nothing"
             );
         }
     }

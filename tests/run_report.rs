@@ -6,8 +6,8 @@
 //!    through the workspace's own parser, renders bit-identically, and
 //!    keeps the same top-level key set (and schema version) no matter how
 //!    many worker threads the run used.
-//! 2. **Determinism fingerprint** — with every timing field stripped (the
-//!    [`fingerprint`]), the report is bit-identical across thread counts:
+//! 2. **Determinism fingerprint** — the report's `deterministic` section
+//!    (the [`fingerprint`]) is bit-identical across thread counts:
 //!    payload bytes, message counts, wire-mode histograms, and round
 //!    counts are scheduling-invariant in the simulated cluster.
 //! 3. **Crash transparency** — a supervised run that crashes and recovers
@@ -65,6 +65,13 @@ fn report_at(threads: usize) -> RunReport {
     out.report(&hub, &CostModel::REPRO)
 }
 
+fn observed(report: &RunReport) -> &Json {
+    report
+        .json()
+        .get("observed")
+        .expect("every report has an observed section")
+}
+
 fn top_level_keys(json: &Json) -> Vec<String> {
     json.fields()
         .expect("report root must be an object")
@@ -94,7 +101,11 @@ fn report_json_round_trips_and_keeps_its_schema_across_thread_counts() {
             Some(REPORT_SCHEMA_VERSION)
         );
         assert_eq!(
-            report.json().get("metrics_enabled").and_then(Json::as_bool),
+            report
+                .json()
+                .get("deterministic")
+                .and_then(|d| d.get("metrics_enabled"))
+                .and_then(Json::as_bool),
             Some(true)
         );
     }
@@ -146,23 +157,18 @@ fn recovered_report_matches_crash_free_on_non_timing_fields() {
     assert!(recoveries >= 1, "the injected crash never fired");
 
     // Bytes, messages, wire-mode histograms, rounds, per-round series —
-    // everything except timing and the supervision/reliability counters —
-    // must be identical: the hub re-baselines at each attempt, so the
-    // surviving report describes exactly one crash-free replay.
+    // the whole deterministic section — must be identical: the hub
+    // re-baselines at each attempt, so the surviving report describes
+    // exactly one crash-free replay.
     assert_eq!(
         clean.fingerprint(),
         recovered.fingerprint(),
         "a recovered run must report the same non-timing fields as a crash-free run"
     );
     // The supervision counters themselves do tell the two apart.
-    assert_eq!(
-        clean.json().get("recoveries").and_then(Json::as_u64),
-        Some(0)
-    );
-    assert_eq!(
-        recovered.json().get("recoveries").and_then(Json::as_u64),
-        Some(u64::from(recoveries))
-    );
+    let recoveries_of = |r: &RunReport| observed(r).get("recoveries").and_then(Json::as_u64);
+    assert_eq!(recoveries_of(&clean), Some(0));
+    assert_eq!(recoveries_of(&recovered), Some(u64::from(recoveries)));
 }
 
 #[test]
@@ -184,8 +190,7 @@ fn trace_ring_drops_surface_in_the_report() {
     );
 
     let report = out.report_with_tracer(&hub, &CostModel::REPRO, &tracer);
-    let trace = report
-        .json()
+    let trace = observed(&report)
         .get("trace")
         .expect("report must carry a trace section");
     assert_eq!(trace.get("enabled").and_then(Json::as_bool), Some(true));
@@ -216,5 +221,81 @@ fn prometheus_exposition_carries_the_run_counters() {
         "gluon_wire_msgs_dense",
     ] {
         assert!(prom.contains(metric), "missing {metric} in:\n{prom}");
+    }
+}
+
+/// Every object key in `json`, at any depth.
+fn keys<'a>(json: &'a Json, out: &mut Vec<&'a str>) {
+    match json {
+        Json::Obj(fields) => {
+            for (key, value) in fields {
+                out.push(key);
+                keys(value, out);
+            }
+        }
+        Json::Arr(items) => items.iter().for_each(|item| keys(item, out)),
+        _ => {}
+    }
+}
+
+#[test]
+fn the_fingerprint_is_the_deterministic_section() {
+    let report = report_at(2);
+    let deterministic = report
+        .json()
+        .get("deterministic")
+        .expect("every report has a deterministic section");
+    assert_eq!(report.fingerprint(), deterministic.render());
+
+    // What a deterministic run cannot reproduce never reaches the section:
+    // no timing, and none of the names the fingerprint used to filter out
+    // of the whole document by hand.
+    const OBSERVED_ONLY: [&str; 22] = [
+        "calibration",
+        "trace",
+        "reliability",
+        "exec",
+        "pool_crit_work",
+        "cluster",
+        "recoveries",
+        "checkpoints_saved",
+        "retransmits",
+        "retransmit_bytes",
+        "dups_suppressed",
+        "crc_rejections",
+        "peers_down",
+        "net_socket_connects",
+        "net_socket_reconnect_attempts",
+        "net_socket_frames_sent",
+        "net_socket_frames_received",
+        "net_socket_short_reads",
+        "engine_bin_fills",
+        "engine_bin_drains",
+        "engine_binned_updates",
+        "engine_pull_chunks_skipped",
+    ];
+    let mut found = Vec::new();
+    keys(deterministic, &mut found);
+    for key in &found {
+        assert!(
+            !key.ends_with("_secs") && !key.ends_with("_ns"),
+            "timing key {key} in the deterministic section"
+        );
+        assert!(
+            !OBSERVED_ONLY.contains(key),
+            "observed key {key} in the deterministic section"
+        );
+    }
+    for key in [
+        "bytes_sent",
+        "messages_sent",
+        "sync_rounds",
+        "wire_msgs_dense",
+        "rounds",
+    ] {
+        assert!(
+            found.contains(&key),
+            "{key} missing from the deterministic section"
+        );
     }
 }

@@ -54,6 +54,21 @@ fn assert_outcomes_match(
     );
 }
 
+/// Where a hub exposes the socket backend's frame counter: its Prometheus
+/// sample lines with the values cut off (the labels say which registry).
+fn frames_sent_samples(hub: &MetricsHub) -> Vec<String> {
+    hub.prometheus()
+        .lines()
+        .filter(|l| l.starts_with("gluon_net_socket_frames_sent"))
+        .map(|l| {
+            l.rsplit_once(' ')
+                .expect("a sample has a value")
+                .0
+                .to_owned()
+        })
+        .collect()
+}
+
 #[test]
 fn bfs_socket_parity_across_policies_and_families() {
     let g = gen::rmat(7, 6, Default::default(), 11);
@@ -151,10 +166,10 @@ fn recv_timeout_is_typed_identically_on_both_backends() {
     });
 }
 
-/// The issue's acceptance bar: a 4-host pagerank where each host is a
-/// separate OS process exchanging payloads over TCP produces labels,
-/// counters, and a report fingerprint bit-identical to the in-memory
-/// backend.
+/// A 4-host pagerank where each host is a separate OS process exchanging
+/// payloads over TCP produces labels, counters, and a report fingerprint
+/// bit-identical to the in-memory backend — and exposes the socket
+/// backend's wire counters where an in-process socket run does.
 #[test]
 fn process_cluster_pagerank_matches_memory_bit_for_bit() {
     let g = gen::rmat(7, 6, Default::default(), 14);
@@ -173,6 +188,23 @@ fn process_cluster_pagerank_matches_memory_bit_for_bit() {
         memory.report(&hub_mem, &model).fingerprint(),
         cluster.outcome.report(&cluster.hub, &model).fingerprint(),
         "process-cluster report must fingerprint identically to the memory backend"
+    );
+
+    let hub_sock = MetricsHub::new(4);
+    Run::new(&g, Algorithm::Pagerank)
+        .hosts(4)
+        .metrics(&hub_sock)
+        .transport_sockets(SocketKind::Tcp)
+        .launch();
+    let in_process = frames_sent_samples(&hub_sock);
+    assert!(
+        !in_process.is_empty(),
+        "an in-process socket run must export its frame counter"
+    );
+    assert_eq!(
+        frames_sent_samples(&cluster.hub),
+        in_process,
+        "both socket backends must export the frame counter in the same registry"
     );
 }
 
