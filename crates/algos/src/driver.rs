@@ -19,6 +19,13 @@
 //! so the full suite can run over jittered, faulty, or reliable transport
 //! stacks (e.g. `ReliableTransport::over(FaultyTransport::new(..))` for
 //! chaos testing); `.tracer(&t)` records micro-stage spans.
+//!
+//! Both deployments of a run share this module's pieces: one SPMD body
+//! every host runs (`host_program`), one input preparation, one assembler
+//! (`assemble`), and one supervisor loop (`supervise`) over a set of hosts
+//! — the threads of this process here, `gluon-host` worker processes in
+//! [`crate::launcher`]. [`Run::launch`] is one attempt of the thread set;
+//! [`Run::try_launch`] is the supervisor loop over it.
 
 use crate::apps::{self, PagerankConfig};
 use crate::reference::symmetrize;
@@ -27,12 +34,13 @@ use gluon::{CheckpointStore, GluonContext, OptLevel, Pool, RunStats, SyncError, 
 use gluon_graph::{max_out_degree_node, Csr, Gid};
 use gluon_metrics::{ExecMetrics, MetricsHub, NetMetrics};
 use gluon_net::{
-    run_cluster_fallible, run_cluster_wrapped, CancelToken, Communicator, CostModel,
-    MemoryTransport, NetError, NetStats, ReliableConfig, ReliableTransport, SocketFactory,
-    SocketKind, SocketTransport, StatsSnapshot, Transport,
+    run_cluster_fallible, CancelToken, Communicator, CostModel, MemoryTransport, NetError,
+    NetStats, ReliableConfig, ReliableTransport, SocketFactory, SocketKind, SocketTransport,
+    StatsSnapshot, Transport,
 };
 use gluon_partition::{partition_on_host, LocalGraph, PartitionStats, Policy};
 use gluon_trace::{Stage, Tracer, SETUP_PHASE};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// What the supervisor behind [`Run::try_launch`] does once a host failure
@@ -198,7 +206,7 @@ impl DistOutcome {
 
 /// What a [`Run`] computes.
 #[derive(Clone, Copy, Debug)]
-enum Workload {
+pub(crate) enum Workload {
     /// One of the four paper benchmarks.
     Algo(Algorithm),
     /// k-core membership with the given k (input symmetrized internally).
@@ -224,21 +232,7 @@ where
     W: Transport,
     F: Fn(MemoryTransport, u32) -> W + Send + Sync,
 {
-    graph: &'g Csr,
-    workload: Workload,
-    hosts: usize,
-    policy: Policy,
-    opts: OptLevel,
-    engine: EngineKind,
-    source: Option<Gid>,
-    pr: PagerankConfig,
-    threads: usize,
-    tracer: Tracer,
-    metrics: MetricsHub,
-    ckpt_every: Option<u64>,
-    ckpt_store: Option<CheckpointStore>,
-    on_failure: FailurePolicy,
-    max_recoveries: u32,
+    setup: Setup<'g>,
     reliable: Option<ReliableConfig>,
     wrap: F,
 }
@@ -264,29 +258,29 @@ impl<'g> Run<'g> {
     /// [`apps::betweenness_source`]): `ranks` holds the per-node
     /// dependency values, `rounds` the number of BFS levels.
     pub fn betweenness(graph: &'g Csr, source: Gid) -> Run<'g> {
-        let mut run = Run::with_workload(graph, Workload::Betweenness);
-        run.source = Some(source);
-        run
+        Run::with_workload(graph, Workload::Betweenness).source(source)
     }
 
     fn with_workload(graph: &'g Csr, workload: Workload) -> Run<'g> {
         let defaults = DistConfig::new(4);
         Run {
-            graph,
-            workload,
-            hosts: defaults.hosts,
-            policy: defaults.policy,
-            opts: defaults.opts,
-            engine: defaults.engine,
-            source: None,
-            pr: PagerankConfig::default(),
-            threads: 1,
-            tracer: Tracer::disabled(),
-            metrics: MetricsHub::disabled(),
-            ckpt_every: None,
-            ckpt_store: None,
-            on_failure: FailurePolicy::Recover,
-            max_recoveries: 2,
+            setup: Setup {
+                graph,
+                workload,
+                hosts: defaults.hosts,
+                policy: defaults.policy,
+                opts: defaults.opts,
+                engine: defaults.engine,
+                source: None,
+                pr: PagerankConfig::default(),
+                threads: 1,
+                tracer: Tracer::disabled(),
+                metrics: MetricsHub::disabled(),
+                ckpt_every: None,
+                ckpt_store: None,
+                on_failure: FailurePolicy::Recover,
+                max_recoveries: 2,
+            },
             reliable: None,
             wrap: identity,
         }
@@ -301,38 +295,38 @@ where
     /// Number of simulated hosts.
     #[must_use]
     pub fn hosts(mut self, hosts: usize) -> Self {
-        self.hosts = hosts;
+        self.setup.hosts = hosts;
         self
     }
 
     /// Partitioning policy.
     #[must_use]
     pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
+        self.setup.policy = policy;
         self
     }
 
     /// Communication optimization level.
     #[must_use]
     pub fn opt_level(mut self, opts: OptLevel) -> Self {
-        self.opts = opts;
+        self.setup.opts = opts;
         self
     }
 
     /// Shared-memory compute engine.
     #[must_use]
     pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
+        self.setup.engine = engine;
         self
     }
 
     /// Sets hosts, policy, optimization level, and engine at once.
     #[must_use]
     pub fn config(mut self, cfg: &DistConfig) -> Self {
-        self.hosts = cfg.hosts;
-        self.policy = cfg.policy;
-        self.opts = cfg.opts;
-        self.engine = cfg.engine;
+        self.setup.hosts = cfg.hosts;
+        self.setup.policy = cfg.policy;
+        self.setup.opts = cfg.opts;
+        self.setup.engine = cfg.engine;
         self
     }
 
@@ -340,14 +334,14 @@ where
     /// out-degree node).
     #[must_use]
     pub fn source(mut self, source: Gid) -> Self {
-        self.source = Some(source);
+        self.setup.source = Some(source);
         self
     }
 
     /// Pagerank settings (damping, tolerance, iteration cap).
     #[must_use]
     pub fn pagerank(mut self, pr: PagerankConfig) -> Self {
-        self.pr = pr;
+        self.setup.pr = pr;
         self
     }
 
@@ -356,7 +350,7 @@ where
     /// boundaries and combines per-chunk results in order.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.setup.threads = threads.max(1);
         self
     }
 
@@ -365,7 +359,7 @@ where
     /// `tracer.chrome_trace_json()` or `tracer.summary(..)`.
     #[must_use]
     pub fn tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = tracer.clone();
+        self.setup.tracer = tracer.clone();
         self
     }
 
@@ -384,7 +378,7 @@ where
     /// deterministic for a given configuration.
     #[must_use]
     pub fn metrics(mut self, hub: &MetricsHub) -> Self {
-        self.metrics = hub.clone();
+        self.setup.metrics = hub.clone();
         self
     }
 
@@ -400,7 +394,7 @@ where
     #[must_use]
     pub fn checkpoint_every(mut self, rounds: u64) -> Self {
         assert!(rounds >= 1, "checkpoint interval must be at least 1 round");
-        self.ckpt_every = Some(rounds);
+        self.setup.ckpt_every = Some(rounds);
         self
     }
 
@@ -409,7 +403,7 @@ where
     /// process restarts.
     #[must_use]
     pub fn checkpoint_store(mut self, store: CheckpointStore) -> Self {
-        self.ckpt_store = Some(store);
+        self.setup.ckpt_store = Some(store);
         self
     }
 
@@ -417,7 +411,7 @@ where
     /// detected (default: [`FailurePolicy::Recover`]).
     #[must_use]
     pub fn on_failure(mut self, policy: FailurePolicy) -> Self {
-        self.on_failure = policy;
+        self.setup.on_failure = policy;
         self
     }
 
@@ -425,7 +419,7 @@ where
     /// supervisor makes at most `1 + max_recoveries` attempts.
     #[must_use]
     pub fn max_recoveries(mut self, max_recoveries: u32) -> Self {
-        self.max_recoveries = max_recoveries;
+        self.setup.max_recoveries = max_recoveries;
         self
     }
 
@@ -493,87 +487,25 @@ where
         F2: Fn(MemoryTransport, u32) -> W2 + Send + Sync,
     {
         Run {
-            graph: self.graph,
-            workload: self.workload,
-            hosts: self.hosts,
-            policy: self.policy,
-            opts: self.opts,
-            engine: self.engine,
-            source: self.source,
-            pr: self.pr,
-            threads: self.threads,
-            tracer: self.tracer,
-            metrics: self.metrics,
-            ckpt_every: self.ckpt_every,
-            ckpt_store: self.ckpt_store,
-            on_failure: self.on_failure,
-            max_recoveries: self.max_recoveries,
+            setup: self.setup,
             reliable: self.reliable,
             wrap,
         }
     }
 
-    /// Splits the builder into its non-generic settings, the transport
-    /// wrapper, and the optional reliability layer.
-    fn into_parts(self) -> (Setup<'g>, F, Option<ReliableConfig>) {
-        let Run {
-            graph,
-            workload,
-            hosts,
-            policy,
-            opts,
-            engine,
-            source,
-            pr,
-            threads,
-            tracer,
-            metrics,
-            ckpt_every,
-            ckpt_store,
-            on_failure,
-            max_recoveries,
-            reliable,
-            wrap,
-        } = self;
-        (
-            Setup {
-                graph,
-                workload,
-                hosts,
-                policy,
-                opts,
-                engine,
-                source,
-                pr,
-                threads,
-                tracer,
-                metrics,
-                ckpt_every,
-                ckpt_store,
-                on_failure,
-                max_recoveries,
-            },
-            wrap,
-            reliable,
-        )
-    }
-
-    /// Executes the run on the simulated cluster. Sync failures panic
-    /// inside the host threads ([`Run::try_launch`] surfaces them as
-    /// typed errors and can recover from crashes).
+    /// Executes the run on the simulated cluster: one attempt, without
+    /// checkpoints ([`Run::try_launch`] supervises attempts and can
+    /// recover from crashes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a host fails, naming the host and its typed error.
     pub fn launch(self) -> DistOutcome {
-        let (setup, wrap, reliable) = self.into_parts();
-        let tracer = setup.tracer.clone();
-        let hub = setup.metrics.clone();
-        match reliable {
-            Some(cfg) => launch_infallible(&setup, |ep| {
-                let net_metrics = NetMetrics::register(&hub.host(ep.rank()));
-                ReliableTransport::with_config(wrap(ep, 0), cfg)
-                    .with_tracer(tracer.clone())
-                    .with_metrics(net_metrics)
-            }),
-            None => launch_infallible(&setup, |ep| wrap(ep, 0)),
-        }
+        self.with_threads(false, |_, threads| {
+            threads
+                .attempt(0, None, false)
+                .unwrap_or_else(|failed| failed.raise())
+        })
     }
 
     /// Executes the run under the crash supervisor: host failures surface
@@ -589,27 +521,86 @@ where
     /// [`RunError::Aborted`]/[`RunError::Unrecoverable`] per the failure
     /// policy.
     pub fn try_launch(self) -> Result<DistOutcome, RunError> {
-        let (setup, wrap, reliable) = self.into_parts();
-        let algo = match setup.workload {
-            Workload::Algo(algo) => algo,
+        match self.setup.workload {
+            Workload::Algo(_) => {}
             Workload::Kcore(_) => return Err(RunError::Unsupported("kcore")),
             Workload::Betweenness => return Err(RunError::Unsupported("betweenness")),
-        };
-        let tracer = setup.tracer.clone();
-        let hub = setup.metrics.clone();
+        }
+        self.with_threads(true, |setup, threads| {
+            supervise(
+                threads,
+                setup.on_failure,
+                setup.max_recoveries,
+                &setup.tracer,
+                &setup.metrics,
+            )
+            .map_err(|stop| match stop {
+                Stop::Fatal((host, error)) => RunError::Host { host, error },
+                Stop::Aborted { host, failure } => RunError::Aborted {
+                    host,
+                    error: failure,
+                },
+                Stop::Unrecoverable { attempts, last } => {
+                    RunError::Unrecoverable { attempts, last }
+                }
+            })
+        })
+    }
+
+    /// Hands `body` this run's thread host set with its transport stack
+    /// fixed once: the builder's wrapper, under [`ReliableTransport`] when
+    /// [`Run::reliable`] asked for it. With `checkpoints` the set has a
+    /// store (the configured one, else a fresh in-memory one).
+    fn with_threads<R>(
+        self,
+        checkpoints: bool,
+        body: impl FnOnce(&Setup<'g>, &mut ThreadSet<'_>) -> R,
+    ) -> R {
+        let Run {
+            setup,
+            reliable,
+            wrap,
+        } = self;
+        let input = Input::prepare(setup.graph, setup.workload, setup.engine, setup.source);
+        let store = checkpoints.then(|| {
+            setup
+                .ckpt_store
+                .clone()
+                .unwrap_or_else(CheckpointStore::in_memory)
+        });
         match reliable {
-            Some(cfg) => supervise(&setup, algo, &move |ep, attempt| {
-                let net_metrics = NetMetrics::register(&hub.host(ep.rank()));
-                ReliableTransport::with_config(wrap(ep, attempt), cfg)
-                    .with_tracer(tracer.clone())
-                    .with_metrics(net_metrics)
-            }),
-            None => supervise(&setup, algo, &wrap),
+            Some(cfg) => {
+                let tracer = setup.tracer.clone();
+                let hub = setup.metrics.clone();
+                let wrap = move |ep: MemoryTransport, attempt| {
+                    let net_metrics = NetMetrics::register(&hub.host(ep.rank()));
+                    ReliableTransport::with_config(wrap(ep, attempt), cfg)
+                        .with_tracer(tracer.clone())
+                        .with_metrics(net_metrics)
+                };
+                let mut threads = Threads {
+                    setup: &setup,
+                    input: &input,
+                    store,
+                    wrap,
+                };
+                body(&setup, &mut threads)
+            }
+            None => {
+                let mut threads = Threads {
+                    setup: &setup,
+                    input: &input,
+                    store,
+                    wrap,
+                };
+                body(&setup, &mut threads)
+            }
         }
     }
 }
 
 /// The non-generic half of a [`Run`]: everything but the transport stack.
+#[derive(Debug)]
 struct Setup<'g> {
     graph: &'g Csr,
     workload: Workload,
@@ -628,68 +619,43 @@ struct Setup<'g> {
     max_recoveries: u32,
 }
 
-/// The panicking launch path shared by both `reliable` arms of
-/// [`Run::launch`].
-fn launch_infallible<W, F>(setup: &Setup<'_>, wrap: F) -> DistOutcome
-where
-    W: Transport,
-    F: Fn(MemoryTransport) -> W + Send + Sync,
-{
-    let workload = setup.workload;
-    let engine = setup.engine;
-    let pr = setup.pr;
-    let source = setup
-        .source
-        .unwrap_or_else(|| max_out_degree_node(setup.graph));
-    let symmetric;
-    let (input, int_default): (&Csr, u32) = match workload {
-        Workload::Algo(Algorithm::Cc) | Workload::Kcore(_) => {
-            symmetric = symmetrize(setup.graph);
-            (
-                &symmetric,
-                if matches!(workload, Workload::Kcore(_)) {
-                    0
-                } else {
-                    u32::MAX
-                },
-            )
+/// What every host of a run partitions, and how.
+pub(crate) struct Input<'g> {
+    /// The graph, symmetrized for cc and k-core.
+    pub(crate) csr: Cow<'g, Csr>,
+    /// The integer label of a node no host reports.
+    pub(crate) int_default: u32,
+    /// Whether hosts build their in-edges (pagerank's pull, D-Ligra's
+    /// direction switch).
+    pub(crate) needs_transpose: bool,
+    /// The bfs/sssp/betweenness source: the given one, else the maximum
+    /// out-degree node.
+    pub(crate) source: Gid,
+}
+
+impl<'g> Input<'g> {
+    pub(crate) fn prepare(
+        graph: &'g Csr,
+        workload: Workload,
+        engine: EngineKind,
+        source: Option<Gid>,
+    ) -> Input<'g> {
+        let (csr, int_default) = match workload {
+            Workload::Algo(Algorithm::Cc) => (Cow::Owned(symmetrize(graph)), u32::MAX),
+            Workload::Kcore(_) => (Cow::Owned(symmetrize(graph)), 0),
+            _ => (Cow::Borrowed(graph), u32::MAX),
+        };
+        let needs_transpose = match workload {
+            Workload::Algo(algo) => algo == Algorithm::Pagerank || engine == EngineKind::Ligra,
+            Workload::Kcore(_) | Workload::Betweenness => false,
+        };
+        Input {
+            csr,
+            int_default,
+            needs_transpose,
+            source: source.unwrap_or_else(|| max_out_degree_node(graph)),
         }
-        _ => (setup.graph, u32::MAX),
-    };
-    let needs_transpose = match workload {
-        Workload::Algo(algo) => algo == Algorithm::Pagerank || engine == EngineKind::Ligra,
-        Workload::Kcore(_) | Workload::Betweenness => false,
-    };
-    let compute = |lg: &LocalGraph, ctx: &mut GluonContext<'_, W>| -> HostLabels {
-        match workload {
-            Workload::Algo(algo) => dispatch(lg, ctx, algo, engine, source, pr),
-            Workload::Kcore(k) => {
-                let (alive, rounds) = apps::kcore(lg, ctx, k, engine);
-                (alive, Vec::new(), rounds)
-            }
-            Workload::Betweenness => {
-                let (delta, levels) = apps::betweenness_source(lg, ctx, source);
-                (Vec::new(), delta, levels)
-            }
-        }
-    };
-    setup.metrics.begin_attempt();
-    let (per_host, stats) =
-        run_cluster_wrapped(setup.hosts, NetStats::new(setup.hosts), wrap, |net| {
-            host_program(
-                net,
-                input,
-                setup.policy,
-                setup.opts,
-                setup.threads,
-                &setup.tracer,
-                &setup.metrics,
-                &|_| needs_transpose,
-                &compute,
-            )
-        });
-    publish_socket_counters(&setup.metrics, &stats);
-    assemble(input.num_nodes() as usize, int_default, per_host, stats)
+    }
 }
 
 /// Publishes the socket backend's wire-mechanics counters into the hub's
@@ -725,45 +691,89 @@ pub(crate) fn publish_socket_counters(hub: &MetricsHub, stats: &NetStats) {
     }
 }
 
-/// Picks the failure to blame an attempt on: the first *peer* failure
-/// (crash, detected death, retransmit exhaustion) if any host saw one,
-/// else the first error — siblings that merely aborted on the shared
-/// cancellation token report [`NetError::Cancelled`], which is a symptom,
-/// not a cause.
-fn blame(failures: &[(usize, SyncError)]) -> (usize, SyncError) {
-    failures
-        .iter()
-        .copied()
-        .find(|(_, e)| matches!(e, SyncError::Net(ne) if ne.is_peer_failure()))
-        .unwrap_or(failures[0])
+/// A set of hosts the supervisor runs attempts on: the threads of this
+/// process ([`Threads`]) or `gluon-host` worker processes (the launcher's
+/// `Workers`).
+pub(crate) trait HostSet {
+    /// What a failed host reports.
+    type Failure;
+    /// What ends the run at once.
+    type Fatal;
+
+    /// Number of hosts.
+    fn world(&self) -> usize;
+
+    /// Where attempts save checkpoints, if they do.
+    fn store(&self) -> Option<&CheckpointStore>;
+
+    /// Runs attempt `n` (0-based) on fresh hosts, each restored from epoch
+    /// `restore` when one is given; `finalize_only` gathers the restored
+    /// state without computing.
+    fn attempt(
+        &mut self,
+        n: u32,
+        restore: Option<u64>,
+        finalize_only: bool,
+    ) -> Result<DistOutcome, Failed<Self::Failure, Self::Fatal>>;
 }
 
-/// The supervisor: run attempts, classify failures, restore + replay per
-/// the failure policy.
-fn supervise<W, F>(setup: &Setup<'_>, algo: Algorithm, wrap: &F) -> Result<DistOutcome, RunError>
-where
-    W: Transport,
-    F: Fn(MemoryTransport, u32) -> W + Send + Sync,
-{
-    let source = setup
-        .source
-        .unwrap_or_else(|| max_out_degree_node(setup.graph));
-    let symmetric;
-    let input: &Csr = match algo {
-        Algorithm::Cc => {
-            symmetric = symmetrize(setup.graph);
-            &symmetric
-        }
-        _ => setup.graph,
-    };
-    let needs_transpose = algo == Algorithm::Pagerank || setup.engine == EngineKind::Ligra;
-    let store = setup
-        .ckpt_store
-        .clone()
-        .unwrap_or_else(CheckpointStore::in_memory);
-    let attempts_allowed = setup.max_recoveries.saturating_add(1);
-    let mut recoveries = 0u32;
-    let mut last_error: Option<SyncError> = None;
+/// How an attempt failed.
+pub(crate) enum Failed<F, X> {
+    /// The host to blame and what it reported; the [`FailurePolicy`]
+    /// decides what happens next.
+    Host(usize, F),
+    /// A failure no replay can fix (replaying the same rounds reproduces
+    /// it, or the harness itself broke): the supervisor stops at once.
+    Fatal(X),
+}
+
+impl Failed<SyncError, (usize, SyncError)> {
+    /// Fails an unsupervised thread run: panics naming the host and its
+    /// typed error.
+    fn raise(self) -> ! {
+        let (Failed::Host(host, error) | Failed::Fatal((host, error))) = self;
+        panic!("host {host} failed: {error}")
+    }
+}
+
+/// Why [`supervise`] ended without an outcome.
+pub(crate) enum Stop<F, X> {
+    /// An attempt failed fatally.
+    Fatal(X),
+    /// [`FailurePolicy::AbortClean`] stopped at the first failure.
+    Aborted {
+        /// The blamed host.
+        host: usize,
+        /// What it reported.
+        failure: F,
+    },
+    /// Every allowed attempt failed, or [`FailurePolicy::ContinueStale`]
+    /// found no complete epoch to serve.
+    Unrecoverable {
+        /// Attempts made.
+        attempts: u32,
+        /// The failure that ended the last one.
+        last: F,
+    },
+}
+
+/// The supervisor of both backends: detect → blame → rollback → replay.
+/// Runs attempts on `hosts`; a fatal failure stops it at once, and any
+/// other is handled per `on_failure` — roll every host back to the newest
+/// epoch all of them saved and replay (at most `max_recoveries` times),
+/// stop, or serve that epoch as a degraded outcome. Each restart records
+/// a `recovery` trace event; the outcome publishes the supervisor
+/// counters into `hub`.
+pub(crate) fn supervise<H: HostSet + ?Sized>(
+    hosts: &mut H,
+    on_failure: FailurePolicy,
+    max_recoveries: u32,
+    tracer: &Tracer,
+    hub: &MetricsHub,
+) -> Result<DistOutcome, Stop<H::Failure, H::Fatal>> {
+    let world = hosts.world();
+    let attempts_allowed = max_recoveries.saturating_add(1);
+    let mut last = None;
     for attempt in 0..attempts_allowed {
         // Coordinated rollback: every host restores the newest epoch that
         // *all* hosts saved (a host that crashed mid-save leaves that
@@ -771,172 +781,179 @@ where
         let restore = if attempt == 0 {
             None
         } else {
-            store.latest_complete_epoch(setup.hosts)
+            hosts.store().and_then(|s| s.latest_complete_epoch(world))
         };
-        let failures = match attempt_once(
-            setup,
-            algo,
-            input,
-            source,
-            needs_transpose,
-            wrap,
-            attempt,
-            &store,
-            restore,
-            false,
-        ) {
-            Ok(mut out) => {
-                out.recoveries = recoveries;
-                publish_supervisor_counters(&setup.metrics, attempt + 1, recoveries, false);
-                return Ok(out);
-            }
-            Err(failures) => failures,
+        let (host, failure) = match hosts.attempt(attempt, restore, false) {
+            Ok(out) => return Ok(conclude(out, hub, attempt + 1, false)),
+            Err(Failed::Fatal(fatal)) => return Err(Stop::Fatal(fatal)),
+            Err(Failed::Host(host, failure)) => (host, failure),
         };
-        // A decode failure is deterministic — replaying the same rounds
-        // reproduces it — so no restart can help, whatever the policy.
-        if let Some(&(host, error)) = failures
-            .iter()
-            .find(|(_, e)| matches!(e, SyncError::Decode { .. }))
-        {
-            return Err(RunError::Host { host, error });
-        }
-        let (host, error) = blame(&failures);
-        last_error = Some(error);
-        match setup.on_failure {
-            FailurePolicy::AbortClean => return Err(RunError::Aborted { host, error }),
+        match on_failure {
+            FailurePolicy::AbortClean => return Err(Stop::Aborted { host, failure }),
             FailurePolicy::ContinueStale => {
-                let Some(epoch) = store.latest_complete_epoch(setup.hosts) else {
-                    return Err(RunError::Unrecoverable {
+                let Some(epoch) = hosts.store().and_then(|s| s.latest_complete_epoch(world)) else {
+                    return Err(Stop::Unrecoverable {
                         attempts: attempt + 1,
-                        last: error,
+                        last: failure,
                     });
                 };
-                setup
-                    .tracer
-                    .record_event(host, "recovery", host, u64::from(attempt) + 1);
+                tracer.record_event(host, "recovery", host, u64::from(attempt) + 1);
                 // Finalize-only relaunch: restore the stale epoch and
                 // gather it without computing (zero sync rounds, so no
                 // injected crash can re-fire).
-                let mut out = attempt_once(
-                    setup,
-                    algo,
-                    input,
-                    source,
-                    needs_transpose,
-                    wrap,
-                    attempt + 1,
-                    &store,
-                    Some(epoch),
-                    true,
-                )
-                .map_err(|f| RunError::Unrecoverable {
-                    attempts: attempt + 2,
-                    last: blame(&f).1,
-                })?;
-                out.recoveries = recoveries + 1;
-                out.degraded = true;
-                publish_supervisor_counters(&setup.metrics, attempt + 2, recoveries + 1, true);
-                return Ok(out);
+                return match hosts.attempt(attempt + 1, Some(epoch), true) {
+                    Ok(out) => Ok(conclude(out, hub, attempt + 2, true)),
+                    Err(Failed::Fatal(fatal)) => Err(Stop::Fatal(fatal)),
+                    Err(Failed::Host(_, last)) => Err(Stop::Unrecoverable {
+                        attempts: attempt + 2,
+                        last,
+                    }),
+                };
             }
             FailurePolicy::Recover => {
-                setup
-                    .tracer
-                    .record_event(host, "recovery", host, u64::from(attempt) + 1);
-                recoveries += 1;
+                tracer.record_event(host, "recovery", host, u64::from(attempt) + 1);
+                last = Some(failure);
             }
         }
     }
-    Err(RunError::Unrecoverable {
+    Err(Stop::Unrecoverable {
         attempts: attempts_allowed,
-        last: last_error.expect("at least one attempt ran"),
+        last: last.expect("at least one attempt ran"),
     })
 }
 
-/// Publishes the supervisor's outcome counters into the hub's
-/// cluster-level registry. Called after the *final* attempt — every
-/// attempt starts by rebaselining the hub, so counters published earlier
-/// would read as zero.
-fn publish_supervisor_counters(hub: &MetricsHub, attempts: u32, recoveries: u32, degraded: bool) {
-    if !hub.is_enabled() {
-        return;
+/// Stamps the outcome of the final attempt with the restarts it took and
+/// publishes the supervisor counters into the hub's cluster registry —
+/// after that attempt, because every attempt starts by rebaselining the
+/// hub, so counters published earlier would read as zero.
+fn conclude(mut out: DistOutcome, hub: &MetricsHub, attempts: u32, degraded: bool) -> DistOutcome {
+    out.recoveries = attempts - 1;
+    out.degraded = degraded;
+    if hub.is_enabled() {
+        let cluster = hub.cluster();
+        cluster.counter("attempts").add(u64::from(attempts));
+        cluster.counter("recoveries").add(u64::from(out.recoveries));
+        cluster.gauge("degraded").set(u64::from(degraded));
     }
-    let cluster = hub.cluster();
-    cluster.counter("attempts").add(u64::from(attempts));
-    cluster.counter("recoveries").add(u64::from(recoveries));
-    cluster.gauge("degraded").set(u64::from(degraded));
+    out
 }
 
-/// One supervised attempt: build a fresh cluster (wrapping endpoints for
-/// this attempt number), run the fallible host program on every host, and
-/// either assemble a global outcome or report every host's failure.
-#[allow(clippy::too_many_arguments)] // private supervisor plumbing
-fn attempt_once<W, F>(
-    setup: &Setup<'_>,
-    algo: Algorithm,
-    input: &Csr,
-    source: Gid,
-    needs_transpose: bool,
-    wrap: &F,
-    attempt: u32,
-    store: &CheckpointStore,
-    restore_epoch: Option<u64>,
-    finalize_only: bool,
-) -> Result<DistOutcome, Vec<(usize, SyncError)>>
+/// The thread host set: every host a thread of this process, its
+/// [`MemoryTransport`] endpoint passed through the run's transport stack
+/// with the attempt number.
+struct Threads<'s, 'g, F> {
+    setup: &'s Setup<'g>,
+    input: &'s Input<'g>,
+    /// `None` runs without checkpoints ([`Run::launch`]).
+    store: Option<CheckpointStore>,
+    wrap: F,
+}
+
+/// [`Threads`] behind its transport stack's type.
+type ThreadSet<'a> = dyn HostSet<Failure = SyncError, Fatal = (usize, SyncError)> + 'a;
+
+impl<W, F> HostSet for Threads<'_, '_, F>
 where
     W: Transport,
     F: Fn(MemoryTransport, u32) -> W + Send + Sync,
 {
-    let engine = setup.engine;
-    let pr = setup.pr;
-    let ckpt = CkptSetup {
-        store: store.clone(),
-        every: setup.ckpt_every,
-        restore_epoch,
-        finalize_only,
-    };
-    let compute = |lg: &LocalGraph, ctx: &mut GluonContext<'_, W>| {
-        try_dispatch(lg, ctx, algo, engine, source, pr)
-    };
-    setup.metrics.begin_attempt();
-    let (per_host, stats) = run_cluster_fallible(
-        setup.hosts,
-        NetStats::new(setup.hosts),
-        |ep| wrap(ep, attempt),
-        |net, token| {
-            try_host_program(
-                net,
-                token,
-                input,
-                setup.policy,
-                setup.opts,
-                setup.threads,
-                &setup.tracer,
-                &setup.metrics,
-                &|_| needs_transpose,
-                &compute,
-                &ckpt,
-            )
-        },
-    );
-    let failures: Vec<(usize, SyncError)> = per_host
-        .iter()
-        .enumerate()
-        .filter_map(|(host, r)| r.as_ref().err().map(|e| (host, *e)))
-        .collect();
-    if !failures.is_empty() {
-        return Err(failures);
+    type Failure = SyncError;
+    type Fatal = (usize, SyncError);
+
+    fn world(&self) -> usize {
+        self.setup.hosts
     }
-    let per_host: Vec<HostResult> = per_host
-        .into_iter()
-        .map(|r| r.expect("no failures"))
-        .collect();
-    publish_socket_counters(&setup.metrics, &stats);
-    Ok(assemble(
-        input.num_nodes() as usize,
-        u32::MAX,
-        per_host,
-        stats,
-    ))
+
+    fn store(&self) -> Option<&CheckpointStore> {
+        self.store.as_ref()
+    }
+
+    fn attempt(
+        &mut self,
+        n: u32,
+        restore: Option<u64>,
+        finalize_only: bool,
+    ) -> Result<DistOutcome, Failed<SyncError, (usize, SyncError)>> {
+        let (setup, input) = (self.setup, self.input);
+        let ckpt = self.store.as_ref().map(|store| CkptSetup {
+            store: store.clone(),
+            every: setup.ckpt_every,
+            restore_epoch: restore,
+            finalize_only,
+        });
+        let Setup {
+            workload,
+            engine,
+            pr,
+            ..
+        } = *setup;
+        let compute = |lg: &LocalGraph, ctx: &mut GluonContext<'_, W>| {
+            run_workload(lg, ctx, workload, engine, input.source, pr)
+        };
+        setup.metrics.begin_attempt();
+        let (per_host, stats) = run_cluster_fallible(
+            setup.hosts,
+            NetStats::new(setup.hosts),
+            |ep| (self.wrap)(ep, n),
+            |net, token| {
+                host_program(
+                    net,
+                    token,
+                    &input.csr,
+                    setup.policy,
+                    setup.opts,
+                    setup.threads,
+                    &setup.tracer,
+                    &setup.metrics,
+                    input.needs_transpose,
+                    &compute,
+                    ckpt.as_ref(),
+                )
+            },
+        );
+        let per_host = settle(per_host)?;
+        publish_socket_counters(&setup.metrics, &stats);
+        Ok(assemble(
+            input.csr.num_nodes() as usize,
+            input.int_default,
+            per_host,
+            stats.snapshot(),
+        ))
+    }
+}
+
+/// Every host's result of a thread attempt, or the failure to stop on: a
+/// decode failure is fatal (deterministic — replaying the same rounds
+/// reproduces it); otherwise the first *peer* failure (crash, detected
+/// death, retransmit exhaustion) is blamed, else the first error —
+/// siblings that merely aborted on the shared cancellation token report
+/// [`NetError::Cancelled`], which is a symptom, not a cause.
+fn settle(
+    per_host: Vec<Result<HostResult, SyncError>>,
+) -> Result<Vec<HostResult>, Failed<SyncError, (usize, SyncError)>> {
+    let mut done = Vec::with_capacity(per_host.len());
+    let mut failures = Vec::new();
+    for (host, result) in per_host.into_iter().enumerate() {
+        match result {
+            Ok(h) => done.push(h),
+            Err(e) => failures.push((host, e)),
+        }
+    }
+    let Some(&first) = failures.first() else {
+        return Ok(done);
+    };
+    if let Some(&fatal) = failures
+        .iter()
+        .find(|(_, e)| matches!(e, SyncError::Decode { .. }))
+    {
+        return Err(Failed::Fatal(fatal));
+    }
+    let (host, error) = failures
+        .iter()
+        .copied()
+        .find(|(_, e)| matches!(e, SyncError::Net(ne) if ne.is_peer_failure()))
+        .unwrap_or(first);
+    Err(Failed::Host(host, error))
 }
 
 /// Runs BFS on a *heterogeneous* cluster: host `h` computes with
@@ -948,7 +965,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `engines` is empty.
+/// Panics if `engines` is empty, or if a host fails (naming the host and
+/// its typed error).
 pub fn run_heterogeneous_bfs(
     graph: &Csr,
     policy: Policy,
@@ -958,30 +976,42 @@ pub fn run_heterogeneous_bfs(
 ) -> DistOutcome {
     assert!(!engines.is_empty(), "need at least one host");
     let hosts = engines.len();
-    let (per_host, stats) = run_cluster_wrapped(
+    let (per_host, stats) = run_cluster_fallible(
         hosts,
         NetStats::new(hosts),
         |ep| ep,
-        |net| {
+        |net, token| {
+            let engine = engines[net.rank()];
             host_program(
                 net,
+                token,
                 graph,
                 policy,
                 opts,
                 1,
                 &Tracer::disabled(),
                 &MetricsHub::disabled(),
-                &|rank| engines[rank] == EngineKind::Ligra,
+                engine == EngineKind::Ligra,
                 &|lg, ctx| {
-                    let (dist, rounds) = apps::bfs(lg, ctx, source, engines[ctx.rank()]);
-                    (dist, Vec::new(), rounds)
+                    let (dist, rounds) = apps::try_bfs(lg, ctx, source, engine)?;
+                    Ok((dist, Vec::new(), rounds))
                 },
+                None,
             )
         },
     );
-    assemble(graph.num_nodes() as usize, u32::MAX, per_host, stats)
+    let per_host = settle(per_host).unwrap_or_else(|failed| failed.raise());
+    assemble(
+        graph.num_nodes() as usize,
+        u32::MAX,
+        per_host,
+        stats.snapshot(),
+    )
 }
 
+/// What one host hands back: its master labels, rounds, statistics and
+/// timings, and the four partition scalars [`PartitionStats`] is built
+/// from.
 pub(crate) struct HostResult {
     pub(crate) masters_int: Vec<(u32, u32)>,
     pub(crate) masters_f64: Vec<(u32, f64)>,
@@ -989,14 +1019,17 @@ pub(crate) struct HostResult {
     pub(crate) stats: SyncStats,
     pub(crate) algo_secs: f64,
     pub(crate) partition_secs: f64,
-    pub(crate) partition: LocalGraph,
+    pub(crate) num_proxies: u64,
+    pub(crate) num_local_edges: u64,
+    pub(crate) global_nodes: u32,
+    pub(crate) global_edges: u64,
 }
 
 /// What one host's compute body yields: integer labels, float labels
 /// (either may be empty), and the number of rounds it ran.
 pub(crate) type HostLabels = (Vec<u32>, Vec<f64>, u32);
 
-/// The set-up both host programs open with: this host's partition, its
+/// The set-up the host program opens with: this host's partition, its
 /// transpose when the algorithm walks in-edges, then the cluster-wide
 /// barrier. Returns the partition and the seconds up to the barrier's
 /// return; the construction alone (barrier excluded) is recorded as a
@@ -1026,48 +1059,138 @@ fn build_partition<T: Transport>(
     (lg, start.elapsed().as_secs_f64())
 }
 
-/// The SPMD body every driver shares: partition, set up the Gluon runtime
-/// (with a `threads`-wide deterministic pool), run `compute`, and gather
-/// this host's master labels.
-#[allow(clippy::too_many_arguments)] // private SPMD plumbing, one call site
-fn host_program<T: Transport>(
+/// Checkpoint wiring for one supervised attempt.
+pub(crate) struct CkptSetup {
+    pub(crate) store: CheckpointStore,
+    pub(crate) every: Option<u64>,
+    pub(crate) restore_epoch: Option<u64>,
+    pub(crate) finalize_only: bool,
+}
+
+/// The per-host compute closure [`host_program`] drives: partition in,
+/// owned labels (or a typed sync failure) out.
+pub(crate) type HostCompute<'a, T> =
+    dyn Fn(&LocalGraph, &mut GluonContext<'_, T>) -> Result<HostLabels, SyncError> + Sync + 'a;
+
+/// Trips the cluster's cancellation token if its host's thread unwinds,
+/// so a panicking host cannot leave its siblings waiting on it forever.
+struct TripOnUnwind<'a>(&'a CancelToken);
+
+impl Drop for TripOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.trip();
+        }
+    }
+}
+
+/// The SPMD body every host of either backend runs: partition, set up the
+/// Gluon runtime (a `threads`-wide deterministic pool, checkpoints as
+/// `ckpt` configures), run `compute`, and gather this host's master
+/// labels. A failing host trips the cluster-wide cancellation token so
+/// blocked siblings abort promptly, *except* when it is itself the
+/// simulated crash victim (a real dead host announces nothing; its peers
+/// must discover the silence through the failure detector).
+#[allow(clippy::too_many_arguments)] // private SPMD plumbing
+pub(crate) fn host_program<T: Transport>(
     net: &T,
+    token: &CancelToken,
     input: &Csr,
     policy: Policy,
     opts: OptLevel,
     threads: usize,
     tracer: &Tracer,
     hub: &MetricsHub,
-    transpose: &(dyn Fn(usize) -> bool + Sync),
-    compute: &(dyn Fn(&LocalGraph, &mut GluonContext<'_, T>) -> HostLabels + Sync),
-) -> HostResult {
+    transpose: bool,
+    compute: &HostCompute<'_, T>,
+    ckpt: Option<&CkptSetup>,
+) -> Result<HostResult, SyncError> {
+    let _unwinding = TripOnUnwind(token);
     let comm = Communicator::with_tracer(net, tracer.clone());
-    let (lg, partition_secs) = build_partition(input, policy, &comm, transpose(comm.rank()));
+    let (lg, partition_secs) = build_partition(input, policy, &comm, transpose);
     let host = hub.host(comm.rank());
     let mut ctx = GluonContext::new(&lg, &comm, opts)
         .with_pool(Pool::new(threads).with_metrics(ExecMetrics::register(&host)))
         .with_metrics(host);
+    if let Some(ckpt) = ckpt.filter(|c| c.every.is_some() || c.restore_epoch.is_some()) {
+        // `every` is absent only on a finalize-only relaunch of a store
+        // populated by an earlier configuration; u64::MAX never divides a
+        // reachable round, so saving is effectively off.
+        ctx = ctx
+            .with_checkpoints(ckpt.store.clone(), ckpt.every.unwrap_or(u64::MAX))
+            .with_restore_epoch(ckpt.restore_epoch)
+            .with_finalize_only(ckpt.finalize_only);
+    }
     ctx.reset_timer();
     let algo_start = Instant::now();
-    let (ints, floats, rounds) = compute(&lg, &mut ctx);
+    let (ints, floats, rounds) = compute(&lg, &mut ctx).inspect_err(|e| {
+        if !matches!(e, SyncError::Net(NetError::HostCrashed { .. })) {
+            token.trip();
+        }
+    })?;
     let algo_secs = algo_start.elapsed().as_secs_f64();
-    let masters_int = gather_masters(&lg, &ints);
-    let masters_f64 = gather_masters(&lg, &floats);
-    HostResult {
-        masters_int,
-        masters_f64,
+    Ok(HostResult {
+        masters_int: gather_masters(&lg, &ints),
+        masters_f64: gather_masters(&lg, &floats),
         rounds,
         stats: ctx.into_stats(),
         algo_secs,
         partition_secs,
-        partition: lg,
-    }
+        num_proxies: u64::from(lg.num_proxies()),
+        num_local_edges: lg.num_local_edges(),
+        global_nodes: lg.global_nodes(),
+        global_edges: lg.global_edges(),
+    })
+}
+
+/// One host's compute body for `workload`: the fallible, checkpoint-aware
+/// entry point of each paper benchmark; k-core and betweenness have none,
+/// so their results are wrapped as they are.
+pub(crate) fn run_workload<T: Transport + ?Sized>(
+    lg: &LocalGraph,
+    ctx: &mut GluonContext<'_, T>,
+    workload: Workload,
+    engine: EngineKind,
+    source: Gid,
+    pr: PagerankConfig,
+) -> Result<HostLabels, SyncError> {
+    Ok(match workload {
+        Workload::Algo(Algorithm::Bfs) => {
+            let (d, rounds) = apps::try_bfs(lg, ctx, source, engine)?;
+            (d, Vec::new(), rounds)
+        }
+        Workload::Algo(Algorithm::Sssp) => {
+            let (d, rounds) = apps::try_sssp(lg, ctx, source, engine)?;
+            (d, Vec::new(), rounds)
+        }
+        Workload::Algo(Algorithm::Cc) => {
+            let (l, rounds) = apps::try_cc(lg, ctx, engine)?;
+            (l, Vec::new(), rounds)
+        }
+        Workload::Algo(Algorithm::Pagerank) => {
+            let (r, iters) = apps::try_pagerank(lg, ctx, pr, engine)?;
+            (Vec::new(), r, iters)
+        }
+        Workload::Kcore(k) => {
+            let (alive, rounds) = apps::kcore(lg, ctx, k, engine);
+            (alive, Vec::new(), rounds)
+        }
+        Workload::Betweenness => {
+            let (delta, levels) = apps::betweenness_source(lg, ctx, source);
+            (Vec::new(), delta, levels)
+        }
+    })
 }
 
 /// Stitches per-host master labels into global vectors and aggregates the
-/// statistics. `int_default` fills nodes no host reported (only relevant
-/// while assembling integer labels).
-fn assemble(n: usize, int_default: u32, per_host: Vec<HostResult>, stats: NetStats) -> DistOutcome {
+/// statistics — for either backend. `int_default` fills nodes no host
+/// reported (only relevant while assembling integer labels).
+pub(crate) fn assemble(
+    n: usize,
+    int_default: u32,
+    per_host: Vec<HostResult>,
+    net: StatsSnapshot,
+) -> DistOutcome {
     let mut int_labels = Vec::new();
     if per_host.iter().any(|h| !h.masters_int.is_empty()) {
         int_labels = vec![int_default; n];
@@ -1087,15 +1210,8 @@ fn assemble(n: usize, int_default: u32, per_host: Vec<HostResult>, stats: NetSta
         }
     }
     let host_stats: Vec<SyncStats> = per_host.iter().map(|h| h.stats.clone()).collect();
-    let proxies: Vec<u64> = per_host
-        .iter()
-        .map(|h| u64::from(h.partition.num_proxies()))
-        .collect();
-    let edges: Vec<u64> = per_host
-        .iter()
-        .map(|h| h.partition.num_local_edges())
-        .collect();
-    let global = &per_host[0].partition;
+    let proxies: Vec<u64> = per_host.iter().map(|h| h.num_proxies).collect();
+    let edges: Vec<u64> = per_host.iter().map(|h| h.num_local_edges).collect();
     DistOutcome {
         int_labels,
         ranks,
@@ -1108,146 +1224,15 @@ fn assemble(n: usize, int_default: u32, per_host: Vec<HostResult>, stats: NetSta
             .map(|h| h.partition_secs)
             .fold(0.0, f64::max),
         partition: PartitionStats::from_scalars(
-            global.global_nodes(),
-            global.global_edges(),
+            per_host[0].global_nodes,
+            per_host[0].global_edges,
             &proxies,
             &edges,
         ),
-        net: stats.snapshot(),
+        net,
         recoveries: 0,
         degraded: false,
     }
-}
-
-/// Checkpoint wiring for one supervised attempt.
-pub(crate) struct CkptSetup {
-    pub(crate) store: CheckpointStore,
-    pub(crate) every: Option<u64>,
-    pub(crate) restore_epoch: Option<u64>,
-    pub(crate) finalize_only: bool,
-}
-
-/// The per-host compute closure [`try_host_program`] drives: partition in,
-/// owned labels (or a typed sync failure) out.
-pub(crate) type HostCompute<'a, T> =
-    dyn Fn(&LocalGraph, &mut GluonContext<'_, T>) -> Result<HostLabels, SyncError> + Sync + 'a;
-
-/// The fallible SPMD body [`Run::try_launch`] runs on every host: like
-/// [`host_program`], plus checkpoint configuration and failure handling —
-/// a failing host trips the cluster-wide cancellation token so blocked
-/// siblings abort promptly, *except* when it is itself the simulated
-/// crash victim (a real dead host announces nothing; its peers must
-/// discover the silence through the failure detector).
-#[allow(clippy::too_many_arguments)] // private SPMD plumbing, one call site
-pub(crate) fn try_host_program<T: Transport>(
-    net: &T,
-    token: &CancelToken,
-    input: &Csr,
-    policy: Policy,
-    opts: OptLevel,
-    threads: usize,
-    tracer: &Tracer,
-    hub: &MetricsHub,
-    transpose: &(dyn Fn(usize) -> bool + Sync),
-    compute: &HostCompute<'_, T>,
-    ckpt: &CkptSetup,
-) -> Result<HostResult, SyncError> {
-    let comm = Communicator::with_tracer(net, tracer.clone());
-    let (lg, partition_secs) = build_partition(input, policy, &comm, transpose(comm.rank()));
-    let host = hub.host(comm.rank());
-    let mut ctx = GluonContext::new(&lg, &comm, opts)
-        .with_pool(Pool::new(threads).with_metrics(ExecMetrics::register(&host)))
-        .with_metrics(host);
-    if ckpt.every.is_some() || ckpt.restore_epoch.is_some() {
-        // `every` is absent only on a finalize-only relaunch of a store
-        // populated by an earlier configuration; u64::MAX never divides a
-        // reachable round, so saving is effectively off.
-        ctx = ctx
-            .with_checkpoints(ckpt.store.clone(), ckpt.every.unwrap_or(u64::MAX))
-            .with_restore_epoch(ckpt.restore_epoch)
-            .with_finalize_only(ckpt.finalize_only);
-    }
-    ctx.reset_timer();
-    let algo_start = Instant::now();
-    let (ints, floats, rounds) = match compute(&lg, &mut ctx) {
-        Ok(labels) => labels,
-        Err(e) => {
-            if !matches!(e, SyncError::Net(NetError::HostCrashed { .. })) {
-                token.trip();
-            }
-            return Err(e);
-        }
-    };
-    let algo_secs = algo_start.elapsed().as_secs_f64();
-    let masters_int = gather_masters(&lg, &ints);
-    let masters_f64 = gather_masters(&lg, &floats);
-    Ok(HostResult {
-        masters_int,
-        masters_f64,
-        rounds,
-        stats: ctx.into_stats(),
-        algo_secs,
-        partition_secs,
-        partition: lg,
-    })
-}
-
-fn dispatch<T: Transport + ?Sized>(
-    lg: &LocalGraph,
-    ctx: &mut GluonContext<'_, T>,
-    algo: Algorithm,
-    engine: EngineKind,
-    source: Gid,
-    pr: PagerankConfig,
-) -> HostLabels {
-    match algo {
-        Algorithm::Bfs => {
-            let (d, rounds) = apps::bfs(lg, ctx, source, engine);
-            (d, Vec::new(), rounds)
-        }
-        Algorithm::Sssp => {
-            let (d, rounds) = apps::sssp(lg, ctx, source, engine);
-            (d, Vec::new(), rounds)
-        }
-        Algorithm::Cc => {
-            let (l, rounds) = apps::cc(lg, ctx, engine);
-            (l, Vec::new(), rounds)
-        }
-        Algorithm::Pagerank => {
-            let (r, iters) = apps::pagerank(lg, ctx, pr, engine);
-            (Vec::new(), r, iters)
-        }
-    }
-}
-
-/// As [`dispatch`], through the fallible, checkpoint-aware application
-/// entry points.
-pub(crate) fn try_dispatch<T: Transport + ?Sized>(
-    lg: &LocalGraph,
-    ctx: &mut GluonContext<'_, T>,
-    algo: Algorithm,
-    engine: EngineKind,
-    source: Gid,
-    pr: PagerankConfig,
-) -> Result<HostLabels, SyncError> {
-    Ok(match algo {
-        Algorithm::Bfs => {
-            let (d, rounds) = apps::try_bfs(lg, ctx, source, engine)?;
-            (d, Vec::new(), rounds)
-        }
-        Algorithm::Sssp => {
-            let (d, rounds) = apps::try_sssp(lg, ctx, source, engine)?;
-            (d, Vec::new(), rounds)
-        }
-        Algorithm::Cc => {
-            let (l, rounds) = apps::try_cc(lg, ctx, engine)?;
-            (l, Vec::new(), rounds)
-        }
-        Algorithm::Pagerank => {
-            let (r, iters) = apps::try_pagerank(lg, ctx, pr, engine)?;
-            (Vec::new(), r, iters)
-        }
-    })
 }
 
 fn gather_masters<V: Copy>(lg: &LocalGraph, values: &[V]) -> Vec<(u32, V)> {

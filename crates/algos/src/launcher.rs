@@ -23,30 +23,35 @@
 //!   fallible host program, and writes its masters + statistics as a
 //!   JSON document. Every `f64` crosses the wire as `f64::to_bits()`,
 //!   so pagerank ranks survive the round trip bit-for-bit.
-//! - **Supervision**: a worker that dies (crash injection via
-//!   `--crash-at-round`, or a real fault) is observed by its peers as a
-//!   typed [`NetError::PeerDown`]; they print `GLUON_ERROR …` on stderr
-//!   and exit nonzero. The parent then rolls the cluster back to the
-//!   newest complete checkpoint epoch (shared on-disk store) and
-//!   relaunches, up to `max_recoveries` times — process-level
-//!   rollback-restart, mirroring the in-process supervisor.
+//! - **Supervision**: the parent is the process half of the driver's one
+//!   supervisor loop. Its host set (`Workers`) runs an attempt as spawn,
+//!   rendezvous hand-off, watchdog and result files; the loop it shares
+//!   with [`Run::try_launch`] does the rest. A worker that dies (crash
+//!   injection via `--crash-at-round`, or a real fault) is observed by its
+//!   peers as a typed [`NetError::PeerDown`]; they print `GLUON_ERROR …`
+//!   on stderr and exit nonzero. The loop then rolls the cluster back to
+//!   the newest complete checkpoint epoch (shared on-disk store) and
+//!   relaunches, up to `max_recoveries` times, under
+//!   [`FailurePolicy::Recover`]. A decode failure (exit code 4), a
+//!   malformed result file, a watchdog kill or a launcher I/O error stops
+//!   it at once.
 
 use crate::driver::{
-    publish_socket_counters, try_dispatch, try_host_program, CkptSetup, DistOutcome, HostResult,
-    Run,
+    assemble, host_program, publish_socket_counters, run_workload, supervise, CkptSetup,
+    DistOutcome, Failed, FailurePolicy, HostResult, HostSet, Input, Run, Stop, Workload,
 };
 use crate::{Algorithm, EngineKind, PagerankConfig};
-use gluon::{CheckpointStore, PhaseStats, RunStats, SyncError, SyncStats};
+use gluon::{CheckpointStore, PhaseStats, SyncError, SyncStats};
 use gluon_graph::{io as graph_io, max_out_degree_node, Csr, Gid};
 use gluon_metrics::json::Json;
 use gluon_metrics::{
     MetricValue, MetricsHub, Registry, RoundSample, NUM_ROUND_STAGES, NUM_WIRE_MODES,
 };
 use gluon_net::{
-    join, CancelToken, NetError, NetStats, Rendezvous, SocketKind, SocketTransport, StatsSnapshot,
-    Transport,
+    join, CancelToken, CostModel, NetError, NetStats, Rendezvous, SocketKind, SocketTransport,
+    StatsSnapshot, Transport,
 };
-use gluon_partition::{PartitionStats, Policy};
+use gluon_partition::Policy;
 use gluon_trace::Tracer;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
@@ -181,19 +186,12 @@ pub struct ClusterOutcome {
     pub hub: MetricsHub,
 }
 
-/// One worker's decoded result file.
+/// One worker's decoded result file: its host result plus what only the
+/// process backend ships — its rank, its row of the traffic matrices, its
+/// registries and its round series.
 struct WorkerReport {
     rank: usize,
-    masters_int: Vec<(u32, u32)>,
-    masters_f64: Vec<(u32, f64)>,
-    rounds: u32,
-    stats: SyncStats,
-    algo_secs: f64,
-    partition_secs: f64,
-    num_proxies: u64,
-    num_local_edges: u64,
-    global_nodes: u32,
-    global_edges: u64,
+    host: HostResult,
     net_bytes: Vec<u64>,
     net_messages: Vec<u64>,
     net_scalars: [u64; 4],
@@ -248,227 +246,138 @@ pub fn spawn_local_cluster(graph: &Csr, spec: &ClusterSpec) -> Result<ClusterOut
     assert!(spec.hosts > 0, "cluster needs at least one host");
     let host_bin = resolve_host_bin(spec)?;
     let scratch = unique_scratch_dir()?;
-    let result = spawn_in_scratch(graph, spec, &host_bin, &scratch);
+    let result = Workers::new(graph, spec, host_bin, &scratch).and_then(Workers::run);
     let _ = std::fs::remove_dir_all(&scratch);
     result
 }
 
-fn spawn_in_scratch(
-    graph: &Csr,
-    spec: &ClusterSpec,
-    host_bin: &Path,
-    scratch: &Path,
-) -> Result<ClusterOutcome, LaunchError> {
-    let graph_path = scratch.join("graph.bin");
-    graph_io::save(graph, &graph_path)?;
-    let ckpt_dir = scratch.join("ckpt");
-    std::fs::create_dir_all(&ckpt_dir)?;
-    let source = spec.source.unwrap_or_else(|| max_out_degree_node(graph).0);
-    let attempts_allowed = spec.max_recoveries.saturating_add(1);
-    let mut evidence = Vec::new();
-    for attempt in 0..attempts_allowed {
-        // Coordinated rollback, exactly like the in-process supervisor:
-        // restore the newest epoch every host completed.
-        let restore = if attempt == 0 {
-            None
-        } else {
-            CheckpointStore::on_disk(&ckpt_dir)
-                .ok()
-                .and_then(|s| s.latest_complete_epoch(spec.hosts))
-        };
-        match run_attempt(
+/// The worker-process host set: one `gluon-host` process per rank on
+/// localhost, meshed over sockets, all sharing an on-disk checkpoint store
+/// in the scratch directory.
+struct Workers<'a> {
+    spec: &'a ClusterSpec,
+    host_bin: PathBuf,
+    scratch: &'a Path,
+    graph_path: PathBuf,
+    nodes: usize,
+    /// Picked once by the parent so every attempt agrees.
+    source: u32,
+    store: CheckpointStore,
+    /// Receives the successful attempt's registries and round series.
+    hub: MetricsHub,
+    /// Every failed worker's error lines, attempt by attempt.
+    evidence: Vec<String>,
+}
+
+impl<'a> Workers<'a> {
+    fn new(
+        graph: &Csr,
+        spec: &'a ClusterSpec,
+        host_bin: PathBuf,
+        scratch: &'a Path,
+    ) -> Result<Workers<'a>, LaunchError> {
+        let graph_path = scratch.join("graph.bin");
+        graph_io::save(graph, &graph_path)?;
+        Ok(Workers {
             spec,
             host_bin,
             scratch,
-            &graph_path,
-            &ckpt_dir,
-            source,
-            attempt,
-            restore,
-        )? {
-            AttemptOutcome::Done(reports) => {
-                let (outcome, hub) =
-                    merge_reports(graph.num_nodes() as usize, spec, reports, attempt)?;
-                return Ok(ClusterOutcome { outcome, hub });
-            }
-            AttemptOutcome::Failed(mut lines) => evidence.append(&mut lines),
-            AttemptOutcome::Fatal(what) => return Err(LaunchError::Fatal(what)),
-            AttemptOutcome::Hung => {
-                return Err(LaunchError::Hung {
-                    timeout: spec.timeout,
-                })
-            }
+            graph_path,
+            nodes: graph.num_nodes() as usize,
+            source: spec.source.unwrap_or_else(|| max_out_degree_node(graph).0),
+            store: CheckpointStore::on_disk(scratch.join("ckpt"))?,
+            hub: MetricsHub::new(spec.hosts),
+            evidence: Vec::new(),
+        })
+    }
+
+    /// The supervisor loop over the workers, under
+    /// [`FailurePolicy::Recover`] with the spec's restart budget.
+    fn run(mut self) -> Result<ClusterOutcome, LaunchError> {
+        let hub = self.hub.clone();
+        let max_recoveries = self.spec.max_recoveries;
+        match supervise(
+            &mut self,
+            FailurePolicy::Recover,
+            max_recoveries,
+            &Tracer::disabled(),
+            &hub,
+        ) {
+            Ok(outcome) => Ok(ClusterOutcome { outcome, hub }),
+            Err(Stop::Fatal(e)) => Err(e),
+            Err(Stop::Unrecoverable { attempts, .. }) => Err(LaunchError::Unrecoverable {
+                attempts,
+                evidence: self.evidence,
+            }),
+            Err(Stop::Aborted { .. }) => unreachable!("the launcher only recovers"),
         }
     }
-    Err(LaunchError::Unrecoverable {
-        attempts: attempts_allowed,
-        evidence,
-    })
-}
 
-enum AttemptOutcome {
-    Done(Vec<WorkerReport>),
-    Failed(Vec<String>),
-    Fatal(String),
-    Hung,
-}
-
-#[allow(clippy::too_many_arguments)] // private launcher plumbing
-fn run_attempt(
-    spec: &ClusterSpec,
-    host_bin: &Path,
-    scratch: &Path,
-    graph_path: &Path,
-    ckpt_dir: &Path,
-    source: u32,
-    attempt: u32,
-    restore: Option<u64>,
-) -> Result<AttemptOutcome, LaunchError> {
-    let base_args = |rank: usize| -> Vec<String> {
-        let mut a = vec![
+    /// Spawns rank `rank` of attempt `attempt` with `extra` arguments.
+    fn spawn(
+        &self,
+        rank: usize,
+        attempt: u32,
+        restore: Option<u64>,
+        extra: [&str; 2],
+    ) -> std::io::Result<Child> {
+        let spec = self.spec;
+        let mut args = vec![
             "--rank".into(),
             rank.to_string(),
             "--world".into(),
             spec.hosts.to_string(),
             "--graph".into(),
-            graph_path.display().to_string(),
+            self.graph_path.display().to_string(),
             "--algo".into(),
-            spec.algo.name().into(),
+            spec.algo.to_string(),
             "--policy".into(),
             spec.policy.name().into(),
             "--opts".into(),
             spec.opts.to_string(),
             "--engine".into(),
-            engine_name(spec.engine).into(),
+            spec.engine.to_string(),
             "--threads".into(),
             spec.threads.to_string(),
             "--source".into(),
-            source.to_string(),
+            self.source.to_string(),
             "--out".into(),
-            scratch
-                .join(format!("out-{rank}.json"))
-                .display()
-                .to_string(),
+            self.out_path(rank).display().to_string(),
             "--ckpt-dir".into(),
-            ckpt_dir.display().to_string(),
+            self.scratch.join("ckpt").display().to_string(),
         ];
         if let Some(every) = spec.ckpt_every {
-            a.push("--ckpt-every".into());
-            a.push(every.to_string());
+            args.push("--ckpt-every".into());
+            args.push(every.to_string());
         }
         if let Some(epoch) = restore {
-            a.push("--restore-epoch".into());
-            a.push(epoch.to_string());
+            args.push("--restore-epoch".into());
+            args.push(epoch.to_string());
         }
         // Crash injection arms only on the first attempt; the relaunch
         // must be able to finish.
-        if attempt == 0 {
-            if let Some((victim, round)) = spec.crash {
-                if victim == rank {
-                    a.push("--crash-at-round".into());
-                    a.push(round.to_string());
-                }
-            }
+        if let Some((_, round)) = spec
+            .crash
+            .filter(|&(victim, _)| attempt == 0 && victim == rank)
+        {
+            args.push("--crash-at-round".into());
+            args.push(round.to_string());
         }
-        a
-    };
-    let spawn = |rank: usize, extra: &[String]| -> std::io::Result<Child> {
-        Command::new(host_bin)
-            .args(base_args(rank))
+        Command::new(&self.host_bin)
+            .args(args)
             .args(extra)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
-    };
-    let listen = match spec.kind {
-        SocketKind::Tcp => "tcp".to_string(),
-        SocketKind::Unix => "unix".to_string(),
-    };
-    let mut leader = spawn(0, &["--listen".into(), listen])?;
-    // The worker prints its advertised rendezvous address before blocking
-    // in `lead`, so this read completes as soon as rank 0 has bound — or
-    // hits EOF if it died during bootstrap.
-    let mut leader_stdout = BufReader::new(leader.stdout.take().expect("leader stdout piped"));
-    let mut line = String::new();
-    leader_stdout.read_line(&mut line)?;
-    let advertised = match line.trim().strip_prefix("GLUON_RENDEZVOUS ") {
-        Some(url) => url.to_string(),
-        None => {
-            // Bootstrap failure: reap the leader and report its stderr.
-            let _ = leader.kill();
-            let out = leader.wait_with_output()?;
-            return Ok(AttemptOutcome::Fatal(format!(
-                "rank 0 never advertised a rendezvous: {}",
-                String::from_utf8_lossy(&out.stderr).trim()
-            )));
-        }
-    };
-    let mut children = vec![leader];
-    for rank in 1..spec.hosts {
-        children.push(spawn(rank, &["--rendezvous".into(), advertised.clone()])?);
     }
-    // Watchdog: poll for exits; a worker that hangs past the budget gets
-    // the whole cluster killed. Peer death propagates through socket EOF,
-    // so surviving workers exit on their own within the poll cadence.
-    let deadline = Instant::now() + spec.timeout;
-    let mut statuses: Vec<Option<ExitStatus>> = vec![None; spec.hosts];
-    while statuses.iter().any(|s| s.is_none()) {
-        for (rank, child) in children.iter_mut().enumerate() {
-            if statuses[rank].is_none() {
-                statuses[rank] = child.try_wait()?;
-            }
-        }
-        if statuses.iter().any(|s| s.is_none()) {
-            if Instant::now() >= deadline {
-                for child in children.iter_mut() {
-                    let _ = child.kill();
-                }
-                for child in children.iter_mut() {
-                    let _ = child.wait();
-                }
-                return Ok(AttemptOutcome::Hung);
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+
+    fn out_path(&self, rank: usize) -> PathBuf {
+        self.scratch.join(format!("out-{rank}.json"))
     }
-    let mut failures = Vec::new();
-    let mut fatal = false;
-    for (rank, child) in children.iter_mut().enumerate() {
-        let status = statuses[rank].expect("all reaped");
-        if status.success() {
-            continue;
-        }
-        let mut err = String::new();
-        if let Some(stderr) = child.stderr.as_mut() {
-            let _ = stderr.read_to_string(&mut err);
-        }
-        let typed: Vec<&str> = err
-            .lines()
-            .filter(|l| l.starts_with("GLUON_ERROR"))
-            .collect();
-        let line = if typed.is_empty() {
-            format!(
-                "rank {rank} exited {status} with no typed error: {}",
-                err.trim()
-            )
-        } else {
-            typed.join("; ")
-        };
-        if status.code() == Some(EXIT_DECODE) {
-            fatal = true;
-        }
-        failures.push(line);
-    }
-    if fatal {
-        return Ok(AttemptOutcome::Fatal(failures.join("; ")));
-    }
-    if !failures.is_empty() {
-        return Ok(AttemptOutcome::Failed(failures));
-    }
-    let mut reports = Vec::with_capacity(spec.hosts);
-    for rank in 0..spec.hosts {
-        let path = scratch.join(format!("out-{rank}.json"));
+
+    fn read_report(&self, rank: usize) -> Result<WorkerReport, LaunchError> {
+        let path = self.out_path(rank);
         let text = std::fs::read_to_string(&path)?;
         let report = decode_report(&text)
             .map_err(|e| LaunchError::Fatal(format!("rank {rank} result file: {e}")))?;
@@ -479,65 +388,193 @@ fn run_attempt(
                 report.rank
             )));
         }
-        reports.push(report);
+        Ok(report)
     }
-    Ok(AttemptOutcome::Done(reports))
 }
 
-/// Stitches per-rank reports into the outcome + hub pair an in-process
-/// run produces, so downstream reporting is backend-agnostic.
+/// A launcher-side I/O failure ends the run at once.
+impl From<std::io::Error> for Failed<String, LaunchError> {
+    fn from(e: std::io::Error) -> Self {
+        Failed::Fatal(LaunchError::Io(e))
+    }
+}
+
+impl HostSet for Workers<'_> {
+    /// The failed worker's `GLUON_ERROR` lines, or its exit status.
+    type Failure = String;
+    type Fatal = LaunchError;
+
+    fn world(&self) -> usize {
+        self.spec.hosts
+    }
+
+    fn store(&self) -> Option<&CheckpointStore> {
+        Some(&self.store)
+    }
+
+    /// Workers have no finalize-only mode: the launcher only recovers.
+    fn attempt(
+        &mut self,
+        n: u32,
+        restore: Option<u64>,
+        finalize_only: bool,
+    ) -> Result<DistOutcome, Failed<String, LaunchError>> {
+        debug_assert!(!finalize_only, "workers cannot finalize without computing");
+        let hosts = self.spec.hosts;
+        let listen = match self.spec.kind {
+            SocketKind::Tcp => "tcp",
+            SocketKind::Unix => "unix",
+        };
+        let mut children = Children(vec![self.spawn(0, n, restore, ["--listen", listen])?]);
+        // The worker prints its advertised rendezvous address before
+        // blocking in `lead`, so this read completes as soon as rank 0 has
+        // bound — or hits EOF if it died during bootstrap. The pipe stays
+        // open for the attempt: the worker must never write into a closed
+        // one.
+        let leader = &mut children.0[0];
+        let mut leader_stdout = BufReader::new(leader.stdout.take().expect("leader stdout piped"));
+        let mut line = String::new();
+        leader_stdout.read_line(&mut line)?;
+        let Some(advertised) = line.trim().strip_prefix("GLUON_RENDEZVOUS ") else {
+            let _ = leader.kill();
+            return Err(Failed::Fatal(LaunchError::Fatal(format!(
+                "rank 0 never advertised a rendezvous: {}",
+                stderr_of(leader).trim()
+            ))));
+        };
+        for rank in 1..hosts {
+            let child = self.spawn(rank, n, restore, ["--rendezvous", advertised])?;
+            children.0.push(child);
+        }
+        // Watchdog: poll for exits; a worker that hangs past the budget gets
+        // the whole cluster killed (by dropping `children`). Peer death
+        // propagates through socket EOF, so surviving workers exit on their
+        // own within the poll cadence.
+        let deadline = Instant::now() + self.spec.timeout;
+        let mut statuses: Vec<Option<ExitStatus>> = vec![None; hosts];
+        loop {
+            for (status, child) in statuses.iter_mut().zip(&mut children.0) {
+                if status.is_none() {
+                    *status = child.try_wait()?;
+                }
+            }
+            if statuses.iter().all(Option::is_some) {
+                break;
+            }
+            if Instant::now() >= deadline {
+                return Err(Failed::Fatal(LaunchError::Hung {
+                    timeout: self.spec.timeout,
+                }));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut failures = Vec::new();
+        let mut fatal = false;
+        for (rank, (status, child)) in statuses.into_iter().zip(&mut children.0).enumerate() {
+            let status = status.expect("all reaped");
+            if status.success() {
+                continue;
+            }
+            let err = stderr_of(child);
+            let typed: Vec<&str> = err
+                .lines()
+                .filter(|l| l.starts_with("GLUON_ERROR"))
+                .collect();
+            let line = if typed.is_empty() {
+                format!(
+                    "rank {rank} exited {status} with no typed error: {}",
+                    err.trim()
+                )
+            } else {
+                typed.join("; ")
+            };
+            fatal |= status.code() == Some(EXIT_DECODE);
+            failures.push((rank, line));
+        }
+        let lines = failures.iter().map(|(_, line)| line.clone());
+        if fatal {
+            return Err(Failed::Fatal(LaunchError::Fatal(
+                lines.collect::<Vec<_>>().join("; "),
+            )));
+        }
+        if let Some((rank, line)) = failures.first().cloned() {
+            self.evidence.extend(lines);
+            return Err(Failed::Host(rank, line));
+        }
+        let reports = (0..hosts)
+            .map(|rank| self.read_report(rank))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(Failed::Fatal)?;
+        merge_reports(self.nodes, reports, &self.hub).map_err(Failed::Fatal)
+    }
+}
+
+/// The worker processes of one attempt. Dropping the guard kills and reaps
+/// every child not yet reaped, so no early return leaves a worker behind
+/// (rank 0 would otherwise block for good in `Rendezvous::lead`).
+struct Children(Vec<Child>);
+
+impl Drop for Children {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            // Both are no-ops on a child that was already reaped.
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Whatever `child` wrote to its piped stderr.
+fn stderr_of(child: &mut Child) -> String {
+    let mut err = String::new();
+    if let Some(stderr) = child.stderr.as_mut() {
+        let _ = stderr.read_to_string(&mut err);
+    }
+    err
+}
+
+/// What only the process backend adds to [`assemble`]: check and sum the
+/// per-rank traffic matrices (each worker's has only its own row, since
+/// sends are recorded at the source), and import every worker's
+/// registries and round series into the same places of `hub`.
 fn merge_reports(
     n: usize,
-    spec: &ClusterSpec,
     reports: Vec<WorkerReport>,
-    attempt: u32,
-) -> Result<(DistOutcome, MetricsHub), LaunchError> {
-    let world = spec.hosts;
-    let mut int_labels = Vec::new();
-    if reports.iter().any(|r| !r.masters_int.is_empty()) {
-        int_labels = vec![u32::MAX; n];
-        for r in &reports {
-            for &(gid, v) in &r.masters_int {
-                int_labels[gid as usize] = v;
-            }
-        }
-    }
-    let mut ranks = Vec::new();
-    if reports.iter().any(|r| !r.masters_f64.is_empty()) {
-        ranks = vec![0.0; n];
-        for r in &reports {
-            for &(gid, v) in &r.masters_f64 {
-                ranks[gid as usize] = v;
-            }
-        }
-    }
-    let host_stats: Vec<SyncStats> = reports.iter().map(|r| r.stats.clone()).collect();
-    let proxies: Vec<u64> = reports.iter().map(|r| r.num_proxies).collect();
-    let edges: Vec<u64> = reports.iter().map(|r| r.num_local_edges).collect();
-    // Each worker's traffic matrix has only its own row populated (sends
-    // are recorded at the source), so an elementwise sum merges them.
-    let mut bytes = vec![0u64; world * world];
-    let mut messages = vec![0u64; world * world];
-    let mut scalars = [0u64; 4];
-    for r in &reports {
+    hub: &MetricsHub,
+) -> Result<DistOutcome, LaunchError> {
+    let world = reports.len();
+    let mut net = StatsSnapshot {
+        bytes: vec![0; world * world],
+        messages: vec![0; world * world],
+        world_size: world,
+        retransmit_bytes: 0,
+        retransmit_messages: 0,
+        dup_suppressed: 0,
+        corruption_detected: 0,
+    };
+    let mut per_host = Vec::with_capacity(world);
+    for r in reports {
         if r.net_bytes.len() != world * world || r.net_messages.len() != world * world {
             return Err(LaunchError::Fatal(format!(
                 "rank {} shipped a traffic matrix sized for a different world",
                 r.rank
             )));
         }
-        for (acc, v) in bytes.iter_mut().zip(&r.net_bytes) {
+        for (acc, v) in net.bytes.iter_mut().zip(&r.net_bytes) {
             *acc += v;
         }
-        for (acc, v) in messages.iter_mut().zip(&r.net_messages) {
+        for (acc, v) in net.messages.iter_mut().zip(&r.net_messages) {
             *acc += v;
         }
-        for (acc, v) in scalars.iter_mut().zip(&r.net_scalars) {
+        let scalars = [
+            &mut net.retransmit_bytes,
+            &mut net.retransmit_messages,
+            &mut net.dup_suppressed,
+            &mut net.corruption_detected,
+        ];
+        for (acc, v) in scalars.into_iter().zip(r.net_scalars) {
             *acc += v;
         }
-    }
-    let hub = MetricsHub::new(world);
-    for r in &reports {
         let host = hub.host(r.rank);
         let targets = [host.deterministic(), host.observed(), &hub.cluster()];
         for (into, entries) in targets.into_iter().zip(&r.registries) {
@@ -548,55 +585,9 @@ fn merge_reports(
         for sample in &r.series {
             host.series().push(*sample);
         }
+        per_host.push(r.host);
     }
-    let outcome = DistOutcome {
-        int_labels,
-        ranks,
-        rounds: reports.iter().map(|r| r.rounds).max().unwrap_or(0),
-        run: RunStats::aggregate(&host_stats),
-        host_stats,
-        algo_secs: reports.iter().map(|r| r.algo_secs).fold(0.0, f64::max),
-        partition_secs: reports.iter().map(|r| r.partition_secs).fold(0.0, f64::max),
-        partition: PartitionStats::from_scalars(
-            reports[0].global_nodes,
-            reports[0].global_edges,
-            &proxies,
-            &edges,
-        ),
-        net: StatsSnapshot {
-            bytes,
-            messages,
-            world_size: world,
-            retransmit_bytes: scalars[0],
-            retransmit_messages: scalars[1],
-            dup_suppressed: scalars[2],
-            corruption_detected: scalars[3],
-        },
-        recoveries: attempt,
-        degraded: false,
-    };
-    Ok((outcome, hub))
-}
-
-fn engine_name(engine: EngineKind) -> &'static str {
-    match engine {
-        EngineKind::Ligra => "ligra",
-        EngineKind::Galois => "galois",
-        EngineKind::Irgl => "irgl",
-    }
-}
-
-fn parse_engine(s: &str) -> Option<EngineKind> {
-    match s {
-        "ligra" => Some(EngineKind::Ligra),
-        "galois" => Some(EngineKind::Galois),
-        "irgl" => Some(EngineKind::Irgl),
-        _ => None,
-    }
-}
-
-fn parse_algo(s: &str) -> Option<Algorithm> {
-    Algorithm::ALL.into_iter().find(|a| a.name() == s)
+    Ok(assemble(n, u32::MAX, per_host, net))
 }
 
 // ---------------------------------------------------------------------------
@@ -724,16 +715,10 @@ fn encode_report(rank: usize, hr: &HostResult, stats: &NetStats, hub: &MetricsHu
         (
             "partition",
             Json::obj([
-                (
-                    "num_proxies",
-                    Json::from(u64::from(hr.partition.num_proxies())),
-                ),
-                (
-                    "num_local_edges",
-                    Json::from(hr.partition.num_local_edges()),
-                ),
-                ("global_nodes", Json::from(hr.partition.global_nodes())),
-                ("global_edges", Json::from(hr.partition.global_edges())),
+                ("num_proxies", Json::from(hr.num_proxies)),
+                ("num_local_edges", Json::from(hr.num_local_edges)),
+                ("global_nodes", Json::from(hr.global_nodes)),
+                ("global_edges", Json::from(hr.global_edges)),
             ]),
         ),
         (
@@ -900,16 +885,18 @@ fn decode_report(text: &str) -> Result<WorkerReport, String> {
         .collect::<Result<Vec<_>, String>>()?;
     Ok(WorkerReport {
         rank,
-        masters_int,
-        masters_f64,
-        rounds: as_u64(&j, "rounds")? as u32,
-        stats,
-        algo_secs: f64::from_bits(as_u64(&j, "algo_secs_bits")?),
-        partition_secs: f64::from_bits(as_u64(&j, "partition_secs_bits")?),
-        num_proxies: as_u64(part, "num_proxies")?,
-        num_local_edges: as_u64(part, "num_local_edges")?,
-        global_nodes: as_u64(part, "global_nodes")? as u32,
-        global_edges: as_u64(part, "global_edges")?,
+        host: HostResult {
+            masters_int,
+            masters_f64,
+            rounds: as_u64(&j, "rounds")? as u32,
+            stats,
+            algo_secs: f64::from_bits(as_u64(&j, "algo_secs_bits")?),
+            partition_secs: f64::from_bits(as_u64(&j, "partition_secs_bits")?),
+            num_proxies: as_u64(part, "num_proxies")?,
+            num_local_edges: as_u64(part, "num_local_edges")?,
+            global_nodes: as_u64(part, "global_nodes")? as u32,
+            global_edges: as_u64(part, "global_edges")?,
+        },
         net_bytes: u64_items(field(net, "bytes")?, "net.bytes")?,
         net_messages: u64_items(field(net, "messages")?, "net.messages")?,
         net_scalars,
@@ -1017,10 +1004,10 @@ fn parse_worker_args(args: &[String]) -> Result<WorkerArgs, String> {
         rank: parse_num("--rank")? as usize,
         world: parse_num("--world")? as usize,
         graph: PathBuf::from(req("--graph")?),
-        algo: parse_algo(req("--algo")?).ok_or("unknown --algo")?,
+        algo: req("--algo")?.parse()?,
         policy: req("--policy")?.parse().map_err(|_| "unknown --policy")?,
         opts: req("--opts")?.parse().map_err(|_| "unknown --opts")?,
-        engine: parse_engine(req("--engine")?).ok_or("unknown --engine")?,
+        engine: req("--engine")?.parse()?,
         threads: parse_num("--threads")? as usize,
         source: parse_num("--source")? as u32,
         listen: map.get("--listen").map(|s| s.to_string()),
@@ -1098,14 +1085,8 @@ fn run_worker(args: &WorkerArgs, transport: CrashAt<SocketTransport>, stats: Net
         Ok(g) => g,
         Err(e) => return worker_fail(rank, format!("cannot load graph: {e}"), EXIT_BOOTSTRAP),
     };
-    let symmetric;
-    let input: &Csr = if args.algo == Algorithm::Cc {
-        symmetric = crate::reference::symmetrize(&graph);
-        &symmetric
-    } else {
-        &graph
-    };
-    let needs_transpose = args.algo == Algorithm::Pagerank || args.engine == EngineKind::Ligra;
+    let workload = Workload::Algo(args.algo);
+    let input = Input::prepare(&graph, workload, args.engine, Some(Gid(args.source)));
     let store = match &args.ckpt_dir {
         Some(dir) => match CheckpointStore::on_disk(dir) {
             Ok(s) => s,
@@ -1120,28 +1101,23 @@ fn run_worker(args: &WorkerArgs, transport: CrashAt<SocketTransport>, stats: Net
         finalize_only: false,
     };
     let hub = MetricsHub::new(args.world);
-    let token = CancelToken::new();
-    let tracer = Tracer::disabled();
-    let algo = args.algo;
-    let engine = args.engine;
-    let source = Gid(args.source);
-    let pr = PagerankConfig::default();
     let compute = |lg: &gluon_partition::LocalGraph,
                    ctx: &mut gluon::GluonContext<'_, CrashAt<SocketTransport>>| {
-        try_dispatch(lg, ctx, algo, engine, source, pr)
+        let pr = PagerankConfig::default();
+        run_workload(lg, ctx, workload, args.engine, input.source, pr)
     };
-    let result = try_host_program(
+    let result = host_program(
         &transport,
-        &token,
-        input,
+        &CancelToken::new(),
+        &input.csr,
         args.policy,
         args.opts,
         args.threads,
-        &tracer,
+        &Tracer::disabled(),
         &hub,
-        &|_| needs_transpose,
+        input.needs_transpose,
         &compute,
-        &ckpt,
+        Some(&ckpt),
     );
     match result {
         Ok(hr) => {
@@ -1171,7 +1147,11 @@ fn run_smoke() -> i32 {
     let graph = gluon_graph::gen::rmat(8, 8, Default::default(), 7);
     let mut spec = ClusterSpec::new(2, Algorithm::Bfs);
     spec.host_bin = std::env::current_exe().ok();
-    let memory = Run::new(&graph, Algorithm::Bfs).hosts(2).launch();
+    let hub = MetricsHub::new(2);
+    let memory = Run::new(&graph, Algorithm::Bfs)
+        .hosts(2)
+        .metrics(&hub)
+        .launch();
     let cluster = match spawn_local_cluster(&graph, &spec) {
         Ok(c) => c,
         Err(e) => {
@@ -1188,6 +1168,13 @@ fn run_smoke() -> i32 {
         || cluster.outcome.rounds != memory.rounds
     {
         eprintln!("smoke FAILED: socket payload counters diverge from the memory backend");
+        return 1;
+    }
+    let model = CostModel::default();
+    if cluster.outcome.report(&cluster.hub, &model).fingerprint()
+        != memory.report(&hub, &model).fingerprint()
+    {
+        eprintln!("smoke FAILED: socket report fingerprint diverges from the memory backend");
         return 1;
     }
     println!(
@@ -1235,18 +1222,28 @@ mod tests {
             stats: out.host_stats[0].clone(),
             algo_secs: out.algo_secs,
             partition_secs: out.partition_secs,
-            partition: gluon_partition::partition_all(&graph, 1, Policy::Oec)
-                .pop()
-                .expect("one part"),
+            num_proxies: 11,
+            num_local_edges: 12,
+            global_nodes: 13,
+            global_edges: 14,
         };
         let doc = encode_report(0, &hr, &stats, &hub).render();
         let decoded = decode_report(&doc).expect("decodes");
         assert_eq!(decoded.rank, 0);
-        assert_eq!(decoded.masters_int, hr.masters_int);
-        assert_eq!(decoded.rounds, hr.rounds);
-        assert_eq!(decoded.stats, hr.stats);
-        assert_eq!(decoded.algo_secs.to_bits(), hr.algo_secs.to_bits());
-        for ((_, a), (_, b)) in decoded.masters_f64.iter().zip(&hr.masters_f64) {
+        let host = &decoded.host;
+        assert_eq!(host.masters_int, hr.masters_int);
+        assert_eq!(host.rounds, hr.rounds);
+        assert_eq!(host.stats, hr.stats);
+        assert_eq!(host.algo_secs.to_bits(), hr.algo_secs.to_bits());
+        assert_eq!(
+            (host.num_proxies, host.num_local_edges),
+            (hr.num_proxies, hr.num_local_edges)
+        );
+        assert_eq!(
+            (host.global_nodes, host.global_edges),
+            (hr.global_nodes, hr.global_edges)
+        );
+        for ((_, a), (_, b)) in host.masters_f64.iter().zip(&hr.masters_f64) {
             assert_eq!(a.to_bits(), b.to_bits(), "rank bits must survive the wire");
         }
         assert_eq!(decoded.net_bytes[1], 100);
@@ -1267,6 +1264,18 @@ mod tests {
             value(2, "net_socket_frames_sent"),
             Some(MetricValue::Counter(5))
         );
+    }
+
+    #[test]
+    fn dropped_children_are_killed_and_reaped() {
+        let child = Command::new("sleep")
+            .arg("30")
+            .spawn()
+            .expect("spawn sleep");
+        let proc_entry = PathBuf::from(format!("/proc/{}", child.id()));
+        assert!(proc_entry.exists(), "the child is running");
+        drop(Children(vec![child]));
+        assert!(!proc_entry.exists(), "the child must be killed and reaped");
     }
 
     #[test]

@@ -68,6 +68,19 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
+/// Parses the [`system_name`](EngineKind::system_name) or its short form
+/// (`d-ligra` or `ligra`, `d-galois` or `galois`, `d-irgl` or `irgl`).
+impl std::str::FromStr for EngineKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        EngineKind::ALL
+            .into_iter()
+            .find(|e| s == e.system_name() || Some(s) == e.system_name().strip_prefix("d-"))
+            .ok_or_else(|| format!("unknown engine {s:?} (want d-ligra|d-galois|d-irgl)"))
+    }
+}
+
 /// The benchmark applications of the paper's evaluation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Algorithm {
@@ -107,12 +120,37 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
+/// Parses the [`name`](Algorithm::name) (`bfs`, `cc`, `pr`, `sssp`).
+impl std::str::FromStr for Algorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Algorithm::ALL
+            .into_iter()
+            .find(|a| s == a.name())
+            .ok_or_else(|| format!("unknown algorithm {s:?} (want bfs|cc|pr|sssp)"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gluon::OptLevel;
     use gluon_graph::{gen, max_out_degree_node};
     use gluon_partition::Policy;
+
+    #[test]
+    fn names_parse_back() {
+        for engine in EngineKind::ALL {
+            assert_eq!(engine.to_string().parse(), Ok(engine));
+            assert_eq!(engine.system_name()[2..].parse(), Ok(engine));
+        }
+        for algo in Algorithm::ALL {
+            assert_eq!(algo.name().parse(), Ok(algo));
+        }
+        assert!("d-gluon".parse::<EngineKind>().is_err());
+        assert!("pagerank".parse::<Algorithm>().is_err());
+    }
 
     fn check_bfs(cfg: &DistConfig, g: &gluon_graph::Csr) {
         let out = Run::new(g, Algorithm::Bfs).config(cfg).launch();

@@ -49,27 +49,7 @@ where
     R: Send,
     F: Fn(&MemoryTransport) -> R + Send + Sync,
 {
-    let endpoints = MemoryTransport::cluster_with_stats(world_size, stats.clone());
-    let results = thread::scope(|s| {
-        let program = &program;
-        let handles: Vec<_> = endpoints
-            .iter()
-            .map(|ep| {
-                thread::Builder::new()
-                    .name(format!("host-{}", ep.rank()))
-                    .spawn_scoped(s, move || program(ep))
-                    .expect("spawn host thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    (results, stats)
+    spawn_hosts(world_size, stats, |ep| ep, |ep, _| program(ep))
 }
 
 /// As [`run_cluster_with_stats`], but each host's endpoint is first passed
@@ -110,32 +90,7 @@ where
     WrapF: Fn(MemoryTransport) -> W + Send + Sync,
     ProgF: Fn(&W) -> R + Send + Sync,
 {
-    let endpoints = MemoryTransport::cluster_with_stats(world_size, stats.clone());
-    let results = thread::scope(|s| {
-        let wrap = &wrap;
-        let program = &program;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|ep| {
-                let rank = ep.rank();
-                thread::Builder::new()
-                    .name(format!("host-{rank}"))
-                    .spawn_scoped(s, move || {
-                        let net = wrap(ep);
-                        program(&net)
-                    })
-                    .expect("spawn host thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    (results, stats)
+    spawn_hosts(world_size, stats, wrap, |net, _| program(net))
 }
 
 /// As [`run_cluster_wrapped`], but the per-host program is *fallible*: it
@@ -172,6 +127,25 @@ where
     WrapF: Fn(MemoryTransport) -> W + Send + Sync,
     ProgF: Fn(&W, &CancelToken) -> Result<R, E> + Send + Sync,
 {
+    spawn_hosts(world_size, stats, wrap, program)
+}
+
+/// The scoped-thread core of every runner above: one named thread per
+/// host, each passing its endpoint through `wrap` and running `program`
+/// on the result with the cluster's shared [`CancelToken`]. Results come
+/// back in rank order; a host's panic is re-raised in the caller.
+fn spawn_hosts<W, R, WrapF, ProgF>(
+    world_size: usize,
+    stats: NetStats,
+    wrap: WrapF,
+    program: ProgF,
+) -> (Vec<R>, NetStats)
+where
+    W: Transport,
+    R: Send,
+    WrapF: Fn(MemoryTransport) -> W + Send + Sync,
+    ProgF: Fn(&W, &CancelToken) -> R + Send + Sync,
+{
     let endpoints = MemoryTransport::cluster_with_stats(world_size, stats.clone());
     let results = thread::scope(|s| {
         let wrap = &wrap;
@@ -192,9 +166,9 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             })
             .collect()
     });

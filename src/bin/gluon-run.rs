@@ -65,15 +65,10 @@ fn parse_args() -> Options {
         match flag.as_str() {
             "--algo" => opts.algo = value("--algo"),
             "--engine" => {
-                opts.engine = match value("--engine").as_str() {
-                    "d-ligra" | "ligra" => EngineKind::Ligra,
-                    "d-galois" | "galois" => EngineKind::Galois,
-                    "d-irgl" | "irgl" => EngineKind::Irgl,
-                    other => {
-                        eprintln!("unknown engine {other:?}");
-                        usage()
-                    }
-                }
+                opts.engine = value("--engine").parse().unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                })
             }
             "--policy" => {
                 opts.policy = value("--policy").parse().unwrap_or_else(|e| {

@@ -447,3 +447,91 @@ fn unsupported_workloads_get_a_typed_error() {
         other => panic!("expected Unsupported, got {other:?}"),
     }
 }
+
+/// As [`TruncatingTransport`], but only payloads bound for host 0 are cut:
+/// host 0 alone meets an undecodable frame, and its two siblings wait on
+/// each other unless host 0's failure reaches them.
+#[derive(Debug)]
+struct TruncatingToHostZero(TruncatingTransport);
+
+impl Transport for TruncatingToHostZero {
+    fn rank(&self) -> usize {
+        self.0.rank()
+    }
+
+    fn world_size(&self) -> usize {
+        self.0.world_size()
+    }
+
+    fn try_send(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), NetError> {
+        if dst == 0 {
+            self.0.try_send(dst, tag, payload)
+        } else {
+            self.0.inner.try_send(dst, tag, payload)
+        }
+    }
+
+    fn try_recv(&self, src: usize, tag: u32) -> Result<Bytes, NetError> {
+        self.0.try_recv(src, tag)
+    }
+
+    fn try_recv_any(&self, tag: u32) -> Result<Envelope, NetError> {
+        self.0.try_recv_any(tag)
+    }
+
+    fn try_recv_any_timeout(&self, tag: u32, timeout: Duration) -> Result<Envelope, NetError> {
+        self.0.try_recv_any_timeout(tag, timeout)
+    }
+
+    fn note_round(&self, round: u64) {
+        self.0.note_round(round);
+    }
+
+    fn cancelled(&self) -> Option<NetError> {
+        self.0.cancelled()
+    }
+
+    fn stats(&self) -> &NetStats {
+        self.0.stats()
+    }
+}
+
+/// One host of three failing under the unsupervised [`Run::launch`] must
+/// end the run with a panic in the caller that names the host and its
+/// typed error — not leave the two survivors parked on each other. The
+/// launch runs on a helper thread so a hang fails this test, not the suite.
+#[test]
+fn launch_panics_naming_the_failed_host_instead_of_hanging() {
+    let g = chaos_graph();
+    let cfg = DistConfig {
+        hosts: HOSTS,
+        policy: Policy::Cvc,
+        opts: OptLevel::OSTI,
+        engine: EngineKind::Ligra,
+    };
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let launched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Run::new(&g, Algorithm::Cc)
+                .config(&cfg)
+                .transport(|ep| TruncatingToHostZero(TruncatingTransport::new(ep)))
+                .launch()
+        }));
+        let message = launched.map(|out| out.rounds).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        });
+        let _ = done.send(message);
+    });
+    let message = outcome
+        .recv_timeout(Duration::from_secs(20))
+        .expect("launch() hung after one of three hosts failed")
+        .expect_err("payloads truncated on their way to host 0 cannot produce a result");
+    assert!(
+        message.contains("host 0") && message.contains("undecodable"),
+        "the panic must name host 0 and its decode error, got: {message}"
+    );
+}

@@ -241,6 +241,17 @@ fn killed_worker_recovers_to_identical_labels() {
         "recovered run must match a crash-free run"
     );
     assert_eq!(cluster.outcome.recoveries, 1, "exactly one relaunch");
+    let supervisor = cluster.hub.cluster();
+    assert_eq!(
+        supervisor.counter_value("attempts"),
+        2,
+        "the shared supervisor loop publishes its attempts"
+    );
+    assert_eq!(
+        supervisor.counter_value("recoveries"),
+        1,
+        "the shared supervisor loop publishes its recoveries"
+    );
 }
 
 /// Without a recovery budget the same kill must yield a typed error
