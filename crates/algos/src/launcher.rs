@@ -705,7 +705,6 @@ fn encode_report(rank: usize, hr: &HostResult, stats: &NetStats, hub: &MetricsHu
                 ),
                 ("memo_secs_bits", jbits(hr.stats.memo_secs)),
                 ("memo_bytes", Json::from(hr.stats.memo_bytes)),
-                ("decode_errors", Json::from(hr.stats.decode_errors)),
                 (
                     "steady_state_allocs",
                     Json::from(hr.stats.steady_state_allocs),
@@ -845,7 +844,6 @@ fn decode_report(text: &str) -> Result<WorkerReport, String> {
         phases,
         memo_secs: f64::from_bits(as_u64(stats_j, "memo_secs_bits")?),
         memo_bytes: as_u64(stats_j, "memo_bytes")?,
-        decode_errors: as_u64(stats_j, "decode_errors")?,
         steady_state_allocs: as_u64(stats_j, "steady_state_allocs")?,
     };
     let part = field(&j, "partition")?;
@@ -1208,7 +1206,7 @@ mod tests {
             ..RoundSample::default()
         });
         let stats = NetStats::new(2);
-        stats.record_send(0, 1, 7, 100);
+        stats.record_send(0, 1, 100);
         let hr = HostResult {
             masters_int: vec![(1, 2), (3, 4)],
             masters_f64: out

@@ -11,9 +11,10 @@
 //! asserts the two are bit-identical in every computed label.
 //!
 //! Each Gluon cell additionally runs under a fresh [`MetricsHub`], whose
-//! payload byte counter is cross-checked against the run's `RunStats`,
-//! and every cell (Gemini included) gets a per-phase cost-model
-//! calibration table — measured max-host phase time vs.
+//! payload byte counter is cross-checked against the run's `RunStats` and
+//! whose per-wire-mode byte counters feed the Figure 8(b) detail table
+//! (one row per benchmark). Every cell (Gemini included) gets a per-phase
+//! cost-model calibration table — measured max-host phase time vs.
 //! `CostModel::REPRO`'s projection — exported to
 //! `bench_results/report.json` alongside the `fig8.json` cells.
 //!
@@ -33,10 +34,10 @@ use gluon_bench::report::emit;
 use gluon_bench::{inputs, report, scale_from_args, trace_path_from_args, Scale, Table};
 use gluon_gemini::GeminiAlgo;
 use gluon_graph::{max_out_degree_node, Csr};
-use gluon_metrics::MetricsHub;
+use gluon_metrics::{MetricsHub, MODE_BYTE_COUNTER_NAMES, NUM_WIRE_MODES, WIRE_MODE_NAMES};
 use gluon_net::{CostModel, SocketKind};
 use gluon_partition::Policy;
-use gluon_trace::{ChromeTraceBuilder, Tracer, MODE_NAMES, NUM_WIRE_MODES};
+use gluon_trace::{ChromeTraceBuilder, Tracer};
 use std::collections::BTreeMap;
 
 struct Point {
@@ -51,6 +52,9 @@ struct Point {
     baseline_bytes: Option<u64>,
     retx_bytes: u64,
     rounds: u32,
+    /// Payload bytes per wire mode, from the cell's metrics hub; zero for
+    /// systems that do not use the Gluon codec (Gemini).
+    mode_bytes: [u64; NUM_WIRE_MODES],
     /// Per-phase cost-model calibration rows for this cell.
     residuals: Vec<PhaseResidual>,
 }
@@ -135,6 +139,7 @@ fn gluon_point(
         baseline_bytes: Some(base.run.total_bytes),
         retx_bytes: out.net.retransmit_bytes,
         rounds: out.rounds,
+        mode_bytes: MODE_BYTE_COUNTER_NAMES.map(|name| hub.counter_across_hosts(name)),
         residuals: phase_residuals(&out.host_stats, &CostModel::REPRO),
     }
 }
@@ -163,6 +168,7 @@ fn gemini_point(graph: &Csr, algo: Algorithm, hosts: usize) -> Point {
         baseline_bytes: None, // gemini does not use the Gluon codec
         retx_bytes: 0,        // gemini runs on the bare in-memory transport
         rounds: out.rounds,
+        mode_bytes: [0; NUM_WIRE_MODES],
         residuals: phase_residuals(&out.host_stats, &CostModel::REPRO),
     }
 }
@@ -213,8 +219,8 @@ fn main() {
         "residual",
     ]);
     // Payload bytes per wire mode, summed over every Gluon row, keyed by
-    // the synced field.
-    let mut mode_bytes: BTreeMap<String, [u64; NUM_WIRE_MODES]> = BTreeMap::new();
+    // benchmark.
+    let mut mode_bytes: BTreeMap<&str, [u64; NUM_WIRE_MODES]> = BTreeMap::new();
     // The same cells as the text table, as JSON for downstream tooling.
     let mut json_rows: Vec<Json> = Vec::new();
     // Per-cell calibration for bench_results/report.json.
@@ -239,22 +245,19 @@ fn main() {
                     ("d-galois", Some(EngineKind::Galois)),
                     ("gemini", None),
                 ] {
-                    // Gluon rows are always traced so the per-mode byte
-                    // breakdown below covers the whole sweep; Gemini runs
-                    // on its own untraced stack.
-                    let tracer = match engine {
-                        Some(_) => Tracer::new(hosts),
-                        None => Tracer::disabled(),
+                    // Gluon rows are traced only under `--trace`; Gemini
+                    // runs on its own untraced stack.
+                    let tracer = match (engine, &chrome) {
+                        (Some(_), Some(_)) => Tracer::new(hosts),
+                        _ => Tracer::disabled(),
                     };
                     let point = match engine {
                         Some(engine) => gluon_point(graph, algo, engine, hosts, &tracer),
                         None => gemini_point(graph, algo, hosts),
                     };
-                    for (field, bytes) in tracer.wire_mode_bytes() {
-                        let acc = mode_bytes.entry(field).or_insert([0; NUM_WIRE_MODES]);
-                        for (a, b) in acc.iter_mut().zip(bytes) {
-                            *a += b;
-                        }
+                    let acc = mode_bytes.entry(algo.name()).or_insert([0; NUM_WIRE_MODES]);
+                    for (a, b) in acc.iter_mut().zip(point.mode_bytes) {
+                        *a += b;
                     }
                     if let (Some(chrome), true) = (&mut chrome, tracer.is_enabled()) {
                         chrome.add(
@@ -355,13 +358,13 @@ fn main() {
 
     // Per-wire-mode byte breakdown across every Gluon row above.
     let mut modes = Table::new({
-        let mut cols = vec!["field"];
-        cols.extend(MODE_NAMES);
+        let mut cols = vec!["bench"];
+        cols.extend(WIRE_MODE_NAMES);
         cols.push("total");
         cols
     });
-    for (field, bytes) in &mode_bytes {
-        let mut row = vec![field.clone()];
+    for (bench, bytes) in &mode_bytes {
+        let mut row = vec![bench.to_string()];
         row.extend(bytes.iter().map(|&b| report::bytes(b)));
         row.push(report::bytes(bytes.iter().sum()));
         modes.row(row);
@@ -385,21 +388,18 @@ fn main() {
     let json_modes = Json::Obj(
         mode_bytes
             .iter()
-            .map(|(field, bytes)| {
-                let per_mode = MODE_NAMES
+            .map(|(bench, bytes)| {
+                let per_mode = WIRE_MODE_NAMES
                     .iter()
                     .zip(bytes)
                     .map(|(name, &b)| (name.to_string(), Json::from(b)));
-                (field.clone(), Json::obj(per_mode))
+                (bench.to_string(), Json::obj(per_mode))
             })
             .collect(),
     );
     let written = json::write_results(
         "fig8",
-        &Json::obj([
-            ("rows", Json::Arr(json_rows)),
-            ("wire_mode_bytes", json_modes),
-        ]),
+        &Json::obj([("rows", Json::Arr(json_rows)), ("mode_bytes", json_modes)]),
     );
     let report_path = json::write_results(
         "report",

@@ -41,8 +41,8 @@ const PHASE_RESERVE: usize = 1 << 18;
 /// format) both leave the field partially reconciled: the error is
 /// terminal for the run, not retryable, but it *is* survivable — the host
 /// thread gets the error instead of aborting, and every decode failure is
-/// counted in [`crate::SyncStats::decode_errors`], in the metrics hub, and
-/// as a `decode_error` trace event.
+/// counted once, in the metrics hub's `decode_errors`, and timestamped as
+/// a `decode_error` trace event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SyncError {
     /// A peer became unreachable mid-sync.
@@ -696,8 +696,8 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     /// terminal for the run: local field state may have been partially
     /// reconciled, so the caller should abandon the computation (or
     /// restart it), not retry the call. Decode failures are additionally
-    /// counted in [`crate::SyncStats::decode_errors`], in the metrics hub,
-    /// and as a `decode_error` trace event.
+    /// counted in the metrics hub and timestamped as a `decode_error`
+    /// trace event.
     pub fn try_sync<F: FieldSync>(
         &mut self,
         spec: &SyncSpec,
@@ -740,9 +740,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         fa.ensure_peers(self.world_size());
         #[cfg(feature = "alloc-meter")]
         let metering = (fa.rounds >= crate::arena::ARENA_WARMUP_ROUNDS).then(gluon_meter::snapshot);
-        let res = self.run_sync_patterns(
-            spec, seq, structural, field_name, field, updated, &mut seg, &mut fa,
-        );
+        let res = self.run_sync_patterns(spec, seq, structural, field, updated, &mut seg, &mut fa);
         #[cfg(feature = "alloc-meter")]
         if let Some(alloc_before) = metering {
             self.stats.steady_state_allocs += gluon_meter::snapshot().allocs_since(&alloc_before);
@@ -854,11 +852,9 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         self.collective(|comm| comm.try_all_reduce_f64(local, |a, b| a + b))
     }
 
-    /// Books one undecodable payload from `peer` (per-host stats, metrics
-    /// hub, trace event stream) and builds the terminal
-    /// [`SyncError::Decode`].
-    fn decode_failed(&mut self, peer: usize, payload_len: usize, error: DecodeError) -> SyncError {
-        self.stats.decode_errors += 1;
+    /// Books one undecodable payload from `peer` (metrics hub, trace event
+    /// stream) and builds the terminal [`SyncError::Decode`].
+    fn decode_failed(&self, peer: usize, payload_len: usize, error: DecodeError) -> SyncError {
         self.metrics.on_decode_error();
         self.tracer
             .record_event(self.rank(), "decode_error", peer, payload_len as u64);
@@ -874,7 +870,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         spec: &SyncSpec,
         seq: u32,
         structural: bool,
-        field_name: &'static str,
         field: &mut F,
         updated: &mut DenseBitset,
         seg: &mut Segmenter,
@@ -887,7 +882,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                 0,
                 PatternRole::MirrorToMaster,
                 fr,
-                field_name,
                 field,
                 updated,
                 seg,
@@ -901,7 +895,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                 1,
                 PatternRole::MasterToMirror,
                 fb,
-                field_name,
                 field,
                 updated,
                 seg,
@@ -919,30 +912,20 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     }
 
     /// The per-peer accounting tail of the send side — pool hit/miss
-    /// counters, wire-mode and message-size records, and the metrics
-    /// payload publication. Every record here is an order-independent sum
-    /// or histogram bump, which is what lets a spawning pool run it in
+    /// counters and the metrics payload publication (wire mode, bytes,
+    /// size histogram). Every record here is an order-independent sum or
+    /// histogram bump, which is what lets a spawning pool run it in
     /// payload-completion order and still produce the exact counters of
     /// a rank-ordered run. Returns the payload, ready to ship.
-    fn account_send_payload<V>(
-        &self,
-        field_name: &'static str,
-        h: usize,
-        ps: &mut PeerScratch<V>,
-    ) -> Bytes {
+    fn account_send_payload<V>(&self, h: usize, ps: &mut PeerScratch<V>) -> Bytes {
         let payload = ps.payload.take().expect("peer payload was prepared");
         if ps.recycled {
             self.metrics.pool_hit();
         } else {
             self.metrics.pool_miss();
-            if self.tracer.is_enabled() {
-                self.tracer
-                    .record_event(self.rank(), "arena_miss", h, payload.len() as u64);
-            }
+            self.tracer
+                .record_event(self.rank(), "arena_miss", h, payload.len() as u64);
         }
-        self.tracer
-            .record_wire_mode(field_name, payload[0], payload.len() as u64);
-        self.tracer.record_message_size(payload.len());
         self.metrics.on_payload(payload[0], payload.len() as u64);
         payload
     }
@@ -961,7 +944,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         pat: u32,
         role: PatternRole,
         filter_idx: usize,
-        field_name: &'static str,
         field: &mut F,
         updated: &mut DenseBitset,
         seg: &mut Segmenter,
@@ -1029,7 +1011,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                     if h == rank || send_lists[h].is_empty() || io_err.is_some() {
                         return;
                     }
-                    let payload = self.account_send_payload(field_name, h, ps);
+                    let payload = self.account_send_payload(h, ps);
                     ps.sent_dense = temporal && WireMode::of(&payload) == WireMode::Dense;
                     seg.stage(Stage::Send, Some(h));
                     if let Err(e) = transport.try_send(h, tag, payload) {
@@ -1081,7 +1063,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
                     prewarm,
                     &mut |st| seg.stage(st, Some(h)),
                 );
-                let payload = self.account_send_payload(field_name, h, &mut peers[h]);
+                let payload = self.account_send_payload(h, &mut peers[h]);
                 if role == PatternRole::MirrorToMaster {
                     seg.stage(Stage::Reset, Some(h));
                     let dense = temporal && WireMode::of(&payload) == WireMode::Dense;
@@ -1480,14 +1462,13 @@ mod seg_tests {
         assert_eq!(round_stage_index(Stage::Memo), None);
     }
 
+    /// The metrics crate names the wire modes by mode byte; the codec
+    /// owns the modes, so its table is the source of truth.
     #[test]
     fn wire_mode_tables_agree() {
-        assert_eq!(gluon_metrics::NUM_WIRE_MODES, gluon_trace::NUM_WIRE_MODES);
-        for (a, b) in gluon_metrics::WIRE_MODE_NAMES
-            .iter()
-            .zip(gluon_trace::MODE_NAMES)
-        {
-            assert_eq!(*a, b);
-        }
+        assert_eq!(
+            crate::encode::WireMode::ALL.map(|m| m.name()),
+            gluon_metrics::WIRE_MODE_NAMES
+        );
     }
 }

@@ -49,10 +49,6 @@ pub struct SyncStats {
     pub memo_secs: f64,
     /// Bytes sent during the memoization handshake.
     pub memo_bytes: u64,
-    /// Received sync payloads that failed to decode on this host. Each
-    /// incident also surfaced as a `SyncError::Decode` from the sync call
-    /// that hit it.
-    pub decode_errors: u64,
     /// Heap allocations observed inside sync rounds after the arena
     /// warm-up. Stays 0 unless the `alloc-meter` feature is enabled *and*
     /// the process installed `gluon_meter::CountingAlloc` as its global

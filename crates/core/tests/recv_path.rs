@@ -17,6 +17,7 @@ use gluon::{
     SyncSpec, WriteLocation,
 };
 use gluon_graph::{gen, Csr, Lid};
+use gluon_metrics::MetricsHub;
 use gluon_net::{
     run_cluster_wrapped, Communicator, Envelope, MemoryTransport, NetError, NetStats, Transport,
 };
@@ -422,6 +423,7 @@ fn a_corrupt_frame_stops_the_apply_at_its_rank_and_is_booked_once() {
     for bad in 0..VICTIM {
         for arrival in ARRIVALS {
             let tracer = Tracer::new(HOSTS);
+            let hub = MetricsHub::new(HOSTS);
             let (results, _) = run_cluster_wrapped(
                 HOSTS,
                 NetStats::new(HOSTS),
@@ -435,8 +437,9 @@ fn a_corrupt_frame_stops_the_apply_at_its_rank_and_is_booked_once() {
                 |net| {
                     let comm = Communicator::with_tracer(net, tracer.clone());
                     let lg = partition_on_host(graph(), Policy::Oec, &comm);
-                    let mut ctx = GluonContext::new(&lg, &comm, OptLevel::OSTI);
                     let rank = comm.rank();
+                    let mut ctx =
+                        GluonContext::new(&lg, &comm, OptLevel::OSTI).with_metrics(hub.host(rank));
                     let dense = Case {
                         mode: WireMode::Dense,
                         opts: OptLevel::OSTI,
@@ -448,7 +451,7 @@ fn a_corrupt_frame_stops_the_apply_at_its_rank_and_is_booked_once() {
                     let res = ctx.try_sync(&REDUCE, &mut SumField::new(&mut vals), &mut dirty);
                     if rank != VICTIM {
                         res.expect("only the victim sees the corruption");
-                        return (ctx.stats().decode_errors, None);
+                        return None;
                     }
                     let Err(SyncError::Decode { peer, .. }) = res else {
                         panic!("victim: expected a decode error, got {res:?}");
@@ -475,16 +478,22 @@ fn a_corrupt_frame_stops_the_apply_at_its_rank_and_is_booked_once() {
                         );
                         assert_eq!(dirty.test(l), want_dirty.test(l), "proxy {l}: dirty bit");
                     }
-                    (ctx.stats().decode_errors, Some(peer))
+                    Some(peer)
                 },
             );
-            let booked: u64 = results.iter().map(|&(n, _)| n).sum();
-            assert_eq!(booked, 1, "bad rank {bad}, {arrival:?}: SyncStats");
+            let surfaced = results.iter().flatten().count() as u64;
+            assert_eq!(surfaced, 1, "bad rank {bad}, {arrival:?}: surfaced errors");
             assert_eq!(
-                tracer.decode_error_events(),
+                hub.counter_across_hosts("decode_errors"),
                 1,
-                "bad rank {bad}, {arrival:?}: trace events"
+                "bad rank {bad}, {arrival:?}: hub"
             );
+            let traced = tracer
+                .events()
+                .iter()
+                .filter(|e| e.name == "decode_error")
+                .count();
+            assert_eq!(traced, 1, "bad rank {bad}, {arrival:?}: trace events");
         }
     }
 }
@@ -514,7 +523,6 @@ fn a_duplicated_frame_is_dropped() {
                 let (mut vals, mut dirty) = initial_state(&lg, comm.rank(), &spec, case);
                 ctx.try_sync(&spec, &mut SumField::new(&mut vals), &mut dirty)
                     .expect("duplicates are not errors");
-                assert_eq!(ctx.stats().decode_errors, 0);
                 (bits_of(&vals), dirty.words().to_vec())
             },
         );

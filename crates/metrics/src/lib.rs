@@ -4,8 +4,9 @@
 //! [`MetricsHub::prometheus`], machine-readable JSON via [`json`]).
 //!
 //! The tracer (`gluon-trace`) answers "what happened, when" with bounded
-//! span rings; this crate answers "how much, per host, per round" with
-//! unbounded-precision counters that CI and calibration tooling can diff.
+//! span and event rings and counts nothing; this crate answers "how much,
+//! per host, per round" with unbounded-precision counters that CI and
+//! calibration tooling can diff. Each fact is counted here once.
 //! Every handle follows the tracer's no-op-when-disabled idiom: a
 //! [`MetricsHub::disabled`] hub hands out handles whose every operation is
 //! a branch on a `None` — safe to thread through the hot path
@@ -66,8 +67,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of wire modes tracked by the per-mode byte/message counters —
-/// the §4.2 mode bytes plus the codec-v2 compressed modes. Kept equal to
-/// `gluon_trace::NUM_WIRE_MODES` (asserted by the core crate's tests).
+/// the §4.2 mode bytes plus the codec-v2 compressed modes. The codec's
+/// `WireMode::ALL` is the source of truth; the core crate's tests pin
+/// [`WIRE_MODE_NAMES`] to it.
 pub const NUM_WIRE_MODES: usize = 9;
 
 /// Display names of the wire modes, indexed by mode byte.

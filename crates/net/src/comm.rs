@@ -18,7 +18,6 @@ use bytes::{BufMut, Bytes, BytesMut};
 use gluon_trace::Tracer;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Instant;
 
 /// Recyclable 8-byte send buffers for the `u64` collectives, one per
 /// (epoch parity, step). Two parities suffice: by the time epoch `e + 2`
@@ -83,9 +82,8 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
         Communicator::with_tracer(transport, Tracer::disabled())
     }
 
-    /// Wraps a transport endpoint with a [`Tracer`]: barriers report their
-    /// wait time to it, and runtimes built on this communicator (e.g.
-    /// `GluonContext`) adopt it for span recording.
+    /// Wraps a transport endpoint with a [`Tracer`], which runtimes built
+    /// on this communicator (e.g. `GluonContext`) adopt for span recording.
     pub fn with_tracer(transport: &'t T, tracer: Tracer) -> Self {
         Communicator {
             transport,
@@ -144,7 +142,6 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
         }
         let rank = self.rank();
         let epoch = self.next_epoch();
-        let entered = self.tracer.is_enabled().then(Instant::now);
         let mut step = 0u32;
         let mut distance = 1usize;
         while distance < n {
@@ -155,10 +152,6 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
             let _ = self.transport.try_recv(from, Self::tag(epoch, step))?;
             distance *= 2;
             step += 1;
-        }
-        if let Some(entered) = entered {
-            self.tracer
-                .add_barrier_wait(entered.elapsed().as_nanos() as u64);
         }
         Ok(())
     }

@@ -1,4 +1,4 @@
-//! The receive-side message index both stream backends file into.
+//! The receive-side message index every endpoint files into.
 //!
 //! One map keyed by tag; each tag's queue holds `(src, payload)` in arrival
 //! order. A `(src, tag)` receive takes the first entry from `src`, a
@@ -6,7 +6,7 @@
 //! message is enqueued once, and FIFO per `(src, tag)` holds however many
 //! sources interleave under a tag. Locking and waiting belong to the owner
 //! ([`crate::MemoryTransport`]'s mailbox, [`crate::SocketTransport`]'s
-//! receive state).
+//! receive state, [`crate::ReliableTransport`]'s reassembly state).
 
 use bytes::Bytes;
 use std::collections::hash_map::Entry;

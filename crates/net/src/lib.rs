@@ -50,5 +50,5 @@ pub use fault::{CrashRule, FaultAction, FaultCounters, FaultPlan, FaultRule, Fau
 pub use jitter::JitterTransport;
 pub use reliable::{ReliableConfig, ReliableTransport, RetryPolicy, RELIABLE_TAG};
 pub use socket::SocketTransport;
-pub use stats::{NetStats, SendRecord, StatsDelta, StatsSnapshot, DEFAULT_HISTORY_CAPACITY};
+pub use stats::{NetStats, StatsDelta, StatsSnapshot};
 pub use transport::{CancelToken, Envelope, MemoryTransport, Transport};

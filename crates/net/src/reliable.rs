@@ -48,13 +48,14 @@
 
 use crate::detector::{DetectorConfig, FailureDetector};
 use crate::error::NetError;
+use crate::inbox::Inbox;
 use crate::stats::NetStats;
 use crate::transport::{Envelope, Transport};
 use bytes::Bytes;
 use gluon_metrics::NetMetrics;
 use gluon_trace::Tracer;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -181,10 +182,9 @@ struct InPeer {
 struct State {
     out: Vec<OutPeer>,
     inc: Vec<InPeer>,
-    /// Reassembled messages awaiting a directed recv, keyed `(src, tag)`.
-    buf_exact: HashMap<(usize, u32), VecDeque<Bytes>>,
-    /// Twin index for recv_any, keyed by tag.
-    buf_any: HashMap<u32, VecDeque<(usize, Bytes)>>,
+    /// Reassembled messages awaiting a receive, filed once each and taken
+    /// by `(src, tag)` or by tag alone.
+    inbox: Inbox,
     /// Peers declared dead, with the error that killed them (retry budget
     /// exhaustion or failure-detector suspicion); every later operation
     /// involving a dead peer returns its stored error immediately.
@@ -305,8 +305,7 @@ impl<T: Transport> ReliableTransport<T> {
                         last_nacked: None,
                     })
                     .collect(),
-                buf_exact: HashMap::new(),
-                buf_any: HashMap::new(),
+                inbox: Inbox::new(),
                 dead: vec![None; world],
                 detector: config.detector.map(|d| FailureDetector::new(d, world)),
                 last_beat: now,
@@ -583,11 +582,7 @@ impl<T: Transport> ReliableTransport<T> {
         if seq == expected {
             st.inc[src].expected += 1;
             st.inc[src].last_nacked = None;
-            st.buf_exact
-                .entry((src, tag))
-                .or_default()
-                .push_back(payload.clone());
-            st.buf_any.entry(tag).or_default().push_back((src, payload));
+            st.inbox.file(src, tag, payload);
             self.send_ctrl(src, KIND_ACK, st.inc[src].expected);
         } else if seq < expected {
             self.inner.stats().record_dup_suppressed();
@@ -674,49 +669,6 @@ impl<T: Transport> ReliableTransport<T> {
             .find(|&p| st.is_dead(p) || !st.out[p].unacked.is_empty())
             .unwrap_or_else(|| usize::from(self.inner.rank() == 0))
     }
-
-    fn take_exact(st: &mut State, src: usize, tag: u32) -> Option<Bytes> {
-        let queue = st.buf_exact.get_mut(&(src, tag))?;
-        let payload = queue.pop_front()?;
-        if queue.is_empty() {
-            st.buf_exact.remove(&(src, tag));
-        }
-        if let Some(q) = st.buf_any.get_mut(&tag) {
-            if let Some(pos) = q
-                .iter()
-                .position(|(s, p)| *s == src && same_buffer(p, &payload))
-            {
-                q.remove(pos);
-            }
-            if q.is_empty() {
-                st.buf_any.remove(&tag);
-            }
-        }
-        Some(payload)
-    }
-
-    fn take_any(st: &mut State, tag: u32) -> Option<(usize, Bytes)> {
-        let queue = st.buf_any.get_mut(&tag)?;
-        let (src, payload) = queue.pop_front()?;
-        if queue.is_empty() {
-            st.buf_any.remove(&tag);
-        }
-        if let Some(q) = st.buf_exact.get_mut(&(src, tag)) {
-            if let Some(pos) = q.iter().position(|p| same_buffer(p, &payload)) {
-                q.remove(pos);
-            }
-            if q.is_empty() {
-                st.buf_exact.remove(&(src, tag));
-            }
-        }
-        Some((src, payload))
-    }
-}
-
-/// Identity comparison for de-duplicating the twin delivery indexes
-/// (clones of one [`Bytes`] share an allocation).
-fn same_buffer(a: &Bytes, b: &Bytes) -> bool {
-    a.as_ptr() == b.as_ptr() && a.len() == b.len()
 }
 
 fn read_u64(b: &[u8]) -> u64 {
@@ -784,7 +736,7 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
         loop {
-            if let Some((src, payload)) = Self::take_any(&mut st, tag) {
+            if let Some((src, payload)) = st.inbox.take(None, tag) {
                 return Ok(Envelope { src, tag, payload });
             }
             let now = Instant::now();
@@ -808,11 +760,7 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         let mut st = self.state.lock();
         if dst == self.inner.rank() {
             // Local delivery: no wire, no sequence numbers needed.
-            st.buf_exact
-                .entry((dst, tag))
-                .or_default()
-                .push_back(payload.clone());
-            st.buf_any.entry(tag).or_default().push_back((dst, payload));
+            st.inbox.file(dst, tag, payload);
             return Ok(());
         }
         if let Some(err) = st.dead[dst] {
@@ -868,7 +816,7 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         let deadline = Instant::now() + self.policy.recv_budget;
         let mut st = self.state.lock();
         loop {
-            if let Some(payload) = Self::take_exact(&mut st, src, tag) {
+            if let Some((_, payload)) = st.inbox.take(Some(src), tag) {
                 return Ok(payload);
             }
             if let Some(err) = st.dead[src] {
@@ -903,7 +851,7 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         let deadline = Instant::now() + self.policy.recv_budget;
         let mut st = self.state.lock();
         loop {
-            if let Some((src, payload)) = Self::take_any(&mut st, tag) {
+            if let Some((src, payload)) = st.inbox.take(None, tag) {
                 return Ok(Envelope { src, tag, payload });
             }
             if let Some(err) = (0..st.dead.len()).find_map(|p| st.dead[p]) {

@@ -293,7 +293,7 @@ impl Transport for SocketTransport {
         // matrices transport-independent (see module docs).
         self.shared
             .stats
-            .record_send(self.shared.rank, dst, tag, payload.len() as u64);
+            .record_send(self.shared.rank, dst, payload.len() as u64);
         if dst == self.shared.rank {
             // Self-sends never touch a socket; deliver through the stash
             // like any other message.

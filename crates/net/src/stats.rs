@@ -5,16 +5,9 @@
 //! is in-memory, these counters are exact — every payload byte that would
 //! have crossed the wire on a real cluster is counted here.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Default capacity of the send-history ring buffer. Long chaos runs can
-/// log millions of sends; keeping only the most recent ~64K bounds memory
-/// while retaining enough tail for debugging.
-pub const DEFAULT_HISTORY_CAPACITY: usize = 1 << 16;
 
 /// Shared, thread-safe communication counters for one cluster run.
 ///
@@ -40,13 +33,6 @@ struct StatsInner {
     dup_suppressed: AtomicU64,
     /// Frames that failed their checksum on receive.
     corruption_detected: AtomicU64,
-    /// Per-host-pair log is optional; the matrix above is always on. The
-    /// log is a bounded ring: once `history_capacity` records are held,
-    /// each new record evicts the oldest and bumps `dropped_records`.
-    history: Mutex<VecDeque<SendRecord>>,
-    record_history: bool,
-    history_capacity: usize,
-    dropped_records: AtomicU64,
     /// Socket-level counters ([`crate::SocketTransport`] only). These live
     /// beside — not inside — [`StatsSnapshot`]: they describe the wire
     /// mechanics of one backend, not the algorithm's communication volume,
@@ -64,19 +50,6 @@ struct StatsInner {
     socket_short_reads: AtomicU64,
 }
 
-/// One logged send (only when history recording is enabled).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct SendRecord {
-    /// Sending host.
-    pub src: usize,
-    /// Receiving host.
-    pub dst: usize,
-    /// Multiplexing tag.
-    pub tag: u32,
-    /// Payload size in bytes.
-    pub bytes: u64,
-}
-
 /// A point-in-time copy of the counters, used to compute per-phase deltas.
 ///
 /// # Examples
@@ -86,7 +59,7 @@ pub struct SendRecord {
 ///
 /// let stats = NetStats::new(2);
 /// let before = stats.snapshot();
-/// stats.record_send(0, 1, 7, 100);
+/// stats.record_send(0, 1, 100);
 /// let delta = stats.snapshot().since(&before);
 /// assert_eq!(delta.total_bytes, 100);
 /// assert_eq!(delta.total_messages, 1);
@@ -133,28 +106,6 @@ pub struct StatsDelta {
 impl NetStats {
     /// Creates counters for a cluster of `world_size` hosts.
     pub fn new(world_size: usize) -> Self {
-        Self::with_history(world_size, false)
-    }
-
-    /// Creates counters that additionally log every send (costly; tests
-    /// and debugging only), keeping the most recent
-    /// [`DEFAULT_HISTORY_CAPACITY`] records.
-    pub fn with_history(world_size: usize, record_history: bool) -> Self {
-        Self::with_history_capacity(world_size, record_history, DEFAULT_HISTORY_CAPACITY)
-    }
-
-    /// Like [`NetStats::with_history`] but with an explicit bound on how
-    /// many send records are retained. Once full, each new record evicts
-    /// the oldest; [`NetStats::dropped_records`] counts the evictions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `record_history` is set and `capacity` is zero.
-    pub fn with_history_capacity(world_size: usize, record_history: bool, capacity: usize) -> Self {
-        assert!(
-            !record_history || capacity > 0,
-            "history capacity must be positive when recording"
-        );
         let n = world_size * world_size;
         NetStats {
             inner: Arc::new(StatsInner {
@@ -165,10 +116,6 @@ impl NetStats {
                 retransmit_messages: AtomicU64::new(0),
                 dup_suppressed: AtomicU64::new(0),
                 corruption_detected: AtomicU64::new(0),
-                history: Mutex::new(VecDeque::new()),
-                record_history,
-                history_capacity: capacity,
-                dropped_records: AtomicU64::new(0),
                 socket_connects: AtomicU64::new(0),
                 socket_reconnect_attempts: AtomicU64::new(0),
                 socket_frames_sent: AtomicU64::new(0),
@@ -188,25 +135,12 @@ impl NetStats {
     /// # Panics
     ///
     /// Panics if `src` or `dst` is out of range.
-    pub fn record_send(&self, src: usize, dst: usize, tag: u32, bytes: u64) {
+    pub fn record_send(&self, src: usize, dst: usize, bytes: u64) {
         let n = self.inner.world_size;
         assert!(src < n && dst < n, "host out of range");
         let idx = src * n + dst;
         self.inner.bytes[idx].fetch_add(bytes, Ordering::Relaxed);
         self.inner.messages[idx].fetch_add(1, Ordering::Relaxed);
-        if self.inner.record_history {
-            let mut history = self.inner.history.lock();
-            if history.len() == self.inner.history_capacity {
-                history.pop_front();
-                self.inner.dropped_records.fetch_add(1, Ordering::Relaxed);
-            }
-            history.push_back(SendRecord {
-                src,
-                dst,
-                tag,
-                bytes,
-            });
-        }
     }
 
     /// Records one frame of `bytes` wire bytes retransmitted by the
@@ -296,20 +230,6 @@ impl NetStats {
             dup_suppressed: self.dup_suppressed(),
             corruption_detected: self.corruption_detected(),
         }
-    }
-
-    /// Returns the logged send records, oldest retained first (empty
-    /// unless history recording was enabled at construction). When the run
-    /// outgrew the ring capacity, this is the most recent window only —
-    /// check [`NetStats::dropped_records`].
-    pub fn history(&self) -> Vec<SendRecord> {
-        self.inner.history.lock().iter().copied().collect()
-    }
-
-    /// Number of send records evicted from the history ring because the
-    /// run produced more than the configured capacity.
-    pub fn dropped_records(&self) -> u64 {
-        self.inner.dropped_records.load(Ordering::Relaxed)
     }
 
     /// Records one established socket connection (rendezvous or mesh).
@@ -477,9 +397,9 @@ mod tests {
     #[test]
     fn counters_accumulate_per_pair() {
         let s = NetStats::new(3);
-        s.record_send(0, 1, 0, 10);
-        s.record_send(0, 1, 0, 5);
-        s.record_send(2, 0, 1, 7);
+        s.record_send(0, 1, 10);
+        s.record_send(0, 1, 5);
+        s.record_send(2, 0, 7);
         let snap = s.snapshot();
         assert_eq!(snap.bytes_between(0, 1), 15);
         assert_eq!(snap.bytes_between(2, 0), 7);
@@ -492,8 +412,8 @@ mod tests {
     fn delta_reports_straggler() {
         let s = NetStats::new(2);
         let before = s.snapshot();
-        s.record_send(0, 1, 0, 100);
-        s.record_send(1, 0, 0, 30);
+        s.record_send(0, 1, 100);
+        s.record_send(1, 0, 30);
         let d = s.snapshot().since(&before);
         assert_eq!(d.total_bytes, 130);
         assert_eq!(d.max_host_bytes, 100);
@@ -503,53 +423,11 @@ mod tests {
     #[test]
     fn fan_out_ignores_self_and_silent_pairs() {
         let s = NetStats::new(4);
-        s.record_send(0, 1, 0, 1);
-        s.record_send(0, 3, 0, 1);
-        s.record_send(0, 0, 0, 1);
+        s.record_send(0, 1, 1);
+        s.record_send(0, 3, 1);
+        s.record_send(0, 0, 1);
         assert_eq!(s.snapshot().fan_out(0), 2);
         assert_eq!(s.snapshot().fan_out(1), 0);
-    }
-
-    #[test]
-    fn history_records_when_enabled() {
-        let s = NetStats::with_history(2, true);
-        s.record_send(0, 1, 9, 4);
-        let h = s.history();
-        assert_eq!(h.len(), 1);
-        assert_eq!(h[0].tag, 9);
-        let quiet = NetStats::new(2);
-        quiet.record_send(0, 1, 9, 4);
-        assert!(quiet.history().is_empty());
-    }
-
-    #[test]
-    fn history_ring_wraps_and_counts_drops() {
-        let s = NetStats::with_history_capacity(2, true, 4);
-        for i in 0..10u64 {
-            s.record_send(0, 1, i as u32, i);
-        }
-        let h = s.history();
-        // Only the 4 most recent records survive, oldest retained first.
-        assert_eq!(h.len(), 4);
-        assert_eq!(h.iter().map(|r| r.bytes).collect::<Vec<_>>(), [6, 7, 8, 9]);
-        assert_eq!(s.dropped_records(), 6);
-        // The matrices are unaffected by eviction.
-        assert_eq!(s.total_messages(), 10);
-        assert_eq!(s.total_bytes(), (0..10).sum::<u64>());
-    }
-
-    #[test]
-    fn history_below_capacity_drops_nothing() {
-        let s = NetStats::with_history_capacity(2, true, 4);
-        s.record_send(0, 1, 0, 1);
-        assert_eq!(s.history().len(), 1);
-        assert_eq!(s.dropped_records(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_history_rejected() {
-        let _ = NetStats::with_history_capacity(2, true, 0);
     }
 
     #[test]
@@ -635,13 +513,13 @@ mod tests {
     fn clones_share_counters() {
         let s = NetStats::new(2);
         let s2 = s.clone();
-        s.record_send(0, 1, 0, 8);
+        s.record_send(0, 1, 8);
         assert_eq!(s2.total_bytes(), 8);
     }
 
     #[test]
     #[should_panic(expected = "host out of range")]
     fn rejects_out_of_range_host() {
-        NetStats::new(2).record_send(0, 2, 0, 1);
+        NetStats::new(2).record_send(0, 2, 1);
     }
 }

@@ -393,8 +393,7 @@ impl Transport for MemoryTransport {
 
     fn try_send(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), NetError> {
         assert!(dst < self.world_size(), "destination rank out of range");
-        self.stats
-            .record_send(self.rank, dst, tag, payload.len() as u64);
+        self.stats.record_send(self.rank, dst, payload.len() as u64);
         let mail = &self.wire.mailboxes[dst];
         let mut st = mail.state.lock();
         // A send to a departed endpoint vanishes silently, like a packet to

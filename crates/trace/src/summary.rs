@@ -1,10 +1,11 @@
 //! Plain-text per-run summary exporter.
 
-use crate::{Stage, Tracer, MODE_NAMES, NUM_SIZE_BUCKETS};
+use crate::{Stage, Tracer};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Renders the per-run summary: stage totals, wire-mode histogram,
-/// message-size histogram, and reliability/overflow counters.
+/// Renders the per-run summary: the truncation banner when a ring wrapped,
+/// stage totals, and the retained events counted per name.
 pub(crate) fn render(tracer: &Tracer, label: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== trace summary: {label} ==");
@@ -33,7 +34,7 @@ pub(crate) fn render(tracer: &Tracer, label: &str) -> String {
         counts[s.stage as usize] += 1;
         totals_ns[s.stage as usize] += s.dur_ns;
     }
-    let _ = writeln!(out, "{:<16} {:>10} {:>14}", "stage", "spans", "total secs");
+    let _ = writeln!(out, "{:<20} {:>10} {:>14}", "stage", "spans", "total secs");
     for stage in Stage::ALL {
         let i = stage as usize;
         if counts[i] == 0 {
@@ -41,68 +42,23 @@ pub(crate) fn render(tracer: &Tracer, label: &str) -> String {
         }
         let _ = writeln!(
             out,
-            "{:<16} {:>10} {:>14.6}",
+            "{:<20} {:>10} {:>14.6}",
             stage.name(),
             counts[i],
             totals_ns[i] as f64 / 1e9
         );
     }
 
-    let modes = tracer.wire_mode_histogram();
-    if !modes.is_empty() {
-        let _ = writeln!(out, "-- wire modes (messages per field) --");
-        let _ = write!(out, "{:<28}", "field");
-        for name in MODE_NAMES {
-            let _ = write!(out, " {name:>10}");
-        }
-        out.push('\n');
-        for (field, hist) in &modes {
-            let _ = write!(out, "{field:<28}");
-            for count in hist {
-                let _ = write!(out, " {count:>10}");
-            }
-            out.push('\n');
-        }
-        let _ = writeln!(out, "-- wire modes (payload bytes per field) --");
-        for (field, bytes) in &tracer.wire_mode_bytes() {
-            let _ = write!(out, "{field:<28}");
-            for b in bytes {
-                let _ = write!(out, " {b:>10}");
-            }
-            out.push('\n');
+    let mut per_name: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in tracer.events() {
+        *per_name.entry(e.name).or_default() += 1;
+    }
+    if !per_name.is_empty() {
+        let _ = writeln!(out, "{:<20} {:>10}", "event", "retained");
+        for (name, count) in per_name {
+            let _ = writeln!(out, "{name:<20} {count:>10}");
         }
     }
-
-    let sizes = tracer.message_size_histogram();
-    if sizes.iter().any(|&c| c > 0) {
-        let _ = writeln!(out, "-- message sizes (log2 buckets) --");
-        for (bucket, &count) in sizes.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let lo = 1u64 << bucket;
-            let hi = (1u64 << (bucket + 1)) - 1;
-            let range = if bucket == 0 {
-                "0-1 B".to_owned()
-            } else if bucket == NUM_SIZE_BUCKETS - 1 {
-                format!(">={lo} B")
-            } else {
-                format!("{lo}-{hi} B")
-            };
-            let _ = writeln!(out, "{range:<16} {count:>10}");
-        }
-    }
-
-    let _ = writeln!(
-        out,
-        "barrier wait: {:.6}s  retransmits: {}  dups suppressed: {}  decode errors: {}  dropped spans: {}  dropped events: {}",
-        tracer.barrier_wait_secs(),
-        tracer.retransmit_events(),
-        tracer.dup_events(),
-        tracer.decode_error_events(),
-        dropped_spans,
-        dropped_events
-    );
     out
 }
 
@@ -118,38 +74,43 @@ mod tests {
     }
 
     #[test]
-    fn summary_covers_all_recorded_sections() {
-        let t = Tracer::new(1);
+    fn summary_tables_stages_then_events_per_name() {
+        let t = Tracer::new(2);
         t.record_span(0, 0, Stage::Encode, None, 0, 2_000_000_000);
         t.record_span(0, 0, Stage::Send, Some(0), 0, 500_000_000);
-        t.record_wire_mode("MinField<u32>", 3, 300);
-        t.record_message_size(300);
-        t.record_event(0, "retransmit", 0, 64);
-        t.record_event(0, "decode_error", 0, 12);
-        t.add_barrier_wait(1_000_000);
+        t.record_event(0, "retransmit", 1, 64);
+        t.record_event(1, "retransmit", 0, 64);
+        t.record_event(0, "decode_error", 1, 12);
+        t.record_event(1, "peer_down", 0, 0);
+        t.record_event(1, "arena_miss", 0, 96);
         let s = t.summary("bfs");
         assert!(s.contains("trace summary: bfs"), "{s}");
         assert!(s.contains("encode"));
         assert!(s.contains("2.000000"));
-        assert!(s.contains("wire modes"));
-        assert!(s.contains("MinField<u32>"));
-        assert!(s.contains("indices"));
-        assert!(s.contains("256-511 B"));
-        assert!(s.contains("retransmits: 1"));
-        assert!(s.contains("decode errors: 1"));
-        assert!(s.contains("payload bytes per field"));
-        assert!(s.contains("same_run"));
+        let events_at = s.find("retained").expect("event table present");
+        assert!(s.find("stage").unwrap() < events_at, "{s}");
+        let line = |name: &str| {
+            s.lines()
+                .find(|l| l.split_whitespace().next() == Some(name))
+                .unwrap_or_else(|| panic!("no {name} line in {s}"))
+                .split_whitespace()
+                .nth(1)
+                .expect("a count")
+                .to_owned()
+        };
+        assert_eq!(line("retransmit"), "2");
+        assert_eq!(line("decode_error"), "1");
+        // Every name is counted, not only the reliability layer's.
+        assert_eq!(line("peer_down"), "1");
+        assert_eq!(line("arena_miss"), "1");
     }
 
     #[test]
     fn empty_enabled_summary_omits_optional_sections() {
         let s = Tracer::new(1).summary("idle");
-        assert!(!s.contains("wire modes"));
-        assert!(!s.contains("message sizes"));
+        assert!(s.contains("stage"));
+        assert!(!s.contains("retained"));
         assert!(!s.contains("TRACE TRUNCATED"));
-        assert!(s.contains("barrier wait: 0.000000s"));
-        assert!(s.contains("dropped spans: 0"));
-        assert!(s.contains("dropped events: 0"));
     }
 
     #[test]
@@ -168,9 +129,12 @@ mod tests {
         // The banner comes before any stage table or counters.
         assert!(banner_at < s.find("stage").unwrap(), "{s}");
         assert!(s.contains("3 spans, 1 events dropped"), "{s}");
-        assert!(s.contains("dropped spans: 3"));
-        assert!(s.contains("dropped events: 1"));
-        // Only the retained spans are tallied.
+        // Only the retained spans and events are tallied.
         assert!(s.contains("send") && s.contains("2"), "{s}");
+        assert!(
+            s.lines()
+                .any(|l| l.split_whitespace().eq(["retransmit", "2"])),
+            "{s}"
+        );
     }
 }

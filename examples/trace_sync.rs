@@ -3,11 +3,13 @@
 //! Runs BFS on 4 simulated hosts twice — once on the clean in-memory
 //! transport and once under the full `Reliable(Faulty(Memory))` chaos
 //! stack — with a `Tracer` attached, then prints the per-stage summary
-//! (extract / memo-translate / encode / send / recv-wait / decode / apply),
-//! the per-field wire-mode histogram, and the reliability events the chaos
-//! run produced. Both recordings are also exported as one Chrome
-//! trace-event JSON file: load it in `chrome://tracing` or Perfetto and
-//! each run appears as its own process with one track per simulated host.
+//! (extract / memo-translate / encode / send / recv-wait / decode / apply)
+//! and the retained reliability events per name. The tracer says *when*;
+//! how much traffic each wire mode carried is the metrics hub's to count
+//! (see the `run_report` example). Both recordings are also exported as
+//! one Chrome trace-event JSON file: load it in `chrome://tracing` or
+//! Perfetto and each run appears as its own process with one track per
+//! simulated host.
 //!
 //! Run with: `cargo run --release --example trace_sync`
 
@@ -53,10 +55,15 @@ fn main() {
         clean.int_labels, chaotic.int_labels,
         "chaos must not change results"
     );
+    let ticks = chaos_tracer
+        .events()
+        .iter()
+        .filter(|e| e.name == "retransmit")
+        .count();
     println!(
-        "faults injected: {} -> retransmit events in trace: {}",
+        "faults injected: {} -> frames retransmitted: {} ({ticks} retransmit ticks in the trace)",
         counters.total(),
-        chaos_tracer.retransmit_events()
+        chaotic.net.retransmit_messages
     );
 
     let mut chrome = ChromeTraceBuilder::new();

@@ -26,8 +26,9 @@
 #      counting allocator: steady-state sync rounds, push sweeps and
 #      bfs rounds allocate nothing;
 #   9. every bench compiles (`cargo bench --no-run`), the tracing bench
-#      runs (its zero-cost guard: a disabled tracer records nothing and
-#      leaves the byte/message counters identical), the pull kernel, the
+#      runs (its zero-cost guard: a disabled record call stays cheap, and
+#      a disabled or an enabled tracer leaves labels and byte/message
+#      counters identical), the pull kernel, the
 #      hand-off (8 hosts on however few cores) and the push kernel benches
 #      run their `--quick` passes (the push kernel's assertions: metered
 #      work, and a dense and a listed frontier activating the same), and
@@ -110,7 +111,7 @@ fi
 
 echo "==> cargo bench --no-run (benches must always compile)"
 cargo bench --no-run --workspace --quiet
-echo "==> tracing bench (the disabled tracer's zero-cost guard; 300s watchdog)"
+echo "==> tracing bench (the tracer's zero-cost and counter-identity guard; 300s watchdog)"
 watchdog 300 cargo bench --quiet -p gluon-bench --bench tracing
 echo "==> pull_kernel bench --quick (one-host pagerank sweep and f64 encode/decode on rmat12; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench pull_kernel -- --quick

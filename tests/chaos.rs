@@ -12,6 +12,7 @@
 use gluon_suite::algos::driver::{self, DistOutcome};
 use gluon_suite::algos::{Algorithm, DistConfig, EngineKind};
 use gluon_suite::graph::{gen, max_out_degree_node, Csr};
+use gluon_suite::metrics::MetricsHub;
 use gluon_suite::net::{
     run_cluster_wrapped, Communicator, FaultAction, FaultCounters, FaultPlan, FaultRule,
     FaultyTransport, MemoryTransport, NetError, NetStats, ReliableTransport, RetryPolicy,
@@ -344,8 +345,8 @@ fn heavy_reordering_alone_is_also_bit_identical() {
 /// `FaultyTransport` (no reliability wrapper) that flips one bit in every
 /// armed frame. Mangled sync payloads reach the decoder itself;
 /// `try_sync` must surface them as [`SyncError::Decode`] — never a panic,
-/// never a hang — and every incident must be counted identically by the
-/// context stats and the tracer.
+/// never a hang — and every incident must be booked once in the metrics
+/// hub and once in the trace's event ring.
 #[test]
 fn corrupted_frames_surface_as_decode_errors_not_panics() {
     const ROUNDS: u32 = 12;
@@ -353,6 +354,7 @@ fn corrupted_frames_surface_as_decode_errors_not_panics() {
     let mut total_decode_errors = 0u64;
     for seed in SEEDS {
         let tracer = Tracer::new(2);
+        let hub = MetricsHub::new(2);
         let counters = FaultCounters::new();
         let (results, _) = run_cluster_wrapped(
             2,
@@ -371,7 +373,8 @@ fn corrupted_frames_surface_as_decode_errors_not_panics() {
             |net| {
                 let comm = Communicator::with_tracer(net, tracer.clone());
                 let lg = partition_on_host(&g, Policy::Cvc, &comm);
-                let mut ctx = GluonContext::new(&lg, &comm, OptLevel::OSTI);
+                let mut ctx = GluonContext::new(&lg, &comm, OptLevel::OSTI)
+                    .with_metrics(hub.host(comm.rank()));
                 comm.try_barrier().expect("disarmed warm-up barrier");
                 net.arm();
                 let n = lg.num_proxies();
@@ -407,25 +410,29 @@ fn corrupted_frames_surface_as_decode_errors_not_panics() {
                         }
                     }
                 }
-                (ctx.stats().decode_errors, sync_errors)
+                sync_errors
             },
         );
         assert!(
             counters.corrupted() > 0,
             "seed {seed}: nothing was corrupted"
         );
-        let counted: u64 = results.iter().map(|&(c, _)| c).sum();
-        let surfaced: u64 = results.iter().map(|&(_, s)| s).sum();
+        let surfaced: u64 = results.iter().sum();
         assert_eq!(
-            counted, surfaced,
-            "seed {seed}: SyncStats decode_errors diverges from surfaced errors"
+            hub.counter_across_hosts("decode_errors"),
+            surfaced,
+            "seed {seed}: hub decode_errors diverges from surfaced errors"
         );
+        let traced = tracer
+            .events()
+            .iter()
+            .filter(|e| e.name == "decode_error")
+            .count() as u64;
         assert_eq!(
-            tracer.decode_error_events(),
-            counted,
-            "seed {seed}: tracer decode_error events diverge from SyncStats"
+            traced, surfaced,
+            "seed {seed}: decode_error events diverge from surfaced errors"
         );
-        total_decode_errors += counted;
+        total_decode_errors += surfaced;
     }
     // One flipped bit per frame lands in decoded-as-garbage values some of
     // the time, but across all seeds and rounds the validators must have

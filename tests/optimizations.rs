@@ -5,12 +5,12 @@
 use gluon_suite::algos::{driver, Algorithm, DistConfig, EngineKind};
 use gluon_suite::gemini::{self, GeminiAlgo};
 use gluon_suite::graph::{gen, max_out_degree_node};
+use gluon_suite::metrics::{MetricsHub, MODE_MSG_COUNTER_NAMES};
 use gluon_suite::net::{run_cluster, Communicator};
 use gluon_suite::partition::{partition_on_host, Policy};
 use gluon_suite::substrate::{
     DenseBitset, GluonContext, MinField, OptLevel, ReadLocation, SyncSpec, WriteLocation,
 };
-use gluon_suite::trace::Tracer;
 
 fn bytes_for(opts: OptLevel, policy: Policy, algo: Algorithm) -> u64 {
     let g = gen::twitter_like(4_000, 16, 31);
@@ -175,15 +175,16 @@ fn gluon_beats_gemini_on_volume_for_every_benchmark() {
 fn sparse_round_never_picks_dense_encoding() {
     // §4.2: the substrate picks the smallest encoding per message. In a
     // round where each host updates at most one mirror of a long mirror
-    // list, the per-field wire-mode histogram must show only the compact
+    // list, the hub's per-mode message counters must show only the compact
     // encodings — empty, bitvec, or indices — and never a dense value list.
     let g = gen::twitter_like(4_000, 16, 37);
     let hosts = 4;
-    let tracer = Tracer::new(hosts);
+    let hub = MetricsHub::new(hosts);
     run_cluster(hosts, |ep| {
-        let comm = Communicator::with_tracer(ep, tracer.clone());
+        let comm = Communicator::new(ep);
         let lg = partition_on_host(&g, Policy::Cvc, &comm);
-        let mut ctx = GluonContext::new(&lg, &comm, OptLevel::OTI);
+        let mut ctx =
+            GluonContext::new(&lg, &comm, OptLevel::OTI).with_metrics(hub.host(lg.host()));
         let n = lg.num_proxies();
         let mut vals = vec![u32::MAX; n as usize];
         let mut bits = DenseBitset::new(n);
@@ -201,21 +202,21 @@ fn sparse_round_never_picks_dense_encoding() {
         let spec = SyncSpec::full(WriteLocation::Destination, ReadLocation::Source);
         ctx.sync(&spec, &mut field, &mut bits);
     });
-    let hist = tracer.wire_mode_histogram();
-    assert!(!hist.is_empty(), "sync recorded no wire modes");
     // Mode counts are indexed [empty, dense, bitvec, indices, gid_values,
     // idx_delta, run_len, same_idx, same_run].
-    let mut compact = 0u64;
-    for (field, counts) in &hist {
-        assert_eq!(
-            counts[1], 0,
-            "{field}: a sparse round must never pick Dense ({counts:?})"
-        );
-        compact += counts[2] + counts[3] + counts[5] + counts[6] + counts[7] + counts[8];
-    }
+    let counts = MODE_MSG_COUNTER_NAMES.map(|name| hub.counter_across_hosts(name));
+    assert!(
+        counts.iter().sum::<u64>() > 0,
+        "sync recorded no wire modes"
+    );
+    assert_eq!(
+        counts[1], 0,
+        "a sparse round must never pick Dense ({counts:?})"
+    );
+    let compact = counts[2] + counts[3] + counts[5] + counts[6] + counts[7] + counts[8];
     assert!(
         compact > 0,
-        "expected bitvec/indices messages, got {hist:?}"
+        "expected bitvec/indices messages, got {counts:?}"
     );
 }
 

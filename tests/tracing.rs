@@ -1,9 +1,11 @@
 //! Integration tests for `gluon-trace`: span-sum exactness, Chrome trace
-//! schema, zero-cost-when-disabled identity, and chaos retransmit tagging.
+//! schema, counter identity with the tracer off or on, and chaos
+//! retransmit tagging that agrees with the metrics hub.
 
 use gluon_suite::algos::{driver, Algorithm, DistConfig, DistOutcome};
 use gluon_suite::graph::{gen, max_out_degree_node};
-use gluon_suite::net::{FaultCounters, FaultPlan, FaultyTransport, ReliableTransport};
+use gluon_suite::metrics::{MetricsHub, NetMetrics};
+use gluon_suite::net::{FaultCounters, FaultPlan, FaultyTransport, ReliableTransport, Transport};
 use gluon_suite::trace::{ChromeTraceBuilder, Stage, Tracer, SETUP_PHASE};
 use std::collections::HashMap;
 
@@ -142,7 +144,6 @@ fn setup_and_collective_spans_are_recorded() {
             "host {host}: partition span overlaps the memo span"
         );
     }
-    assert!(tracer.barrier_wait_secs() >= 0.0);
 }
 
 #[test]
@@ -150,28 +151,36 @@ fn disabled_tracer_leaves_counters_bit_identical() {
     let g = gen::rmat(8, 8, Default::default(), 11);
     let cfg = DistConfig::new(3);
     let plain = driver::Run::new(&g, Algorithm::Sssp).config(&cfg).launch();
-    let disabled = Tracer::disabled();
-    let traced = driver::Run::new(&g, Algorithm::Sssp)
-        .config(&cfg)
-        .tracer(&disabled)
-        .launch();
-    assert_eq!(plain.run.total_bytes, traced.run.total_bytes);
-    assert_eq!(plain.run.total_messages, traced.run.total_messages);
-    assert_eq!(plain.run.max_host_bytes, traced.run.max_host_bytes);
-    assert_eq!(plain.rounds, traced.rounds);
-    assert_eq!(plain.int_labels, traced.int_labels);
-    // Per-phase byte/message counters are exactly reproducible too.
-    for (a, b) in plain.host_stats.iter().zip(&traced.host_stats) {
-        assert_eq!(a.phases.len(), b.phases.len());
-        for (pa, pb) in a.phases.iter().zip(&b.phases) {
-            assert_eq!(pa.bytes_sent, pb.bytes_sent);
-            assert_eq!(pa.messages_sent, pb.messages_sent);
+    // The tracer records when, never how much: off or on, every counter
+    // of the run is exactly the untraced one.
+    for tracer in [Tracer::disabled(), Tracer::new(cfg.hosts)] {
+        let on = tracer.is_enabled();
+        let traced = driver::Run::new(&g, Algorithm::Sssp)
+            .config(&cfg)
+            .tracer(&tracer)
+            .launch();
+        assert_eq!(
+            plain.run.total_bytes, traced.run.total_bytes,
+            "enabled: {on}"
+        );
+        assert_eq!(plain.run.total_messages, traced.run.total_messages);
+        assert_eq!(plain.run.max_host_bytes, traced.run.max_host_bytes);
+        assert_eq!(plain.rounds, traced.rounds);
+        assert_eq!(plain.int_labels, traced.int_labels, "enabled: {on}");
+        // Per-phase byte/message counters are exactly reproducible too.
+        for (a, b) in plain.host_stats.iter().zip(&traced.host_stats) {
+            assert_eq!(a.phases.len(), b.phases.len());
+            for (pa, pb) in a.phases.iter().zip(&b.phases) {
+                assert_eq!(pa.bytes_sent, pb.bytes_sent, "enabled: {on}");
+                assert_eq!(pa.messages_sent, pb.messages_sent, "enabled: {on}");
+            }
+        }
+        // The disabled tracer recorded nothing; the enabled one did.
+        assert_eq!(!tracer.spans().is_empty(), on);
+        if !on {
+            assert!(tracer.events().is_empty());
         }
     }
-    // And the disabled tracer recorded nothing.
-    assert!(disabled.spans().is_empty());
-    assert!(disabled.events().is_empty());
-    assert!(disabled.wire_mode_histogram().is_empty());
 }
 
 #[test]
@@ -180,37 +189,43 @@ fn chaos_runs_tag_retransmissions_in_the_trace() {
     let cfg = DistConfig::new(4);
     let clean = driver::Run::new(&g, Algorithm::Bfs).config(&cfg).launch();
     let tracer = Tracer::new(cfg.hosts);
+    let hub = MetricsHub::new(cfg.hosts);
     let counters = FaultCounters::new();
     let out = driver::Run::new(&g, Algorithm::Bfs)
         .config(&cfg)
         .source(max_out_degree_node(&g))
         .pagerank(Default::default())
         .tracer(&tracer)
+        .metrics(&hub)
         .transport(|ep| {
+            let metrics = NetMetrics::register(&hub.host(ep.rank()));
             ReliableTransport::over(FaultyTransport::new(
                 ep,
                 FaultPlan::lossy(7),
                 counters.clone(),
             ))
             .with_tracer(tracer.clone())
+            .with_metrics(metrics)
         })
         .launch();
     assert_eq!(out.int_labels, clean.int_labels, "chaos changed results");
     assert!(counters.total() > 0, "fault plan injected nothing");
-    assert!(
-        tracer.retransmit_events() > 0,
-        "no retransmissions tagged in the trace"
-    );
+    // Every event was retained, so the ring can be counted against the
+    // hub and the transport's books.
+    assert_eq!(tracer.dropped_events(), 0);
     let events = tracer.events();
     let retx: Vec<_> = events.iter().filter(|e| e.name == "retransmit").collect();
-    assert_eq!(retx.len() as u64, tracer.retransmit_events());
+    assert!(!retx.is_empty(), "no retransmissions tagged in the trace");
     for e in &retx {
         assert!(e.host < cfg.hosts && e.peer < cfg.hosts);
         assert!(e.bytes > 0, "retransmitted frames carry wire bytes");
     }
-    // The trace agrees with the NetStats reliability counters.
-    assert_eq!(tracer.retransmit_events(), out.net.retransmit_messages);
-    assert_eq!(tracer.dup_events(), out.net.dup_suppressed);
+    let dups = events.iter().filter(|e| e.name == "dup_suppressed").count() as u64;
+    // The trace, the hub and NetStats book each frame once, and agree.
+    assert_eq!(retx.len() as u64, hub.counter_across_hosts("retransmits"));
+    assert_eq!(retx.len() as u64, out.net.retransmit_messages);
+    assert_eq!(dups, hub.counter_across_hosts("dups_suppressed"));
+    assert_eq!(dups, out.net.dup_suppressed);
 }
 
 // ---------------------------------------------------------------------------
