@@ -20,9 +20,10 @@
 //!   an in-process run yields.
 //! - **Worker** ([`gluon_host_main`], wrapped by the `gluon-host`
 //!   binary): bootstraps its endpoint (lead or join), runs the shared
-//!   fallible host program, and writes its masters + statistics as a
-//!   JSON document. Every `f64` crosses the wire as `f64::to_bits()`,
-//!   so pagerank ranks survive the round trip bit-for-bit.
+//!   fallible host program, and writes its masters, statistics, registries
+//!   and round series as one [`CheckpointSnapshot`] record (CRC-checked,
+//!   values in their wire bytes), so pagerank ranks survive the round
+//!   trip bit-for-bit.
 //! - **Supervision**: the parent is the process half of the driver's one
 //!   supervisor loop. Its host set (`Workers`) runs an attempt as spawn,
 //!   rendezvous hand-off, watchdog and result files; the loop it shares
@@ -41,12 +42,9 @@ use crate::driver::{
     DistOutcome, Failed, FailurePolicy, HostResult, HostSet, Input, Run, Stop, Workload,
 };
 use crate::{Algorithm, EngineKind, PagerankConfig};
-use gluon::{CheckpointStore, PhaseStats, SyncError, SyncStats};
+use gluon::{CheckpointSnapshot, CheckpointStore, PhaseStats, SyncError, SyncStats, SyncValue};
 use gluon_graph::{io as graph_io, max_out_degree_node, Csr, Gid};
-use gluon_metrics::json::Json;
-use gluon_metrics::{
-    MetricValue, MetricsHub, Registry, RoundSample, NUM_ROUND_STAGES, NUM_WIRE_MODES,
-};
+use gluon_metrics::{MetricValue, MetricsHub, RoundSample, NUM_ROUND_STAGES, NUM_WIRE_MODES};
 use gluon_net::{
     join, CancelToken, CostModel, NetError, NetStats, Rendezvous, SocketKind, SocketTransport,
     StatsSnapshot, Transport,
@@ -201,9 +199,6 @@ struct WorkerReport {
     registries: [Vec<(String, MetricValue)>; 3],
     series: Vec<RoundSample>,
 }
-
-/// The codec keys of [`WorkerReport::registries`].
-const REGISTRY_KEYS: [&str; 3] = ["deterministic", "observed", "cluster"];
 
 fn unique_scratch_dir() -> std::io::Result<PathBuf> {
     static UNIQUE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -373,22 +368,7 @@ impl<'a> Workers<'a> {
     }
 
     fn out_path(&self, rank: usize) -> PathBuf {
-        self.scratch.join(format!("out-{rank}.json"))
-    }
-
-    fn read_report(&self, rank: usize) -> Result<WorkerReport, LaunchError> {
-        let path = self.out_path(rank);
-        let text = std::fs::read_to_string(&path)?;
-        let report = decode_report(&text)
-            .map_err(|e| LaunchError::Fatal(format!("rank {rank} result file: {e}")))?;
-        if report.rank != rank {
-            return Err(LaunchError::Fatal(format!(
-                "result file {} claims rank {}",
-                path.display(),
-                report.rank
-            )));
-        }
-        Ok(report)
+        self.scratch.join(format!("out-{rank}.bin"))
     }
 }
 
@@ -502,7 +482,7 @@ impl HostSet for Workers<'_> {
             return Err(Failed::Host(rank, line));
         }
         let reports = (0..hosts)
-            .map(|rank| self.read_report(rank))
+            .map(|rank| decode_report(rank, &std::fs::read(self.out_path(rank))?))
             .collect::<Result<Vec<_>, _>>()
             .map_err(Failed::Fatal)?;
         merge_reports(self.nodes, reports, &self.hub).map_err(Failed::Fatal)
@@ -533,10 +513,10 @@ fn stderr_of(child: &mut Child) -> String {
     err
 }
 
-/// What only the process backend adds to [`assemble`]: check and sum the
-/// per-rank traffic matrices (each worker's has only its own row, since
-/// sends are recorded at the source), and import every worker's
-/// registries and round series into the same places of `hub`.
+/// What only the process backend adds to [`assemble`]: place each worker's
+/// row of the traffic matrices (sends are recorded at the source, so the
+/// rest of its matrix is empty), sum the scalars, and import every
+/// worker's registries and round series into the same places of `hub`.
 fn merge_reports(
     n: usize,
     reports: Vec<WorkerReport>,
@@ -554,18 +534,15 @@ fn merge_reports(
     };
     let mut per_host = Vec::with_capacity(world);
     for r in reports {
-        if r.net_bytes.len() != world * world || r.net_messages.len() != world * world {
+        if r.net_bytes.len() != world || r.net_messages.len() != world {
             return Err(LaunchError::Fatal(format!(
-                "rank {} shipped a traffic matrix sized for a different world",
+                "rank {} shipped a traffic row sized for a different world",
                 r.rank
             )));
         }
-        for (acc, v) in net.bytes.iter_mut().zip(&r.net_bytes) {
-            *acc += v;
-        }
-        for (acc, v) in net.messages.iter_mut().zip(&r.net_messages) {
-            *acc += v;
-        }
+        let row = r.rank * world..(r.rank + 1) * world;
+        net.bytes[row.clone()].copy_from_slice(&r.net_bytes);
+        net.messages[row].copy_from_slice(&r.net_messages);
         let scalars = [
             &mut net.retransmit_bytes,
             &mut net.retransmit_messages,
@@ -594,312 +571,186 @@ fn merge_reports(
 // Worker result codec
 // ---------------------------------------------------------------------------
 //
-// No serialization framework is vendored, but `gluon_metrics::json::Json`
-// parses and renders losslessly, so the result file is a JSON document in
-// which every f64 travels as its `to_bits()` u64 — the parent reassembles
-// pagerank ranks and timings bit-for-bit.
+// A worker's report is its host's `CheckpointSnapshot` taken after its last
+// round: the CRC-checked binary record a checkpoint file holds, with every
+// value in its `SyncValue` wire bytes, so pagerank ranks and timings arrive
+// bit-for-bit. Each registry metric is one field named by its side (`d:`,
+// `o:` or `c:`, then the metric name) holding `[kind, value…]`.
 
-fn jbits(v: f64) -> Json {
-    Json::from(v.to_bits())
-}
+/// The field-name prefixes of [`WorkerReport::registries`], in order.
+const REGISTRY_SIDES: [&str; 3] = ["d:", "o:", "c:"];
+/// The `kind` word opening a registry field.
+const KIND_COUNTER: u64 = 0;
+const KIND_GAUGE: u64 = 1;
+const KIND_HISTOGRAM: u64 = 2;
+/// One round-series row: round, stage times, mode bytes, five scalars.
+const SERIES_WIDTH: usize = 1 + NUM_ROUND_STAGES + NUM_WIRE_MODES + 5;
+/// One [`PhaseStats`]: its two timings, then its four counters.
+type PhaseRow = ((f64, f64), ((u64, u64), (u64, u64)));
 
-fn ju64s(vs: impl IntoIterator<Item = u64>) -> Json {
-    Json::Arr(vs.into_iter().map(Json::from).collect())
-}
-
-fn registry_entries(registry: &Registry) -> Json {
-    Json::Arr(
-        registry
-            .snapshot()
-            .into_iter()
-            .map(|(name, value)| {
-                let v = match value {
-                    MetricValue::Counter(c) => ("c", Json::from(c)),
-                    MetricValue::Gauge(g) => ("g", Json::from(g)),
-                    MetricValue::Histogram {
-                        buckets,
-                        count,
-                        sum,
-                    } => (
-                        "h",
-                        Json::obj([
-                            ("b", ju64s(buckets)),
-                            ("c", Json::from(count)),
-                            ("s", Json::from(sum)),
-                        ]),
-                    ),
-                };
-                Json::obj([("n", Json::from(name)), v])
-            })
-            .collect(),
-    )
-}
-
-fn encode_report(rank: usize, hr: &HostResult, stats: &NetStats, hub: &MetricsHub) -> Json {
-    let snap = stats.snapshot();
+fn encode_report(rank: usize, hr: &HostResult, stats: &NetStats, hub: &MetricsHub) -> Vec<u8> {
+    let net = stats.snapshot();
+    let row = rank * net.world_size..(rank + 1) * net.world_size;
     let host = hub.host(rank);
-    let series = Json::Arr(
-        host.series()
-            .rows()
-            .into_iter()
-            .map(|s| {
-                let mut row = vec![s.round];
-                row.extend(s.stage_ns);
-                row.extend(s.mode_bytes);
-                row.extend([
-                    s.bytes_sent,
-                    s.messages_sent,
-                    s.retransmits,
-                    s.pool_hits,
-                    s.pool_misses,
-                ]);
-                ju64s(row)
-            })
-            .collect(),
+    let mut snap = CheckpointSnapshot::new(u64::from(hr.rounds));
+    snap.put_values("rank", &[rank as u64]);
+    snap.put_values("masters_int", &hr.masters_int);
+    snap.put_values("masters_f64", &hr.masters_f64);
+    let phases = hr.stats.phases.iter().map(|p| {
+        let bytes = (p.bytes_sent, p.messages_sent);
+        let work = (p.work_units, p.crit_work_units);
+        ((p.compute_secs, p.comm_secs), (bytes, work))
+    });
+    snap.put_values::<PhaseRow>("phases", &phases.collect::<Vec<_>>());
+    let timings = [hr.algo_secs, hr.partition_secs, hr.stats.memo_secs];
+    snap.put_values("timings", &timings);
+    snap.put_values(
+        "scalars",
+        &[
+            hr.stats.memo_bytes,
+            hr.stats.steady_state_allocs,
+            hr.num_proxies,
+            hr.num_local_edges,
+            u64::from(hr.global_nodes),
+            hr.global_edges,
+        ],
     );
+    snap.put_values("net_bytes", &net.bytes[row.clone()]);
+    snap.put_values("net_messages", &net.messages[row]);
+    snap.put_values(
+        "net_scalars",
+        &[
+            net.retransmit_bytes,
+            net.retransmit_messages,
+            net.dup_suppressed,
+            net.corruption_detected,
+        ],
+    );
+    let rows = host.series().rows();
+    let series = rows.iter().flat_map(|s| {
+        let sent = [s.bytes_sent, s.messages_sent, s.retransmits];
+        let pool = [s.pool_hits, s.pool_misses];
+        [&[s.round][..], &s.stage_ns, &s.mode_bytes, &sent, &pool].concat()
+    });
+    snap.put_values("series", &series.collect::<Vec<_>>());
     let registries = [host.deterministic(), host.observed(), &hub.cluster()];
-    let mut doc = vec![
-        ("rank", Json::from(rank)),
-        ("rounds", Json::from(hr.rounds)),
-        ("algo_secs_bits", jbits(hr.algo_secs)),
-        ("partition_secs_bits", jbits(hr.partition_secs)),
-        (
-            "masters_int",
-            Json::Arr(
-                hr.masters_int
-                    .iter()
-                    .map(|&(g, v)| ju64s([u64::from(g), u64::from(v)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "masters_f64",
-            Json::Arr(
-                hr.masters_f64
-                    .iter()
-                    .map(|&(g, v)| ju64s([u64::from(g), v.to_bits()]))
-                    .collect(),
-            ),
-        ),
-        (
-            "stats",
-            Json::obj([
-                (
-                    "phases",
-                    Json::Arr(
-                        hr.stats
-                            .phases
-                            .iter()
-                            .map(|p| {
-                                ju64s([
-                                    p.compute_secs.to_bits(),
-                                    p.comm_secs.to_bits(),
-                                    p.bytes_sent,
-                                    p.messages_sent,
-                                    p.work_units,
-                                    p.crit_work_units,
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("memo_secs_bits", jbits(hr.stats.memo_secs)),
-                ("memo_bytes", Json::from(hr.stats.memo_bytes)),
-                (
-                    "steady_state_allocs",
-                    Json::from(hr.stats.steady_state_allocs),
-                ),
-            ]),
-        ),
-        (
-            "partition",
-            Json::obj([
-                ("num_proxies", Json::from(hr.num_proxies)),
-                ("num_local_edges", Json::from(hr.num_local_edges)),
-                ("global_nodes", Json::from(hr.global_nodes)),
-                ("global_edges", Json::from(hr.global_edges)),
-            ]),
-        ),
-        (
-            "net",
-            Json::obj([
-                ("bytes", ju64s(snap.bytes)),
-                ("messages", ju64s(snap.messages)),
-                (
-                    "scalars",
-                    ju64s([
-                        snap.retransmit_bytes,
-                        snap.retransmit_messages,
-                        snap.dup_suppressed,
-                        snap.corruption_detected,
-                    ]),
-                ),
-            ]),
-        ),
-        ("series", series),
-    ];
-    doc.extend(
-        REGISTRY_KEYS
-            .into_iter()
-            .zip(registries.map(registry_entries)),
-    );
-    Json::obj(doc)
-}
-
-fn field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("missing field {key}"))
-}
-
-fn as_u64(j: &Json, key: &str) -> Result<u64, String> {
-    field(j, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key} is not an integer"))
-}
-
-fn u64_items(j: &Json, what: &str) -> Result<Vec<u64>, String> {
-    j.items()
-        .ok_or_else(|| format!("{what} is not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("{what} holds a non-integer"))
-        })
-        .collect()
-}
-
-fn decode_registry(j: &Json, key: &str) -> Result<Vec<(String, MetricValue)>, String> {
-    field(j, key)?
-        .items()
-        .ok_or_else(|| format!("{key} is not an array"))?
-        .iter()
-        .map(|entry| {
-            let name = field(entry, "n")?
-                .as_str()
-                .ok_or("registry entry without a name")?
-                .to_string();
-            let value = if let Some(c) = entry.get("c") {
-                MetricValue::Counter(c.as_u64().ok_or("bad counter")?)
-            } else if let Some(g) = entry.get("g") {
-                MetricValue::Gauge(g.as_u64().ok_or("bad gauge")?)
-            } else if let Some(h) = entry.get("h") {
+    for (side, registry) in REGISTRY_SIDES.into_iter().zip(registries) {
+        for (name, value) in registry.snapshot() {
+            let entry = match value {
+                MetricValue::Counter(c) => vec![KIND_COUNTER, c],
+                MetricValue::Gauge(g) => vec![KIND_GAUGE, g],
                 MetricValue::Histogram {
-                    buckets: u64_items(field(h, "b")?, "histogram buckets")?,
-                    count: as_u64(h, "c")?,
-                    sum: as_u64(h, "s")?,
-                }
-            } else {
-                return Err(format!("registry entry {name} has no value"));
+                    buckets,
+                    count,
+                    sum,
+                } => [KIND_HISTOGRAM, count, sum]
+                    .into_iter()
+                    .chain(buckets)
+                    .collect(),
             };
-            Ok((name, value))
-        })
-        .collect()
+            snap.put_values(&format!("{side}{name}"), &entry);
+        }
+    }
+    snap.to_bytes()
 }
 
-fn pairs(j: &Json, what: &str) -> Result<Vec<(u64, u64)>, String> {
-    j.items()
-        .ok_or_else(|| format!("{what} is not an array"))?
-        .iter()
-        .map(|row| {
-            let row = u64_items(row, what)?;
-            if row.len() != 2 {
-                return Err(format!("{what} row is not a pair"));
-            }
-            Ok((row[0], row[1]))
+/// Field `name` of rank `rank`'s report as `T`: its values, whole or as a
+/// fixed-size array. Anything else is a [`LaunchError::Fatal`] naming both.
+fn field<T: TryFrom<Vec<V>>, V: SyncValue>(
+    snap: &CheckpointSnapshot,
+    rank: usize,
+    name: &str,
+) -> Result<T, LaunchError> {
+    snap.values(name)
+        .and_then(|v| T::try_from(v).ok())
+        .ok_or_else(|| {
+            LaunchError::Fatal(format!(
+                "rank {rank} result file: field {name} is missing or malformed"
+            ))
         })
-        .collect()
 }
 
-fn decode_report(text: &str) -> Result<WorkerReport, String> {
-    let j = Json::parse(text).map_err(|e| format!("unparsable JSON: {e:?}"))?;
-    let rank = as_u64(&j, "rank")? as usize;
-    let masters_int = pairs(field(&j, "masters_int")?, "masters_int")?
-        .into_iter()
-        .map(|(g, v)| (g as u32, v as u32))
-        .collect();
-    let masters_f64 = pairs(field(&j, "masters_f64")?, "masters_f64")?
-        .into_iter()
-        .map(|(g, bits)| (g as u32, f64::from_bits(bits)))
-        .collect();
-    let stats_j = field(&j, "stats")?;
-    let phases = field(stats_j, "phases")?
-        .items()
-        .ok_or("stats.phases is not an array")?
-        .iter()
-        .map(|row| {
-            let row = u64_items(row, "stats.phases")?;
-            if row.len() != 6 {
-                return Err("stats.phases row is not 6-wide".to_string());
-            }
-            Ok(PhaseStats {
-                compute_secs: f64::from_bits(row[0]),
-                comm_secs: f64::from_bits(row[1]),
-                bytes_sent: row[2],
-                messages_sent: row[3],
-                work_units: row[4],
-                crit_work_units: row[5],
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let stats = SyncStats {
-        phases,
-        memo_secs: f64::from_bits(as_u64(stats_j, "memo_secs_bits")?),
-        memo_bytes: as_u64(stats_j, "memo_bytes")?,
-        steady_state_allocs: as_u64(stats_j, "steady_state_allocs")?,
-    };
-    let part = field(&j, "partition")?;
-    let net = field(&j, "net")?;
-    let net_scalars_v = u64_items(field(net, "scalars")?, "net.scalars")?;
-    let net_scalars: [u64; 4] = net_scalars_v
-        .try_into()
-        .map_err(|_| "net.scalars is not 4-wide".to_string())?;
-    let [deterministic, observed, cluster] = REGISTRY_KEYS.map(|key| decode_registry(&j, key));
-    let registries = [deterministic?, observed?, cluster?];
-    const SERIES_WIDTH: usize = 1 + NUM_ROUND_STAGES + NUM_WIRE_MODES + 5;
-    let series = field(&j, "series")?
-        .items()
-        .ok_or("series is not an array")?
-        .iter()
-        .map(|row| {
-            let row = u64_items(row, "series")?;
-            if row.len() != SERIES_WIDTH {
-                return Err("series row has the wrong width".to_string());
-            }
-            let mut s = RoundSample {
-                round: row[0],
-                ..RoundSample::default()
-            };
-            s.stage_ns.copy_from_slice(&row[1..1 + NUM_ROUND_STAGES]);
-            let modes = 1 + NUM_ROUND_STAGES;
-            s.mode_bytes
-                .copy_from_slice(&row[modes..modes + NUM_WIRE_MODES]);
-            let tail = modes + NUM_WIRE_MODES;
-            s.bytes_sent = row[tail];
-            s.messages_sent = row[tail + 1];
-            s.retransmits = row[tail + 2];
-            s.pool_hits = row[tail + 3];
-            s.pool_misses = row[tail + 4];
-            Ok(s)
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+/// Decodes rank `rank`'s result file: a whole, CRC-valid record with every
+/// field well-formed, or a [`LaunchError::Fatal`].
+fn decode_report(rank: usize, bytes: &[u8]) -> Result<WorkerReport, LaunchError> {
+    let bad = |what: &str| LaunchError::Fatal(format!("rank {rank} result file: {what}"));
+    let snap = CheckpointSnapshot::from_bytes(bytes).ok_or_else(|| bad("corrupt or truncated"))?;
+    let [claimed] = field::<[u64; 1], _>(&snap, rank, "rank")?;
+    if claimed != rank as u64 {
+        return Err(bad(&format!("field rank claims rank {claimed}")));
+    }
+    let phases = field::<Vec<PhaseRow>, _>(&snap, rank, "phases")?;
+    let phases = phases.into_iter().map(|(secs, (bytes, work))| PhaseStats {
+        compute_secs: secs.0,
+        comm_secs: secs.1,
+        bytes_sent: bytes.0,
+        messages_sent: bytes.1,
+        work_units: work.0,
+        crit_work_units: work.1,
+    });
+    let [algo_secs, partition_secs, memo_secs] = field::<[f64; 3], _>(&snap, rank, "timings")?;
+    let [memo_bytes, steady_state_allocs, num_proxies, num_local_edges, global_nodes, global_edges] =
+        field::<[u64; 6], _>(&snap, rank, "scalars")?;
+    let series = field::<Vec<u64>, _>(&snap, rank, "series")?;
+    if !series.len().is_multiple_of(SERIES_WIDTH) {
+        return Err(bad("field series is not whole rows"));
+    }
+    let series = series.chunks_exact(SERIES_WIDTH).map(|row| {
+        let (stage_ns, rest) = row[1..].split_at(NUM_ROUND_STAGES);
+        let (mode_bytes, tail) = rest.split_at(NUM_WIRE_MODES);
+        RoundSample {
+            round: row[0],
+            stage_ns: stage_ns.try_into().expect("whole rows"),
+            mode_bytes: mode_bytes.try_into().expect("whole rows"),
+            bytes_sent: tail[0],
+            messages_sent: tail[1],
+            retransmits: tail[2],
+            pool_hits: tail[3],
+            pool_misses: tail[4],
+        }
+    });
+    let mut registries: [Vec<(String, MetricValue)>; 3] = Default::default();
+    for name in snap.names() {
+        let Some(side) = REGISTRY_SIDES.iter().position(|p| name.starts_with(p)) else {
+            continue;
+        };
+        let value = match field::<Vec<u64>, _>(&snap, rank, name)?[..] {
+            [KIND_COUNTER, c] => MetricValue::Counter(c),
+            [KIND_GAUGE, g] => MetricValue::Gauge(g),
+            [KIND_HISTOGRAM, count, sum, ref buckets @ ..] => MetricValue::Histogram {
+                buckets: buckets.to_vec(),
+                count,
+                sum,
+            },
+            _ => return Err(bad(&format!("field {name} holds an unknown kind"))),
+        };
+        registries[side].push((name[REGISTRY_SIDES[side].len()..].to_owned(), value));
+    }
     Ok(WorkerReport {
         rank,
         host: HostResult {
-            masters_int,
-            masters_f64,
-            rounds: as_u64(&j, "rounds")? as u32,
-            stats,
-            algo_secs: f64::from_bits(as_u64(&j, "algo_secs_bits")?),
-            partition_secs: f64::from_bits(as_u64(&j, "partition_secs_bits")?),
-            num_proxies: as_u64(part, "num_proxies")?,
-            num_local_edges: as_u64(part, "num_local_edges")?,
-            global_nodes: as_u64(part, "global_nodes")? as u32,
-            global_edges: as_u64(part, "global_edges")?,
+            masters_int: field(&snap, rank, "masters_int")?,
+            masters_f64: field(&snap, rank, "masters_f64")?,
+            rounds: u32::try_from(snap.round()).map_err(|_| bad("round header overflows"))?,
+            stats: SyncStats {
+                phases: phases.collect(),
+                memo_secs,
+                memo_bytes,
+                steady_state_allocs,
+            },
+            algo_secs,
+            partition_secs,
+            num_proxies,
+            num_local_edges,
+            global_nodes: u32::try_from(global_nodes)
+                .map_err(|_| bad("field scalars overflows"))?,
+            global_edges,
         },
-        net_bytes: u64_items(field(net, "bytes")?, "net.bytes")?,
-        net_messages: u64_items(field(net, "messages")?, "net.messages")?,
-        net_scalars,
+        net_bytes: field(&snap, rank, "net_bytes")?,
+        net_messages: field(&snap, rank, "net_messages")?,
+        net_scalars: field::<[u64; 4], _>(&snap, rank, "net_scalars")?,
         registries,
-        series,
+        series: series.collect(),
     })
 }
 
@@ -1120,8 +971,8 @@ fn run_worker(args: &WorkerArgs, transport: CrashAt<SocketTransport>, stats: Net
     match result {
         Ok(hr) => {
             publish_socket_counters(&hub, &stats);
-            let doc = encode_report(rank, &hr, &stats, &hub);
-            if let Err(e) = std::fs::write(&args.out, doc.render()) {
+            let report = encode_report(rank, &hr, &stats, &hub);
+            if let Err(e) = std::fs::write(&args.out, report) {
                 return worker_fail(rank, format!("cannot write result: {e}"), EXIT_BOOTSTRAP);
             }
             0
@@ -1187,18 +1038,17 @@ fn run_smoke() -> i32 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn report_codec_round_trips_bit_for_bit() {
-        // Build a small real HostResult by running one host in-process.
-        let graph = gluon_graph::gen::rmat(6, 4, Default::default(), 5);
+    /// A report from a real one-host pagerank run on an rmat graph of
+    /// `scale`, with a metric of every kind and side and one round sample.
+    fn sample_report(scale: u32) -> (HostResult, NetStats, MetricsHub) {
+        let graph = gluon_graph::gen::rmat(scale, 4, Default::default(), 5);
         let out = Run::new(&graph, Algorithm::Pagerank).hosts(1).launch();
-        // Synthesize a report from the outcome's pieces plus a populated
-        // hub, then decode it and compare every field.
         let hub = MetricsHub::new(2);
         let host = hub.host(0);
         host.deterministic().counter("rounds").add(9);
         host.deterministic().histogram("payload").observe(300);
         host.observed().counter("stage_send_ns").add(1234);
+        host.observed().gauge("peers_down").set(2);
         hub.cluster().counter("net_socket_frames_sent").add(5);
         host.series().push(RoundSample {
             round: 3,
@@ -1225,8 +1075,16 @@ mod tests {
             global_nodes: 13,
             global_edges: 14,
         };
-        let doc = encode_report(0, &hr, &stats, &hub).render();
-        let decoded = decode_report(&doc).expect("decodes");
+        (hr, stats, hub)
+    }
+
+    #[test]
+    fn report_codec_round_trips_bit_for_bit() {
+        let (hr, stats, hub) = sample_report(6);
+        let bytes = encode_report(0, &hr, &stats, &hub);
+        let Ok(decoded) = decode_report(0, &bytes) else {
+            panic!("the report must decode");
+        };
         assert_eq!(decoded.rank, 0);
         let host = &decoded.host;
         assert_eq!(host.masters_int, hr.masters_int);
@@ -1258,10 +1116,56 @@ mod tests {
         assert_eq!(value(1, "rounds"), None);
         assert_eq!(value(1, "stage_send_ns"), Some(MetricValue::Counter(1234)));
         assert_eq!(value(0, "stage_send_ns"), None);
+        assert_eq!(value(1, "peers_down"), Some(MetricValue::Gauge(2)));
         assert_eq!(
             value(2, "net_socket_frames_sent"),
             Some(MetricValue::Counter(5))
         );
+        assert!(matches!(
+            value(0, "payload"),
+            Some(MetricValue::Histogram {
+                count: 1,
+                sum: 300,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn report_decoder_refuses_damaged_records_with_typed_errors() {
+        let (hr, stats, hub) = sample_report(3);
+        let good = encode_report(0, &hr, &stats, &hub);
+        // The CRC32 trailer catches every single-bit error; no damage may
+        // panic.
+        for len in 0..good.len() {
+            assert!(
+                decode_report(0, &good[..len]).is_err(),
+                "cut to {len} bytes"
+            );
+        }
+        for bit in 0..good.len() * 8 {
+            let mut flipped = good.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode_report(0, &flipped).is_err(), "bit {bit} flipped");
+        }
+        // A well-formed record holding a bad field names that field.
+        let bad_fields: [(&str, Vec<u64>); 3] = [
+            ("rank", vec![1]),
+            ("series", vec![0; SERIES_WIDTH + 1]),
+            ("d:rounds", vec![7, 9]),
+        ];
+        for (name, values) in bad_fields {
+            let mut snap = CheckpointSnapshot::from_bytes(&good).expect("decodes");
+            snap.put_values(name, &values);
+            match decode_report(0, &snap.to_bytes()) {
+                Err(LaunchError::Fatal(what)) => assert!(
+                    what.starts_with("rank 0 ") && what.contains(&format!("field {name} ")),
+                    "{name}: {what}"
+                ),
+                Err(e) => panic!("{name}: untyped failure {e}"),
+                Ok(_) => panic!("{name}: a bad field decoded"),
+            }
+        }
     }
 
     #[test]
@@ -1298,7 +1202,7 @@ mod tests {
             "--source",
             "5",
             "--out",
-            "/tmp/out.json",
+            "/tmp/out.bin",
             "--rendezvous",
             "tcp://127.0.0.1:9",
             "--ckpt-every",

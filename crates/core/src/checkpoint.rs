@@ -12,11 +12,13 @@
 //!
 //! Two backends share one API: an in-memory map (tests, single-process
 //! clusters — the default) and a directory of files (survives the
-//! process). Corrupt or truncated snapshot files are treated as absent
-//! rather than trusted, so a torn write degrades to an older epoch
-//! instead of poisoning recovery.
+//! process). Each file is one record closed by a CRC32 trailer; a corrupt
+//! or truncated snapshot file is treated as absent rather than trusted, so
+//! a torn write or a flipped bit degrades to an older epoch instead of
+//! poisoning recovery.
 
 use crate::value::SyncValue;
+use gluon_net::crc32_parts;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -24,7 +26,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Magic prefix of a serialized snapshot file.
-const MAGIC: &[u8; 8] = b"GLUCKPT1";
+const MAGIC: &[u8; 8] = b"GLUCKPT2";
 
 /// One host's state at one epoch boundary: the algorithm round it
 /// completed plus a set of named field payloads.
@@ -90,8 +92,15 @@ impl CheckpointSnapshot {
         self.fields.iter().map(|(_, d)| d.len() as u64).sum()
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.payload_bytes() as usize);
+    /// The names of the stored fields, in insertion order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.fields.iter().map(|(n, _)| n.as_str())
+    }
+
+    /// The on-disk record: magic, round, length-prefixed named fields, and
+    /// a CRC32 trailer over everything before it.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(36 + self.payload_bytes() as usize);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&self.round.to_le_bytes());
         out.extend_from_slice(&(self.fields.len() as u32).to_le_bytes());
@@ -101,32 +110,31 @@ impl CheckpointSnapshot {
             out.extend_from_slice(&(data.len() as u64).to_le_bytes());
             out.extend_from_slice(data);
         }
+        let crc = crc32_parts(&[&out]);
+        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
-    /// Fully fallible decode: any truncation or malformed header yields
-    /// `None` (the snapshot is then treated as never written).
-    fn decode(buf: &[u8]) -> Option<CheckpointSnapshot> {
+    /// Fully fallible decode of [`CheckpointSnapshot::to_bytes`]: a CRC
+    /// mismatch, truncation or malformed header yields `None` (the
+    /// snapshot is then treated as never written).
+    pub fn from_bytes(buf: &[u8]) -> Option<CheckpointSnapshot> {
         fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if buf.len() < n {
-                return None;
-            }
-            let (head, rest) = buf.split_at(n);
+            let (head, rest) = buf.split_at_checked(n)?;
             *buf = rest;
             Some(head)
         }
-        let mut b = buf;
-        if take(&mut b, MAGIC.len())? != MAGIC {
+        let (body, crc) = buf.split_at(buf.len().checked_sub(4)?);
+        if crc32_parts(&[body]).to_le_bytes() != crc {
             return None;
         }
+        let mut b = body.strip_prefix(MAGIC.as_slice())?;
         let round = u64::from_le_bytes(take(&mut b, 8)?.try_into().ok()?);
         let count = u32::from_le_bytes(take(&mut b, 4)?.try_into().ok()?);
         let mut fields = Vec::new();
         for _ in 0..count {
             let name_len = u32::from_le_bytes(take(&mut b, 4)?.try_into().ok()?) as usize;
-            let name = std::str::from_utf8(take(&mut b, name_len)?)
-                .ok()?
-                .to_owned();
+            let name = String::from_utf8(take(&mut b, name_len)?.to_vec()).ok()?;
             let data_len = u64::from_le_bytes(take(&mut b, 8)?.try_into().ok()?);
             let data = take(&mut b, usize::try_from(data_len).ok()?)?.to_vec();
             fields.push((name, data));
@@ -190,7 +198,7 @@ impl CheckpointStore {
             Backend::Dir(dir) => {
                 let tmp = dir.join(format!(".{}.tmp", Self::file_name(host, epoch)));
                 let mut f = std::fs::File::create(&tmp)?;
-                f.write_all(&snap.encode())?;
+                f.write_all(&snap.to_bytes())?;
                 f.sync_all()?;
                 drop(f);
                 std::fs::rename(&tmp, dir.join(Self::file_name(host, epoch)))
@@ -209,7 +217,7 @@ impl CheckpointStore {
                     .ok()?
                     .read_to_end(&mut buf)
                     .ok()?;
-                CheckpointSnapshot::decode(&buf)
+                CheckpointSnapshot::from_bytes(&buf)
             }
         }
     }
@@ -366,19 +374,46 @@ mod tests {
             Some(1),
             "recovery falls back to the older complete epoch"
         );
+        // Mend the torn file, then flip one byte inside a field's data of
+        // host 0's epoch-2 file: the framing still parses, so only the CRC
+        // trailer can refuse it.
+        std::fs::write(&victim, &full).unwrap();
+        assert_eq!(store.latest_complete_epoch(2), Some(2));
+        let victim = dir.join(CheckpointStore::file_name(0, 2));
+        let mut flipped = std::fs::read(&victim).unwrap();
+        // Magic, round, field count, then the name and length of `labels`.
+        let labels_data = MAGIC.len() + 8 + 4 + 4 + "labels".len() + 8;
+        flipped[labels_data] ^= 0x01;
+        std::fs::write(&victim, &flipped).unwrap();
+        assert!(
+            store.load(0, 2).is_none(),
+            "flipped snapshot must not decode"
+        );
+        assert_eq!(
+            store.latest_complete_epoch(2),
+            Some(1),
+            "a flipped byte falls back to the older complete epoch too"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(CheckpointSnapshot::decode(b"").is_none());
-        assert!(CheckpointSnapshot::decode(b"GLUCKPT1").is_none());
-        assert!(CheckpointSnapshot::decode(b"NOTMAGIC\0\0\0\0\0\0\0\0\0\0\0\0").is_none());
-        let good = sample(4).encode();
-        assert_eq!(CheckpointSnapshot::decode(&good).unwrap(), sample(4));
+        assert!(CheckpointSnapshot::from_bytes(b"").is_none());
+        assert!(CheckpointSnapshot::from_bytes(b"GLU").is_none());
+        assert!(CheckpointSnapshot::from_bytes(b"GLUCKPT2").is_none());
+        assert!(
+            CheckpointSnapshot::from_bytes(b"NOTMAGIC\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0").is_none()
+        );
+        let good = sample(4).to_bytes();
+        assert_eq!(CheckpointSnapshot::from_bytes(&good).unwrap(), sample(4));
+        assert_eq!(
+            sample(4).names().collect::<Vec<_>>(),
+            ["labels", "active_words", "rank"]
+        );
         // Trailing junk is rejected too.
         let mut long = good.clone();
         long.push(0);
-        assert!(CheckpointSnapshot::decode(&long).is_none());
+        assert!(CheckpointSnapshot::from_bytes(&long).is_none());
     }
 }

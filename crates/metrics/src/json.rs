@@ -1,5 +1,5 @@
-//! A minimal JSON tree: emitter **and** parser, shared by the metrics
-//! exports, the harness binaries, and the multi-process launcher.
+//! A minimal JSON tree: production code renders it (the metrics exports,
+//! `RunReport`, the harness binaries), and tests parse it back.
 //!
 //! Hand-rolled on purpose: the workspace vendors no JSON dependency, and
 //! the consumers only need a small, strict subset — objects with
@@ -10,9 +10,8 @@
 //! [`ParseError`].
 //!
 //! This module started life in `gluon-bench`; it moved here so `RunReport`
-//! (in `gluon-algos`) and the gate binary can use it without depending on
-//! the bench crate. `gluon_bench::json` re-exports it, so existing imports
-//! keep working.
+//! (in `gluon-algos`) can use it without depending on the bench crate.
+//! `gluon_bench::json` re-exports it, so existing imports keep working.
 
 /// A JSON value tree. Build with the `From` impls and [`Json::obj`] /
 /// [`Json::Arr`], serialize with [`Json::render`], read back with

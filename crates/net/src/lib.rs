@@ -48,7 +48,7 @@ pub use detector::DetectorConfig;
 pub use error::NetError;
 pub use fault::{CrashRule, FaultAction, FaultCounters, FaultPlan, FaultRule, FaultyTransport};
 pub use jitter::JitterTransport;
-pub use reliable::{ReliableConfig, ReliableTransport, RetryPolicy, RELIABLE_TAG};
+pub use reliable::{crc32_parts, ReliableConfig, ReliableTransport, RetryPolicy, RELIABLE_TAG};
 pub use socket::SocketTransport;
 pub use stats::{NetStats, StatsDelta, StatsSnapshot};
 pub use transport::{CancelToken, Envelope, MemoryTransport, Transport};

@@ -701,8 +701,9 @@ const fn crc_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc_table();
 
-/// CRC32 (IEEE) over the concatenation of `parts`.
-pub(crate) fn crc32_parts(parts: &[&[u8]]) -> u32 {
+/// CRC32 (IEEE) over the concatenation of `parts`: the checksum of every
+/// reliable and socket frame, and of the on-disk checkpoint record.
+pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for part in parts {
         for &byte in *part {

@@ -40,6 +40,9 @@
 #  11. clippy across the workspace with warnings denied;
 #  12. rustdoc with warnings denied (missing docs on public API fail).
 #
+# When every gate passes, a last informational line prints the non-test
+# line count that simplicity changes report.
+#
 # Before all of these, the gate fails if a Rust file under crates/ src/
 # tests/ examples/ names `crossbeam` (threads are `std::thread::scope`,
 # channels `std::sync::mpsc`), so the vendored stand-in can go with a
@@ -135,3 +138,10 @@ echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 echo "verify: all gates passed"
+
+# Informational, not a gate: the non-test line count a simplicity change
+# reports (every .rs file under crates/ and src/ cut at its first
+# `#[cfg(test)]`, nothing under tests/ or benches/).
+# shellcheck disable=SC2046
+echo "verify: non-test lines: $(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' \
+    $(find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*'))"

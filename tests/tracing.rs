@@ -4,6 +4,7 @@
 
 use gluon_suite::algos::{driver, Algorithm, DistConfig, DistOutcome};
 use gluon_suite::graph::{gen, max_out_degree_node};
+use gluon_suite::metrics::json::Json;
 use gluon_suite::metrics::{MetricsHub, NetMetrics};
 use gluon_suite::net::{FaultCounters, FaultPlan, FaultyTransport, ReliableTransport, Transport};
 use gluon_suite::trace::{ChromeTraceBuilder, Stage, Tracer, SETUP_PHASE};
@@ -228,204 +229,6 @@ fn chaos_runs_tag_retransmissions_in_the_trace() {
     assert_eq!(dups, out.net.dup_suppressed);
 }
 
-// ---------------------------------------------------------------------------
-// Chrome trace-event schema validation, via a minimal JSON parser (the
-// workspace deliberately has no serde_json).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Json {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value();
-        p.ws();
-        assert_eq!(p.pos, p.bytes.len(), "trailing garbage after JSON value");
-        v
-    }
-
-    fn ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) {
-        self.ws();
-        assert_eq!(
-            self.bytes.get(self.pos),
-            Some(&c),
-            "expected {:?} at byte {}",
-            c as char,
-            self.pos
-        );
-        self.pos += 1;
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.ws();
-        self.bytes[self.pos]
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, text: &str, v: Json) -> Json {
-        assert!(
-            self.bytes[self.pos..].starts_with(text.as_bytes()),
-            "bad literal at byte {}",
-            self.pos
-        );
-        self.pos += text.len();
-        v
-    }
-
-    fn number(&mut self) -> Json {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8");
-        Json::Num(text.parse().unwrap_or_else(|_| panic!("bad number {text}")))
-    }
-
-    fn string(&mut self) -> String {
-        self.eat(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes[self.pos] {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .expect("utf8");
-                            let code = u32::from_str_radix(hex, 16).expect("hex escape");
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => panic!("unsupported escape \\{}", other as char),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 continuation bytes pass through.
-                    let start = self.pos;
-                    while self.bytes[self.pos] != b'"' && self.bytes[self.pos] != b'\\' {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8"));
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.eat(b'[');
-        let mut items = Vec::new();
-        if self.peek() == b']' {
-            self.pos += 1;
-            return Json::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            match self.peek() {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Json::Arr(items);
-                }
-                other => panic!("expected , or ] got {:?}", other as char),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Json {
-        self.eat(b'{');
-        let mut fields = Vec::new();
-        if self.peek() == b'}' {
-            self.pos += 1;
-            return Json::Obj(fields);
-        }
-        loop {
-            self.ws();
-            let key = self.string();
-            self.eat(b':');
-            fields.push((key, self.value()));
-            match self.peek() {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Json::Obj(fields);
-                }
-                other => panic!("expected , or }} got {:?}", other as char),
-            }
-        }
-    }
-}
-
 #[test]
 fn exported_chrome_trace_validates_against_the_schema() {
     let g = gen::rmat(7, 6, Default::default(), 3);
@@ -448,10 +251,10 @@ fn exported_chrome_trace_validates_against_the_schema() {
         .launch();
     let mut chrome = ChromeTraceBuilder::new();
     chrome.add("bfs \"chaos\" run", &tracer); // exercise name escaping
-    let doc = Parser::parse(&chrome.finish());
+    let doc = Json::parse(&chrome.finish()).expect("the export is valid JSON");
 
     assert_eq!(
-        doc.get("displayTimeUnit").and_then(Json::str),
+        doc.get("displayTimeUnit").and_then(Json::as_str),
         Some("ms"),
         "displayTimeUnit"
     );
@@ -466,18 +269,23 @@ fn exported_chrome_trace_validates_against_the_schema() {
     let mut process_names = 0u64;
     let mut span_names: Vec<String> = Vec::new();
     for ev in events {
-        let ph = ev.get("ph").and_then(Json::str).expect("every event: ph");
-        ev.get("pid").and_then(Json::num).expect("every event: pid");
+        let ph = ev
+            .get("ph")
+            .and_then(Json::as_str)
+            .expect("every event: ph");
+        ev.get("pid")
+            .and_then(Json::as_f64)
+            .expect("every event: pid");
         let name = ev
             .get("name")
-            .and_then(Json::str)
+            .and_then(Json::as_str)
             .expect("every event: name");
         match ph {
             "X" => {
                 complete += 1;
-                ev.get("tid").and_then(Json::num).expect("X: tid");
-                let ts = ev.get("ts").and_then(Json::num).expect("X: ts");
-                let dur = ev.get("dur").and_then(Json::num).expect("X: dur");
+                ev.get("tid").and_then(Json::as_f64).expect("X: tid");
+                let ts = ev.get("ts").and_then(Json::as_f64).expect("X: ts");
+                let dur = ev.get("dur").and_then(Json::as_f64).expect("X: dur");
                 assert!(ts >= 0.0 && dur >= 0.0, "non-negative microseconds");
                 assert!(
                     Stage::ALL.iter().any(|s| s.name() == name),
@@ -486,16 +294,18 @@ fn exported_chrome_trace_validates_against_the_schema() {
                 span_names.push(name.to_owned());
                 ev.get("args")
                     .and_then(|a| a.get("phase"))
-                    .and_then(Json::num)
+                    .and_then(Json::as_f64)
                     .expect("X: args.phase");
             }
             "i" => {
                 instants += 1;
-                assert_eq!(ev.get("s").and_then(Json::str), Some("t"), "i: scope");
+                assert_eq!(ev.get("s").and_then(Json::as_str), Some("t"), "i: scope");
                 let args = ev.get("args").expect("i: args");
-                args.get("peer").and_then(Json::num).expect("i: args.peer");
+                args.get("peer")
+                    .and_then(Json::as_f64)
+                    .expect("i: args.peer");
                 args.get("bytes")
-                    .and_then(Json::num)
+                    .and_then(Json::as_f64)
                     .expect("i: args.bytes");
             }
             "M" => {
@@ -504,7 +314,7 @@ fn exported_chrome_trace_validates_against_the_schema() {
                     let label = ev
                         .get("args")
                         .and_then(|a| a.get("name"))
-                        .and_then(Json::str)
+                        .and_then(Json::as_str)
                         .expect("M: args.name");
                     assert_eq!(label, "bfs \"chaos\" run", "escaped label survives");
                 } else {
