@@ -365,7 +365,7 @@ where
 
     /// Publishes typed metrics into `hub` (size it with
     /// `MetricsHub::new(hosts)`): per-host counters/gauges/histograms,
-    /// deterministic and observed, and the per-round time series.
+    /// deterministic and observed, each host's round ledger included.
     /// After the run, build a [`crate::RunReport`] with
     /// [`DistOutcome::report`], or scrape [`MetricsHub::prometheus`]
     /// directly. Each supervised attempt rebaselines the hub

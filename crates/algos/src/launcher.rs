@@ -20,10 +20,10 @@
 //!   an in-process run yields.
 //! - **Worker** ([`gluon_host_main`], wrapped by the `gluon-host`
 //!   binary): bootstraps its endpoint (lead or join), runs the shared
-//!   fallible host program, and writes its masters, statistics, registries
-//!   and round series as one [`CheckpointSnapshot`] record (CRC-checked,
-//!   values in their wire bytes), so pagerank ranks survive the round
-//!   trip bit-for-bit.
+//!   fallible host program, and writes its masters, statistics and
+//!   registries as one [`CheckpointSnapshot`] record (CRC-checked, values
+//!   in their wire bytes), so pagerank ranks survive the round trip
+//!   bit-for-bit.
 //! - **Supervision**: the parent is the process half of the driver's one
 //!   supervisor loop. Its host set (`Workers`) runs an attempt as spawn,
 //!   rendezvous hand-off, watchdog and result files; the loop it shares
@@ -44,7 +44,7 @@ use crate::driver::{
 use crate::{Algorithm, EngineKind, PagerankConfig};
 use gluon::{CheckpointSnapshot, CheckpointStore, PhaseStats, SyncError, SyncStats, SyncValue};
 use gluon_graph::{io as graph_io, max_out_degree_node, Csr, Gid};
-use gluon_metrics::{MetricValue, MetricsHub, RoundSample, NUM_ROUND_STAGES, NUM_WIRE_MODES};
+use gluon_metrics::{MetricValue, MetricsHub};
 use gluon_net::{
     join, CancelToken, CostModel, NetError, NetStats, Rendezvous, SocketKind, SocketTransport,
     StatsSnapshot, Transport,
@@ -185,8 +185,8 @@ pub struct ClusterOutcome {
 }
 
 /// One worker's decoded result file: its host result plus what only the
-/// process backend ships — its rank, its row of the traffic matrices, its
-/// registries and its round series.
+/// process backend ships — its rank, its row of the traffic matrices and
+/// its registries.
 struct WorkerReport {
     rank: usize,
     host: HostResult,
@@ -197,7 +197,6 @@ struct WorkerReport {
     /// that order, each imported back into the same registry of the
     /// parent's hub.
     registries: [Vec<(String, MetricValue)>; 3],
-    series: Vec<RoundSample>,
 }
 
 fn unique_scratch_dir() -> std::io::Result<PathBuf> {
@@ -258,7 +257,7 @@ struct Workers<'a> {
     /// Picked once by the parent so every attempt agrees.
     source: u32,
     store: CheckpointStore,
-    /// Receives the successful attempt's registries and round series.
+    /// Receives the successful attempt's registries.
     hub: MetricsHub,
     /// Every failed worker's error lines, attempt by attempt.
     evidence: Vec<String>,
@@ -516,7 +515,7 @@ fn stderr_of(child: &mut Child) -> String {
 /// What only the process backend adds to [`assemble`]: place each worker's
 /// row of the traffic matrices (sends are recorded at the source, so the
 /// rest of its matrix is empty), sum the scalars, and import every
-/// worker's registries and round series into the same places of `hub`.
+/// worker's registries into the same registries of `hub`.
 fn merge_reports(
     n: usize,
     reports: Vec<WorkerReport>,
@@ -559,9 +558,6 @@ fn merge_reports(
                 into.import(name, value);
             }
         }
-        for sample in &r.series {
-            host.series().push(*sample);
-        }
         per_host.push(r.host);
     }
     Ok(assemble(n, u32::MAX, per_host, net))
@@ -583,8 +579,6 @@ const REGISTRY_SIDES: [&str; 3] = ["d:", "o:", "c:"];
 const KIND_COUNTER: u64 = 0;
 const KIND_GAUGE: u64 = 1;
 const KIND_HISTOGRAM: u64 = 2;
-/// One round-series row: round, stage times, mode bytes, five scalars.
-const SERIES_WIDTH: usize = 1 + NUM_ROUND_STAGES + NUM_WIRE_MODES + 5;
 /// One [`PhaseStats`]: its two timings, then its four counters.
 type PhaseRow = ((f64, f64), ((u64, u64), (u64, u64)));
 
@@ -626,13 +620,6 @@ fn encode_report(rank: usize, hr: &HostResult, stats: &NetStats, hub: &MetricsHu
             net.corruption_detected,
         ],
     );
-    let rows = host.series().rows();
-    let series = rows.iter().flat_map(|s| {
-        let sent = [s.bytes_sent, s.messages_sent, s.retransmits];
-        let pool = [s.pool_hits, s.pool_misses];
-        [&[s.round][..], &s.stage_ns, &s.mode_bytes, &sent, &pool].concat()
-    });
-    snap.put_values("series", &series.collect::<Vec<_>>());
     let registries = [host.deterministic(), host.observed(), &hub.cluster()];
     for (side, registry) in REGISTRY_SIDES.into_iter().zip(registries) {
         for (name, value) in registry.snapshot() {
@@ -691,24 +678,6 @@ fn decode_report(rank: usize, bytes: &[u8]) -> Result<WorkerReport, LaunchError>
     let [algo_secs, partition_secs, memo_secs] = field::<[f64; 3], _>(&snap, rank, "timings")?;
     let [memo_bytes, steady_state_allocs, num_proxies, num_local_edges, global_nodes, global_edges] =
         field::<[u64; 6], _>(&snap, rank, "scalars")?;
-    let series = field::<Vec<u64>, _>(&snap, rank, "series")?;
-    if !series.len().is_multiple_of(SERIES_WIDTH) {
-        return Err(bad("field series is not whole rows"));
-    }
-    let series = series.chunks_exact(SERIES_WIDTH).map(|row| {
-        let (stage_ns, rest) = row[1..].split_at(NUM_ROUND_STAGES);
-        let (mode_bytes, tail) = rest.split_at(NUM_WIRE_MODES);
-        RoundSample {
-            round: row[0],
-            stage_ns: stage_ns.try_into().expect("whole rows"),
-            mode_bytes: mode_bytes.try_into().expect("whole rows"),
-            bytes_sent: tail[0],
-            messages_sent: tail[1],
-            retransmits: tail[2],
-            pool_hits: tail[3],
-            pool_misses: tail[4],
-        }
-    });
     let mut registries: [Vec<(String, MetricValue)>; 3] = Default::default();
     for name in snap.names() {
         let Some(side) = REGISTRY_SIDES.iter().position(|p| name.starts_with(p)) else {
@@ -750,7 +719,6 @@ fn decode_report(rank: usize, bytes: &[u8]) -> Result<WorkerReport, LaunchError>
         net_messages: field(&snap, rank, "net_messages")?,
         net_scalars: field::<[u64; 4], _>(&snap, rank, "net_scalars")?,
         registries,
-        series: series.collect(),
     })
 }
 
@@ -1039,7 +1007,7 @@ mod tests {
     use super::*;
 
     /// A report from a real one-host pagerank run on an rmat graph of
-    /// `scale`, with a metric of every kind and side and one round sample.
+    /// `scale`, with a metric of every kind and side.
     fn sample_report(scale: u32) -> (HostResult, NetStats, MetricsHub) {
         let graph = gluon_graph::gen::rmat(scale, 4, Default::default(), 5);
         let out = Run::new(&graph, Algorithm::Pagerank).hosts(1).launch();
@@ -1050,11 +1018,6 @@ mod tests {
         host.observed().counter("stage_send_ns").add(1234);
         host.observed().gauge("peers_down").set(2);
         hub.cluster().counter("net_socket_frames_sent").add(5);
-        host.series().push(RoundSample {
-            round: 3,
-            bytes_sent: 77,
-            ..RoundSample::default()
-        });
         let stats = NetStats::new(2);
         stats.record_send(0, 1, 100);
         let hr = HostResult {
@@ -1103,8 +1066,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "rank bits must survive the wire");
         }
         assert_eq!(decoded.net_bytes[1], 100);
-        assert_eq!(decoded.series.len(), 1);
-        assert_eq!(decoded.series[0].bytes_sent, 77);
         // Each registry comes back on the side it was shipped from.
         let value = |side: usize, name: &str| {
             decoded.registries[side]
@@ -1151,7 +1112,8 @@ mod tests {
         // A well-formed record holding a bad field names that field.
         let bad_fields: [(&str, Vec<u64>); 3] = [
             ("rank", vec![1]),
-            ("series", vec![0; SERIES_WIDTH + 1]),
+            // Five words: not a whole six-word phase row.
+            ("phases", vec![0; 5]),
             ("d:rounds", vec![7, 9]),
         ];
         for (name, values) in bad_fields {

@@ -9,10 +9,10 @@
 //! The document is `{schema_version, deterministic, observed}`. The
 //! `deterministic` section holds what a deterministic run reproduces
 //! exactly: round and phase counts, payload totals, the wire-mode table,
-//! and per host the deterministic registry and the deterministic columns
-//! of the round series. Everything else is `observed`: timings,
+//! and per host the deterministic registry, whose `round_ledger` gauge
+//! pins every round's traffic. Everything else is `observed`: timings,
 //! calibration, reliability and supervisor counters, the observed
-//! registries, the series' stage times and the trace ring's health. A
+//! registries and the trace ring's health. A
 //! metric's section is decided where it is registered (see
 //! [`gluon_metrics::HostMetrics`]), not here, and
 //! [`RunReport::fingerprint`] is the `deterministic` section, rendered.
@@ -28,17 +28,18 @@
 //! *measured* time (the maximum `comm_secs` across hosts — BSP progress
 //! is gated by the slowest host) and the *projected* time (the model
 //! applied to the phase's per-host maximum bytes and messages), and
-//! reports `residual = measured - projected` plus their ratio.
-//! Retransmissions are charged zero in the per-phase projection: the
-//! per-phase byte counters come from [`SyncStats`], which counts raw
-//! payloads below the reliability layer.
+//! reports `residual = measured - projected` plus their ratio. The
+//! per-phase byte and message counts come from [`SyncStats`], which books
+//! the transport's `NetStats` frame counts, not the hub's payloads: under
+//! a reliable transport they include framing, heartbeats and
+//! retransmissions, so the projection charges what the wire carried.
 
 use crate::driver::DistOutcome;
 use gluon::SyncStats;
 use gluon_metrics::json::Json;
 use gluon_metrics::{
-    HostMetrics, MetricValue, MetricsHub, Registry, RoundSeries, MODE_BYTE_COUNTER_NAMES,
-    MODE_MSG_COUNTER_NAMES, NUM_WIRE_MODES, ROUND_STAGE_NAMES, WIRE_MODE_NAMES,
+    HostMetrics, MetricValue, MetricsHub, Registry, MODE_BYTE_COUNTER_NAMES,
+    MODE_MSG_COUNTER_NAMES, NUM_WIRE_MODES, WIRE_MODE_NAMES,
 };
 use gluon_net::{CostModel, StatsDelta};
 use gluon_trace::Tracer;
@@ -46,7 +47,7 @@ use gluon_trace::Tracer;
 /// Version of the report's JSON schema; bumped whenever a field is
 /// renamed, removed, or changes meaning (additions are backwards
 /// compatible and do not bump it).
-pub const REPORT_SCHEMA_VERSION: u64 = 3;
+pub const REPORT_SCHEMA_VERSION: u64 = 4;
 
 /// A merged, exportable view of one run: outcome + metrics + calibration.
 ///
@@ -157,10 +158,7 @@ fn build_json(outcome: &DistOutcome, hub: &MetricsHub, model: &CostModel, tracer
         ("metrics_enabled", Json::from(hub.is_enabled())),
         ("totals", totals_json(outcome, hub)),
         ("wire_modes", wire_modes_json(hub)),
-        (
-            "per_host",
-            per_host_json(hub, HostMetrics::deterministic, deterministic_series_json),
-        ),
+        ("per_host", per_host_json(hub, HostMetrics::deterministic)),
     ]);
     let observed = Json::obj([
         ("recoveries", Json::from(outcome.recoveries)),
@@ -172,10 +170,7 @@ fn build_json(outcome: &DistOutcome, hub: &MetricsHub, model: &CostModel, tracer
         ("reliability", reliability_json(outcome, hub)),
         ("exec", exec_json(hub)),
         ("cluster", registry_json(&hub.cluster())),
-        (
-            "per_host",
-            per_host_json(hub, HostMetrics::observed, observed_series_json),
-        ),
+        ("per_host", per_host_json(hub, HostMetrics::observed)),
         ("calibration", calibration_json(&outcome.host_stats, model)),
         ("trace", trace_json(tracer)),
     ]);
@@ -339,75 +334,19 @@ fn registry_json(registry: &Registry) -> Json {
     )
 }
 
-/// One entry per host: its registry on one side, and that side's columns
-/// of its round series.
-fn per_host_json(
-    hub: &MetricsHub,
-    side: fn(&HostMetrics) -> &Registry,
-    series: fn(&RoundSeries) -> Json,
-) -> Json {
+/// One `{host, metrics}` entry per host, `metrics` being the host's
+/// registry on one side.
+fn per_host_json(hub: &MetricsHub, side: fn(&HostMetrics) -> &Registry) -> Json {
     Json::Arr(
         (0..hub.world_size())
             .map(|rank| {
-                let host = hub.host(rank);
                 Json::obj([
                     ("host", Json::from(rank)),
-                    ("metrics", registry_json(side(&host))),
-                    ("series", series(host.series())),
+                    ("metrics", registry_json(side(&hub.host(rank)))),
                 ])
             })
             .collect(),
     )
-}
-
-/// The round series' deterministic columns, and the ring's health.
-fn deterministic_series_json(series: &RoundSeries) -> Json {
-    let rows = series.rows().into_iter().map(|row| {
-        Json::obj([
-            ("round", Json::from(row.round)),
-            (
-                "mode_bytes",
-                Json::Obj(
-                    WIRE_MODE_NAMES
-                        .iter()
-                        .zip(row.mode_bytes)
-                        .filter(|(_, v)| *v > 0)
-                        .map(|(n, v)| ((*n).to_owned(), Json::from(v)))
-                        .collect(),
-                ),
-            ),
-            ("bytes_sent", Json::from(row.bytes_sent)),
-            ("messages_sent", Json::from(row.messages_sent)),
-            ("pool_hits", Json::from(row.pool_hits)),
-            ("pool_misses", Json::from(row.pool_misses)),
-        ])
-    });
-    Json::obj([
-        ("rows", Json::Arr(rows.collect())),
-        ("dropped", Json::from(series.dropped())),
-        ("capacity", Json::from(series.capacity())),
-    ])
-}
-
-/// The round series' observed columns: stage times and retransmissions.
-fn observed_series_json(series: &RoundSeries) -> Json {
-    let rows = series.rows().into_iter().map(|row| {
-        Json::obj([
-            ("round", Json::from(row.round)),
-            (
-                "stage_ns",
-                Json::Obj(
-                    ROUND_STAGE_NAMES
-                        .iter()
-                        .zip(row.stage_ns)
-                        .map(|(n, v)| ((*n).to_owned(), Json::from(v)))
-                        .collect(),
-                ),
-            ),
-            ("retransmits", Json::from(row.retransmits)),
-        ])
-    });
-    Json::obj([("rows", Json::Arr(rows.collect()))])
 }
 
 /// One phase's calibration numbers, as plain data for callers that want

@@ -302,7 +302,7 @@ struct SegTotals {
 }
 
 /// The metrics index of a trace stage: the first [`NUM_ROUND_STAGES`]
-/// `Stage` discriminants coincide with `gluon_metrics::ROUND_STAGE_NAMES`
+/// `Stage` discriminants coincide with `gluon_metrics::STAGE_COUNTER_NAMES`
 /// (asserted in this module's tests); later stages (collective, parents)
 /// are not per-round micro-stages.
 fn round_stage_index(stage: Stage) -> Option<usize> {
@@ -446,10 +446,11 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     }
 
     /// Attaches this host's metrics bundle (builder style): the context
-    /// then publishes wire-mode traffic, pool hit/miss, decode errors,
-    /// per-stage times, and one [`gluon_metrics::RoundSample`] row per
-    /// sync round. Registration happens here, once — every steady-state
-    /// publication afterwards is a plain atomic op.
+    /// then publishes wire-mode traffic, pool hit/miss, decode errors and
+    /// per-stage times, and folds every sync round into the host's
+    /// `round_ledger` ([`SyncMetrics::round_end`]). Registration happens
+    /// here, once — every steady-state publication afterwards is a plain
+    /// atomic op.
     ///
     /// Metrics count *payload* bytes handed to the transport's send path,
     /// which is deterministic across runs; `NetStats` (and
@@ -731,7 +732,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             phase_idx,
             Stage::Extract,
         );
-        let round_mark = self.metrics.round_begin();
 
         // Check the field's pooled buffers out for the duration of the two
         // patterns (a move, not an allocation); check them back in before
@@ -766,8 +766,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             after.1 - before.1,
         );
         if let Some(t) = totals {
-            self.metrics
-                .round_end(round_mark, u64::from(seq), t.stage_ns);
+            self.metrics.round_end(u64::from(seq), t.stage_ns);
         }
         Ok(())
     }
@@ -1451,11 +1450,11 @@ mod seg_tests {
     /// pins the alignment the two crates maintain independently.
     #[test]
     fn round_stage_indices_match_trace_discriminants() {
-        for (i, name) in gluon_metrics::ROUND_STAGE_NAMES.iter().enumerate() {
+        for (i, name) in gluon_metrics::STAGE_COUNTER_NAMES.iter().enumerate() {
             let stage = Stage::ALL[i];
             assert_eq!(stage as usize, i);
             assert_eq!(round_stage_index(stage), Some(i));
-            assert_eq!(stage.name(), *name, "stage {i}");
+            assert_eq!(format!("stage_{}_ns", stage.name()), *name, "stage {i}");
         }
         assert_eq!(round_stage_index(Stage::Collective), None);
         assert_eq!(round_stage_index(Stage::Sync), None);

@@ -1,12 +1,15 @@
 //! Typed metrics for the Gluon substrate: per-host registries of counters,
-//! gauges, and log₂ histograms; a per-round time-series recorder; and
-//! export renderers (Prometheus text exposition via
-//! [`MetricsHub::prometheus`], machine-readable JSON via [`json`]).
+//! gauges, and log₂ histograms; a per-host round ledger; and export
+//! renderers (Prometheus text exposition via [`MetricsHub::prometheus`],
+//! machine-readable JSON via [`json`]).
 //!
 //! The tracer (`gluon-trace`) answers "what happened, when" with bounded
 //! span and event rings and counts nothing; this crate answers "how much,
-//! per host, per round" with unbounded-precision counters that CI and
-//! calibration tooling can diff. Each fact is counted here once.
+//! per host" with unbounded-precision counters that CI and calibration
+//! tooling can diff. Each fact is counted here once. The per-round record
+//! is the sync context's phase log (`SyncStats::phases`); what this crate
+//! keeps per round is one 64-bit ledger head per host
+//! ([`SyncMetrics::round_end`]), which pins every round's traffic.
 //! Every handle follows the tracer's no-op-when-disabled idiom: a
 //! [`MetricsHub::disabled`] hub hands out handles whose every operation is
 //! a branch on a `None` — safe to thread through the hot path
@@ -17,31 +20,30 @@
 //! Each host has two registries, and the one a metric is registered in is
 //! its declaration. [`HostMetrics::deterministic`] holds what a
 //! deterministic run reproduces exactly — payload bytes and messages,
-//! wire-mode counts, rounds, pool hits — at any thread count, on any
-//! transport, and after a crash recovery. [`HostMetrics::observed`] holds
-//! everything else: stage times, retransmissions, critical-path work,
-//! checkpoints. The cluster registry ([`MetricsHub::cluster`]) is
-//! observed. A run report's fingerprint is the deterministic side,
-//! rendered; nothing else decides what it contains.
+//! wire-mode counts, rounds, pool hits, the round ledger — at any thread
+//! count, on any transport, and after a crash recovery.
+//! [`HostMetrics::observed`] holds everything else: stage times,
+//! retransmissions, critical-path work, checkpoints. The cluster registry
+//! ([`MetricsHub::cluster`]) is observed. A run report's fingerprint is the
+//! deterministic side, rendered; nothing else decides what it contains.
 //!
 //! # Allocation discipline
 //!
 //! Registration ([`Registry::counter`] and friends) allocates and must
 //! happen at setup time. After that, every publication — counter adds,
-//! gauge stores, histogram observes, [`RoundSeries`] pushes into its
-//! preallocated ring — is lock-free atomics or a short uncontended mutex
-//! over preallocated storage, so a metrics-enabled sync round performs
-//! **zero** heap allocations (enforced by the workspace's alloc-guard
-//! test).
+//! gauge stores, histogram observes, ledger folds — is lock-free atomics,
+//! so a metrics-enabled sync round performs **zero** heap allocations
+//! (enforced by the workspace's alloc-guard test).
 //!
 //! # Attempt baselines
 //!
 //! A supervised run may execute several attempts (crash → restore →
 //! replay). [`MetricsHub::begin_attempt`] snapshots every metric's current
-//! value as its *baseline* and clears the round series; reads are
-//! baseline-relative, so a report built after a recovered run describes
-//! the final (successful) attempt — which determinism makes identical, in
-//! every non-timing field, to a crash-free run.
+//! value as its *baseline* and zeroes every gauge, the round ledger
+//! included; reads are baseline-relative, so a report built after a
+//! recovered run describes the final (successful) attempt — which
+//! determinism makes identical, in every non-timing field, to a crash-free
+//! run.
 //!
 //! # Examples
 //!
@@ -85,29 +87,15 @@ pub const WIRE_MODE_NAMES: [&str; NUM_WIRE_MODES] = [
     "same_run",
 ];
 
-/// Number of per-round micro-stages sampled into [`RoundSample::stage_ns`].
-/// Indices coincide with the first eight `gluon_trace::Stage` variants.
+/// Number of per-round micro-stages whose durations
+/// [`SyncMetrics::round_end`] adds to the stage counters. Indices coincide
+/// with the first eight `gluon_trace::Stage` variants and with
+/// [`STAGE_COUNTER_NAMES`].
 pub const NUM_ROUND_STAGES: usize = 8;
-
-/// Display names of the round stages, indexed like
-/// [`RoundSample::stage_ns`].
-pub const ROUND_STAGE_NAMES: [&str; NUM_ROUND_STAGES] = [
-    "extract",
-    "memo_translate",
-    "encode",
-    "send",
-    "reset",
-    "recv_wait",
-    "decode",
-    "apply",
-];
 
 /// Number of log₂ buckets a [`Histogram`] tracks (bucket `i` counts
 /// observations with `floor(log2(v)) == i`; zero lands in bucket 0).
 pub const NUM_HISTOGRAM_BUCKETS: usize = 64;
-
-/// Default per-host capacity of the round time-series ring.
-pub const DEFAULT_ROUND_CAPACITY: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Metric cells and handles
@@ -174,8 +162,7 @@ impl Counter {
         self.add(1);
     }
 
-    /// Value accumulated since the last [`MetricsHub::begin_attempt`]
-    /// (equals [`Counter::total`] before the first rebaseline).
+    /// Value accumulated since the last [`MetricsHub::begin_attempt`].
     pub fn value(&self) -> u64 {
         self.cell.as_ref().map_or(0, |c| {
             c.value
@@ -183,16 +170,9 @@ impl Counter {
                 .saturating_sub(c.base.load(Ordering::Relaxed))
         })
     }
-
-    /// Absolute value accumulated over the cell's whole lifetime.
-    pub fn total(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |c| c.value.load(Ordering::Relaxed))
-    }
 }
 
-/// A last-write-wins (or high-water) gauge. Rebaselining resets it to 0.
+/// A last-write-wins gauge. Rebaselining resets it to 0.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge {
     cell: Option<Arc<GaugeCell>>,
@@ -204,14 +184,6 @@ impl Gauge {
     pub fn set(&self, v: u64) {
         if let Some(c) = &self.cell {
             c.value.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises the gauge to `v` if `v` is larger (high-water semantics).
-    #[inline]
-    pub fn set_max(&self, v: u64) {
-        if let Some(c) = &self.cell {
-            c.value.fetch_max(v, Ordering::Relaxed);
         }
     }
 
@@ -570,140 +542,6 @@ impl Registry {
 }
 
 // ---------------------------------------------------------------------------
-// Round time-series
-// ---------------------------------------------------------------------------
-
-/// One sampled sync round: what the recorder captures at the end of every
-/// `sync` call. `stage_ns` and `retransmits` are observed columns; the
-/// rest are deterministic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundSample {
-    /// 0-based sync-phase sequence number on the host.
-    pub round: u64,
-    /// Nanoseconds spent in each micro-stage this round, indexed by
-    /// [`ROUND_STAGE_NAMES`].
-    pub stage_ns: [u64; NUM_ROUND_STAGES],
-    /// Payload bytes sent this round, per wire mode.
-    pub mode_bytes: [u64; NUM_WIRE_MODES],
-    /// Total payload bytes sent this round.
-    pub bytes_sent: u64,
-    /// Sync messages sent this round.
-    pub messages_sent: u64,
-    /// Frames retransmitted by the reliability layer during this round.
-    pub retransmits: u64,
-    /// Send-buffer pool hits this round.
-    pub pool_hits: u64,
-    /// Send-buffer pool misses this round.
-    pub pool_misses: u64,
-}
-
-#[derive(Debug)]
-struct SampleRing {
-    buf: Vec<RoundSample>,
-    cap: usize,
-    start: usize,
-    len: usize,
-    dropped: u64,
-}
-
-impl SampleRing {
-    fn push(&mut self, s: RoundSample) {
-        if self.len < self.cap {
-            let idx = (self.start + self.len) % self.cap;
-            if idx == self.buf.len() {
-                // Still filling the preallocated capacity: push never
-                // reallocates because `buf` reserved `cap` up front.
-                self.buf.push(s);
-            } else {
-                self.buf[idx] = s;
-            }
-            self.len += 1;
-        } else {
-            self.buf[self.start] = s;
-            self.start = (self.start + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-}
-
-#[derive(Debug)]
-struct SeriesInner {
-    ring: Mutex<SampleRing>,
-}
-
-/// The per-host round recorder: a bounded, preallocated ring of
-/// [`RoundSample`] rows. Once full it keeps the most recent rows and
-/// counts the evictions in [`RoundSeries::dropped`] — a truncated series
-/// never masquerades as a complete one.
-#[derive(Clone, Debug, Default)]
-pub struct RoundSeries {
-    inner: Option<Arc<SeriesInner>>,
-}
-
-impl RoundSeries {
-    fn new(cap: usize) -> RoundSeries {
-        let cap = cap.max(1);
-        RoundSeries {
-            inner: Some(Arc::new(SeriesInner {
-                ring: Mutex::new(SampleRing {
-                    buf: Vec::with_capacity(cap),
-                    cap,
-                    start: 0,
-                    len: 0,
-                    dropped: 0,
-                }),
-            })),
-        }
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Appends one row (evicting the oldest when full).
-    pub fn push(&self, sample: RoundSample) {
-        if let Some(inner) = &self.inner {
-            inner.ring.lock().expect("series poisoned").push(sample);
-        }
-    }
-
-    /// The retained rows, oldest first.
-    pub fn rows(&self) -> Vec<RoundSample> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let ring = inner.ring.lock().expect("series poisoned");
-        (0..ring.len)
-            .map(|i| ring.buf[(ring.start + i) % ring.cap])
-            .collect()
-    }
-
-    /// Rows evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.ring.lock().expect("series poisoned").dropped)
-    }
-
-    /// Ring capacity (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.ring.lock().expect("series poisoned").cap)
-    }
-
-    fn clear(&self) {
-        if let Some(inner) = &self.inner {
-            let mut ring = inner.ring.lock().expect("series poisoned");
-            ring.start = 0;
-            ring.len = 0;
-            ring.dropped = 0;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Hub
 // ---------------------------------------------------------------------------
 
@@ -714,31 +552,22 @@ struct HubInner {
 }
 
 /// The run-wide metrics root: per host a deterministic and an observed
-/// [`Registry`] plus a [`RoundSeries`] (bundled as [`HostMetrics`]), and a
-/// cluster-level registry the supervisor publishes into. Cheap to clone;
-/// clones share everything.
+/// [`Registry`] (bundled as [`HostMetrics`]), and a cluster-level registry
+/// the supervisor publishes into. Cheap to clone; clones share everything.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsHub {
     inner: Option<Arc<HubInner>>,
 }
 
 impl MetricsHub {
-    /// An enabled hub for `world_size` hosts with the default round-series
-    /// capacity.
+    /// An enabled hub for `world_size` hosts.
     pub fn new(world_size: usize) -> MetricsHub {
-        MetricsHub::with_round_capacity(world_size, DEFAULT_ROUND_CAPACITY)
-    }
-
-    /// As [`MetricsHub::new`] with an explicit per-host round-series ring
-    /// capacity.
-    pub fn with_round_capacity(world_size: usize, capacity: usize) -> MetricsHub {
         MetricsHub {
             inner: Some(Arc::new(HubInner {
                 hosts: (0..world_size)
                     .map(|_| HostMetrics {
                         deterministic: Registry::new(),
                         observed: Registry::new(),
-                        series: RoundSeries::new(capacity),
                     })
                     .collect(),
                 cluster: Registry::new(),
@@ -780,14 +609,13 @@ impl MetricsHub {
     }
 
     /// Marks the start of a (re)attempt: snapshots every metric's current
-    /// value, on both sides of every host, as its baseline and clears every
-    /// round series, so subsequent reads describe only the newest attempt.
+    /// value, on both sides of every host, as its baseline and zeroes every
+    /// gauge, so subsequent reads describe only the newest attempt.
     pub fn begin_attempt(&self) {
         let Some(i) = &self.inner else { return };
         for h in &i.hosts {
             h.deterministic.rebaseline();
             h.observed.rebaseline();
-            h.series.clear();
         }
         i.cluster.rebaseline();
     }
@@ -901,13 +729,12 @@ fn render_prom_sample(out: &mut String, name: &str, labels: &str, value: &Metric
     }
 }
 
-/// The per-host bundle a publisher needs: the two registries plus the
-/// round series. Obtained from [`MetricsHub::host`].
+/// The per-host bundle a publisher needs: the two registries. Obtained
+/// from [`MetricsHub::host`].
 #[derive(Clone, Debug, Default)]
 pub struct HostMetrics {
     deterministic: Registry,
     observed: Registry,
-    series: RoundSeries,
 }
 
 impl HostMetrics {
@@ -933,20 +760,15 @@ impl HostMetrics {
     pub fn observed(&self) -> &Registry {
         &self.observed
     }
-
-    /// The host's round time-series.
-    pub fn series(&self) -> &RoundSeries {
-        &self.series
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Pre-registered publisher bundles
 // ---------------------------------------------------------------------------
 
-/// Names of the per-stage cumulative time counters, aligned with
-/// [`ROUND_STAGE_NAMES`].
-const STAGE_COUNTER_NAMES: [&str; NUM_ROUND_STAGES] = [
+/// Names of the per-stage cumulative time counters, indexed like the first
+/// [`NUM_ROUND_STAGES`] `gluon_trace::Stage` variants (`stage_<name>_ns`).
+pub const STAGE_COUNTER_NAMES: [&str; NUM_ROUND_STAGES] = [
     "stage_extract_ns",
     "stage_memo_translate_ns",
     "stage_encode_ns",
@@ -985,26 +807,21 @@ pub const MODE_BYTE_COUNTER_NAMES: [&str; NUM_WIRE_MODES] = [
     "wire_bytes_same_run",
 ];
 
-/// Snapshot of the cumulative per-round counters at the start of one sync
-/// round; [`SyncMetrics::round_end`] subtracts it to build the round's
-/// [`RoundSample`]. Plain `Copy` data — taking one allocates nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RoundMark {
-    mode_bytes: [u64; NUM_WIRE_MODES],
-    bytes: u64,
-    messages: u64,
-    retransmits: u64,
-    pool_hits: u64,
-    pool_misses: u64,
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+    words
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 /// The sync runtime's pre-registered per-host metrics: wire-mode traffic,
 /// stage times, pool hit/miss, rounds, decode errors, and the round
-/// recorder. Constructed once per context via [`SyncMetrics::register`];
+/// ledger. Constructed once per context via [`SyncMetrics::register`];
 /// every publication afterwards is allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct SyncMetrics {
-    series: RoundSeries,
     sync_rounds: Counter,
     collective_ops: Counter,
     bytes_sent: Counter,
@@ -1017,8 +834,7 @@ pub struct SyncMetrics {
     mode_msgs: [Counter; NUM_WIRE_MODES],
     mode_bytes: [Counter; NUM_WIRE_MODES],
     payload_bytes: Histogram,
-    /// Shared (by name) with the reliability layer's [`NetMetrics`].
-    retransmits: Counter,
+    round_ledger: Gauge,
 }
 
 impl SyncMetrics {
@@ -1028,12 +844,12 @@ impl SyncMetrics {
     }
 
     /// Registers the sync runtime's metrics on `host`: traffic, rounds,
-    /// pool hit/miss and decode errors on the deterministic side; stage
-    /// times, checkpoints and retransmissions on the observed side.
+    /// pool hit/miss, decode errors and the round ledger on the
+    /// deterministic side; stage times and checkpoints on the observed
+    /// side.
     pub fn register(host: &HostMetrics) -> SyncMetrics {
         let (det, obs) = (host.deterministic(), host.observed());
         SyncMetrics {
-            series: host.series().clone(),
             sync_rounds: det.counter("sync_rounds"),
             collective_ops: det.counter("collective_ops"),
             bytes_sent: det.counter("bytes_sent"),
@@ -1046,14 +862,14 @@ impl SyncMetrics {
             mode_msgs: MODE_MSG_COUNTER_NAMES.map(|n| det.counter(n)),
             mode_bytes: MODE_BYTE_COUNTER_NAMES.map(|n| det.counter(n)),
             payload_bytes: det.histogram("payload_bytes"),
-            retransmits: obs.counter("retransmits"),
+            round_ledger: det.gauge("round_ledger"),
         }
     }
 
     /// Whether this bundle records anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.series.is_enabled()
+        self.sync_rounds.cell.is_some()
     }
 
     /// Books one outgoing sync payload: `mode` is the wire-mode byte,
@@ -1101,29 +917,17 @@ impl SyncMetrics {
         self.checkpoints_saved.incr();
     }
 
-    /// Snapshots the cumulative counters at the start of a sync round.
-    pub fn round_begin(&self) -> RoundMark {
-        if !self.is_enabled() {
-            return RoundMark::default();
-        }
-        let mut mode_bytes = [0u64; NUM_WIRE_MODES];
-        for (slot, c) in mode_bytes.iter_mut().zip(&self.mode_bytes) {
-            *slot = c.total();
-        }
-        RoundMark {
-            mode_bytes,
-            bytes: self.bytes_sent.total(),
-            messages: self.messages_sent.total(),
-            retransmits: self.retransmits.total(),
-            pool_hits: self.pool_hits.total(),
-            pool_misses: self.pool_misses.total(),
-        }
-    }
-
-    /// Completes one sync round: publishes the stage durations into the
-    /// cumulative stage counters and appends the round's [`RoundSample`]
-    /// (deltas against `mark`) to the series.
-    pub fn round_end(&self, mark: RoundMark, round: u64, stage_ns: [u64; NUM_ROUND_STAGES]) {
+    /// Completes sync round `round`: adds its stage durations to the
+    /// cumulative stage counters, counts it, and folds it into the
+    /// `round_ledger` gauge.
+    ///
+    /// The ledger is FNV-1a over the previous head, `round`, and the
+    /// attempt-relative running values of the payload bytes and messages,
+    /// the nine per-mode payload bytes, and the pool hits and misses.
+    /// Folding running values after every round pins what folding each
+    /// round's deltas would: two runs end on the same head only if every
+    /// round moved the same traffic (up to a 64-bit collision).
+    pub fn round_end(&self, round: u64, stage_ns: [u64; NUM_ROUND_STAGES]) {
         if !self.is_enabled() {
             return;
         }
@@ -1131,20 +935,15 @@ impl SyncMetrics {
             c.add(ns);
         }
         self.sync_rounds.incr();
-        let mut mode_bytes = [0u64; NUM_WIRE_MODES];
-        for (i, slot) in mode_bytes.iter_mut().enumerate() {
-            *slot = self.mode_bytes[i].total() - mark.mode_bytes[i];
-        }
-        self.series.push(RoundSample {
-            round,
-            stage_ns,
-            mode_bytes,
-            bytes_sent: self.bytes_sent.total() - mark.bytes,
-            messages_sent: self.messages_sent.total() - mark.messages,
-            retransmits: self.retransmits.total() - mark.retransmits,
-            pool_hits: self.pool_hits.total() - mark.pool_hits,
-            pool_misses: self.pool_misses.total() - mark.pool_misses,
-        });
+        let running = [&self.bytes_sent, &self.messages_sent]
+            .into_iter()
+            .chain(&self.mode_bytes)
+            .chain([&self.pool_hits, &self.pool_misses])
+            .map(Counter::value);
+        let words = [self.round_ledger.value(), round]
+            .into_iter()
+            .chain(running);
+        self.round_ledger.set(fnv1a(words));
     }
 }
 
@@ -1167,9 +966,7 @@ impl NetMetrics {
 
     /// Registers the reliability layer's metrics on `host`'s observed
     /// side: retransmissions fire on timeouts, so their counts vary run to
-    /// run even on identical traffic. The `retransmits` counter is shared
-    /// by name with [`SyncMetrics`], which is how the round recorder
-    /// attributes retransmissions to rounds.
+    /// run even on identical traffic.
     pub fn register(host: &HostMetrics) -> NetMetrics {
         let obs = host.observed();
         NetMetrics {
@@ -1247,6 +1044,33 @@ impl ExecMetrics {
 mod tests {
     use super::*;
 
+    /// The host's `round_ledger` gauge.
+    fn ledger(host: &HostMetrics) -> u64 {
+        match host
+            .deterministic()
+            .snapshot()
+            .into_iter()
+            .find(|(n, _)| *n == "round_ledger")
+        {
+            Some((_, MetricValue::Gauge(v))) => v,
+            other => panic!("no round_ledger gauge: {other:?}"),
+        }
+    }
+
+    /// The ledger head after `rounds` on a fresh host, each round a list of
+    /// `(wire mode, payload length)` sends.
+    fn ledger_after(rounds: &[&[(u8, u64)]]) -> u64 {
+        let hub = MetricsHub::new(1);
+        let sm = SyncMetrics::register(&hub.host(0));
+        for (round, sends) in rounds.iter().enumerate() {
+            for &(mode, len) in *sends {
+                sm.on_payload(mode, len);
+            }
+            sm.round_end(round as u64, [0; NUM_ROUND_STAGES]);
+        }
+        ledger(&hub.host(0))
+    }
+
     #[test]
     fn disabled_handles_are_noops() {
         let hub = MetricsHub::disabled();
@@ -1257,9 +1081,10 @@ mod tests {
         c.add(7);
         assert_eq!(c.value(), 0);
         let sm = SyncMetrics::register(&host);
+        assert!(!sm.is_enabled());
         sm.on_payload(1, 100);
-        sm.round_end(sm.round_begin(), 0, [0; NUM_ROUND_STAGES]);
-        assert!(host.series().rows().is_empty());
+        sm.round_end(0, [0; NUM_ROUND_STAGES]);
+        assert!(host.deterministic().snapshot().is_empty());
         assert_eq!(hub.prometheus(), "");
     }
 
@@ -1329,7 +1154,7 @@ mod tests {
     }
 
     #[test]
-    fn rebaseline_resets_reads_but_not_totals() {
+    fn rebaseline_resets_reads() {
         let hub = MetricsHub::new(1);
         let c = hub.host(0).deterministic().counter("c");
         let h = hub.host(0).deterministic().histogram("h");
@@ -1337,7 +1162,6 @@ mod tests {
         h.observe(5);
         hub.begin_attempt();
         assert_eq!(c.value(), 0);
-        assert_eq!(c.total(), 10);
         assert_eq!(h.count(), 0);
         c.add(2);
         h.observe(9);
@@ -1358,70 +1182,73 @@ mod tests {
     }
 
     #[test]
-    fn round_series_wraps_and_counts_drops() {
-        let s = RoundSeries::new(3);
-        for i in 0..5u64 {
-            s.push(RoundSample {
-                round: i,
-                ..RoundSample::default()
-            });
-        }
-        let rows = s.rows();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(
-            rows.iter().map(|r| r.round).collect::<Vec<_>>(),
-            vec![2, 3, 4]
-        );
-        assert_eq!(s.dropped(), 2);
-        assert_eq!(s.capacity(), 3);
-    }
-
-    #[test]
-    fn sync_metrics_rounds_produce_delta_rows() {
+    fn sync_metrics_book_traffic_rounds_and_stage_times() {
         let hub = MetricsHub::new(2);
         let sm = SyncMetrics::register(&hub.host(0));
-        let mark = sm.round_begin();
         sm.on_payload(1, 100);
         sm.on_payload(3, 50);
         sm.pool_hit();
         let mut stage = [0u64; NUM_ROUND_STAGES];
         stage[5] = 77;
-        sm.round_end(mark, 0, stage);
-        let mark = sm.round_begin();
+        sm.round_end(0, stage);
         sm.on_payload(1, 10);
         sm.pool_miss();
-        sm.round_end(mark, 1, [0; NUM_ROUND_STAGES]);
-        let rows = hub.host(0).series().rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].bytes_sent, 150);
-        assert_eq!(rows[0].messages_sent, 2);
-        assert_eq!(rows[0].mode_bytes[1], 100);
-        assert_eq!(rows[0].mode_bytes[3], 50);
-        assert_eq!(rows[0].pool_hits, 1);
-        assert_eq!(rows[0].stage_ns[5], 77);
-        assert_eq!(rows[1].bytes_sent, 10);
-        assert_eq!(rows[1].pool_misses, 1);
+        sm.round_end(1, [0; NUM_ROUND_STAGES]);
         let host = hub.host(0);
-        assert_eq!(host.deterministic().counter_value("sync_rounds"), 2);
+        let det = host.deterministic();
+        assert_eq!(det.counter_value("sync_rounds"), 2);
+        assert_eq!(det.counter_value(MODE_BYTE_COUNTER_NAMES[1]), 110);
+        assert_eq!(det.counter_value(MODE_BYTE_COUNTER_NAMES[3]), 50);
+        assert_eq!(det.counter_value(MODE_MSG_COUNTER_NAMES[1]), 2);
+        assert_eq!(det.counter_value("pool_hits"), 1);
+        assert_eq!(det.counter_value("pool_misses"), 1);
         assert_eq!(host.observed().counter_value("stage_recv_wait_ns"), 77);
-        assert_eq!(host.deterministic().counter_value("stage_recv_wait_ns"), 0);
+        assert_eq!(det.counter_value("stage_recv_wait_ns"), 0);
         assert_eq!(hub.counter_across_hosts("bytes_sent"), 160);
         assert_eq!(hub.counter_across_hosts("stage_recv_wait_ns"), 77);
     }
 
     #[test]
-    fn shared_retransmit_counter_feeds_rounds() {
+    fn round_ledger_pins_how_traffic_split_across_rounds() {
+        let rounds: [&[(u8, u64)]; 2] = [&[(1, 100), (3, 50)], &[(1, 10)]];
+        let head = ledger_after(&rounds);
+        assert_ne!(head, 0);
+        assert_eq!(head, ledger_after(&rounds), "same rounds, same ledger");
+        // The same totals, with one send moved to the other round.
+        assert_ne!(head, ledger_after(&[&[(1, 100)], &[(3, 50), (1, 10)]]));
+        // The same bytes per round, one send in another wire mode.
+        assert_ne!(head, ledger_after(&[&[(1, 100), (4, 50)], &[(1, 10)]]));
+        // One more round that sends nothing.
+        assert_ne!(head, ledger_after(&[rounds[0], rounds[1], &[]]));
+    }
+
+    #[test]
+    fn begin_attempt_zeroes_the_round_ledger() {
         let hub = MetricsHub::new(1);
         let sm = SyncMetrics::register(&hub.host(0));
+        sm.on_payload(1, 100);
+        sm.round_end(0, [0; NUM_ROUND_STAGES]);
+        let first = ledger(&hub.host(0));
+        assert_ne!(first, 0);
+        hub.begin_attempt();
+        assert_eq!(ledger(&hub.host(0)), 0);
+        // The ledger folds attempt-relative values, so a replay of the same
+        // round reaches the same head.
+        sm.on_payload(1, 100);
+        sm.round_end(0, [0; NUM_ROUND_STAGES]);
+        assert_eq!(ledger(&hub.host(0)), first);
+    }
+
+    #[test]
+    fn net_metrics_book_on_the_observed_side() {
+        let hub = MetricsHub::new(1);
         let nm = NetMetrics::register(&hub.host(0));
-        let mark = sm.round_begin();
         nm.on_retransmit(64);
         nm.on_retransmit(64);
-        sm.round_end(mark, 0, [0; NUM_ROUND_STAGES]);
-        assert_eq!(hub.host(0).series().rows()[0].retransmits, 2);
         let obs = hub.host(0).observed().clone();
         assert_eq!(obs.counter_value("retransmits"), 2);
         assert_eq!(obs.counter_value("retransmit_bytes"), 128);
+        assert_eq!(hub.host(0).deterministic().counter_value("retransmits"), 0);
     }
 
     #[test]
@@ -1495,16 +1322,5 @@ mod tests {
         assert_eq!(det.counter_value("pool_parallel_ops"), 2);
         assert_eq!(det.counter_value("pool_seq_work"), 110);
         assert_eq!(host.observed().counter_value("pool_crit_work"), 40);
-    }
-
-    #[test]
-    fn begin_attempt_clears_series() {
-        let hub = MetricsHub::new(1);
-        let s = hub.host(0).series().clone();
-        s.push(RoundSample::default());
-        assert_eq!(s.rows().len(), 1);
-        hub.begin_attempt();
-        assert_eq!(s.rows().len(), 0);
-        assert_eq!(s.dropped(), 0);
     }
 }

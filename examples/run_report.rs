@@ -1,8 +1,8 @@
 //! Capturing a `RunReport`: the per-run observability bundle.
 //!
 //! Runs BFS on 4 simulated hosts with a `MetricsHub` and a `Tracer`
-//! attached, then builds the merged [`RunReport`] — host registries,
-//! per-round time series, cost-model calibration residuals — and shows
+//! attached, then builds the merged [`RunReport`] — host registries with
+//! each host's round ledger, cost-model calibration residuals — and shows
 //! the three export surfaces:
 //!
 //! 1. the Prometheus text exposition (scrape-ready counters/gauges),
@@ -16,7 +16,8 @@
 //! cluster moves exactly the same bytes no matter how the compute is
 //! scheduled.
 //!
-//! Run with: `cargo run --release --example run_report`
+//! Run with: `cargo run --release --example run_report`. `scripts/verify.sh`
+//! runs it, so the fingerprint assertion at the end is a gate.
 //!
 //! [`RunReport`]: gluon_suite::algos::RunReport
 

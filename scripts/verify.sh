@@ -13,7 +13,9 @@
 #      the in-memory backend bit-for-bit, and a killed worker must yield
 #      a typed peer-death error) plus the 2-process `gluon-host smoke`;
 #   5. the determinism matrix (threads × algorithms × policies,
-#      bit-identical results and wire counters) under --release;
+#      bit-identical results and wire counters) under --release, and the
+#      `run_report` example, which asserts that its report fingerprint
+#      does not depend on the thread count (`cargo test` only builds it);
 #   6. the golden run records under --release: results, rounds, wire
 #      counters and work units recorded from retired code paths (the
 #      pre-rewrite pagerank kernel, the barrier sync schedule, the
@@ -99,6 +101,8 @@ if [[ "$FAST" == "0" ]]; then
     watchdog 120 cargo run -q --release --bin gluon-host -- smoke
     echo "==> cargo test --release --test determinism (thread-count invariance; 600s watchdog)"
     watchdog 600 cargo test -q --release --test determinism
+    echo "==> run_report example (its report fingerprint must not depend on the thread count; 120s watchdog)"
+    watchdog 120 cargo run -q --release --example run_report
     echo "==> cargo test --release --test run_golden (recorded results, rounds, wire counters; 600s watchdog)"
     watchdog 600 cargo test -q --release --test run_golden
     echo "==> cargo test --release codec battery (differential oracle + fuzz smoke; 600s watchdog)"

@@ -13,8 +13,8 @@
 //! * [`gemini`] — the Gemini baseline system ([`gluon_gemini`]);
 //! * [`trace`] — structured span tracing and per-phase metrics
 //!   ([`gluon_trace`]);
-//! * [`metrics`] — typed counter/gauge/histogram registries, round
-//!   time-series, and the Prometheus/JSON exporters ([`gluon_metrics`]).
+//! * [`metrics`] — typed counter/gauge/histogram registries, the per-host
+//!   round ledger, and the Prometheus/JSON exporters ([`gluon_metrics`]).
 //!
 //! # Examples
 //!

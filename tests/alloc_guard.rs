@@ -21,8 +21,8 @@
 //!
 //! The shapes run both without metrics and under a live `MetricsHub`:
 //! the observability layer's publication path (atomic counters, interned
-//! names, a preallocated round-series ring) must also add zero
-//! steady-state allocations.
+//! names, the per-round ledger fold) must also add zero steady-state
+//! allocations.
 //!
 //! The same binary holds the engine side to the same standard: a steady
 //! push sweep over a warmed bin scratch allocates nothing, a whole warm
@@ -209,10 +209,9 @@ fn steady_state_sync_is_allocation_free() {
     }
 
     // The metrics layer must be free where it matters: with a live hub
-    // publishing counters, per-mode histograms, and per-round series rows,
-    // the steady window still allocates exactly nothing (the round ring
-    // is preallocated, counters are atomics, names are interned at
-    // registration).
+    // publishing counters, per-mode histograms, and a ledger fold per
+    // round, the steady window still allocates exactly nothing (counters
+    // and gauges are atomics, names are interned at registration).
     for threads in [1usize, 4] {
         let hub = MetricsHub::new(HOSTS);
         let (reports, stats) = bfs_shape(threads, false, &hub);

@@ -8,8 +8,9 @@
 //!    many worker threads the run used.
 //! 2. **Determinism fingerprint** — the report's `deterministic` section
 //!    (the [`fingerprint`]) is bit-identical across thread counts:
-//!    payload bytes, message counts, wire-mode histograms, and round
-//!    counts are scheduling-invariant in the simulated cluster.
+//!    payload bytes, message counts, wire-mode histograms, round counts
+//!    and every host's round ledger are scheduling-invariant in the
+//!    simulated cluster.
 //! 3. **Crash transparency** — a supervised run that crashes and recovers
 //!    produces the same non-timing report as the crash-free run: recovery
 //!    replays the computation, and the final attempt's metrics (the hub
@@ -54,7 +55,7 @@ fn detecting() -> ReliableConfig {
     }
 }
 
-fn report_at(threads: usize) -> RunReport {
+fn report_at(threads: usize) -> (RunReport, MetricsHub) {
     let g = graph();
     let hub = MetricsHub::new(HOSTS);
     let out = Run::new(&g, Algorithm::Bfs)
@@ -62,7 +63,7 @@ fn report_at(threads: usize) -> RunReport {
         .threads(threads)
         .metrics(&hub)
         .launch();
-    out.report(&hub, &CostModel::REPRO)
+    (out.report(&hub, &CostModel::REPRO), hub)
 }
 
 fn observed(report: &RunReport) -> &Json {
@@ -82,8 +83,8 @@ fn top_level_keys(json: &Json) -> Vec<String> {
 
 #[test]
 fn report_json_round_trips_and_keeps_its_schema_across_thread_counts() {
-    let one = report_at(1);
-    let four = report_at(4);
+    let (one, _) = report_at(1);
+    let (four, _) = report_at(4);
 
     for report in [&one, &four] {
         // Text-level round trip: parse with the workspace parser, render
@@ -108,6 +109,26 @@ fn report_json_round_trips_and_keeps_its_schema_across_thread_counts() {
                 .and_then(Json::as_bool),
             Some(true)
         );
+        // Every host folds its rounds into a ledger head, which the
+        // fingerprints compared below carry.
+        let hosts = report
+            .json()
+            .get("deterministic")
+            .and_then(|d| d.get("per_host"))
+            .and_then(Json::items)
+            .expect("the deterministic section lists its hosts");
+        assert_eq!(hosts.len(), HOSTS);
+        for host in hosts {
+            let ledger = host
+                .get("metrics")
+                .and_then(|m| m.get("round_ledger"))
+                .and_then(Json::as_u64);
+            assert!(
+                ledger.is_some_and(|l| l != 0),
+                "no round ledger in {}",
+                host.render()
+            );
+        }
     }
 
     // The document shape is thread-count invariant...
@@ -156,7 +177,7 @@ fn recovered_report_matches_crash_free_on_non_timing_fields() {
     let (recovered, recoveries) = run(Some(plan));
     assert!(recoveries >= 1, "the injected crash never fired");
 
-    // Bytes, messages, wire-mode histograms, rounds, per-round series —
+    // Bytes, messages, wire-mode histograms, rounds, round ledgers —
     // the whole deterministic section — must be identical: the hub
     // re-baselines at each attempt, so the surviving report describes
     // exactly one crash-free replay.
@@ -212,7 +233,7 @@ fn trace_ring_drops_surface_in_the_report() {
 
 #[test]
 fn prometheus_exposition_carries_the_run_counters() {
-    let report = report_at(2);
+    let (report, _) = report_at(2);
     let prom = report.prometheus();
     for metric in [
         "gluon_sync_rounds",
@@ -240,7 +261,7 @@ fn keys<'a>(json: &'a Json, out: &mut Vec<&'a str>) {
 
 #[test]
 fn the_fingerprint_is_the_deterministic_section() {
-    let report = report_at(2);
+    let (report, hub) = report_at(2);
     let deterministic = report
         .json()
         .get("deterministic")
@@ -248,31 +269,16 @@ fn the_fingerprint_is_the_deterministic_section() {
     assert_eq!(report.fingerprint(), deterministic.render());
 
     // What a deterministic run cannot reproduce never reaches the section:
-    // no timing, and none of the names the fingerprint used to filter out
-    // of the whole document by hand.
-    const OBSERVED_ONLY: [&str; 22] = [
+    // no timing and no key of an observed-only section anywhere...
+    const OBSERVED_SECTIONS: [&str; 8] = [
+        "timing",
         "calibration",
         "trace",
         "reliability",
         "exec",
-        "pool_crit_work",
         "cluster",
         "recoveries",
         "checkpoints_saved",
-        "retransmits",
-        "retransmit_bytes",
-        "dups_suppressed",
-        "crc_rejections",
-        "peers_down",
-        "net_socket_connects",
-        "net_socket_reconnect_attempts",
-        "net_socket_frames_sent",
-        "net_socket_frames_received",
-        "net_socket_short_reads",
-        "engine_bin_fills",
-        "engine_bin_drains",
-        "engine_binned_updates",
-        "engine_pull_chunks_skipped",
     ];
     let mut found = Vec::new();
     keys(deterministic, &mut found);
@@ -282,9 +288,37 @@ fn the_fingerprint_is_the_deterministic_section() {
             "timing key {key} in the deterministic section"
         );
         assert!(
-            !OBSERVED_ONLY.contains(key),
+            !OBSERVED_SECTIONS.contains(key),
             "observed key {key} in the deterministic section"
         );
+    }
+    // ...and no host lists a metric that an observed registry, a host's or
+    // the cluster's, holds.
+    let observed_names: Vec<&str> = (0..HOSTS)
+        .map(|rank| hub.host(rank).observed().snapshot())
+        .chain([hub.cluster().snapshot()])
+        .flatten()
+        .map(|(name, _)| name)
+        .collect();
+    assert!(
+        observed_names.contains(&"stage_recv_wait_ns"),
+        "the observed registries must hold the stage times: {observed_names:?}"
+    );
+    let hosts = deterministic
+        .get("per_host")
+        .and_then(Json::items)
+        .expect("the deterministic section lists its hosts");
+    for host in hosts {
+        let metrics = host
+            .get("metrics")
+            .and_then(Json::fields)
+            .expect("each host lists its metrics");
+        for (name, _) in metrics {
+            assert!(
+                !observed_names.contains(&name.as_str()),
+                "observed metric {name} in the deterministic section"
+            );
+        }
     }
     for key in [
         "bytes_sent",
@@ -292,6 +326,7 @@ fn the_fingerprint_is_the_deterministic_section() {
         "sync_rounds",
         "wire_msgs_dense",
         "rounds",
+        "round_ledger",
     ] {
         assert!(
             found.contains(&key),
