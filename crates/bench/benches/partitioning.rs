@@ -1,10 +1,74 @@
-//! Microbenchmarks of the partitioning policies (§3.1): time to produce
-//! all partitions of an rmat graph under each strategy.
+//! Partition construction on its own clock.
+//!
+//! * **On host** — `partition_on_host` at 2 hosts under CVC and OEC on an
+//!   rmat graph (§4.1: each host routes its slice of the edge list and
+//!   builds its own partition), best of a few runs, in ms and ns per edge.
+//!   Every run's partitions are checked against `partition_all`'s.
+//! * **Policies** — time to produce all partitions of an rmat13 graph at 8
+//!   hosts under each strategy of §3.1.
+//!
+//! `-- --quick` runs only the on-host pass, on rmat16, so CI can run the
+//! file in a few seconds; its numbers mean nothing, its checks do.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gluon_graph::gen;
-use gluon_partition::{partition_all, PartitionStats, Policy};
+use criterion::{criterion_group, BenchmarkId, Criterion};
+use gluon_graph::{gen, RmatProbs};
+use gluon_net::{run_cluster, Communicator};
+use gluon_partition::{partition_all, partition_on_host, LocalGraph, PartitionStats, Policy};
 use std::hint::black_box;
+use std::time::Instant;
+
+/// Timed repetitions of the on-host pass; the fastest is reported
+/// (interference only adds).
+const REPS: usize = 5;
+
+/// Hosts of the on-host pass, as in the benchmark's rmat workloads.
+const HOSTS: usize = 2;
+
+/// Panics unless `a` and `b` are the same partition: proxies, owners and
+/// the local CSR (`Csr: Eq` compares offsets, targets and weights).
+fn assert_same(a: &LocalGraph, b: &LocalGraph, what: &str) {
+    assert_eq!(a.num_masters(), b.num_masters(), "{what}: masters");
+    assert_eq!(a.num_proxies(), b.num_proxies(), "{what}: proxies");
+    assert!(
+        a.proxies()
+            .all(|p| a.gid(p) == b.gid(p) && a.owner_of(p) == b.owner_of(p)),
+        "{what}: gid or owner of a proxy"
+    );
+    assert_eq!(a.topology(), b.topology(), "{what}: local CSR");
+}
+
+fn bench_on_host(scale: u32) {
+    let g = gen::rmat(scale, 16, RmatProbs::GRAPH500, 28);
+    println!(
+        "\npartition_on_host (rmat{scale}, {} edges, {HOSTS} hosts, best of {REPS})",
+        g.num_edges()
+    );
+    println!("{:>8} {:>10} {:>12}", "policy", "ms", "ns/edge");
+    for policy in [Policy::Cvc, Policy::Oec] {
+        let serial = partition_all(&g, HOSTS, policy);
+        let mut best = f64::INFINITY;
+        for rep in 0..=REPS {
+            let start = Instant::now();
+            let parts = run_cluster(HOSTS, |ep| {
+                partition_on_host(&g, policy, &Communicator::new(ep))
+            });
+            let secs = start.elapsed().as_secs_f64();
+            // The first run is a warm-up: page-in, allocator growth.
+            if rep > 0 {
+                best = best.min(secs);
+            }
+            for (host, (d, s)) in parts.iter().zip(&serial).enumerate() {
+                assert_same(d, s, &format!("{policy}, host {host}"));
+            }
+        }
+        println!(
+            "{:>8} {:>10.2} {:>12.2}",
+            policy.name(),
+            best * 1e3,
+            best * 1e9 / g.num_edges() as f64
+        );
+    }
+}
 
 fn bench_policies(c: &mut Criterion) {
     let g = gen::rmat(13, 8, Default::default(), 99);
@@ -20,5 +84,13 @@ fn bench_policies(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_policies);
-criterion_main!(benches);
+criterion_group!(policies, bench_policies);
+
+fn main() {
+    if std::env::args().any(|a| a == "--quick") {
+        bench_on_host(16);
+    } else {
+        bench_on_host(19);
+        policies();
+    }
+}

@@ -79,17 +79,28 @@ impl GraphBuilder {
     }
 
     /// Produces the [`Csr`]: rows ordered by source, each row by
-    /// `(dst, weight)`; see [`build_csr`].
+    /// `(dst, weight)`; with dedup, one edge per `(src, dst)`, the one of
+    /// smallest weight.
+    ///
+    /// Two walks over the edges: one counts each source's out-degree and
+    /// notes whether every weight is 1, the other is [`fill_csr`].
     pub fn build(&self) -> Csr {
-        build_csr(self.num_nodes, &Kept(self), self.dedup)
+        let kept = Kept(self);
+        let mut offsets = vec![0u64; self.num_nodes as usize + 1];
+        let mut unit_weights = true;
+        kept.for_each(|s, _, w| {
+            offsets[s as usize + 1] += 1;
+            unit_weights &= w == 1;
+        });
+        fill_csr(offsets, unit_weights, &kept, self.dedup)
     }
 }
 
 /// Edges that can be walked more than once: every call of
 /// [`EdgeStream::for_each`] yields the same `(src, dst, weight)` triples.
-/// [`build_csr`] walks a stream twice instead of holding a copy of it, so
-/// edges that live in another form (network payloads, another id space)
-/// never have to become a triple list.
+/// [`fill_csr`] walks a stream instead of holding a copy of it, so edges
+/// that live in another form (network payloads, another id space) never
+/// have to become a triple list.
 pub trait EdgeStream {
     /// Calls `sink(src, dst, weight)` once per edge.
     fn for_each(&self, sink: impl FnMut(u32, u32, u32));
@@ -110,37 +121,41 @@ impl EdgeStream for Kept<'_> {
     }
 }
 
-/// Builds the [`Csr`] of `edges` over `num_nodes` nodes: rows ordered by
-/// source, each row by `(dst, weight)`; with `dedup`, one edge per
-/// `(src, dst)`, the one of smallest weight.
+/// The filling half of a CSR build: lays `edges` out as the [`Csr`] over
+/// `offsets.len() - 1` nodes, rows ordered by source, each row by
+/// `(dst, weight)`; with `dedup`, one edge per `(src, dst)`, the one of
+/// smallest weight.
 ///
-/// An out-of-place counting sort by source (degree count, prefix sum,
-/// scatter) followed by a sort of each row. Rows partition the edges by
-/// source, so the result is the order a sort of the whole
-/// `(src, dst, weight)` list gives, whatever order the stream has. The result
-/// is unweighted exactly when every kept edge has weight 1; a stream of unit
-/// weights is scattered straight into the target array.
+/// The caller has counted the stream: `offsets[v + 1]` holds the
+/// out-degree of node `v` (and `offsets[0]` is 0), and `unit_weights` says
+/// whether every weight is 1. A prefix sum turns the counts into row bounds
+/// in place, one walk scatters every edge into its source's row, and each
+/// row is sorted. Rows partition the edges by source, so the result is the
+/// order a sort of the whole `(src, dst, weight)` list gives, whatever order
+/// the stream has. The result is unweighted exactly when every kept edge
+/// has weight 1; a stream of unit weights is scattered straight into the
+/// target array.
 ///
 /// # Panics
 ///
-/// Panics if an endpoint is `>= num_nodes`.
-pub fn build_csr(num_nodes: u32, edges: &impl EdgeStream, dedup: bool) -> Csr {
-    let n = num_nodes as usize;
-    let mut offsets = vec![0u64; n + 1];
-    let mut unit_weights = true;
-    edges.for_each(|s, d, w| {
-        assert!(
-            s < num_nodes && d < num_nodes,
-            "edge ({s}, {d}) out of range for {num_nodes} nodes"
-        );
-        offsets[s as usize + 1] += 1;
-        unit_weights &= w == 1;
-    });
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
+/// Panics if an endpoint is out of range, if a source's count does not
+/// match the edges the stream gives it, or if `unit_weights` is claimed for
+/// a stream with another weight.
+pub fn fill_csr(
+    mut offsets: Vec<u64>,
+    unit_weights: bool,
+    edges: &impl EdgeStream,
+    dedup: bool,
+) -> Csr {
+    for v in 1..offsets.len() {
+        offsets[v] += offsets[v - 1];
     }
     if unit_weights {
-        let targets = sorted_rows(&mut offsets, edges, dedup, |d, _| d, |&d| d);
+        let unit = |d, w| {
+            assert_eq!(w, 1, "weight {w} in a stream counted as unit-weight");
+            d
+        };
+        let targets = sorted_rows(&mut offsets, edges, dedup, unit, |&d| d);
         return Csr::from_parts(offsets, targets, Vec::new());
     }
     let rows = sorted_rows(&mut offsets, edges, dedup, |d, w| (d, w), |&(d, _)| d);
@@ -154,9 +169,10 @@ pub fn build_csr(num_nodes: u32, edges: &impl EdgeStream, dedup: bool) -> Csr {
 }
 
 /// Scatters `cell(dst, weight)` of every edge into its source's row
-/// (`offsets` holds the row bounds) and sorts each row; with `dedup`, also
-/// compacts the rows towards the front, keeping the first (smallest) cell
-/// per `target`, and rewrites `offsets` to match.
+/// (`offsets` holds the row bounds), checking both endpoints first, and
+/// sorts each row; with `dedup`, also compacts the rows towards the front,
+/// keeping the first (smallest) cell per `target`, and rewrites `offsets` to
+/// match.
 fn sorted_rows<T: Copy + Ord + Default>(
     offsets: &mut [u64],
     edges: &impl EdgeStream,
@@ -168,19 +184,25 @@ fn sorted_rows<T: Copy + Ord + Default>(
     let mut cursor = offsets[..n].to_vec();
     let mut rows = vec![T::default(); offsets[n] as usize];
     edges.for_each(|s, d, w| {
+        assert!(
+            (s as usize) < n && (d as usize) < n,
+            "edge ({s}, {d}) out of range for {n} nodes"
+        );
         let slot = &mut cursor[s as usize];
         rows[*slot as usize] = cell(d, w);
         *slot += 1;
     });
+    // Every row filled exactly: no count was short (which would have
+    // spilled into the next row) or long.
+    assert!(
+        cursor[..] == offsets[1..],
+        "the stream does not match its per-source counts"
+    );
     let mut kept = 0usize;
     let mut start = 0usize;
     for v in 0..n {
         let end = offsets[v + 1] as usize;
-        // The stable sort because it is the run-adaptive one (equal cells
-        // are indistinguishable, so the order is the same): a partition's
-        // stream is in source order and leaves each row as one or two
-        // ascending runs, which it merges instead of sorting from scratch.
-        rows[start..end].sort();
+        sort_row(&mut rows[start..end]);
         if dedup {
             let row_start = kept;
             for i in start..end {
@@ -197,6 +219,30 @@ fn sorted_rows<T: Copy + Ord + Default>(
         rows.truncate(kept);
     }
     rows
+}
+
+/// Sorts one row of cells.
+///
+/// A partition's stream is in source order and leaves most rows as one
+/// ascending run, or as two where the second lies wholly below the first: a
+/// host numbers its masters before its mirrors, so a row in gid order that
+/// reaches mirrors of smaller gid before its masters comes out rotated. The
+/// first is only checked, the second checked and rotated back, each in
+/// linear time; anything else goes to the stable sort, the run-adaptive one
+/// (equal cells are indistinguishable, so the order is the same either way).
+fn sort_row<T: Copy + Ord>(row: &mut [T]) {
+    let Some(last) = row.last().copied() else {
+        return;
+    };
+    let first_run = 1 + row.windows(2).take_while(|w| w[0] <= w[1]).count();
+    if first_run == row.len() {
+        return;
+    }
+    if last <= row[0] && row[first_run..].is_sorted() {
+        row.rotate_left(first_run);
+    } else {
+        row.sort();
+    }
 }
 
 #[cfg(test)]
@@ -266,15 +312,56 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn build_csr_rejects_an_out_of_range_edge() {
-        struct One;
-        impl EdgeStream for One {
-            fn for_each(&self, mut sink: impl FnMut(u32, u32, u32)) {
-                sink(0, 2, 1);
-            }
+    fn sort_row_sorts_sorted_rotated_and_other_rows() {
+        let rows: [&[u32]; 10] = [
+            &[],
+            &[4],
+            &[1, 2, 2, 5],
+            &[7, 8, 9, 1, 2, 3],
+            &[5, 6, 1, 2, 5],
+            &[3, 1, 2],
+            &[2, 3, 1, 4],
+            &[4, 1, 3, 2],
+            &[6, 7, 1, 2, 8, 3],
+            &[2, 2, 1, 1],
+        ];
+        for row in rows {
+            let mut expected = row.to_vec();
+            expected.sort_unstable();
+            let mut got = row.to_vec();
+            sort_row(&mut got);
+            assert_eq!(got, expected, "{row:?}");
         }
-        let _ = build_csr(2, &One, false);
+    }
+
+    /// One edge, `(0, dst)` of weight `weight`.
+    struct One {
+        dst: u32,
+        weight: u32,
+    }
+
+    impl EdgeStream for One {
+        fn for_each(&self, mut sink: impl FnMut(u32, u32, u32)) {
+            sink(0, self.dst, self.weight);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn fill_csr_rejects_an_out_of_range_edge() {
+        let _ = fill_csr(vec![0, 1, 0], true, &One { dst: 2, weight: 1 }, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match its per-source counts")]
+    fn fill_csr_rejects_a_stream_that_does_not_match_its_counts() {
+        let _ = fill_csr(vec![0, 0, 1], true, &One { dst: 1, weight: 1 }, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "counted as unit-weight")]
+    fn fill_csr_rejects_a_weight_in_a_unit_weight_stream() {
+        let _ = fill_csr(vec![0, 1, 0], true, &One { dst: 1, weight: 3 }, false);
     }
 
     #[test]

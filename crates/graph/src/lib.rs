@@ -30,7 +30,7 @@ mod ids;
 pub mod io;
 mod props;
 
-pub use builder::{build_csr, EdgeStream, GraphBuilder};
+pub use builder::{fill_csr, EdgeStream, GraphBuilder};
 pub use csr::{for_each_edge, Csr, Edge};
 pub use gen::{
     binary_tree, complete, cycle, erdos_renyi, grid, kronecker, path, rmat, star, twitter_like,

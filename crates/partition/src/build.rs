@@ -13,7 +13,7 @@
 use crate::local::LocalGraph;
 use crate::policy::{Policy, PolicyCtx};
 use bytes::Bytes;
-use gluon_graph::{build_csr, Csr, EdgeStream, Gid};
+use gluon_graph::{fill_csr, Csr, EdgeStream, Gid};
 use gluon_net::{Communicator, Transport};
 use std::ops::Range;
 
@@ -37,9 +37,10 @@ use std::ops::Range;
 /// Panics if `num_hosts` is zero.
 pub fn partition_all(graph: &Csr, num_hosts: usize, policy: Policy) -> Vec<LocalGraph> {
     let ctx = PolicyCtx::new(policy, graph, num_hosts);
+    let (m, width) = (graph.num_edges(), edge_bytes(graph));
     let mut buckets = vec![Vec::new(); num_hosts];
-    route_edge_slice(graph, &ctx, 0, graph.num_edges(), |host, src, dst, w| {
-        put_edge(&mut buckets[host], src, dst, w);
+    route_edge_slice(graph, &ctx, 0, m, &[], |host, src, dst, w| {
+        put_edge(&mut buckets[host], width, src, dst, w);
     });
     buckets
         .into_iter()
@@ -77,25 +78,27 @@ pub fn partition_on_host<T: Transport + ?Sized>(
     let lo = m * rank as u64 / num_hosts as u64;
     let hi = m * (rank as u64 + 1) / num_hosts as u64;
 
-    // Count first, so every buffer is allocated once at its final size.
+    // Count first, so every buffer is allocated once at its final size. The
+    // edges that stay here are not copied anywhere: the same pass sets their
+    // bits in a mask of one bit per edge of the slice, and every later pass
+    // reads them from `graph`.
+    let width = edge_bytes(graph);
     let mut counts = vec![0usize; num_hosts];
-    route_edge_slice(graph, &ctx, lo, hi, |host, _, _, _| counts[host] += 1);
+    let mut stays = vec![0u64; (hi - lo).div_ceil(64) as usize];
+    let mut i = 0usize;
+    route_edge_slice(graph, &ctx, lo, hi, &[], |host, _, _, _| {
+        counts[host] += 1;
+        stays[i / 64] |= u64::from(host == rank) << (i % 64);
+        i += 1;
+    });
     counts[rank] = 0;
     let mut outgoing: Vec<Vec<u8>> = counts
         .iter()
-        .map(|&c| Vec::with_capacity(c * EDGE_BYTES))
+        .map(|&c| Vec::with_capacity(c * width))
         .collect();
-    // The edges that stay here are not copied anywhere: one bit per edge of
-    // the slice remembers them, and every later pass reads them from `graph`.
-    let mut stays = vec![0u64; (hi - lo).div_ceil(64) as usize];
-    let mut i = 0usize;
-    route_edge_slice(graph, &ctx, lo, hi, |host, src, dst, weight| {
-        if host == rank {
-            stays[i / 64] |= 1 << (i % 64);
-        } else {
-            put_edge(&mut outgoing[host], src, dst, weight);
-        }
-        i += 1;
+    // The second pass routes only the edges that leave.
+    route_edge_slice(graph, &ctx, lo, hi, &stays, |host, src, dst, weight| {
+        put_edge(&mut outgoing[host], width, src, dst, weight);
     });
     let received = comm.all_to_all(outgoing.into_iter().map(Bytes::from).collect());
     let edges = HostEdges {
@@ -132,41 +135,90 @@ fn weight_at(graph: &Csr, i: usize) -> u32 {
 
 /// Calls `sink(host, src, dst, weight)` for edges `lo..hi` (by CSR edge
 /// index) of `graph`, in CSR order, `host` being the one `ctx` assigns the
-/// edge to.
+/// edge to. Edge `lo + i` is passed over when bit `i` of `skip` is set; an
+/// empty `skip` passes over none.
 ///
-/// Asks for the source's master once per [`PolicyCtx::master_run`], not once
-/// per edge.
+/// Works out the source's side of the edge's host (its master, and under
+/// CVC its grid row) once per [`PolicyCtx::master_run`], so per edge there
+/// is only the destination's side: a branch-free block lookup at most, and
+/// no division.
 fn route_edge_slice(
     graph: &Csr,
     ctx: &PolicyCtx,
     lo: u64,
     hi: u64,
+    skip: &[u64],
     mut sink: impl FnMut(usize, u32, u32, u32),
 ) {
     let targets = graph.targets();
-    let (mut src_master, mut run_end) = (0, 0);
+    let (mut side, mut run_end) = (ctx.source_side(0), 0);
     for_each_row(graph, lo, hi, |v, edges| {
         if v >= run_end {
-            (src_master, run_end) = ctx.master_run(Gid(v));
+            let master;
+            (master, run_end) = ctx.master_run(Gid(v));
+            side = ctx.source_side(master);
         }
-        for i in edges {
+        let route = |i: usize| {
             let dst = targets[i];
-            let host = ctx.host_of_edge_from(src_master, Gid(dst));
+            let host = ctx.host_of_edge_on(side, Gid(dst));
             sink(host, v, dst, weight_at(graph, i));
+        };
+        if skip.is_empty() {
+            edges.for_each(route);
+        } else {
+            for_each_set_bit(edges, lo as usize, |word| !skip[word], route);
         }
     });
 }
 
-/// Bytes of one routed edge: `src`, `dst` and `weight` as little-endian
-/// `u32`s.
-const EDGE_BYTES: usize = 12;
+/// Calls `visit(i)` for every `i` of `edges` whose bit `i - lo` is set in
+/// the mask whose words `word(k)` gives, in order. The mask is read a word
+/// at a time and only the set bits are visited, so no branch depends on a
+/// single bit (under CVC, whether an edge stays is a coin toss per edge).
+#[inline]
+fn for_each_set_bit(
+    edges: Range<usize>,
+    lo: usize,
+    word: impl Fn(usize) -> u64,
+    mut visit: impl FnMut(usize),
+) {
+    let (mut at, end) = (edges.start - lo, edges.end - lo);
+    while at < end {
+        let stop = end.min((at / 64 + 1) * 64);
+        let mut bits = word(at / 64) >> (at % 64) & u64::MAX >> (64 - (stop - at));
+        while bits != 0 {
+            visit(lo + at + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+        at = stop;
+    }
+}
 
-fn put_edge(buf: &mut Vec<u8>, src: u32, dst: u32, weight: u32) {
-    let mut edge = [0u8; EDGE_BYTES];
+/// Bytes of one routed edge of `graph`: `src` and `dst` as little-endian
+/// `u32`s, then `weight` the same way when the graph is weighted. Every host
+/// reads the same graph, so senders and receivers agree on it.
+fn edge_bytes(graph: &Csr) -> usize {
+    if graph.weights().is_empty() {
+        8
+    } else {
+        12
+    }
+}
+
+/// Appends one edge record of `width` bytes (see [`edge_bytes`]).
+#[inline]
+fn put_edge(buf: &mut Vec<u8>, width: usize, src: u32, dst: u32, weight: u32) {
+    let mut edge = [0u8; 12];
     edge[0..4].copy_from_slice(&src.to_le_bytes());
     edge[4..8].copy_from_slice(&dst.to_le_bytes());
     edge[8..12].copy_from_slice(&weight.to_le_bytes());
-    buf.extend_from_slice(&edge);
+    // Two fixed-size copies rather than one of a run-time length, which
+    // would be a call to `memcpy` per edge.
+    if width == 12 {
+        buf.extend_from_slice(&edge);
+    } else {
+        buf.extend_from_slice(&edge[..8]);
+    }
 }
 
 /// The edges routed to one host, in global ids: those of its own slice of
@@ -188,23 +240,29 @@ impl HostEdges<'_> {
         let targets = self.graph.targets();
         let lo = self.slice.start as usize;
         for_each_row(self.graph, self.slice.start, self.slice.end, |v, edges| {
-            for i in edges {
-                if self.stays[(i - lo) / 64] >> ((i - lo) % 64) & 1 != 0 {
+            for_each_set_bit(
+                edges,
+                lo,
+                |word| self.stays[word],
+                |i| {
                     sink(v, targets[i], weight_at(self.graph, i));
-                }
-            }
+                },
+            );
         });
+        let width = edge_bytes(self.graph);
         for payload in self.received {
             assert_eq!(
-                payload.len() % EDGE_BYTES,
+                payload.len() % width,
                 0,
-                "edge payload must be 12-byte triples"
+                "edge payload of {} bytes is not a whole number of {width}-byte records",
+                payload.len()
             );
             let word = |edge: &[u8], i: usize| {
                 u32::from_le_bytes(edge[4 * i..4 * i + 4].try_into().expect("4 bytes"))
             };
-            for edge in payload.chunks_exact(EDGE_BYTES) {
-                sink(word(edge, 0), word(edge, 1), word(edge, 2));
+            for edge in payload.chunks_exact(width) {
+                let weight = if width == 12 { word(edge, 2) } else { 1 };
+                sink(word(edge, 0), word(edge, 1), weight);
             }
         }
     }
@@ -231,10 +289,13 @@ const ENDPOINT: u8 = 2;
 /// Builds host `host`'s [`LocalGraph`] from the edges routed to it, in
 /// linear passes over flat arrays (DESIGN.md, "Partition construction").
 ///
-/// The edges are never gathered into a list: `edges` is walked once to find
-/// the endpoints and twice by [`build_csr`]. Two scratch arrays indexed by
-/// global id — one byte of marks and one `u32` local id per vertex — live
-/// only inside this function.
+/// The edges are never gathered into a list, and `edges` is walked twice.
+/// The first walk marks both ends of every edge and counts each source's
+/// out-degree; one scan in gid order then hands out local ids and lays the
+/// counts out in local id order; the second walk is [`fill_csr`]'s scatter.
+/// Two scratch arrays indexed by global id — one byte of marks and one `u32`
+/// per vertex, first the out-degree and then the local id — live only
+/// inside this function.
 fn build_local(host: usize, ctx: &PolicyCtx, edges: &HostEdges<'_>) -> LocalGraph {
     let graph = edges.graph;
     let n = graph.num_nodes();
@@ -251,30 +312,43 @@ fn build_local(host: usize, ctx: &PolicyCtx, edges: &HostEdges<'_>) -> LocalGrap
         }
         v = run_end;
     }
-    // Mirrors: endpoints of local edges whose master is remote.
-    edges.for_each(|u, v, _| {
+    // Mirrors: endpoints of local edges whose master is remote. The same
+    // walk counts out-degrees by global id.
+    let mut lid_of = vec![0u32; n as usize];
+    let mut unit_weights = true;
+    edges.for_each(|u, v, w| {
         marks[u as usize] |= ENDPOINT;
         marks[v as usize] |= ENDPOINT;
+        lid_of[u as usize] += 1;
+        unit_weights &= w == 1;
     });
     // One scan in gid order hands out local ids, masters first, and leaves
-    // both proxy ranges sorted by gid.
-    let mut lid_of = vec![u32::MAX; n as usize];
+    // both proxy ranges sorted by gid. It moves each proxy's out-degree to
+    // its local id's row, one slot to the right as `fill_csr` wants it, and
+    // puts the local id in its place.
+    let num_proxies = marks.iter().filter(|&&mark| mark != 0).count();
+    let mut offsets = vec![0u64; num_proxies + 1];
     let mut gids = Vec::with_capacity(num_masters as usize);
     let mut mirror_gids = Vec::new();
     for (g, &mark) in marks.iter().enumerate() {
-        if mark & MASTER != 0 {
-            lid_of[g] = gids.len() as u32;
+        let lid = if mark & MASTER != 0 {
             gids.push(Gid(g as u32));
+            gids.len() - 1
         } else if mark != 0 {
-            lid_of[g] = num_masters + mirror_gids.len() as u32;
             mirror_gids.push(Gid(g as u32));
-        }
+            num_masters as usize + mirror_gids.len() - 1
+        } else {
+            continue;
+        };
+        offsets[lid + 1] = u64::from(lid_of[g]);
+        lid_of[g] = lid as u32;
     }
     drop(marks);
     gids.append(&mut mirror_gids);
 
-    let local_csr = build_csr(
-        gids.len() as u32,
+    let local_csr = fill_csr(
+        offsets,
+        unit_weights,
         &LocalEdges {
             edges,
             lid_of: &lid_of,
@@ -357,41 +431,98 @@ mod tests {
 
     #[test]
     fn distributed_equals_serial() {
-        let g = gen::with_random_weights(&gen::rmat(6, 4, Default::default(), 11), 5, 2);
-        for policy in Policy::ALL {
-            let serial = partition_all(&g, 4, policy);
-            let distributed = run_cluster(4, |ep| {
-                let comm = Communicator::new(ep);
-                partition_on_host(&g, policy, &comm)
-            });
-            for (s, d) in serial.iter().zip(&distributed) {
-                crate::oracle::assert_same_partition(d, s, &format!("policy {policy}"));
+        // Both record widths: 12 bytes per routed edge, then 8.
+        let unweighted = gen::rmat(6, 4, Default::default(), 11);
+        let weighted = gen::with_random_weights(&unweighted, 5, 2);
+        for (input, g) in [("weighted", &weighted), ("unweighted", &unweighted)] {
+            assert_eq!(edge_bytes(g), if input == "weighted" { 12 } else { 8 });
+            for policy in Policy::ALL {
+                let serial = partition_all(g, 4, policy);
+                let distributed = run_cluster(4, |ep| {
+                    let comm = Communicator::new(ep);
+                    partition_on_host(g, policy, &comm)
+                });
+                for (s, d) in serial.iter().zip(&distributed) {
+                    let what = format!("{input}, policy {policy}");
+                    crate::oracle::assert_same_partition(d, s, &what);
+                }
             }
         }
+    }
+
+    /// Walks one received payload of `len` bytes as an edge stream of `g`.
+    fn walk_payload(g: &Csr, len: usize) {
+        let received = [Bytes::from(vec![0u8; len])];
+        let edges = HostEdges {
+            graph: g,
+            slice: 0..0,
+            stays: &[],
+            received: &received,
+        };
+        edges.for_each(|_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of 8-byte records")]
+    fn a_torn_unweighted_payload_panics() {
+        walk_payload(&gen::rmat(4, 4, Default::default(), 1), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of 12-byte records")]
+    fn a_torn_weighted_payload_panics() {
+        let g = gen::with_random_weights(&gen::rmat(4, 4, Default::default(), 1), 5, 2);
+        walk_payload(&g, 16);
     }
 
     /// Edges `lo..hi` as `route_edge_slice` reports them.
     fn routed(g: &Csr, ctx: &PolicyCtx, lo: u64, hi: u64) -> Vec<(usize, u32, u32, u32)> {
         let mut out = Vec::new();
-        route_edge_slice(g, ctx, lo, hi, |h, s, d, w| out.push((h, s, d, w)));
+        route_edge_slice(g, ctx, lo, hi, &[], |h, s, d, w| out.push((h, s, d, w)));
         out
+    }
+
+    /// The host of edge `(s, d)` by each policy's definition (§3.1),
+    /// written out with plain division from the two endpoints' masters.
+    fn host_by_formula(g: &Csr, ctx: &PolicyCtx, s: Gid, d: Gid) -> usize {
+        let (src_master, dst_master) = (ctx.master_of(s), ctx.master_of(d));
+        match ctx.policy() {
+            Policy::Oec | Policy::RandomOec | Policy::Fennel => src_master,
+            Policy::Iec => dst_master,
+            Policy::Cvc => {
+                let (_, cols) = ctx.grid();
+                (src_master / cols) * cols + dst_master % cols
+            }
+            Policy::Hvc => {
+                let hub_threshold = 4 * (g.num_edges() / u64::from(g.num_nodes())).max(1);
+                if u64::from(g.in_degrees()[d.index()]) > hub_threshold {
+                    src_master
+                } else {
+                    dst_master
+                }
+            }
+        }
     }
 
     #[test]
     fn route_edge_slice_covers_all_edges_without_overlap() {
-        let g = gen::with_random_weights(&gen::rmat(6, 4, Default::default(), 5), 4, 3);
+        let g = gen::with_random_weights(&gen::rmat(7, 4, Default::default(), 5), 4, 3);
         let m = g.num_edges();
-        for policy in Policy::ALL {
-            let ctx = PolicyCtx::new(policy, &g, 3);
-            let expected: Vec<_> = g
-                .edges()
-                .map(|(s, e)| (ctx.host_of_edge(s, e.dst), s.0, e.dst.0, e.weight))
-                .collect();
-            for n in [1u64, 2, 3, 7] {
-                let seen: Vec<_> = (0..n)
-                    .flat_map(|h| routed(&g, &ctx, m * h / n, m * (h + 1) / n))
+        // 4, 6 and 9 hosts make CVC grids of more than one row (2×2, 2×3,
+        // 3×3), 6 and 9 with a column count that is not a power of two.
+        for hosts in [2, 3, 4, 6, 9] {
+            for policy in Policy::ALL {
+                let ctx = PolicyCtx::new(policy, &g, hosts);
+                let expected: Vec<_> = g
+                    .edges()
+                    .map(|(s, e)| (host_by_formula(&g, &ctx, s, e.dst), s.0, e.dst.0, e.weight))
                     .collect();
-                assert_eq!(seen, expected, "policy {policy}, {n} slices");
+                for n in [1u64, 2, 3, 7] {
+                    let seen: Vec<_> = (0..n)
+                        .flat_map(|h| routed(&g, &ctx, m * h / n, m * (h + 1) / n))
+                        .collect();
+                    assert_eq!(seen, expected, "policy {policy}, {hosts} hosts, {n} slices");
+                }
             }
         }
     }

@@ -162,7 +162,7 @@ fn inputs() -> Vec<(&'static str, Csr)> {
 fn linear_pass_builder_equals_the_oracle() {
     for (name, g) in inputs() {
         for policy in Policy::ALL {
-            for hosts in [1usize, 2, 3, 4, 7] {
+            for hosts in [1usize, 2, 3, 4, 6, 7, 9] {
                 let what = format!("{name}, {policy}, {hosts} hosts");
                 let oracle = oracle_partition_all(&g, hosts, policy);
                 let serial = partition_all(&g, hosts, policy);

@@ -123,6 +123,9 @@ pub struct PolicyCtx {
     blocks: BlockMap,
     /// CVC grid shape (rows, cols); (1, num_hosts) otherwise.
     grid: (usize, usize),
+    /// CVC: grid column of each host, `host % cols` (empty otherwise), so
+    /// routing an edge needs no division.
+    columns: Vec<usize>,
     /// HVC: global in-degree per node (empty for other policies).
     in_degrees: Vec<u32>,
     /// HVC: in-degree above which a node counts as a hub.
@@ -154,10 +157,11 @@ impl PolicyCtx {
             }
             Policy::RandomOec => BlockMap::uniform(graph.num_nodes(), num_hosts),
         };
-        let grid = if policy == Policy::Cvc {
-            grid_dims(num_hosts)
+        let (grid, columns) = if policy == Policy::Cvc {
+            let (rows, cols) = grid_dims(num_hosts);
+            ((rows, cols), (0..num_hosts).map(|h| h % cols).collect())
         } else {
-            (1, num_hosts)
+            ((1, num_hosts), Vec::new())
         };
         let (in_degrees, hub_threshold) = if policy == Policy::Hvc {
             let degs = graph.in_degrees();
@@ -178,6 +182,7 @@ impl PolicyCtx {
             num_hosts,
             blocks,
             grid,
+            columns,
             in_degrees,
             hub_threshold,
             assignment,
@@ -232,25 +237,45 @@ impl PolicyCtx {
     /// known, so a loop over one source's edges looks it up once.
     #[inline]
     pub fn host_of_edge_from(&self, src_master: usize, dst: Gid) -> usize {
+        self.host_of_edge_on(self.source_side(src_master), dst)
+    }
+
+    /// What an edge's host takes from its source, whose master is
+    /// `src_master`: the first host of the master's grid row under CVC, the
+    /// master itself under every other policy. A loop over ascending sources
+    /// works it out once per [`PolicyCtx::master_run`].
+    #[inline]
+    pub(crate) fn source_side(&self, src_master: usize) -> SourceSide {
         match self.policy {
-            Policy::Oec | Policy::RandomOec | Policy::Fennel => src_master,
-            Policy::Iec => self.master_of(dst),
-            Policy::Cvc => {
-                let (_, cols) = self.grid;
-                let row = src_master / cols;
-                let col = self.master_of(dst) % cols;
-                row * cols + col
-            }
+            Policy::Cvc => SourceSide(src_master - src_master % self.grid.1),
+            _ => SourceSide(src_master),
+        }
+    }
+
+    /// Host of an edge into `dst` from a source on side `side`. Under IEC,
+    /// CVC and HVC a node's master is its block, so the destination side is
+    /// at most one [`BlockMap::owner`] lookup, and no division.
+    #[inline]
+    pub(crate) fn host_of_edge_on(&self, side: SourceSide, dst: Gid) -> usize {
+        match self.policy {
+            Policy::Oec | Policy::RandomOec | Policy::Fennel => side.0,
+            Policy::Iec => self.blocks.owner(dst),
+            // The row's first host plus the column of `dst`'s master.
+            Policy::Cvc => side.0 + self.columns[self.blocks.owner(dst)],
             Policy::Hvc => {
                 if self.in_degrees[dst.index()] > self.hub_threshold {
-                    src_master
+                    side.0
                 } else {
-                    self.master_of(dst)
+                    self.blocks.owner(dst)
                 }
             }
         }
     }
 }
+
+/// The source's share of an edge's host, from [`PolicyCtx::source_side`].
+#[derive(Clone, Copy)]
+pub(crate) struct SourceSide(usize);
 
 /// Greedy Fennel stream: place each node (in id order) on the host with
 /// the highest score `|placed neighbors there| - alpha * load^(gamma - 1)`,
