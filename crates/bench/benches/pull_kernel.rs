@@ -1,4 +1,4 @@
-//! The two loops a pagerank trial spends its time in, on their own clock.
+//! The three loops a pagerank trial spends its time in, on their own clock.
 //!
 //! * **Pull sweep** — one pagerank iteration on a single-host partition
 //!   (no peers, so sync is a no-op): the per-proxy quotient fill, the

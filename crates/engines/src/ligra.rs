@@ -554,7 +554,7 @@ fn sweep_destinations<T: Send + Sync>(
         labels,
         sched,
         &mut chunk_active[..num_chunks],
-        |r| r.map(|i| u64::from(graph.in_degree(Lid(i as u32)))).sum(),
+        |r| graph.in_degree_sum(r),
         |start, chunk, slot| {
             slot.clear();
             if skip(start, start + chunk.len()) {
@@ -891,6 +891,31 @@ mod tests {
             assert_eq!(bins.activated(), want_active, "threads = {threads}");
             assert_eq!(by_vertex.drain_work(), by_edge.drain_work());
             assert!(want_active.len() < n as usize, "some proxy has no in-edge");
+        }
+    }
+
+    #[test]
+    fn chunk_weights_are_the_summed_in_degrees_on_the_chunk_grid() {
+        // 2-host CVC of an rmat11: each host's proxy count is no multiple
+        // of its chunk width, so the last chunk is the shorter one.
+        let g = gen::rmat(11, 8, Default::default(), 4);
+        for mut lg in partition_all(&g, 2, Policy::Cvc) {
+            lg.build_transpose();
+            let n = lg.num_proxies() as usize;
+            let cw = chunk_width(n);
+            assert_ne!(n % cw, 0, "host {}: the last chunk is full", lg.host());
+            let summed = |r: std::ops::Range<usize>| {
+                r.map(|i| lg.in_sources(Lid(i as u32)).len() as u64)
+                    .sum::<u64>()
+            };
+            for ci in 0..Pool::num_chunks(n) {
+                let r = ci * cw..((ci + 1) * cw).min(n);
+                assert_eq!(lg.in_degree_sum(r.clone()), summed(r.clone()), "{r:?}");
+            }
+            for k in [0, n / 2, n] {
+                assert_eq!(lg.in_degree_sum(k..k), 0);
+            }
+            assert_eq!(lg.in_degree_sum(0..n), lg.num_local_edges());
         }
     }
 

@@ -245,6 +245,15 @@ impl Csr {
     /// The transpose is the CSC view used by pull-style operators: the
     /// out-edges of `v` in the transpose are the in-edges of `v` here.
     ///
+    /// Row order: each row of the transpose lists its sources ascending,
+    /// and parallel edges keep their source row's order — the result is a
+    /// stable sort by destination of [`Csr::edges`]. A pull fold that sums
+    /// in row order (pagerank's) relies on that for bit-identical results.
+    ///
+    /// Cost: one count pass over `targets`, a prefix sum, and one scatter
+    /// that walks the rows in source order as raw slices (weights beside
+    /// them when the graph has any), so nothing is decided per edge.
+    ///
     /// # Examples
     ///
     /// ```
@@ -266,19 +275,28 @@ impl Csr {
         }
         let offsets = counts.clone();
         let mut cursor = counts;
-        let mut targets = vec![0u32; self.targets.len()];
-        let weighted = self.is_weighted();
-        let mut weights = if weighted {
-            vec![0u32; self.weights.len()]
-        } else {
-            Vec::new()
+        // The next free slot of row `dst`.
+        let mut place = |dst: u32| {
+            let next = &mut cursor[dst as usize];
+            *next += 1;
+            (*next - 1) as usize
         };
-        for (src, edge) in self.edges() {
-            let slot = cursor[edge.dst.index()] as usize;
-            cursor[edge.dst.index()] += 1;
-            targets[slot] = src.0;
+        let mut targets = vec![0u32; self.targets.len()];
+        let mut weights = vec![0u32; self.weights.len()];
+        let weighted = self.is_weighted();
+        for (src, row) in self.offsets.windows(2).enumerate() {
+            let row = row[0] as usize..row[1] as usize;
+            let src = src as u32;
             if weighted {
-                weights[slot] = edge.weight;
+                for (&dst, &w) in self.targets[row.clone()].iter().zip(&self.weights[row]) {
+                    let slot = place(dst);
+                    targets[slot] = src;
+                    weights[slot] = w;
+                }
+            } else {
+                for &dst in &self.targets[row] {
+                    targets[place(dst)] = src;
+                }
             }
         }
         Csr {
@@ -345,9 +363,36 @@ impl Csr {
     }
 }
 
+/// What [`Csr::transpose`] must return, computed the obvious way: the edge
+/// list in CSR order ([`Csr::edges`]), reversed and stably sorted by its new
+/// source. `O(m log m)` and an extra copy of every edge; tests and benches
+/// compare the real transpose against it array for array.
+pub fn transpose_by_sort(graph: &Csr) -> Csr {
+    let mut reversed: Vec<(u32, u32, u32)> = graph
+        .edges()
+        .map(|(src, e)| (e.dst.0, src.0, e.weight))
+        .collect();
+    reversed.sort_by_key(|&(dst, _, _)| dst);
+    let mut offsets = vec![0u64; graph.num_nodes() as usize + 1];
+    for &(dst, _, _) in &reversed {
+        offsets[dst as usize + 1] += 1;
+    }
+    for v in 1..offsets.len() {
+        offsets[v] += offsets[v - 1];
+    }
+    let targets = reversed.iter().map(|&(_, src, _)| src).collect();
+    let weights = if graph.is_weighted() {
+        reversed.iter().map(|&(_, _, w)| w).collect()
+    } else {
+        Vec::new()
+    };
+    Csr::from_parts(offsets, targets, weights)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn diamond() -> Csr {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
@@ -398,27 +443,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn transpose_reverses_every_edge() {
-        let g = diamond();
-        let t = g.transpose();
-        assert_eq!(t.num_edges(), g.num_edges());
-        let mut fwd: Vec<_> = g.edges().map(|(s, e)| (s.0, e.dst.0)).collect();
-        let mut rev: Vec<_> = t.edges().map(|(s, e)| (e.dst.0, s.0)).collect();
-        fwd.sort_unstable();
-        rev.sort_unstable();
-        assert_eq!(fwd, rev);
+    /// A graph whose rows keep the order `edges` gives them (no sort, no
+    /// dedup, unlike [`crate::GraphBuilder`]), so parallel edges of one row
+    /// may carry different weights in any order; `weighted == false` drops
+    /// the weights.
+    fn in_row_order(num_nodes: u32, edges: &[(u32, u32, u32)], weighted: bool) -> Csr {
+        let mut by_src = edges.to_vec();
+        by_src.sort_by_key(|&(src, _, _)| src);
+        let mut offsets = vec![0u64; num_nodes as usize + 1];
+        for &(src, _, _) in &by_src {
+            offsets[src as usize + 1] += 1;
+        }
+        for v in 1..offsets.len() {
+            offsets[v] += offsets[v - 1];
+        }
+        let targets = by_src.iter().map(|&(_, dst, _)| dst).collect();
+        let weights = if weighted {
+            by_src.iter().map(|&(_, _, w)| w).collect()
+        } else {
+            Vec::new()
+        };
+        Csr::from_parts(offsets, targets, weights)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Endpoints are drawn below `used <= num_nodes`, so trailing nodes
+        /// are often isolated; few nodes make parallel edges, self loops
+        /// and empty rows common, and the empty edge list is in range.
+        #[test]
+        fn transpose_is_the_stable_sort_by_destination(
+            num_nodes in 1u32..12,
+            used in 1u32..12,
+            raw in proptest::collection::vec((0u32..12, 0u32..12, 0u32..50), 0..80),
+            weighted in any::<bool>(),
+        ) {
+            let used = used.min(num_nodes);
+            let edges: Vec<_> = raw.iter().map(|&(s, d, w)| (s % used, d % used, w)).collect();
+            let g = in_row_order(num_nodes, &edges, weighted);
+            let t = g.transpose();
+            let want = transpose_by_sort(&g);
+            prop_assert_eq!(t.offsets(), want.offsets());
+            prop_assert_eq!(t.targets(), want.targets());
+            prop_assert_eq!(t.weights(), want.weights());
+        }
     }
 
     #[test]
-    fn double_transpose_is_identity_up_to_ordering() {
-        let g = diamond();
-        let tt = g.transpose().transpose();
-        let mut a: Vec<_> = g.edges().map(|(s, e)| (s.0, e.dst.0, e.weight)).collect();
-        let mut b: Vec<_> = tt.edges().map(|(s, e)| (s.0, e.dst.0, e.weight)).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+    fn transpose_rows_ascend_by_source_and_keep_parallel_edge_order() {
+        // Row 3 gets 0 -> 3 twice (weights 7 then 5, in that row order),
+        // 1 -> 3, 2 -> 3; node 4 is isolated at the end.
+        let g = in_row_order(
+            5,
+            &[(2, 3, 9), (0, 3, 7), (1, 3, 4), (0, 3, 5), (0, 0, 1)],
+            true,
+        );
+        let t = g.transpose();
+        assert_eq!(t.offsets(), &[0, 1, 1, 1, 5, 5]);
+        assert_eq!(t.targets(), &[0, 0, 0, 1, 2]);
+        assert_eq!(t.weights(), &[1, 7, 5, 4, 9]);
+        // Transposing back sorts row 0 by destination: [0, 3, 3].
+        assert_eq!(t.transpose().targets(), &[0, 3, 3, 3, 3]);
+        assert_eq!(t.transpose().weights(), &[1, 7, 5, 4, 9]);
+    }
+
+    #[test]
+    fn transpose_of_edgeless_graphs() {
+        for n in [0, 1, 4] {
+            let g = Csr::empty(n);
+            assert_eq!(g.transpose(), g);
+            assert_eq!(transpose_by_sort(&g), g);
+        }
     }
 
     #[test]

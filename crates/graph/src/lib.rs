@@ -31,7 +31,7 @@ pub mod io;
 mod props;
 
 pub use builder::{fill_csr, EdgeStream, GraphBuilder};
-pub use csr::{for_each_edge, Csr, Edge};
+pub use csr::{for_each_edge, transpose_by_sort, Csr, Edge};
 pub use gen::{
     binary_tree, complete, cycle, erdos_renyi, grid, kronecker, path, rmat, star, twitter_like,
     web_like, with_random_weights, RmatProbs,

@@ -2,6 +2,7 @@
 
 use crate::policy::Policy;
 use gluon_graph::{Csr, Gid, HostId, Lid};
+use std::ops::Range;
 
 /// A local edge: destination proxy and weight.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -338,14 +339,17 @@ impl LocalGraph {
         self.transposed().neighbor_weights(Gid(lid.0))
     }
 
-    /// Local in-degree of proxy `lid`, read off the transpose's offsets.
+    /// Summed local in-degree of the proxies `lids` — the in-edges a pull
+    /// sweep over that destination range reads — from two offset reads.
     ///
     /// # Panics
     ///
-    /// Panics unless [`LocalGraph::build_transpose`] ran first.
+    /// Panics unless [`LocalGraph::build_transpose`] ran first, or if the
+    /// range reaches past the last proxy.
     #[inline]
-    pub fn in_degree(&self, lid: Lid) -> u32 {
-        self.transposed().out_degree(Gid(lid.0))
+    pub fn in_degree_sum(&self, lids: Range<usize>) -> u64 {
+        let offsets = self.transposed().offsets();
+        offsets[lids.end] - offsets[lids.start]
     }
 
     fn transposed(&self) -> &Csr {
@@ -444,8 +448,9 @@ mod tests {
             }
             let sources: Vec<u32> = lg.in_edges(p).map(|e| e.dst.0).collect();
             assert_eq!(lg.in_sources(p), sources);
-            assert_eq!(lg.in_degree(p) as usize, sources.len());
-            assert_eq!(lg.in_degree(p) > 0, lg.has_local_in_edges(p));
+            let in_degree = lg.in_degree_sum(p.index()..p.index() + 1);
+            assert_eq!(in_degree as usize, sources.len());
+            assert_eq!(in_degree > 0, lg.has_local_in_edges(p));
             let targets: Vec<u32> = lg.out_edges(p).map(|e| e.dst.0).collect();
             assert_eq!(lg.out_targets(p), targets);
             // `sample()` is unweighted: no weight slice on either side.
@@ -460,6 +465,23 @@ mod tests {
             assert_eq!(lg.out_weights(p), out);
             let inc: Vec<u32> = lg.in_edges(p).map(|e| e.weight).collect();
             assert_eq!(lg.in_weights(p), inc);
+        }
+    }
+
+    #[test]
+    fn in_sources_are_the_stable_sort_by_destination() {
+        // Unweighted and weighted, each host of a 2-host CVC partition: row
+        // `p` of the in-edges is the reference transpose's row, in order.
+        let g = gen::rmat(9, 6, Default::default(), 7);
+        for g in [g.clone(), gluon_graph::with_random_weights(&g, 20, 3)] {
+            for mut lg in partition_all(&g, 2, Policy::Cvc) {
+                lg.build_transpose();
+                let want = gluon_graph::transpose_by_sort(lg.topology());
+                for p in lg.proxies() {
+                    assert_eq!(lg.in_sources(p), want.neighbors(Gid(p.0)));
+                    assert_eq!(lg.in_weights(p), want.neighbor_weights(Gid(p.0)));
+                }
+            }
         }
     }
 

@@ -35,7 +35,8 @@
 #      partitioning benches run their `--quick` passes (the push kernel's
 #      assertions: metered work, and a dense and a listed frontier
 #      activating the same; the partitioning bench's: `partition_on_host`
-#      at 2 hosts equal to `partition_all` under CVC and OEC), and
+#      at 2 hosts equal to `partition_all` under CVC and OEC, and each
+#      host's transpose equal to `transpose_by_sort`), and
 #      the benchmark package under perf/ passes its own tests (unit tests
 #      plus a `--smoke` run of all seven workloads), so a break of the
 #      public functions perf/README.md lists is caught here and not by the
@@ -128,7 +129,7 @@ echo "==> handoff bench --quick (2 and 8 hosts over MemoryTransport: an oversubs
 watchdog 120 cargo bench --quiet -p gluon-bench --bench handoff -- --quick
 echo "==> push_kernel bench --quick (bfs push, activation list, a D-Ligra round from a dense and a listed frontier; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench push_kernel -- --quick
-echo "==> partitioning bench --quick (partition_on_host at 2 hosts, CVC and OEC on rmat16, equal to partition_all; 120s watchdog)"
+echo "==> partitioning bench --quick (partition_on_host at 2 hosts, CVC and OEC on rmat16, equal to partition_all; each host's transpose equal to the reference; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench partitioning -- --quick
 
 if [[ "$FAST" == "0" ]]; then
