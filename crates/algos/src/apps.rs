@@ -279,17 +279,15 @@ pub fn try_pagerank<T: Transport + ?Sized>(
     }
 
     let mut contrib = vec![0.0f64; n];
-    // What every out-edge of `u` carries this iteration:
-    // `rank[u] / max(gdeg[u], 1)`, divided once per proxy instead of once
-    // per edge, so the sweep below reads one `u32` and one `f64` per edge.
-    let mut outgoing = vec![0.0f64; n];
+    // What every out-edge of source slot `s` carries this iteration:
+    // `rank[u] / max(gdeg[u], 1)` for its proxy `u`, divided once per
+    // source instead of once per edge, so the sweep below reads one `u32`
+    // and one `f64` per edge. One entry per proxy with a local out-edge,
+    // the only proxies an in-edge names, keeps the array cache-sized.
+    let mut outgoing = vec![0.0f64; lg.sources().len()];
     // The gather writes every proxy with a local in-edge each iteration,
     // so that set is the reduce's dirty set, copied in once per iteration.
-    let mut has_in = DenseBitset::new(lg.num_proxies());
-    for v in lg.proxies().filter(|&v| lg.has_local_in_edges(v)) {
-        has_in.set(v);
-    }
-    let mut contrib_bits = has_in.clone();
+    let mut contrib_bits = DenseBitset::new(lg.num_proxies());
     let mut rank_bits = DenseBitset::new(lg.num_proxies());
     let pool = ctx.pool().clone();
     // Checked out for the whole iteration loop; an error path drops the
@@ -298,21 +296,22 @@ pub fn try_pagerank<T: Transport + ?Sized>(
     let mut device = IrglEngine::new(Default::default());
     while iters < cfg.max_iters {
         iters += 1;
-        for ((out, &r), &deg) in outgoing.iter_mut().zip(&rank).zip(&gdeg) {
-            *out = r / f64::from(deg.max(1));
+        for (out, &u) in outgoing.iter_mut().zip(lg.sources()) {
+            let u = u as usize;
+            *out = rank[u] / f64::from(gdeg[u].max(1));
         }
-        // Pull phase: every destination folds its in-sources from 0.0 in
-        // in-edge order and assigns its own slot, so the f64 sums are
-        // bit-identical at any thread count and under every engine. A
-        // proxy without in-edges assigns the 0.0 its slot already holds:
-        // the apply loop zeroes every master, and a mirror's slot is
-        // written by nothing else but the reduce's reset to 0.0. Nothing
-        // is activated: the dirty set is `has_in`.
+        // Pull phase: every destination with a local in-edge folds its
+        // in-sources from 0.0 in in-edge order and assigns its own slot, so
+        // the f64 sums are bit-identical at any thread count and under
+        // every engine. A proxy without a local in-edge is not visited and
+        // its slot holds 0.0: the apply loop zeroes every master, and no
+        // mirror outside the dirty set is ever written. Nothing is
+        // activated: the dirty set is the in-edge bits.
         let gather = |v: Lid, slot: &mut f64| {
             *slot = lg
-                .in_sources(v)
+                .in_slots(v)
                 .iter()
-                .fold(0.0, |sum, &u| sum + outgoing[u as usize]);
+                .fold(0.0, |sum, &s| sum + outgoing[s as usize]);
             false
         };
         match engine {
@@ -321,7 +320,7 @@ pub fn try_pagerank<T: Transport + ?Sized>(
                 ligra::vertex_map_pull_pooled(lg, &pool, &mut bins, &mut contrib, gather);
             }
         }
-        contrib_bits.copy_from_words(has_in.words());
+        contrib_bits.copy_from_words(lg.in_edge_words());
         // Reduce partial sums to masters; the contributions are consumed
         // there, so no broadcast of `contrib` is ever needed.
         {
@@ -885,6 +884,68 @@ mod tests {
         assert_eq!(f.extract(Lid(0)), 9);
         f.reset(Lid(0));
         assert_eq!(f.extract(Lid(0)), 9);
+    }
+
+    #[test]
+    fn masters_fed_only_by_the_reduce_keep_their_rank_bits() {
+        // 3-host OEC: each edge lives on its source's host, so a master
+        // whose in-neighbours are all mastered elsewhere has no local
+        // in-edge. The sweep never visits it; its contributions arrive
+        // only through the reduce, from mirrors that have one, every
+        // iteration. Its slot must read 0.0 before each reduce, so its
+        // rank bits are the ones every proxy was visited for.
+        use gluon::{GluonContext, OptLevel};
+        use gluon_graph::gen;
+        use gluon_net::{run_cluster, Communicator};
+        use gluon_partition::{partition_all, Policy};
+        let g = gen::rmat(8, 8, Default::default(), 71);
+        let mut parts = partition_all(&g, 3, Policy::Oec);
+        for lg in &mut parts {
+            lg.build_transpose();
+        }
+        let fed_from_afar = |lg: &LocalGraph, m: Lid| {
+            let gid = lg.gid(m);
+            !lg.has_local_in_edges(m)
+                && parts.iter().any(|other| {
+                    other.host() != lg.host()
+                        && other.lid(gid).is_some_and(|l| other.has_local_in_edges(l))
+                })
+        };
+        let fed: Vec<(usize, u32)> = parts
+            .iter()
+            .flat_map(|lg| {
+                lg.masters()
+                    .filter(|&m| fed_from_afar(lg, m))
+                    .map(|m| (lg.host(), lg.gid(m).0))
+            })
+            .collect();
+        assert_eq!(fed.len(), 56);
+        let cfg = PagerankConfig {
+            damping: 0.85,
+            tolerance: 0.0,
+            max_iters: 6,
+        };
+        for engine in [EngineKind::Galois, EngineKind::Ligra, EngineKind::Irgl] {
+            let ranks = run_cluster(3, |ep| {
+                let comm = Communicator::new(ep);
+                let lg = &parts[comm.rank()];
+                let mut ctx = GluonContext::new(lg, &comm, OptLevel::OSTI);
+                let (ranks, iters) = pagerank(lg, &mut ctx, cfg, engine);
+                assert_eq!(iters, 6);
+                ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
+            });
+            let bits = |(h, gid): (usize, u32)| {
+                let lg = &parts[h];
+                ranks[h][lg.lid(Gid(gid)).expect("master").index()]
+            };
+            // Pinned from a build whose sweep visited every proxy.
+            assert_eq!(bits(fed[0]), 0x3f57_6032_dac2_3d00, "{engine:?}");
+            assert_eq!(bits(fed[5]), 0x3f66_8bd0_9cdb_a54f, "{engine:?}");
+            let fold = fed.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &m| {
+                (h ^ bits(m)).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!(fold, 0x9272_1d86_8eb4_741f, "{engine:?}");
+        }
     }
 
     #[test]

@@ -77,13 +77,14 @@ fn bench_on_host(g: &Csr, scale: u32) {
 
 /// Panics unless `lg`'s in-edges are the reference transpose of its local
 /// CSR, row for row: equal rows everywhere mean equal offsets, sources and
-/// weights.
+/// weights. Each row's source slots are mapped back to proxies first.
 fn assert_reference_transpose(lg: &LocalGraph, host: usize) {
     let want = transpose_by_sort(lg.topology());
     for p in lg.proxies() {
         let row = Gid(p.0);
+        let sources: Vec<u32> = lg.in_slots(p).iter().map(|&s| lg.source(s).0).collect();
         assert_eq!(
-            lg.in_sources(p),
+            sources,
             want.neighbors(row),
             "host {host}: sources of {p:?}"
         );

@@ -1,10 +1,20 @@
 //! The three loops a pagerank trial spends its time in, on their own clock.
 //!
 //! * **Pull sweep** — one pagerank iteration on a single-host partition
-//!   (no peers, so sync is a no-op): the per-proxy quotient fill, the
-//!   gather-sum over in-source slices, the master apply. Reported as
+//!   (no peers, so sync is a no-op): one quotient per source slot, the
+//!   gather-sum over in-slot slices, the master apply. Reported as
 //!   ns/edge and Medges/s at 1 and 4 pool threads. The floor is one
 //!   sequential `u32` and one random `f64` read per edge.
+//! * **Sweep per host** — pagerank's gather alone on each host of a 2-host
+//!   CVC partition, one pool thread. CVC at 2 hosts is a 1 × 2 grid, so
+//!   each edge lives on its destination's master: host 1 holds most
+//!   masters and only about half of its proxies have an in-edge or an
+//!   out-edge — the two sets the in-edge view shrinks the sweep to.
+//!   Reported as ns/edge per host.
+//! * **Pull round** — one dense D-Ligra `edge_map_pull_pooled` bfs round
+//!   on that host-1 partition: a third of the proxies in the frontier, a
+//!   third reached earlier, a third unreached. Reported as µs per round
+//!   and ns per in-edge.
 //! * **Encode** — `encode_memoized_into` with distinct `f64` values and
 //!   every list entry updated (what every pagerank contribution reduce
 //!   hands the codec: a `Dense` body), then about 70 % of them scattered
@@ -21,12 +31,14 @@
 
 use gluon::encode::WireMode;
 use gluon::encode::{decode_memoized_scratch, encode_memoized_into, DecodeScratch, EncodeScratch};
-use gluon::{DenseBitset, FieldSync, GluonContext, OptLevel, Pool, SumField};
+use gluon::{BinScratch, DenseBitset, FieldSync, GluonContext, OptLevel, Pool, SumField};
 use gluon_algos::apps::{pagerank, PagerankConfig};
+use gluon_algos::reference::INFINITY;
 use gluon_algos::EngineKind;
+use gluon_engines::ligra::{self, Direction, VertexSubset};
 use gluon_graph::{gen, Lid, RmatProbs};
 use gluon_net::{run_cluster, Communicator};
-use gluon_partition::{partition_all, Policy};
+use gluon_partition::{partition_all, LocalGraph, Policy};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -75,6 +87,111 @@ fn bench_sweep(scale: u32) {
             edges / secs / 1e6
         );
     }
+}
+
+fn bench_cvc_hosts(scale: u32) {
+    let g = gen::rmat(scale, 16, RmatProbs::GRAPH500, 28);
+    let mut parts = partition_all(&g, 2, Policy::Cvc);
+    println!("\npagerank gather per host (rmat{scale}, cvc, 2 hosts, 1 thread, best of {REPS})");
+    println!(
+        "{:>6} {:>9} {:>9} {:>9} {:>10} {:>9}",
+        "host", "proxies", "in-edge", "sources", "edges", "ns/edge"
+    );
+    let pool = Pool::new(1);
+    for lg in &mut parts {
+        lg.build_transpose();
+        let lg = &*lg;
+        let outgoing: Vec<f64> = (0..lg.sources().len())
+            .map(|s| 1.0 / (s + 3) as f64)
+            .collect();
+        let mut contrib = vec![0.0f64; lg.num_proxies() as usize];
+        let mut bins = BinScratch::<f64>::new();
+        let gather = |v: Lid, slot: &mut f64| {
+            *slot = lg
+                .in_slots(v)
+                .iter()
+                .fold(0.0, |sum, &s| sum + outgoing[s as usize]);
+            false
+        };
+        let secs = fastest(|| {
+            for _ in 0..ITERS {
+                ligra::vertex_map_pull_pooled(lg, &pool, &mut bins, &mut contrib, gather);
+            }
+        });
+        black_box(&contrib);
+        let with_in = lg.proxies().filter(|&v| lg.has_local_in_edges(v)).count();
+        let edges = lg.num_local_edges();
+        println!(
+            "{:>6} {:>9} {:>9} {:>9} {:>10} {:>9.3}",
+            lg.host(),
+            lg.num_proxies(),
+            with_in,
+            lg.sources().len(),
+            edges,
+            secs * 1e9 / (f64::from(ITERS) * edges as f64)
+        );
+    }
+    bench_pull_round(&parts[1]);
+}
+
+/// One dense bfs round pulled over `lg`'s in-edges, labels reset before
+/// each timed round so every repetition relaxes the same edges.
+fn bench_pull_round(lg: &LocalGraph) {
+    let n = lg.num_proxies();
+    let mut active = DenseBitset::new(n);
+    let mut labels0 = vec![INFINITY; n as usize];
+    for v in lg.proxies() {
+        match lg.gid(v).0 % 3 {
+            0 => {
+                active.set(v);
+                labels0[v.index()] = 1;
+            }
+            1 => labels0[v.index()] = 0,
+            _ => {}
+        }
+    }
+    let frontier = VertexSubset::from_bitset(active);
+    assert_eq!(
+        ligra::choose_direction(lg, &frontier, Direction::Auto),
+        Direction::Pull
+    );
+    let pool = Pool::new(1);
+    let mut bins = BinScratch::<u32>::new();
+    let mut labels = labels0.clone();
+    let mut best = f64::INFINITY;
+    for rep in 0..=REPS {
+        labels.copy_from_slice(&labels0);
+        let start = Instant::now();
+        ligra::edge_map_pull_pooled(
+            lg,
+            &frontier,
+            &pool,
+            &mut bins,
+            &mut labels,
+            |src, _dst, _w, cur| {
+                let candidate = labels0[src.index()] + 1;
+                (candidate < *cur).then_some(candidate)
+            },
+        );
+        let secs = start.elapsed().as_secs_f64();
+        // The first round is the warm-up: page-in, scratch growth.
+        if rep > 0 {
+            best = best.min(secs);
+        }
+    }
+    let reached = bins.activated().len();
+    assert!(reached > 0 && labels.iter().filter(|&&l| l == 2).count() == reached);
+    println!(
+        "\ndense D-Ligra pull round on host {} ({} members, {reached} reached, best of {REPS})",
+        lg.host(),
+        frontier.len()
+    );
+    println!("{:>10} {:>12}", "us/round", "ns/in-edge");
+    println!(
+        "{:>10.1} {:>12.3}",
+        best * 1e6,
+        best * 1e9 / lg.num_local_edges() as f64
+    );
 }
 
 fn bench_codec(scale: u32) {
@@ -144,5 +261,6 @@ fn main() {
         18
     };
     bench_sweep(scale);
+    bench_cvc_hosts(scale);
     bench_codec(scale);
 }

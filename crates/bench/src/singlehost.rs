@@ -137,21 +137,22 @@ fn pagerank(lg: &LocalGraph, cfg: PagerankConfig) -> SharedRun {
     let base = (1.0 - cfg.damping) / total;
     let gdeg: Vec<u32> = (0..n).map(|v| lg.out_degree(Lid(v as u32))).collect();
     let mut rank = vec![1.0 / total; n];
-    // rank[u] / max(gdeg[u], 1), divided once per vertex per iteration (the
-    // same kernel shape as `gluon_algos::apps::pagerank`).
-    let mut outgoing = vec![0.0f64; n];
+    // rank[u] / max(gdeg[u], 1) per in-edge source slot, divided once per
+    // source per iteration (the same kernel shape as
+    // `gluon_algos::apps::pagerank`).
+    let mut outgoing = vec![0.0f64; lg.sources().len()];
     let mut iters = 0;
     while iters < cfg.max_iters {
         iters += 1;
-        for ((out, &r), &deg) in outgoing.iter_mut().zip(&rank).zip(&gdeg) {
-            *out = r / f64::from(deg.max(1));
+        for (out, &u) in outgoing.iter_mut().zip(lg.sources()) {
+            *out = rank[u as usize] / f64::from(gdeg[u as usize].max(1));
         }
         let mut delta = 0.0;
         let mut next = vec![base; n];
         for v in 0..n {
             let mut sum = 0.0;
-            for &u in lg.in_sources(Lid(v as u32)) {
-                sum += outgoing[u as usize];
+            for &s in lg.in_slots(Lid(v as u32)) {
+                sum += outgoing[s as usize];
             }
             next[v] += cfg.damping * sum;
             delta += (next[v] - rank[v]).abs();

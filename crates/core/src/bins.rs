@@ -105,8 +105,8 @@ pub struct PullScratch<'a> {
     /// One activation list per destination chunk (grown to the chunk
     /// count, cleared between calls).
     pub chunk_active: &'a mut Vec<Vec<Lid>>,
-    /// Dense image of the frontier (re-allocated only when the proxy
-    /// count changes).
+    /// Dense image of the frontier, one bit per in-edge source slot
+    /// (re-allocated only when the slot count changes).
     pub frontier_bits: &'a mut DenseBitset,
     /// Per-destination-partition "frontier reaches this partition" marks.
     pub touched: &'a mut Vec<bool>,

@@ -195,10 +195,12 @@ impl IrglEngine {
     /// scratch: one launch over every proxy, each thread owning its
     /// destination's slot — the destination-chunk sweep of
     /// [`crate::ligra::vertex_map_pull_pooled`], with `visit(dst, &mut
-    /// labels[dst])` gathering over [`LocalGraph::in_sources`] and
-    /// returning whether it activated `dst`. Work counters advance exactly
-    /// as in [`IrglEngine::kernel_all`]; read the ascending activation list
-    /// from [`BinScratch::activated`].
+    /// labels[dst])` gathering over [`LocalGraph::in_slots`] and
+    /// returning whether it activated `dst`. The host sweep visits only the
+    /// proxies with a local in-edge, but the counters model a device launch
+    /// over every proxy, so they advance exactly as in
+    /// [`IrglEngine::kernel_all`]; read the ascending activation list from
+    /// [`BinScratch::activated`].
     pub fn kernel_pull_all<T: Send + Sync, V: Copy + Send + Sync + 'static>(
         &mut self,
         graph: &LocalGraph,
@@ -392,9 +394,11 @@ mod tests {
         let n = lg.num_proxies() as usize;
         let vals: Vec<f64> = (0..n).map(|i| 1.0 / (i + 3) as f64).collect();
         let gather = |dst: Lid, cell: &mut f64| {
-            let sources = lg.in_sources(dst);
-            *cell = sources.iter().fold(0.0, |s, &u| s + vals[u as usize]);
-            !sources.is_empty()
+            let slots = lg.in_slots(dst);
+            *cell = slots
+                .iter()
+                .fold(0.0, |s, &u| s + vals[lg.source(u).index()]);
+            !slots.is_empty()
         };
         let mut topo = IrglEngine::new(Default::default());
         topo.kernel_all(&lg, |_, _| {});

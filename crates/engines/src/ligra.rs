@@ -382,10 +382,12 @@ pub fn vertex_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
 
 /// Partition-binned pull `edgeMap` on recycled scratch: `labels` is split
 /// into fixed chunks of *destination* slots, each handed exclusively to
-/// one pool worker (disjoint slices, no write races). A worker scans its
-/// destinations' in-edges against a dense image of the frontier and folds
-/// improvements into the slot **in in-edge order**, the same order the
-/// sequential pull visits them; `relax(src, dst, weight, current)` returns
+/// one pool worker (disjoint slices, no write races). A worker scans the
+/// in-edges of its destinations that have one against a dense image of the
+/// frontier over source slots ([`LocalGraph::in_slots`]), hands each hit's
+/// proxy to `relax` and folds improvements into the slot **in in-edge
+/// order**, the same order the sequential pull visits them; `relax(src,
+/// dst, weight, current)` returns
 /// the improved value or `None`. Source values must come from a
 /// caller-held snapshot (capture it in `relax`), which is what makes the
 /// sweep order-free. Every buffer (frontier bitmap, per-chunk activation
@@ -424,9 +426,13 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
         stats,
     } = bins.pull_scratch();
 
-    // Dense image of the frontier (re-allocated only when `n` changes).
-    if frontier_bits.capacity() as usize != n {
-        *frontier_bits = DenseBitset::new(n as u32);
+    // The frontier's image over source slots, one bit per slot (a slot is
+    // handed to the bit set as a `Lid`). A member without a local out-edge
+    // is nobody's in-edge source, so it has no slot and drops out.
+    // Re-allocated only when the slot count changes.
+    let sources = graph.sources();
+    if frontier_bits.capacity() as usize != sources.len() {
+        *frontier_bits = DenseBitset::new(sources.len() as u32);
     } else {
         frontier_bits.clear_all();
     }
@@ -435,7 +441,9 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     match frontier {
         VertexSubset::Sparse(v) => {
             for &m in v {
-                frontier_bits.set(m);
+                if let Ok(slot) = sources.binary_search(&m.0) {
+                    frontier_bits.set(Lid(slot as u32));
+                }
                 // The probe: a destination partition can only see updates
                 // if some frontier member has an out-edge into it.
                 for &dst in graph.out_targets(m) {
@@ -443,10 +451,17 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
                 }
             }
         }
-        VertexSubset::Dense(b) => frontier_bits.copy_from_words(b.words()),
+        VertexSubset::Dense(b) => {
+            for (slot, &u) in sources.iter().enumerate() {
+                if b.test(Lid(u)) {
+                    frontier_bits.set(Lid(slot as u32));
+                }
+            }
+        }
     }
 
-    let frontier_bits: &DenseBitset = frontier_bits;
+    // Tested word by word: one bounds check per in-edge.
+    let frontier_words = frontier_bits.words();
     let untouched = |start: usize, end: usize| {
         probe
             && !touched[(start >> shift)..=((end - 1) >> shift)]
@@ -464,11 +479,11 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
         |dst, cell| {
             let mut any = false;
             for_each_edge(
-                graph.in_sources(dst),
+                graph.in_slots(dst),
                 graph.in_weights(dst),
-                |src, weight| {
-                    let src = Lid(src);
-                    if frontier_bits.test(src) {
+                |slot, weight| {
+                    if frontier_words[slot as usize / 64] & (1 << (slot % 64)) != 0 {
+                        let src = Lid(sources[slot as usize]);
                         if let Some(nv) = relax(src, dst, weight, cell) {
                             *cell = nv;
                             any = true;
@@ -487,12 +502,13 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
 /// A dense pull sweep at vertex granularity, on the same recycled scratch
 /// and chunk grid as [`edge_map_pull_pooled`] with every proxy a live
 /// source: `visit(dst, &mut labels[dst])` owns its destination's slot and
-/// gathers over [`LocalGraph::in_sources`] itself, returning whether it
-/// wrote the slot. This is the shape a whole-graph pull operator (one
-/// pagerank iteration) wants: no frontier image to build or test, and the
-/// per-destination fold stays in a register instead of going through a
-/// per-edge functor. Chunks are metered by in-degree exactly as the
-/// edge-granular sweep meters them. Read the ascending activation list
+/// gathers over [`LocalGraph::in_slots`] itself, returning whether it
+/// wrote the slot. Only proxies with a local in-edge are visited; every
+/// other slot is left as it is. This is the shape a whole-graph pull
+/// operator (one pagerank iteration) wants: no frontier image to build or
+/// test, and the per-destination fold stays in a register instead of going
+/// through a per-edge functor. Chunks are metered by in-degree exactly as
+/// the edge-granular sweep meters them. Read the ascending activation list
 /// from [`BinScratch::activated`].
 ///
 /// # Panics
@@ -525,9 +541,14 @@ pub fn vertex_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
 }
 
 /// The destination-chunk sweep behind both pull entry points: runs
-/// `visit` on every destination of every chunk `skip(start, end)` does not
-/// exclude, and assembles the destinations it returned `true` for into
-/// `activated`, ascending. Returns the number of chunks skipped.
+/// `visit` on every destination with a local in-edge in every chunk
+/// `skip(start, end)` does not exclude, and assembles the destinations it
+/// returned `true` for into `activated`, ascending. Returns the number of
+/// chunks skipped.
+///
+/// A chunk finds its destinations in [`LocalGraph::in_edge_words`]: chunks
+/// start on multiples of 64, so each covers whole words, and a proxy with
+/// no in-edge costs a zero bit instead of a visit.
 #[allow(clippy::too_many_arguments)]
 fn sweep_destinations<T: Send + Sync>(
     graph: &LocalGraph,
@@ -547,6 +568,8 @@ fn sweep_destinations<T: Send + Sync>(
         chunk_active.resize_with(num_chunks, Vec::new);
     }
     let cw = chunk_width(n);
+    debug_assert_eq!(cw % 64, 0, "chunks cover whole words");
+    let in_words = graph.in_edge_words();
     let skipped = (0..num_chunks)
         .filter(|ci| skip(ci * cw, ((ci + 1) * cw).min(n)))
         .count() as u64;
@@ -560,10 +583,16 @@ fn sweep_destinations<T: Send + Sync>(
             if skip(start, start + chunk.len()) {
                 return;
             }
-            for (i, cell) in chunk.iter_mut().enumerate() {
-                let dst = Lid((start + i) as u32);
-                if visit(dst, cell) {
-                    slot.push(dst);
+            let words = &in_words[start / 64..(start + chunk.len()).div_ceil(64)];
+            for (k, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let i = k * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let dst = Lid((start + i) as u32);
+                    if visit(dst, &mut chunk[i]) {
+                        slot.push(dst);
+                    }
                 }
             }
         },
@@ -882,15 +911,71 @@ mod tests {
             let by_vertex = gluon_exec::Pool::new(threads);
             let mut got = vec![0.0f64; n as usize];
             vertex_map_pull_pooled(&lg, &by_vertex, &mut bins, &mut got, |dst, cell| {
-                let sources = lg.in_sources(dst);
-                *cell = sources.iter().fold(*cell, |s, &u| s + vals[u as usize]);
-                !sources.is_empty()
+                let slots = lg.in_slots(dst);
+                *cell = slots
+                    .iter()
+                    .fold(*cell, |s, &u| s + vals[lg.source(u).index()]);
+                !slots.is_empty()
             });
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "threads = {threads}");
             assert_eq!(bins.activated(), want_active, "threads = {threads}");
             assert_eq!(by_vertex.drain_work(), by_edge.drain_work());
             assert!(want_active.len() < n as usize, "some proxy has no in-edge");
+        }
+    }
+
+    #[test]
+    fn pull_sweep_visits_exactly_the_proxies_with_an_in_edge() {
+        // 337 proxies on one host: chunks of 64, the last one 17 long.
+        // Chunk 2 (proxies 128..192) receives no edge, nor does any proxy
+        // `4k + 1`; every third proxy sends none, and proxies 320.. receive
+        // some.
+        let n = 337u32;
+        let mut edges = Vec::new();
+        for src in (0..n).filter(|s| s % 3 != 0) {
+            for k in 0..3u32 {
+                let dst = (src * 7 + k * 101 + 13) % n;
+                if !(128..192).contains(&dst) && dst % 4 != 1 {
+                    edges.push((src, dst));
+                }
+            }
+        }
+        let lg = single_host(&gluon_graph::Csr::from_edge_list(n, &edges));
+        let len = n as usize;
+        assert_eq!((Pool::num_chunks(len), chunk_width(len)), (6, 64));
+        let reference = gluon_graph::transpose_by_sort(lg.topology());
+        let has_in = |p: u32| reference.out_degree(gluon_graph::Gid(p)) > 0;
+        assert!((128..192).all(|p| !has_in(p)));
+        assert!((320..n).any(has_in) && (0..n).any(|p| !has_in(p) && p >= 192));
+        for pool in [Pool::sequential(), Pool::inline(4)] {
+            // Each destination owns its cell, so the cell counts its visits.
+            let mut visits = vec![0u32; len];
+            let mut bins = BinScratch::<u32>::new();
+            vertex_map_pull_pooled(&lg, &pool, &mut bins, &mut visits, |dst, cell| {
+                *cell += 1;
+                dst.0 % 5 != 0
+            });
+            let want: Vec<u32> = (0..n).map(|p| u32::from(has_in(p))).collect();
+            assert_eq!(visits, want, "{} threads", pool.threads());
+            let active: Vec<Lid> = (0..n)
+                .filter(|&p| has_in(p) && p % 5 != 0)
+                .map(Lid)
+                .collect();
+            assert_eq!(bins.activated(), active, "{} threads", pool.threads());
+            // Metered as the flat sweep meters: every chunk by its summed
+            // in-degree, dealt over the same pool.
+            let got = pool.drain_work();
+            let offsets = reference.offsets();
+            pool.for_each_chunk_mut_scratch(
+                &mut visits,
+                &mut SchedScratch::default(),
+                &mut vec![(); Pool::num_chunks(len)],
+                |r| offsets[r.end] - offsets[r.start],
+                |_, _, _| {},
+            );
+            assert_eq!(got, pool.drain_work(), "{} threads", pool.threads());
+            assert_eq!(got.seq, lg.num_local_edges());
         }
     }
 
@@ -905,7 +990,7 @@ mod tests {
             let cw = chunk_width(n);
             assert_ne!(n % cw, 0, "host {}: the last chunk is full", lg.host());
             let summed = |r: std::ops::Range<usize>| {
-                r.map(|i| lg.in_sources(Lid(i as u32)).len() as u64)
+                r.map(|i| lg.in_slots(Lid(i as u32)).len() as u64)
                     .sum::<u64>()
             };
             for ci in 0..Pool::num_chunks(n) {

@@ -250,9 +250,8 @@ impl Csr {
     /// stable sort by destination of [`Csr::edges`]. A pull fold that sums
     /// in row order (pagerank's) relies on that for bit-identical results.
     ///
-    /// Cost: one count pass over `targets`, a prefix sum, and one scatter
-    /// that walks the rows in source order as raw slices (weights beside
-    /// them when the graph has any), so nothing is decided per edge.
+    /// Cost: see [`Csr::transpose_named`], which this is with every source
+    /// named by its own id.
     ///
     /// # Examples
     ///
@@ -265,17 +264,47 @@ impl Csr {
     /// assert_eq!(t.out_edges(Gid(1)).next().unwrap().dst, Gid(0));
     /// ```
     pub fn transpose(&self) -> Csr {
+        self.transpose_named(|src| src)
+    }
+
+    /// [`Csr::transpose`] with each source row's entries renamed:
+    /// `name(src)` is called once per non-empty source row, in ascending
+    /// `src` order, and every in-edge from `src` stores the name it
+    /// returned instead of `src`. Offsets and weights are the transpose's;
+    /// so is the order of every row, which a monotone renaming keeps
+    /// ascending. Every name must be below `num_nodes()`.
+    ///
+    /// Cost: one count pass over `targets`, a prefix sum, and one scatter
+    /// that walks the rows in source order as raw slices (weights beside
+    /// them when the graph has any), so nothing is decided per edge. The
+    /// scatter's cursors end one row ahead of where they started, so they
+    /// become the offsets by a shift instead of a second array.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gluon_graph::{Csr, Gid};
+    ///
+    /// // Rows 0 and 2 have out-edges: named 0 and 1 by a counter.
+    /// let g = Csr::from_edge_list(3, &[(0, 1), (2, 1), (2, 0)]);
+    /// let mut next = 0;
+    /// let t = g.transpose_named(|_| {
+    ///     next += 1;
+    ///     next - 1
+    /// });
+    /// assert_eq!(t.neighbors(Gid(0)), &[1]);
+    /// assert_eq!(t.neighbors(Gid(1)), &[0, 1]);
+    /// ```
+    pub fn transpose_named(&self, mut name: impl FnMut(u32) -> u32) -> Csr {
         let n = self.num_nodes() as usize;
-        let mut counts = vec![0u64; n + 1];
+        let mut cursor = vec![0u64; n + 1];
         for &t in &self.targets {
-            counts[t as usize + 1] += 1;
+            cursor[t as usize + 1] += 1;
         }
         for v in 0..n {
-            counts[v + 1] += counts[v];
+            cursor[v + 1] += cursor[v];
         }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        // The next free slot of row `dst`.
+        // `cursor[dst]` is the next free slot of row `dst`.
         let mut place = |dst: u32| {
             let next = &mut cursor[dst as usize];
             *next += 1;
@@ -286,7 +315,11 @@ impl Csr {
         let weighted = self.is_weighted();
         for (src, row) in self.offsets.windows(2).enumerate() {
             let row = row[0] as usize..row[1] as usize;
-            let src = src as u32;
+            if row.is_empty() {
+                continue;
+            }
+            let src = name(src as u32);
+            debug_assert!((src as usize) < n, "name {src} out of range");
             if weighted {
                 for (&dst, &w) in self.targets[row.clone()].iter().zip(&self.weights[row]) {
                     let slot = place(dst);
@@ -299,8 +332,11 @@ impl Csr {
                 }
             }
         }
+        // Row `v` was filled up to where row `v + 1` starts.
+        cursor.copy_within(0..n, 1);
+        cursor[0] = 0;
         Csr {
-            offsets,
+            offsets: cursor,
             targets,
             weights,
         }
@@ -487,6 +523,19 @@ mod tests {
             prop_assert_eq!(t.offsets(), want.offsets());
             prop_assert_eq!(t.targets(), want.targets());
             prop_assert_eq!(t.weights(), want.weights());
+            // Named by a counter over the non-empty rows: the same arrays
+            // once each name is mapped back to its row.
+            let mut rows = Vec::new();
+            let named = g.transpose_named(|src| {
+                rows.push(src);
+                rows.len() as u32 - 1
+            });
+            let nonempty: Vec<u32> = g.nodes().filter(|&v| g.out_degree(v) > 0).map(|v| v.0).collect();
+            prop_assert_eq!(&rows, &nonempty);
+            let back: Vec<u32> = named.targets().iter().map(|&s| rows[s as usize]).collect();
+            prop_assert_eq!(named.offsets(), want.offsets());
+            prop_assert_eq!(back.as_slice(), want.targets());
+            prop_assert_eq!(named.weights(), want.weights());
         }
     }
 

@@ -69,8 +69,8 @@ pub struct LocalGraph {
     global_edges: u64,
     /// Local topology over Lid space (reusing the CSR layout).
     graph: Csr,
-    /// Lazily built transpose for pull-style operators.
-    transpose: Option<Box<Csr>>,
+    /// Lazily built in-edge view for pull-style operators.
+    in_view: Option<Box<InEdgeView>>,
     /// lid -> gid; the master prefix and the mirror suffix are each sorted,
     /// which is what [`LocalGraph::lid`] searches.
     gids: Vec<Gid>,
@@ -80,8 +80,21 @@ pub struct LocalGraph {
     num_masters: u32,
     /// lid -> has at least one local outgoing edge.
     has_out: Vec<bool>,
-    /// lid -> has at least one local incoming edge.
-    has_in: Vec<bool>,
+    /// Bit `lid` (word `lid / 64`, bit `lid % 64`): has at least one local
+    /// incoming edge.
+    has_in: Vec<u64>,
+}
+
+/// The in-edges of every proxy, with sources named by *slot*: a source's
+/// rank among the proxies that have a local out-edge. Slots ascend with
+/// lids, so each row keeps the transpose's order.
+#[derive(Clone, Debug)]
+struct InEdgeView {
+    /// Row `lid` lists the slots of `lid`'s in-edge sources; the offsets
+    /// and weights are the lid-valued transpose's.
+    rows: Csr,
+    /// slot -> lid, ascending.
+    sources: Vec<u32>,
 }
 
 impl LocalGraph {
@@ -126,9 +139,9 @@ impl LocalGraph {
             sorted_runs_are_disjoint(&gids[..num_masters as usize], &gids[num_masters as usize..]),
             "duplicate gid among proxies"
         );
-        let mut has_in = vec![false; gids.len()];
+        let mut has_in = vec![0u64; gids.len().div_ceil(64)];
         for &t in graph.targets() {
-            has_in[t as usize] = true;
+            has_in[t as usize / 64] |= 1 << (t % 64);
         }
         let has_out = graph.offsets().windows(2).map(|w| w[0] < w[1]).collect();
         LocalGraph {
@@ -138,7 +151,7 @@ impl LocalGraph {
             global_nodes,
             global_edges,
             graph,
-            transpose: None,
+            in_view: None,
             gids,
             mirror_owner,
             num_masters,
@@ -271,7 +284,16 @@ impl LocalGraph {
     /// Whether proxy `lid` has at least one local incoming edge.
     #[inline]
     pub fn has_local_in_edges(&self, lid: Lid) -> bool {
-        self.has_in[lid.index()]
+        self.has_in[lid.index() / 64] & (1 << (lid.index() % 64)) != 0
+    }
+
+    /// [`LocalGraph::has_local_in_edges`] for every proxy, packed: bit
+    /// `lid % 64` of word `lid / 64`, no bit set past the last proxy — the
+    /// layout of a dirty set's words. These are the proxies a pull sweep
+    /// visits.
+    #[inline]
+    pub fn in_edge_words(&self) -> &[u64] {
+        &self.has_in
     }
 
     /// Local out-degree of proxy `lid`.
@@ -304,31 +326,35 @@ impl LocalGraph {
     }
 
     /// Iterates over local incoming edges of proxy `lid` as
-    /// `(source, weight)`.
+    /// `(source, weight)`, sources as local ids (mapped back from
+    /// [`LocalGraph::in_slots`]).
     ///
     /// # Panics
     ///
     /// Panics unless [`LocalGraph::build_transpose`] ran first.
     pub fn in_edges(&self, lid: Lid) -> impl Iterator<Item = LocalEdge> + '_ {
-        self.transposed().out_edges(Gid(lid.0)).map(|e| LocalEdge {
-            dst: Lid(e.dst.0),
+        let view = self.in_view();
+        view.rows.out_edges(Gid(lid.0)).map(|e| LocalEdge {
+            dst: Lid(view.sources[e.dst.index()]),
             weight: e.weight,
         })
     }
 
-    /// The sources of proxy `lid`'s local incoming edges as raw local ids,
-    /// in the order [`LocalGraph::in_edges`] reports them (see
-    /// [`Csr::neighbors`]).
+    /// The sources of proxy `lid`'s local incoming edges as *slots*, in the
+    /// order [`LocalGraph::in_edges`] reports them: slot `s` names the
+    /// proxy [`LocalGraph::source`]`(s)`. Slots number the proxies with a
+    /// local out-edge in lid order, so a per-source array indexed by slot
+    /// holds only the proxies a pull can read.
     ///
     /// # Panics
     ///
     /// Panics unless [`LocalGraph::build_transpose`] ran first.
     #[inline]
-    pub fn in_sources(&self, lid: Lid) -> &[u32] {
-        self.transposed().neighbors(Gid(lid.0))
+    pub fn in_slots(&self, lid: Lid) -> &[u32] {
+        self.in_view().rows.neighbors(Gid(lid.0))
     }
 
-    /// The weights parallel to [`LocalGraph::in_sources`]; empty when the
+    /// The weights parallel to [`LocalGraph::in_slots`]; empty when the
     /// graph is unweighted (see [`Csr::neighbor_weights`]).
     ///
     /// # Panics
@@ -336,7 +362,29 @@ impl LocalGraph {
     /// Panics unless [`LocalGraph::build_transpose`] ran first.
     #[inline]
     pub fn in_weights(&self, lid: Lid) -> &[u32] {
-        self.transposed().neighbor_weights(Gid(lid.0))
+        self.in_view().rows.neighbor_weights(Gid(lid.0))
+    }
+
+    /// The proxy that in-edge source slot `slot` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`LocalGraph::build_transpose`] ran first, or if
+    /// `slot` is not below [`LocalGraph::sources`]`.len()`.
+    #[inline]
+    pub fn source(&self, slot: u32) -> Lid {
+        Lid(self.in_view().sources[slot as usize])
+    }
+
+    /// Every in-edge source slot's proxy as a raw local id, by slot: the
+    /// proxies with a local out-edge, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`LocalGraph::build_transpose`] ran first.
+    #[inline]
+    pub fn sources(&self) -> &[u32] {
+        &self.in_view().sources
     }
 
     /// Summed local in-degree of the proxies `lids` — the in-edges a pull
@@ -348,27 +396,34 @@ impl LocalGraph {
     /// range reaches past the last proxy.
     #[inline]
     pub fn in_degree_sum(&self, lids: Range<usize>) -> u64 {
-        let offsets = self.transposed().offsets();
+        let offsets = self.in_view().rows.offsets();
         offsets[lids.end] - offsets[lids.start]
     }
 
-    fn transposed(&self) -> &Csr {
-        self.transpose
+    fn in_view(&self) -> &InEdgeView {
+        self.in_view
             .as_deref()
             .expect("call build_transpose() before walking in-edges")
     }
 
-    /// Materializes the transposed topology so [`LocalGraph::in_edges`]
-    /// works. Idempotent.
+    /// Materializes the in-edge view so [`LocalGraph::in_slots`] and
+    /// [`LocalGraph::in_edges`] work: one transpose scatter that names each
+    /// source row by a counter bumped once per non-empty row. Idempotent.
     pub fn build_transpose(&mut self) {
-        if self.transpose.is_none() {
-            self.transpose = Some(Box::new(self.graph.transpose()));
+        if self.in_view.is_some() {
+            return;
         }
+        let mut sources = Vec::with_capacity(self.has_out.iter().filter(|&&o| o).count());
+        let rows = self.graph.transpose_named(|src| {
+            sources.push(src);
+            (sources.len() - 1) as u32
+        });
+        self.in_view = Some(Box::new(InEdgeView { rows, sources }));
     }
 
     /// Whether the transpose is already materialized.
     pub fn has_transpose(&self) -> bool {
-        self.transpose.is_some()
+        self.in_view.is_some()
     }
 
     /// The raw local topology (Lid space packed as a [`Csr`]).
@@ -446,8 +501,9 @@ mod tests {
             for ie in lg.in_edges(p) {
                 assert!(lg.out_edges(ie.dst).any(|oe| oe.dst == p));
             }
-            let sources: Vec<u32> = lg.in_edges(p).map(|e| e.dst.0).collect();
-            assert_eq!(lg.in_sources(p), sources);
+            let sources: Vec<Lid> = lg.in_edges(p).map(|e| e.dst).collect();
+            let named: Vec<Lid> = lg.in_slots(p).iter().map(|&s| lg.source(s)).collect();
+            assert_eq!(named, sources);
             let in_degree = lg.in_degree_sum(p.index()..p.index() + 1);
             assert_eq!(in_degree as usize, sources.len());
             assert_eq!(in_degree > 0, lg.has_local_in_edges(p));
@@ -468,18 +524,97 @@ mod tests {
         }
     }
 
+    /// Panics unless `lg`'s in-edge view is the reference transpose of its
+    /// local CSR, exactly: the slot map, every row mapped back through it
+    /// (weights included), the in-edge bits and the summed in-degree of
+    /// every proxy range.
+    fn assert_exact_in_edge_view(lg: &LocalGraph) {
+        let want = gluon_graph::transpose_by_sort(lg.topology());
+        let with_out: Vec<u32> = lg
+            .proxies()
+            .filter(|&p| lg.out_degree(p) > 0)
+            .map(|p| p.0)
+            .collect();
+        assert_eq!(lg.sources(), with_out, "slot map");
+        for p in lg.proxies() {
+            let row = Gid(p.0);
+            let named: Vec<u32> = lg.in_slots(p).iter().map(|&s| lg.source(s).0).collect();
+            assert_eq!(named, want.neighbors(row), "sources of {p:?}");
+            assert_eq!(
+                lg.in_weights(p),
+                want.neighbor_weights(row),
+                "weights of {p:?}"
+            );
+            let edges: Vec<LocalEdge> = lg.in_edges(p).collect();
+            let want_edges: Vec<LocalEdge> = want
+                .out_edges(row)
+                .map(|e| LocalEdge {
+                    dst: Lid(e.dst.0),
+                    weight: e.weight,
+                })
+                .collect();
+            assert_eq!(edges, want_edges, "in_edges of {p:?}");
+            assert_eq!(lg.has_local_in_edges(p), want.out_degree(row) > 0, "{p:?}");
+        }
+        let n = lg.num_proxies() as usize;
+        let words = lg.in_edge_words();
+        assert_eq!(words.len(), n.div_ceil(64));
+        let set: Vec<usize> = (0..words.len() * 64)
+            .filter(|&b| words[b / 64] & (1 << (b % 64)) != 0)
+            .collect();
+        let nonempty: Vec<usize> = (0..n)
+            .filter(|&v| want.out_degree(Gid(v as u32)) > 0)
+            .collect();
+        assert_eq!(set, nonempty, "in-edge bits");
+        // Every range, so every chunk of every exec grid.
+        let offsets = want.offsets();
+        for a in 0..=n {
+            for b in a..=n {
+                assert_eq!(lg.in_degree_sum(a..b), offsets[b] - offsets[a], "{a}..{b}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Endpoints are drawn below `used <= num_nodes`, so trailing nodes
+        /// are often isolated; few nodes make parallel edges, self loops
+        /// and proxies with only in- or only out-edges common, and the
+        /// empty edge list is in range. Each graph is cut on one host, on
+        /// two under CVC and on three under OEC.
+        #[test]
+        fn in_edge_view_is_the_reference_transpose(
+            num_nodes in 1u32..40,
+            used in 1u32..40,
+            raw in proptest::collection::vec((0u32..40, 0u32..40, 0u32..50), 0..120),
+            weighted in proptest::prelude::any::<bool>(),
+        ) {
+            let used = used.min(num_nodes);
+            let edges: Vec<_> = raw.iter().map(|&(s, d, w)| (s % used, d % used, w)).collect();
+            let g = Csr::from_weighted_edge_list(num_nodes, &edges);
+            let g = if weighted { g } else { g.to_unweighted() };
+            for (hosts, policy) in [(1, Policy::Oec), (2, Policy::Cvc), (3, Policy::Oec)] {
+                for mut lg in partition_all(&g, hosts, policy) {
+                    lg.build_transpose();
+                    assert_exact_in_edge_view(&lg);
+                }
+            }
+        }
+    }
+
     #[test]
-    fn in_sources_are_the_stable_sort_by_destination() {
-        // Unweighted and weighted, each host of a 2-host CVC partition: row
-        // `p` of the in-edges is the reference transpose's row, in order.
+    fn in_edge_view_on_rmat_partitions() {
+        // Unweighted and weighted; 2-host CVC, where many proxies have only
+        // in- or only out-edges, and 3-host OEC.
         let g = gen::rmat(9, 6, Default::default(), 7);
         for g in [g.clone(), gluon_graph::with_random_weights(&g, 20, 3)] {
-            for mut lg in partition_all(&g, 2, Policy::Cvc) {
-                lg.build_transpose();
-                let want = gluon_graph::transpose_by_sort(lg.topology());
-                for p in lg.proxies() {
-                    assert_eq!(lg.in_sources(p), want.neighbors(Gid(p.0)));
-                    assert_eq!(lg.in_weights(p), want.neighbor_weights(Gid(p.0)));
+            for (hosts, policy) in [(2, Policy::Cvc), (3, Policy::Oec)] {
+                for mut lg in partition_all(&g, hosts, policy) {
+                    lg.build_transpose();
+                    assert_exact_in_edge_view(&lg);
+                    assert!(lg.sources().len() < lg.num_proxies() as usize);
+                    assert_eq!(lg.in_view().sources.capacity(), lg.sources().len());
                 }
             }
         }
