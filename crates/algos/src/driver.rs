@@ -16,9 +16,15 @@
 //! ```
 //!
 //! `.transport(|ep| …)` threads every host's endpoint through a wrapper,
-//! so the full suite can run over jittered, faulty, or reliable transport
-//! stacks (e.g. `ReliableTransport::over(FaultyTransport::new(..))` for
-//! chaos testing); `.tracer(&t)` records micro-stage spans.
+//! so the full suite can run over jittered or fault-injecting transport
+//! stacks (`JitterTransport`, `FaultyTransport`); `.tracer(&t)` records
+//! micro-stage spans.
+//!
+//! A host fails in one way that its peers can see: its endpoint closes.
+//! A crashed host's thread returns and drops its endpoint (a killed
+//! `gluon-host` worker's sockets close), and every peer's next blocking
+//! operation on it returns `NetError::PeerDown`. The supervisor then rolls
+//! every host back to the newest complete checkpoint epoch.
 //!
 //! Both deployments of a run share this module's pieces: one SPMD body
 //! every host runs (`host_program`), one input preparation, one assembler
@@ -32,11 +38,10 @@ use crate::reference::symmetrize;
 use crate::{Algorithm, EngineKind};
 use gluon::{CheckpointStore, GluonContext, OptLevel, Pool, RunStats, SyncError, SyncStats};
 use gluon_graph::{max_out_degree_node, Csr, Gid};
-use gluon_metrics::{ExecMetrics, MetricsHub, NetMetrics};
+use gluon_metrics::{ExecMetrics, MetricsHub};
 use gluon_net::{
     run_cluster_fallible, CancelToken, Communicator, CostModel, MemoryTransport, NetError,
-    NetStats, ReliableConfig, ReliableTransport, SocketFactory, SocketKind, SocketTransport,
-    StatsSnapshot, Transport,
+    NetStats, SocketFactory, SocketKind, SocketTransport, StatsSnapshot, Transport,
 };
 use gluon_partition::{partition_on_host, LocalGraph, PartitionStats, Policy};
 use gluon_trace::{Stage, Tracer, SETUP_PHASE};
@@ -233,7 +238,6 @@ where
     F: Fn(MemoryTransport, u32) -> W + Send + Sync,
 {
     setup: Setup<'g>,
-    reliable: Option<ReliableConfig>,
     wrap: F,
 }
 
@@ -281,7 +285,6 @@ impl<'g> Run<'g> {
                 on_failure: FailurePolicy::Recover,
                 max_recoveries: 2,
             },
-            reliable: None,
             wrap: identity,
         }
     }
@@ -372,10 +375,10 @@ where
     /// ([`MetricsHub::begin_attempt`]), so post-run reads always describe
     /// the final attempt.
     ///
-    /// Unlike [`DistOutcome::net`] (frame-level traffic including
-    /// reliability overhead and timing-dependent heartbeats), the hub's
-    /// `bytes_sent`/`messages_sent` count raw sync payloads, which are
-    /// deterministic for a given configuration.
+    /// Unlike [`DistOutcome::net`] (everything handed to the transport,
+    /// collectives included), the hub's `bytes_sent`/`messages_sent` count
+    /// raw sync payloads, which are deterministic for a given
+    /// configuration.
     #[must_use]
     pub fn metrics(mut self, hub: &MetricsHub) -> Self {
         self.setup.metrics = hub.clone();
@@ -420,17 +423,6 @@ where
     #[must_use]
     pub fn max_recoveries(mut self, max_recoveries: u32) -> Self {
         self.setup.max_recoveries = max_recoveries;
-        self
-    }
-
-    /// Layers [`ReliableTransport`] (go-back-N retransmission, CRC frame
-    /// checks, and — when `config.detector` is set — heartbeat failure
-    /// detection) over whatever transport stack the builder produces.
-    /// Retransmit exhaustion and detected peer death surface as typed
-    /// [`NetError`]s carrying the offending sync round.
-    #[must_use]
-    pub fn reliable(mut self, config: ReliableConfig) -> Self {
-        self.reliable = Some(config);
         self
     }
 
@@ -488,7 +480,6 @@ where
     {
         Run {
             setup: self.setup,
-            reliable: self.reliable,
             wrap,
         }
     }
@@ -547,20 +538,15 @@ where
         })
     }
 
-    /// Hands `body` this run's thread host set with its transport stack
-    /// fixed once: the builder's wrapper, under [`ReliableTransport`] when
-    /// [`Run::reliable`] asked for it. With `checkpoints` the set has a
-    /// store (the configured one, else a fresh in-memory one).
+    /// Hands `body` this run's thread host set with the builder's
+    /// transport wrapper. With `checkpoints` the set has a store (the
+    /// configured one, else a fresh in-memory one).
     fn with_threads<R>(
         self,
         checkpoints: bool,
         body: impl FnOnce(&Setup<'g>, &mut ThreadSet<'_>) -> R,
     ) -> R {
-        let Run {
-            setup,
-            reliable,
-            wrap,
-        } = self;
+        let Run { setup, wrap } = self;
         let input = Input::prepare(setup.graph, setup.workload, setup.engine, setup.source);
         let store = checkpoints.then(|| {
             setup
@@ -568,34 +554,13 @@ where
                 .clone()
                 .unwrap_or_else(CheckpointStore::in_memory)
         });
-        match reliable {
-            Some(cfg) => {
-                let tracer = setup.tracer.clone();
-                let hub = setup.metrics.clone();
-                let wrap = move |ep: MemoryTransport, attempt| {
-                    let net_metrics = NetMetrics::register(&hub.host(ep.rank()));
-                    ReliableTransport::with_config(wrap(ep, attempt), cfg)
-                        .with_tracer(tracer.clone())
-                        .with_metrics(net_metrics)
-                };
-                let mut threads = Threads {
-                    setup: &setup,
-                    input: &input,
-                    store,
-                    wrap,
-                };
-                body(&setup, &mut threads)
-            }
-            None => {
-                let mut threads = Threads {
-                    setup: &setup,
-                    input: &input,
-                    store,
-                    wrap,
-                };
-                body(&setup, &mut threads)
-            }
-        }
+        let mut threads = Threads {
+            setup: &setup,
+            input: &input,
+            store,
+            wrap,
+        };
+        body(&setup, &mut threads)
     }
 }
 
@@ -924,8 +889,8 @@ where
 
 /// Every host's result of a thread attempt, or the failure to stop on: a
 /// decode failure is fatal (deterministic — replaying the same rounds
-/// reproduces it); otherwise the first *peer* failure (crash, detected
-/// death, retransmit exhaustion) is blamed, else the first error —
+/// reproduces it); otherwise the first *peer* failure (a crash, or a
+/// peer's closed endpoint) is blamed, else the first error —
 /// siblings that merely aborted on the shared cancellation token report
 /// [`NetError::Cancelled`], which is a symptom, not a cause.
 fn settle(
@@ -1090,7 +1055,7 @@ impl Drop for TripOnUnwind<'_> {
 /// labels. A failing host trips the cluster-wide cancellation token so
 /// blocked siblings abort promptly, *except* when it is itself the
 /// simulated crash victim (a real dead host announces nothing; its peers
-/// must discover the silence through the failure detector).
+/// learn of it when its endpoint closes).
 #[allow(clippy::too_many_arguments)] // private SPMD plumbing
 pub(crate) fn host_program<T: Transport>(
     net: &T,

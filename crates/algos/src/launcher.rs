@@ -192,7 +192,6 @@ struct WorkerReport {
     host: HostResult,
     net_bytes: Vec<u64>,
     net_messages: Vec<u64>,
-    net_scalars: [u64; 4],
     /// The worker's deterministic, observed and cluster registries, in
     /// that order, each imported back into the same registry of the
     /// parent's hub.
@@ -514,8 +513,8 @@ fn stderr_of(child: &mut Child) -> String {
 
 /// What only the process backend adds to [`assemble`]: place each worker's
 /// row of the traffic matrices (sends are recorded at the source, so the
-/// rest of its matrix is empty), sum the scalars, and import every
-/// worker's registries into the same registries of `hub`.
+/// rest of its matrix is empty) and import every worker's registries into
+/// the same registries of `hub`.
 fn merge_reports(
     n: usize,
     reports: Vec<WorkerReport>,
@@ -526,10 +525,6 @@ fn merge_reports(
         bytes: vec![0; world * world],
         messages: vec![0; world * world],
         world_size: world,
-        retransmit_bytes: 0,
-        retransmit_messages: 0,
-        dup_suppressed: 0,
-        corruption_detected: 0,
     };
     let mut per_host = Vec::with_capacity(world);
     for r in reports {
@@ -542,15 +537,6 @@ fn merge_reports(
         let row = r.rank * world..(r.rank + 1) * world;
         net.bytes[row.clone()].copy_from_slice(&r.net_bytes);
         net.messages[row].copy_from_slice(&r.net_messages);
-        let scalars = [
-            &mut net.retransmit_bytes,
-            &mut net.retransmit_messages,
-            &mut net.dup_suppressed,
-            &mut net.corruption_detected,
-        ];
-        for (acc, v) in scalars.into_iter().zip(r.net_scalars) {
-            *acc += v;
-        }
         let host = hub.host(r.rank);
         let targets = [host.deterministic(), host.observed(), &hub.cluster()];
         for (into, entries) in targets.into_iter().zip(&r.registries) {
@@ -611,15 +597,6 @@ fn encode_report(rank: usize, hr: &HostResult, stats: &NetStats, hub: &MetricsHu
     );
     snap.put_values("net_bytes", &net.bytes[row.clone()]);
     snap.put_values("net_messages", &net.messages[row]);
-    snap.put_values(
-        "net_scalars",
-        &[
-            net.retransmit_bytes,
-            net.retransmit_messages,
-            net.dup_suppressed,
-            net.corruption_detected,
-        ],
-    );
     let registries = [host.deterministic(), host.observed(), &hub.cluster()];
     for (side, registry) in REGISTRY_SIDES.into_iter().zip(registries) {
         for (name, value) in registry.snapshot() {
@@ -717,7 +694,6 @@ fn decode_report(rank: usize, bytes: &[u8]) -> Result<WorkerReport, LaunchError>
         },
         net_bytes: field(&snap, rank, "net_bytes")?,
         net_messages: field(&snap, rank, "net_messages")?,
-        net_scalars: field::<[u64; 4], _>(&snap, rank, "net_scalars")?,
         registries,
     })
 }
@@ -752,12 +728,8 @@ impl<T: Transport> Transport for CrashAt<T> {
     fn try_recv_any(&self, tag: u32) -> Result<gluon_net::Envelope, NetError> {
         self.inner.try_recv_any(tag)
     }
-    fn try_recv_any_timeout(
-        &self,
-        tag: u32,
-        timeout: Duration,
-    ) -> Result<gluon_net::Envelope, NetError> {
-        self.inner.try_recv_any_timeout(tag, timeout)
+    fn try_recv_any_now(&self, tag: u32) -> Result<Option<gluon_net::Envelope>, NetError> {
+        self.inner.try_recv_any_now(tag)
     }
     fn note_round(&self, round: u64) {
         if let Some(at) = self.at {
@@ -770,9 +742,6 @@ impl<T: Transport> Transport for CrashAt<T> {
             }
         }
         self.inner.note_round(round);
-    }
-    fn cancelled(&self) -> Option<NetError> {
-        self.inner.cancelled()
     }
     fn stats(&self) -> &NetStats {
         self.inner.stats()

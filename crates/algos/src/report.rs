@@ -11,10 +11,9 @@
 //! exactly: round and phase counts, payload totals, the wire-mode table,
 //! and per host the deterministic registry, whose `round_ledger` gauge
 //! pins every round's traffic. Everything else is `observed`: timings,
-//! calibration, reliability and supervisor counters, the observed
-//! registries and the trace ring's health. A
-//! metric's section is decided where it is registered (see
-//! [`gluon_metrics::HostMetrics`]), not here, and
+//! calibration, supervisor counters, the observed registries and the
+//! trace ring's health. A metric's section is decided where it is
+//! registered (see [`gluon_metrics::HostMetrics`]), not here, and
 //! [`RunReport::fingerprint`] is the `deterministic` section, rendered.
 //! Two fingerprints are equal whenever two runs performed the same
 //! communication — across thread counts, transports, and crash-free vs.
@@ -30,9 +29,8 @@
 //! applied to the phase's per-host maximum bytes and messages), and
 //! reports `residual = measured - projected` plus their ratio. The
 //! per-phase byte and message counts come from [`SyncStats`], which books
-//! the transport's `NetStats` frame counts, not the hub's payloads: under
-//! a reliable transport they include framing, heartbeats and
-//! retransmissions, so the projection charges what the wire carried.
+//! the transport's `NetStats` counts, not the hub's payloads, so the
+//! projection charges everything the phase handed the wire.
 
 use crate::driver::DistOutcome;
 use gluon::SyncStats;
@@ -47,7 +45,7 @@ use gluon_trace::Tracer;
 /// Version of the report's JSON schema; bumped whenever a field is
 /// renamed, removed, or changes meaning (additions are backwards
 /// compatible and do not bump it).
-pub const REPORT_SCHEMA_VERSION: u64 = 4;
+pub const REPORT_SCHEMA_VERSION: u64 = 5;
 
 /// A merged, exportable view of one run: outcome + metrics + calibration.
 ///
@@ -167,7 +165,6 @@ fn build_json(outcome: &DistOutcome, hub: &MetricsHub, model: &CostModel, tracer
             Json::from(hub.counter_across_hosts("checkpoints_saved")),
         ),
         ("timing", timing_json(outcome)),
-        ("reliability", reliability_json(outcome, hub)),
         ("exec", exec_json(hub)),
         ("cluster", registry_json(&hub.cluster())),
         ("per_host", per_host_json(hub, HostMetrics::observed)),
@@ -183,15 +180,12 @@ fn build_json(outcome: &DistOutcome, hub: &MetricsHub, model: &CostModel, tracer
 
 fn totals_json(outcome: &DistOutcome, hub: &MetricsHub) -> Json {
     // Two byte-accounting layers exist: the hub counts raw sync payloads
-    // below the reliability layer (deterministic — a replayed run moves
-    // exactly the same payload bytes), while [`RunStats`] counts
-    // transport frames, which under [`ReliableTransport`] include
-    // heartbeats and timing-dependent retransmissions. The totals here
-    // are the deterministic payload view whenever the hub recorded one;
-    // the frame-level numbers stay available under `reliability`.
+    // (deterministic — a replayed run moves exactly the same payload
+    // bytes), while [`RunStats`] counts what each phase handed the
+    // transport. The totals here are the payload view whenever the hub
+    // recorded one.
     //
     // [`RunStats`]: gluon::RunStats
-    // [`ReliableTransport`]: gluon_net::ReliableTransport
     let (bytes, messages, max_bytes, max_messages) = if hub.is_enabled() {
         let sum_and_max = |name: &str| {
             (0..hub.world_size())
@@ -264,30 +258,6 @@ fn wire_modes_json(hub: &MetricsHub) -> Json {
             })
             .collect(),
     )
-}
-
-fn reliability_json(outcome: &DistOutcome, hub: &MetricsHub) -> Json {
-    if !hub.is_enabled() {
-        return Json::obj::<&str>([]);
-    }
-    let mut fields: Vec<(&str, Json)> = [
-        "retransmits",
-        "retransmit_bytes",
-        "dups_suppressed",
-        "crc_rejections",
-        "peers_down",
-    ]
-    .map(|n| (n, Json::from(hub.counter_across_hosts(n))))
-    .into();
-    // The transport's frame-level accounting (heartbeats and
-    // retransmissions included): timing-dependent under a reliable
-    // transport, hence observed.
-    fields.push(("frame_bytes_sent", Json::from(outcome.run.total_bytes)));
-    fields.push((
-        "frame_messages_sent",
-        Json::from(outcome.run.total_messages),
-    ));
-    Json::obj(fields)
 }
 
 fn exec_json(hub: &MetricsHub) -> Json {
@@ -396,7 +366,6 @@ pub fn phase_residuals(host_stats: &[SyncStats], model: &CostModel) -> Vec<Phase
                 total_messages: host_stats.iter().map(|h| h.phases[i].messages_sent).sum(),
                 max_host_bytes,
                 max_host_messages,
-                ..StatsDelta::default()
             };
             let projected = model.phase_time(&delta);
             PhaseResidual {
@@ -457,7 +426,6 @@ fn calibration_json(host_stats: &[SyncStats], model: &CostModel) -> Json {
                 total_messages: h.messages_sent(),
                 max_host_bytes: h.bytes_sent(),
                 max_host_messages: h.messages_sent(),
-                ..StatsDelta::default()
             };
             let projected = model.phase_time(&delta);
             Json::obj([

@@ -6,21 +6,14 @@
 //! 2. CVC grid shape — communication volume under different
 //!    rows × cols factorizations of the same host count;
 //! 3. structural-invariant subsets — how many mirrors each §3.2 pattern
-//!    touches per policy (the reduce/broadcast set sizes);
-//! 4. lossy-network overhead — the retransmission tax the reliability
-//!    layer pays, and the cost model charges, as the drop rate grows.
+//!    touches per policy (the reduce/broadcast set sizes).
 
 use gluon::encode::{candidate_sizes, encode_memoized, WireMode};
 use gluon::{FlagFilter, MemoTable, OptLevel};
-use gluon_algos::{driver, Algorithm, DistConfig, EngineKind, PagerankConfig};
-use gluon_bench::{inputs, report, scale_from_args, trace_path_from_args, Table};
-use gluon_graph::max_out_degree_node;
-use gluon_net::{
-    run_cluster, Communicator, CostModel, FaultCounters, FaultPlan, FaultyTransport,
-    ReliableTransport,
-};
+use gluon_algos::{driver, Algorithm, DistConfig, EngineKind};
+use gluon_bench::{inputs, report, scale_from_args, Table};
+use gluon_net::{run_cluster, Communicator};
 use gluon_partition::{partition_on_host, Policy};
-use gluon_trace::{ChromeTraceBuilder, Tracer};
 
 fn wire_mode_crossover() {
     let list_len = 10_000usize;
@@ -162,96 +155,8 @@ fn structural_subsets() {
     );
 }
 
-fn chaos_overhead(chrome: &mut Option<ChromeTraceBuilder>) {
-    let scale = scale_from_args();
-    let bg = inputs::rmat_large(scale);
-    let cfg = DistConfig {
-        hosts: 4,
-        policy: Policy::Cvc,
-        opts: OptLevel::OSTI,
-        engine: EngineKind::Galois,
-    };
-    let clean = driver::Run::new(&bg.graph, Algorithm::Pagerank)
-        .config(&cfg)
-        .launch();
-    let mut table = Table::new(vec![
-        "drop rate",
-        "wire bytes",
-        "retx bytes",
-        "retx frames",
-        "faults injected",
-        "proj time (s)",
-        "identical",
-    ]);
-    for drop in [0.0f64, 0.01, 0.05, 0.10] {
-        let counters = FaultCounters::new();
-        let plan = FaultPlan::none(0xB10C)
-            .with_drop_rate(drop)
-            .with_corrupt_rate(drop / 2.0)
-            .with_duplicate_rate(drop / 2.0);
-        // When tracing, each drop rate becomes its own process track and
-        // the reliability layer tags every retransmission in it.
-        let tracer = match chrome {
-            Some(_) => Tracer::new(cfg.hosts),
-            None => Tracer::disabled(),
-        };
-        let out = driver::Run::new(&bg.graph, Algorithm::Pagerank)
-            .config(&cfg)
-            .source(max_out_degree_node(&bg.graph))
-            .pagerank(PagerankConfig::default())
-            .tracer(&tracer)
-            .transport(|ep| {
-                ReliableTransport::over(FaultyTransport::new(ep, plan.clone(), counters.clone()))
-                    .with_tracer(tracer.clone())
-            })
-            .launch();
-        if let Some(chrome) = chrome {
-            chrome.add(&format!("chaos drop={:.0}%", drop * 100.0), &tracer);
-        }
-        // The reliability layer must hide every fault: same ranks, same
-        // iteration count, only the wire traffic differs.
-        let identical = out.rounds == clean.rounds
-            && out
-                .ranks
-                .iter()
-                .zip(&clean.ranks)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        table.row(vec![
-            format!("{:.0}%", drop * 100.0),
-            report::bytes(out.run.total_bytes),
-            report::bytes(out.net.retransmit_bytes),
-            out.net.retransmit_messages.to_string(),
-            counters.total().to_string(),
-            report::secs(out.projected_secs(&CostModel::REPRO)),
-            identical.to_string(),
-        ]);
-    }
-    table.print(
-        "Ablation 4: lossy-network overhead (pagerank, 4 hosts, CVC, \
-         reliable-over-faulty transport)",
-    );
-    println!();
-    println!(
-        "Reading guide: wire traffic (application payload + frame headers + \
-         acks) grows with the drop rate because every dropped frame is paid \
-         for twice; the retransmitted share is broken out and priced \
-         separately by the cost model; every row must stay bit-identical to \
-         the fault-free run — the reliability layer hides the chaos, it \
-         never lets it corrupt results."
-    );
-}
-
 fn main() {
-    let trace_path = trace_path_from_args();
-    let mut chrome = trace_path.as_ref().map(|_| ChromeTraceBuilder::new());
     wire_mode_crossover();
     cvc_grid_shapes();
     structural_subsets();
-    chaos_overhead(&mut chrome);
-    if let (Some(path), Some(chrome)) = (&trace_path, chrome) {
-        std::fs::write(path, chrome.finish())
-            .unwrap_or_else(|e| panic!("cannot write trace to {path}: {e}"));
-        println!();
-        println!("Chrome trace written to {path} (load via chrome://tracing or Perfetto).");
-    }
 }

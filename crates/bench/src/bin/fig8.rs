@@ -50,7 +50,6 @@ struct Point {
     /// Volume of the same run under the codec-v1 wire modes; `None` for
     /// systems that do not use the Gluon codec (Gemini).
     baseline_bytes: Option<u64>,
-    retx_bytes: u64,
     rounds: u32,
     /// Payload bytes per wire mode, from the cell's metrics hub; zero for
     /// systems that do not use the Gluon codec (Gemini).
@@ -137,7 +136,6 @@ fn gluon_point(
         socket_wall_secs,
         comm_bytes: out.run.total_bytes,
         baseline_bytes: Some(base.run.total_bytes),
-        retx_bytes: out.net.retransmit_bytes,
         rounds: out.rounds,
         mode_bytes: MODE_BYTE_COUNTER_NAMES.map(|name| hub.counter_across_hosts(name)),
         residuals: phase_residuals(&out.host_stats, &CostModel::REPRO),
@@ -166,7 +164,6 @@ fn gemini_point(graph: &Csr, algo: Algorithm, hosts: usize) -> Point {
         socket_wall_secs: None, // gemini runs on the in-memory transport only
         comm_bytes: out.run.total_bytes,
         baseline_bytes: None, // gemini does not use the Gluon codec
-        retx_bytes: 0,        // gemini runs on the bare in-memory transport
         rounds: out.rounds,
         mode_bytes: [0; NUM_WIRE_MODES],
         residuals: phase_residuals(&out.host_stats, &CostModel::REPRO),
@@ -205,7 +202,6 @@ fn main() {
         "comm volume",
         "v1 baseline",
         "ratio",
-        "retx",
         "rounds",
     ]);
     let mut calib = Table::new(vec![
@@ -327,7 +323,6 @@ fn main() {
                                 Json::from(base as f64 / point.comm_bytes.max(1) as f64)
                             }),
                         ),
-                        ("retransmit_bytes", Json::from(point.retx_bytes)),
                         ("rounds", Json::from(point.rounds)),
                     ]));
                     table.row(vec![
@@ -341,7 +336,6 @@ fn main() {
                         report::bytes(point.comm_bytes),
                         baseline,
                         ratio,
-                        report::bytes(point.retx_bytes),
                         point.rounds.to_string(),
                     ]);
                 }

@@ -20,7 +20,7 @@ pub fn sync_tag(seq: u32, pat: u32) -> u32 {
     debug_assert!(pat < 2);
     let tag = SYNC_TAG_BASE + (seq % SYNC_TAG_WINDOW) * 2 + pat;
     // Every tag Gluon itself uses must stay in the user range; the space
-    // above it belongs to collectives and the reliability layer.
+    // above it belongs to the collectives.
     gluon_net::assert_user_tag(tag);
     tag
 }

@@ -35,7 +35,7 @@ const PHASE_RESERVE: usize = 1 << 18;
 
 /// Why a [`GluonContext::try_sync`] call failed.
 ///
-/// Network failure (a peer declared dead by the reliability layer) and
+/// Network failure (a peer whose endpoint closed) and
 /// decode failure (a received payload that does not parse — a corrupted
 /// frame on an unprotected transport, or a peer speaking a different wire
 /// format) both leave the field partially reconciled: the error is
@@ -452,11 +452,9 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     /// here, once — every steady-state publication afterwards is a plain
     /// atomic op.
     ///
-    /// Metrics count *payload* bytes handed to the transport's send path,
-    /// which is deterministic across runs; `NetStats` (and
-    /// [`crate::PhaseStats::bytes_sent`]) count wire frames, which include
-    /// reliability-layer framing and timing-dependent heartbeats when a
-    /// failure detector is configured.
+    /// Metrics count the sync paths' *payload* bytes; `NetStats` (and
+    /// [`crate::PhaseStats::bytes_sent`]) count everything the transport
+    /// was handed in the phase.
     #[must_use]
     pub fn with_metrics(mut self, host: HostMetrics) -> Self {
         self.metrics = SyncMetrics::register(&host);
@@ -690,10 +688,10 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`SyncError::Net`] if a peer becomes unreachable mid-sync,
-    /// and [`SyncError::Decode`] if a received payload does not parse (a
-    /// corrupted frame on an unprotected transport — the reliability
-    /// layer's checksum normally drops those first). Either error is
+    /// Returns [`SyncError::Net`] if a peer dies mid-sync, and
+    /// [`SyncError::Decode`] if a received payload does not parse (a
+    /// corrupted frame on the memory wire — the socket frame's checksum
+    /// rejects those first). Either error is
     /// terminal for the run: local field state may have been partially
     /// reconciled, so the caller should abandon the computation (or
     /// restart it), not retry the call. Decode failures are additionally

@@ -24,7 +24,6 @@ use gluon_net::{
 use gluon_partition::{partition_on_host, LocalGraph, Policy};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
 
 const HOSTS: usize = 4;
 
@@ -144,24 +143,12 @@ impl Transport for Ordered {
         Ok(queue.pop_front().expect("a dealt batch is never empty"))
     }
 
-    fn try_recv_any_timeout(&self, tag: u32, _timeout: Duration) -> Result<Envelope, NetError> {
-        let mut queues = self.queues.lock().unwrap();
-        queues
-            .get_mut(&tag)
-            .and_then(VecDeque::pop_front)
-            .ok_or(NetError::Timeout)
-    }
-
     fn try_recv_any_now(&self, _tag: u32) -> Result<Option<Envelope>, NetError> {
         Ok(None)
     }
 
     fn note_round(&self, round: u64) {
         self.inner.note_round(round);
-    }
-
-    fn cancelled(&self) -> Option<NetError> {
-        self.inner.cancelled()
     }
 
     fn stats(&self) -> &NetStats {

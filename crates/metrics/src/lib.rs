@@ -23,7 +23,7 @@
 //! wire-mode counts, rounds, pool hits, the round ledger — at any thread
 //! count, on any transport, and after a crash recovery.
 //! [`HostMetrics::observed`] holds everything else: stage times,
-//! retransmissions, critical-path work, checkpoints. The cluster registry
+//! critical-path work, checkpoints. The cluster registry
 //! ([`MetricsHub::cluster`]) is observed. A run report's fingerprint is the
 //! deterministic side, rendered; nothing else decides what it contains.
 //!
@@ -349,8 +349,7 @@ struct RegistryInner {
 
 /// A named collection of metrics. Registration interns by name: asking for
 /// the same name twice returns handles to the same cell, which is how
-/// independently constructed publishers (the sync context and the reliable
-/// transport, say) share a counter.
+/// independently constructed publishers share a counter.
 ///
 /// Cloning is cheap; clones register into the same collection. A
 /// default-constructed registry is disabled and hands out disabled handles.
@@ -947,63 +946,6 @@ impl SyncMetrics {
     }
 }
 
-/// The reliability layer's pre-registered metrics: retransmissions,
-/// duplicate suppression, CRC rejections, peers declared down.
-#[derive(Clone, Debug, Default)]
-pub struct NetMetrics {
-    retransmits: Counter,
-    retransmit_bytes: Counter,
-    dups_suppressed: Counter,
-    crc_rejections: Counter,
-    peers_down: Counter,
-}
-
-impl NetMetrics {
-    /// The all-disabled bundle.
-    pub fn disabled() -> NetMetrics {
-        NetMetrics::default()
-    }
-
-    /// Registers the reliability layer's metrics on `host`'s observed
-    /// side: retransmissions fire on timeouts, so their counts vary run to
-    /// run even on identical traffic.
-    pub fn register(host: &HostMetrics) -> NetMetrics {
-        let obs = host.observed();
-        NetMetrics {
-            retransmits: obs.counter("retransmits"),
-            retransmit_bytes: obs.counter("retransmit_bytes"),
-            dups_suppressed: obs.counter("dups_suppressed"),
-            crc_rejections: obs.counter("crc_rejections"),
-            peers_down: obs.counter("peers_down"),
-        }
-    }
-
-    /// Books one retransmitted frame of `bytes` bytes.
-    #[inline]
-    pub fn on_retransmit(&self, bytes: u64) {
-        self.retransmits.incr();
-        self.retransmit_bytes.add(bytes);
-    }
-
-    /// Books one suppressed duplicate frame.
-    #[inline]
-    pub fn on_dup_suppressed(&self) {
-        self.dups_suppressed.incr();
-    }
-
-    /// Books one CRC-rejected frame.
-    #[inline]
-    pub fn on_crc_rejection(&self) {
-        self.crc_rejections.incr();
-    }
-
-    /// Books one peer declared dead.
-    #[inline]
-    pub fn on_peer_down(&self) {
-        self.peers_down.incr();
-    }
-}
-
 /// The exec pool's pre-registered metrics: parallel operations and the
 /// sequential/critical-path work split.
 #[derive(Clone, Debug, Default)]
@@ -1237,18 +1179,6 @@ mod tests {
         sm.on_payload(1, 100);
         sm.round_end(0, [0; NUM_ROUND_STAGES]);
         assert_eq!(ledger(&hub.host(0)), first);
-    }
-
-    #[test]
-    fn net_metrics_book_on_the_observed_side() {
-        let hub = MetricsHub::new(1);
-        let nm = NetMetrics::register(&hub.host(0));
-        nm.on_retransmit(64);
-        nm.on_retransmit(64);
-        let obs = hub.host(0).observed().clone();
-        assert_eq!(obs.counter_value("retransmits"), 2);
-        assert_eq!(obs.counter_value("retransmit_bytes"), 128);
-        assert_eq!(hub.host(0).deterministic().counter_value("retransmits"), 0);
     }
 
     #[test]

@@ -49,12 +49,12 @@ where
     R: Send,
     F: Fn(&MemoryTransport) -> R + Send + Sync,
 {
-    spawn_hosts(world_size, stats, |ep| ep, |ep, _| program(ep))
+    spawn_hosts(world_size, stats, |ep| ep, |ep, _| program(ep), |_| true)
 }
 
 /// As [`run_cluster_with_stats`], but each host's endpoint is first passed
 /// through `wrap`, so the whole cluster runs over a wrapped transport stack
-/// (jitter, fault injection, reliability, or any composition of them).
+/// (jitter, fault injection, or both).
 ///
 /// Endpoints are moved into `wrap` (wrappers own their inner transport),
 /// so `program` receives the wrapped transport by reference.
@@ -90,22 +90,21 @@ where
     WrapF: Fn(MemoryTransport) -> W + Send + Sync,
     ProgF: Fn(&W) -> R + Send + Sync,
 {
-    spawn_hosts(world_size, stats, wrap, |net, _| program(net))
+    spawn_hosts(world_size, stats, wrap, |net, _| program(net), |_| true)
 }
 
 /// As [`run_cluster_wrapped`], but the per-host program is *fallible*: it
 /// returns a `Result` and additionally receives the cluster's shared
 /// [`CancelToken`].
 ///
-/// The runner never trips the token itself — that is the program's (or a
-/// supervisor's) decision, because not every failure should abort the
-/// siblings. In particular a host simulating its own crash must *not*
-/// notify anyone: its peers are supposed to discover the silence through
-/// their failure detectors. A program that hits a failure its peers cannot
-/// otherwise observe should `token.trip()` before returning `Err`, which
-/// makes every sibling blocked inside the in-memory transport (or a
-/// reliability wrapper over it) return [`crate::NetError::Cancelled`]
-/// promptly instead of waiting out its receive budget.
+/// A host that returns `Err` is down for its peers as soon as its endpoint
+/// drops: they see [`crate::NetError::PeerDown`], so a host simulating its
+/// own crash needs to do nothing more. A host that returns `Ok` leaves
+/// quietly, as does every host of the infallible runners. The runner never
+/// trips the token itself — that is the program's (or a supervisor's)
+/// decision. A program may `token.trip()` before returning `Err` to make
+/// every sibling blocked inside the in-memory transport return
+/// [`crate::NetError::Cancelled`] instead.
 ///
 /// All per-host results — `Ok` and `Err` alike — are returned in rank
 /// order; classification is the caller's job.
@@ -127,18 +126,24 @@ where
     WrapF: Fn(MemoryTransport) -> W + Send + Sync,
     ProgF: Fn(&W, &CancelToken) -> Result<R, E> + Send + Sync,
 {
-    spawn_hosts(world_size, stats, wrap, program)
+    spawn_hosts(world_size, stats, wrap, program, Result::is_ok)
 }
 
 /// The scoped-thread core of every runner above: one named thread per
 /// host, each passing its endpoint through `wrap` and running `program`
 /// on the result with the cluster's shared [`CancelToken`]. Results come
 /// back in rank order; a host's panic is re-raised in the caller.
+///
+/// A host whose result `finished` accepts leaves quietly: a peer may still
+/// be draining what it sent, and an any-source receive fails once any
+/// peer is down. Any other host — one that failed, crashed or panicked —
+/// is down for its peers as soon as its endpoint drops.
 fn spawn_hosts<W, R, WrapF, ProgF>(
     world_size: usize,
     stats: NetStats,
     wrap: WrapF,
     program: ProgF,
+    finished: fn(&R) -> bool,
 ) -> (Vec<R>, NetStats)
 where
     W: Transport,
@@ -155,11 +160,16 @@ where
             .map(|ep| {
                 let rank = ep.rank();
                 let token = ep.cancel_token();
+                let departure = ep.departure();
                 thread::Builder::new()
                     .name(format!("host-{rank}"))
                     .spawn_scoped(s, move || {
                         let net = wrap(ep);
-                        program(&net, &token)
+                        let result = program(&net, &token);
+                        if finished(&result) {
+                            departure.quietly();
+                        }
+                        result
                     })
                     .expect("spawn host thread")
             })
@@ -208,26 +218,62 @@ mod tests {
     }
 
     #[test]
-    fn wrapped_cluster_survives_a_lossy_network() {
-        use crate::fault::{FaultCounters, FaultPlan, FaultyTransport};
-        use crate::reliable::ReliableTransport;
+    fn a_host_that_fails_is_down_for_its_peers() {
+        use crate::error::NetError;
 
-        let counters = FaultCounters::new();
-        let (sums, _) = run_cluster_wrapped(
+        let (results, _) = run_cluster_fallible(
             3,
             NetStats::new(3),
-            |ep| {
-                let seed = 17 + ep.rank() as u64;
-                ReliableTransport::over(FaultyTransport::new(
-                    ep,
-                    FaultPlan::lossy(seed),
-                    counters.clone(),
-                ))
+            |ep| ep,
+            |net, _token| -> Result<u64, NetError> {
+                let comm = Communicator::new(net);
+                net.note_round(2);
+                // Every host has noted round 2 before host 2 can leave.
+                comm.try_barrier()?;
+                if net.rank() == 2 {
+                    // Fails without a word: its endpoint closes on return.
+                    return Err(NetError::HostCrashed { host: 2, round: 2 });
+                }
+                comm.try_all_reduce_u64(1, |a, b| a + b)
             },
-            |net| Communicator::new(net).all_reduce_u64(net.rank() as u64 + 1, |a, b| a + b),
         );
-        assert_eq!(sums, vec![6, 6, 6]);
-        assert!(counters.total() > 0, "the lossy plan must have fired");
+        for (rank, r) in results.into_iter().enumerate().take(2) {
+            match r {
+                Err(NetError::PeerDown { peer, round: 2 }) => assert_ne!(peer, rank),
+                other => panic!("host {rank}: expected PeerDown at round 2, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_host_that_finishes_leaves_quietly() {
+        // Host 1 leaves as soon as its frame is sent; host 0 waits on an
+        // any-source receive that host 2 answers only later. A finished
+        // host must not read as a dead peer meanwhile.
+        let (got, _) = run_cluster_fallible(
+            3,
+            NetStats::new(3),
+            |ep| ep,
+            |net, _token| -> Result<usize, crate::error::NetError> {
+                match net.rank() {
+                    0 => {
+                        let first = net.try_recv_any(1)?.src;
+                        let second = net.try_recv_any(1)?.src;
+                        Ok(first + second)
+                    }
+                    1 => {
+                        net.try_send(0, 1, bytes::Bytes::new())?;
+                        Ok(0)
+                    }
+                    _ => {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        net.try_send(0, 1, bytes::Bytes::new())?;
+                        Ok(0)
+                    }
+                }
+            },
+        );
+        assert_eq!(got[0], Ok(3));
     }
 
     #[test]

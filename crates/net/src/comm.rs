@@ -33,8 +33,8 @@ pub const COLLECTIVE_TAG_BASE: u32 = 1 << 24;
 pub const MAX_USER_TAG: u32 = COLLECTIVE_TAG_BASE;
 
 /// Debug-checks that `tag` is a legal *user* tag (below [`MAX_USER_TAG`]),
-/// i.e. cannot collide with collective or reliability traffic. Call this
-/// at every boundary that accepts a tag from application code.
+/// i.e. cannot collide with collective traffic. Call this at every
+/// boundary that accepts a tag from application code.
 pub fn assert_user_tag(tag: u32) {
     debug_assert!(
         tag < MAX_USER_TAG,
@@ -119,7 +119,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     }
 
     fn tag(epoch: u32, step: u32) -> u32 {
-        // The collective tag space is [COLLECTIVE_TAG_BASE, RELIABLE_TAG):
+        // The collective tag space starts at COLLECTIVE_TAG_BASE:
         // 128 epochs x 64 steps fits with room to spare, but keep the
         // contract checked in debug builds.
         debug_assert!(
@@ -134,7 +134,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     pub fn try_barrier(&self) -> Result<(), NetError> {
         let n = self.world_size();
         if n == 1 {
@@ -173,7 +173,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     pub fn try_all_reduce_bytes(
         &self,
         value: Bytes,
@@ -260,7 +260,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     pub fn try_all_reduce_u64(
         &self,
         value: u64,
@@ -330,7 +330,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     pub fn try_all_reduce_f64(
         &self,
         value: f64,
@@ -355,7 +355,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     pub fn try_any(&self, flag: bool) -> Result<bool, NetError> {
         Ok(self.try_all_reduce_u64(u64::from(flag), |a, b| a | b)? != 0)
     }
@@ -370,7 +370,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     pub fn try_all(&self, flag: bool) -> Result<bool, NetError> {
         Ok(self.try_all_reduce_u64(u64::from(flag), |a, b| a & b)? != 0)
     }
@@ -386,7 +386,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     pub fn try_all_gather(&self, value: Bytes) -> Result<Vec<Bytes>, NetError> {
         let n = self.world_size();
         let rank = self.rank();
@@ -423,7 +423,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     ///
     /// # Panics
     ///
@@ -462,7 +462,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     pub fn try_broadcast_from(&self, root: usize, value: Option<Bytes>) -> Result<Bytes, NetError> {
         let n = self.world_size();
         let rank = self.rank();
@@ -510,7 +510,7 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError`] if a peer becomes unreachable.
+    /// Returns [`NetError`] if a peer dies.
     ///
     /// # Panics
     ///

@@ -67,18 +67,9 @@ impl CostModel {
     ///
     /// BSP communication completes when the busiest host finishes sending,
     /// so the projection charges the maximum per-host traffic, not the sum.
-    ///
-    /// Retransmitted frames are charged a second time on top: the per-host
-    /// matrices already count every frame that crossed the wire (including
-    /// the resends), but each retransmission also implies at least one
-    /// retransmission-timeout stall on the sender that the matrices cannot
-    /// see. Charging `alpha + bytes * beta` once more per retransmitted
-    /// frame is a lower bound on that stall.
     pub fn phase_time(&self, delta: &StatsDelta) -> f64 {
         delta.max_host_messages as f64 * self.alpha_secs
             + delta.max_host_bytes as f64 * self.beta_secs_per_byte
-            + delta.retransmit_messages as f64 * self.alpha_secs
-            + delta.retransmit_bytes as f64 * self.beta_secs_per_byte
     }
 }
 
@@ -116,29 +107,8 @@ mod tests {
             total_messages: 10,
             max_host_bytes: 60,
             max_host_messages: 4,
-            ..Default::default()
         };
         assert!((m.phase_time(&d) - 64.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phase_time_charges_retransmissions_on_top() {
-        let m = CostModel {
-            alpha_secs: 1.0,
-            beta_secs_per_byte: 1.0,
-        };
-        let clean = StatsDelta {
-            max_host_bytes: 60,
-            max_host_messages: 4,
-            ..Default::default()
-        };
-        let lossy = StatsDelta {
-            retransmit_bytes: 20,
-            retransmit_messages: 2,
-            ..clean
-        };
-        assert!((m.phase_time(&clean) - 64.0).abs() < 1e-12);
-        assert!((m.phase_time(&lossy) - 86.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Transport-level errors.
 //!
-//! The in-memory [`crate::MemoryTransport`] cannot fail, but the reliability
-//! layer ([`crate::ReliableTransport`]) can exhaust its retransmission
-//! budget against a lossy or dead peer, its failure detector can declare a
-//! silent peer down, a [`crate::FaultPlan`] crash rule can kill the local
-//! endpoint, and a sibling host can trip the cluster's cancellation token.
-//! All of these surface as a [`NetError`] through the `try_*` methods of
-//! [`crate::Transport`] so that callers — ultimately the Gluon sync paths —
-//! can degrade gracefully instead of blocking forever or panicking.
+//! Both wires are reliable FIFO streams, so a host sees a fault in one of
+//! three shapes: a peer's endpoint closed ([`NetError::PeerDown`] — a
+//! killed worker's sockets, a dropped [`crate::MemoryTransport`]), a
+//! [`crate::CrashRule`] killed this host's own endpoint
+//! ([`NetError::HostCrashed`]), or a sibling host tripped the cluster's
+//! cancellation token ([`NetError::Cancelled`]). All of them surface
+//! through the methods of [`crate::Transport`] so that callers —
+//! ultimately the Gluon sync paths — can degrade gracefully instead of
+//! blocking forever or panicking.
 //!
-//! The `round` carried by the peer-failure variants is the last sync-phase
+//! The `round` carried by the failure variants is the last sync-phase
 //! index the local host reported through [`crate::Transport::note_round`]
 //! (0 if the failure happened before the first sync), which lets a
 //! supervisor decide which checkpoint epoch to roll back to.
@@ -19,30 +20,18 @@ use std::fmt;
 /// Errors surfaced by fallible transport operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NetError {
-    /// A peer did not acknowledge traffic within the retry budget, or a
-    /// receive waited longer than the configured budget with no progress.
-    /// The peer is presumed crashed, partitioned away, or stalled.
-    PeerUnreachable {
-        /// Rank of the unresponsive peer.
-        peer: usize,
-        /// Retransmission attempts (or receive budget, as retries) spent
-        /// before giving up.
-        retries: u32,
-        /// Sync-phase index the local host was in when it gave up.
-        round: u64,
-    },
-    /// The failure detector declared a peer dead: no frame (data, control,
-    /// or heartbeat) arrived from it for longer than the configured
-    /// suspicion threshold.
+    /// A peer's endpoint closed: its process died, its socket reached EOF
+    /// or failed, or its in-memory endpoint was dropped. Nothing more will
+    /// ever arrive from it.
     PeerDown {
-        /// Rank of the silent peer.
+        /// Rank of the dead peer.
         peer: usize,
-        /// Sync-phase index the local host was in when the detector fired.
+        /// Sync-phase index the local host was in when the peer died.
         round: u64,
     },
     /// An injected [`crate::CrashRule`] killed *this* host's endpoint: the
     /// host is simulating its own death and must unwind without notifying
-    /// its peers (they learn of it through their failure detectors).
+    /// its peers (they learn of it when its endpoint closes).
     HostCrashed {
         /// Rank of the crashed host (the local rank).
         host: usize,
@@ -53,13 +42,6 @@ pub enum NetError {
     /// failing, so this host aborted its blocking operation instead of
     /// waiting for traffic that will never come.
     Cancelled,
-    /// A bounded receive ([`crate::Transport::try_recv_any_timeout`])
-    /// expired with no matching message. Unlike every other variant this is
-    /// not a failure: it is the typed replacement for the old `None`
-    /// sentinel, and callers such as [`crate::ReliableTransport`]'s pump
-    /// treat it as observed silence (feeding the failure detector's
-    /// accounting) before retrying.
-    Timeout,
 }
 
 impl NetError {
@@ -69,29 +51,25 @@ impl NetError {
     /// name no remote peer.
     pub fn peer(&self) -> Option<usize> {
         match self {
-            NetError::PeerUnreachable { peer, .. } | NetError::PeerDown { peer, .. } => Some(*peer),
-            NetError::HostCrashed { .. } | NetError::Cancelled | NetError::Timeout => None,
+            NetError::PeerDown { peer, .. } => Some(*peer),
+            NetError::HostCrashed { .. } | NetError::Cancelled => None,
         }
     }
 
     /// The sync-phase index attached to the error, if any.
     pub fn round(&self) -> Option<u64> {
         match self {
-            NetError::PeerUnreachable { round, .. }
-            | NetError::PeerDown { round, .. }
-            | NetError::HostCrashed { round, .. } => Some(*round),
-            NetError::Cancelled | NetError::Timeout => None,
+            NetError::PeerDown { round, .. } | NetError::HostCrashed { round, .. } => Some(*round),
+            NetError::Cancelled => None,
         }
     }
 
-    /// True for the variants that indicate a *remote host* failed (the
-    /// signals a supervisor treats as recoverable by rollback-restart).
+    /// True for the variants that indicate a host failed (the signals a
+    /// supervisor treats as recoverable by rollback-restart).
     pub fn is_peer_failure(&self) -> bool {
         matches!(
             self,
-            NetError::PeerUnreachable { .. }
-                | NetError::PeerDown { .. }
-                | NetError::HostCrashed { .. }
+            NetError::PeerDown { .. } | NetError::HostCrashed { .. }
         )
     }
 }
@@ -99,25 +77,16 @@ impl NetError {
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::PeerUnreachable {
-                peer,
-                retries,
-                round,
-            } => write!(
-                f,
-                "peer {peer} unreachable after {retries} retransmission attempts (round {round})"
-            ),
             NetError::PeerDown { peer, round } => {
                 write!(
                     f,
-                    "peer {peer} declared down by failure detector (round {round})"
+                    "peer {peer} declared down: its endpoint closed (round {round})"
                 )
             }
             NetError::HostCrashed { host, round } => {
                 write!(f, "host {host} crashed by fault injection at round {round}")
             }
             NetError::Cancelled => write!(f, "cancelled: a sibling host failed"),
-            NetError::Timeout => write!(f, "timed out: no matching message within the deadline"),
         }
     }
 }
@@ -129,39 +98,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_names_the_peer() {
-        let e = NetError::PeerUnreachable {
-            peer: 3,
-            retries: 7,
-            round: 11,
-        };
-        assert!(e.to_string().contains("peer 3"));
-        assert!(e.to_string().contains("round 11"));
-        assert_eq!(e.peer(), Some(3));
-        assert_eq!(e.round(), Some(11));
-        assert!(e.is_peer_failure());
+    fn peer_down_names_the_peer_and_round() {
+        let d = NetError::PeerDown { peer: 3, round: 11 };
+        assert!(d.to_string().contains("peer 3"));
+        assert!(d.to_string().contains("round 11"));
+        assert_eq!(d.peer(), Some(3));
+        assert_eq!(d.round(), Some(11));
+        assert!(d.is_peer_failure());
     }
 
     #[test]
-    fn detector_and_crash_variants_carry_rounds() {
-        let d = NetError::PeerDown { peer: 1, round: 4 };
-        assert_eq!(d.peer(), Some(1));
-        assert_eq!(d.round(), Some(4));
-        assert!(d.is_peer_failure());
+    fn a_crash_blames_no_peer_but_carries_its_round() {
         let c = NetError::HostCrashed { host: 2, round: 9 };
         assert_eq!(c.peer(), None);
         assert_eq!(c.round(), Some(9));
         assert!(c.is_peer_failure());
         assert!(c.to_string().contains("host 2"));
-    }
-
-    #[test]
-    fn timeout_is_not_a_peer_failure() {
-        let e = NetError::Timeout;
-        assert_eq!(e.peer(), None);
-        assert_eq!(e.round(), None);
-        assert!(!e.is_peer_failure());
-        assert!(e.to_string().contains("timed out"));
     }
 
     #[test]

@@ -1,27 +1,21 @@
-//! Lossy-network fault injection.
+//! Fault injection for reliable streams: host crashes and corruption.
 //!
-//! [`FaultyTransport`] wraps any [`Transport`] and deterministically
-//! injects the failures a real datacenter network exhibits: dropped
-//! messages, duplicated messages, payload corruption (bit flips), and
-//! per-peer delivery delays. The injected fault mix is configured by a
-//! [`FaultPlan`] — background probabilities plus targeted [`FaultRule`]s
-//! like "drop the 3rd message on tag T to host H" — and every injected
-//! fault is counted in shared [`FaultCounters`] so tests can prove the
-//! faults actually fired.
+//! Both wires are reliable FIFO streams, which never drop, duplicate or
+//! reorder a message. What such a stream can still suffer is a host that
+//! dies and a payload whose bits flip. [`FaultyTransport`] wraps any
+//! [`Transport`] and injects exactly those two, as a [`FaultPlan`] says:
 //!
-//! Determinism: each endpoint draws from its own generator seeded from
-//! `plan.seed` mixed with the endpoint's rank, so a given (plan, rank)
-//! replays the same per-send decisions run after run. (Across a
-//! multi-threaded cluster the *interleaving* of sends still varies, so a
-//! fault lands on the same send *index*, not necessarily the same wall
-//! -clock moment.)
+//! * a [`CrashRule`] kills this host's endpoint at a chosen sync round;
+//!   its thread unwinds with [`NetError::HostCrashed`] and drops the
+//!   endpoint, which is the crash its peers observe;
+//! * `corrupt_rate` flips one payload bit in that share of sends, which
+//!   the codec must reject with a typed error (on sockets the frame CRC
+//!   rejects it first).
 //!
-//! Ordering caveat: a delayed message is released after later sends, so
-//! `FaultyTransport` — unlike [`crate::JitterTransport`] — does **not**
-//! preserve per-`(destination, tag)` FIFO order, and dropped messages
-//! never arrive at all. Bare protocols are not expected to survive this
-//! wrapper; stack [`crate::ReliableTransport`] on top to restore exactly
-//! -once in-order delivery.
+//! Every injected fault is counted in shared [`FaultCounters`], so tests
+//! can prove the faults actually fired. Each endpoint draws from its own
+//! generator seeded from `plan.seed` mixed with its rank, so a given
+//! (plan, rank) replays the same per-send decisions run after run.
 //!
 //! Self-sends (`dst == rank`) bypass injection entirely: loopback traffic
 //! never traverses the NIC on a real host either.
@@ -31,18 +25,16 @@ use crate::stats::NetStats;
 use crate::transport::{Envelope, Transport};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A scheduled host crash: when the local host is `host` and the
 /// application reports reaching sync round `round` (via
-/// [`Transport::note_round`]), the endpoint dies — outbound traffic is
-/// silently swallowed from that point on and every fallible operation on
-/// the endpoint returns [`NetError::HostCrashed`], so the host's thread
-/// unwinds as if the process were killed while its peers observe nothing
-/// but silence.
+/// [`Transport::note_round`]), the endpoint dies: every operation on it
+/// returns [`NetError::HostCrashed`], so the host's thread unwinds and
+/// drops its endpoint, and that drop is the crash its peers observe (as
+/// [`NetError::PeerDown`], exactly what a killed worker's closed sockets
+/// produce).
 ///
 /// `attempt` scopes the rule to one supervised execution attempt:
 /// `Some(0)` (the [`CrashRule::at`] default) crashes only the first
@@ -88,100 +80,14 @@ impl CrashRule {
     }
 }
 
-/// What to do to a send that a rule or a probability draw selected.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FaultAction {
-    /// Discard the message; it never reaches the wire.
-    Drop,
-    /// Deliver the message twice.
-    Duplicate,
-    /// Flip one payload bit (no-op on empty payloads).
-    Corrupt,
-    /// Hold the message back and release it after later sends (breaks
-    /// per-stream FIFO order).
-    Delay,
-}
-
-/// A targeted fault: applied to sends matching every given criterion.
-///
-/// `None` criteria match everything, so `FaultRule::nth(3, Drop)` drops
-/// every 3rd-in-stream message while
-/// `FaultRule { peer: Some(1), .. }` restricts it to messages bound for
-/// host 1. Rules are checked in order; the first match wins and
-/// suppresses the probabilistic draws.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FaultRule {
-    /// Destination rank to match (`None` = any).
-    pub peer: Option<usize>,
-    /// Tag to match (`None` = any).
-    pub tag: Option<u32>,
-    /// 1-based index within the matched `(peer, tag)` stream (`None` =
-    /// every matching send).
-    pub nth: Option<u64>,
-    /// The fault to inject.
-    pub action: FaultAction,
-}
-
-impl FaultRule {
-    /// A rule applying `action` to every send.
-    pub fn always(action: FaultAction) -> FaultRule {
-        FaultRule {
-            peer: None,
-            tag: None,
-            nth: None,
-            action,
-        }
-    }
-
-    /// A rule applying `action` to the `nth` (1-based) send of each
-    /// matching stream.
-    pub fn nth(nth: u64, action: FaultAction) -> FaultRule {
-        FaultRule {
-            nth: Some(nth),
-            ..FaultRule::always(action)
-        }
-    }
-
-    /// Restricts the rule to sends bound for `peer`.
-    pub fn to_peer(self, peer: usize) -> FaultRule {
-        FaultRule {
-            peer: Some(peer),
-            ..self
-        }
-    }
-
-    /// Restricts the rule to sends on `tag`.
-    pub fn on_tag(self, tag: u32) -> FaultRule {
-        FaultRule {
-            tag: Some(tag),
-            ..self
-        }
-    }
-
-    fn matches(&self, dst: usize, tag: u32, stream_index: u64) -> bool {
-        self.peer.is_none_or(|p| p == dst)
-            && self.tag.is_none_or(|t| t == tag)
-            && self.nth.is_none_or(|n| n == stream_index)
-    }
-}
-
-/// Fault mix for a [`FaultyTransport`]: background probabilities (checked
-/// in the order drop, duplicate, corrupt, delay from one uniform draw, so
-/// the rates are exact and must sum to at most 1) plus targeted rules.
+/// Fault mix for a [`FaultyTransport`]: a corruption probability plus
+/// scheduled host crashes.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// Seed for the per-endpoint fault generators.
     pub seed: u64,
-    /// Probability a send is dropped.
-    pub drop_rate: f64,
-    /// Probability a send is delivered twice.
-    pub duplicate_rate: f64,
-    /// Probability one payload bit is flipped.
+    /// Probability one payload bit of a send is flipped.
     pub corrupt_rate: f64,
-    /// Probability a send is delayed past later sends.
-    pub delay_rate: f64,
-    /// Targeted rules, checked before the probabilistic draws.
-    pub rules: Vec<FaultRule>,
     /// Scheduled host crashes, fired by [`Transport::note_round`].
     pub crashes: Vec<CrashRule>,
 }
@@ -191,54 +97,14 @@ impl FaultPlan {
     pub fn none(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            drop_rate: 0.0,
-            duplicate_rate: 0.0,
             corrupt_rate: 0.0,
-            delay_rate: 0.0,
-            rules: Vec::new(),
             crashes: Vec::new(),
         }
-    }
-
-    /// A representatively nasty network: 10% drops, 5% duplicates, 5%
-    /// corruption, 10% delays.
-    pub fn lossy(seed: u64) -> FaultPlan {
-        FaultPlan {
-            drop_rate: 0.10,
-            duplicate_rate: 0.05,
-            corrupt_rate: 0.05,
-            delay_rate: 0.10,
-            ..FaultPlan::none(seed)
-        }
-    }
-
-    /// Sets the drop probability.
-    pub fn with_drop_rate(mut self, rate: f64) -> FaultPlan {
-        self.drop_rate = rate;
-        self
-    }
-
-    /// Sets the duplication probability.
-    pub fn with_duplicate_rate(mut self, rate: f64) -> FaultPlan {
-        self.duplicate_rate = rate;
-        self
     }
 
     /// Sets the corruption probability.
     pub fn with_corrupt_rate(mut self, rate: f64) -> FaultPlan {
         self.corrupt_rate = rate;
-        self
-    }
-
-    /// Sets the delay probability.
-    pub fn with_delay_rate(mut self, rate: f64) -> FaultPlan {
-        self.delay_rate = rate;
-        self
-    }
-
-    /// Appends a targeted rule.
-    pub fn with_rule(mut self, rule: FaultRule) -> FaultPlan {
-        self.rules.push(rule);
         self
     }
 
@@ -249,8 +115,8 @@ impl FaultPlan {
     }
 
     /// The plan as seen by supervised execution attempt `attempt`: crash
-    /// rules scoped to other attempts are removed; everything else (rates,
-    /// targeted rules, every-attempt crashes) is kept verbatim.
+    /// rules scoped to other attempts are removed; everything else (the
+    /// corruption rate, every-attempt crashes) is kept verbatim.
     pub fn for_attempt(&self, attempt: u32) -> FaultPlan {
         let mut plan = self.clone();
         plan.crashes
@@ -266,14 +132,10 @@ impl FaultPlan {
                  uses infallible collectives and cannot host a clean crash"
             );
         }
-        let total = self.drop_rate + self.duplicate_rate + self.corrupt_rate + self.delay_rate;
         assert!(
-            (0.0..=1.0).contains(&total)
-                && self.drop_rate >= 0.0
-                && self.duplicate_rate >= 0.0
-                && self.corrupt_rate >= 0.0
-                && self.delay_rate >= 0.0,
-            "fault rates must be non-negative and sum to at most 1 (got {total})"
+            (0.0..=1.0).contains(&self.corrupt_rate),
+            "the corruption rate must lie in [0, 1] (got {})",
+            self.corrupt_rate
         );
     }
 }
@@ -287,10 +149,7 @@ pub struct FaultCounters {
 
 #[derive(Debug, Default)]
 struct FaultCountersInner {
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
     corrupted: AtomicU64,
-    delayed: AtomicU64,
     crashed: AtomicU64,
 }
 
@@ -300,45 +159,15 @@ impl FaultCounters {
         FaultCounters::default()
     }
 
-    /// Messages discarded.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Messages delivered twice.
-    pub fn duplicated(&self) -> u64 {
-        self.inner.duplicated.load(Ordering::Relaxed)
-    }
-
     /// Messages with a flipped payload bit.
     pub fn corrupted(&self) -> u64 {
         self.inner.corrupted.load(Ordering::Relaxed)
-    }
-
-    /// Messages released out of order.
-    pub fn delayed(&self) -> u64 {
-        self.inner.delayed.load(Ordering::Relaxed)
     }
 
     /// Host crashes fired by [`CrashRule`]s.
     pub fn crashed(&self) -> u64 {
         self.inner.crashed.load(Ordering::Relaxed)
     }
-
-    /// Total injected faults of any kind.
-    pub fn total(&self) -> u64 {
-        self.dropped() + self.duplicated() + self.corrupted() + self.delayed() + self.crashed()
-    }
-}
-
-/// A held-back (delayed) message and how many further sends it outlasts.
-#[derive(Debug)]
-struct Held {
-    dst: usize,
-    tag: u32,
-    payload: Bytes,
-    /// Released when this reaches zero (or on any receive/flush).
-    sends_left: u32,
 }
 
 /// Deterministic fault-injecting wrapper around any [`Transport`].
@@ -346,22 +175,24 @@ struct Held {
 /// # Examples
 ///
 /// ```
-/// use gluon_net::{FaultAction, FaultCounters, FaultPlan, FaultRule,
-///                 FaultyTransport, MemoryTransport, Transport};
+/// use gluon_net::{CrashRule, FaultCounters, FaultPlan, FaultyTransport,
+///                 MemoryTransport, NetError, Transport};
 /// use bytes::Bytes;
 ///
 /// let mut eps = MemoryTransport::cluster(2);
-/// let b = eps.pop().unwrap();
-/// let plan = FaultPlan::none(7)
-///     .with_rule(FaultRule::nth(2, FaultAction::Drop).on_tag(5));
-/// let counters = FaultCounters::new();
-/// let a = FaultyTransport::new(eps.pop().unwrap(), plan, counters.clone());
-/// a.try_send(1, 5, Bytes::from_static(b"arrives")).unwrap();
-/// a.try_send(1, 5, Bytes::from_static(b"dropped")).unwrap();
-/// a.try_send(1, 5, Bytes::from_static(b"arrives too")).unwrap();
-/// assert_eq!(&b.try_recv(0, 5).unwrap()[..], b"arrives");
-/// assert_eq!(&b.try_recv(0, 5).unwrap()[..], b"arrives too");
-/// assert_eq!(counters.dropped(), 1);
+/// let b = FaultyTransport::new(
+///     eps.pop().unwrap(),
+///     FaultPlan::none(7).with_crash(CrashRule::at(1, 2)),
+///     FaultCounters::new(),
+/// );
+/// let a = eps.pop().unwrap();
+/// b.try_send(0, 5, Bytes::from_static(b"before")).unwrap();
+/// b.note_round(2);
+/// let crashed = NetError::HostCrashed { host: 1, round: 2 };
+/// assert_eq!(b.try_send(0, 5, Bytes::new()), Err(crashed));
+/// drop(b); // the crashed host's thread unwinds
+/// assert_eq!(&a.try_recv(1, 5).unwrap()[..], b"before");
+/// assert_eq!(a.try_recv(1, 5), Err(NetError::PeerDown { peer: 1, round: 0 }));
 /// ```
 #[derive(Debug)]
 pub struct FaultyTransport<T: Transport> {
@@ -372,21 +203,10 @@ pub struct FaultyTransport<T: Transport> {
     /// untouched (used to fault only part of a run, e.g. after setup).
     armed: AtomicBool,
     rng: Mutex<u64>,
-    /// 1-based send count per `(dst, tag)` stream, for `nth` rules.
-    stream_counts: Mutex<HashMap<(usize, u32), u64>>,
-    held: Mutex<Vec<Held>>,
     /// Set when a [`CrashRule`] fires: the endpoint is dead from then on.
     crashed: AtomicBool,
     /// The round the crash fired at (for the [`NetError::HostCrashed`]).
     crash_round: AtomicU64,
-}
-
-/// Anything still held is released when the wrapper goes away, so a host
-/// whose last action was a (delayed) send cannot starve its peers.
-impl<T: Transport> Drop for FaultyTransport<T> {
-    fn drop(&mut self) {
-        self.release_all();
-    }
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -396,7 +216,8 @@ impl<T: Transport> FaultyTransport<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the plan's rates are negative or sum to more than 1.
+    /// Panics if the corruption rate lies outside `[0, 1]` or a crash rule
+    /// names round 0.
     pub fn new(inner: T, plan: FaultPlan, counters: FaultCounters) -> FaultyTransport<T> {
         plan.validate();
         // Mix the rank in so endpoints draw distinct sequences.
@@ -407,44 +228,31 @@ impl<T: Transport> FaultyTransport<T> {
             counters,
             armed: AtomicBool::new(true),
             rng: Mutex::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
-            stream_counts: Mutex::new(HashMap::new()),
-            held: Mutex::new(Vec::new()),
             crashed: AtomicBool::new(false),
             crash_round: AtomicU64::new(0),
         }
     }
 
-    /// Whether a [`CrashRule`] has killed this endpoint.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed.load(Ordering::SeqCst)
-    }
-
-    fn crash_error(&self) -> NetError {
-        NetError::HostCrashed {
-            host: self.inner.rank(),
-            round: self.crash_round.load(Ordering::SeqCst),
-        }
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// The shared fault counters.
-    pub fn counters(&self) -> &FaultCounters {
-        &self.counters
-    }
-
-    /// Starts injecting faults (the initial state).
+    /// Starts injecting corruption (the initial state).
     pub fn arm(&self) {
         self.armed.store(true, Ordering::SeqCst);
     }
 
-    /// Stops injecting faults; sends pass through untouched until
-    /// [`FaultyTransport::arm`] is called.
+    /// Stops injecting corruption; sends pass through untouched until
+    /// [`FaultyTransport::arm`] is called. Crash rules fire either way.
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::SeqCst);
+    }
+
+    /// `Err(HostCrashed)` once a [`CrashRule`] has killed this endpoint.
+    fn alive(&self) -> Result<(), NetError> {
+        if self.crashed.load(Ordering::SeqCst) {
+            return Err(NetError::HostCrashed {
+                host: self.inner.rank(),
+                round: self.crash_round.load(Ordering::SeqCst),
+            });
+        }
+        Ok(())
     }
 
     fn next_rand(&self) -> u64 {
@@ -462,81 +270,6 @@ impl<T: Transport> FaultyTransport<T> {
         // 53 uniform mantissa bits -> [0, 1).
         (self.next_rand() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Ages held messages by one send and releases the expired ones.
-    fn age_held(&self) {
-        let expired: Vec<Held> = {
-            let mut held = self.held.lock();
-            for h in held.iter_mut() {
-                h.sends_left = h.sends_left.saturating_sub(1);
-            }
-            let (out, keep) = std::mem::take(&mut *held)
-                .into_iter()
-                .partition(|h| h.sends_left == 0);
-            *held = keep;
-            out
-        };
-        for h in expired {
-            let _ = self.inner.try_send(h.dst, h.tag, h.payload);
-        }
-    }
-
-    /// Releases every held message immediately. A crashed endpoint drops
-    /// them instead: a dead host delivers nothing it was still holding.
-    fn release_all(&self) {
-        let drained = std::mem::take(&mut *self.held.lock());
-        if self.is_crashed() {
-            return;
-        }
-        for h in drained {
-            let _ = self.inner.try_send(h.dst, h.tag, h.payload);
-        }
-    }
-
-    /// Picks what to do with one send, consulting rules then rates.
-    fn decide(&self, dst: usize, tag: u32) -> Option<FaultAction> {
-        let stream_index = {
-            let mut counts = self.stream_counts.lock();
-            let c = counts.entry((dst, tag)).or_insert(0);
-            *c += 1;
-            *c
-        };
-        if let Some(rule) = self
-            .plan
-            .rules
-            .iter()
-            .find(|r| r.matches(dst, tag, stream_index))
-        {
-            return Some(rule.action);
-        }
-        let r = self.next_unit();
-        let mut band = self.plan.drop_rate;
-        if r < band {
-            return Some(FaultAction::Drop);
-        }
-        band += self.plan.duplicate_rate;
-        if r < band {
-            return Some(FaultAction::Duplicate);
-        }
-        band += self.plan.corrupt_rate;
-        if r < band {
-            return Some(FaultAction::Corrupt);
-        }
-        band += self.plan.delay_rate;
-        if r < band {
-            return Some(FaultAction::Delay);
-        }
-        None
-    }
-
-    fn counter(&self, action: FaultAction) -> &AtomicU64 {
-        match action {
-            FaultAction::Drop => &self.counters.inner.dropped,
-            FaultAction::Duplicate => &self.counters.inner.duplicated,
-            FaultAction::Corrupt => &self.counters.inner.corrupted,
-            FaultAction::Delay => &self.counters.inner.delayed,
-        }
-    }
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
@@ -549,85 +282,43 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn try_send(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), NetError> {
-        // A dead host puts nothing on the wire; peers see only silence —
-        // but the local caller learns it is dead through the typed error.
-        if self.is_crashed() {
-            return Err(self.crash_error());
-        }
+        self.alive()?;
         // Loopback traffic never crosses the NIC: pass it through.
-        if dst == self.inner.rank() || !self.armed.load(Ordering::SeqCst) {
+        if dst == self.inner.rank()
+            || !self.armed.load(Ordering::SeqCst)
+            || self.next_unit() >= self.plan.corrupt_rate
+            || payload.is_empty()
+        {
             return self.inner.try_send(dst, tag, payload);
         }
-        self.age_held();
-        match self.decide(dst, tag) {
-            None => self.inner.try_send(dst, tag, payload),
-            Some(FaultAction::Drop) => {
-                self.counter(FaultAction::Drop)
-                    .fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Some(FaultAction::Duplicate) => {
-                self.counter(FaultAction::Duplicate)
-                    .fetch_add(1, Ordering::Relaxed);
-                self.inner.try_send(dst, tag, payload.clone())?;
-                self.inner.try_send(dst, tag, payload)
-            }
-            Some(FaultAction::Corrupt) => {
-                if payload.is_empty() {
-                    // Nothing to flip; deliver unchanged and do not claim
-                    // a corruption happened.
-                    return self.inner.try_send(dst, tag, payload);
-                }
-                self.counter(FaultAction::Corrupt)
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut bytes = payload.to_vec();
-                let bit = (self.next_rand() % (bytes.len() as u64 * 8)) as usize;
-                bytes[bit / 8] ^= 1 << (bit % 8);
-                self.inner.try_send(dst, tag, Bytes::from(bytes))
-            }
-            Some(FaultAction::Delay) => {
-                self.counter(FaultAction::Delay)
-                    .fetch_add(1, Ordering::Relaxed);
-                self.held.lock().push(Held {
-                    dst,
-                    tag,
-                    payload,
-                    sends_left: 1 + (self.next_rand() % 4) as u32,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    fn try_recv_any_timeout(&self, tag: u32, timeout: Duration) -> Result<Envelope, NetError> {
-        if self.is_crashed() {
-            // Dead hosts hear nothing; polls report silence so a stacked
-            // reliability layer falls through to its `cancelled` check.
-            return Err(NetError::Timeout);
-        }
-        self.release_all();
-        self.inner.try_recv_any_timeout(tag, timeout)
+        self.counters
+            .inner
+            .corrupted
+            .fetch_add(1, Ordering::Relaxed);
+        let mut bytes = payload.to_vec();
+        let bit = (self.next_rand() % (bytes.len() as u64 * 8)) as usize;
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        self.inner.try_send(dst, tag, Bytes::from(bytes))
     }
 
     fn try_recv(&self, src: usize, tag: u32) -> Result<Bytes, NetError> {
-        if self.is_crashed() {
-            return Err(self.crash_error());
-        }
-        self.release_all();
+        self.alive()?;
         self.inner.try_recv(src, tag)
     }
 
     fn try_recv_any(&self, tag: u32) -> Result<Envelope, NetError> {
-        if self.is_crashed() {
-            return Err(self.crash_error());
-        }
-        self.release_all();
+        self.alive()?;
         self.inner.try_recv_any(tag)
+    }
+
+    fn try_recv_any_now(&self, tag: u32) -> Result<Option<Envelope>, NetError> {
+        self.alive()?;
+        self.inner.try_recv_any_now(tag)
     }
 
     fn note_round(&self, round: u64) {
         self.inner.note_round(round);
-        if self.is_crashed() {
+        if self.crashed.load(Ordering::SeqCst) {
             return;
         }
         let rank = self.inner.rank();
@@ -640,16 +331,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             self.crash_round.store(round, Ordering::SeqCst);
             self.crashed.store(true, Ordering::SeqCst);
             self.counters.inner.crashed.fetch_add(1, Ordering::Relaxed);
-            // Anything held back dies with the host.
-            self.held.lock().clear();
         }
-    }
-
-    fn cancelled(&self) -> Option<NetError> {
-        if self.is_crashed() {
-            return Some(self.crash_error());
-        }
-        self.inner.cancelled()
     }
 
     fn stats(&self) -> &NetStats {
@@ -673,7 +355,11 @@ mod tests {
     fn disarmed_wrapper_is_transparent() {
         let (a, b) = pair();
         let counters = FaultCounters::new();
-        let a = FaultyTransport::new(a, FaultPlan::none(1).with_drop_rate(1.0), counters.clone());
+        let a = FaultyTransport::new(
+            a,
+            FaultPlan::none(1).with_corrupt_rate(1.0),
+            counters.clone(),
+        );
         a.disarm();
         for i in 0..20u32 {
             a.try_send(1, 0, Bytes::copy_from_slice(&i.to_le_bytes()))
@@ -682,24 +368,7 @@ mod tests {
         for i in 0..20u32 {
             assert_eq!(&b.try_recv(0, 0).unwrap()[..4], &i.to_le_bytes());
         }
-        assert_eq!(counters.total(), 0);
-    }
-
-    #[test]
-    fn drop_rate_one_discards_everything() {
-        let (a, b) = pair();
-        let counters = FaultCounters::new();
-        let plan = FaultPlan::none(3).with_drop_rate(1.0);
-        let a = FaultyTransport::new(a, plan, counters.clone());
-        for _ in 0..10 {
-            a.try_send(1, 0, Bytes::from_static(b"gone")).unwrap();
-        }
-        assert_eq!(counters.dropped(), 10);
-        // Out-of-band proof nothing arrived: a disarmed marker message is
-        // the first (and only) thing the receiver sees.
-        a.disarm();
-        a.try_send(1, 0, Bytes::from_static(b"marker")).unwrap();
-        assert_eq!(&b.try_recv(0, 0).unwrap()[..], b"marker");
+        assert_eq!(counters.corrupted(), 0);
     }
 
     #[test]
@@ -717,101 +386,68 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_deliver_twice() {
-        let (a, b) = pair();
-        let counters = FaultCounters::new();
-        let plan = FaultPlan::none(5).with_duplicate_rate(1.0);
-        let a = FaultyTransport::new(a, plan, counters.clone());
-        a.try_send(1, 9, Bytes::from_static(b"twin")).unwrap();
-        assert_eq!(&b.try_recv(0, 9).unwrap()[..], b"twin");
-        assert_eq!(&b.try_recv(0, 9).unwrap()[..], b"twin");
-        assert_eq!(counters.duplicated(), 1);
-    }
-
-    #[test]
-    fn delays_release_on_later_sends_or_recv() {
-        let (a, b) = pair();
-        let counters = FaultCounters::new();
-        let plan = FaultPlan::none(11).with_delay_rate(1.0);
-        let a = FaultyTransport::new(a, plan, counters.clone());
-        for i in 0..30u32 {
-            a.try_send(1, 0, Bytes::copy_from_slice(&i.to_le_bytes()))
-                .unwrap();
-        }
-        // Entering a receive on the faulty endpoint releases stragglers.
-        let _ = a.try_recv_any_timeout(99, Duration::from_millis(1));
-        let mut got: Vec<u32> = (0..30)
-            .map(|_| {
-                let m = b.try_recv(0, 0).unwrap();
-                u32::from_le_bytes(m[..4].try_into().expect("4 bytes"))
-            })
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..30).collect::<Vec<_>>());
-        assert_eq!(counters.delayed(), 30);
-    }
-
-    #[test]
-    fn targeted_rule_beats_rates_and_counts_streams_separately() {
-        let (a, b) = pair();
-        let counters = FaultCounters::new();
-        let plan = FaultPlan::none(2).with_rule(FaultRule::nth(2, FaultAction::Drop).on_tag(7));
-        let a = FaultyTransport::new(a, plan, counters.clone());
-        for _ in 0..3 {
-            a.try_send(1, 7, Bytes::from_static(b"t7")).unwrap();
-            a.try_send(1, 8, Bytes::from_static(b"t8")).unwrap();
-        }
-        // Tag 8 is untouched; tag 7 lost only its 2nd message.
-        for _ in 0..3 {
-            assert_eq!(&b.try_recv(0, 8).unwrap()[..], b"t8");
-        }
-        assert_eq!(&b.try_recv(0, 7).unwrap()[..], b"t7");
-        assert_eq!(&b.try_recv(0, 7).unwrap()[..], b"t7");
-        assert_eq!(counters.dropped(), 1);
-    }
-
-    #[test]
     fn self_sends_are_never_faulted() {
         let mut eps = MemoryTransport::cluster(1);
         let counters = FaultCounters::new();
         let a = FaultyTransport::new(
             eps.pop().expect("one endpoint"),
-            FaultPlan::none(1).with_drop_rate(1.0),
+            FaultPlan::none(1).with_corrupt_rate(1.0),
             counters.clone(),
         );
         a.try_send(0, 0, Bytes::from_static(b"loopback")).unwrap();
         assert_eq!(&a.try_recv(0, 0).unwrap()[..], b"loopback");
-        assert_eq!(counters.total(), 0);
+        assert_eq!(counters.corrupted(), 0);
     }
 
     #[test]
     fn decisions_are_deterministic_in_seed() {
-        let run = |seed: u64| -> (u64, u64, u64, u64) {
-            let (a, _b) = pair();
+        let run = |seed: u64| -> u64 {
+            let (a, b) = pair();
             let counters = FaultCounters::new();
-            let a = FaultyTransport::new(a, FaultPlan::lossy(seed), counters.clone());
-            for i in 0..200u32 {
-                a.try_send(1, i % 3, Bytes::from_static(b"payload"))
-                    .unwrap();
-            }
-            (
-                counters.dropped(),
-                counters.duplicated(),
-                counters.corrupted(),
-                counters.delayed(),
-            )
+            let plan = FaultPlan::none(seed).with_corrupt_rate(0.3);
+            let a = FaultyTransport::new(a, plan, counters.clone());
+            (0..200u32)
+                .map(|i| {
+                    a.try_send(1, i % 3, Bytes::from_static(b"payload"))
+                        .unwrap();
+                    let got = b.try_recv(0, i % 3).unwrap();
+                    // Where each flip landed, folded into one number.
+                    got.iter()
+                        .zip(b"payload")
+                        .map(|(x, y)| u64::from(x ^ y))
+                        .fold(u64::from(i), |h, d| h.wrapping_mul(31).wrapping_add(d))
+                })
+                .fold(counters.corrupted(), u64::wrapping_add)
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(1), run(2), "different seeds should differ");
     }
 
     #[test]
-    #[should_panic(expected = "sum to at most 1")]
-    fn over_unit_rates_are_rejected() {
+    fn a_crash_fails_every_later_operation_on_the_victim() {
+        let (a, _b) = pair();
+        let counters = FaultCounters::new();
+        let plan = FaultPlan::none(0).with_crash(CrashRule::at(0, 3));
+        let a = FaultyTransport::new(a, plan, counters.clone());
+        a.note_round(2);
+        a.try_send(1, 0, Bytes::new())
+            .expect("alive before round 3");
+        a.note_round(3);
+        let crashed = Err(NetError::HostCrashed { host: 0, round: 3 });
+        assert_eq!(a.try_send(1, 0, Bytes::new()), crashed);
+        assert_eq!(a.try_recv(1, 0), crashed.map(|()| Bytes::new()));
+        assert_eq!(a.try_recv_any_now(0).map(|_| ()), crashed);
+        a.note_round(4);
+        assert_eq!(counters.crashed(), 1, "a crash fires once");
+    }
+
+    #[test]
+    #[should_panic(expected = "must lie in [0, 1]")]
+    fn out_of_range_rates_are_rejected() {
         let (a, _b) = pair();
         FaultyTransport::new(
             a,
-            FaultPlan::none(0).with_drop_rate(0.7).with_delay_rate(0.5),
+            FaultPlan::none(0).with_corrupt_rate(1.5),
             FaultCounters::new(),
         );
     }

@@ -6,7 +6,7 @@
 //! message is enqueued once, and FIFO per `(src, tag)` holds however many
 //! sources interleave under a tag. Locking and waiting belong to the owner
 //! ([`crate::MemoryTransport`]'s mailbox, [`crate::SocketTransport`]'s
-//! receive state, [`crate::ReliableTransport`]'s reassembly state).
+//! receive state).
 
 use bytes::Bytes;
 use std::collections::hash_map::Entry;

@@ -1,4 +1,4 @@
-//! Failure injection: a transport wrapper that delays and reorders sends.
+//! Schedule injection: a transport wrapper that delays and reorders sends.
 //!
 //! Real interconnects deliver messages on different (peer, tag) streams in
 //! unpredictable relative order; the in-memory transport is *too* polite.
@@ -73,8 +73,8 @@ impl<T: Transport> JitterTransport<T> {
     /// Releases every held message (in a shuffled cross-stream order that
     /// still respects per-stream FIFO, since at most one message per
     /// `(dst, tag)` stream is ever held). Send errors are swallowed: a
-    /// held message for a peer that has since failed vanishes, exactly
-    /// like a packet to a crashed host.
+    /// held message for a peer that has since died goes nowhere, as bytes
+    /// written to a closed socket do.
     pub fn flush(&self) {
         let mut held = std::mem::take(&mut *self.held.lock());
         while !held.is_empty() {
@@ -131,21 +131,13 @@ impl<T: Transport> Transport for JitterTransport<T> {
         self.inner.try_recv_any(tag)
     }
 
-    fn try_recv_any_timeout(
-        &self,
-        tag: u32,
-        timeout: std::time::Duration,
-    ) -> Result<Envelope, crate::error::NetError> {
+    fn try_recv_any_now(&self, tag: u32) -> Result<Option<Envelope>, crate::error::NetError> {
         self.flush();
-        self.inner.try_recv_any_timeout(tag, timeout)
+        self.inner.try_recv_any_now(tag)
     }
 
     fn note_round(&self, round: u64) {
         self.inner.note_round(round);
-    }
-
-    fn cancelled(&self) -> Option<crate::error::NetError> {
-        self.inner.cancelled()
     }
 
     fn stats(&self) -> &NetStats {

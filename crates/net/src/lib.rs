@@ -30,12 +30,10 @@ pub mod bootstrap;
 mod cluster;
 mod comm;
 mod cost;
-mod detector;
 mod error;
 mod fault;
 mod inbox;
 mod jitter;
-mod reliable;
 mod socket;
 mod stats;
 mod transport;
@@ -44,11 +42,9 @@ pub use bootstrap::{join, Rendezvous, SocketFactory, SocketKind};
 pub use cluster::{run_cluster, run_cluster_fallible, run_cluster_with_stats, run_cluster_wrapped};
 pub use comm::{assert_user_tag, Communicator, COLLECTIVE_TAG_BASE, MAX_USER_TAG};
 pub use cost::CostModel;
-pub use detector::DetectorConfig;
 pub use error::NetError;
-pub use fault::{CrashRule, FaultAction, FaultCounters, FaultPlan, FaultRule, FaultyTransport};
+pub use fault::{CrashRule, FaultCounters, FaultPlan, FaultyTransport};
 pub use jitter::JitterTransport;
-pub use reliable::{crc32_parts, ReliableConfig, ReliableTransport, RetryPolicy, RELIABLE_TAG};
-pub use socket::SocketTransport;
+pub use socket::{crc32_parts, SocketTransport};
 pub use stats::{NetStats, StatsDelta, StatsSnapshot};
 pub use transport::{CancelToken, Envelope, MemoryTransport, Transport};

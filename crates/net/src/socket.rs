@@ -3,11 +3,10 @@
 //! [`SocketTransport`] is the first [`Transport`] backend whose hosts are
 //! genuinely separate OS processes: peers exchange length-prefixed,
 //! CRC-protected frames over TCP or Unix-domain stream sockets. Everything
-//! above the trait — the Gluon sync paths, the collectives, the
-//! reliability layer, the failure detector, the crash supervisor — runs
-//! unmodified, which is the paper's central claim about the substrate
-//! being swappable under unchanged analytics code (Figure 1's "Network"
-//! box).
+//! above the trait — the Gluon sync paths, the collectives, the crash
+//! supervisor — runs unmodified, which is the paper's central claim about
+//! the substrate being swappable under unchanged analytics code (Figure
+//! 1's "Network" box).
 //!
 //! # Architecture
 //!
@@ -21,12 +20,12 @@
 //!   frames, verifies their CRC, and files payloads into the same
 //!   [`Inbox`] index the in-memory backend uses, waking blocked
 //!   receivers through a condvar.
-//! * **Supervision:** EOF or a socket error on a peer connection latches a
-//!   typed [`NetError::PeerDown`] for that rank (stamped with the last
-//!   round reported via [`Transport::note_round`]), wakes every waiter,
-//!   and surfaces through [`Transport::cancelled`] — so the failure
-//!   detector and the crash supervisor see exactly the shapes they were
-//!   built against.
+//! * **Supervision:** EOF, a socket error or a frame that fails its CRC
+//!   on a peer connection latches a typed [`NetError::PeerDown`] for that
+//!   rank (stamped with the last round reported via
+//!   [`Transport::note_round`]) and wakes every waiter. A dropped
+//!   [`crate::MemoryTransport`] produces the same latch, and every
+//!   operation then follows the same rules (`transport.rs`, "Peer death").
 //!
 //! # Frame format
 //!
@@ -34,11 +33,11 @@
 //! | len: u32 LE | tag: u32 LE | crc: u32 LE | payload: len bytes |
 //! ```
 //!
-//! `len` counts payload bytes only; `crc` is CRC-32 (IEEE, the same
-//! polynomial and table as the reliability layer) over the tag bytes
-//! followed by the payload, so neither header corruption nor payload
-//! corruption goes unnoticed even on transports without end-to-end
-//! checksums (Unix-domain sockets).
+//! `len` counts payload bytes only; `crc` is CRC-32 (IEEE, [`crc32_parts`],
+//! which the checkpoint record shares) over the tag bytes followed by the
+//! payload, so neither header corruption nor payload corruption goes
+//! unnoticed even on transports without end-to-end checksums (Unix-domain
+//! sockets).
 //!
 //! # Counter parity
 //!
@@ -52,7 +51,6 @@
 
 use crate::error::NetError;
 use crate::inbox::Inbox;
-use crate::reliable::crc32_parts;
 use crate::stats::NetStats;
 use crate::transport::{Envelope, Transport};
 use bytes::Bytes;
@@ -66,12 +64,46 @@ use std::sync::{Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
+static CRC_TABLE: [u32; 256] = crc_table();
+
+/// CRC32 (IEEE) over the concatenation of `parts`: the checksum of every
+/// socket frame, and of the on-disk checkpoint record.
+pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for part in parts {
+        for &byte in *part {
+            c = CRC_TABLE[((c ^ byte as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+    }
+    !c
+}
+
 /// Frame header size on the wire: `len | tag | crc`, each a `u32` LE.
 pub(crate) const FRAME_HEADER: usize = 12;
 
 /// How long the event loop sleeps when neither reads nor writes made
-/// progress. Short enough to keep added latency well below the failure
-/// detector's thresholds; long enough not to burn a core spinning.
+/// progress. Short enough to add little latency to a round; long enough
+/// not to burn a core spinning.
 const IDLE_BACKOFF: Duration = Duration::from_micros(50);
 
 /// How long a blocked receiver waits on the condvar before re-checking
@@ -130,14 +162,9 @@ struct Conn {
 /// Receiver-visible state: arrived messages plus latched failures.
 struct RecvState {
     inbox: Inbox,
-    /// First terminal error observed per peer (EOF, reset, broken pipe),
-    /// latched for the lifetime of the endpoint.
+    /// First terminal error observed per peer (EOF, reset, broken pipe,
+    /// a failed CRC), latched for the lifetime of the endpoint.
     dead: Vec<Option<NetError>>,
-    /// Whether a peer's death has already been surfaced once through
-    /// [`Transport::try_recv_any_timeout`]. The reliability pump latches
-    /// the failure on first sight; reporting it on every subsequent poll
-    /// would turn its timed waits into a busy spin.
-    reported_any: Vec<bool>,
 }
 
 /// State shared between the endpoint handle and its event-loop thread.
@@ -243,7 +270,6 @@ impl SocketTransport {
             state: Mutex::new(RecvState {
                 inbox: Inbox::new(),
                 dead: vec![None; world],
-                reported_any: vec![false; world],
             }),
             wake: Condvar::new(),
             out: (0..world).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -301,9 +327,7 @@ impl Transport for SocketTransport {
             return Ok(());
         }
         if let Some(err) = self.shared.state.lock().expect("socket state lock").dead[dst] {
-            // The peer's connection is gone: no frame can ever arrive, so
-            // fail fast with the latched typed error instead of letting
-            // the caller wait out a retransmission budget.
+            // The peer's connection is gone: nothing sent now can arrive.
             return Err(err);
         }
         self.shared.out[dst]
@@ -343,17 +367,10 @@ impl Transport for SocketTransport {
             // Any dead peer fails the wait: a blocking any-recv is only
             // issued when the caller still expects frames, and it cannot
             // know whether the missing frame was owed by the peer that
-            // just died. Peer death is terminal for the whole BSP run, so
-            // fail fast with the latched typed error — exactly the
-            // per-source `try_recv` contract. Buffered frames the peer
-            // sent before dying were already taken above.
-            for p in 0..self.shared.world {
-                if p == self.shared.rank {
-                    continue;
-                }
-                if let Some(err) = st.dead[p] {
-                    return Err(err);
-                }
+            // just died. Buffered frames the peer sent before dying were
+            // already taken above.
+            if let Some(&err) = st.dead.iter().flatten().next() {
+                return Err(err);
             }
             st = self
                 .shared
@@ -364,49 +381,19 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn try_recv_any_timeout(&self, tag: u32, timeout: Duration) -> Result<Envelope, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock().expect("socket state lock");
-        loop {
-            if let Some((src, payload)) = st.inbox.take(None, tag) {
-                return Ok(Envelope { src, tag, payload });
-            }
-            // Surface each peer failure exactly once through this path:
-            // the reliability pump latches it on first sight, and later
-            // polls must wait out their timeout (silence) rather than
-            // spin on the same latched error.
-            for p in 0..self.shared.world {
-                if let Some(err) = st.dead[p] {
-                    if !st.reported_any[p] {
-                        st.reported_any[p] = true;
-                        return Err(err);
-                    }
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout);
-            }
-            let wait = RECV_POLL.min(deadline - now);
-            st = self
-                .shared
-                .wake
-                .wait_timeout(st, wait)
-                .expect("socket state lock")
-                .0;
-        }
+    fn try_recv_any_now(&self, tag: u32) -> Result<Option<Envelope>, NetError> {
+        let taken = self
+            .shared
+            .state
+            .lock()
+            .expect("socket state lock")
+            .inbox
+            .take(None, tag);
+        Ok(taken.map(|(src, payload)| Envelope { src, tag, payload }))
     }
 
     fn note_round(&self, round: u64) {
         self.shared.round.fetch_max(round, Ordering::Relaxed);
-    }
-
-    fn cancelled(&self) -> Option<NetError> {
-        // A dead peer is terminal for the whole BSP run: surfacing it here
-        // aborts blocking loops stacked above (reliability layer, sync
-        // paths) exactly as a tripped in-memory CancelToken would.
-        let st = self.shared.state.lock().expect("socket state lock");
-        st.dead.iter().flatten().next().copied()
     }
 
     fn stats(&self) -> &NetStats {
@@ -504,7 +491,7 @@ fn service_writes(shared: &Shared, conn: &mut Conn, peer: usize, progress: &mut 
 
 /// Reads whatever the kernel has, parses complete frames into the stash,
 /// and counts a short read when a partial frame stays buffered. Returns
-/// `false` on EOF or a connection error.
+/// `false` on EOF, a connection error or a frame that fails its CRC.
 fn service_reads(
     shared: &Shared,
     conn: &mut Conn,
@@ -543,14 +530,14 @@ fn service_reads(
         let tag = u32::from_le_bytes(at[4..8].try_into().expect("tag"));
         let crc = u32::from_le_bytes(at[8..12].try_into().expect("crc"));
         let payload = &at[FRAME_HEADER..FRAME_HEADER + len];
-        if crc32_parts(&[&tag.to_le_bytes(), payload]) == crc {
-            shared.stats.record_socket_frame_received();
-            shared.file(peer, tag, Bytes::copy_from_slice(payload));
-        } else {
-            // A stream transport should never corrupt, but the check costs
-            // one table walk and turns "impossible" into an observable.
-            shared.stats.record_corruption_detected();
+        if crc32_parts(&[&tag.to_le_bytes(), payload]) != crc {
+            // A stream transport should never corrupt, and a stream that
+            // did cannot be trusted past this frame: the peer is down.
+            alive = false;
+            break;
         }
+        shared.stats.record_socket_frame_received();
+        shared.file(peer, tag, Bytes::copy_from_slice(payload));
         consumed += FRAME_HEADER + len;
     }
     conn.inbuf.drain(..consumed);
@@ -576,6 +563,34 @@ mod tests {
         let crc = u32::from_le_bytes(f[8..12].try_into().unwrap());
         assert_eq!(crc, crc32_parts(&[&7u32.to_le_bytes(), b"abc"]));
         assert_eq!(&f[12..], b"abc");
+    }
+
+    #[test]
+    fn crc32_matches_known_vector() {
+        // The standard CRC-32/IEEE check value, whole and split.
+        assert_eq!(crc32_parts(&[b"123456789"]), 0xCBF4_3926);
+        assert_eq!(crc32_parts(&[b"1234", b"56789"]), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn a_frame_failing_its_crc_takes_the_peer_down() {
+        let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        let t = SocketTransport::from_conns(
+            0,
+            2,
+            vec![None, Some(PeerStream::Unix(ours))],
+            NetStats::new(2),
+        );
+        let good = encode_frame(5, b"intact");
+        let mut bad = encode_frame(5, b"flipped").to_vec();
+        bad[FRAME_HEADER] ^= 1;
+        theirs.write_all(&good).expect("write");
+        theirs.write_all(&bad).expect("write");
+        assert_eq!(&t.try_recv(1, 5).expect("the intact frame")[..], b"intact");
+        assert_eq!(
+            t.try_recv(1, 5),
+            Err(NetError::PeerDown { peer: 1, round: 0 })
+        );
     }
 
     #[test]

@@ -22,17 +22,6 @@ struct StatsInner {
     world_size: usize,
     bytes: Vec<AtomicU64>,
     messages: Vec<AtomicU64>,
-    /// Wire bytes sent again by the reliability layer (frame bytes,
-    /// headers included). These are *also* in the matrices above — every
-    /// retransmission crosses the wire — but are broken out so reports can
-    /// show how much traffic was recovery rather than payload.
-    retransmit_bytes: AtomicU64,
-    /// Frames retransmitted by the reliability layer.
-    retransmit_messages: AtomicU64,
-    /// Duplicate frames the reliability layer received and discarded.
-    dup_suppressed: AtomicU64,
-    /// Frames that failed their checksum on receive.
-    corruption_detected: AtomicU64,
     /// Socket-level counters ([`crate::SocketTransport`] only). These live
     /// beside — not inside — [`StatsSnapshot`]: they describe the wire
     /// mechanics of one backend, not the algorithm's communication volume,
@@ -72,14 +61,6 @@ pub struct StatsSnapshot {
     pub messages: Vec<u64>,
     /// Hosts per side of the matrices.
     pub world_size: usize,
-    /// Wire bytes retransmitted by the reliability layer at snapshot time.
-    pub retransmit_bytes: u64,
-    /// Frames retransmitted by the reliability layer at snapshot time.
-    pub retransmit_messages: u64,
-    /// Duplicate frames suppressed on receive at snapshot time.
-    pub dup_suppressed: u64,
-    /// Checksum failures detected on receive at snapshot time.
-    pub corruption_detected: u64,
 }
 
 /// Difference between two snapshots.
@@ -93,14 +74,6 @@ pub struct StatsDelta {
     pub max_host_bytes: u64,
     /// Largest per-host outgoing message count.
     pub max_host_messages: u64,
-    /// Wire bytes retransmitted by the reliability layer in the interval.
-    pub retransmit_bytes: u64,
-    /// Frames retransmitted by the reliability layer in the interval.
-    pub retransmit_messages: u64,
-    /// Duplicate frames suppressed on receive in the interval.
-    pub dup_suppressed: u64,
-    /// Checksum failures detected on receive in the interval.
-    pub corruption_detected: u64,
 }
 
 impl NetStats {
@@ -112,10 +85,6 @@ impl NetStats {
                 world_size,
                 bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
                 messages: (0..n).map(|_| AtomicU64::new(0)).collect(),
-                retransmit_bytes: AtomicU64::new(0),
-                retransmit_messages: AtomicU64::new(0),
-                dup_suppressed: AtomicU64::new(0),
-                corruption_detected: AtomicU64::new(0),
                 socket_connects: AtomicU64::new(0),
                 socket_reconnect_attempts: AtomicU64::new(0),
                 socket_frames_sent: AtomicU64::new(0),
@@ -141,50 +110,6 @@ impl NetStats {
         let idx = src * n + dst;
         self.inner.bytes[idx].fetch_add(bytes, Ordering::Relaxed);
         self.inner.messages[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one frame of `bytes` wire bytes retransmitted by the
-    /// reliability layer. (The frame is also counted by the regular
-    /// [`NetStats::record_send`] path when it crosses the wire again.)
-    pub fn record_retransmit(&self, bytes: u64) {
-        self.inner
-            .retransmit_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-        self.inner
-            .retransmit_messages
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one duplicate frame suppressed on receive.
-    pub fn record_dup_suppressed(&self) {
-        self.inner.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one checksum failure detected on receive.
-    pub fn record_corruption_detected(&self) {
-        self.inner
-            .corruption_detected
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Wire bytes retransmitted by the reliability layer so far.
-    pub fn retransmit_bytes(&self) -> u64 {
-        self.inner.retransmit_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Frames retransmitted by the reliability layer so far.
-    pub fn retransmit_messages(&self) -> u64 {
-        self.inner.retransmit_messages.load(Ordering::Relaxed)
-    }
-
-    /// Duplicate frames suppressed on receive so far.
-    pub fn dup_suppressed(&self) -> u64 {
-        self.inner.dup_suppressed.load(Ordering::Relaxed)
-    }
-
-    /// Checksum failures detected on receive so far.
-    pub fn corruption_detected(&self) -> u64 {
-        self.inner.corruption_detected.load(Ordering::Relaxed)
     }
 
     /// Total bytes and messages host `src` has sent, summed straight off
@@ -225,10 +150,6 @@ impl NetStats {
                 .map(|a| a.load(Ordering::Relaxed))
                 .collect(),
             world_size: self.inner.world_size,
-            retransmit_bytes: self.retransmit_bytes(),
-            retransmit_messages: self.retransmit_messages(),
-            dup_suppressed: self.dup_suppressed(),
-            corruption_detected: self.corruption_detected(),
         }
     }
 
@@ -370,22 +291,6 @@ impl StatsSnapshot {
             total_messages,
             max_host_bytes,
             max_host_messages,
-            retransmit_bytes: self
-                .retransmit_bytes
-                .checked_sub(earlier.retransmit_bytes)
-                .expect("snapshot taken before `earlier`"),
-            retransmit_messages: self
-                .retransmit_messages
-                .checked_sub(earlier.retransmit_messages)
-                .expect("snapshot taken before `earlier`"),
-            dup_suppressed: self
-                .dup_suppressed
-                .checked_sub(earlier.dup_suppressed)
-                .expect("snapshot taken before `earlier`"),
-            corruption_detected: self
-                .corruption_detected
-                .checked_sub(earlier.corruption_detected)
-                .expect("snapshot taken before `earlier`"),
         }
     }
 }
@@ -428,65 +333,6 @@ mod tests {
         s.record_send(0, 0, 1);
         assert_eq!(s.snapshot().fan_out(0), 2);
         assert_eq!(s.snapshot().fan_out(1), 0);
-    }
-
-    #[test]
-    fn reliability_counters_flow_into_deltas() {
-        let s = NetStats::new(2);
-        let before = s.snapshot();
-        s.record_retransmit(40);
-        s.record_retransmit(2);
-        s.record_dup_suppressed();
-        s.record_corruption_detected();
-        assert_eq!(s.retransmit_bytes(), 42);
-        assert_eq!(s.retransmit_messages(), 2);
-        let d = s.snapshot().since(&before);
-        assert_eq!(d.retransmit_bytes, 42);
-        assert_eq!(d.retransmit_messages, 2);
-        assert_eq!(d.dup_suppressed, 1);
-        assert_eq!(d.corruption_detected, 1);
-    }
-
-    #[test]
-    fn reliability_deltas_from_nonzero_baseline() {
-        // Per-phase accounting must subtract a baseline snapshot taken
-        // mid-run, not assume the counters start at zero.
-        let s = NetStats::new(2);
-        s.record_retransmit(100);
-        s.record_retransmit(100);
-        s.record_dup_suppressed();
-        s.record_dup_suppressed();
-        s.record_dup_suppressed();
-        s.record_corruption_detected();
-        let mid = s.snapshot();
-        assert_eq!(mid.retransmit_bytes, 200);
-        assert_eq!(mid.retransmit_messages, 2);
-        assert_eq!(mid.dup_suppressed, 3);
-        assert_eq!(mid.corruption_detected, 1);
-
-        s.record_retransmit(7);
-        s.record_corruption_detected();
-        s.record_corruption_detected();
-        let d = s.snapshot().since(&mid);
-        assert_eq!(d.retransmit_bytes, 7);
-        assert_eq!(d.retransmit_messages, 1);
-        assert_eq!(d.dup_suppressed, 0);
-        assert_eq!(d.corruption_detected, 2);
-
-        // A quiet interval deltas to zero on every reliability counter.
-        let after = s.snapshot();
-        let quiet = s.snapshot().since(&after);
-        assert_eq!(quiet, StatsDelta::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot taken before")]
-    fn reversed_reliability_snapshots_panic() {
-        let s = NetStats::new(2);
-        s.record_retransmit(1);
-        let later = s.snapshot();
-        let s2 = NetStats::new(2);
-        let _ = s2.snapshot().since(&later);
     }
 
     #[test]

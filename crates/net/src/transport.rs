@@ -5,26 +5,39 @@
 //! sitting on "Network (LCI/MPI)"). This module holds the in-memory
 //! [`MemoryTransport`], which simulates a cluster with one OS thread per
 //! host; [`crate::SocketTransport`] puts separate processes behind the same
-//! trait, and [`crate::ReliableTransport`] / [`crate::FaultyTransport`] wrap
+//! trait, and [`crate::JitterTransport`] / [`crate::FaultyTransport`] wrap
 //! either.
 //!
 //! Matching semantics mirror MPI two-sided messaging: a receive names a
 //! `(source, tag)` pair, messages between a given pair of hosts with the
 //! same tag are delivered in FIFO order, and messages with different tags
 //! may be consumed out of order (they are buffered until asked for).
+//!
+//! # Peer death
+//!
+//! Both wires are reliable FIFO streams, so the one fault a peer can show
+//! is death, and both report it alike. When an endpoint goes away (a
+//! dropped [`MemoryTransport`], a socket at EOF) every peer latches
+//! [`NetError::PeerDown`], stamped with the peer's own last
+//! [`Transport::note_round`]. From then on a named receive from the dead
+//! host delivers what it sent before dying and then fails, a blocking
+//! any-source receive fails once nothing is buffered, and a send to it
+//! fails. A host that *finished* its program leaves quietly instead: the
+//! cluster runner marks it before its endpoint drops, because a peer may
+//! still be draining what it sent.
 
 use crate::error::NetError;
 use crate::inbox::Inbox;
 use crate::stats::NetStats;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a parked blocking receive sleeps between checks of the
-/// cluster's [`CancelToken`]. Chosen well below any failure-detector
-/// threshold so cancellation latency is never the bottleneck.
+/// cluster's [`CancelToken`]. A peer's death wakes it at once; the token
+/// has no one to wake it.
 const CANCEL_POLL: Duration = Duration::from_millis(1);
 
 /// Polls of its inbox's arrival counter, a `yield_now` before each, that an
@@ -39,10 +52,10 @@ const YIELD_POLLS: u32 = 128;
 /// A shared abort flag for one simulated cluster.
 ///
 /// Every endpoint created by [`MemoryTransport::cluster`] holds a clone of
-/// the same token. When any host fails with a typed error, tripping the
-/// token makes every sibling's blocking receive return
-/// [`NetError::Cancelled`] promptly instead of waiting for traffic that
-/// will never come.
+/// the same token. When a host fails with a typed error that its peers
+/// cannot observe on the wire, tripping the token makes every sibling's
+/// blocking receive return [`NetError::Cancelled`] promptly instead of
+/// waiting for traffic that will never come.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     tripped: Arc<AtomicBool>,
@@ -82,11 +95,11 @@ pub struct Envelope {
 ///
 /// # Fallibility is the primary contract
 ///
-/// Real backends fail: a socket peer dies mid-round, a retransmission
-/// budget runs out, a sibling host trips the cluster's cancellation token.
-/// The `try_*` methods are therefore the *required* surface every
-/// implementation provides, and every runtime call site — the Gluon sync
-/// paths, the collectives, the reliability layer — programs against them.
+/// Real backends fail: a peer dies mid-round, a sibling host trips the
+/// cluster's cancellation token, an injected crash kills this host. Every
+/// operation therefore returns a typed [`NetError`], and every runtime
+/// call site — the Gluon sync paths, the collectives — propagates it. The
+/// module docs state what each operation does once a peer is dead.
 pub trait Transport: Send + Sync {
     /// This host's rank in `0..world_size()`.
     fn rank(&self) -> usize;
@@ -102,9 +115,8 @@ pub trait Transport: Send + Sync {
     ///
     /// # Errors
     ///
-    /// A typed [`NetError`] when the backend knows the send cannot succeed:
-    /// the reliability layer reports a peer that exhausted its
-    /// retransmission budget, a socket backend reports a broken pipe.
+    /// [`NetError::PeerDown`] once `dst` is known dead; a wrapper may add
+    /// its own (an injected crash's [`NetError::HostCrashed`]).
     fn try_send(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), NetError>;
 
     /// Blocks until a message from `src` with tag `tag` arrives and returns
@@ -112,74 +124,42 @@ pub trait Transport: Send + Sync {
     ///
     /// # Errors
     ///
-    /// A typed [`NetError`] when the wait cannot complete: the source peer
-    /// is down, the cluster was cancelled, or this host was crashed by
-    /// fault injection.
+    /// A typed [`NetError`] when the wait cannot complete: `src` is dead
+    /// and nothing it sent under `tag` is left, the cluster was cancelled,
+    /// or this host was crashed by fault injection.
     fn try_recv(&self, src: usize, tag: u32) -> Result<Bytes, NetError>;
 
     /// Blocks until a message with tag `tag` arrives from *any* host.
     ///
     /// # Errors
     ///
-    /// As [`Transport::try_recv`].
+    /// As [`Transport::try_recv`], failing once *any* peer is dead and
+    /// nothing under `tag` is buffered: the caller cannot know whether the
+    /// frame it waits for was owed by the dead peer.
     fn try_recv_any(&self, tag: u32) -> Result<Envelope, NetError>;
-
-    /// Waits up to `timeout` for a message with tag `tag` from any host.
-    ///
-    /// Expiry returns the typed [`NetError::Timeout`] — uniformly across
-    /// backends, never a sentinel value — which callers treat as observed
-    /// silence, not failure. A zero timeout polls: already-buffered
-    /// messages are still returned. This is the primitive that lets a
-    /// reliability layer interleave retransmission timers with receiving,
-    /// so every implementation must provide it.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] on expiry; other [`NetError`]s as
-    /// [`Transport::try_recv`].
-    fn try_recv_any_timeout(&self, tag: u32, timeout: Duration) -> Result<Envelope, NetError>;
 
     /// Non-blocking poll for a message with tag `tag` from any host:
     /// `Ok(None)` when nothing is buffered right now.
     ///
     /// This is the sync schedule's drain hook — called between
     /// per-peer sends to pull already-arrived frames off the wire and
-    /// decode them eagerly without ever blocking the send side. The
-    /// default delegates to [`Transport::try_recv_any_timeout`] with a
-    /// zero timeout and maps the typed expiry to `Ok(None)`; backends
-    /// with a cheaper pure poll may override it.
+    /// decode them eagerly without ever blocking the send side. It looks
+    /// at the buffer only; a dead peer surfaces at the next blocking
+    /// receive.
     ///
     /// # Errors
     ///
-    /// As [`Transport::try_recv`] — every [`NetError`] other than the
-    /// absorbed [`NetError::Timeout`] propagates.
-    fn try_recv_any_now(&self, tag: u32) -> Result<Option<Envelope>, NetError> {
-        match self.try_recv_any_timeout(tag, Duration::ZERO) {
-            Ok(env) => Ok(Some(env)),
-            Err(NetError::Timeout) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
+    /// Only a wrapper's own (an injected crash's [`NetError::HostCrashed`]).
+    fn try_recv_any_now(&self, tag: u32) -> Result<Option<Envelope>, NetError>;
 
     /// Reports the sync-phase index the application has reached.
     ///
     /// The Gluon runtime ticks this once per sync phase. Wrappers must
-    /// forward it inward; implementations use it to stamp errors with the
-    /// round they happened in ([`crate::ReliableTransport`]) and to fire
-    /// round-triggered fault injection ([`crate::FaultyTransport`]). The
-    /// default is a no-op.
+    /// forward it inward; backends stamp [`NetError::PeerDown`] with it,
+    /// and [`crate::FaultyTransport`] fires round-triggered crashes from
+    /// it. The default is a no-op.
     fn note_round(&self, round: u64) {
         let _ = round;
-    }
-
-    /// Returns the terminal error this endpoint should abort with, if any.
-    ///
-    /// Checked inside fallible blocking loops: a tripped [`CancelToken`]
-    /// yields [`NetError::Cancelled`], an injected crash yields
-    /// [`NetError::HostCrashed`]. Wrappers must forward inward. The default
-    /// (`None`) means "keep blocking".
-    fn cancelled(&self) -> Option<NetError> {
-        None
     }
 
     /// Communication counters for the whole cluster.
@@ -190,11 +170,18 @@ pub trait Transport: Send + Sync {
 #[derive(Debug)]
 struct Mailbox {
     state: Mutex<MailState>,
-    /// Signalled by a sender that found a receiver parked.
+    /// Signalled by a sender that found a receiver parked, and by a
+    /// departing peer.
     arrived: Condvar,
     /// Messages ever filed here: bumped under the lock, polled without it
     /// by a receiver that has not parked yet.
     arrivals: AtomicU64,
+    /// The owner's last [`Transport::note_round`]: the round a peer's death
+    /// is stamped with here.
+    round: AtomicU64,
+    /// Set when the owner finished its program: its endpoint's drop is
+    /// then a departure, not a death.
+    finished: AtomicBool,
 }
 
 #[derive(Debug)]
@@ -203,17 +190,11 @@ struct MailState {
     /// Receivers blocked on `arrived`; a sender that reads 0 skips the
     /// wake system call.
     parked: usize,
-    /// Set when the owning endpoint is dropped; later sends are discarded.
+    /// Set when the owning endpoint is dropped; later sends to it fail.
     closed: bool,
-}
-
-/// What the endpoints of one cluster share.
-#[derive(Debug)]
-struct Wire {
-    /// In rank order.
-    mailboxes: Vec<Mailbox>,
-    /// Endpoints not yet dropped.
-    alive: AtomicUsize,
+    /// Per peer rank, the [`NetError::PeerDown`] latched when that peer's
+    /// endpoint was dropped.
+    dead: Vec<Option<NetError>>,
 }
 
 /// One host's endpoint of the in-memory cluster transport.
@@ -222,7 +203,8 @@ struct Wire {
 /// message straight into the destination's inbox, under that inbox's lock;
 /// a receive that finds nothing polls the inbox's arrival counter, yielding
 /// its core between polls, then parks on the inbox's condvar (DESIGN.md,
-/// "The in-memory hand-off").
+/// "The in-memory hand-off"). Dropping an endpoint is its host's death:
+/// every peer latches [`NetError::PeerDown`] (module docs).
 ///
 /// # Examples
 ///
@@ -239,7 +221,8 @@ struct Wire {
 #[derive(Debug)]
 pub struct MemoryTransport {
     rank: usize,
-    wire: Arc<Wire>,
+    /// Every endpoint's mailbox, in rank order.
+    wire: Arc<[Mailbox]>,
     stats: NetStats,
     /// Shared abort flag; one token per cluster.
     cancel: CancelToken,
@@ -274,14 +257,14 @@ impl MemoryTransport {
                 inbox: Inbox::new(),
                 parked: 0,
                 closed: false,
+                dead: vec![None; world_size],
             }),
             arrived: Condvar::new(),
             arrivals: AtomicU64::new(0),
+            round: AtomicU64::new(0),
+            finished: AtomicBool::new(false),
         };
-        let wire = Arc::new(Wire {
-            mailboxes: (0..world_size).map(mailbox).collect(),
-            alive: AtomicUsize::new(world_size),
-        });
+        let wire: Arc<[Mailbox]> = (0..world_size).map(mailbox).collect();
         let cancel = CancelToken::new();
         (0..world_size)
             .map(|rank| MemoryTransport {
@@ -300,21 +283,24 @@ impl MemoryTransport {
         self.cancel.clone()
     }
 
+    /// A handle with which the cluster runner, once this endpoint is
+    /// wrapped and out of its reach, can mark the host as finished.
+    pub(crate) fn departure(&self) -> Departure {
+        Departure {
+            wire: Arc::clone(&self.wire),
+            rank: self.rank,
+        }
+    }
+
     /// Takes the oldest message under `tag` (from `src`, if named), waiting
     /// for one in two stages: poll the arrival counter without the lock,
-    /// offering the core between polls, then park on the condvar. Without
-    /// a `deadline` the parked stage wakes every [`CANCEL_POLL`] to look for
-    /// a tripped [`CancelToken`] or a cluster whose other endpoints are all
-    /// gone — nothing can ever arrive — and reports either as
-    /// [`NetError::Cancelled`]; with one, expiry is [`NetError::Timeout`]
-    /// and nothing else ends the wait.
-    fn recv(
-        &self,
-        src: Option<usize>,
-        tag: u32,
-        deadline: Option<Instant>,
-    ) -> Result<Envelope, NetError> {
-        let mail = &self.wire.mailboxes[self.rank];
+    /// offering the core between polls, then park on the condvar. Only the
+    /// parked stage looks for failure, once nothing matching is buffered:
+    /// a tripped [`CancelToken`] as [`NetError::Cancelled`], else a latched
+    /// [`NetError::PeerDown`] (of `src`, or of any peer when `src` is
+    /// `None`).
+    fn recv(&self, src: Option<usize>, tag: u32) -> Result<Envelope, NetError> {
+        let mail = &self.wire[self.rank];
         let envelope = |(src, payload)| Envelope { src, tag, payload };
         // Read before the look it guards: a message filed after the look
         // moves the counter past `seen`.
@@ -323,9 +309,6 @@ impl MemoryTransport {
             return Ok(envelope(m));
         }
         for _ in 0..YIELD_POLLS {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(NetError::Timeout);
-            }
             std::thread::yield_now();
             let now = mail.arrivals.load(Ordering::Acquire);
             if now != seen {
@@ -337,48 +320,78 @@ impl MemoryTransport {
         }
         let mut st = mail.state.lock();
         loop {
-            // Buffered data outranks cancellation and expiry.
+            // Buffered data outranks failure: frames a peer sent before
+            // dying are still delivered in order.
             if let Some(m) = st.inbox.take(src, tag) {
                 return Ok(envelope(m));
             }
-            let wait = match deadline {
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(NetError::Timeout);
-                    }
-                    left
-                }
-                None => {
-                    if self.cancel.is_tripped() || self.alone() {
-                        return Err(NetError::Cancelled);
-                    }
-                    CANCEL_POLL
-                }
+            if self.cancel.is_tripped() {
+                return Err(NetError::Cancelled);
+            }
+            let down = match src {
+                Some(p) => st.dead[p],
+                None => st.dead.iter().flatten().next().copied(),
             };
+            if let Some(err) = down {
+                return Err(err);
+            }
             st.parked += 1;
             st = mail
                 .arrived
-                .wait_timeout(st, wait)
+                .wait_timeout(st, CANCEL_POLL)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
             st.parked -= 1;
         }
     }
+}
 
-    /// Whether every other endpoint of a multi-host cluster was dropped.
-    fn alone(&self) -> bool {
-        self.world_size() > 1 && self.wire.alive.load(Ordering::Acquire) == 1
+/// One endpoint's way out of its cluster ([`MemoryTransport::departure`]).
+#[derive(Debug)]
+pub(crate) struct Departure {
+    wire: Arc<[Mailbox]>,
+    rank: usize,
+}
+
+impl Departure {
+    /// Marks the host as finished: when its endpoint drops, its peers are
+    /// not told it died. A peer may still be draining what it sent, and an
+    /// any-source receive fails once any peer is down.
+    pub(crate) fn quietly(self) {
+        self.wire[self.rank].finished.store(true, Ordering::Release);
     }
 }
 
+/// A dropped endpoint is a dead host: its unread mail is discarded, later
+/// sends to it fail, and every peer latches [`NetError::PeerDown`] — the
+/// same shapes a socket peer's EOF produces. A host the cluster runner
+/// saw finish leaves without the latch (`Departure::quietly`).
 impl Drop for MemoryTransport {
     fn drop(&mut self) {
-        let mut st = self.wire.mailboxes[self.rank].state.lock();
+        let mine = &self.wire[self.rank];
+        let mut st = mine.state.lock();
         st.closed = true;
         st.inbox.clear();
         drop(st);
-        self.wire.alive.fetch_sub(1, Ordering::Release);
+        if mine.finished.load(Ordering::Acquire) {
+            return;
+        }
+        for (peer, mail) in self.wire.iter().enumerate() {
+            if peer == self.rank {
+                continue;
+            }
+            let down = NetError::PeerDown {
+                peer: self.rank,
+                round: mail.round.load(Ordering::Relaxed),
+            };
+            let mut st = mail.state.lock();
+            st.dead[self.rank].get_or_insert(down);
+            let wake = st.parked > 0;
+            drop(st);
+            if wake {
+                mail.arrived.notify_all();
+            }
+        }
     }
 }
 
@@ -388,20 +401,19 @@ impl Transport for MemoryTransport {
     }
 
     fn world_size(&self) -> usize {
-        self.wire.mailboxes.len()
+        self.wire.len()
     }
 
     fn try_send(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), NetError> {
         assert!(dst < self.world_size(), "destination rank out of range");
         self.stats.record_send(self.rank, dst, payload.len() as u64);
-        let mail = &self.wire.mailboxes[dst];
+        let mail = &self.wire[dst];
         let mut st = mail.state.lock();
-        // A send to a departed endpoint vanishes silently, like a packet to
-        // a crashed host on a real network. This matters during teardown: a
-        // reliability layer may still be retransmitting to a peer whose
-        // thread already finished and dropped its endpoint.
         if st.closed {
-            return Ok(());
+            return Err(NetError::PeerDown {
+                peer: dst,
+                round: self.wire[self.rank].round.load(Ordering::Relaxed),
+            });
         }
         st.inbox.file(self.rank, tag, payload);
         mail.arrivals.fetch_add(1, Ordering::Release);
@@ -413,27 +425,22 @@ impl Transport for MemoryTransport {
         Ok(())
     }
 
-    /// Cancel-aware [`Transport::try_recv`]: blocks until a matching
-    /// message arrives or the cluster's [`CancelToken`] trips.
     fn try_recv(&self, src: usize, tag: u32) -> Result<Bytes, NetError> {
         assert!(src < self.world_size(), "source rank out of range");
-        self.recv(Some(src), tag, None).map(|env| env.payload)
+        self.recv(Some(src), tag).map(|env| env.payload)
     }
 
-    /// Cancel-aware [`Transport::try_recv_any`].
     fn try_recv_any(&self, tag: u32) -> Result<Envelope, NetError> {
-        self.recv(None, tag, None)
+        self.recv(None, tag)
     }
 
-    fn cancelled(&self) -> Option<NetError> {
-        self.cancel.is_tripped().then_some(NetError::Cancelled)
+    fn try_recv_any_now(&self, tag: u32) -> Result<Option<Envelope>, NetError> {
+        let taken = self.wire[self.rank].state.lock().inbox.take(None, tag);
+        Ok(taken.map(|(src, payload)| Envelope { src, tag, payload }))
     }
 
-    /// A zero timeout still observes what has arrived — the reliability
-    /// layer polls this way to collect ACKs without waiting. Every peer
-    /// endpoint being gone is silence like any other: the wait runs out.
-    fn try_recv_any_timeout(&self, tag: u32, timeout: Duration) -> Result<Envelope, NetError> {
-        self.recv(None, tag, Some(Instant::now() + timeout))
+    fn note_round(&self, round: u64) {
+        self.wire[self.rank].round.store(round, Ordering::Relaxed);
     }
 
     fn stats(&self) -> &NetStats {
@@ -545,14 +552,39 @@ mod tests {
     }
 
     #[test]
-    fn timeout_expiry_is_typed() {
-        let eps = MemoryTransport::cluster(2);
-        assert_eq!(
-            eps[0]
-                .try_recv_any_timeout(9, Duration::from_millis(1))
-                .unwrap_err(),
-            NetError::Timeout
-        );
+    fn a_dropped_peer_is_down_after_its_frames() {
+        let mut eps = MemoryTransport::cluster(3);
+        let c = eps.pop().expect("three endpoints");
+        let b = eps.pop().expect("three endpoints");
+        let a = eps.pop().expect("three endpoints");
+        a.note_round(4);
+        send(&b, 0, 1, b"last words");
+        drop(b);
+        let down = NetError::PeerDown { peer: 1, round: 4 };
+        assert_eq!(&recv(&a, 1, 1)[..], b"last words");
+        assert_eq!(a.try_recv(1, 1), Err(down));
+        assert_eq!(a.try_recv_any(1), Err(down));
+        assert_eq!(a.try_recv_any_now(1), Ok(None));
+        assert_eq!(a.try_send(1, 1, Bytes::new()), Err(down));
+        // A live peer's stream is unaffected.
+        send(&c, 0, 2, b"alive");
+        assert_eq!(&recv(&a, 2, 2)[..], b"alive");
+    }
+
+    #[test]
+    fn a_parked_receiver_wakes_when_its_peer_drops() {
+        let mut eps = MemoryTransport::cluster(2);
+        let b = eps.pop().expect("two endpoints");
+        let a = eps.pop().expect("two endpoints");
+        thread::scope(|s| {
+            let waiter = s.spawn(|| a.try_recv(1, 0));
+            thread::sleep(Duration::from_millis(20));
+            drop(b);
+            assert_eq!(
+                waiter.join().expect("no panic"),
+                Err(NetError::PeerDown { peer: 1, round: 0 })
+            );
+        });
     }
 
     #[test]

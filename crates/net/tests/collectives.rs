@@ -1,22 +1,12 @@
 //! Collectives under adverse transports.
 //!
 //! The collectives are specified to work over any [`Transport`] whose
-//! per-stream FIFO guarantee holds, and over the reliability layer when
-//! even that is taken away. Three regimes:
-//!
-//! * [`JitterTransport`] — adversarial but lossless cross-stream
-//!   reordering (the collectives' own tag discipline must cope);
-//! * delay/duplicate-free lossless [`FaultyTransport`] plans — same
-//!   contract, different adversary;
-//! * a fully lossy [`FaultyTransport`] underneath a
-//!   [`ReliableTransport`] — drops and corruption repaired below the
-//!   collective layer.
+//! per-stream FIFO guarantee holds. [`JitterTransport`] is the adversary:
+//! lossless cross-stream reordering that the collectives' own tag
+//! discipline must cope with.
 
 use bytes::Bytes;
-use gluon_net::{
-    run_cluster_wrapped, Communicator, FaultCounters, FaultPlan, FaultyTransport, JitterTransport,
-    NetStats, ReliableTransport, Transport,
-};
+use gluon_net::{run_cluster_wrapped, Communicator, JitterTransport, NetStats, Transport};
 
 const HOSTS: usize = 4;
 const SEEDS: [u64; 3] = [3, 41, 0xDEAD_BEEF];
@@ -65,78 +55,5 @@ fn collectives_survive_jitter() {
             collective_workout,
         );
         assert_workout(results, "jitter");
-    }
-}
-
-#[test]
-fn collectives_survive_lossless_fault_plans() {
-    // Delay-only: every frame still arrives, late and out of order across
-    // streams. Each collective step uses a distinct tag, so the tag
-    // discipline alone must absorb this without a reliability layer.
-    for seed in SEEDS {
-        let counters = FaultCounters::new();
-        let c = counters.clone();
-        let (results, _) = run_cluster_wrapped(
-            HOSTS,
-            NetStats::new(HOSTS),
-            move |ep| {
-                FaultyTransport::new(ep, FaultPlan::none(seed).with_delay_rate(0.4), c.clone())
-            },
-            collective_workout,
-        );
-        assert_workout(results, "delay-only faults");
-        assert!(counters.delayed() > 0, "seed {seed}: nothing was delayed");
-    }
-}
-
-#[test]
-fn collectives_survive_a_lossy_wire_behind_the_reliability_layer() {
-    for seed in SEEDS {
-        let counters = FaultCounters::new();
-        let c = counters.clone();
-        let (results, stats) = run_cluster_wrapped(
-            HOSTS,
-            NetStats::new(HOSTS),
-            move |ep| {
-                ReliableTransport::over(FaultyTransport::new(ep, FaultPlan::lossy(seed), c.clone()))
-            },
-            collective_workout,
-        );
-        assert_workout(results, "reliable-over-lossy");
-        assert!(
-            counters.total() > 0,
-            "seed {seed}: the lossy plan injected nothing"
-        );
-        let snap = stats.snapshot();
-        assert!(
-            snap.retransmit_messages > 0 || counters.dropped() == 0,
-            "seed {seed}: frames were dropped but never retransmitted"
-        );
-    }
-}
-
-/// The full stacking order from DESIGN.md: Reliable(Faulty(Jitter(Memory))).
-/// Jitter reorders below the fault injector; the reliability layer sees the
-/// worst of both and must still deliver exactly-once in order.
-#[test]
-fn jitter_composes_under_the_full_stack() {
-    for seed in SEEDS {
-        let counters = FaultCounters::new();
-        let c = counters.clone();
-        let (results, _) = run_cluster_wrapped(
-            HOSTS,
-            NetStats::new(HOSTS),
-            move |ep| {
-                let rank = ep.rank() as u64;
-                ReliableTransport::over(FaultyTransport::new(
-                    JitterTransport::new(ep, seed.rotate_left(8) ^ rank),
-                    FaultPlan::lossy(seed),
-                    c.clone(),
-                ))
-            },
-            collective_workout,
-        );
-        assert_workout(results, "reliable-over-faulty-over-jitter");
-        assert!(counters.total() > 0, "seed {seed}: nothing injected");
     }
 }

@@ -52,17 +52,17 @@ fn exact_and_any_receives_share_one_pool() {
     assert_eq!(eps[1].try_recv(0, 3).expect("exact"), number(2));
     // Each message was enqueued once: neither receive sees it again.
     assert_eq!(eps[1].try_recv_any_now(3).expect("poll"), None);
-    assert_eq!(
-        eps[1].try_recv_any_timeout(3, Duration::ZERO).unwrap_err(),
-        NetError::Timeout
-    );
 }
 
 #[test]
-fn a_send_to_a_departed_endpoint_vanishes() {
+fn a_send_to_a_departed_endpoint_fails_typed() {
     let mut eps = MemoryTransport::cluster(3);
+    eps[0].note_round(5);
     drop(eps.pop());
-    eps[0].try_send(2, 1, number(9)).expect("vanishes silently");
+    assert_eq!(
+        eps[0].try_send(2, 1, number(9)),
+        Err(NetError::PeerDown { peer: 2, round: 5 })
+    );
     // The send was still counted, and the survivors still talk.
     assert_eq!(eps[0].stats().total_messages(), 1);
     eps[0].try_send(1, 1, number(4)).expect("send");
@@ -70,16 +70,12 @@ fn a_send_to_a_departed_endpoint_vanishes() {
 }
 
 #[test]
-fn zero_timeout_polls_see_what_has_arrived() {
+fn polls_see_what_has_arrived() {
     let eps = MemoryTransport::cluster(2);
+    assert_eq!(eps[1].try_recv_any_now(8).expect("poll"), None);
     eps[0].try_send(1, 8, number(7)).expect("send");
-    let env = eps[1]
-        .try_recv_any_timeout(8, Duration::ZERO)
-        .expect("already arrived");
-    assert_eq!((env.src, env.tag, env.payload), (0, 8, number(7)));
-    eps[0].try_send(1, 8, number(8)).expect("send");
     let env = eps[1].try_recv_any_now(8).expect("poll").expect("arrived");
-    assert_eq!(env.payload, number(8));
+    assert_eq!((env.src, env.tag, env.payload), (0, 8, number(7)));
 }
 
 /// A blocked receive on endpoint 1, released by `release` (handed the
@@ -127,13 +123,24 @@ fn a_tripped_token_ends_a_parked_receive() {
 }
 
 #[test]
-fn every_other_endpoint_dropped_ends_a_blocked_receive() {
+fn the_named_peer_departing_ends_a_blocked_receive() {
     for after in [Duration::ZERO, UNTIL_PARKED] {
         let eps = MemoryTransport::cluster(3);
-        let (res, took) = blocked_receive(eps, after, Vec::clear);
-        assert_eq!(res.unwrap_err(), NetError::Cancelled);
+        let (res, took) = blocked_receive(eps, after, |eps| drop(eps.remove(0)));
+        assert_eq!(res.unwrap_err(), NetError::PeerDown { peer: 0, round: 0 });
         assert!(took < PROMPT, "departure took {took:?} to notice");
     }
+}
+
+#[test]
+fn another_peer_departing_leaves_a_named_receive_waiting() {
+    let eps = MemoryTransport::cluster(3);
+    let (res, _) = blocked_receive(eps, UNTIL_PARKED, |eps| {
+        drop(eps.remove(1));
+        thread::sleep(UNTIL_PARKED);
+        eps[0].try_send(1, 2, number(3)).expect("send");
+    });
+    assert_eq!(res.expect("delivered"), number(3));
 }
 
 #[test]

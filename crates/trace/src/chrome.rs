@@ -94,7 +94,7 @@ impl ChromeTraceBuilder {
         }
         for e in tracer.events() {
             self.push_event(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"reliability\",\"ph\":\"i\",\"s\":\"t\",\
+                "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\
                  \"ts\":{:.3},\"pid\":{pid},\"tid\":{},\
                  \"args\":{{\"peer\":{},\"bytes\":{}}}}}",
                 escape(e.name),
@@ -158,7 +158,7 @@ mod tests {
     fn spans_events_and_metadata_appear() {
         let t = Tracer::new(2);
         t.record_span(0, 4, Stage::Encode, Some(1), 1_000, 2_000);
-        t.record_event(1, "retransmit", 0, 64);
+        t.record_event(1, "recovery", 0, 64);
         let mut b = ChromeTraceBuilder::new();
         b.add("run \"a\"", &t);
         let json = b.finish();
@@ -168,7 +168,7 @@ mod tests {
         assert!(json.contains("\"ts\":1.000"));
         assert!(json.contains("\"dur\":2.000"));
         assert!(json.contains("\"peer\":1"));
-        assert!(json.contains("\"name\":\"retransmit\""));
+        assert!(json.contains("\"name\":\"recovery\""));
         assert!(json.contains("\"bytes\":64"));
     }
 

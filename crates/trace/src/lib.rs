@@ -10,11 +10,11 @@
 //!   emits them as *contiguous segments* of each sync call, so the child
 //!   spans of a phase sum exactly to that phase's recorded `comm_secs`.
 //! * **Events** ([`InstantEvent`]): point-in-time occurrences — a
-//!   retransmitted frame, a suppressed duplicate, a CRC rejection, a peer
-//!   declared down — tagged so chaos runs can be dissected.
+//!   checkpoint written, a payload that failed to decode, a recovery
+//!   restart — tagged so faulty runs can be dissected.
 //!
-//! *How much* — bytes per wire mode, payload sizes, retransmissions,
-//! decode errors — is counted once, in `gluon-metrics`' hub (and the
+//! *How much* — bytes per wire mode, payload sizes, decode errors — is
+//! counted once, in `gluon-metrics`' hub (and the
 //! transport's `NetStats` traffic matrix), not here.
 //!
 //! Storage is per-host: every simulated host appends to its own bounded
@@ -42,7 +42,7 @@
 //! let t0 = tracer.now_ns();
 //! // ... do stage work ...
 //! tracer.record_span(0, 0, Stage::Encode, Some(1), t0, 1_500);
-//! tracer.record_event(1, "retransmit", 0, 64);
+//! tracer.record_event(1, "recovery", 0, 64);
 //! let spans = tracer.spans();
 //! assert_eq!(spans.len(), 1);
 //! assert_eq!(spans[0].stage, Stage::Encode);
@@ -175,16 +175,16 @@ pub struct SpanEvent {
     pub dur_ns: u64,
 }
 
-/// A point-in-time occurrence (retransmission, duplicate, CRC failure).
+/// A point-in-time occurrence (checkpoint, decode error, recovery).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct InstantEvent {
     /// Host that observed the event.
     pub host: usize,
-    /// Stable event name (e.g. `"retransmit"`, `"dup_suppressed"`).
+    /// Stable event name (e.g. `"checkpoint"`, `"recovery"`).
     pub name: &'static str,
     /// Peer involved.
     pub peer: usize,
-    /// Bytes associated with the event (frame size for retransmissions).
+    /// Bytes associated with the event (a checkpoint's record size).
     pub bytes: u64,
     /// Offset from the tracer's epoch, nanoseconds.
     pub at_ns: u64,
@@ -389,7 +389,7 @@ mod tests {
         assert!(!t.is_enabled());
         assert_eq!(t.now_ns(), 0);
         t.record_span(0, 0, Stage::Encode, None, 0, 10);
-        t.record_event(0, "retransmit", 1, 64);
+        t.record_event(0, "recovery", 1, 64);
         assert!(t.spans().is_empty());
         assert!(t.events().is_empty());
         assert_eq!(t.dropped_spans(), 0);
@@ -405,7 +405,7 @@ mod tests {
     fn spans_and_events_round_trip() {
         let t = Tracer::new(2);
         t.record_span(1, 3, Stage::RecvWait, Some(0), 100, 50);
-        t.record_event(0, "retransmit", 1, 17);
+        t.record_event(0, "recovery", 1, 17);
         let spans = t.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].host, 1);
@@ -415,7 +415,7 @@ mod tests {
         assert_eq!(spans[0].dur_ns, 50);
         let events = t.events();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "retransmit");
+        assert_eq!(events[0].name, "recovery");
         assert_eq!(events[0].bytes, 17);
     }
 

@@ -78,8 +78,8 @@ mod tests {
         let t = Tracer::new(2);
         t.record_span(0, 0, Stage::Encode, None, 0, 2_000_000_000);
         t.record_span(0, 0, Stage::Send, Some(0), 0, 500_000_000);
-        t.record_event(0, "retransmit", 1, 64);
-        t.record_event(1, "retransmit", 0, 64);
+        t.record_event(0, "recovery", 1, 64);
+        t.record_event(1, "recovery", 0, 64);
         t.record_event(0, "decode_error", 1, 12);
         t.record_event(1, "peer_down", 0, 0);
         t.record_event(1, "arena_miss", 0, 96);
@@ -98,9 +98,9 @@ mod tests {
                 .expect("a count")
                 .to_owned()
         };
-        assert_eq!(line("retransmit"), "2");
+        assert_eq!(line("recovery"), "2");
         assert_eq!(line("decode_error"), "1");
-        // Every name is counted, not only the reliability layer's.
+        // Every name is counted, not only the supervisor's.
         assert_eq!(line("peer_down"), "1");
         assert_eq!(line("arena_miss"), "1");
     }
@@ -120,11 +120,11 @@ mod tests {
             t.record_span(0, 0, Stage::Send, Some(0), i * 10, 1);
         }
         for _ in 0..3 {
-            t.record_event(0, "retransmit", 0, 64);
+            t.record_event(0, "recovery", 0, 64);
         }
         assert_eq!(t.dropped_spans(), 3);
         assert_eq!(t.dropped_events(), 1);
-        let s = t.summary("lossy");
+        let s = t.summary("wrapped");
         let banner_at = s.find("TRACE TRUNCATED").expect("banner present");
         // The banner comes before any stage table or counters.
         assert!(banner_at < s.find("stage").unwrap(), "{s}");
@@ -133,7 +133,7 @@ mod tests {
         assert!(s.contains("send") && s.contains("2"), "{s}");
         assert!(
             s.lines()
-                .any(|l| l.split_whitespace().eq(["retransmit", "2"])),
+                .any(|l| l.split_whitespace().eq(["recovery", "2"])),
             "{s}"
         );
     }

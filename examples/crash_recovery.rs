@@ -1,8 +1,8 @@
 //! Surviving a host crash mid-computation.
 //!
-//! Kills one of three simulated hosts partway through a pagerank run. The
-//! heartbeat failure detector turns the silence into a typed `PeerDown`,
-//! the supervisor restores every host from the latest complete checkpoint
+//! Kills one of three simulated hosts partway through a pagerank run. Its
+//! endpoint closes, which its peers see as a typed `PeerDown`; the
+//! supervisor restores every host from the latest complete checkpoint
 //! epoch, and deterministic replay lands on ranks bit-identical to the
 //! crash-free run. Then the failure modes: a permanently dead host under
 //! `AbortClean` (typed error, no restart) and under `ContinueStale` (the
@@ -12,18 +12,8 @@
 
 use gluon_suite::algos::{Algorithm, DistConfig, FailurePolicy, Run};
 use gluon_suite::graph::gen;
-use gluon_suite::net::{
-    CrashRule, DetectorConfig, FaultCounters, FaultPlan, FaultyTransport, ReliableConfig,
-    RetryPolicy,
-};
-use std::time::{Duration, Instant};
-
-fn detecting() -> ReliableConfig {
-    ReliableConfig {
-        retry: RetryPolicy::default(),
-        detector: Some(DetectorConfig::default().with_max_silence(Duration::from_millis(200))),
-    }
-}
+use gluon_suite::net::{CrashRule, FaultCounters, FaultPlan, FaultyTransport};
+use std::time::Instant;
 
 fn main() {
     let graph = gen::rmat(10, 8, Default::default(), 7);
@@ -45,7 +35,6 @@ fn main() {
     let out = Run::new(&graph, Algorithm::Pagerank)
         .config(&cfg)
         .checkpoint_every(2)
-        .reliable(detecting())
         .transport_per_attempt(move |ep, attempt| {
             FaultyTransport::new(ep, plan.for_attempt(attempt), shared.clone())
         })
@@ -74,7 +63,6 @@ fn main() {
         .config(&cfg)
         .checkpoint_every(2)
         .on_failure(FailurePolicy::AbortClean)
-        .reliable(detecting())
         .transport_per_attempt(move |ep, attempt| {
             FaultyTransport::new(ep, plan.for_attempt(attempt), FaultCounters::new())
         })
@@ -89,7 +77,6 @@ fn main() {
         .config(&cfg)
         .checkpoint_every(2)
         .on_failure(FailurePolicy::ContinueStale)
-        .reliable(detecting())
         .transport_per_attempt(move |ep, attempt| {
             FaultyTransport::new(ep, plan.for_attempt(attempt), FaultCounters::new())
         })

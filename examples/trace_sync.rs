@@ -1,10 +1,10 @@
 //! Tracing the sync stack: where does a sync call's time actually go?
 //!
-//! Runs BFS on 4 simulated hosts twice — once on the clean in-memory
-//! transport and once under the full `Reliable(Faulty(Memory))` chaos
-//! stack — with a `Tracer` attached, then prints the per-stage summary
-//! (extract / memo-translate / encode / send / recv-wait / decode / apply)
-//! and the retained reliability events per name. The tracer says *when*;
+//! Runs BFS on 4 simulated hosts twice — once crash-free and once losing
+//! host 2 at sync round 2 and recovering from a checkpoint — with a
+//! `Tracer` attached, then prints the per-stage summary (extract /
+//! memo-translate / encode / send / recv-wait / decode / apply) and the
+//! retained instant events per name. The tracer says *when*;
 //! how much traffic each wire mode carried is the metrics hub's to count
 //! (see the `run_report` example). Both recordings are also exported as
 //! one Chrome trace-event JSON file: load it in `chrome://tracing` or
@@ -15,7 +15,7 @@
 
 use gluon_suite::algos::{driver, Algorithm, DistConfig};
 use gluon_suite::graph::gen;
-use gluon_suite::net::{FaultCounters, FaultPlan, FaultyTransport, ReliableTransport};
+use gluon_suite::net::{CrashRule, FaultCounters, FaultPlan, FaultyTransport};
 use gluon_suite::trace::{ChromeTraceBuilder, Tracer};
 
 fn main() {
@@ -31,44 +31,36 @@ fn main() {
         .launch();
     println!("{}", clean_tracer.summary("bfs / clean transport"));
 
-    // Chaos run: the reliability layer tags every retransmission,
-    // suppressed duplicate, and CRC rejection as an instant event.
-    let chaos_tracer = Tracer::new(cfg.hosts);
+    // Crash run: checkpoints every round, host 2 dies at sync round 2 of
+    // the first attempt, and the supervisor restores and replays. Each
+    // checkpoint and the restart are tagged as instant events.
+    let crash_tracer = Tracer::new(cfg.hosts);
     let counters = FaultCounters::new();
-    let chaotic = driver::Run::new(&graph, Algorithm::Bfs)
+    let plan = FaultPlan::none(42).with_crash(CrashRule::at(2, 2));
+    let recovered = driver::Run::new(&graph, Algorithm::Bfs)
         .config(&cfg)
-        .source(gluon_suite::graph::max_out_degree_node(&graph))
-        .pagerank(Default::default())
-        .tracer(&chaos_tracer)
-        .transport(|ep| {
-            ReliableTransport::over(FaultyTransport::new(
-                ep,
-                FaultPlan::lossy(42),
-                counters.clone(),
-            ))
-            .with_tracer(chaos_tracer.clone())
+        .tracer(&crash_tracer)
+        .checkpoint_every(1)
+        .transport_per_attempt(|ep, attempt| {
+            FaultyTransport::new(ep, plan.for_attempt(attempt), counters.clone())
         })
-        .launch();
-    println!("{}", chaos_tracer.summary("bfs / reliable-over-faulty"));
+        .try_launch()
+        .expect("one crash with checkpoints must recover");
+    println!("{}", crash_tracer.summary("bfs / crash and recover"));
 
     assert_eq!(
-        clean.int_labels, chaotic.int_labels,
-        "chaos must not change results"
+        clean.int_labels, recovered.int_labels,
+        "a recovered crash must not change results"
     );
-    let ticks = chaos_tracer
-        .events()
-        .iter()
-        .filter(|e| e.name == "retransmit")
-        .count();
     println!(
-        "faults injected: {} -> frames retransmitted: {} ({ticks} retransmit ticks in the trace)",
-        counters.total(),
-        chaotic.net.retransmit_messages
+        "crashes injected: {} -> recoveries: {}",
+        counters.crashed(),
+        recovered.recoveries
     );
 
     let mut chrome = ChromeTraceBuilder::new();
     chrome.add("bfs clean", &clean_tracer);
-    chrome.add("bfs chaos", &chaos_tracer);
+    chrome.add("bfs crash", &crash_tracer);
     let path = std::env::temp_dir().join("gluon_trace_sync.json");
     std::fs::write(&path, chrome.finish()).expect("write trace");
     println!(

@@ -3,11 +3,10 @@
 #
 #   1. release build of every crate;
 #   2. the whole test suite of every workspace crate (unit + integration
-#      + doc tests; a superset of what --fast runs), including the
-#      default-on `chaos` lossy-network matrix;
+#      + doc tests), the jitter-and-crash chaos matrix included;
 #   3. the crash-chaos battery under --release: injected host crashes
 #      must recover bit-identical via checkpoints, and unrecoverable
-#      failures must surface typed errors within the detector timeout;
+#      failures must surface typed errors within a deadline;
 #   4. the socket-backend battery under --release: the parity suite
 #      (separate worker processes over TCP and Unix sockets must match
 #      the in-memory backend bit-for-bit, and a killed worker must yield
@@ -59,9 +58,10 @@
 # wait out.
 #
 # Usage: scripts/verify.sh [--fast]
-#   --fast  skip the release build, the release determinism matrix, the
-#           release alloc guard, the gluon-perf smoke, and the chaos
-#           feature (quick pre-push sanity loop).
+#   --fast  skip the release build, every release battery (crash chaos,
+#           socket parity, determinism, golden runs, codec, alloc guard),
+#           the run_report example and the gluon-perf smoke (quick
+#           pre-push sanity loop).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,7 +94,7 @@ fi
 if [[ "$FAST" == "0" ]]; then
     echo "==> cargo build --release"
     cargo build --release
-    echo "==> cargo test -q --workspace (every crate; chaos + crash-chaos matrices included; 1200s watchdog)"
+    echo "==> cargo test -q --workspace (every crate; chaos and crash-chaos included; 1200s watchdog)"
     watchdog 1200 cargo test -q --workspace
     echo "==> cargo test --release --test crash_chaos (crash injection, recovery, typed errors; 300s watchdog)"
     watchdog 300 cargo test -q --release --test crash_chaos
@@ -113,8 +113,8 @@ if [[ "$FAST" == "0" ]]; then
     echo "==> cargo test --release --features alloc-meter --test alloc_guard (zero steady-state allocations; 300s watchdog)"
     watchdog 300 cargo test -q --release --features alloc-meter --test alloc_guard
 else
-    echo "==> cargo test -q --no-default-features (chaos matrices skipped; 900s watchdog)"
-    watchdog 900 cargo test -q --workspace --no-default-features
+    echo "==> cargo test -q --workspace (every crate, debug build; 900s watchdog)"
+    watchdog 900 cargo test -q --workspace
     echo "==> gluon-host smoke (2-process TCP bfs vs the memory backend; 120s watchdog)"
     watchdog 120 cargo run -q --bin gluon-host -- smoke
 fi

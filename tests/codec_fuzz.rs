@@ -1,20 +1,30 @@
 //! Pseudo-fuzz battery for the fallible decoder: truncations, bit flips
 //! (through the fault injector's own corruptor), and raw garbage. The
-//! single property under test is the error-handling contract from
-//! DESIGN.md — `decode_memoized` / `decode_gid_values` are *total* over
-//! arbitrary bytes: every input either decodes or returns a
-//! [`DecodeError`]; nothing panics, whatever the bytes.
+//! property under test is the error-handling contract from DESIGN.md —
+//! `decode_memoized` / `decode_gid_values` are *total* over arbitrary
+//! bytes: every input either decodes or returns a [`DecodeError`];
+//! nothing panics, whatever the bytes — and, end to end, a corrupted sync
+//! payload reaches the caller of `try_sync` as a typed decode error.
 //!
 //! Seeds are fixed so the corpus is identical on every run; the verify
 //! script runs this battery in release mode as the codec smoke test.
 
 use bytes::Bytes;
-use gluon_suite::graph::Gid;
-use gluon_suite::net::{FaultCounters, FaultPlan, FaultyTransport, MemoryTransport, Transport};
+use gluon_suite::graph::{gen, Gid};
+use gluon_suite::metrics::MetricsHub;
+use gluon_suite::net::{
+    run_cluster_wrapped, Communicator, FaultCounters, FaultPlan, FaultyTransport, MemoryTransport,
+    NetStats, Transport,
+};
+use gluon_suite::partition::{partition_on_host, Policy};
 use gluon_suite::substrate::encode::{
     decode_gid_values, decode_memoized, encode_gid_values, encode_memoized, encode_memoized_as,
     WireMode,
 };
+use gluon_suite::substrate::{
+    DenseBitset, GluonContext, MinField, OptLevel, SyncError, SyncSpec, WriteLocation,
+};
+use gluon_suite::trace::Tracer;
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -131,8 +141,8 @@ fn every_truncation_of_every_mode_decodes_or_errors() {
 
 #[test]
 fn bit_flips_through_the_fault_injector_never_panic_the_decoder() {
-    // The same corruptor the chaos suite uses: a FaultyTransport with a
-    // 100% corrupt rate flips exactly one payload bit per send. Ship each
+    // The corruptor of the end-to-end test below: a FaultyTransport with
+    // a 100% corrupt rate flips exactly one payload bit per send. Ship each
     // seed payload through it repeatedly and decode whatever arrives.
     let mut rng = Rng(0xB17_F11B5);
     let seeds = seed_payloads(&mut rng);
@@ -205,5 +215,107 @@ fn decoders_reject_the_empty_payload_with_truncated() {
     assert_eq!(
         decode_gid_values::<u32>(&[], &mut |_, _| {}),
         Err(DecodeError::Truncated)
+    );
+}
+
+/// Corruption on the bare memory wire, which has no frame CRC: a
+/// `FaultyTransport` flips one bit in every armed frame, so mangled sync
+/// payloads reach the decoder itself. `try_sync` must surface them as
+/// [`SyncError::Decode`] — never a panic, never a hang — and every
+/// incident must be booked once in the metrics hub and once in the trace's
+/// event ring.
+#[test]
+fn corrupted_frames_surface_as_decode_errors_not_panics() {
+    const ROUNDS: u32 = 12;
+    let g = gen::rmat(6, 6, Default::default(), 5);
+    let mut total_decode_errors = 0u64;
+    for seed in [11u64, 1213, 987_654_321] {
+        let tracer = Tracer::new(2);
+        let hub = MetricsHub::new(2);
+        let counters = FaultCounters::new();
+        let (results, _) = run_cluster_wrapped(
+            2,
+            NetStats::new(2),
+            |ep| {
+                let faulty = FaultyTransport::new(
+                    ep,
+                    FaultPlan::none(seed).with_corrupt_rate(1.0),
+                    counters.clone(),
+                );
+                // Partitioning and the memoization handshake run clean;
+                // only the sync payloads below get mangled.
+                faulty.disarm();
+                faulty
+            },
+            |net| {
+                let comm = Communicator::with_tracer(net, tracer.clone());
+                let lg = partition_on_host(&g, Policy::Cvc, &comm);
+                let mut ctx = GluonContext::new(&lg, &comm, OptLevel::OSTI)
+                    .with_metrics(hub.host(comm.rank()));
+                comm.try_barrier().expect("disarmed warm-up barrier");
+                net.arm();
+                let n = lg.num_proxies();
+                let mut vals = vec![u32::MAX; n as usize];
+                // Reduce-only with no collectives while armed: both hosts
+                // run the same fixed round count in lock-step whatever
+                // errors occur, so nothing can deadlock.
+                let spec = SyncSpec::reduce(WriteLocation::Any).named("chaos");
+                let mut sync_errors = 0u64;
+                for round in 0..ROUNDS {
+                    let mut bits = DenseBitset::new(n);
+                    for h in 0..2 {
+                        for m in lg.mirrors_on(h) {
+                            // All-equal values steer the encoder into the
+                            // Same* modes, whose payloads are nearly all
+                            // metadata — so the injected bit flips mostly
+                            // land where the validators can see them.
+                            vals[m.index()] = round * 31;
+                            bits.set(m);
+                        }
+                    }
+                    let mut field = MinField::new(&mut vals);
+                    match ctx.try_sync(&spec, &mut field, &mut bits) {
+                        Ok(()) => {}
+                        Err(SyncError::Decode { peer, error }) => {
+                            assert_eq!(peer, 1 - comm.rank(), "blamed the wrong peer");
+                            // Every error renders without panicking.
+                            let _ = error.to_string();
+                            sync_errors += 1;
+                        }
+                        Err(SyncError::Net(e)) => {
+                            panic!("bare transport cannot fail, got {e}")
+                        }
+                    }
+                }
+                sync_errors
+            },
+        );
+        assert!(
+            counters.corrupted() > 0,
+            "seed {seed}: nothing was corrupted"
+        );
+        let surfaced: u64 = results.iter().sum();
+        assert_eq!(
+            hub.counter_across_hosts("decode_errors"),
+            surfaced,
+            "seed {seed}: hub decode_errors diverges from surfaced errors"
+        );
+        let traced = tracer
+            .events()
+            .iter()
+            .filter(|e| e.name == "decode_error")
+            .count() as u64;
+        assert_eq!(
+            traced, surfaced,
+            "seed {seed}: decode_error events diverge from surfaced errors"
+        );
+        total_decode_errors += surfaced;
+    }
+    // One flipped bit per frame lands in decoded-as-garbage values some of
+    // the time, but across all seeds and rounds the validators must have
+    // caught real corruption.
+    assert!(
+        total_decode_errors > 0,
+        "no corrupted frame was ever rejected by the decoder"
     );
 }

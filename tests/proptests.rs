@@ -13,7 +13,6 @@ use gluon_suite::substrate::OptLevel;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Delivers any-tag receives in a seeded random order among the frames
 /// currently available, instead of the wire's arrival order. The
@@ -55,17 +54,13 @@ impl ShuffledAnyTransport {
     /// Moves every frame already available on the wire into the pending
     /// buffer for `tag`.
     fn pump(&self, tag: u32) {
-        loop {
-            match self.inner.try_recv_any_timeout(tag, Duration::ZERO) {
-                Ok(env) => self
-                    .pending
-                    .lock()
-                    .expect("pending lock")
-                    .entry(tag)
-                    .or_default()
-                    .push(env),
-                Err(_) => return,
-            }
+        while let Ok(Some(env)) = self.inner.try_recv_any_now(tag) {
+            self.pending
+                .lock()
+                .expect("pending lock")
+                .entry(tag)
+                .or_default()
+                .push(env);
         }
     }
 
@@ -126,28 +121,13 @@ impl Transport for ShuffledAnyTransport {
         }
     }
 
-    fn try_recv_any_timeout(&self, tag: u32, timeout: Duration) -> Result<Envelope, NetError> {
+    fn try_recv_any_now(&self, tag: u32) -> Result<Option<Envelope>, NetError> {
         self.pump(tag);
-        if let Some(env) = self.pick(tag) {
-            return Ok(env);
-        }
-        let env = self.inner.try_recv_any_timeout(tag, timeout)?;
-        self.pending
-            .lock()
-            .expect("pending lock")
-            .entry(tag)
-            .or_default()
-            .push(env);
-        self.pump(tag);
-        Ok(self.pick(tag).expect("a frame was just buffered"))
+        Ok(self.pick(tag))
     }
 
     fn note_round(&self, round: u64) {
         self.inner.note_round(round);
-    }
-
-    fn cancelled(&self) -> Option<NetError> {
-        self.inner.cancelled()
     }
 
     fn stats(&self) -> &NetStats {

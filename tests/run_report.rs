@@ -24,14 +24,10 @@ use gluon_suite::algos::{
 use gluon_suite::graph::{gen, Csr};
 use gluon_suite::metrics::json::Json;
 use gluon_suite::metrics::MetricsHub;
-use gluon_suite::net::{
-    CostModel, CrashRule, DetectorConfig, FaultCounters, FaultPlan, FaultyTransport,
-    ReliableConfig, RetryPolicy,
-};
+use gluon_suite::net::{CostModel, CrashRule, FaultCounters, FaultPlan, FaultyTransport};
 use gluon_suite::partition::Policy;
 use gluon_suite::substrate::OptLevel;
 use gluon_suite::trace::Tracer;
-use std::time::Duration;
 
 const HOSTS: usize = 3;
 
@@ -45,13 +41,6 @@ fn cfg() -> DistConfig {
         policy: Policy::Cvc,
         opts: OptLevel::OSTI,
         engine: EngineKind::Ligra,
-    }
-}
-
-fn detecting() -> ReliableConfig {
-    ReliableConfig {
-        retry: RetryPolicy::default(),
-        detector: Some(DetectorConfig::default().with_max_silence(Duration::from_millis(200))),
     }
 }
 
@@ -152,10 +141,7 @@ fn recovered_report_matches_crash_free_on_non_timing_fields() {
     // hub's per-attempt baseline would describe only the resumed suffix.
     let run = |plan: Option<FaultPlan>| -> (RunReport, u32) {
         let hub = MetricsHub::new(HOSTS);
-        let base = Run::new(&g, Algorithm::Bfs)
-            .config(&cfg())
-            .metrics(&hub)
-            .reliable(detecting());
+        let base = Run::new(&g, Algorithm::Bfs).config(&cfg()).metrics(&hub);
         let out = match plan {
             Some(plan) => {
                 let counters = FaultCounters::new();
@@ -270,11 +256,10 @@ fn the_fingerprint_is_the_deterministic_section() {
 
     // What a deterministic run cannot reproduce never reaches the section:
     // no timing and no key of an observed-only section anywhere...
-    const OBSERVED_SECTIONS: [&str; 8] = [
+    const OBSERVED_SECTIONS: [&str; 7] = [
         "timing",
         "calibration",
         "trace",
-        "reliability",
         "exec",
         "cluster",
         "recoveries",

@@ -8,11 +8,14 @@
 //! the `gluon-host` binary), plus the typed failure behavior when a
 //! worker process dies mid-run.
 
+use bytes::Bytes;
 use gluon_algos::launcher::{spawn_local_cluster, ClusterSpec, LaunchError};
 use gluon_algos::{Algorithm, Run};
 use gluon_graph::gen;
 use gluon_metrics::MetricsHub;
-use gluon_net::{CostModel, NetError, NetStats, SocketFactory, SocketKind, Transport};
+use gluon_net::{
+    CostModel, MemoryTransport, NetError, NetStats, SocketFactory, SocketKind, Transport,
+};
 use gluon_partition::Policy;
 use std::time::Duration;
 
@@ -129,41 +132,61 @@ fn fingerprints_match_across_backends_in_process() {
     );
 }
 
-/// Satellite: a receive that finds no matching message within the
-/// deadline reports the same typed error on both backends.
-#[test]
-fn recv_timeout_is_typed_identically_on_both_backends() {
-    const TAG: u32 = 7;
-    let wait = Duration::from_millis(100);
-    let memory = gluon_net::run_cluster(2, |ep| ep.try_recv_any_timeout(TAG, wait));
-    for r in memory {
-        assert!(matches!(r, Err(NetError::Timeout)), "memory backend");
+/// One peer-death script for a pair of endpoints of either backend:
+/// host 1 sends two frames and dies. Host 0 must get both frames, in
+/// order, and then a `PeerDown` naming host 1 and host 0's own round from
+/// a named receive, an any-source receive and a send.
+fn peer_death_script<T: Transport>(survivor: T, doomed: T) {
+    survivor.note_round(3);
+    for frame in [&b"first"[..], b"second"] {
+        doomed
+            .try_send(0, 5, Bytes::copy_from_slice(frame))
+            .expect("send");
     }
-    let factory = SocketFactory::new(SocketKind::Tcp);
-    let stats = NetStats::new(2);
-    // Both endpoints must outlive both waits: dropping one closes the
-    // connection, and the slower waiter would see EOF (`PeerDown`)
-    // instead of exercising the timeout path under test.
-    let teardown = std::sync::Barrier::new(2);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..2)
-            .map(|rank| {
-                let factory = &factory;
-                let teardown = &teardown;
-                let stats = stats.clone();
-                s.spawn(move || {
-                    let ep = factory.endpoint(rank, 2, stats, 0).expect("bootstrap");
-                    let r = ep.try_recv_any_timeout(TAG, wait);
-                    teardown.wait();
-                    r
-                })
-            })
-            .collect();
-        for h in handles {
-            let r = h.join().expect("no panic");
-            assert!(matches!(r, Err(NetError::Timeout)), "socket backend");
-        }
+    drop(doomed);
+    assert_eq!(&survivor.try_recv(1, 5).expect("first frame")[..], b"first");
+    let second = survivor.try_recv_any(5).expect("second frame");
+    assert_eq!((second.src, &second.payload[..]), (1, &b"second"[..]));
+    let down = NetError::PeerDown { peer: 1, round: 3 };
+    assert_eq!(survivor.try_recv(1, 5), Err(down));
+    assert_eq!(survivor.try_recv_any(5).map(|env| env.src), Err(down));
+    assert_eq!(survivor.try_send(1, 5, Bytes::new()), Err(down));
+}
+
+/// Runs [`peer_death_script`] on its own thread: a call that hangs fails
+/// the test after ten seconds, and one that panics fails it at once.
+fn check_peer_death<T: Transport + 'static>(survivor: T, doomed: T, backend: &str) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        peer_death_script(survivor, doomed);
+        let _ = done.send(());
     });
+    match finished.recv_timeout(Duration::from_secs(10)) {
+        Ok(()) => {}
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{backend}: a call hung"),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            panic!("{backend}: the script panicked")
+        }
+    }
+}
+
+/// A peer's death is typed identically on both backends: an in-memory
+/// endpoint dropped, and an in-process Unix-socket endpoint closed.
+#[test]
+fn peer_death_is_typed_identically_on_both_backends() {
+    let mut eps = MemoryTransport::cluster(2);
+    let doomed = eps.pop().expect("endpoint 1");
+    let survivor = eps.pop().expect("endpoint 0");
+    check_peer_death(survivor, doomed, "memory");
+
+    let factory = SocketFactory::new(SocketKind::Unix);
+    let stats = NetStats::new(2);
+    let (survivor, doomed) = std::thread::scope(|s| {
+        let one = s.spawn(|| factory.endpoint(1, 2, stats.clone(), 0).expect("bootstrap"));
+        let zero = factory.endpoint(0, 2, stats.clone(), 0).expect("bootstrap");
+        (zero, one.join().expect("bootstrap thread"))
+    });
+    check_peer_death(survivor, doomed, "unix socket");
 }
 
 /// A 4-host pagerank where each host is a separate OS process exchanging

@@ -1,12 +1,12 @@
 //! Integration tests for `gluon-trace`: span-sum exactness, Chrome trace
-//! schema, counter identity with the tracer off or on, and chaos
-//! retransmit tagging that agrees with the metrics hub.
+//! schema, counter identity with the tracer off or on, and crash-recovery
+//! tagging that agrees with the supervisor's books.
 
 use gluon_suite::algos::{driver, Algorithm, DistConfig, DistOutcome};
 use gluon_suite::graph::{gen, max_out_degree_node};
 use gluon_suite::metrics::json::Json;
-use gluon_suite::metrics::{MetricsHub, NetMetrics};
-use gluon_suite::net::{FaultCounters, FaultPlan, FaultyTransport, ReliableTransport, Transport};
+use gluon_suite::metrics::MetricsHub;
+use gluon_suite::net::{CrashRule, FaultCounters, FaultPlan, FaultyTransport};
 use gluon_suite::trace::{ChromeTraceBuilder, Stage, Tracer, SETUP_PHASE};
 use std::collections::HashMap;
 
@@ -184,73 +184,67 @@ fn disabled_tracer_leaves_counters_bit_identical() {
     }
 }
 
-#[test]
-fn chaos_runs_tag_retransmissions_in_the_trace() {
+/// A supervised run with checkpoints on every round whose host 2 crashes
+/// at sync round 2, traced from the first attempt on.
+fn crash_and_recover(cfg: &DistConfig, tracer: &Tracer, hub: &MetricsHub) -> DistOutcome {
     let g = gen::rmat(8, 8, Default::default(), 21);
+    let counters = FaultCounters::new();
+    let shared = counters.clone();
+    let plan = FaultPlan::none(7).with_crash(CrashRule::at(2, 2));
+    let out = driver::Run::new(&g, Algorithm::Bfs)
+        .config(cfg)
+        .tracer(tracer)
+        .metrics(hub)
+        .checkpoint_every(1)
+        .transport_per_attempt(move |ep, attempt| {
+            FaultyTransport::new(ep, plan.for_attempt(attempt), shared.clone())
+        })
+        .try_launch()
+        .expect("one crash is recoverable");
+    assert_eq!(counters.crashed(), 1, "the crash never fired");
+    let clean = driver::Run::new(&g, Algorithm::Bfs).config(cfg).launch();
+    assert_eq!(
+        out.int_labels, clean.int_labels,
+        "the crash changed results"
+    );
+    out
+}
+
+#[test]
+fn crash_runs_tag_checkpoints_and_recovery_in_the_trace() {
     let cfg = DistConfig::new(4);
-    let clean = driver::Run::new(&g, Algorithm::Bfs).config(&cfg).launch();
     let tracer = Tracer::new(cfg.hosts);
     let hub = MetricsHub::new(cfg.hosts);
-    let counters = FaultCounters::new();
-    let out = driver::Run::new(&g, Algorithm::Bfs)
-        .config(&cfg)
-        .source(max_out_degree_node(&g))
-        .pagerank(Default::default())
-        .tracer(&tracer)
-        .metrics(&hub)
-        .transport(|ep| {
-            let metrics = NetMetrics::register(&hub.host(ep.rank()));
-            ReliableTransport::over(FaultyTransport::new(
-                ep,
-                FaultPlan::lossy(7),
-                counters.clone(),
-            ))
-            .with_tracer(tracer.clone())
-            .with_metrics(metrics)
-        })
-        .launch();
-    assert_eq!(out.int_labels, clean.int_labels, "chaos changed results");
-    assert!(counters.total() > 0, "fault plan injected nothing");
+    let out = crash_and_recover(&cfg, &tracer, &hub);
     // Every event was retained, so the ring can be counted against the
-    // hub and the transport's books.
+    // supervisor's books.
     assert_eq!(tracer.dropped_events(), 0);
     let events = tracer.events();
-    let retx: Vec<_> = events.iter().filter(|e| e.name == "retransmit").collect();
-    assert!(!retx.is_empty(), "no retransmissions tagged in the trace");
-    for e in &retx {
+    let recoveries: Vec<_> = events.iter().filter(|e| e.name == "recovery").collect();
+    assert!(out.recoveries >= 1, "the crash was not recovered from");
+    assert_eq!(recoveries.len() as u64, u64::from(out.recoveries));
+    assert_eq!(
+        recoveries.len() as u64,
+        hub.cluster().counter_value("recoveries")
+    );
+    for e in &recoveries {
         assert!(e.host < cfg.hosts && e.peer < cfg.hosts);
-        assert!(e.bytes > 0, "retransmitted frames carry wire bytes");
     }
-    let dups = events.iter().filter(|e| e.name == "dup_suppressed").count() as u64;
-    // The trace, the hub and NetStats book each frame once, and agree.
-    assert_eq!(retx.len() as u64, hub.counter_across_hosts("retransmits"));
-    assert_eq!(retx.len() as u64, out.net.retransmit_messages);
-    assert_eq!(dups, hub.counter_across_hosts("dups_suppressed"));
-    assert_eq!(dups, out.net.dup_suppressed);
+    let checkpoints: Vec<_> = events.iter().filter(|e| e.name == "checkpoint").collect();
+    assert!(!checkpoints.is_empty(), "no checkpoint tagged in the trace");
+    for e in &checkpoints {
+        assert_eq!(e.host, e.peer, "a checkpoint is its own host's");
+        assert!(e.bytes > 0, "a checkpoint carries its record's bytes");
+    }
 }
 
 #[test]
 fn exported_chrome_trace_validates_against_the_schema() {
-    let g = gen::rmat(7, 6, Default::default(), 3);
     let cfg = DistConfig::new(3);
     let tracer = Tracer::new(cfg.hosts);
-    let counters = FaultCounters::new();
-    driver::Run::new(&g, Algorithm::Bfs)
-        .config(&cfg)
-        .source(max_out_degree_node(&g))
-        .pagerank(Default::default())
-        .tracer(&tracer)
-        .transport(|ep| {
-            ReliableTransport::over(FaultyTransport::new(
-                ep,
-                FaultPlan::lossy(3),
-                counters.clone(),
-            ))
-            .with_tracer(tracer.clone())
-        })
-        .launch();
+    crash_and_recover(&cfg, &tracer, &MetricsHub::disabled());
     let mut chrome = ChromeTraceBuilder::new();
-    chrome.add("bfs \"chaos\" run", &tracer); // exercise name escaping
+    chrome.add("bfs \"crash\" run", &tracer); // exercise name escaping
     let doc = Json::parse(&chrome.finish()).expect("the export is valid JSON");
 
     assert_eq!(
@@ -316,7 +310,7 @@ fn exported_chrome_trace_validates_against_the_schema() {
                         .and_then(|a| a.get("name"))
                         .and_then(Json::as_str)
                         .expect("M: args.name");
-                    assert_eq!(label, "bfs \"chaos\" run", "escaped label survives");
+                    assert_eq!(label, "bfs \"crash\" run", "escaped label survives");
                 } else {
                     assert_eq!(name, "thread_name");
                 }
@@ -327,7 +321,7 @@ fn exported_chrome_trace_validates_against_the_schema() {
     assert_eq!(complete, tracer.spans().len() as u64);
     assert_eq!(instants, tracer.events().len() as u64);
     assert_eq!(process_names, 1, "one process per add() call");
-    assert!(instants > 0, "chaos run must contribute instant events");
+    assert!(instants > 0, "the crash run must contribute instant events");
     // The send and decode stages must survive the export under their
     // wire names.
     for name in ["send", "decode"] {
