@@ -84,9 +84,18 @@ pub fn cc(graph: &Csr) -> Vec<u32> {
     (0..n as u32).map(|v| find(&mut parent, v)).collect()
 }
 
-/// Pull-style pagerank with damping factor `damping`, run until the L1
-/// rank change falls below `tolerance` or `max_iters` iterations elapse.
-/// Returns `(ranks, iterations)`.
+/// Pagerank with damping factor `damping`, run until the L1 rank change
+/// falls below `tolerance` or `max_iters` iterations elapse. Returns
+/// `(ranks, iterations)`.
+///
+/// Push order: each iteration divides once per source, `rank[u] /
+/// out_degree(u)`, and adds that quotient into `sum[v]` for every out-edge
+/// `u → v`, walking sources in ascending order. Every destination therefore
+/// folds the same terms in the same order, from 0.0, as a pull over the
+/// transpose (whose rows ascend by source, parallel edges adjacent), so the
+/// ranks and the iteration count are those of the pull form bit for bit.
+/// The L1 delta is summed in vertex order. Memory is O(V): `rank` and one
+/// reused `sum`.
 ///
 /// Dangling nodes keep the conventional treatment the vertex-program
 /// formulation implies: their mass is *not* redistributed (matching the
@@ -95,23 +104,25 @@ pub fn pagerank(graph: &Csr, damping: f64, tolerance: f64, max_iters: u32) -> (V
     let n = graph.num_nodes() as usize;
     assert!(n > 0, "graph has no nodes");
     let base = (1.0 - damping) / n as f64;
-    let out_deg = graph.out_degrees();
-    let transpose = graph.transpose();
     let mut rank = vec![1.0 / n as f64; n];
+    let mut sum = vec![0.0f64; n];
     let mut iters = 0;
     while iters < max_iters {
-        let mut next = vec![base; n];
-        let mut delta = 0.0f64;
-        for v in 0..n {
-            let mut sum = 0.0f64;
-            for e in transpose.out_edges(Gid(v as u32)) {
-                let u = e.dst.index();
-                sum += rank[u] / f64::from(out_deg[u].max(1));
+        for (u, &r) in rank.iter().enumerate() {
+            let targets = graph.neighbors(Gid(u as u32));
+            // A sink's quotient (a division by zero) is never read.
+            let share = r / targets.len() as f64;
+            for &v in targets {
+                sum[v as usize] += share;
             }
-            next[v] += damping * sum;
-            delta += (next[v] - rank[v]).abs();
         }
-        rank = next;
+        let mut delta = 0.0f64;
+        for (r, s) in rank.iter_mut().zip(&mut sum) {
+            let next = base + damping * *s;
+            delta += (next - *r).abs();
+            *r = next;
+            *s = 0.0;
+        }
         iters += 1;
         if delta < tolerance {
             break;

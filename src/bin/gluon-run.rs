@@ -11,7 +11,7 @@
 //! `num_nodes num_edges`); `--gen` generates an input. With `--verify` the
 //! result is checked against the single-host oracle.
 
-use gluon_suite::algos::{driver, reference, Algorithm, DistConfig, EngineKind};
+use gluon_suite::algos::{driver, reference, Algorithm, DistConfig, EngineKind, PagerankConfig};
 use gluon_suite::graph::{self as graph, gen, max_out_degree_node, Csr};
 use gluon_suite::net::CostModel;
 use gluon_suite::partition::Policy;
@@ -215,7 +215,10 @@ fn main() -> ExitCode {
             Some(Algorithm::Sssp) => out.int_labels == reference::sssp(&graph, source),
             Some(Algorithm::Cc) => out.int_labels == reference::cc(&graph),
             Some(Algorithm::Pagerank) => {
-                let (oracle, _) = reference::pagerank(&graph, 0.85, 1e-6, 100);
+                // The settings `Run::new(.., Pagerank)` runs with.
+                let pr = PagerankConfig::default();
+                let (oracle, _) =
+                    reference::pagerank(&graph, pr.damping, pr.tolerance, pr.max_iters);
                 out.ranks
                     .iter()
                     .zip(&oracle)

@@ -29,7 +29,9 @@
 //! bfs — one BSP round per level under the Ligra push arm, one sub-round
 //! per level under Galois — allocates a handful of run-level buffers
 //! however many levels it runs, and a warm pagerank iteration (gather,
-//! sync and vote) allocates nothing under any engine.
+//! sync and vote) allocates nothing under any engine. The pagerank oracle
+//! (`reference::pagerank`) is held to 24 bytes per vertex however many
+//! edges and iterations it walks.
 //!
 //! Everything runs inside a single `#[test]` on purpose: the counters are
 //! process-wide, and a concurrently scheduled test (even just its thread
@@ -386,6 +388,29 @@ fn steady_state_sync_is_allocation_free() {
             assert!(
                 !bins.activated().is_empty(),
                 "edge_map/{threads}t: nothing activated — guard measured nothing"
+            );
+        }
+    }
+
+    // The pagerank oracle runs in O(V): the rank vector it returns and one
+    // reused sum, 16 bytes per vertex, under a bound of 24. A transpose
+    // (4 bytes per edge, 64 per vertex on rmat14) or a fresh vector per
+    // iteration (8 bytes per vertex each) would fail both runs.
+    {
+        use gluon_suite::algos::reference;
+        let g = gen::rmat(14, 16, Default::default(), 28);
+        let bound = 3 * 8 * u64::from(g.num_nodes());
+        for iters in [5u32, 50] {
+            let before = gluon_meter::snapshot();
+            let (ranks, done) = reference::pagerank(&g, 0.85, 0.0, iters);
+            let after = gluon_meter::snapshot();
+            assert_eq!(done, iters);
+            assert_eq!(ranks.len(), g.num_nodes() as usize);
+            let bytes = after.bytes_since(&before);
+            assert!(
+                bytes <= bound,
+                "reference::pagerank over {iters} iterations of rmat14 requested {bytes} bytes \
+                 (bound {bound}: 24 per vertex)"
             );
         }
     }
