@@ -118,9 +118,8 @@ fn bench_dispatch(_c: &mut Criterion) {
                 DISPATCH_LEN,
                 &mut sched,
                 &mut rows,
-                1,
                 |r| r.len() as u64,
-                |r, row| row[0] = r.len(),
+                |r, row| *row = r.len(),
             );
             black_box(&rows);
         });

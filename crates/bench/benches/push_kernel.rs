@@ -2,15 +2,17 @@
 //!
 //! * **Push relaxation** — a Galois bfs to quiescence on a single-host
 //!   partition (no peers, so sync is a no-op: one BSP round of sub-rounds
-//!   and a second that re-sweeps what the first lowered): the raw-slice scatter, the partition drain, the frontier
-//!   rebuild. Reported as ns per examined edge and ns per frontier member
-//!   at 1 and 4 pool threads. The floor per edge is one sequential `u32`
-//!   and one random label read.
+//!   and a second that re-sweeps what the first lowered): the raw-slice
+//!   scatter, the drain, the frontier rebuild. Reported as ns per examined
+//!   edge and ns per frontier member at 1 and 4 pool threads. The floor per
+//!   edge is one sequential `u32` and one random label read.
 //! * **Activation list** — `BinScratch::run` over every vertex with one
 //!   candidate each, scattered so that every destination is activated
-//!   exactly once: bin routing, the drain's bitmap marks and the word-by-word
-//!   drain of those marks into the ascending list. Reported as ns per
-//!   activation.
+//!   exactly once: the per-chunk scatter, the drain's bitmap marks and the
+//!   word-by-word drain of those marks into the ascending list. Reported as
+//!   ns per activation at 1 and 2 pool threads, which must activate the
+//!   same list: the scatter runs on the pool, the drain on the calling
+//!   thread.
 //! * **A round's fixed cost** — one D-Ligra push round of a 256-member bfs
 //!   frontier (an anti-diagonal) on a 256 × 512 grid host (2¹⁷ proxies,
 //!   the share of one of `bfs-grid-mem`'s two hosts): the direction
@@ -93,30 +95,42 @@ fn bench_activation(scale: u32) {
     let members: Vec<Lid> = (0..n as u32).map(Lid).collect();
     // An odd multiplier permutes 0..2^scale: one candidate per destination.
     let dst_of = |m: Lid| Lid(m.0.wrapping_mul(0x9E37_79B1) & (n as u32 - 1));
-    let pool = Pool::new(1);
-    let mut bins = BinScratch::<u32>::new();
-    let mut labels = vec![0u32; n];
-    let secs = fastest(|| {
-        bins.run(
-            &pool,
-            &members,
-            &mut labels,
-            |_| 1,
-            |chunk, _labels, sink| {
-                for &m in chunk {
-                    sink.push(dst_of(m), m.0);
-                }
-            },
-            |_dst, v, slot| {
-                *slot = v;
-                true
-            },
-        );
-        black_box(bins.activated());
-    });
-    assert_eq!(bins.activated().len(), n);
     println!("\nBinScratch::run, one candidate per destination ({n} activations, best of {REPS})");
-    println!("{:>10.3} ns/activation", secs * 1e9 / n as f64);
+    println!("{:>8} {:>14}", "threads", "ns/activation");
+    let mut want: Option<Vec<Lid>> = None;
+    // The scatter spreads over the pool; the drain runs on the calling
+    // thread whatever the pool, so two threads can gain only the scatter.
+    for threads in [1usize, 2] {
+        let pool = Pool::new(threads);
+        let mut bins = BinScratch::<u32>::new();
+        let mut labels = vec![0u32; n];
+        let secs = fastest(|| {
+            bins.run(
+                &pool,
+                &members,
+                &mut labels,
+                |_| 1,
+                |chunk, _labels, sink| {
+                    for &m in chunk {
+                        sink.push(dst_of(m), m.0);
+                    }
+                },
+                |_dst, v, slot| {
+                    *slot = v;
+                    true
+                },
+            );
+            black_box(bins.activated());
+        });
+        assert_eq!(bins.activated().len(), n);
+        let want = want.get_or_insert_with(|| bins.activated().to_vec());
+        assert_eq!(
+            bins.activated(),
+            want,
+            "{threads} threads activate the same"
+        );
+        println!("{threads:>8} {:>14.3}", secs * 1e9 / n as f64);
+    }
 }
 
 /// Rounds per timed repetition of [`bench_round`].

@@ -113,18 +113,6 @@ impl DenseBitset {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// In-place union with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn union_with(&mut self, other: &DenseBitset) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// The raw backing words (little-endian bit order within each word),
     /// for checkpointing.
     pub fn words(&self) -> &[u64] {
@@ -152,14 +140,14 @@ impl DenseBitset {
         }
     }
 
-    /// Appends `base + bit` for every set bit to `out`, ascending, and
-    /// leaves the set empty: each word is taken and zeroed as it is read,
-    /// so one pass both lists the members and clears them.
-    pub fn drain_into(&mut self, base: u32, out: &mut Vec<Lid>) {
+    /// Appends every set bit to `out`, ascending, and leaves the set
+    /// empty: each word is taken and zeroed as it is read, so one pass both
+    /// lists the members and clears them.
+    pub fn drain_into(&mut self, out: &mut Vec<Lid>) {
         for (i, word) in self.words.iter_mut().enumerate() {
             let mut w = std::mem::take(word);
             while w != 0 {
-                out.push(Lid(base + (i * 64) as u32 + w.trailing_zeros()));
+                out.push(Lid((i * 64) as u32 + w.trailing_zeros()));
                 w &= w - 1;
             }
         }
@@ -244,17 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn union_merges() {
-        let mut a = DenseBitset::new(10);
-        let mut b = DenseBitset::new(10);
-        a.set(Lid(1));
-        b.set(Lid(8));
-        a.union_with(&b);
-        assert!(a.test(Lid(1)) && a.test(Lid(8)));
-        assert_eq!(a.count_ones(), 2);
-    }
-
-    #[test]
     fn clear_all_empties() {
         let mut b = DenseBitset::new(100);
         b.set_all();
@@ -267,8 +244,8 @@ mod tests {
     fn drain_lists_members_ascending_and_empties_the_set() {
         // Nothing set: nothing listed, whatever `out` already holds stays.
         let mut out = vec![Lid(7)];
-        DenseBitset::new(0).drain_into(5, &mut out);
-        DenseBitset::new(130).drain_into(5, &mut out);
+        DenseBitset::new(0).drain_into(&mut out);
+        DenseBitset::new(130).drain_into(&mut out);
         assert_eq!(out, vec![Lid(7)]);
 
         // 130 bits: a short tail word (bits 128 and 129), both word edges.
@@ -278,18 +255,18 @@ mod tests {
             b.set(Lid(p));
         }
         out.clear();
-        b.drain_into(0, &mut out);
+        b.drain_into(&mut out);
         assert_eq!(out, picks.map(Lid));
         assert!(b.is_empty(), "drained bits are cleared");
-        b.drain_into(0, &mut out);
+        b.drain_into(&mut out);
         assert_eq!(out.len(), picks.len(), "a second drain finds nothing");
 
-        // A non-zero base shifts every member; a full set lists them all.
+        // A full set lists every member.
         let mut b = DenseBitset::new(70);
         b.set_all();
         out.clear();
-        b.drain_into(1000, &mut out);
-        assert_eq!(out, (1000..1070).map(Lid).collect::<Vec<_>>());
+        b.drain_into(&mut out);
+        assert_eq!(out, (0..70).map(Lid).collect::<Vec<_>>());
         assert!(b.is_empty());
     }
 

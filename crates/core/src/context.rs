@@ -575,7 +575,7 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     }
 
     /// The engine-side bin scratch pool: recycled workspaces for the
-    /// partition-binned scatter-gather path, keyed by operation site.
+    /// binned scatter-gather path, keyed by operation site.
     pub fn bin_pool(&mut self) -> &mut BinPool {
         &mut self.bins
     }

@@ -93,7 +93,7 @@ mod stats;
 mod value;
 
 pub use arena::{SyncArena, ARENA_WARMUP_ROUNDS};
-pub use bins::{BinPool, BinScratch, BinSink, BinStats, PullScratch};
+pub use bins::{BinPool, BinScratch, BinSink, PullScratch};
 pub use bitset::{DenseBitset, Iter as BitsetIter};
 pub use checkpoint::{CheckpointSnapshot, CheckpointStore};
 pub use context::{GluonContext, ReadLocation, SyncError, SyncSpec, WriteLocation};

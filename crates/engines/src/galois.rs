@@ -99,38 +99,27 @@ pub fn for_each(
     applied
 }
 
-/// Galois' `do_all`: applies `op` to every item once, no follow-up work.
-pub fn do_all(items: impl IntoIterator<Item = Lid>, mut op: impl FnMut(Lid)) -> u64 {
-    let mut applied = 0u64;
-    for lid in items {
-        op(lid);
-        applied += 1;
-    }
-    applied
-}
-
-/// Deterministic parallel `do_all` on recycled scratch: fixed
+/// Deterministic parallel do-all on recycled scratch: fixed
 /// [`gluon_exec::CHUNK`]-sized slices of `items` scatter `(dst, value)`
-/// candidates into per-(chunk, destination-partition) bins via `emit`
-/// (which sees the current `labels` as a shared slice, nothing mutable —
-/// `Fn + Sync`), then each partition drains its bins in (chunk, edge)
-/// order running `apply(dst, value, &mut labels[dst])` — in parallel
-/// across partitions, bit-identical to folding the chunks' candidates
-/// sequentially. `weight` meters one item's work (typically its degree)
-/// into the pool's seq/critical-path counters; read the ascending
+/// candidates into one bin per slice via `emit` (which sees the current
+/// `labels` as a shared slice, nothing mutable — `Fn + Sync`), then the
+/// calling thread drains the bins in (chunk, edge) order running
+/// `apply(dst, value, &mut labels[dst])` — the flat sequential fold of the
+/// chunks' candidates. `weight` meters one item's work (typically its
+/// degree) into the pool's seq/critical-path counters; read the ascending
 /// activation list (destinations where `apply` returned `true`) from
 /// [`BinScratch::activated`]. Deterministic local quiescence is built on
 /// top of this: sweep the frontier in bulk, repeat on the activations
 /// until no label changes — monotone operators reach the same fixpoint
 /// FIFO chaotic relaxation does.
-pub fn do_all_binned<T: Send + Sync, V: Copy + Send + Sync + 'static>(
+pub fn do_all_binned<T: Sync, V: Copy + Send + Sync + 'static>(
     pool: &Pool,
     bins: &mut BinScratch<V>,
     items: &[Lid],
     labels: &mut [T],
     weight: impl Fn(Lid) -> u64 + Sync,
     emit: impl Fn(&[Lid], &[T], &mut BinSink<'_, V>) + Sync,
-    apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
+    apply: impl Fn(Lid, V, &mut T) -> bool,
 ) {
     bins.run(pool, items, labels, weight, emit, apply);
 }
@@ -293,14 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn do_all_visits_every_item_once() {
-        let mut seen = Vec::new();
-        let n = do_all((0..5).map(Lid), |l| seen.push(l.0));
-        assert_eq!(n, 5);
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn delta_worklist_orders_by_bucket() {
         let mut wl = DeltaWorklist::new(10, 4);
         wl.push(Lid(1), 9);
@@ -369,9 +350,8 @@ mod tests {
 
     #[test]
     fn do_all_binned_sweeps_reach_the_fifo_fixpoint_at_any_thread_count() {
-        // Deterministic bulk sub-rounds (sweep -> ordered apply -> repeat),
-        // on the production grid or a single partition, must land on the
-        // same labels as FIFO chaotic relaxation.
+        // Deterministic bulk sub-rounds (sweep -> ordered apply -> repeat)
+        // must land on the same labels as FIFO chaotic relaxation.
         let g = gluon_graph::with_random_weights(&gen::rmat(7, 6, Default::default(), 4), 4, 7);
         let mut parts = partition_all(&g, 1, Policy::Oec);
         let lg = parts.remove(0);
@@ -388,45 +368,42 @@ mod tests {
                 }
             }
         });
-        for width in [None, Some(1 << 20)] {
-            for threads in [1, 4, 8] {
-                let pool = Pool::new(threads);
-                let mut bins = BinScratch::<u32>::new();
-                bins.set_width_override(width);
-                let mut dist = vec![u32::MAX; n as usize];
-                dist[0] = 0;
-                let mut frontier = vec![Lid(0)];
-                while !frontier.is_empty() {
-                    do_all_binned(
-                        &pool,
-                        &mut bins,
-                        &frontier,
-                        &mut dist,
-                        |v| u64::from(lg.out_degree(v)),
-                        |chunk, dist, sink| {
-                            for &v in chunk {
-                                let dv = dist[v.index()];
-                                for e in lg.out_edges(v) {
-                                    let nd = dv.saturating_add(e.weight);
-                                    if nd < dist[e.dst.index()] {
-                                        sink.push(e.dst, nd);
-                                    }
+        for threads in [1, 4, 8] {
+            let pool = Pool::new(threads);
+            let mut bins = BinScratch::<u32>::new();
+            let mut dist = vec![u32::MAX; n as usize];
+            dist[0] = 0;
+            let mut frontier = vec![Lid(0)];
+            while !frontier.is_empty() {
+                do_all_binned(
+                    &pool,
+                    &mut bins,
+                    &frontier,
+                    &mut dist,
+                    |v| u64::from(lg.out_degree(v)),
+                    |chunk, dist, sink| {
+                        for &v in chunk {
+                            let dv = dist[v.index()];
+                            for e in lg.out_edges(v) {
+                                let nd = dv.saturating_add(e.weight);
+                                if nd < dist[e.dst.index()] {
+                                    sink.push(e.dst, nd);
                                 }
                             }
-                        },
-                        |_dst, nd, slot| {
-                            if nd < *slot {
-                                *slot = nd;
-                                true
-                            } else {
-                                false
-                            }
-                        },
-                    );
-                    frontier = bins.activated().to_vec();
-                }
-                assert_eq!(dist, fifo, "width = {width:?}, threads = {threads}");
+                        }
+                    },
+                    |_dst, nd, slot| {
+                        if nd < *slot {
+                            *slot = nd;
+                            true
+                        } else {
+                            false
+                        }
+                    },
+                );
+                frontier = bins.activated().to_vec();
             }
+            assert_eq!(dist, fifo, "threads = {threads}");
         }
     }
 

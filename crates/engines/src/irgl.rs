@@ -150,18 +150,17 @@ impl IrglEngine {
 
     /// Deterministic parallel data-driven kernel on recycled scratch:
     /// worklist chunks run on `pool` workers and scatter `(dst, value)`
-    /// candidates into per-(chunk, destination-partition) bins via `op`,
-    /// which sees the current `labels` as a shared slice — unlike
-    /// [`IrglEngine::kernel`], updates are *not* visible within the sweep
-    /// (snapshot semantics, as on a multi-SM launch without cross-block
-    /// ordering). Each partition then drains its bins in (chunk, edge)
-    /// order running `apply(dst, value, &mut labels[dst])` — in parallel
-    /// across partitions, bit-identical to folding the candidates
-    /// sequentially in worklist order. Work counters advance exactly as
-    /// in [`IrglEngine::kernel`]; read the ascending activation list from
+    /// candidates into one bin per chunk via `op`, which sees the current
+    /// `labels` as a shared slice — unlike [`IrglEngine::kernel`], updates
+    /// are *not* visible within the sweep (snapshot semantics, as on a
+    /// multi-SM launch without cross-block ordering). The calling thread
+    /// then drains the bins in (chunk, edge) order running `apply(dst,
+    /// value, &mut labels[dst])` — the sequential fold of the candidates in
+    /// worklist order. Work counters advance exactly as in
+    /// [`IrglEngine::kernel`]; read the ascending activation list from
     /// [`BinScratch::activated`].
     #[allow(clippy::too_many_arguments)]
-    pub fn kernel_par_binned<T: Send + Sync, V: Copy + Send + Sync + 'static>(
+    pub fn kernel_par_binned<T: Sync, V: Copy + Send + Sync + 'static>(
         &mut self,
         graph: &LocalGraph,
         pool: &Pool,
@@ -169,7 +168,7 @@ impl IrglEngine {
         worklist: &[Lid],
         labels: &mut [T],
         op: impl Fn(Lid, &LocalGraph, &[T], &mut BinSink<'_, V>) + Sync,
-        apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
+        apply: impl Fn(Lid, V, &mut T) -> bool,
     ) {
         bins.run(
             pool,
@@ -236,25 +235,6 @@ impl IrglEngine {
         self.stats.kernels as f64 * self.model.kernel_launch_secs
             + self.stats.nodes_visited as f64 / self.model.nodes_per_sec
             + self.stats.edges_traversed as f64 / self.model.edges_per_sec
-    }
-}
-
-/// Bulk extract: reads `field[lid]` for every lid in `lids` into a vector —
-/// the GPU-side gather the paper's "bulk-variants for GPUs" refers to
-/// (device → host staging buffer in one memcpy-like pass).
-pub fn bulk_extract<T: Copy>(field: &[T], lids: &[Lid]) -> Vec<T> {
-    lids.iter().map(|l| field[l.index()]).collect()
-}
-
-/// Bulk set: scatters `values` to `field` at `lids`.
-///
-/// # Panics
-///
-/// Panics if lengths disagree.
-pub fn bulk_set<T: Copy>(field: &mut [T], lids: &[Lid], values: &[T]) {
-    assert_eq!(lids.len(), values.len(), "one value per lid");
-    for (&l, &v) in lids.iter().zip(values) {
-        field[l.index()] = v;
     }
 }
 
@@ -334,55 +314,51 @@ mod tests {
             });
         }
         // The snapshot launch must reproduce those labels, and the same
-        // device stats, at any thread count, on the production grid or a
-        // single partition.
+        // device stats, at any thread count.
         let mut want_stats = None;
-        for width in [None, Some(1 << 20)] {
-            for threads in [1, 4, 8] {
-                let pool = Pool::new(threads);
-                let mut dev = IrglEngine::new(Default::default());
-                let mut bins = BinScratch::<u32>::new();
-                bins.set_width_override(width);
-                let mut dist = vec![u32::MAX; lg.num_proxies() as usize];
-                dist[0] = 0;
-                let mut wl = vec![Lid(0)];
-                while !wl.is_empty() {
-                    let prev = dist.clone();
-                    dev.kernel_par_binned(
-                        &lg,
-                        &pool,
-                        &mut bins,
-                        &wl,
-                        &mut dist,
-                        |v, lg, _labels, sink| {
-                            let lv = prev[v.index()];
-                            for e in lg.out_edges(v) {
-                                let nd = lv.saturating_add(1);
-                                if nd < prev[e.dst.index()] {
-                                    sink.push(e.dst, nd);
-                                }
+        for threads in [1, 4, 8] {
+            let pool = Pool::new(threads);
+            let mut dev = IrglEngine::new(Default::default());
+            let mut bins = BinScratch::<u32>::new();
+            let mut dist = vec![u32::MAX; lg.num_proxies() as usize];
+            dist[0] = 0;
+            let mut wl = vec![Lid(0)];
+            while !wl.is_empty() {
+                let prev = dist.clone();
+                dev.kernel_par_binned(
+                    &lg,
+                    &pool,
+                    &mut bins,
+                    &wl,
+                    &mut dist,
+                    |v, lg, _labels, sink| {
+                        let lv = prev[v.index()];
+                        for e in lg.out_edges(v) {
+                            let nd = lv.saturating_add(1);
+                            if nd < prev[e.dst.index()] {
+                                sink.push(e.dst, nd);
                             }
-                        },
-                        |_dst, nd, slot| {
-                            if nd < *slot {
-                                *slot = nd;
-                                true
-                            } else {
-                                false
-                            }
-                        },
-                    );
-                    wl = bins.activated().to_vec();
-                }
-                assert_eq!(dist, oracle, "width = {width:?}, threads = {threads}");
-                let stats = dev.stats();
-                assert!(stats.kernels > 1 && stats.edges_traversed > 0);
-                assert_eq!(
-                    *want_stats.get_or_insert(stats),
-                    stats,
-                    "width = {width:?}, threads = {threads}"
+                        }
+                    },
+                    |_dst, nd, slot| {
+                        if nd < *slot {
+                            *slot = nd;
+                            true
+                        } else {
+                            false
+                        }
+                    },
                 );
+                wl = bins.activated().to_vec();
             }
+            assert_eq!(dist, oracle, "threads = {threads}");
+            let stats = dev.stats();
+            assert!(stats.kernels > 1 && stats.edges_traversed > 0);
+            assert_eq!(
+                *want_stats.get_or_insert(stats),
+                stats,
+                "threads = {threads}"
+            );
         }
     }
 
@@ -415,14 +391,5 @@ mod tests {
             assert_eq!(bins.activated(), want_active, "threads = {threads}");
             assert_eq!(dev.stats(), topo.stats(), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn bulk_extract_and_set_round_trip() {
-        let mut field = vec![0u32; 6];
-        let lids = vec![Lid(1), Lid(4)];
-        bulk_set(&mut field, &lids, &[10, 40]);
-        assert_eq!(bulk_extract(&field, &lids), vec![10, 40]);
-        assert_eq!(field, vec![0, 10, 0, 0, 40, 0]);
     }
 }

@@ -6,12 +6,11 @@
 //! rounds. This crate provides Rust renditions of the three engines the
 //! paper plugs in:
 //!
-//! * [`ligra`] — frontier-based `edgeMap`/`vertexMap` with direction
-//!   optimization (→ **D-Ligra**);
-//! * [`galois`] — asynchronous worklist `for_each`/`do_all` with
-//!   within-round chaotic relaxation (→ **D-Galois**);
-//! * [`irgl`] — bulk-synchronous GPU-style kernels with bulk extract/set
-//!   (→ **D-IrGL**).
+//! * [`ligra`] — frontier-based `edgeMap` with direction optimization
+//!   (→ **D-Ligra**);
+//! * [`galois`] — asynchronous worklist `for_each` with within-round
+//!   chaotic relaxation (→ **D-Galois**);
+//! * [`irgl`] — bulk-synchronous GPU-style kernels (→ **D-IrGL**).
 //!
 //! All three operate on one host's [`gluon_partition::LocalGraph`] and know
 //! nothing about other hosts — exactly the property (§2.2's invariant (b))
@@ -24,6 +23,6 @@ pub mod galois;
 pub mod irgl;
 pub mod ligra;
 
-pub use galois::{do_all, for_each, for_each_prioritized, DeltaWorklist, Worklist};
-pub use irgl::{bulk_extract, bulk_set, DeviceModel, DeviceStats, IrglEngine, KernelOutput};
-pub use ligra::{edge_map, vertex_map, Direction, EdgeOp, VertexSubset};
+pub use galois::{for_each, for_each_prioritized, DeltaWorklist, Worklist};
+pub use irgl::{DeviceModel, DeviceStats, IrglEngine, KernelOutput};
+pub use ligra::{edge_map, Direction, EdgeOp, VertexSubset};

@@ -292,28 +292,25 @@ fn edge_map_pull(
     VertexSubset::from_members(next)
 }
 
-/// Partition-binned push `edgeMap` on recycled scratch: the frontier's
-/// chunks scatter `(dst, value)` candidates into per-(chunk, partition)
-/// bins via `candidate` (which sees the *current* labels as a shared
-/// slice: snapshot/Jacobi semantics — an update is *not* visible to later
-/// edges of the same sweep, unlike [`edge_map`]'s sequential push), then
-/// each destination partition drains its bins in (chunk, edge)
-/// order, running `apply(dst, value, &mut labels[dst])`. Partitions own
-/// disjoint destination ranges, so the drain runs in parallel with the
-/// exact per-destination operation order of the flat sequential fold —
-/// bit-identical labels and activations at any thread count and any
-/// partition width.
+/// Binned push `edgeMap` on recycled scratch: the frontier's chunks
+/// scatter `(dst, value)` candidates into one bin per chunk via `candidate`
+/// (which sees the *current* labels as a shared slice: snapshot/Jacobi
+/// semantics — an update is *not* visible to later edges of the same
+/// sweep, unlike [`edge_map`]'s sequential push), then the calling thread
+/// drains the bins in (chunk, edge) order, running `apply(dst, value,
+/// &mut labels[dst])` — the exact operation order of the flat sequential
+/// fold, so labels and activations are bit-identical at any thread count.
 ///
 /// Returns nothing and allocates nothing after warm-up: read the
 /// ascending activation list from [`BinScratch::activated`].
-pub fn edge_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
+pub fn edge_map_push_pooled<T: Sync, V: Copy + Send + Sync + 'static>(
     graph: &LocalGraph,
     frontier: &VertexSubset,
     pool: &Pool,
     bins: &mut BinScratch<V>,
     labels: &mut [T],
     candidate: impl Fn(Lid, Lid, u32, &[T]) -> Option<V> + Sync,
-    apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
+    apply: impl Fn(Lid, V, &mut T) -> bool,
 ) {
     vertex_map_push_pooled(
         graph,
@@ -346,14 +343,14 @@ pub fn edge_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
 /// source instead of once per edge. Members are metered by out-degree
 /// and everything else (bins, drain order, activation list, zero
 /// steady-state allocations) is exactly [`edge_map_push_pooled`].
-pub fn vertex_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
+pub fn vertex_map_push_pooled<T: Sync, V: Copy + Send + Sync + 'static>(
     graph: &LocalGraph,
     frontier: &VertexSubset,
     pool: &Pool,
     bins: &mut BinScratch<V>,
     labels: &mut [T],
     emit: impl Fn(Lid, &[T], &mut BinSink<'_, V>) + Sync,
-    apply: impl Fn(Lid, V, &mut T) -> bool + Sync,
+    apply: impl Fn(Lid, V, &mut T) -> bool,
 ) {
     let run = |bins: &mut BinScratch<V>, members: &[Lid], labels: &mut [T]| {
         bins.run(
@@ -380,23 +377,17 @@ pub fn vertex_map_push_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     }
 }
 
-/// Partition-binned pull `edgeMap` on recycled scratch: `labels` is split
-/// into fixed chunks of *destination* slots, each handed exclusively to
-/// one pool worker (disjoint slices, no write races). A worker scans the
-/// in-edges of its destinations that have one against a dense image of the
-/// frontier over source slots ([`LocalGraph::in_slots`]), hands each hit's
-/// proxy to `relax` and folds improvements into the slot **in in-edge
-/// order**, the same order the sequential pull visits them; `relax(src,
-/// dst, weight, current)` returns
-/// the improved value or `None`. Source values must come from a
-/// caller-held snapshot (capture it in `relax`), which is what makes the
-/// sweep order-free. Every buffer (frontier bitmap, per-chunk activation
-/// lists, schedule state) is recycled, and when the frontier is sparse a
-/// per-destination-partition probe skips chunks none of whose partitions
-/// receive any out-edge of a frontier member — skipped chunks provably
-/// perform no relaxation, so results are unchanged. Chunk weights are
-/// computed (and metered) for every chunk whether or not it is skipped,
-/// keeping the work meter identical to the flat sweep. Read the ascending
+/// Pull `edgeMap` on recycled scratch: `labels` is split into fixed chunks
+/// of *destination* slots, each handed exclusively to one pool worker
+/// (disjoint slices, no write races). A worker scans the in-edges of its
+/// destinations that have one against a dense image of the frontier over
+/// source slots ([`LocalGraph::in_slots`]), hands each hit's proxy to
+/// `relax` and folds improvements into the slot **in in-edge order**, the
+/// same order the sequential pull visits them; `relax(src, dst, weight,
+/// current)` returns the improved value or `None`. Source values must come
+/// from a caller-held snapshot (capture it in `relax`), which is what makes
+/// the sweep order-free. Every buffer (frontier bitmap, per-chunk
+/// activation lists, schedule state) is recycled. Read the ascending
 /// activation list from [`BinScratch::activated`].
 ///
 /// # Panics
@@ -411,19 +402,11 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     labels: &mut [T],
     relax: impl Fn(Lid, Lid, u32, &T) -> Option<T> + Sync,
 ) {
-    let n = graph.num_proxies() as usize;
-    let width = bins.effective_width(n);
-    let shift = width.trailing_zeros();
-    let num_parts = n.div_ceil(width).max(1);
-    let probe = matches!(frontier, VertexSubset::Sparse(_));
-
     let PullScratch {
         sched,
         chunk_active,
         frontier_bits,
-        touched,
         activated,
-        stats,
     } = bins.pull_scratch();
 
     // The frontier's image over source slots, one bit per slot (a slot is
@@ -436,18 +419,11 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
     } else {
         frontier_bits.clear_all();
     }
-    touched.clear();
-    touched.resize(num_parts, !probe);
     match frontier {
         VertexSubset::Sparse(v) => {
             for &m in v {
                 if let Ok(slot) = sources.binary_search(&m.0) {
                     frontier_bits.set(Lid(slot as u32));
-                }
-                // The probe: a destination partition can only see updates
-                // if some frontier member has an out-edge into it.
-                for &dst in graph.out_targets(m) {
-                    touched[dst as usize >> shift] = true;
                 }
             }
         }
@@ -462,20 +438,13 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
 
     // Tested word by word: one bounds check per in-edge.
     let frontier_words = frontier_bits.words();
-    let untouched = |start: usize, end: usize| {
-        probe
-            && !touched[(start >> shift)..=((end - 1) >> shift)]
-                .iter()
-                .any(|&t| t)
-    };
-    let skipped = sweep_destinations(
+    sweep_destinations(
         graph,
         pool,
         labels,
         sched,
         chunk_active,
         activated,
-        untouched,
         |dst, cell| {
             let mut any = false;
             for_each_edge(
@@ -494,9 +463,6 @@ pub fn edge_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
             any
         },
     );
-    // Skips are counted for observability only: they depend on the
-    // partition geometry, not the computation.
-    stats.chunks_skipped += skipped;
 }
 
 /// A dense pull sweep at vertex granularity, on the same recycled scratch
@@ -528,28 +494,16 @@ pub fn vertex_map_pull_pooled<T: Send + Sync, V: Copy + Send + Sync + 'static>(
         activated,
         ..
     } = bins.pull_scratch();
-    sweep_destinations(
-        graph,
-        pool,
-        labels,
-        sched,
-        chunk_active,
-        activated,
-        |_, _| false,
-        visit,
-    );
+    sweep_destinations(graph, pool, labels, sched, chunk_active, activated, visit);
 }
 
 /// The destination-chunk sweep behind both pull entry points: runs
-/// `visit` on every destination with a local in-edge in every chunk
-/// `skip(start, end)` does not exclude, and assembles the destinations it
-/// returned `true` for into `activated`, ascending. Returns the number of
-/// chunks skipped.
+/// `visit` on every destination with a local in-edge, and assembles the
+/// destinations it returned `true` for into `activated`, ascending.
 ///
 /// A chunk finds its destinations in [`LocalGraph::in_edge_words`]: chunks
 /// start on multiples of 64, so each covers whole words, and a proxy with
 /// no in-edge costs a zero bit instead of a visit.
-#[allow(clippy::too_many_arguments)]
 fn sweep_destinations<T: Send + Sync>(
     graph: &LocalGraph,
     pool: &Pool,
@@ -557,9 +511,8 @@ fn sweep_destinations<T: Send + Sync>(
     sched: &mut SchedScratch,
     chunk_active: &mut Vec<Vec<Lid>>,
     activated: &mut Vec<Lid>,
-    skip: impl Fn(usize, usize) -> bool + Sync,
     visit: impl Fn(Lid, &mut T) -> bool + Sync,
-) -> u64 {
+) {
     assert!(graph.has_transpose(), "pull requires the transpose");
     let n = labels.len();
     assert_eq!(n, graph.num_proxies() as usize, "one label slot per proxy");
@@ -567,12 +520,8 @@ fn sweep_destinations<T: Send + Sync>(
     if chunk_active.len() < num_chunks {
         chunk_active.resize_with(num_chunks, Vec::new);
     }
-    let cw = chunk_width(n);
-    debug_assert_eq!(cw % 64, 0, "chunks cover whole words");
+    debug_assert_eq!(chunk_width(n) % 64, 0, "chunks cover whole words");
     let in_words = graph.in_edge_words();
-    let skipped = (0..num_chunks)
-        .filter(|ci| skip(ci * cw, ((ci + 1) * cw).min(n)))
-        .count() as u64;
     pool.for_each_chunk_mut_scratch(
         labels,
         sched,
@@ -580,9 +529,6 @@ fn sweep_destinations<T: Send + Sync>(
         |r| graph.in_degree_sum(r),
         |start, chunk, slot| {
             slot.clear();
-            if skip(start, start + chunk.len()) {
-                return;
-            }
             let words = &in_words[start / 64..(start + chunk.len()).div_ceil(64)];
             for (k, &word) in words.iter().enumerate() {
                 let mut bits = word;
@@ -603,13 +549,6 @@ fn sweep_destinations<T: Send + Sync>(
     for slot in chunk_active[..num_chunks].iter_mut() {
         activated.append(slot);
     }
-    skipped
-}
-
-/// Applies `keep` to every member; returns the subset where it was true —
-/// Ligra's `vertexMap` with filtering.
-pub fn vertex_map(subset: &VertexSubset, mut keep: impl FnMut(Lid) -> bool) -> VertexSubset {
-    VertexSubset::from_members(subset.iter().filter(|&l| keep(l)).collect())
 }
 
 #[cfg(test)]
@@ -692,14 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn vertex_map_filters() {
-        let s = VertexSubset::from_members((0..10).map(Lid).collect());
-        let evens = vertex_map(&s, |l| l.0 % 2 == 0);
-        assert_eq!(evens.len(), 5);
-        assert!(evens.iter().all(|l| l.0 % 2 == 0));
-    }
-
-    #[test]
     fn edge_map_dedups_activations() {
         // Node 0 and 1 both point at node 2: one activation only.
         let g = gluon_graph::Csr::from_edge_list(3, &[(0, 2), (1, 2)]);
@@ -716,14 +647,11 @@ mod tests {
         assert_eq!(next.len(), 1);
     }
 
-    /// `width`: `None` for the production grid, `Some(w)` to force one
-    /// (a width covering every proxy is the flat single-partition fold).
-    fn bfs_pooled(threads: usize, direction: Direction, width: Option<usize>) -> Vec<u32> {
+    fn bfs_pooled(threads: usize, direction: Direction) -> Vec<u32> {
         let g = gen::rmat(7, 6, Default::default(), 9);
         let lg = single_host(&g);
         let pool = gluon_exec::Pool::new(threads);
         let mut bins = BinScratch::<u32>::new();
-        bins.set_width_override(width);
         let mut dist = vec![u32::MAX; lg.num_proxies() as usize];
         dist[0] = 0;
         let mut frontier = VertexSubset::from_members(vec![Lid(0)]);
@@ -769,17 +697,33 @@ mod tests {
 
     #[test]
     fn pooled_edge_map_matches_flat_in_both_geometries() {
+        // Both directions, push binned per chunk and pull swept per
+        // destination chunk, against the sequential push.
         let oracle = bfs_with(Direction::Push);
         for dir in [Direction::Push, Direction::Pull] {
-            for width in [None, Some(64), Some(1 << 20)] {
-                for t in [1, 2, 8] {
-                    assert_eq!(
-                        bfs_pooled(t, dir, width),
-                        oracle,
-                        "{dir:?} width={width:?} threads={t}"
-                    );
-                }
+            for t in [1, 2, 8] {
+                assert_eq!(bfs_pooled(t, dir), oracle, "{dir:?} threads={t}");
             }
+        }
+        // A sparse frontier at the head of a long path: the pull sweep
+        // activates exactly the head's successor and writes nothing else.
+        let lg = single_host(&gen::path(1000));
+        let mut want = vec![u32::MAX; 1000];
+        want[..2].copy_from_slice(&[0, 1]);
+        for t in [1, 4] {
+            let mut bins = BinScratch::<u32>::new();
+            let mut dist = vec![u32::MAX; 1000];
+            dist[0] = 0;
+            edge_map_pull_pooled(
+                &lg,
+                &VertexSubset::from_members(vec![Lid(0)]),
+                &gluon_exec::Pool::new(t),
+                &mut bins,
+                &mut dist,
+                |src, _dst, _w, cur| (src == Lid(0) && 1 < *cur).then_some(1u32),
+            );
+            assert_eq!(dist, want, "threads={t}");
+            assert_eq!(bins.activated(), [Lid(1)], "threads={t}");
         }
     }
 
@@ -844,41 +788,6 @@ mod tests {
             }
             assert_eq!(dist, oracle, "{direction:?}");
         }
-    }
-
-    #[test]
-    fn pull_probe_skips_only_unreachable_chunks() {
-        // A long path: a sparse frontier at the head touches exactly one
-        // destination partition, so far-away chunks are skipped — and
-        // skipping must not change any label.
-        let g = gen::path(1000);
-        let lg = single_host(&g);
-        let pool = gluon_exec::Pool::new(4);
-        let run = |width: Option<usize>| {
-            let mut bins = BinScratch::<u32>::new();
-            bins.set_width_override(width);
-            let mut dist = vec![u32::MAX; 1000];
-            dist[0] = 0;
-            let frontier = VertexSubset::from_members(vec![Lid(0)]);
-            edge_map_pull_pooled(
-                &lg,
-                &frontier,
-                &pool,
-                &mut bins,
-                &mut dist,
-                |src, _dst, _w, cur| (src == Lid(0) && 1 < *cur).then_some(1u32),
-            );
-            (dist, bins.activated().to_vec(), bins.stats().chunks_skipped)
-        };
-        let (flat_dist, flat_act, flat_skips) = run(Some(1024));
-        let (bin_dist, bin_act, bin_skips) = run(None);
-        assert_eq!(flat_dist, bin_dist);
-        assert_eq!(flat_act, bin_act);
-        assert_eq!(bin_act, vec![Lid(1)]);
-        // One partition spanning the space can never skip; the production
-        // grid must skip the chunks past the frontier's reach.
-        assert_eq!(flat_skips, 0);
-        assert!(bin_skips > 0, "expected distant chunks to be skipped");
     }
 
     #[test]

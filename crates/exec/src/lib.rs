@@ -34,9 +34,9 @@
 //! intra-host scaling; the critical path under the real assignment can.
 //!
 //! Every primitive is a thin wrapper over one deal and one dispatch core.
-//! It stages one weight per chunk (or partition) in a [`SchedScratch`]; the
-//! deal maps chunks to workers; the dispatch core runs the per-worker job
-//! lists on `std::thread::scope` threads — the crate's only spawn site —
+//! It stages one weight per chunk in a [`SchedScratch`]; the deal maps
+//! chunks to workers; the dispatch core runs the per-worker job lists on
+//! `std::thread::scope` threads — the crate's only spawn site —
 //! while the calling thread runs worker 0's list (or, for the eager sync
 //! primitive, the completion-ordered sink). Threads are spawned per call:
 //! pool lifetime management would buy little here (the chunked loops
@@ -100,8 +100,8 @@ pub fn chunk_width(len: usize) -> usize {
 /// Reusable scheduling state for the chunked entry points.
 ///
 /// The engine hot loop must stay allocation-free in the steady state (the
-/// partition-binned edge_map contract), so the deal's buffers live here
-/// rather than in each call: every vector is cleared (never shrunk)
+/// binned edge_map contract), so the deal's buffers live here rather than
+/// in each call: every vector is cleared (never shrunk)
 /// between calls, so capacities ratchet up to their high-water marks
 /// within a couple of rounds and scheduling allocates nothing afterwards.
 #[derive(Debug, Default)]
@@ -352,53 +352,33 @@ impl Pool {
         dispatch(lists, &run_list, || run_list(mine));
     }
 
-    /// Runs `f(k, slice_k, &mut slots[k])` over the disjoint `width`-wide
-    /// slices of `data` (the last one may be shorter), slice `k` on worker
-    /// `owner[k]`.
-    fn for_each_slice_mut<T: Send, S: Send>(
-        &self,
-        data: &mut [T],
-        width: usize,
-        owner: &[u32],
-        slots: &mut [S],
-        f: impl Fn(usize, &mut [T], &mut S) + Sync,
-    ) {
-        let jobs = data.chunks_mut(width).zip(slots).enumerate();
-        self.run_dealt(owner, jobs, |(k, (slice, slot))| f(k, slice, slot));
-    }
-
-    /// Chunked parallel scatter into per-chunk scratch rows: chunk `i` of
-    /// `0..len` runs `f(range, row_i)` where `row_i` is the exclusive
-    /// sub-slice `rows[i*stride..(i+1)*stride]` — disjoint rows, no write
+    /// Chunked parallel scatter into per-chunk scratch slots: chunk `i` of
+    /// `0..len` runs `f(range, &mut slots[i])` — disjoint slots, no write
     /// races. `weight(range)` is the work-unit cost of a chunk (e.g. the
     /// out-degree sum of its vertices); the pool meters the sequential
     /// total and the critical path of the weight-balanced deal. All
     /// scheduling state is drawn from `sched`, so on a non-spawning pool
     /// the steady state performs **zero** heap allocations. This is the
-    /// scatter half of the partition-binned edge_map: each chunk owns one
-    /// row of destination-partition bins.
+    /// scatter half of the binned push edge_map: each chunk owns one bin.
     ///
     /// # Panics
     ///
-    /// Panics if `stride` is zero or `rows` is shorter than
-    /// `num_chunks * stride`.
+    /// Panics if `slots` has fewer entries than chunks.
     pub fn for_each_chunk_scratch<S: Send>(
         &self,
         len: usize,
         sched: &mut SchedScratch,
-        rows: &mut [S],
-        stride: usize,
+        slots: &mut [S],
         weight: impl Fn(Range<usize>) -> u64 + Sync,
-        f: impl Fn(Range<usize>, &mut [S]) + Sync,
+        f: impl Fn(Range<usize>, &mut S) + Sync,
     ) {
-        assert!(stride > 0, "row stride must be positive");
         assert!(
-            rows.len() >= Self::num_chunks(len) * stride,
-            "one stride-sized row per chunk"
+            slots.len() >= Self::num_chunks(len),
+            "one scratch slot per chunk"
         );
         self.deal_chunks(len, sched, weight);
-        let jobs = Self::chunk_ranges(len).zip(rows.chunks_mut(stride));
-        self.run_dealt(&sched.owner, jobs, |(range, row)| f(range, row));
+        let jobs = Self::chunk_ranges(len).zip(slots);
+        self.run_dealt(&sched.owner, jobs, |(range, slot)| f(range, slot));
     }
 
     /// Chunked parallel mutation with one exclusive scratch slot per chunk:
@@ -408,9 +388,9 @@ impl Pool {
     /// `weight` meters each chunk by its range within `data` (e.g.
     /// in-degree sums for a pull kernel writing per-destination slots);
     /// metering and scheduling state are those of
-    /// [`Pool::for_each_chunk_scratch`]. This is the pull half of the
-    /// partition-binned edge_map: destination chunks own disjoint label
-    /// slices and park their activation lists in their slots.
+    /// [`Pool::for_each_chunk_scratch`]. This is the pull edge_map's sweep:
+    /// destination chunks own disjoint label slices and park their
+    /// activation lists in their slots.
     ///
     /// # Panics
     ///
@@ -429,53 +409,9 @@ impl Pool {
             "one scratch slot per chunk"
         );
         self.deal_chunks(data.len(), sched, weight);
-        self.for_each_slice_mut(data, width, &sched.owner, scratch, |i, chunk, slot| {
+        let jobs = data.chunks_mut(width).zip(scratch).enumerate();
+        self.run_dealt(&sched.owner, jobs, |(i, (chunk, slot))| {
             f(i * width, chunk, slot)
-        });
-    }
-
-    /// Parallel sweep over fixed-width *partitions* of `data`: partition
-    /// `p` owns the exclusive slice `data[p*part_len..(p+1)*part_len]`
-    /// (the last one may be shorter) plus its scratch slot, and runs
-    /// `f(p, p*part_len, slice, slot)`. Partitions are dealt to workers by
-    /// the same LPT greedy as chunks, over the caller-declared
-    /// `part_weights` — but this entry point is **not metered**: it is the
-    /// drain half of the partition-binned edge_map, whose flat equivalent
-    /// (the sequential candidate fold) was never charged to the work meter
-    /// either. Metering it would make binned and flat runs disagree on
-    /// `max_work_units`, breaking report-fingerprint parity.
-    ///
-    /// Determinism: partitions own disjoint destination ranges, so the
-    /// outcome is identical to the ascending-`p` sequential sweep at any
-    /// thread count — which is exactly what a single-partition call
-    /// (`part_len >= data.len()`) degenerates to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `part_len` is zero or `part_weights`/`scratch` have fewer
-    /// entries than partitions.
-    pub fn for_each_part_mut<T: Send, S: Send>(
-        &self,
-        data: &mut [T],
-        part_len: usize,
-        part_weights: &[u64],
-        scratch: &mut [S],
-        f: impl Fn(usize, usize, &mut [T], &mut S) + Sync,
-    ) {
-        assert!(part_len > 0, "partition width must be positive");
-        let num_parts = data.len().div_ceil(part_len);
-        assert!(part_weights.len() >= num_parts, "one weight per partition");
-        assert!(scratch.len() >= num_parts, "one scratch slot per partition");
-        // Dealt only when the partitions can spread over threads, so the
-        // inline path allocates nothing; a spawning call allocates for its
-        // threads anyway.
-        let mut sched = SchedScratch::new();
-        if self.spawns() {
-            sched.weights.extend_from_slice(&part_weights[..num_parts]);
-            sched.deal(self.threads);
-        }
-        self.for_each_slice_mut(data, part_len, &sched.owner, scratch, |p, slice, slot| {
-            f(p, p * part_len, slice, slot)
         });
     }
 
@@ -490,9 +426,8 @@ impl Pool {
             len,
             &mut SchedScratch::new(),
             &mut slots,
-            1,
             |r| r.len() as u64,
-            |r, slot| slot[0] = Some(f(r)),
+            |r, slot| *slot = Some(f(r)),
         );
         slots
             .into_iter()
@@ -592,14 +527,7 @@ mod tests {
     /// weights and drains the meter.
     fn metered(pool: &Pool, len: usize, weight: impl Fn(Range<usize>) -> u64 + Sync) -> WorkSplit {
         let mut rows = vec![(); Pool::num_chunks(len)];
-        pool.for_each_chunk_scratch(
-            len,
-            &mut SchedScratch::new(),
-            &mut rows,
-            1,
-            weight,
-            |_, _| {},
-        );
+        pool.for_each_chunk_scratch(len, &mut SchedScratch::new(), &mut rows, weight, |_, _| {});
         pool.drain_work()
     }
 
@@ -715,35 +643,6 @@ mod tests {
                 crit: 100
             }
         );
-    }
-
-    #[test]
-    fn part_deal_isolates_the_hub_partition() {
-        // The same profile through the unmetered partition drain, with the
-        // hub in the middle: the heaviest partition goes to worker 0 — the
-        // calling thread — alone, and the seven light ones share the three
-        // spawned workers.
-        let pool = Pool::new(4);
-        let part_len = 100;
-        let weights: Vec<u64> = (0..8).map(|p| if p == 3 { 100 } else { 10 }).collect();
-        let mut data = vec![0u8; 8 * part_len];
-        let mut ran_on = vec![None; 8];
-        pool.for_each_part_mut(
-            &mut data,
-            part_len,
-            &weights,
-            &mut ran_on,
-            |_, _, _, slot| {
-                *slot = Some(std::thread::current().id());
-            },
-        );
-        let caller = std::thread::current().id();
-        let ran_on: Vec<_> = ran_on.into_iter().map(Option::unwrap).collect();
-        for (p, &id) in ran_on.iter().enumerate() {
-            assert_eq!(id == caller, p == 3, "partition {p}");
-        }
-        let threads: std::collections::HashSet<_> = ran_on.into_iter().collect();
-        assert_eq!(threads.len(), 4, "hub worker plus three spawned workers");
     }
 
     #[test]
@@ -876,30 +775,19 @@ mod tests {
     fn chunk_scratch_hands_each_chunk_its_own_row() {
         for pool in [Pool::sequential(), Pool::inline(4), Pool::new(4)] {
             let len = 5 * MIN_CHUNK + 3;
-            let chunks = Pool::num_chunks(len);
-            let stride = 3;
-            let mut rows = vec![0usize; chunks * stride];
+            let mut slots = vec![0usize; Pool::num_chunks(len)];
             let mut sched = SchedScratch::new();
             pool.for_each_chunk_scratch(
                 len,
                 &mut sched,
-                &mut rows,
-                stride,
+                &mut slots,
                 |r| r.len() as u64,
-                |range, row| {
-                    assert_eq!(row.len(), stride);
-                    for (k, slot) in row.iter_mut().enumerate() {
-                        *slot = range.start * 10 + range.len() + k;
-                    }
-                },
+                |range, slot| *slot = range.start * 10 + range.len(),
             );
-            let width = chunk_width(len);
-            for i in 0..chunks {
-                let range = i * width..((i + 1) * width).min(len);
-                for k in 0..stride {
-                    assert_eq!(rows[i * stride + k], range.start * 10 + range.len() + k);
-                }
-            }
+            let expected: Vec<usize> = Pool::chunk_ranges(len)
+                .map(|r| r.start * 10 + r.len())
+                .collect();
+            assert_eq!(slots, expected);
         }
     }
 
@@ -937,36 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn part_mut_covers_disjoint_partitions_and_is_unmetered() {
-        for pool in [Pool::sequential(), Pool::inline(4), Pool::new(3)] {
-            let n = 1000usize;
-            let part_len = 256;
-            let parts = n.div_ceil(part_len);
-            let mut data = vec![0u32; n];
-            let mut scratch = vec![0usize; parts];
-            let weights: Vec<u64> = (0..parts as u64).map(|p| p * 11 + 1).collect();
-            pool.for_each_part_mut(
-                &mut data,
-                part_len,
-                &weights,
-                &mut scratch,
-                |p, start, slice, slot| {
-                    assert_eq!(start, p * part_len);
-                    for (i, v) in slice.iter_mut().enumerate() {
-                        *v = (start + i) as u32 + 1;
-                    }
-                    *slot = slice.len();
-                },
-            );
-            for (i, &v) in data.iter().enumerate() {
-                assert_eq!(v as usize, i + 1);
-            }
-            assert_eq!(scratch.iter().sum::<usize>(), n);
-            assert_eq!(pool.drain_work(), WorkSplit::default());
-        }
-    }
-
-    #[test]
     fn sched_scratch_is_reusable_across_geometries() {
         for pool in [Pool::sequential(), Pool::inline(2), Pool::new(2)] {
             let mut sched = SchedScratch::new();
@@ -978,11 +836,10 @@ mod tests {
                     len,
                     &mut sched,
                     &mut rows,
-                    1,
                     |r| r.len() as u64,
                     |range, row| {
-                        row[0].0 = range;
-                        row[0].1 += 1;
+                        row.0 = range;
+                        row.1 += 1;
                     },
                 );
                 let width = chunk_width(len);
@@ -1013,7 +870,7 @@ mod tests {
             let pool = Pool::new(threads);
             let mut sched = SchedScratch::new();
             let mut rows = vec![(); Pool::num_chunks(len)];
-            pool.for_each_chunk_scratch(len, &mut sched, &mut rows, 1, weight, |_, _| {});
+            pool.for_each_chunk_scratch(len, &mut sched, &mut rows, weight, |_, _| {});
             let owner = sched.owner.clone();
             // Worker 0's list runs on the calling thread, worker 1's on a
             // spawned one. The victim is the first job of its list, and
@@ -1023,7 +880,7 @@ mod tests {
                 let failed = AtomicBool::new(false);
                 let done = AtomicUsize::new(0);
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    pool.for_each_chunk_scratch(len, &mut sched, &mut rows, 1, weight, |r, _| {
+                    pool.for_each_chunk_scratch(len, &mut sched, &mut rows, weight, |r, _| {
                         if r.start == victim * MIN_CHUNK {
                             failed.store(true, Ordering::SeqCst);
                             panic!("chunk {victim} fails");

@@ -34,6 +34,6 @@ mod stats;
 pub use blocks::BlockMap;
 pub use build::{local_edge_gids, partition_all, partition_on_host};
 pub use invariants::{check_local_graph, check_partitions, InvariantViolation};
-pub use local::{partition_width, LocalEdge, LocalGraph, TARGET_PART_BYTES};
+pub use local::{LocalEdge, LocalGraph};
 pub use policy::{grid_dims, ParsePolicyError, Policy, PolicyCtx};
 pub use stats::PartitionStats;

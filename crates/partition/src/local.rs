@@ -13,31 +13,6 @@ pub struct LocalEdge {
     pub weight: u32,
 }
 
-/// Target footprint of one destination partition of the binned engine
-/// path: the partition's label slice should fit comfortably in a core's
-/// L2 slice. 256 KiB of 8-byte labels = 32 Ki destination slots.
-pub const TARGET_PART_BYTES: usize = 256 * 1024;
-
-/// Width (in destination slots) of the cache-sized destination partitions
-/// used by the partition-binned gather-scatter path, for a local vertex
-/// space of `n` proxies.
-///
-/// The rule is a pure function of `n` and the fixed [`TARGET_PART_BYTES`]
-/// budget — nothing else — which is what makes partition boundaries (and
-/// therefore bin drain order) deterministic across runs and thread counts:
-///
-/// * a power of two (so `dst -> partition` is a shift, and boundaries are
-///   64-aligned like the exec chunk grid);
-/// * at most `TARGET_PART_BYTES / 8` slots, so a partition's 8-byte label
-///   slice fits the cache budget;
-/// * at least 64 slots, and roughly `n / 8` below the cap, so even small
-///   test graphs split into ~8 partitions and exercise the parallel
-///   drain.
-pub fn partition_width(n: usize) -> usize {
-    let target = n.div_ceil(8).next_power_of_two();
-    target.clamp(64, TARGET_PART_BYTES / 8)
-}
-
 /// Whether two ascending runs share no element (one merge walk).
 fn sorted_runs_are_disjoint(a: &[Gid], b: &[Gid]) -> bool {
     let (mut i, mut j) = (0, 0);
@@ -188,29 +163,6 @@ impl LocalGraph {
     /// Number of proxies on this host (masters + mirrors).
     pub fn num_proxies(&self) -> u32 {
         self.graph.num_nodes()
-    }
-
-    /// Width (in destination slots) of the cache-sized destination
-    /// partitions the binned engine path scatters into — see
-    /// [`partition_width`]. Derived only from [`LocalGraph::num_proxies`]
-    /// and the fixed [`TARGET_PART_BYTES`] budget, so it is deterministic
-    /// across runs, thread counts, and schedules.
-    pub fn part_width(&self) -> usize {
-        partition_width(self.num_proxies() as usize)
-    }
-
-    /// Number of destination partitions under [`LocalGraph::part_width`]
-    /// (at least 1, even for an empty partition).
-    pub fn num_parts(&self) -> usize {
-        (self.num_proxies() as usize)
-            .div_ceil(self.part_width())
-            .max(1)
-    }
-
-    /// Destination partition of `lid` under [`LocalGraph::part_width`].
-    #[inline]
-    pub fn part_of(&self, lid: Lid) -> usize {
-        lid.index() / self.part_width()
     }
 
     /// Number of master proxies.
@@ -616,39 +568,6 @@ mod tests {
                     assert!(lg.sources().len() < lg.num_proxies() as usize);
                     assert_eq!(lg.in_view().sources.capacity(), lg.sources().len());
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn partition_width_is_a_bounded_power_of_two() {
-        for n in [0usize, 1, 63, 64, 500, 4096, 100_000, 1 << 20, 1 << 26] {
-            let w = partition_width(n);
-            assert!(w.is_power_of_two(), "n = {n}: width {w}");
-            assert!(
-                (64..=TARGET_PART_BYTES / 8).contains(&w),
-                "n = {n}: width {w}"
-            );
-            // Pure function of n: boundaries cannot drift between calls.
-            assert_eq!(w, partition_width(n));
-        }
-        // Mid-sized spaces split into ~8 partitions; huge ones are bounded
-        // by the cache budget instead.
-        assert_eq!(partition_width(100_000), 16_384);
-        assert_eq!(partition_width(1 << 26), TARGET_PART_BYTES / 8);
-    }
-
-    #[test]
-    fn part_of_matches_the_boundary_grid() {
-        for lg in sample() {
-            let n = lg.num_proxies() as usize;
-            let width = lg.part_width();
-            assert_eq!(width, partition_width(n));
-            assert_eq!(lg.num_parts(), n.div_ceil(width).max(1));
-            for p in lg.proxies() {
-                let part = lg.part_of(p);
-                assert!(part < lg.num_parts());
-                assert_eq!(part, p.index() / width);
             }
         }
     }

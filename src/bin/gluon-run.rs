@@ -83,10 +83,13 @@ fn parse_args() -> Options {
                 })
             }
             "--hosts" => {
-                opts.hosts = value("--hosts").parse().unwrap_or_else(|_| {
-                    eprintln!("--hosts expects a positive integer");
-                    usage()
-                })
+                opts.hosts = match value("--hosts").parse() {
+                    Ok(hosts) if hosts > 0 => hosts,
+                    _ => {
+                        eprintln!("--hosts expects a positive integer");
+                        usage()
+                    }
+                }
             }
             "--input" => opts.input = Some(value("--input")),
             "--gen" => opts.generator = value("--gen"),
@@ -125,28 +128,20 @@ fn load_graph(o: &Options) -> Csr {
         });
     }
     let parts: Vec<&str> = o.generator.split(':').collect();
+    let field = |text: &str| -> u32 {
+        text.parse().unwrap_or_else(|_| {
+            eprintln!(
+                "generator spec {:?}: {text:?} is not a non-negative integer",
+                o.generator
+            );
+            usage()
+        })
+    };
     match parts.as_slice() {
-        ["rmat", scale, ef] => {
-            let scale = scale.parse().unwrap_or(12);
-            let ef = ef.parse().unwrap_or(16);
-            gen::rmat(scale, ef, Default::default(), o.seed)
-        }
-        ["kron", scale, ef] => gen::kronecker(
-            scale.parse().unwrap_or(12),
-            ef.parse().unwrap_or(16),
-            o.seed,
-        ),
-        ["web", n, deg] => gen::web_like(
-            n.parse().unwrap_or(10_000),
-            deg.parse().unwrap_or(16),
-            2.0,
-            o.seed,
-        ),
-        ["twitter", n, deg] => gen::twitter_like(
-            n.parse().unwrap_or(10_000),
-            deg.parse().unwrap_or(20),
-            o.seed,
-        ),
+        ["rmat", scale, ef] => gen::rmat(field(scale), field(ef), Default::default(), o.seed),
+        ["kron", scale, ef] => gen::kronecker(field(scale), field(ef), o.seed),
+        ["web", n, deg] => gen::web_like(field(n), field(deg), 2.0, o.seed),
+        ["twitter", n, deg] => gen::twitter_like(field(n), field(deg), o.seed),
         other => {
             eprintln!("unknown generator spec {other:?} (want rmat:S:EF, kron:S:EF, web:N:DEG, twitter:N:DEG)");
             usage()

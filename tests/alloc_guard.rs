@@ -343,7 +343,7 @@ fn steady_state_sync_is_allocation_free() {
 
     // Edge-map hot path: with a warmed bin scratch and a stable frontier,
     // a steady push sweep allocates exactly nothing — bins, the chunk
-    // schedule, the per-partition dedup state, and the activation list
+    // schedule, the activation bitmap, and the activation list
     // all recycle at their high-water capacity.
     {
         use gluon_suite::engines::ligra::{self, VertexSubset};

@@ -1,12 +1,10 @@
-//! Parity battery for partition-centric update binning.
+//! Parity battery for push-style update binning.
 //!
-//! The binned hot path scatters candidate updates into cache-sized
-//! destination-partition bins and drains the partitions in parallel.
-//! The contract is *bit-identity with the sequential fold*: each
-//! destination sees its candidates in the same (chunk, edge) order at
-//! any partition width, so labels and activations never depend on the
-//! geometry — from 64-slot partitions up to a single partition spanning
-//! the local id space (the flat fold itself).
+//! The binned hot path scatters candidate updates into one bin per exec
+//! chunk in parallel and drains the bins on the calling thread. The
+//! contract is *bit-identity with the sequential fold*: each destination
+//! sees its candidates in the same (chunk, edge) order at any thread
+//! count, so labels and activations never depend on parallelism.
 
 use gluon_suite::graph::Lid;
 use gluon_suite::substrate::{BinScratch, Pool};
@@ -42,17 +40,13 @@ fn sequential_min_fold(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Varying the target partition width across the whole legal range
-    /// (widths far smaller and far larger than the derived default, the
-    /// default itself, and the single partition `1 << ceil(log2 n)`
-    /// spanning the space) never changes labels or activations: the
-    /// per-destination drain order is (chunk, edge) regardless of
-    /// geometry.
+    /// Any thread count reproduces the sequential fold's labels and
+    /// activations: the drain applies the bins in (chunk, edge) order,
+    /// which is the fold's own order.
     #[test]
-    fn any_partition_width_preserves_the_fold(
+    fn any_thread_count_preserves_the_fold(
         n in 65usize..600,
         seed in any::<u64>(),
-        width_exp in 6u32..=14,
         threads in 1usize..=4,
     ) {
         let mut rng = seed | 1;
@@ -76,35 +70,31 @@ proptest! {
         let (want_labels, want_active) = sequential_min_fold(n, &members, &edges, &init);
 
         let pool = Pool::new(threads);
-        let flat = n.next_power_of_two();
-        for width in [Some(1usize << width_exp), Some(flat), None] {
-            let mut bins: BinScratch<u32> = BinScratch::new();
-            bins.set_width_override(width);
-            let mut labels = init.clone();
-            bins.run(
-                &pool,
-                &members,
-                &mut labels,
-                |m| edges[m.index()].len() as u64,
-                |chunk, labels, sink| {
-                    for &m in chunk {
-                        let lv = labels[m.index()];
-                        for &(dst, w) in &edges[m.index()] {
-                            sink.push(Lid(dst), lv.saturating_add(w));
-                        }
+        let mut bins: BinScratch<u32> = BinScratch::new();
+        let mut labels = init.clone();
+        bins.run(
+            &pool,
+            &members,
+            &mut labels,
+            |m| edges[m.index()].len() as u64,
+            |chunk, labels, sink| {
+                for &m in chunk {
+                    let lv = labels[m.index()];
+                    for &(dst, w) in &edges[m.index()] {
+                        sink.push(Lid(dst), lv.saturating_add(w));
                     }
-                },
-                |_dst, candidate, slot| {
-                    if candidate < *slot {
-                        *slot = candidate;
-                        true
-                    } else {
-                        false
-                    }
-                },
-            );
-            prop_assert_eq!(&labels, &want_labels, "width {:?} diverged", width);
-            prop_assert_eq!(bins.activated(), &want_active[..], "width {:?}", width);
-        }
+                }
+            },
+            |_dst, candidate, slot| {
+                if candidate < *slot {
+                    *slot = candidate;
+                    true
+                } else {
+                    false
+                }
+            },
+        );
+        prop_assert_eq!(&labels, &want_labels, "threads {}", threads);
+        prop_assert_eq!(bins.activated(), &want_active[..], "threads {}", threads);
     }
 }
