@@ -18,9 +18,7 @@ use gluon::{
     CheckpointSnapshot, DenseBitset, FieldSync, GluonContext, MinField, ReadLocation, SumField,
     SyncError, SyncSpec, SyncValue, WriteLocation,
 };
-use gluon_engines::galois;
-use gluon_engines::irgl::IrglEngine;
-use gluon_engines::ligra::{self, VertexSubset};
+use gluon_engines::ligra;
 use gluon_graph::{Gid, Lid};
 use gluon_net::Transport;
 use gluon_partition::LocalGraph;
@@ -214,6 +212,10 @@ impl Default for PagerankConfig {
 /// Distributed pull-style pagerank (the D-Galois/D-IrGL formulation).
 /// Returns per-proxy ranks and the iteration count.
 ///
+/// Every engine runs the same topology-driven pull sweep, so `engine`
+/// does not change the computation; it is kept so every benchmark takes
+/// the same arguments.
+///
 /// Requires [`LocalGraph::build_transpose`] to have run (the pull loop
 /// walks local in-edges).
 pub fn pagerank<T: Transport + ?Sized>(
@@ -243,7 +245,7 @@ pub fn try_pagerank<T: Transport + ?Sized>(
     lg: &LocalGraph,
     ctx: &mut GluonContext<'_, T>,
     cfg: PagerankConfig,
-    engine: EngineKind,
+    _engine: EngineKind,
 ) -> Result<(Vec<f64>, u32), SyncError> {
     let n = lg.num_proxies() as usize;
     let total_nodes = f64::from(lg.global_nodes().max(1));
@@ -293,7 +295,6 @@ pub fn try_pagerank<T: Transport + ?Sized>(
     // Checked out for the whole iteration loop; an error path drops the
     // scratch instead of pooling it (the supervisor rebuilds the context).
     let mut bins = ctx.bin_pool().checkout::<f64>("pagerank_contrib");
-    let mut device = IrglEngine::new(Default::default());
     while iters < cfg.max_iters {
         iters += 1;
         for (out, &u) in outgoing.iter_mut().zip(lg.sources()) {
@@ -314,12 +315,7 @@ pub fn try_pagerank<T: Transport + ?Sized>(
                 .fold(0.0, |sum, &s| sum + outgoing[s as usize]);
             false
         };
-        match engine {
-            EngineKind::Irgl => device.kernel_pull_all(lg, &pool, &mut bins, &mut contrib, gather),
-            EngineKind::Galois | EngineKind::Ligra => {
-                ligra::vertex_map_pull_pooled(lg, &pool, &mut bins, &mut contrib, gather);
-            }
-        }
+        ligra::vertex_map_pull_pooled(lg, &pool, &mut bins, &mut contrib, gather);
         contrib_bits.copy_from_words(lg.in_edge_words());
         // Reduce partial sums to masters; the contributions are consumed
         // there, so no broadcast of `contrib` is ever needed.
@@ -375,7 +371,6 @@ pub fn kcore<T: Transport + ?Sized>(
     lg: &LocalGraph,
     ctx: &mut GluonContext<'_, T>,
     k: u32,
-    engine: EngineKind,
 ) -> (Vec<u32>, u32) {
     let n = lg.num_proxies() as usize;
     // Global (undirected) degree at every master, via the same partial-sum
@@ -391,10 +386,11 @@ pub fn kcore<T: Transport + ?Sized>(
     let mut trim: Vec<u32> = vec![0; n];
     let pool = ctx.pool().clone();
     let mut bins = ctx.bin_pool().checkout::<u32>("kcore_trim");
-    let mut device = IrglEngine::new(Default::default());
-    // Per-round dirty sets, allocated once and cleared per round.
+    // Per-round dirty sets and member list, allocated once and cleared per
+    // round.
     let mut newly_dead = DenseBitset::new(lg.num_proxies());
     let mut trim_bits = DenseBitset::new(lg.num_proxies());
+    let mut dead_list: Vec<Lid> = Vec::new();
     let mut rounds = 0u32;
     let result = loop {
         rounds += 1;
@@ -413,65 +409,27 @@ pub fn kcore<T: Transport + ?Sized>(
             let mut field = CopyField::new(&mut alive);
             ctx.sync(&ALIVE, &mut field, &mut newly_dead);
         }
-        // 3. Every newly dead proxy trims its local neighbors. The chunked
-        // sweep is metered by out-degree.
+        // 3. Every newly dead proxy trims each local neighbor by one, in
+        // one push metered by out-degree.
         trim_bits.clear_all();
-        let dead_list: Vec<Lid> = newly_dead.iter().collect();
-        match engine {
-            EngineKind::Ligra => {
-                let frontier = VertexSubset::from_members(dead_list);
-                ligra::edge_map_push_pooled(
-                    lg,
-                    &frontier,
-                    &pool,
-                    &mut bins,
-                    &mut trim,
-                    |_src, _dst, _w, _trim| Some(1u32),
-                    |_dst, inc, slot| {
-                        *slot += inc;
-                        true
-                    },
-                );
-            }
-            EngineKind::Galois => {
-                galois::do_all_binned(
-                    &pool,
-                    &mut bins,
-                    &dead_list,
-                    &mut trim,
-                    |v| u64::from(lg.out_degree(v)),
-                    |chunk, _trim, sink| {
-                        for &v in chunk {
-                            for e in lg.out_edges(v) {
-                                sink.push(e.dst, 1u32);
-                            }
-                        }
-                    },
-                    |_dst, inc, slot| {
-                        *slot += inc;
-                        true
-                    },
-                );
-            }
-            EngineKind::Irgl => {
-                device.kernel_par_binned(
-                    lg,
-                    &pool,
-                    &mut bins,
-                    &dead_list,
-                    &mut trim,
-                    |v, lg, _trim, sink| {
-                        for e in lg.out_edges(v) {
-                            sink.push(e.dst, 1u32);
-                        }
-                    },
-                    |_dst, inc, slot| {
-                        *slot += inc;
-                        true
-                    },
-                );
-            }
-        }
+        dead_list.clear();
+        dead_list.extend(newly_dead.iter());
+        ligra::vertex_map_push_pooled(
+            lg,
+            &dead_list,
+            &pool,
+            &mut bins,
+            &mut trim,
+            |v, _trim, sink| {
+                for &dst in lg.out_targets(v) {
+                    sink.push(Lid(dst), 1u32);
+                }
+            },
+            |_dst, inc, slot| {
+                *slot += inc;
+                true
+            },
+        );
         for &dst in bins.activated() {
             trim_bits.set(dst);
         }
@@ -511,7 +469,6 @@ pub fn pagerank_push<T: Transport + ?Sized>(
     lg: &LocalGraph,
     ctx: &mut GluonContext<'_, T>,
     cfg: PagerankConfig,
-    engine: EngineKind,
 ) -> (Vec<f64>, u32) {
     let n = lg.num_proxies() as usize;
     let total_nodes = f64::from(lg.global_nodes().max(1));
@@ -536,11 +493,12 @@ pub fn pagerank_push<T: Transport + ?Sized>(
     let mut to_push = vec![0.0f64; n];
     let pool = ctx.pool().clone();
     let mut bins = ctx.bin_pool().checkout::<f64>("pr_push");
-    let mut device = IrglEngine::new(Default::default());
     let max_rounds = cfg.max_iters.saturating_mul(20).max(100);
-    // Per-round dirty sets, allocated once and cleared per round.
+    // Per-round dirty sets and member list, allocated once and cleared per
+    // round.
     let mut push_bits = DenseBitset::new(lg.num_proxies());
     let mut res_bits = DenseBitset::new(lg.num_proxies());
+    let mut frontier: Vec<Lid> = Vec::new();
     let mut rounds = 0u32;
     let result = loop {
         rounds += 1;
@@ -565,73 +523,27 @@ pub fn pagerank_push<T: Transport + ?Sized>(
         // apply in frontier order (ascending lids), so the f64 residual
         // sums fold in the same order at any thread count.
         res_bits.clear_all();
-        let frontier: Vec<Lid> = push_bits.iter().collect();
-        match engine {
-            EngineKind::Ligra => {
-                let subset = VertexSubset::from_members(frontier);
-                ligra::edge_map_push_pooled(
-                    lg,
-                    &subset,
-                    &pool,
-                    &mut bins,
-                    &mut residual,
-                    |src, _dst, _w, _residual| {
-                        let share = to_push[src.index()];
-                        (share != 0.0).then_some(share)
-                    },
-                    |_dst, share, slot| {
-                        *slot += share;
-                        true
-                    },
-                );
-            }
-            EngineKind::Galois => {
-                galois::do_all_binned(
-                    &pool,
-                    &mut bins,
-                    &frontier,
-                    &mut residual,
-                    |v| u64::from(lg.out_degree(v)),
-                    |chunk, _residual, sink| {
-                        for &v in chunk {
-                            let share = to_push[v.index()];
-                            if share == 0.0 {
-                                continue;
-                            }
-                            for e in lg.out_edges(v) {
-                                sink.push(e.dst, share);
-                            }
-                        }
-                    },
-                    |_dst, share, slot| {
-                        *slot += share;
-                        true
-                    },
-                );
-            }
-            EngineKind::Irgl => {
-                device.kernel_par_binned(
-                    lg,
-                    &pool,
-                    &mut bins,
-                    &frontier,
-                    &mut residual,
-                    |v, lg, _residual, sink| {
-                        let share = to_push[v.index()];
-                        if share == 0.0 {
-                            return;
-                        }
-                        for e in lg.out_edges(v) {
-                            sink.push(e.dst, share);
-                        }
-                    },
-                    |_dst, share, slot| {
-                        *slot += share;
-                        true
-                    },
-                );
-            }
-        }
+        frontier.clear();
+        frontier.extend(push_bits.iter());
+        ligra::vertex_map_push_pooled(
+            lg,
+            &frontier,
+            &pool,
+            &mut bins,
+            &mut residual,
+            |v, _residual, sink| {
+                let share = to_push[v.index()];
+                if share != 0.0 {
+                    for &dst in lg.out_targets(v) {
+                        sink.push(Lid(dst), share);
+                    }
+                }
+            },
+            |_dst, share, slot| {
+                *slot += share;
+                true
+            },
+        );
         for &dst in bins.activated() {
             res_bits.set(dst);
         }

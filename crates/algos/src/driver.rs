@@ -1137,7 +1137,7 @@ pub(crate) fn run_workload<T: Transport + ?Sized>(
             (Vec::new(), r, iters)
         }
         Workload::Kcore(k) => {
-            let (alive, rounds) = apps::kcore(lg, ctx, k, engine);
+            let (alive, rounds) = apps::kcore(lg, ctx, k);
             (alive, Vec::new(), rounds)
         }
         Workload::Betweenness => {

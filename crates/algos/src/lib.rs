@@ -36,14 +36,21 @@ pub use launcher::{
 };
 pub use report::{phase_residuals, PhaseResidual, RunReport, REPORT_SCHEMA_VERSION};
 
-/// The shared-memory engine computing each host's partition.
+/// The shared-memory engine computing each host's partition: how a
+/// host schedules its local work each round. Every engine runs the same
+/// sweeps; only the push-style relaxations (bfs, sssp, cc) schedule them
+/// differently (see `minrelax.rs`), and pagerank, k-core and push-style
+/// pagerank compute identically under all three.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum EngineKind {
-    /// Frontier edgeMap/vertexMap with direction optimization (D-Ligra).
+    /// One snapshot sweep per round, pushing or pulling by Ligra's
+    /// frontier-size heuristic (D-Ligra).
     Ligra,
-    /// Asynchronous within-round worklists (D-Galois).
+    /// Push sub-rounds repeated to local quiescence within a round
+    /// (D-Galois).
     Galois,
-    /// Bulk-synchronous GPU-style kernels (D-IrGL).
+    /// One bulk-synchronous snapshot push per round, a GPU-style kernel
+    /// launch: D-Ligra's push without the pull direction (D-IrGL).
     Irgl,
 }
 

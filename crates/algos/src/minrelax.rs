@@ -7,54 +7,59 @@
 //! local compute, then a `WriteAtDestination / ReadAtSource` Gluon sync —
 //! until global quiescence.
 //!
-//! # One kernel
+//! # One kernel, three schedules
 //!
-//! Every push arm runs [`scatter`] per frontier member and [`lower`] per
-//! binned candidate. Only the drain writes labels, so what a scatter reads
-//! *is* the (sub-)round's snapshot; only the Ligra pull sweep, which writes
-//! destinations in place, keeps a (recycled) copy. Frontier and changed
-//! set are two bitsets allocated once per run that swap roles each round.
+//! Every engine runs the same push sweep, [`ligra::vertex_map_push_pooled`]:
+//! [`scatter`] per frontier member, [`lower`] per binned candidate. Only
+//! the drain writes labels, so what a scatter reads *is* the (sub-)round's
+//! snapshot; only the Ligra pull sweep, which writes destinations in place,
+//! keeps a (recycled) copy. Frontier and changed set are two bitsets
+//! allocated once per run that swap roles each round. This is the one
+//! place an [`EngineKind`] changes what a round does:
+//!
+//! - **D-Ligra** sweeps the frontier once per round and picks the direction
+//!   with Ligra's frontier-size heuristic: the push, or the pull over the
+//!   in-edges when the frontier is large.
+//! - **D-Galois** repeats push sub-rounds to local quiescence (the hybrid
+//!   of §5.4): sweep the local frontier, repeat on the activations until
+//!   no label improves.
+//! - **D-IrGL** runs one snapshot push per round: D-Ligra's push without
+//!   the pull direction, a bulk-synchronous kernel launch.
 //!
 //! # What a round scans
 //!
 //! Every arm lists the frontier bitset once per round into one recycled
 //! member list, and everything after that is O(frontier): the Ligra
-//! direction heuristic and push read the list (only a pull round is handed
-//! the bitset, for O(1) membership per in-edge), Galois and IrGL sweep it.
-//! Three passes per round still walk a bitset's words, O(proxies/64) each:
-//! that listing, the `clear_all` of the spent frontier, and the `is_empty`
-//! behind the termination vote (which stops at the first set word).
+//! direction heuristic and the push read the list (only a pull round is
+//! handed the bitset, for O(1) membership per in-edge). Three passes per
+//! round still walk a bitset's words, O(proxies/64) each: that listing, the
+//! `clear_all` of the spent frontier, and the `is_empty` behind the
+//! termination vote (which stops at the first set word).
 //!
 //! # Determinism
 //!
-//! Every engine path drives the context's [`gluon::Pool`] and is
+//! Every schedule drives the context's [`gluon::Pool`] and is
 //! bit-identical at any thread count:
 //!
-//! - **Ligra** keeps the direction heuristic (which depends only on the
-//!   frontier) and runs snapshot (Jacobi) sweeps: candidates are computed
-//!   from the previous round's labels and applied in chunk order. A
-//!   relaxation is not visible to later edges of the same sweep, so
-//!   round counts can differ from an in-sweep-visible execution, but the
-//!   fixpoint labels cannot (monotone min-relaxation has a unique one).
-//! - **Galois** runs deterministic bulk *sub-rounds* to local quiescence:
-//!   sweep the local frontier on the pool, apply the candidate chunks in
-//!   order, repeat until no label improves. This reaches exactly the local
-//!   fixpoint FIFO chaotic relaxation reaches, with the same changed set
-//!   (a label changed iff its final value beats its initial one), so outer
-//!   round counts and wire traffic match the sequential engine. Proxies
-//!   without a local out-edge are marked changed but never swept: they
-//!   emit nothing and weigh nothing on the work meter.
-//! - **IrGL** launches one snapshot kernel per round
-//!   ([`IrglEngine::kernel_par_binned`]), with device work counters unchanged.
+//! - **Ligra** and **IrGL** run snapshot (Jacobi) sweeps: candidates are
+//!   computed from the previous round's labels and applied in chunk
+//!   order. A relaxation is not visible to later edges of the same sweep,
+//!   so round counts can differ from an in-sweep-visible execution, but
+//!   the fixpoint labels cannot (monotone min-relaxation has a unique
+//!   one). Ligra's direction depends only on the frontier.
+//! - **Galois** sub-rounds reach exactly the local fixpoint FIFO chaotic
+//!   relaxation reaches, with the same changed set (a label changed iff
+//!   its final value beats its initial one), so outer round counts and wire
+//!   traffic match the sequential engine. Proxies without a local out-edge
+//!   are marked changed but never swept: they emit nothing and weigh
+//!   nothing on the work meter.
 
 use crate::EngineKind;
 use gluon::{
     BinScratch, BinSink, CheckpointSnapshot, DenseBitset, GluonContext, MinField, Pool,
     ReadLocation, SyncError, SyncSpec, WriteLocation,
 };
-use gluon_engines::irgl::IrglEngine;
-use gluon_engines::ligra::{Direction, VertexSubset};
-use gluon_engines::{galois, ligra};
+use gluon_engines::ligra::{self, Direction, VertexSubset};
 use gluon_graph::{for_each_edge, Lid};
 use gluon_net::Transport;
 use gluon_partition::LocalGraph;
@@ -97,6 +102,27 @@ fn lower(_dst: Lid, candidate: u32, slot: &mut u32) -> bool {
         *slot = candidate;
     }
     improved
+}
+
+/// One snapshot push from `members`: [`scatter`] on the pool, [`lower`] in
+/// chunk order. Read the activations from [`BinScratch::activated`].
+fn push(
+    lg: &LocalGraph,
+    relax: RelaxFn,
+    pool: &Pool,
+    bins: &mut BinScratch<u32>,
+    members: &[Lid],
+    labels: &mut [u32],
+) {
+    ligra::vertex_map_push_pooled(
+        lg,
+        members,
+        pool,
+        bins,
+        labels,
+        |v, labels, sink| scatter(lg, relax, v, labels, sink),
+        lower,
+    );
 }
 
 /// Runs min-relaxation rounds to global quiescence; `labels` and `active`
@@ -165,7 +191,6 @@ fn relax_rounds<T: Transport + ?Sized>(
     mut rounds: u32,
 ) -> Result<u32, SyncError> {
     let n = lg.num_proxies();
-    let mut device = IrglEngine::new(Default::default());
     let mut frontier_buf: Vec<Lid> = Vec::new();
     let mut changed = DenseBitset::new(n);
     // Source labels as of the round's start, for the Ligra pull sweep only.
@@ -175,66 +200,51 @@ fn relax_rounds<T: Transport + ?Sized>(
         // Work model: edges examined this round are metered by the pool
         // (chunk weights = degrees), absorbed into the next phase's stats.
         match engine {
-            EngineKind::Ligra => {
-                // One level-synchronous snapshot edgeMap, applied in chunk
+            EngineKind::Ligra | EngineKind::Irgl => {
+                // One level-synchronous snapshot sweep, applied in chunk
                 // order. The frontier is listed once; the heuristic and the
                 // push read the list, and only a pull round, which tests
-                // membership per in-edge, is handed the bitset.
+                // membership per in-edge, is handed the bitset. IrGL
+                // always pushes.
                 frontier_buf.clear();
                 frontier_buf.extend(active.iter());
                 let listed = VertexSubset::Sparse(std::mem::take(&mut frontier_buf));
-                match ligra::choose_direction(lg, &listed, Direction::Auto) {
-                    Direction::Pull => {
-                        prev.clear();
-                        prev.extend_from_slice(labels);
-                        let frontier = VertexSubset::from_bitset(active);
-                        ligra::edge_map_pull_pooled(
-                            lg,
-                            &frontier,
-                            pool,
-                            bins,
-                            labels,
-                            |src, _dst, w, cur| {
-                                let candidate = relax(prev[src.index()], w);
-                                (candidate < *cur).then_some(candidate)
-                            },
-                        );
-                        active = frontier.into_bitset(n);
-                    }
-                    _ => ligra::vertex_map_push_pooled(
+                let direction = match engine {
+                    EngineKind::Ligra => Direction::Auto,
+                    _ => Direction::Push,
+                };
+                let direction = ligra::choose_direction(lg, &listed, direction);
+                frontier_buf = listed.into_members();
+                if direction == Direction::Pull {
+                    prev.clear();
+                    prev.extend_from_slice(labels);
+                    let frontier = VertexSubset::from_bitset(active);
+                    ligra::edge_map_pull_pooled(
                         lg,
-                        &listed,
+                        &frontier,
                         pool,
                         bins,
                         labels,
-                        |v, labels, sink| scatter(lg, relax, v, labels, sink),
-                        lower,
-                    ),
+                        |src, _dst, w, cur| {
+                            let candidate = relax(prev[src.index()], w);
+                            (candidate < *cur).then_some(candidate)
+                        },
+                    );
+                    active = frontier.into_bitset(n);
+                } else {
+                    push(lg, relax, pool, bins, &frontier_buf, labels);
                 }
-                frontier_buf = listed.into_members();
                 for &dst in bins.activated() {
                     changed.set(dst);
                 }
             }
             EngineKind::Galois => {
-                // Deterministic bulk sub-rounds to local quiescence (the
-                // D-Galois hybrid of §5.4), sweeping only what has out-edges.
+                // Push sub-rounds to local quiescence, sweeping only what
+                // has out-edges.
                 frontier_buf.clear();
                 frontier_buf.extend(active.iter().filter(|&v| lg.has_local_out_edges(v)));
                 while !frontier_buf.is_empty() {
-                    galois::do_all_binned(
-                        pool,
-                        bins,
-                        &frontier_buf,
-                        labels,
-                        |v| u64::from(lg.out_degree(v)),
-                        |chunk, labels, sink| {
-                            for &v in chunk {
-                                scatter(lg, relax, v, labels, sink);
-                            }
-                        },
-                        lower,
-                    );
+                    push(lg, relax, pool, bins, &frontier_buf, labels);
                     frontier_buf.clear();
                     for &dst in bins.activated() {
                         changed.set(dst);
@@ -242,23 +252,6 @@ fn relax_rounds<T: Transport + ?Sized>(
                             frontier_buf.push(dst);
                         }
                     }
-                }
-            }
-            EngineKind::Irgl => {
-                // One bulk snapshot kernel per round.
-                frontier_buf.clear();
-                frontier_buf.extend(active.iter());
-                device.kernel_par_binned(
-                    lg,
-                    pool,
-                    bins,
-                    &frontier_buf,
-                    labels,
-                    |v, lg, labels, sink| scatter(lg, relax, v, labels, sink),
-                    lower,
-                );
-                for &dst in bins.activated() {
-                    changed.set(dst);
                 }
             }
         }

@@ -15,10 +15,9 @@
 //!   thread.
 //! * **A round's fixed cost** — one D-Ligra push round of a 256-member bfs
 //!   frontier (an anti-diagonal) on a 256 × 512 grid host (2¹⁷ proxies,
-//!   the share of one of `bfs-grid-mem`'s two hosts): the direction
-//!   heuristic and the push, handed the frontier as the dense bit set a
-//!   sync leaves, against listing it once first and handing both the
-//!   list. Reported as µs per round.
+//!   the share of one of `bfs-grid-mem`'s two hosts): listing the dense bit
+//!   set a sync leaves, the direction heuristic and the push, both reading
+//!   the list. Reported as µs per round.
 //!
 //! `-- --quick` swaps the rmat16 stand-in for rmat12 and the grid for a
 //! 64 × 128 one so CI can run the whole file in a second; its numbers mean
@@ -170,36 +169,28 @@ fn bench_round(rows: u32, cols: u32) {
     // The drain tests without writing, so every repetition is the same round.
     let lowers = |_dst: Lid, candidate: u32, slot: &mut u32| candidate < *slot;
 
-    let dense = VertexSubset::from_bitset(active.clone());
-    let mut dense_round = || {
-        let direction = ligra::choose_direction(&lg, &dense, Direction::Auto);
-        assert_eq!(direction, Direction::Push);
-        ligra::vertex_map_push_pooled(&lg, &dense, &pool, &mut bins, &mut labels, emit, lowers);
-    };
-    let dense_secs = fastest(|| (0..ROUNDS).for_each(|_| dense_round()));
-    let want = bins.activated().to_vec();
-
     let mut listed_round = || {
         buf.clear();
         buf.extend(active.iter());
         let listed = VertexSubset::Sparse(std::mem::take(&mut buf));
         let direction = ligra::choose_direction(&lg, &listed, Direction::Auto);
         assert_eq!(direction, Direction::Push);
-        ligra::vertex_map_push_pooled(&lg, &listed, &pool, &mut bins, &mut labels, emit, lowers);
         buf = listed.into_members();
+        ligra::vertex_map_push_pooled(&lg, &buf, &pool, &mut bins, &mut labels, emit, lowers);
     };
     let listed_secs = fastest(|| (0..ROUNDS).for_each(|_| listed_round()));
-    assert_eq!(bins.activated(), want, "both paths activate the same");
 
     println!(
         "\nD-Ligra push round, {members}-member frontier on a {rows}x{cols} grid \
          ({n} proxies, {} activations, best of {REPS} x {ROUNDS} rounds)",
-        want.len()
+        bins.activated().len()
     );
     println!("{:>24} {:>10}", "frontier handed as", "us/round");
-    for (path, secs) in [("dense subset", dense_secs), ("listed once", listed_secs)] {
-        println!("{path:>24} {:>10.2}", secs * 1e6 / ROUNDS as f64);
-    }
+    println!(
+        "{:>24} {:>10.2}",
+        "listed once",
+        listed_secs * 1e6 / ROUNDS as f64
+    );
 }
 
 fn main() {

@@ -1,9 +1,10 @@
 //! Figure 9: strong scaling of the distributed GPU system (D-IrGL) across
 //! the device sweep on the rmat28 and kron30 stand-ins.
 //!
-//! Each "GPU" is an emulated device (see `gluon_engines::irgl`); the table
-//! reports the measured wall time, the projected time under the network
-//! cost model, and the communication volume.
+//! Each "GPU" is a host running D-IrGL's schedule (one bulk-synchronous
+//! snapshot push per round over the shared CPU sweeps; there is no device
+//! emulator). The table reports the measured wall time, the projected time
+//! under the α-β network cost model, and the communication volume.
 
 use gluon_algos::{driver, Algorithm, DistConfig, EngineKind};
 use gluon_bench::{inputs, report, scale_from_args, Scale, Table};
@@ -68,7 +69,7 @@ fn main() {
             }
         }
     }
-    table.print("Figure 9: strong scaling of D-IrGL on emulated GPUs");
+    table.print("Figure 9: strong scaling of D-IrGL (one host per GPU)");
     println!();
     println!(
         "geomean speedup from {} to {} devices: {:.2}x",

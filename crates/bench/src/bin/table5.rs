@@ -63,7 +63,7 @@ fn main() {
             table.row(row);
         }
     }
-    table.print("Table 5: projected time (s), 4 emulated GPUs, per partitioning policy");
+    table.print("Table 5: projected time (s), 4 GPU hosts, per partitioning policy");
     println!();
     println!(
         "geomean speedup of best flexible policy over the OEC-only baseline: {:.2}x",

@@ -76,7 +76,6 @@ pub struct BinScratch<V> {
     chunk_active: Vec<Vec<Lid>>,
     frontier_bits: DenseBitset,
     activated: Vec<Lid>,
-    members: Vec<Lid>,
 }
 
 impl<V> Default for BinScratch<V> {
@@ -88,7 +87,6 @@ impl<V> Default for BinScratch<V> {
             chunk_active: Vec::new(),
             frontier_bits: DenseBitset::new(0),
             activated: Vec::new(),
-            members: Vec::new(),
         }
     }
 }
@@ -179,23 +177,6 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
         if any {
             seen.drain_into(activated);
         }
-    }
-
-    /// Moves the recycled member-list buffer out of the scratch (cleared).
-    /// Callers that must materialize a dense frontier as a member slice
-    /// take this buffer, fill it, pass it to [`BinScratch::run`], and put
-    /// it back with [`BinScratch::put_member_buf`] — a move each way, so
-    /// the capacity ratchets across calls instead of re-allocating.
-    pub fn take_member_buf(&mut self) -> Vec<Lid> {
-        let mut buf = std::mem::take(&mut self.members);
-        buf.clear();
-        buf
-    }
-
-    /// Returns the member-list buffer taken by
-    /// [`BinScratch::take_member_buf`].
-    pub fn put_member_buf(&mut self, buf: Vec<Lid>) {
-        self.members = buf;
     }
 
     /// Borrows the pull-side recycled buffers (dense frontier image,

@@ -834,13 +834,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
 
     /// Global sum over hosts (e.g. pagerank residual norms). Timed as
     /// communication.
-    pub fn sum_globally(&mut self, local: f64) -> f64 {
-        self.try_sum_globally(local)
-            .unwrap_or_else(|e| panic!("global sum failed: {e}"))
-    }
-
-    /// As [`GluonContext::sum_globally`], surfacing network failure as an
-    /// error.
     ///
     /// # Errors
     ///

@@ -8,8 +8,7 @@
 //! the hybrid §5.4 argues is the right design for large-scale analytics
 //! (it needs 2–4x fewer rounds than level-synchronous engines).
 
-use gluon::{BinScratch, BinSink, DenseBitset};
-use gluon_exec::Pool;
+use gluon::DenseBitset;
 use gluon_graph::Lid;
 
 /// The engine's work queue: FIFO with membership filtering, so a node is
@@ -97,31 +96,6 @@ pub fn for_each(
         applied += 1;
     }
     applied
-}
-
-/// Deterministic parallel do-all on recycled scratch: fixed
-/// [`gluon_exec::CHUNK`]-sized slices of `items` scatter `(dst, value)`
-/// candidates into one bin per slice via `emit` (which sees the current
-/// `labels` as a shared slice, nothing mutable — `Fn + Sync`), then the
-/// calling thread drains the bins in (chunk, edge) order running
-/// `apply(dst, value, &mut labels[dst])` — the flat sequential fold of the
-/// chunks' candidates. `weight` meters one item's work (typically its
-/// degree) into the pool's seq/critical-path counters; read the ascending
-/// activation list (destinations where `apply` returned `true`) from
-/// [`BinScratch::activated`]. Deterministic local quiescence is built on
-/// top of this: sweep the frontier in bulk, repeat on the activations
-/// until no label changes — monotone operators reach the same fixpoint
-/// FIFO chaotic relaxation does.
-pub fn do_all_binned<T: Sync, V: Copy + Send + Sync + 'static>(
-    pool: &Pool,
-    bins: &mut BinScratch<V>,
-    items: &[Lid],
-    labels: &mut [T],
-    weight: impl Fn(Lid) -> u64 + Sync,
-    emit: impl Fn(&[Lid], &[T], &mut BinSink<'_, V>) + Sync,
-    apply: impl Fn(Lid, V, &mut T) -> bool,
-) {
-    bins.run(pool, items, labels, weight, emit, apply);
 }
 
 /// A delta-stepping priority worklist (Meyer & Sanders): work items carry a
@@ -369,26 +343,24 @@ mod tests {
             }
         });
         for threads in [1, 4, 8] {
-            let pool = Pool::new(threads);
-            let mut bins = BinScratch::<u32>::new();
+            let pool = gluon_exec::Pool::new(threads);
+            let mut bins = gluon::BinScratch::<u32>::new();
             let mut dist = vec![u32::MAX; n as usize];
             dist[0] = 0;
             let mut frontier = vec![Lid(0)];
             while !frontier.is_empty() {
-                do_all_binned(
+                crate::ligra::vertex_map_push_pooled(
+                    &lg,
+                    &frontier,
                     &pool,
                     &mut bins,
-                    &frontier,
                     &mut dist,
-                    |v| u64::from(lg.out_degree(v)),
-                    |chunk, dist, sink| {
-                        for &v in chunk {
-                            let dv = dist[v.index()];
-                            for e in lg.out_edges(v) {
-                                let nd = dv.saturating_add(e.weight);
-                                if nd < dist[e.dst.index()] {
-                                    sink.push(e.dst, nd);
-                                }
+                    |v, dist, sink| {
+                        let dv = dist[v.index()];
+                        for e in lg.out_edges(v) {
+                            let nd = dv.saturating_add(e.weight);
+                            if nd < dist[e.dst.index()] {
+                                sink.push(e.dst, nd);
                             }
                         }
                     },

@@ -3,26 +3,26 @@
 //! The paper's thesis is that the computation engine and the communication
 //! substrate can be decoupled: any shared-memory vertex-programming system
 //! can run each host's partition, with Gluon reconciling proxies between
-//! rounds. This crate provides Rust renditions of the three engines the
-//! paper plugs in:
+//! rounds. The three engines the paper plugs in differ only in how they
+//! schedule local work, so this crate holds one set of sweeps they share:
 //!
-//! * [`ligra`] — frontier-based `edgeMap` with direction optimization
-//!   (→ **D-Ligra**);
-//! * [`galois`] — asynchronous worklist `for_each` with within-round
-//!   chaotic relaxation (→ **D-Galois**);
-//! * [`irgl`] — bulk-synchronous GPU-style kernels (→ **D-IrGL**).
+//! * [`ligra`] — Ligra's `vertexSubset`, the sequential `edgeMap` with
+//!   direction optimization, and the pooled sweeps every engine runs: one
+//!   binned push ([`ligra::vertex_map_push_pooled`]) and the two pulls;
+//! * [`galois`] — Galois' sequential worklists (`for_each`, FIFO and
+//!   delta-stepping).
 //!
-//! All three operate on one host's [`gluon_partition::LocalGraph`] and know
+//! How D-Ligra, D-Galois and D-IrGL schedule these sweeps round by round
+//! lives with the applications (`gluon_algos::minrelax`). Everything here
+//! operates on one host's [`gluon_partition::LocalGraph`] and knows
 //! nothing about other hosts — exactly the property (§2.2's invariant (b))
-//! that lets Gluon drive them unmodified.
+//! that lets Gluon drive it unmodified.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod galois;
-pub mod irgl;
 pub mod ligra;
 
 pub use galois::{for_each, for_each_prioritized, DeltaWorklist, Worklist};
-pub use irgl::{DeviceModel, DeviceStats, IrglEngine, KernelOutput};
 pub use ligra::{edge_map, Direction, EdgeOp, VertexSubset};

@@ -292,89 +292,46 @@ fn edge_map_pull(
     VertexSubset::from_members(next)
 }
 
-/// Binned push `edgeMap` on recycled scratch: the frontier's chunks
-/// scatter `(dst, value)` candidates into one bin per chunk via `candidate`
-/// (which sees the *current* labels as a shared slice: snapshot/Jacobi
-/// semantics — an update is *not* visible to later edges of the same
-/// sweep, unlike [`edge_map`]'s sequential push), then the calling thread
-/// drains the bins in (chunk, edge) order, running `apply(dst, value,
-/// &mut labels[dst])` — the exact operation order of the flat sequential
-/// fold, so labels and activations are bit-identical at any thread count.
+/// Binned push `edgeMap` on recycled scratch — the one push sweep of every
+/// engine. `members` (ascending, deduplicated) is cut into fixed chunks;
+/// `emit(src, labels, sink)` runs once per member and walks the member's
+/// out-edges itself (over [`LocalGraph::out_targets`]), pushing `(dst,
+/// value)` candidates into its chunk's bin. It sees the *current* labels as
+/// a shared slice: snapshot/Jacobi semantics — an update is *not* visible
+/// to later edges of the same sweep, unlike [`edge_map`]'s sequential push.
+/// The calling thread then drains the bins in (chunk, edge) order, running
+/// `apply(dst, value, &mut labels[dst])` — the exact operation order of the
+/// flat sequential fold, so labels and activations are bit-identical at
+/// any thread count. Members are metered by out-degree.
+///
+/// Vertex granularity is the shape an operator wants when part of its
+/// per-edge work is the same for every edge of a source: a relaxation
+/// whose candidate depends only on the source label computes it once per
+/// source instead of once per edge.
 ///
 /// Returns nothing and allocates nothing after warm-up: read the
 /// ascending activation list from [`BinScratch::activated`].
-pub fn edge_map_push_pooled<T: Sync, V: Copy + Send + Sync + 'static>(
-    graph: &LocalGraph,
-    frontier: &VertexSubset,
-    pool: &Pool,
-    bins: &mut BinScratch<V>,
-    labels: &mut [T],
-    candidate: impl Fn(Lid, Lid, u32, &[T]) -> Option<V> + Sync,
-    apply: impl Fn(Lid, V, &mut T) -> bool,
-) {
-    vertex_map_push_pooled(
-        graph,
-        frontier,
-        pool,
-        bins,
-        labels,
-        |src, labels, sink| {
-            for_each_edge(
-                graph.out_targets(src),
-                graph.out_weights(src),
-                |dst, weight| {
-                    let dst = Lid(dst);
-                    if let Some(v) = candidate(src, dst, weight, labels) {
-                        sink.push(dst, v);
-                    }
-                },
-            );
-        },
-        apply,
-    );
-}
-
-/// [`edge_map_push_pooled`] at vertex granularity: `emit(src, labels,
-/// sink)` runs once per frontier member and walks the member's out-edges
-/// itself (over [`LocalGraph::out_targets`]), pushing candidates into
-/// `sink`. This is the shape an operator wants when part of its per-edge
-/// work is the same for every edge of a source — a relaxation whose
-/// candidate depends only on the source label computes it once per
-/// source instead of once per edge. Members are metered by out-degree
-/// and everything else (bins, drain order, activation list, zero
-/// steady-state allocations) is exactly [`edge_map_push_pooled`].
 pub fn vertex_map_push_pooled<T: Sync, V: Copy + Send + Sync + 'static>(
     graph: &LocalGraph,
-    frontier: &VertexSubset,
+    members: &[Lid],
     pool: &Pool,
     bins: &mut BinScratch<V>,
     labels: &mut [T],
     emit: impl Fn(Lid, &[T], &mut BinSink<'_, V>) + Sync,
     apply: impl Fn(Lid, V, &mut T) -> bool,
 ) {
-    let run = |bins: &mut BinScratch<V>, members: &[Lid], labels: &mut [T]| {
-        bins.run(
-            pool,
-            members,
-            labels,
-            |l| u64::from(graph.out_degree(l)),
-            |chunk, labels, sink| {
-                for &src in chunk {
-                    emit(src, labels, sink);
-                }
-            },
-            apply,
-        );
-    };
-    match frontier {
-        VertexSubset::Sparse(v) => run(bins, v, labels),
-        VertexSubset::Dense(b) => {
-            let mut buf = bins.take_member_buf();
-            buf.extend(b.iter());
-            run(bins, &buf, labels);
-            bins.put_member_buf(buf);
-        }
-    }
+    bins.run(
+        pool,
+        members,
+        labels,
+        |l| u64::from(graph.out_degree(l)),
+        |chunk, labels, sink| {
+            for &src in chunk {
+                emit(src, labels, sink);
+            }
+        },
+        apply,
+    );
 }
 
 /// Pull `edgeMap` on recycled scratch: `labels` is split into fixed chunks
@@ -654,14 +611,14 @@ mod tests {
         let mut bins = BinScratch::<u32>::new();
         let mut dist = vec![u32::MAX; lg.num_proxies() as usize];
         dist[0] = 0;
-        let mut frontier = VertexSubset::from_members(vec![Lid(0)]);
+        let mut frontier = vec![Lid(0)];
         let mut level = 1;
         while !frontier.is_empty() {
             let prev = dist.clone();
             match direction {
                 Direction::Pull => edge_map_pull_pooled(
                     &lg,
-                    &frontier,
+                    &VertexSubset::Sparse(frontier),
                     &pool,
                     &mut bins,
                     &mut dist,
@@ -669,15 +626,21 @@ mod tests {
                         (prev[src.index()] != u32::MAX && level < *cur).then_some(level)
                     },
                 ),
-                _ => edge_map_push_pooled(
+                _ => vertex_map_push_pooled(
                     &lg,
                     &frontier,
                     &pool,
                     &mut bins,
                     &mut dist,
-                    |src, dst, _w, _labels| {
-                        (prev[src.index()] != u32::MAX && prev[dst.index()] == u32::MAX)
-                            .then_some(level)
+                    |src, _labels, sink| {
+                        if prev[src.index()] == u32::MAX {
+                            return;
+                        }
+                        for &dst in lg.out_targets(src) {
+                            if prev[dst as usize] == u32::MAX {
+                                sink.push(Lid(dst), level);
+                            }
+                        }
                     },
                     |_dst, v, slot| {
                         if v < *slot {
@@ -689,7 +652,7 @@ mod tests {
                     },
                 ),
             }
-            frontier = VertexSubset::from_members(bins.activated().to_vec());
+            frontier = bins.activated().to_vec();
             level += 1;
         }
         dist
@@ -754,7 +717,7 @@ mod tests {
             let mut bins = BinScratch::<u32>::new();
             let mut dist = vec![u32::MAX; n];
             dist[0] = 0;
-            let mut frontier = VertexSubset::from_members(vec![Lid(0)]);
+            let mut frontier = vec![Lid(0)];
             while !frontier.is_empty() {
                 let prev = dist.clone();
                 let offer = |src: Lid, w: u32, cur: u32| {
@@ -764,19 +727,25 @@ mod tests {
                 match direction {
                     Direction::Pull => edge_map_pull_pooled(
                         &lg,
-                        &frontier,
+                        &VertexSubset::Sparse(frontier),
                         &pool,
                         &mut bins,
                         &mut dist,
                         |src, _dst, w, cur| offer(src, w, *cur),
                     ),
-                    _ => edge_map_push_pooled(
+                    _ => vertex_map_push_pooled(
                         &lg,
                         &frontier,
                         &pool,
                         &mut bins,
                         &mut dist,
-                        |src, dst, w, labels| offer(src, w, labels[dst.index()]),
+                        |src, labels, sink| {
+                            for_each_edge(lg.out_targets(src), lg.out_weights(src), |dst, w| {
+                                if let Some(nd) = offer(src, w, labels[dst as usize]) {
+                                    sink.push(Lid(dst), nd);
+                                }
+                            });
+                        },
                         |_dst, nd, slot| {
                             let lower = nd < *slot;
                             *slot = (*slot).min(nd);
@@ -784,7 +753,7 @@ mod tests {
                         },
                     ),
                 }
-                frontier = VertexSubset::from_members(bins.activated().to_vec());
+                frontier = bins.activated().to_vec();
             }
             assert_eq!(dist, oracle, "{direction:?}");
         }
@@ -916,8 +885,8 @@ mod tests {
     #[test]
     fn a_round_does_not_depend_on_the_frontier_representation() {
         // The same members handed over as a list or as a bit set must pick
-        // the same direction and push the same candidates in the same
-        // order: same labels, same activations, same metered work.
+        // the same direction; the push, which takes the list, must not
+        // depend on the thread count.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let g = gen::rmat(10, 8, Default::default(), 5);
@@ -968,36 +937,103 @@ mod tests {
                 "frontier {i}: size {size}, threshold {threshold}"
             );
 
+            // The push takes the member list, and every pool pushes the same
+            // candidates in the same order: same labels, same activations,
+            // same metered work.
+            let listed = sparse.into_members();
+            let mut want = None;
             for pool in [Pool::sequential(), Pool::inline(4)] {
-                let push = |frontier: &VertexSubset| {
-                    let mut bins = BinScratch::<u32>::new();
-                    let mut labels = labels0.clone();
-                    vertex_map_push_pooled(
-                        &lg,
-                        frontier,
-                        &pool,
-                        &mut bins,
-                        &mut labels,
-                        |v, labels, sink| {
-                            let candidate = labels[v.index()] + 1;
-                            for &dst in lg.out_targets(v) {
-                                if candidate < labels[dst as usize] {
-                                    sink.push(Lid(dst), candidate);
-                                }
+                let mut bins = BinScratch::<u32>::new();
+                let mut labels = labels0.clone();
+                vertex_map_push_pooled(
+                    &lg,
+                    &listed,
+                    &pool,
+                    &mut bins,
+                    &mut labels,
+                    |v, labels, sink| {
+                        let candidate = labels[v.index()] + 1;
+                        for &dst in lg.out_targets(v) {
+                            if candidate < labels[dst as usize] {
+                                sink.push(Lid(dst), candidate);
                             }
-                        },
-                        |_dst, candidate, slot| {
-                            let lower = candidate < *slot;
-                            *slot = (*slot).min(candidate);
-                            lower
-                        },
-                    );
-                    (labels, bins.activated().to_vec(), pool.drain_work())
-                };
-                let (listed, bitset) = (push(&sparse), push(&dense));
-                assert_eq!(listed, bitset, "frontier {i}, {} threads", pool.threads());
-                assert_eq!(listed.2.seq, size - sparse.len() as u64, "metered degrees");
+                        }
+                    },
+                    |_dst, candidate, slot| {
+                        let lower = candidate < *slot;
+                        *slot = (*slot).min(candidate);
+                        lower
+                    },
+                );
+                let got = (labels, bins.activated().to_vec(), pool.drain_work().seq);
+                assert_eq!(got.2, size - listed.len() as u64, "metered degrees");
+                let want = want.get_or_insert_with(|| got.clone());
+                assert_eq!(&got, want, "frontier {i}, {} threads", pool.threads());
             }
+        }
+    }
+
+    #[test]
+    fn kernel_par_binned_is_thread_and_geometry_invariant_and_counts_work() {
+        // One snapshot push launch per round against the sequential FIFO
+        // fixpoint, whose updates are visible within a sweep: it needs
+        // fewer rounds, but a monotone min-relaxation reaches the same
+        // fixpoint. Labels, rounds and the metered degrees must not depend
+        // on the thread count.
+        let g = gen::rmat(7, 6, Default::default(), 11);
+        let lg = single_host(&g);
+        let n = lg.num_proxies() as usize;
+        let mut oracle = vec![u32::MAX; n];
+        oracle[0] = 0;
+        crate::galois::for_each(lg.num_proxies(), [Lid(0)], |v, wl| {
+            for e in lg.out_edges(v) {
+                let nd = oracle[v.index()].saturating_add(1);
+                if nd < oracle[e.dst.index()] {
+                    oracle[e.dst.index()] = nd;
+                    wl.push(e.dst);
+                }
+            }
+        });
+        let mut want_work = None;
+        for threads in [1, 4, 8] {
+            let pool = Pool::new(threads);
+            let mut bins = BinScratch::<u32>::new();
+            let mut dist = vec![u32::MAX; n];
+            dist[0] = 0;
+            let mut wl = vec![Lid(0)];
+            let (mut rounds, mut degrees) = (0u32, 0u64);
+            while !wl.is_empty() {
+                rounds += 1;
+                degrees += wl.iter().map(|&v| u64::from(lg.out_degree(v))).sum::<u64>();
+                vertex_map_push_pooled(
+                    &lg,
+                    &wl,
+                    &pool,
+                    &mut bins,
+                    &mut dist,
+                    |v, labels, sink| {
+                        let nd = labels[v.index()].saturating_add(1);
+                        for &dst in lg.out_targets(v) {
+                            if nd < labels[dst as usize] {
+                                sink.push(Lid(dst), nd);
+                            }
+                        }
+                    },
+                    |_dst, nd, slot| {
+                        let lower = nd < *slot;
+                        *slot = (*slot).min(nd);
+                        lower
+                    },
+                );
+                wl = bins.activated().to_vec();
+            }
+            assert_eq!(dist, oracle, "threads = {threads}");
+            let work = pool.drain_work().seq;
+            assert!(
+                rounds > 1 && work == degrees && work > 0,
+                "threads = {threads}"
+            );
+            assert_eq!(*want_work.get_or_insert((rounds, work)), (rounds, work));
         }
     }
 

@@ -14,7 +14,7 @@
 
 use crate::error::NetError;
 use crate::transport::Transport;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use gluon_trace::Tracer;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -162,77 +162,6 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
             .unwrap_or_else(|e| panic!("barrier failed: {e}"));
     }
 
-    /// All-reduce over opaque fixed-size byte payloads.
-    ///
-    /// `combine(acc, other)` must be associative and commutative. Every host
-    /// receives the same result.
-    ///
-    /// Uses recursive doubling on power-of-two cluster sizes (log₂ n
-    /// rounds, the classic MPI algorithm) and falls back to a
-    /// gather-to-root + broadcast star otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError`] if a peer dies.
-    pub fn try_all_reduce_bytes(
-        &self,
-        value: Bytes,
-        combine: impl Fn(Bytes, Bytes) -> Bytes,
-    ) -> Result<Bytes, NetError> {
-        let n = self.world_size();
-        if n == 1 {
-            return Ok(value);
-        }
-        let rank = self.rank();
-        let epoch = self.next_epoch();
-        if n.is_power_of_two() {
-            // Recursive doubling: at step k exchange with the partner that
-            // differs in bit k; both sides hold the combined value after.
-            let mut acc = value;
-            let mut step = 0u32;
-            let mut distance = 1usize;
-            while distance < n {
-                let partner = rank ^ distance;
-                self.transport
-                    .try_send(partner, Self::tag(epoch, step), acc.clone())?;
-                let other = self.transport.try_recv(partner, Self::tag(epoch, step))?;
-                // Combine in rank order so non-commutative float effects
-                // are at least deterministic per pair.
-                acc = if rank < partner {
-                    combine(acc, other)
-                } else {
-                    combine(other, acc)
-                };
-                distance <<= 1;
-                step += 1;
-            }
-            return Ok(acc);
-        }
-        // Gather to rank 0, combine, then broadcast back.
-        if rank == 0 {
-            let mut acc = value;
-            for src in 1..n {
-                let other = self.transport.try_recv(src, Self::tag(epoch, 0))?;
-                acc = combine(acc, other);
-            }
-            for dst in 1..n {
-                self.transport
-                    .try_send(dst, Self::tag(epoch, 1), acc.clone())?;
-            }
-            Ok(acc)
-        } else {
-            self.transport.try_send(0, Self::tag(epoch, 0), value)?;
-            self.transport.try_recv(0, Self::tag(epoch, 1))
-        }
-    }
-
-    /// As [`Communicator::try_all_reduce_bytes`], panicking on network
-    /// failure.
-    pub fn all_reduce_bytes(&self, value: Bytes, combine: impl Fn(Bytes, Bytes) -> Bytes) -> Bytes {
-        self.try_all_reduce_bytes(value, combine)
-            .unwrap_or_else(|e| panic!("all-reduce failed: {e}"))
-    }
-
     /// Encodes `value` into the recycled send buffer of this
     /// (epoch, step) slot, allocating a fresh one only when a consumer
     /// still holds the previous epoch's buffer.
@@ -253,10 +182,12 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
 
     /// All-reduce of a `u64` with the given combiner.
     ///
-    /// Runs the same recursive-doubling / star topology as
-    /// [`Communicator::try_all_reduce_bytes`] (identical combine order),
-    /// but sends from the recycled per-step buffers, so steady-state
-    /// termination detection allocates nothing.
+    /// `combine(acc, other)` must be associative and commutative. Every host
+    /// receives the same result. Uses recursive doubling on power-of-two
+    /// cluster sizes (log₂ n rounds, the classic MPI algorithm) and falls
+    /// back to a gather-to-root + broadcast star otherwise. Sends come from
+    /// recycled per-step buffers, so steady-state termination detection
+    /// allocates nothing.
     ///
     /// # Errors
     ///
@@ -274,8 +205,10 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
         let epoch = self.next_epoch();
         let read = |b: Bytes| u64::from_le_bytes(b[..8].try_into().expect("8-byte payload"));
         if n.is_power_of_two() {
-            // Recursive doubling, combining in rank order per pair — the
-            // byte-level twin in try_all_reduce_bytes documents why.
+            // Recursive doubling: at step k exchange with the partner that
+            // differs in bit k; both sides hold the combined value after.
+            // Combine in rank order so non-commutative float effects are at
+            // least deterministic per pair.
             let mut acc = value;
             let mut step = 0u32;
             let mut distance = 1usize;
@@ -505,43 +438,6 @@ impl<'t, T: Transport + ?Sized> Communicator<'t, T> {
         self.try_broadcast_from(root, value)
             .unwrap_or_else(|e| panic!("broadcast from host {root} failed: {e}"))
     }
-
-    /// Sums per-host `u64` vectors element-wise across the cluster.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError`] if a peer dies.
-    ///
-    /// # Panics
-    ///
-    /// Panics on hosts whose vector lengths disagree.
-    pub fn try_all_reduce_sum_vec(&self, values: &[u64]) -> Result<Vec<u64>, NetError> {
-        let mut buf = BytesMut::with_capacity(values.len() * 8);
-        for v in values {
-            buf.put_u64_le(*v);
-        }
-        let out = self.try_all_reduce_bytes(buf.freeze(), |a, b| {
-            assert_eq!(a.len(), b.len(), "vector lengths disagree across hosts");
-            let mut acc = BytesMut::with_capacity(a.len());
-            for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-                let va = u64::from_le_bytes(ca.try_into().expect("8-byte chunk"));
-                let vb = u64::from_le_bytes(cb.try_into().expect("8-byte chunk"));
-                acc.put_u64_le(va + vb);
-            }
-            acc.freeze()
-        })?;
-        Ok(out
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
-    }
-
-    /// As [`Communicator::try_all_reduce_sum_vec`], panicking on network
-    /// failure.
-    pub fn all_reduce_sum_vec(&self, values: &[u64]) -> Vec<u64> {
-        self.try_all_reduce_sum_vec(values)
-            .unwrap_or_else(|e| panic!("vector all-reduce failed: {e}"))
-    }
 }
 
 #[cfg(test)]
@@ -657,15 +553,6 @@ mod tests {
             comm.broadcast_from(2, v)
         });
         assert!(out.iter().all(|b| &b[..] == b"root"));
-    }
-
-    #[test]
-    fn vector_sum_reduces_elementwise() {
-        let out = on_cluster(3, |ep| {
-            let comm = Communicator::new(ep);
-            comm.all_reduce_sum_vec(&[ep.rank() as u64, 10])
-        });
-        assert!(out.iter().all(|v| v == &vec![3, 30]));
     }
 
     #[test]

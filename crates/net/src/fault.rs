@@ -70,14 +70,6 @@ impl CrashRule {
             ..self
         }
     }
-
-    /// Scopes the rule to supervised attempt `attempt`.
-    pub fn on_attempt(self, attempt: u32) -> CrashRule {
-        CrashRule {
-            attempt: Some(attempt),
-            ..self
-        }
-    }
 }
 
 /// Fault mix for a [`FaultyTransport`]: a corruption probability plus

@@ -33,8 +33,8 @@
 #      hand-off (8 hosts on however few cores), the push kernel and the
 #      partitioning benches run their `--quick` passes (the push kernel's
 #      assertions: metered work, the same activation list from a 1- and a
-#      2-thread pool, and a dense and a listed frontier activating the
-#      same; the partitioning bench's: `partition_on_host`
+#      2-thread pool, and a listed frontier's round choosing the push;
+#      the partitioning bench's: `partition_on_host`
 #      at 2 hosts equal to `partition_all` under CVC and OEC, and each
 #      host's transpose equal to `transpose_by_sort`), and
 #      the benchmark package under perf/ passes its own tests (unit tests
@@ -128,7 +128,7 @@ echo "==> pull_kernel bench --quick (one-host pagerank sweep and f64 encode/deco
 watchdog 120 cargo bench --quiet -p gluon-bench --bench pull_kernel -- --quick
 echo "==> handoff bench --quick (2 and 8 hosts over MemoryTransport: an oversubscribed receive must not hang; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench handoff -- --quick
-echo "==> push_kernel bench --quick (bfs push, activation list at 1 and 2 threads asserted equal, a D-Ligra round from a dense and a listed frontier; 120s watchdog)"
+echo "==> push_kernel bench --quick (bfs push, activation list at 1 and 2 threads asserted equal, a D-Ligra round from a listed frontier; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench push_kernel -- --quick
 echo "==> partitioning bench --quick (partition_on_host at 2 hosts, CVC and OEC on rmat16, equal to partition_all; each host's transpose equal to the reference; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench partitioning -- --quick

@@ -346,25 +346,28 @@ fn steady_state_sync_is_allocation_free() {
     // schedule, the activation bitmap, and the activation list
     // all recycle at their high-water capacity.
     {
-        use gluon_suite::engines::ligra::{self, VertexSubset};
+        use gluon_suite::engines::ligra;
         use gluon_suite::substrate::BinScratch;
         let lg = &gluon_suite::partition::partition_all(graph(), 1, Policy::Cvc)[0];
         let n = lg.num_proxies();
         let members: Vec<Lid> = (0..n).step_by(16).map(Lid).collect();
-        let frontier = VertexSubset::from_members(members);
         let mut shares = vec![0.0f64; n as usize];
         for threads in [1usize, 4] {
             let pool = Pool::inline(threads);
             let mut bins: BinScratch<f64> = BinScratch::new();
             let mut sweep = || {
                 shares.fill(0.0);
-                ligra::edge_map_push_pooled(
+                ligra::vertex_map_push_pooled(
                     lg,
-                    &frontier,
+                    &members,
                     &pool,
                     &mut bins,
                     &mut shares,
-                    |_src, _dst, _w, _shares| Some(0.25f64),
+                    |src, _shares, sink| {
+                        for &dst in lg.out_targets(src) {
+                            sink.push(Lid(dst), 0.25f64);
+                        }
+                    },
                     |_dst, v, slot| {
                         *slot += v;
                         true

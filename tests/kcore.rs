@@ -78,3 +78,47 @@ fn kcore_extremes() {
         .launch();
     assert!(keep.int_labels.iter().all(|&a| a == 1));
 }
+
+/// FNV-1a over the little-endian bytes of every alive flag.
+fn checksum(labels: &[u32]) -> u64 {
+    labels
+        .iter()
+        .flat_map(|l| l.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Recorded before the three engine arms of the trim push were collapsed
+/// into one call: `(policy, alive-flag checksum, rounds, sync bytes, sync
+/// messages, the worst host's metered work units)`, which every engine and
+/// thread count must reproduce.
+const KCORE_RMAT9: [(Policy, u64, u32, u64, u64, u64); 2] = [
+    (Policy::Cvc, 0x43a9_5b3b_0f14_8b34, 7, 3204, 48, 1091),
+    (Policy::Oec, 0x43a9_5b3b_0f14_8b34, 7, 4162, 84, 1374),
+];
+
+/// rmat9 peeled to its 16-core: seven rounds, 47 of 512 nodes left.
+#[test]
+fn kcore_trim_sweep_matches_the_pre_collapse_record() {
+    let g = gen::rmat(9, 8, Default::default(), 64);
+    for (policy, sum, rounds, bytes, messages, work_units) in KCORE_RMAT9 {
+        for engine in EngineKind::ALL {
+            for threads in [1, 4] {
+                let out = driver::Run::kcore(&g, 16)
+                    .hosts(3)
+                    .policy(policy)
+                    .engine(engine)
+                    .threads(threads)
+                    .launch();
+                let ctx = format!("{policy:?} / {engine} / {threads} threads");
+                let got = checksum(&out.int_labels);
+                assert_eq!(got, sum, "{ctx}: alive flags moved (got {got:#018x})");
+                assert_eq!(out.rounds, rounds, "{ctx}: round count");
+                assert_eq!(out.run.total_bytes, bytes, "{ctx}: wire bytes");
+                assert_eq!(out.run.total_messages, messages, "{ctx}: messages");
+                assert_eq!(out.run.max_work_units, work_units, "{ctx}: work units");
+            }
+        }
+    }
+}

@@ -12,14 +12,13 @@ fn run_push(
     graph: &gluon_suite::graph::Csr,
     hosts: usize,
     policy: Policy,
-    engine: EngineKind,
     cfg: PagerankConfig,
 ) -> Vec<f64> {
     let per_host = run_cluster(hosts, |ep| {
         let comm = Communicator::new(ep);
         let lg = partition_on_host(graph, policy, &comm);
         let mut ctx = GluonContext::new(&lg, &comm, OptLevel::OSTI);
-        let (ranks, _) = pagerank_push(&lg, &mut ctx, cfg, engine);
+        let (ranks, _) = pagerank_push(&lg, &mut ctx, cfg);
         lg.masters()
             .map(|m| (lg.gid(m).0, ranks[m.index()]))
             .collect::<Vec<_>>()
@@ -67,7 +66,7 @@ fn push_matches_reference_fixpoint() {
         tolerance: 1e-7,
         max_iters: 300,
     };
-    let push = run_push(&g, 3, Policy::Cvc, EngineKind::Galois, cfg);
+    let push = run_push(&g, 3, Policy::Cvc, cfg);
     let (oracle, _) = reference::pagerank(&g, 0.85, 1e-10, 500);
     for (v, (got, want)) in push.iter().zip(&oracle).enumerate() {
         assert!(
@@ -85,9 +84,9 @@ fn push_and_pull_agree_across_engines() {
         tolerance: 1e-7,
         max_iters: 300,
     };
-    let pull = run_pull(&g, 4, Policy::Oec, EngineKind::Galois, cfg);
+    let push = run_push(&g, 4, Policy::Oec, cfg);
     for engine in EngineKind::ALL {
-        let push = run_push(&g, 4, Policy::Oec, engine, cfg);
+        let pull = run_pull(&g, 4, Policy::Oec, engine, cfg);
         for (v, (a, b)) in push.iter().zip(&pull).enumerate() {
             assert!((a - b).abs() < 1e-4, "{engine} node {v}: {a} vs {b}");
         }
@@ -104,7 +103,7 @@ fn push_works_under_vertex_cuts() {
     };
     let (oracle, _) = reference::pagerank(&g, 0.85, 1e-10, 500);
     for policy in [Policy::Cvc, Policy::Hvc, Policy::Iec] {
-        let push = run_push(&g, 4, policy, EngineKind::Irgl, cfg);
+        let push = run_push(&g, 4, policy, cfg);
         for (v, (got, want)) in push.iter().zip(&oracle).enumerate() {
             assert!(
                 (got - want).abs() < 1e-4,
