@@ -629,7 +629,7 @@ impl<'g> Input<'g> {
 /// backends go through here: an in-process run with the cluster's shared
 /// counters, and every `gluon-host` worker with its own, which the
 /// launcher sums into the parent hub's cluster registry. Memory-backend
-/// runs never increment them, so publication is skipped when all five
+/// runs never increment them, so publication is skipped when all four
 /// are zero. Under a supervisor this runs per attempt and the hub
 /// rebaselines between attempts, so the exported values describe the
 /// final attempt.
@@ -645,7 +645,6 @@ pub(crate) fn publish_socket_counters(hub: &MetricsHub, stats: &NetStats) {
         ),
         ("net_socket_frames_sent", stats.socket_frames_sent()),
         ("net_socket_frames_received", stats.socket_frames_received()),
-        ("net_socket_short_reads", stats.socket_short_reads()),
     ];
     if pairs.iter().all(|(_, v)| *v == 0) {
         return;

@@ -115,19 +115,16 @@ impl Listener {
 
     /// Accepts one connection with the handshake read timeout applied.
     fn accept(&self) -> io::Result<PeerStream> {
-        match self {
+        let stream = match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
-                s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
                 s.set_nodelay(true)?;
-                Ok(PeerStream::Tcp(s))
+                PeerStream::Tcp(s)
             }
-            Listener::Unix(l, _) => {
-                let (s, _) = l.accept()?;
-                s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-                Ok(PeerStream::Unix(s))
-            }
-        }
+            Listener::Unix(l, _) => PeerStream::Unix(l.accept()?.0),
+        };
+        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+        Ok(stream)
     }
 }
 
@@ -149,22 +146,18 @@ fn connect_with_retry(addr: &Addr, stats: &NetStats) -> io::Result<PeerStream> {
     let mut first = true;
     loop {
         let attempt = match addr {
-            Addr::Tcp(a) => TcpStream::connect(a).map(|s| {
-                s.set_nodelay(true)
-                    .and(s.set_read_timeout(Some(HANDSHAKE_TIMEOUT)))?;
-                Ok::<_, io::Error>(PeerStream::Tcp(s))
-            }),
-            Addr::Unix(p) => UnixStream::connect(p).map(|s| {
-                s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-                Ok::<_, io::Error>(PeerStream::Unix(s))
-            }),
+            Addr::Tcp(a) => TcpStream::connect(a).map(PeerStream::Tcp),
+            Addr::Unix(p) => UnixStream::connect(p).map(PeerStream::Unix),
         };
         match attempt {
-            Ok(Ok(stream)) => {
+            Ok(stream) => {
+                if let PeerStream::Tcp(s) = &stream {
+                    s.set_nodelay(true)?;
+                }
+                stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
                 stats.record_socket_connect();
                 return Ok(stream);
             }
-            Ok(Err(e)) => return Err(e),
             Err(e) => {
                 if Instant::now() + backoff > deadline {
                     return Err(io::Error::new(
@@ -187,18 +180,18 @@ fn connect_with_retry(addr: &Addr, stats: &NetStats) -> io::Result<PeerStream> {
 }
 
 fn write_u32(s: &mut PeerStream, v: u32) -> io::Result<()> {
-    write_all(s, &v.to_le_bytes())
+    s.write_all(&v.to_le_bytes())
 }
 
 fn read_u32(s: &mut PeerStream) -> io::Result<u32> {
     let mut b = [0u8; 4];
-    read_exact(s, &mut b)?;
+    s.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
 }
 
 fn write_str(s: &mut PeerStream, v: &str) -> io::Result<()> {
     write_u32(s, v.len() as u32)?;
-    write_all(s, v.as_bytes())
+    s.write_all(v.as_bytes())
 }
 
 fn read_str(s: &mut PeerStream) -> io::Result<String> {
@@ -210,22 +203,8 @@ fn read_str(s: &mut PeerStream) -> io::Result<String> {
         ));
     }
     let mut b = vec![0u8; len];
-    read_exact(s, &mut b)?;
+    s.read_exact(&mut b)?;
     String::from_utf8(b).map_err(|_| io::Error::new(ErrorKind::InvalidData, "non-UTF8 address"))
-}
-
-fn write_all(s: &mut PeerStream, buf: &[u8]) -> io::Result<()> {
-    match s {
-        PeerStream::Tcp(t) => t.write_all(buf),
-        PeerStream::Unix(u) => u.write_all(buf),
-    }
-}
-
-fn read_exact(s: &mut PeerStream, buf: &mut [u8]) -> io::Result<()> {
-    match s {
-        PeerStream::Tcp(t) => t.read_exact(buf),
-        PeerStream::Unix(u) => u.read_exact(buf),
-    }
 }
 
 /// Rank 0's bound rendezvous listener.
@@ -382,7 +361,7 @@ pub fn join(
         *slot = Some(s);
     }
     accept_mesh_into(rank, world, &mesh, &stats, &mut conns)?;
-    Ok(SocketTransport::from_conns(rank, world, conns, stats))
+    SocketTransport::from_conns(rank, world, conns, stats)
 }
 
 /// Accepts mesh connections from every rank above `rank` and builds the
@@ -395,7 +374,7 @@ fn accept_mesh(
 ) -> io::Result<SocketTransport> {
     let mut conns: Vec<Option<PeerStream>> = (0..world).map(|_| None).collect();
     accept_mesh_into(rank, world, &mesh, &stats, &mut conns)?;
-    Ok(SocketTransport::from_conns(rank, world, conns, stats))
+    SocketTransport::from_conns(rank, world, conns, stats)
 }
 
 fn accept_mesh_into(
@@ -709,14 +688,9 @@ mod tests {
                 let got = t.try_recv(peer, i).expect("recv");
                 assert_eq!(got.len(), 100);
             }
-            let s = t.stats().clone();
-            // Sends are asynchronous: the event loop may not have picked
-            // up the last queued frame yet, so wait for the wire counter
-            // to catch up before snapshotting.
-            let deadline = Instant::now() + Duration::from_secs(2);
-            while s.socket_frames_sent() < 10 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // A send has written its frame by the time it returns, so the
+            // wire counters are exact here.
+            let s = t.stats();
             (
                 s.host_sent(t.rank()),
                 s.socket_frames_sent(),

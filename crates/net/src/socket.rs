@@ -10,22 +10,27 @@
 //!
 //! # Architecture
 //!
-//! Each endpoint owns one *event-loop thread* servicing `world - 1`
-//! nonblocking peer connections (established by [`crate::bootstrap`]):
+//! An endpoint holds `world - 1` blocking peer connections (established by
+//! [`crate::bootstrap`]); every wait blocks in the kernel, nothing polls:
 //!
-//! * **Outbound:** [`Transport::try_send`] encodes a frame and appends it
-//!   to the destination's send queue; the loop drains queues into the
-//!   sockets, carrying partial writes across iterations.
-//! * **Inbound:** the loop accumulates bytes per peer, parses complete
-//!   frames, verifies their CRC, and files payloads into the same
-//!   [`Inbox`] index the in-memory backend uses, waking blocked
-//!   receivers through a condvar.
+//! * **Outbound:** [`Transport::try_send`] encodes a frame and writes it
+//!   inline with `write_all`, under the peer's stream lock. The write waits
+//!   at most for the peer's reader thread to take the bytes, never for the
+//!   peer's compute: every reader drains its socket all the time, so two
+//!   hosts writing large frames to each other cannot deadlock.
+//! * **Inbound:** one reader thread per peer (`gluon-sock-{rank}-{peer}`),
+//!   on a clone of the stream, reads a frame's header, then its payload,
+//!   verifies the CRC and files the payload into the same [`Inbox`] index
+//!   the in-memory backend uses, waking blocked receivers through a
+//!   condvar.
 //! * **Supervision:** EOF, a socket error or a frame that fails its CRC
-//!   on a peer connection latches a typed [`NetError::PeerDown`] for that
+//!   ends the reader, which latches a typed [`NetError::PeerDown`] for that
 //!   rank (stamped with the last round reported via
-//!   [`Transport::note_round`]) and wakes every waiter. A dropped
-//!   [`crate::MemoryTransport`] produces the same latch, and every
-//!   operation then follows the same rules (`transport.rs`, "Peer death").
+//!   [`Transport::note_round`]) and wakes every waiter; a failed write
+//!   latches the same error. Frames filed before the latch are delivered
+//!   first, in order. A dropped [`crate::MemoryTransport`] produces the
+//!   same latch, and every operation then follows the same rules
+//!   (`transport.rs`, "Peer death").
 //!
 //! # Frame format
 //!
@@ -37,7 +42,9 @@
 //! which the checkpoint record shares) over the tag bytes followed by the
 //! payload, so neither header corruption nor payload corruption goes
 //! unnoticed even on transports without end-to-end checksums (Unix-domain
-//! sockets).
+//! sockets). `len` itself is not covered, so a reader never sizes a buffer
+//! from it beyond [`READ_RESERVE`]: the payload grows with the bytes that
+//! actually arrive.
 //!
 //! # Counter parity
 //!
@@ -54,15 +61,13 @@ use crate::inbox::Inbox;
 use crate::stats::NetStats;
 use crate::transport::{Envelope, Transport};
 use bytes::Bytes;
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -101,24 +106,16 @@ pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
 /// Frame header size on the wire: `len | tag | crc`, each a `u32` LE.
 pub(crate) const FRAME_HEADER: usize = 12;
 
-/// How long the event loop sleeps when neither reads nor writes made
-/// progress. Short enough to add little latency to a round; long enough
-/// not to burn a core spinning.
-const IDLE_BACKOFF: Duration = Duration::from_micros(50);
-
-/// How long a blocked receiver waits on the condvar before re-checking
-/// for latched peer failures (belt and braces — failures also notify).
-const RECV_POLL: Duration = Duration::from_millis(1);
-
-/// Bound on how long `Drop` waits for the event loop to flush queued
-/// outbound frames to peers that have stopped reading.
-const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+/// The most a reader reserves for a payload on the word of a header alone;
+/// a longer payload grows as its bytes arrive.
+const READ_RESERVE: usize = 64 * 1024;
 
 /// One established peer connection, TCP or Unix-domain.
 ///
-/// Both variants are stream sockets with identical framing; the enum lets
-/// one event loop service either family (and lets tests mix assertions
-/// across both without generics leaking into [`SocketTransport`]).
+/// Both variants are stream sockets with identical framing; the enum keeps
+/// the one `match` on the family here, so the reader, the writer and the
+/// bootstrap serve either without generics leaking into
+/// [`SocketTransport`].
 #[derive(Debug)]
 pub(crate) enum PeerStream {
     /// TCP connection (Nagle disabled by the bootstrap).
@@ -128,35 +125,52 @@ pub(crate) enum PeerStream {
 }
 
 impl PeerStream {
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
+    /// A second handle on the same connection (for the reader thread).
+    fn try_clone(&self) -> io::Result<PeerStream> {
+        Ok(match self {
+            PeerStream::Tcp(s) => PeerStream::Tcp(s.try_clone()?),
+            PeerStream::Unix(s) => PeerStream::Unix(s.try_clone()?),
+        })
+    }
+
+    /// Bounds (or with `None`, unbounds) every blocking read on the
+    /// connection, through any handle.
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
-            PeerStream::Tcp(s) => s.set_nonblocking(nb),
-            PeerStream::Unix(s) => s.set_nonblocking(nb),
+            PeerStream::Tcp(s) => s.set_read_timeout(timeout),
+            PeerStream::Unix(s) => s.set_read_timeout(timeout),
         }
     }
 
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        match self {
+            PeerStream::Tcp(s) => s.shutdown(how),
+            PeerStream::Unix(s) => s.shutdown(how),
+        }
+    }
+}
+
+impl Read for PeerStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             PeerStream::Tcp(s) => s.read(buf),
             PeerStream::Unix(s) => s.read(buf),
         }
     }
+}
 
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+impl Write for PeerStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
             PeerStream::Tcp(s) => s.write(buf),
             PeerStream::Unix(s) => s.write(buf),
         }
     }
-}
 
-/// Per-peer connection state owned by the event-loop thread.
-struct Conn {
-    stream: PeerStream,
-    /// Bytes read off the wire but not yet parsed into complete frames.
-    inbuf: Vec<u8>,
-    /// Encoded frames accepted from send queues but not yet fully written.
-    outbuf: Vec<u8>,
+    fn flush(&mut self) -> io::Result<()> {
+        // Stream sockets buffer nothing in user space.
+        Ok(())
+    }
 }
 
 /// Receiver-visible state: arrived messages plus latched failures.
@@ -167,44 +181,41 @@ struct RecvState {
     dead: Vec<Option<NetError>>,
 }
 
-/// State shared between the endpoint handle and its event-loop thread.
+/// State shared between the endpoint handle and its reader threads.
 struct Shared {
     rank: usize,
     world: usize,
     stats: NetStats,
     state: Mutex<RecvState>,
+    /// Notified on every filed frame and every latched death.
     wake: Condvar,
-    /// Per-peer queues of encoded frames awaiting the event loop.
-    out: Vec<Mutex<VecDeque<Bytes>>>,
     /// Last sync-phase index reported through [`Transport::note_round`];
     /// stamps peer-failure errors for checkpoint rollback decisions.
     round: AtomicU64,
-    /// Set by `Drop`; tells the loop to flush and exit.
-    shutdown: AtomicBool,
 }
 
 impl Shared {
+    fn lock(&self) -> MutexGuard<'_, RecvState> {
+        self.state.lock().expect("socket state lock")
+    }
+
     /// Files one received payload and wakes blocked receivers.
     fn file(&self, src: usize, tag: u32, payload: Bytes) {
-        let mut st = self.state.lock().expect("socket state lock");
-        st.inbox.file(src, tag, payload);
-        drop(st);
+        self.lock().inbox.file(src, tag, payload);
         self.wake.notify_all();
     }
 
-    /// Latches a terminal error for `peer` and wakes every waiter so
-    /// blocked receives return the typed failure promptly.
-    fn mark_dead(&self, peer: usize) {
+    /// Latches a terminal error for `peer`, wakes every waiter so blocked
+    /// receives return the typed failure promptly, and returns the error
+    /// latched first.
+    fn mark_dead(&self, peer: usize) -> NetError {
         let err = NetError::PeerDown {
             peer,
             round: self.round.load(Ordering::Relaxed),
         };
-        let mut st = self.state.lock().expect("socket state lock");
-        if st.dead[peer].is_none() {
-            st.dead[peer] = Some(err);
-        }
-        drop(st);
+        let latched = *self.lock().dead[peer].get_or_insert(err);
         self.wake.notify_all();
+        latched
     }
 }
 
@@ -217,8 +228,10 @@ impl Shared {
 /// format and supervision semantics.
 pub struct SocketTransport {
     shared: Arc<Shared>,
-    /// Event-loop thread; joined (after a bounded flush) on drop.
-    pump: Option<JoinHandle<()>>,
+    /// Write handle per peer rank, `None` at this rank.
+    writers: Vec<Option<Mutex<PeerStream>>>,
+    /// One reader thread per peer; joined on drop.
+    readers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for SocketTransport {
@@ -231,18 +244,25 @@ impl std::fmt::Debug for SocketTransport {
 }
 
 /// Encodes one wire frame: header plus payload (see module docs).
-pub(crate) fn encode_frame(tag: u32, payload: &[u8]) -> Bytes {
+pub(crate) fn encode_frame(tag: u32, payload: &[u8]) -> Vec<u8> {
     let mut f = Vec::with_capacity(FRAME_HEADER + payload.len());
     f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     f.extend_from_slice(&tag.to_le_bytes());
     f.extend_from_slice(&crc32_parts(&[&tag.to_le_bytes(), payload]).to_le_bytes());
     f.extend_from_slice(payload);
-    Bytes::from(f)
+    f
 }
 
 impl SocketTransport {
     /// Wraps established peer connections into a live endpoint and starts
-    /// its event loop. `conns[p]` must be `Some` exactly for `p != rank`.
+    /// one reader thread per peer. `conns[p]` must be `Some` exactly for
+    /// `p != rank`.
+    ///
+    /// # Errors
+    ///
+    /// Clearing a connection's read timeout, cloning its read handle or
+    /// spawning its reader failed. Readers already started are shut down
+    /// and joined first.
     ///
     /// # Panics
     ///
@@ -253,7 +273,7 @@ impl SocketTransport {
         world: usize,
         conns: Vec<Option<PeerStream>>,
         stats: NetStats,
-    ) -> SocketTransport {
+    ) -> io::Result<SocketTransport> {
         assert_eq!(conns.len(), world, "connection table sized for world");
         assert_eq!(stats.world_size(), world, "stats sized for world");
         for (p, c) in conns.iter().enumerate() {
@@ -263,43 +283,39 @@ impl SocketTransport {
                 "exactly the non-self slots must hold connections"
             );
         }
-        let shared = Arc::new(Shared {
-            rank,
-            world,
-            stats,
-            state: Mutex::new(RecvState {
-                inbox: Inbox::new(),
-                dead: vec![None; world],
+        let mut t = SocketTransport {
+            shared: Arc::new(Shared {
+                rank,
+                world,
+                stats,
+                state: Mutex::new(RecvState {
+                    inbox: Inbox::new(),
+                    dead: vec![None; world],
+                }),
+                wake: Condvar::new(),
+                round: AtomicU64::new(0),
             }),
-            wake: Condvar::new(),
-            out: (0..world).map(|_| Mutex::new(VecDeque::new())).collect(),
-            round: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        });
-        let mut table: Vec<Option<Conn>> = conns
-            .into_iter()
-            .map(|c| {
-                c.map(|stream| {
-                    stream
-                        .set_nonblocking(true)
-                        .expect("set peer stream nonblocking");
-                    Conn {
-                        stream,
-                        inbuf: Vec::with_capacity(64 * 1024),
-                        outbuf: Vec::with_capacity(64 * 1024),
-                    }
-                })
-            })
-            .collect();
-        let loop_shared = Arc::clone(&shared);
-        let pump = std::thread::Builder::new()
-            .name(format!("gluon-sock-{rank}"))
-            .spawn(move || event_loop(&loop_shared, &mut table))
-            .expect("spawn socket event loop");
-        SocketTransport {
-            shared,
-            pump: Some(pump),
+            writers: Vec::with_capacity(world),
+            readers: Vec::with_capacity(world),
+        };
+        for (peer, conn) in conns.into_iter().enumerate() {
+            let Some(stream) = conn else {
+                t.writers.push(None);
+                continue;
+            };
+            // The bootstrap bounds its handshake reads; a reader that kept
+            // that bound would take a healthy but idle link down.
+            stream.set_read_timeout(None)?;
+            let reader = stream.try_clone()?;
+            t.writers.push(Some(Mutex::new(stream)));
+            let shared = Arc::clone(&t.shared);
+            t.readers.push(
+                std::thread::Builder::new()
+                    .name(format!("gluon-sock-{rank}-{peer}"))
+                    .spawn(move || read_frames(&shared, peer, reader))?,
+            );
         }
+        Ok(t)
     }
 }
 
@@ -326,20 +342,29 @@ impl Transport for SocketTransport {
             self.shared.file(dst, tag, payload);
             return Ok(());
         }
-        if let Some(err) = self.shared.state.lock().expect("socket state lock").dead[dst] {
+        if let Some(err) = self.shared.lock().dead[dst] {
             // The peer's connection is gone: nothing sent now can arrive.
             return Err(err);
         }
-        self.shared.out[dst]
+        let frame = encode_frame(tag, &payload);
+        let written = self.writers[dst]
+            .as_ref()
+            .expect("a stream to every peer")
             .lock()
-            .expect("socket send queue lock")
-            .push_back(encode_frame(tag, &payload));
-        Ok(())
+            .expect("socket stream lock")
+            .write_all(&frame);
+        match written {
+            Ok(()) => {
+                self.shared.stats.record_socket_frame_sent();
+                Ok(())
+            }
+            Err(_) => Err(self.shared.mark_dead(dst)),
+        }
     }
 
     fn try_recv(&self, src: usize, tag: u32) -> Result<Bytes, NetError> {
         assert!(src < self.shared.world, "source rank out of range");
-        let mut st = self.shared.state.lock().expect("socket state lock");
+        let mut st = self.shared.lock();
         loop {
             // Buffered data outranks failure: frames the peer sent before
             // dying are still delivered in order.
@@ -349,17 +374,12 @@ impl Transport for SocketTransport {
             if let Some(err) = st.dead[src] {
                 return Err(err);
             }
-            st = self
-                .shared
-                .wake
-                .wait_timeout(st, RECV_POLL)
-                .expect("socket state lock")
-                .0;
+            st = self.shared.wake.wait(st).expect("socket state lock");
         }
     }
 
     fn try_recv_any(&self, tag: u32) -> Result<Envelope, NetError> {
-        let mut st = self.shared.state.lock().expect("socket state lock");
+        let mut st = self.shared.lock();
         loop {
             if let Some((src, payload)) = st.inbox.take(None, tag) {
                 return Ok(Envelope { src, tag, payload });
@@ -372,23 +392,12 @@ impl Transport for SocketTransport {
             if let Some(&err) = st.dead.iter().flatten().next() {
                 return Err(err);
             }
-            st = self
-                .shared
-                .wake
-                .wait_timeout(st, RECV_POLL)
-                .expect("socket state lock")
-                .0;
+            st = self.shared.wake.wait(st).expect("socket state lock");
         }
     }
 
     fn try_recv_any_now(&self, tag: u32) -> Result<Option<Envelope>, NetError> {
-        let taken = self
-            .shared
-            .state
-            .lock()
-            .expect("socket state lock")
-            .inbox
-            .take(None, tag);
+        let taken = self.shared.lock().inbox.take(None, tag);
         Ok(taken.map(|(src, payload)| Envelope { src, tag, payload }))
     }
 
@@ -402,157 +411,67 @@ impl Transport for SocketTransport {
 }
 
 impl Drop for SocketTransport {
+    /// Every frame a send wrote is already in the kernel; shutting both
+    /// directions down sends each peer EOF behind those frames and ends
+    /// every reader's blocking read.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
+        for writer in self.writers.iter_mut().flatten() {
+            let stream = writer.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
         }
     }
 }
 
-/// The per-endpoint event loop: drains send queues into the sockets,
-/// parses inbound frames into the stashes, and latches peer failures.
-/// Runs until shutdown is requested and all outbound traffic is flushed
-/// (bounded by [`DRAIN_DEADLINE`]), so frames queued just before teardown
-/// still reach their peers.
-fn event_loop(shared: &Shared, table: &mut [Option<Conn>]) {
-    let mut scratch = [0u8; 64 * 1024];
-    let mut draining_since: Option<Instant> = None;
-    loop {
-        let mut progress = false;
-        for (peer, slot) in table.iter_mut().enumerate() {
-            if peer == shared.rank {
-                continue;
-            }
-            let Some(conn) = slot.as_mut() else {
-                continue;
-            };
-            let alive = service_writes(shared, conn, peer, &mut progress)
-                && service_reads(shared, conn, peer, &mut scratch, &mut progress);
-            if !alive {
-                shared.mark_dead(peer);
-                *slot = None;
-            }
+/// A peer's reader thread: files `peer`'s frames into the inbox until EOF,
+/// a socket error, a short payload or a frame that fails its CRC, then
+/// latches the peer's death. Every frame filed before the latch is taken
+/// ahead of it, so a receiver sees the peer's last frames before
+/// `PeerDown`.
+fn read_frames(shared: &Shared, peer: usize, mut stream: PeerStream) {
+    let mut header = [0u8; FRAME_HEADER];
+    while stream.read_exact(&mut header).is_ok() {
+        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+        let (len, tag, crc) = (word(0), word(4), word(8));
+        let mut payload = Vec::with_capacity((len as usize).min(READ_RESERVE));
+        match (&mut stream).take(u64::from(len)).read_to_end(&mut payload) {
+            Ok(n) if n == len as usize => {}
+            _ => break,
         }
-        if shared.shutdown.load(Ordering::Acquire) {
-            // Pending work must be recomputed *after* observing the
-            // shutdown flag: `Drop` stores it after the caller's last
-            // `try_send`, so any frame enqueued just before teardown is
-            // visible to this check — a flag computed mid-sweep could
-            // predate it and strand the frame.
-            let pending = table.iter().enumerate().any(|(peer, conn)| {
-                conn.as_ref().is_some_and(|c| !c.outbuf.is_empty())
-                    || (conn.is_some()
-                        && !shared.out[peer]
-                            .lock()
-                            .expect("socket send queue lock")
-                            .is_empty())
-            });
-            if !pending {
-                break;
-            }
-            let since = *draining_since.get_or_insert_with(Instant::now);
-            if since.elapsed() > DRAIN_DEADLINE {
-                break;
-            }
-        }
-        if !progress {
-            std::thread::sleep(IDLE_BACKOFF);
-        }
-    }
-}
-
-/// Moves queued frames into the peer's write buffer and writes as much as
-/// the socket accepts. Returns `false` when the connection is broken.
-fn service_writes(shared: &Shared, conn: &mut Conn, peer: usize, progress: &mut bool) -> bool {
-    {
-        let mut q = shared.out[peer].lock().expect("socket send queue lock");
-        while let Some(frame) = q.pop_front() {
-            conn.outbuf.extend_from_slice(&frame);
-            shared.stats.record_socket_frame_sent();
-        }
-    }
-    let mut written = 0;
-    while written < conn.outbuf.len() {
-        match conn.stream.write(&conn.outbuf[written..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                written += n;
-                *progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    conn.outbuf.drain(..written);
-    true
-}
-
-/// Reads whatever the kernel has, parses complete frames into the stash,
-/// and counts a short read when a partial frame stays buffered. Returns
-/// `false` on EOF, a connection error or a frame that fails its CRC.
-fn service_reads(
-    shared: &Shared,
-    conn: &mut Conn,
-    peer: usize,
-    scratch: &mut [u8],
-    progress: &mut bool,
-) -> bool {
-    let mut alive = true;
-    let mut got_data = false;
-    loop {
-        match conn.stream.read(scratch) {
-            Ok(0) => {
-                alive = false;
-                break;
-            }
-            Ok(n) => {
-                conn.inbuf.extend_from_slice(&scratch[..n]);
-                got_data = true;
-                *progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                alive = false;
-                break;
-            }
-        }
-    }
-    let mut consumed = 0;
-    while conn.inbuf.len() - consumed >= FRAME_HEADER {
-        let at = &conn.inbuf[consumed..];
-        let len = u32::from_le_bytes(at[0..4].try_into().expect("len")) as usize;
-        if at.len() < FRAME_HEADER + len {
-            break;
-        }
-        let tag = u32::from_le_bytes(at[4..8].try_into().expect("tag"));
-        let crc = u32::from_le_bytes(at[8..12].try_into().expect("crc"));
-        let payload = &at[FRAME_HEADER..FRAME_HEADER + len];
-        if crc32_parts(&[&tag.to_le_bytes(), payload]) != crc {
+        if crc32_parts(&[&tag.to_le_bytes(), &payload]) != crc {
             // A stream transport should never corrupt, and a stream that
             // did cannot be trusted past this frame: the peer is down.
-            alive = false;
             break;
         }
         shared.stats.record_socket_frame_received();
-        shared.file(peer, tag, Bytes::copy_from_slice(payload));
-        consumed += FRAME_HEADER + len;
+        shared.file(peer, tag, Bytes::from(payload));
     }
-    conn.inbuf.drain(..consumed);
-    if got_data && !conn.inbuf.is_empty() {
-        shared.stats.record_socket_short_read();
-    }
-    // Deliver everything the peer managed to send before closing: frames
-    // already parsed above are in the stash, so marking the peer dead now
-    // cannot reorder data before failure.
-    alive
+    shared.mark_dead(peer);
+    // Whatever ended the stream, the peer sees this end close too.
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rank 0 of a two-host endpoint whose peer is the far end of a
+    /// `UnixStream` pair that the test drives by hand; `ours` is given
+    /// `timeout` as its read timeout first, as the bootstrap does.
+    fn endpoint_with_raw_peer(timeout: Option<Duration>) -> (SocketTransport, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        ours.set_read_timeout(timeout).expect("read timeout");
+        let t = SocketTransport::from_conns(
+            0,
+            2,
+            vec![None, Some(PeerStream::Unix(ours))],
+            NetStats::new(2),
+        )
+        .expect("endpoint");
+        (t, theirs)
+    }
 
     #[test]
     fn frame_roundtrip_layout() {
@@ -580,7 +499,8 @@ mod tests {
             2,
             vec![None, Some(PeerStream::Unix(ours))],
             NetStats::new(2),
-        );
+        )
+        .expect("endpoint");
         let good = encode_frame(5, b"intact");
         let mut bad = encode_frame(5, b"flipped").to_vec();
         bad[FRAME_HEADER] ^= 1;
@@ -591,6 +511,37 @@ mod tests {
             t.try_recv(1, 5),
             Err(NetError::PeerDown { peer: 1, round: 0 })
         );
+    }
+
+    #[test]
+    fn an_idle_link_outlives_the_handshake_timeout() {
+        let (t, mut theirs) = endpoint_with_raw_peer(Some(Duration::from_millis(50)));
+        std::thread::sleep(Duration::from_millis(200));
+        theirs.write_all(&encode_frame(3, b"late")).expect("write");
+        assert_eq!(&t.try_recv(1, 3).expect("the late frame")[..], b"late");
+    }
+
+    #[test]
+    fn a_header_claiming_more_than_arrives_takes_the_peer_down() {
+        let (t, mut theirs) = endpoint_with_raw_peer(None);
+        let mut lie = u32::MAX.to_le_bytes().to_vec();
+        lie.extend_from_slice(&5u32.to_le_bytes());
+        lie.extend_from_slice(&0u32.to_le_bytes());
+        lie.extend_from_slice(&[7u8; 10]);
+        theirs.write_all(&lie).expect("write");
+        drop(theirs);
+        let t = Arc::new(t);
+        let (done, finished) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&t);
+        std::thread::spawn(move || {
+            let _ = done.send(waiter.try_recv(1, 5));
+        });
+        assert_eq!(
+            finished.recv_timeout(Duration::from_secs(10)),
+            Ok(Err(NetError::PeerDown { peer: 1, round: 0 }))
+        );
+        assert_eq!(t.try_recv_any_now(5), Ok(None));
+        assert_eq!(t.stats().socket_frames_received(), 0);
     }
 
     #[test]

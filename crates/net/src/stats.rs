@@ -30,13 +30,11 @@ struct StatsInner {
     /// Connection attempts retried after a refused/failed connect during
     /// bootstrap (backoff loop iterations past the first attempt).
     socket_reconnect_attempts: AtomicU64,
-    /// Framed messages handed to the wire by the event loop.
+    /// Frames a send wrote whole into its peer's socket.
     socket_frames_sent: AtomicU64,
-    /// Framed messages parsed off the wire by the event loop.
+    /// Frames a reader thread took whole off the wire, CRC checked, and
+    /// filed.
     socket_frames_received: AtomicU64,
-    /// Read passes that left a partial frame buffered (frame boundary did
-    /// not align with what the kernel had available).
-    socket_short_reads: AtomicU64,
 }
 
 /// A point-in-time copy of the counters, used to compute per-phase deltas.
@@ -89,7 +87,6 @@ impl NetStats {
                 socket_reconnect_attempts: AtomicU64::new(0),
                 socket_frames_sent: AtomicU64::new(0),
                 socket_frames_received: AtomicU64::new(0),
-                socket_short_reads: AtomicU64::new(0),
             }),
         }
     }
@@ -179,13 +176,6 @@ impl NetStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one read pass that left a partial frame buffered.
-    pub fn record_socket_short_read(&self) {
-        self.inner
-            .socket_short_reads
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Established socket connections so far.
     pub fn socket_connects(&self) -> u64 {
         self.inner.socket_connects.load(Ordering::Relaxed)
@@ -204,11 +194,6 @@ impl NetStats {
     /// Framed messages parsed off the wire so far.
     pub fn socket_frames_received(&self) -> u64 {
         self.inner.socket_frames_received.load(Ordering::Relaxed)
-    }
-
-    /// Read passes that left a partial frame buffered so far.
-    pub fn socket_short_reads(&self) -> u64 {
-        self.inner.socket_short_reads.load(Ordering::Relaxed)
     }
 
     /// Total bytes sent so far across all host pairs.
@@ -343,12 +328,10 @@ mod tests {
         s.record_socket_reconnect_attempt();
         s.record_socket_frame_sent();
         s.record_socket_frame_received();
-        s.record_socket_short_read();
         assert_eq!(s.socket_connects(), 2);
         assert_eq!(s.socket_reconnect_attempts(), 1);
         assert_eq!(s.socket_frames_sent(), 1);
         assert_eq!(s.socket_frames_received(), 1);
-        assert_eq!(s.socket_short_reads(), 1);
         // The transport-independent snapshot schema is untouched: a quiet
         // snapshot still deltas to zero against a fresh one.
         let quiet = NetStats::new(2);

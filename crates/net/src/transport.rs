@@ -109,8 +109,10 @@ pub trait Transport: Send + Sync {
 
     /// Sends `payload` to host `dst` with multiplexing tag `tag`.
     ///
-    /// Sends are asynchronous and never block for peer progress (they may
-    /// copy into a local queue). Sending to self is allowed (the message is
+    /// A send never waits for the peer's compute. The in-memory wire files
+    /// the payload in the peer's mailbox at once; a socket send writes the
+    /// frame inline and may block until the peer's reader thread has taken
+    /// the bytes off the wire. Sending to self is allowed (the message is
     /// delivered through the normal path).
     ///
     /// # Errors

@@ -14,7 +14,8 @@ use gluon_algos::{Algorithm, Run};
 use gluon_graph::gen;
 use gluon_metrics::MetricsHub;
 use gluon_net::{
-    CostModel, MemoryTransport, NetError, NetStats, SocketFactory, SocketKind, Transport,
+    CostModel, MemoryTransport, NetError, NetStats, SocketFactory, SocketKind, SocketTransport,
+    Transport,
 };
 use gluon_partition::Policy;
 use std::time::Duration;
@@ -153,40 +154,81 @@ fn peer_death_script<T: Transport>(survivor: T, doomed: T) {
     assert_eq!(survivor.try_send(1, 5, Bytes::new()), Err(down));
 }
 
-/// Runs [`peer_death_script`] on its own thread: a call that hangs fails
-/// the test after ten seconds, and one that panics fails it at once.
-fn check_peer_death<T: Transport + 'static>(survivor: T, doomed: T, backend: &str) {
+/// Two endpoints of a `kind` socket mesh, bootstrapped in-process.
+fn socket_pair(kind: SocketKind) -> (SocketTransport, SocketTransport) {
+    let factory = SocketFactory::new(kind);
+    let stats = NetStats::new(2);
+    std::thread::scope(|s| {
+        let one = s.spawn(|| factory.endpoint(1, 2, stats.clone(), 0).expect("bootstrap"));
+        let zero = factory.endpoint(0, 2, stats.clone(), 0).expect("bootstrap");
+        (zero, one.join().expect("bootstrap thread"))
+    })
+}
+
+/// Runs `script` on its own thread: a call that hangs fails the test
+/// after ten seconds, and one that panics fails it at once.
+fn within_deadline(what: &str, script: impl FnOnce() + Send + 'static) {
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        peer_death_script(survivor, doomed);
+        script();
         let _ = done.send(());
     });
     match finished.recv_timeout(Duration::from_secs(10)) {
         Ok(()) => {}
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{backend}: a call hung"),
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what}: a call hung"),
         Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-            panic!("{backend}: the script panicked")
+            panic!("{what}: the script panicked")
         }
     }
 }
 
 /// A peer's death is typed identically on both backends: an in-memory
-/// endpoint dropped, and an in-process Unix-socket endpoint closed.
+/// endpoint dropped, and an in-process socket endpoint closed, over Unix
+/// sockets and over TCP (where a close with frames still in flight is
+/// the one that could turn into a reset).
 #[test]
 fn peer_death_is_typed_identically_on_both_backends() {
     let mut eps = MemoryTransport::cluster(2);
     let doomed = eps.pop().expect("endpoint 1");
     let survivor = eps.pop().expect("endpoint 0");
-    check_peer_death(survivor, doomed, "memory");
+    within_deadline("memory", move || peer_death_script(survivor, doomed));
+    for kind in [SocketKind::Unix, SocketKind::Tcp] {
+        let (survivor, doomed) = socket_pair(kind);
+        within_deadline(&format!("{kind:?} socket"), move || {
+            peer_death_script(survivor, doomed)
+        });
+    }
+}
 
-    let factory = SocketFactory::new(SocketKind::Unix);
-    let stats = NetStats::new(2);
-    let (survivor, doomed) = std::thread::scope(|s| {
-        let one = s.spawn(|| factory.endpoint(1, 2, stats.clone(), 0).expect("bootstrap"));
-        let zero = factory.endpoint(0, 2, stats.clone(), 0).expect("bootstrap");
-        (zero, one.join().expect("bootstrap thread"))
-    });
-    check_peer_death(survivor, doomed, "unix socket");
+/// Two hosts that each send a 16 MiB frame to the other before either
+/// receives both get the other's frame intact: a blocked write waits only
+/// for the peer's reader thread, which drains whatever its compute does.
+#[test]
+fn crossing_large_writes_do_not_deadlock() {
+    const LEN: usize = 16 << 20;
+    for kind in [SocketKind::Tcp, SocketKind::Unix] {
+        let (zero, one) = socket_pair(kind);
+        within_deadline(&format!("{kind:?} socket"), move || {
+            std::thread::scope(|s| {
+                for (me, peer) in [(&zero, 1usize), (&one, 0)] {
+                    s.spawn(move || {
+                        let frame: Vec<u8> =
+                            (0..LEN).map(|i| (i % 251) as u8 ^ peer as u8).collect();
+                        me.try_send(peer, 9, Bytes::from(frame)).expect("send");
+                        let got = me.try_recv(peer, 9).expect("recv");
+                        assert_eq!(got.len(), LEN);
+                        let mine = me.rank() as u8;
+                        assert!(
+                            got.iter()
+                                .enumerate()
+                                .all(|(i, &b)| b == (i % 251) as u8 ^ mine),
+                            "the frame from host {peer} arrived corrupted"
+                        );
+                    });
+                }
+            });
+        });
+    }
 }
 
 /// A 4-host pagerank where each host is a separate OS process exchanging
