@@ -62,10 +62,10 @@ pub(crate) const SLOT_RING_CAP: usize = 8;
 /// ratchet up to their high-water marks during warm-up and stay there.
 ///
 /// The receive side lives in [`RecvScratch`], deliberately a separate
-/// struct in a separate vector: the sync schedule keeps the whole
-/// send-side table borrowed by pool workers while the calling thread
-/// files arriving frames into the receive side, and the split is what
-/// makes those two borrows disjoint.
+/// struct in a separate vector: the sync's receive cursor holds the whole
+/// receive-side table mutably for the length of a pattern, while the send
+/// loop borrows each peer's send side in turn between its filings, and
+/// the split is what makes those two borrows disjoint.
 pub(crate) struct PeerScratch<V> {
     /// Positions (indices into the agreed proxy list) of dirty proxies.
     pub updated_pos: Vec<u32>,
@@ -78,16 +78,6 @@ pub(crate) struct PeerScratch<V> {
     /// they must not share buffers). Each ring holds every payload still
     /// awaiting release by its consumer, capped at [`SLOT_RING_CAP`].
     pub send_slots: [Vec<Bytes>; 2],
-    /// Per-call staging: the payload built for this peer. Always `None`
-    /// between calls.
-    pub payload: Option<Bytes>,
-    /// Per-call staging: whether the last built payload reused its slot's
-    /// allocation (a pool hit) or had to allocate fresh (a miss).
-    pub recycled: bool,
-    /// Per-call staging: whether the payload shipped to this peer used
-    /// the dense wire mode — the deferred reset pass needs to know after
-    /// the payload itself has been handed away.
-    pub sent_dense: bool,
 }
 
 impl<V> Default for PeerScratch<V> {
@@ -97,9 +87,6 @@ impl<V> Default for PeerScratch<V> {
             enc: EncodeScratch::default(),
             gid_pairs: Vec::new(),
             send_slots: [Vec::new(), Vec::new()],
-            payload: None,
-            recycled: false,
-            sent_dense: false,
         }
     }
 }
@@ -114,8 +101,7 @@ pub(crate) struct RecvScratch {
     /// comes up. Always `None` between calls.
     pub payload: Option<Bytes>,
     /// Per-call staging: whether this peer's frame has already arrived
-    /// this pattern — the duplicate guard for `recv_any`-based draining
-    /// on unprotected transports.
+    /// this pattern, so a duplicated frame is dropped.
     pub arrived: bool,
 }
 

@@ -549,9 +549,10 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         self.metrics.on_checkpoint();
     }
 
-    /// Installs an intra-host worker pool (builder style). The pool drives
-    /// the sync hot path's extract/encode/decode stages and is what engines
-    /// obtain through [`GluonContext::pool`]; the default is sequential.
+    /// Installs an intra-host worker pool (builder style). Engines obtain
+    /// it through [`GluonContext::pool`], and the context drains its work
+    /// meter into each phase record; the sync itself runs on the calling
+    /// thread. The default is sequential.
     #[must_use]
     pub fn with_pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
@@ -901,15 +902,85 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         self.comm.transport().stats().host_sent(self.rank())
     }
 
-    /// The per-peer accounting tail of the send side — pool hit/miss
-    /// counters and the metrics payload publication (wire mode, bytes,
-    /// size histogram). Every record here is an order-independent sum or
-    /// histogram bump, which is what lets a spawning pool run it in
-    /// payload-completion order and still produce the exact counters of
-    /// a rank-ordered run. Returns the payload, ready to ship.
-    fn account_send_payload<V>(&self, h: usize, ps: &mut PeerScratch<V>) -> Bytes {
-        let payload = ps.payload.take().expect("peer payload was prepared");
-        if ps.recycled {
+    /// Scans the dirty set and builds peer `h`'s wire payload into its
+    /// arena scratch, recycling any buffer in the pattern's send-slot ring
+    /// to which this host holds the only remaining handle, then books the
+    /// pool hit or miss and the payload (wire mode, bytes, size
+    /// histogram). Returns the payload, ready to ship; a retained twin
+    /// stays in the ring.
+    #[allow(clippy::too_many_arguments)]
+    fn prepare_send<F: FieldSync>(
+        &self,
+        h: usize,
+        pat: u32,
+        list: &[Lid],
+        field: &F,
+        updated: &DenseBitset,
+        ps: &mut PeerScratch<F::Value>,
+        prewarm: bool,
+        seg: &mut Segmenter,
+    ) -> Bytes {
+        let PeerScratch {
+            updated_pos,
+            enc,
+            gid_pairs,
+            send_slots,
+        } = ps;
+        let mut fill = |out: &mut Vec<u8>| {
+            self.fill_payload(
+                list,
+                field,
+                updated,
+                updated_pos,
+                enc,
+                gid_pairs,
+                out,
+                seg,
+                h,
+            );
+        };
+        let ring = &mut send_slots[pat as usize];
+        let reuse = ring
+            .iter_mut()
+            .position(|b| b.try_unique_vec().is_some())
+            .map(|i| ring.swap_remove(i));
+        let recycled = reuse.is_some();
+        let payload = match reuse {
+            Some(mut bytes) => {
+                fill(
+                    bytes
+                        .try_unique_vec()
+                        .expect("buffer uniqueness cannot be lost while we hold the sole handle"),
+                );
+                bytes
+            }
+            None => {
+                // Every pooled buffer is still held by a consumer (a lagging
+                // peer, a history log) — or the ring is empty (warm-up).
+                // Build into a fresh buffer and let the ring deepen to the
+                // observed in-flight depth. Same bytes either way. Sized for the
+                // largest body the encoder lays out for this list (a bit-vector
+                // and every value), so building it never regrows the buffer
+                // and strands the outgrown copies in the heap.
+                let v = F::Value::WIRE_BYTES;
+                let mut out = Vec::with_capacity(1 + list.len().div_ceil(8) + list.len() * v);
+                fill(&mut out);
+                if prewarm {
+                    // Consumers can drift deeper only after warm-up, when an
+                    // allocation would break the steady-state contract — so
+                    // the depth is paid now: fill the ring to cap with
+                    // standby buffers at the payload's capacity.
+                    while ring.len() < SLOT_RING_CAP - 1 {
+                        ring.push(Bytes::from(Vec::with_capacity(out.capacity())));
+                    }
+                } else if ring.len() == SLOT_RING_CAP {
+                    ring.remove(0);
+                }
+                Bytes::from(out)
+            }
+        };
+        ring.push(payload.clone());
+        if recycled {
             self.metrics.pool_hit();
         } else {
             self.metrics.pool_miss();
@@ -920,13 +991,68 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
         payload
     }
 
-    /// One reduce or broadcast pattern: each peer's extract→encode→send
-    /// chain issues as soon as its payload is ready, and each arriving
-    /// frame is held until every lower rank's frame has been applied, then
-    /// decoded straight into the field. Rank-ordered apply — plus
-    /// order-independent send accounting and rank-ordered first-error
-    /// selection — is what keeps results bit-identical at every thread
-    /// count and arrival order (see DESIGN.md, "The sync schedule").
+    /// Builds peer `h`'s update batch into `out` and its dirty positions
+    /// into `updated_pos`. Under temporal invariance this is one pass over
+    /// the agreed list and the dirty bits: each dirty entry's value is read
+    /// once, straight into the memoized payload. Otherwise the positions
+    /// are translated to the explicit global-ID encoding — the cost §4.1
+    /// memoizes away.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_payload<F: FieldSync>(
+        &self,
+        list: &[Lid],
+        field: &F,
+        updated: &DenseBitset,
+        updated_pos: &mut Vec<u32>,
+        enc: &mut EncodeScratch,
+        gid_pairs: &mut Vec<(Gid, F::Value)>,
+        out: &mut Vec<u8>,
+        seg: &mut Segmenter,
+        h: usize,
+    ) {
+        seg.stage(Stage::Extract, Some(h));
+        updated_pos.clear();
+        if self.opts.temporal {
+            let mut scan = MemoEncoder::new(list.len(), std::mem::take(out));
+            for (i, &lid) in list.iter().enumerate() {
+                if updated.test(lid) {
+                    updated_pos.push(i as u32);
+                    scan.push(i as u32, field.extract(lid));
+                }
+            }
+            seg.stage(Stage::Encode, Some(h));
+            *out = scan.finish(
+                updated_pos,
+                |p| field.extract(list[p]),
+                self.opts.compress,
+                enc,
+            );
+        } else {
+            updated_pos.extend(
+                list.iter()
+                    .enumerate()
+                    .filter(|&(_, &lid)| updated.test(lid))
+                    .map(|(i, _)| i as u32),
+            );
+            seg.stage(Stage::MemoTranslate, Some(h));
+            gid_pairs.clear();
+            gid_pairs.extend(updated_pos.iter().map(|&p| {
+                let lid = list[p as usize];
+                (self.graph.gid(lid), field.extract(lid))
+            }));
+            seg.stage(Stage::Encode, Some(h));
+            encode_gid_values_into(gid_pairs, out);
+        }
+    }
+
+    /// One reduce or broadcast pattern. For each peer in rank order: build
+    /// its payload, reset the shipped mirrors (reduce only), send, then
+    /// file whatever frames have already arrived and apply each one whose
+    /// turn has come. The drain follows. A frame is held until every lower
+    /// rank's frame has been applied, then decoded straight into the field;
+    /// rank-ordered apply and rank-ordered first-error selection are what
+    /// keep results bit-identical at every thread count and arrival order
+    /// (see DESIGN.md, "The sync schedule").
     #[allow(clippy::too_many_arguments)]
     fn sync_pattern<F: FieldSync>(
         &mut self,
@@ -941,9 +1067,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     ) -> Result<(), SyncError> {
         let rank = self.rank();
         let tag = sync_tag(seq, pat);
-        let temporal = self.opts.temporal;
-        let compress = self.opts.compress;
-        let graph = self.graph;
         let prewarm = fa.rounds < crate::arena::ARENA_WARMUP_ROUNDS;
         let (send_lists, recv_lists) = match role {
             PatternRole::MirrorToMaster => (
@@ -956,119 +1079,30 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             ),
         };
         let FieldArena { peers, recv, .. } = fa;
-        let mut rx = Receiver::new(rank, role, temporal, graph, recv_lists, recv);
+        let mut rx = Receiver::new(rank, role, self.opts.temporal, self.graph, recv_lists, recv);
         let transport = self.comm.transport();
-        if self.pool.spawns() {
-            // Spawning pool: payloads are built on workers, and the
-            // calling thread ships each one the moment it completes —
-            // completion order, not rank order, which is safe because the
-            // payload bytes are fixed per peer and the accounting is
-            // order-independent. Between completions the calling thread
-            // files frames that have already arrived; they are applied once
-            // the workers release the field. The mirror resets are deferred
-            // past the region for the same reason; per-peer reduce lists
-            // are disjoint, so resetting after every extraction has
-            // finished is equivalent to resetting each peer right after
-            // its own extraction.
-            seg.stage(Stage::Extract, None);
-            let field_ref: &F = field;
-            let updated_ref: &DenseBitset = updated;
-            let mut io_err: Option<NetError> = None;
-            self.pool.for_each_scratch_eager(
-                peers,
-                |h, ps| {
-                    if h == rank {
-                        return;
-                    }
-                    let list: &[Lid] = &send_lists[h];
-                    if list.is_empty() {
-                        return;
-                    }
-                    prepare_send_peer::<F>(
-                        graph,
-                        temporal,
-                        compress,
-                        pat,
-                        list,
-                        field_ref,
-                        updated_ref,
-                        ps,
-                        prewarm,
-                        &mut |_| {},
-                    );
-                },
-                |h, ps| {
-                    if h == rank || send_lists[h].is_empty() || io_err.is_some() {
-                        return;
-                    }
-                    let payload = self.account_send_payload(h, ps);
-                    ps.sent_dense = temporal && WireMode::of(&payload) == WireMode::Dense;
-                    seg.stage(Stage::Send, Some(h));
-                    if let Err(e) = transport.try_send(h, tag, payload) {
-                        io_err = Some(e);
-                    }
-                    while rx.pending > 0 && io_err.is_none() {
-                        match transport.try_recv_any_now(tag) {
-                            Ok(Some(env)) => rx.hold(env),
-                            Ok(None) => break,
-                            Err(e) => io_err = Some(e),
-                        }
-                    }
-                    seg.stage(Stage::Extract, None);
-                },
-            );
+        // Applying touches only the receive lists, which are disjoint from
+        // every send list, so it can run between two peers' extractions.
+        for (h, list) in send_lists.iter().enumerate() {
+            if h == rank || list.is_empty() {
+                continue;
+            }
+            let ps = &mut peers[h];
+            let payload = self.prepare_send(h, pat, list, field, updated, ps, prewarm, seg);
             if role == PatternRole::MirrorToMaster {
-                // Deferred mirror resets, in rank order.
-                for (h, list) in send_lists.iter().enumerate() {
-                    if h == rank || list.is_empty() {
-                        continue;
-                    }
-                    seg.stage(Stage::Reset, Some(h));
-                    let ps = &peers[h];
-                    reset_shipped(ps.sent_dense, list, &ps.updated_pos, field, updated);
+                seg.stage(Stage::Reset, Some(h));
+                let dense = self.opts.temporal && WireMode::of(&payload) == WireMode::Dense;
+                reset_shipped(dense, list, &ps.updated_pos, field, updated);
+            }
+            seg.stage(Stage::Send, Some(h));
+            transport.try_send(h, tag, payload)?;
+            while rx.pending > 0 {
+                match transport.try_recv_any_now(tag)? {
+                    Some(env) => rx.hold(env),
+                    None => break,
                 }
             }
-            if let Some(e) = io_err {
-                return Err(SyncError::Net(e));
-            }
-        } else {
-            // Sequential (or inline-parallel) pool: peers are prepared,
-            // reset, and shipped in rank order; after each send, file
-            // whatever already arrived and apply what is next in rank
-            // order before extracting the next peer. Applying touches only
-            // the receive lists, which are disjoint from every send list.
-            for (h, list) in send_lists.iter().enumerate() {
-                if h == rank || list.is_empty() {
-                    continue;
-                }
-                prepare_send_peer::<F>(
-                    graph,
-                    temporal,
-                    compress,
-                    pat,
-                    list,
-                    field,
-                    updated,
-                    &mut peers[h],
-                    prewarm,
-                    &mut |st| seg.stage(st, Some(h)),
-                );
-                let payload = self.account_send_payload(h, &mut peers[h]);
-                if role == PatternRole::MirrorToMaster {
-                    seg.stage(Stage::Reset, Some(h));
-                    let dense = temporal && WireMode::of(&payload) == WireMode::Dense;
-                    reset_shipped(dense, list, &peers[h].updated_pos, field, updated);
-                }
-                seg.stage(Stage::Send, Some(h));
-                transport.try_send(h, tag, payload)?;
-                while rx.pending > 0 {
-                    match transport.try_recv_any_now(tag)? {
-                        Some(env) => rx.hold(env),
-                        None => break,
-                    }
-                }
-                rx.apply_ready(field, updated, seg);
-            }
+            rx.apply_ready(field, updated, seg);
         }
         // Drain the remaining frames; each one is applied as soon as every
         // lower rank's frame has been.
@@ -1091,153 +1125,12 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
     }
 }
 
-/// Scans the dirty set and builds one peer's wire payload into that
-/// peer's arena scratch, recycling any buffer in the pattern's send-slot
-/// ring to which this host holds the only remaining handle. Leaves the
-/// finished payload in `ps.payload` (with a retained twin in the ring)
-/// and records hit/miss in `ps.recycled`.
-///
-/// Free function (not a method) so a spawning pool can run it from its
-/// workers while `self` stays immutably shared; `stage` is the segmenter
-/// hook — a no-op closure in workers, where per-peer wall-clock
-/// attribution would be meaningless.
-#[allow(clippy::too_many_arguments)]
-fn prepare_send_peer<F: FieldSync>(
-    graph: &LocalGraph,
-    temporal: bool,
-    compress: bool,
-    pat: u32,
-    list: &[Lid],
-    field: &F,
-    updated: &DenseBitset,
-    ps: &mut PeerScratch<F::Value>,
-    prewarm: bool,
-    stage: &mut impl FnMut(Stage),
-) {
-    let PeerScratch {
-        updated_pos,
-        enc,
-        gid_pairs,
-        send_slots,
-        payload,
-        recycled,
-        ..
-    } = ps;
-    let mut fill = |out: &mut Vec<u8>| {
-        fill_payload::<F>(
-            graph,
-            temporal,
-            compress,
-            list,
-            field,
-            updated,
-            updated_pos,
-            enc,
-            gid_pairs,
-            out,
-            stage,
-        );
-    };
-    let ring = &mut send_slots[pat as usize];
-    let reuse = ring
-        .iter_mut()
-        .position(|b| b.try_unique_vec().is_some())
-        .map(|i| ring.swap_remove(i));
-    *recycled = reuse.is_some();
-    let bytes = match reuse {
-        Some(mut bytes) => {
-            fill(
-                bytes
-                    .try_unique_vec()
-                    .expect("buffer uniqueness cannot be lost while we hold the sole handle"),
-            );
-            bytes
-        }
-        None => {
-            // Every pooled buffer is still held by a consumer (a lagging
-            // peer, a history log) — or the ring is empty (warm-up).
-            // Build into a fresh buffer and let the ring deepen to the
-            // observed in-flight depth. Same bytes either way. Sized for the
-            // largest body the encoder lays out for this list (a bit-vector
-            // and every value), so building it never regrows the buffer
-            // and strands the outgrown copies in the heap.
-            let v = F::Value::WIRE_BYTES;
-            let mut out = Vec::with_capacity(1 + list.len().div_ceil(8) + list.len() * v);
-            fill(&mut out);
-            if prewarm {
-                // Consumers can drift deeper only after warm-up, when an
-                // allocation would break the steady-state contract — so
-                // the depth is paid now: fill the ring to cap with
-                // standby buffers at the payload's capacity.
-                while ring.len() < SLOT_RING_CAP - 1 {
-                    ring.push(Bytes::from(Vec::with_capacity(out.capacity())));
-                }
-            } else if ring.len() == SLOT_RING_CAP {
-                ring.remove(0);
-            }
-            Bytes::from(out)
-        }
-    };
-    ring.push(bytes.clone());
-    *payload = Some(bytes);
-}
-
-/// Builds one peer's update batch into `out` and its dirty positions into
-/// `updated_pos`. Under temporal invariance this is one pass over the
-/// agreed list and the dirty bits: each dirty entry's value is read once,
-/// straight into the memoized payload. Otherwise the positions are
-/// translated to the explicit global-ID encoding — the cost §4.1 memoizes
-/// away.
-#[allow(clippy::too_many_arguments)]
-fn fill_payload<F: FieldSync>(
-    graph: &LocalGraph,
-    temporal: bool,
-    compress: bool,
-    list: &[Lid],
-    field: &F,
-    updated: &DenseBitset,
-    updated_pos: &mut Vec<u32>,
-    enc: &mut EncodeScratch,
-    gid_pairs: &mut Vec<(Gid, F::Value)>,
-    out: &mut Vec<u8>,
-    stage: &mut impl FnMut(Stage),
-) {
-    stage(Stage::Extract);
-    updated_pos.clear();
-    if temporal {
-        let mut scan = MemoEncoder::new(list.len(), std::mem::take(out));
-        for (i, &lid) in list.iter().enumerate() {
-            if updated.test(lid) {
-                updated_pos.push(i as u32);
-                scan.push(i as u32, field.extract(lid));
-            }
-        }
-        stage(Stage::Encode);
-        *out = scan.finish(updated_pos, |p| field.extract(list[p]), compress, enc);
-    } else {
-        updated_pos.extend(
-            list.iter()
-                .enumerate()
-                .filter(|&(_, &lid)| updated.test(lid))
-                .map(|(i, _)| i as u32),
-        );
-        stage(Stage::MemoTranslate);
-        gid_pairs.clear();
-        gid_pairs.extend(updated_pos.iter().map(|&p| {
-            let lid = list[p as usize];
-            (graph.gid(lid), field.extract(lid))
-        }));
-        stage(Stage::Encode);
-        encode_gid_values_into(gid_pairs, out);
-    }
-}
-
 /// Resets the local copies of the values a reduce payload shipped (they
 /// now live at the master) and deactivates their dirty bits. Dense mode
 /// ships *every* list entry, so reset them all. Per-peer reduce lists are
-/// disjoint (each mirror has exactly one master host), which is what lets
-/// the spawning-pool path defer these resets past the whole extraction
-/// region without changing any later peer's extraction.
+/// disjoint (each mirror has exactly one master host), so resetting one
+/// peer's entries before the next peer's extraction changes nothing that
+/// extraction reads.
 fn reset_shipped<F: FieldSync>(
     dense: bool,
     list: &[Lid],
@@ -1313,8 +1206,8 @@ impl<'r> Receiver<'r> {
         }
     }
 
-    /// Holds an arriving frame until its turn. A duplicate (possible
-    /// under fault injection on an unprotected transport) or stray frame
+    /// Holds an arriving frame until its turn. A duplicate or stray frame
+    /// (no transport here sends one; the receive-path tests inject them)
     /// is consumed and dropped.
     fn hold(&mut self, env: Envelope) {
         let src = env.src;

@@ -27,12 +27,7 @@ use gluon_partition::LocalGraph;
 /// The four methods correspond one-to-one to the `extract` / `reduce` /
 /// `reset` / `set` functions of the paper's reduce and broadcast structures
 /// (Figure 5).
-///
-/// Fields are `Sync` so the runtime's parallel sync path may call
-/// [`FieldSync::extract`] from several worker threads at once (the
-/// mutating methods are only ever called from the sequential apply phase).
-/// Slice-backed fields satisfy this automatically.
-pub trait FieldSync: Sync {
+pub trait FieldSync {
     /// The label type on the wire.
     type Value: SyncValue;
 

@@ -8,9 +8,9 @@ use bytes::BufMut;
 /// relies on [`SyncValue::WIRE_BYTES`] to slice incoming payloads without
 /// any per-value framing.
 ///
-/// Values are `Send + Sync` so the parallel sync path can extract and
-/// encode them from worker threads.
-pub trait SyncValue: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
+/// Values are `Send` because the context's sync arena, which pools
+/// buffers of them, is.
+pub trait SyncValue: Copy + PartialEq + Send + std::fmt::Debug + 'static {
     /// Encoded size in bytes.
     const WIRE_BYTES: usize;
 

@@ -36,18 +36,18 @@
 //! Every primitive is a thin wrapper over one deal and one dispatch core.
 //! It stages one weight per chunk in a [`SchedScratch`]; the deal maps
 //! chunks to workers; the dispatch core runs the per-worker job lists on
-//! `std::thread::scope` threads — the crate's only spawn site —
-//! while the calling thread runs worker 0's list (or, for the eager sync
-//! primitive, the completion-ordered sink). Threads are spawned per call:
+//! `std::thread::scope` threads — the crate's only spawn site — while
+//! the calling thread runs worker 0's list. Threads are spawned per call:
 //! pool lifetime management would buy little here (the chunked loops
 //! dominate), and scoped spawning keeps the closures free to borrow the
-//! caller's stack. For workloads that must not allocate at all (the sync
-//! arena's steady-state guarantee), [`Pool::inline`] builds a pool that
-//! keeps the configured thread count for scheduling and metering — chunk
-//! widths, assignments, and the critical-path meter are exactly those of
-//! the spawning pool — but executes every job on the calling thread, so no
-//! spawn-time allocations (closure boxes, join handles) occur. Results are
-//! bit-identical either way; only wall-clock parallelism differs.
+//! caller's stack. For workloads that must not allocate at all (the
+//! engine sweeps the allocation guard meters), [`Pool::inline`] builds a
+//! pool that keeps the configured thread count for scheduling and
+//! metering — chunk widths, assignments, and the critical-path meter are
+//! exactly those of the spawning pool — but executes every job on the
+//! calling thread, so no spawn-time allocations (closure boxes, join
+//! handles) occur. Results are bit-identical either way; only wall-clock
+//! parallelism differs.
 //!
 //! # Examples
 //!
@@ -71,7 +71,7 @@
 
 use gluon_metrics::ExecMetrics;
 use std::ops::Range;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Maximum chunk width (elements per chunk) for all chunked operations.
 ///
@@ -277,15 +277,10 @@ impl Pool {
         self.threads
     }
 
-    /// Whether more than one worker is configured.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
     /// Whether this pool runs jobs on more than one OS thread (false for
     /// one-worker and [`Pool::inline`] pools).
-    pub fn spawns(&self) -> bool {
-        self.spawn && self.is_parallel()
+    fn spawns(&self) -> bool {
+        self.spawn && self.threads > 1
     }
 
     /// Returns and resets the work metered since the last drain.
@@ -450,69 +445,6 @@ impl Pool {
         self.map_chunks(len, map)
             .into_iter()
             .fold(identity, &mut combine)
-    }
-
-    /// One task per scratch slot with a **completion-ordered sink**:
-    /// workers run `work(i, &mut scratch[i])` over contiguous blocks of
-    /// slots, and the calling thread runs `sink(i, &mut scratch[i])` as
-    /// soon as that slot is done — not after the whole region. This is
-    /// the overlap primitive of the sync schedule: `work` prepares a
-    /// peer's payload, `sink` hands it to the transport while other peers
-    /// are still being prepared. There is no result vector — workers
-    /// write their output *into* their slots. Not metered (sync work is
-    /// accounted as communication, not compute).
-    ///
-    /// Determinism: slot *contents* are deterministic (every index writes
-    /// only its own slot), but the *order* in which `sink` observes
-    /// finished slots is completion order — nondeterministic on a
-    /// spawning pool. Callers must perform
-    /// only order-independent effects in `sink` (tag-routed transport
-    /// sends, commutative counter sums). On a non-spawning pool
-    /// ([`Pool::inline`], [`Pool::sequential`]) the schedule degenerates
-    /// to `work(i)` then `sink(i)` in ascending index order on the
-    /// calling thread, with no channel and no allocations — the
-    /// steady-state path the allocation guard meters.
-    pub fn for_each_scratch_eager<S: Send>(
-        &self,
-        scratch: &mut [S],
-        work: impl Fn(usize, &mut S) + Sync,
-        mut sink: impl FnMut(usize, &mut S),
-    ) {
-        let n = scratch.len();
-        if !self.spawns() || n <= 1 {
-            for (i, s) in scratch.iter_mut().enumerate() {
-                work(i, s);
-                sink(i, s);
-            }
-            return;
-        }
-        // One contiguous block per thread, each with its own sender: a
-        // worker that finishes — or panics — hangs up, so the sink loop
-        // ends once the last block is done either way.
-        let t = self.threads.min(n);
-        let (tx, rx) = mpsc::channel();
-        let mut blocks = Vec::with_capacity(t);
-        let (mut rest, mut start) = (scratch, 0);
-        for b in 0..t {
-            let (head, tail) = rest.split_at_mut(n / t + usize::from(b < n % t));
-            rest = tail;
-            let len = head.len();
-            blocks.push((start, head, tx.clone()));
-            start += len;
-        }
-        drop(tx);
-        dispatch(
-            blocks.into_iter(),
-            &|(start, block, tx)| {
-                for (i, slot) in (start..).zip(block) {
-                    work(i, slot);
-                    // A send fails only once the sink has panicked; the
-                    // scope reports that panic after this block is done.
-                    let _ = tx.send((i, slot));
-                }
-            },
-            || rx.into_iter().for_each(|(i, slot)| sink(i, slot)),
-        );
     }
 }
 
@@ -685,36 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_scratch_eager_sinks_every_slot_exactly_once() {
-        for t in [1, 2, 3, 4, 7] {
-            let mut scratch = vec![0usize; 13];
-            let mut seen = vec![0u32; 13];
-            let mut total = 0usize;
-            Pool::new(t).for_each_scratch_eager(
-                &mut scratch,
-                |i, s| *s = i * i,
-                |i, s| {
-                    seen[i] += 1;
-                    total += *s;
-                },
-            );
-            assert_eq!(scratch, (0..13).map(|i| i * i).collect::<Vec<_>>());
-            assert_eq!(seen, vec![1; 13], "threads = {t}");
-            assert_eq!(total, (0..13).map(|i| i * i).sum::<usize>());
-        }
-    }
-
-    #[test]
-    fn for_each_scratch_eager_is_index_ordered_when_not_spawning() {
-        for pool in [Pool::sequential(), Pool::inline(4)] {
-            let mut scratch = vec![0usize; 9];
-            let mut order = Vec::new();
-            pool.for_each_scratch_eager(&mut scratch, |i, s| *s = i, |i, _| order.push(i));
-            assert_eq!(order, (0..9).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn inline_pool_matches_spawning_pool() {
         let data: Vec<u64> = (0..(3 * CHUNK as u64)).collect();
         let run = |pool: Pool| {
@@ -730,7 +632,7 @@ mod tests {
         assert!(Pool::new(4).spawns());
         assert!(!Pool::new(1).spawns());
         assert!(!Pool::inline(4).spawns());
-        assert!(Pool::inline(4).is_parallel());
+        assert_eq!(Pool::inline(4).threads(), 4);
     }
 
     #[test]
@@ -897,55 +799,6 @@ mod tests {
                     done.load(Ordering::SeqCst),
                     others,
                     "{threads} threads, victim on worker {victim_worker}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn a_panicking_eager_worker_or_sink_surfaces_after_the_workers_finish() {
-        let n = 8;
-        for threads in [2, 4] {
-            for sink_fails in [false, true] {
-                // Slot 0 either fails on its worker or completes at once and
-                // makes the sink fail; every other slot starts only after
-                // the failure.
-                let failed = AtomicBool::new(false);
-                let fail = |what: &str| {
-                    failed.store(true, Ordering::SeqCst);
-                    panic!("{what} fails");
-                };
-                let mut scratch = vec![0usize; n];
-                let done = AtomicUsize::new(0);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    Pool::new(threads).for_each_scratch_eager(
-                        &mut scratch,
-                        |i, _| {
-                            match (i, sink_fails) {
-                                (0, false) => fail("slot 0"),
-                                (0, true) => {}
-                                _ => wait_for(&failed),
-                            }
-                            done.fetch_add(1, Ordering::SeqCst);
-                        },
-                        |_, _| {
-                            if sink_fails {
-                                fail("the sink");
-                            }
-                        },
-                    );
-                }));
-                assert!(
-                    outcome.is_err(),
-                    "{threads} threads, sink fails: {sink_fails}"
-                );
-                // A failing worker abandons the rest of its block (slots
-                // 0..n/threads); a failing sink stops no worker.
-                let expected = if sink_fails { n } else { n - n / threads };
-                assert_eq!(
-                    done.load(Ordering::SeqCst),
-                    expected,
-                    "{threads} threads, sink fails: {sink_fails}"
                 );
             }
         }

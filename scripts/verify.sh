@@ -24,8 +24,8 @@
 #      against the naive reference codec plus the fixed-seed fuzz smoke
 #      (truncations, bit flips, garbage — the decoder must never panic);
 #   8. the allocation guard under --release with the `alloc-meter`
-#      counting allocator: steady-state sync rounds, push sweeps and
-#      bfs rounds allocate nothing;
+#      counting allocator: steady-state sync rounds (under inline and
+#      spawning pools), push sweeps and bfs rounds allocate nothing;
 #   9. every bench compiles (`cargo bench --no-run`), the tracing bench
 #      runs (its zero-cost guard: a disabled record call stays cheap, and
 #      a disabled or an enabled tracer leaves labels and byte/message
@@ -111,7 +111,7 @@ if [[ "$FAST" == "0" ]]; then
     watchdog 600 cargo test -q --release --test run_golden
     echo "==> cargo test --release codec battery (differential oracle + fuzz smoke; 600s watchdog)"
     watchdog 600 cargo test -q --release --test codec_differential --test codec_fuzz --test codec_golden
-    echo "==> cargo test --release --features alloc-meter --test alloc_guard (zero steady-state allocations; 300s watchdog)"
+    echo "==> cargo test --release --features alloc-meter --test alloc_guard (zero steady-state allocations, a spawning pool's sync included; 300s watchdog)"
     watchdog 300 cargo test -q --release --features alloc-meter --test alloc_guard
 else
     echo "==> cargo test -q --workspace (every crate, debug build; 900s watchdog)"

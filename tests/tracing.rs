@@ -7,7 +7,7 @@ use gluon_suite::graph::{gen, max_out_degree_node};
 use gluon_suite::metrics::json::Json;
 use gluon_suite::metrics::MetricsHub;
 use gluon_suite::net::{CrashRule, FaultCounters, FaultPlan, FaultyTransport};
-use gluon_suite::trace::{ChromeTraceBuilder, Stage, Tracer, SETUP_PHASE};
+use gluon_suite::trace::{ChromeTraceBuilder, SpanEvent, Stage, Tracer, SETUP_PHASE};
 use std::collections::HashMap;
 
 /// For every (host, phase) of `out`, the durations of the child spans the
@@ -74,25 +74,49 @@ fn threaded_send_and_decode_spans_still_sum_to_comm_secs() {
     let g = gen::rmat(7, 6, Default::default(), 3);
     let cfg = DistConfig::new(4);
 
-    // On a spawning pool the sends issue in payload-completion order,
-    // interleaved with eager decodes of frames that already arrived: both
-    // stages must be present, attributed as children, and the span-sum
-    // identity must keep holding with them interleaved.
-    let tracer = Tracer::new(cfg.hosts);
-    let out = driver::Run::new(&g, Algorithm::Bfs)
-        .config(&cfg)
-        .threads(4)
-        .tracer(&tracer)
-        .launch();
-    assert_span_sums(&tracer, &out, "4-thread bfs");
-    let spans = tracer.spans();
-    for stage in [Stage::Send, Stage::Decode] {
-        assert!(stage.is_child(), "{} must sum into comm_secs", stage.name());
-        assert!(
-            spans.iter().any(|s| s.stage == stage),
-            "4-thread run recorded no {} spans",
-            stage.name()
-        );
+    // The sync runs one rank-order schedule whatever the pool: for each
+    // peer it extracts, encodes and sends, then decodes whatever already
+    // arrived. So a 4-thread run records the per-peer stages a 1-thread
+    // run does, as children that keep the span-sum identity.
+    for threads in [1, 4] {
+        let what = format!("{threads}-thread bfs");
+        let tracer = Tracer::new(cfg.hosts);
+        let out = driver::Run::new(&g, Algorithm::Bfs)
+            .config(&cfg)
+            .threads(threads)
+            .tracer(&tracer)
+            .launch();
+        assert_span_sums(&tracer, &out, &what);
+        assert_eq!(tracer.dropped_spans(), 0, "{what}: the span ring wrapped");
+        let spans = tracer.spans();
+        for stage in [Stage::Send, Stage::Decode] {
+            assert!(stage.is_child(), "{} must sum into comm_secs", stage.name());
+            assert!(
+                spans.iter().any(|s| s.stage == stage),
+                "{what}: recorded no {} spans",
+                stage.name()
+            );
+        }
+        // Every send of a sync phase follows a peer-named extract and
+        // encode for the same peer in the same phase.
+        let named = |s: &SpanEvent, stage| {
+            spans
+                .iter()
+                .any(|t| (t.host, t.phase, t.stage, t.peer) == (s.host, s.phase, stage, s.peer))
+        };
+        let sends: Vec<_> = spans.iter().filter(|s| s.stage == Stage::Send).collect();
+        for s in &sends {
+            for stage in [Stage::Extract, Stage::Encode] {
+                assert!(
+                    s.peer.is_some() && named(s, stage),
+                    "{what}: host {} phase {} sent to {:?} with no {} span for that peer",
+                    s.host,
+                    s.phase,
+                    s.peer,
+                    stage.name()
+                );
+            }
+        }
     }
 }
 
