@@ -1,8 +1,11 @@
 //! Partition construction on its own clock.
 //!
-//! * **On host** — `partition_on_host` at 2 hosts under CVC and OEC on an
-//!   rmat graph (§4.1: each host routes its slice of the edge list and
-//!   builds its own partition), best of a few runs, in ms and ns per edge.
+//! * **On host** — `partition_on_host` at 2 hosts under CVC and OEC (§4.1:
+//!   each host routes its slice of the edge list and builds its own
+//!   partition), best of a few runs, in ms and ns per edge, with the bytes
+//!   each host routed to the other. Two inputs: an rmat graph, whose rows
+//!   are long, and the 512² grid of the `bfs-grid-*` workloads, whose rows
+//!   hold 2 to 4 edges, so per-row and per-run bookkeeping shows there.
 //!   Every run's partitions are checked against `partition_all`'s.
 //! * **Transpose** — `build_transpose` on each host's CVC partition from
 //!   the on-host pass (the in-edge view every pull-style run builds before
@@ -12,13 +15,13 @@
 //! * **Policies** — time to produce all partitions of an rmat13 graph at 8
 //!   hosts under each strategy of §3.1.
 //!
-//! `-- --quick` runs only the on-host and transpose passes, on rmat16, so
-//! CI can run the file in a few seconds; its numbers mean nothing, its
-//! checks do.
+//! `-- --quick` runs only the on-host and transpose passes, on rmat16 and
+//! the grid, so CI can run the file in a few seconds; its numbers mean
+//! nothing, its checks do.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use gluon_graph::{gen, transpose_by_sort, Csr, Gid, RmatProbs};
-use gluon_net::{run_cluster, Communicator};
+use gluon_net::{run_cluster, run_cluster_with_stats, Communicator, NetStats};
 use gluon_partition::{partition_all, partition_on_host, LocalGraph, PartitionStats, Policy};
 use std::hint::black_box;
 use std::time::Instant;
@@ -43,18 +46,22 @@ fn assert_same(a: &LocalGraph, b: &LocalGraph, what: &str) {
     assert_eq!(a.topology(), b.topology(), "{what}: local CSR");
 }
 
-fn bench_on_host(g: &Csr, scale: u32) {
+fn bench_on_host(g: &Csr, input: &str) {
     println!(
-        "\npartition_on_host (rmat{scale}, {} edges, {HOSTS} hosts, best of {REPS})",
+        "\npartition_on_host ({input}, {} edges, {HOSTS} hosts, best of {REPS})",
         g.num_edges()
     );
-    println!("{:>8} {:>10} {:>12}", "policy", "ms", "ns/edge");
+    println!(
+        "{:>8} {:>10} {:>12} {:>14} {:>14}",
+        "policy", "ms", "ns/edge", "host 0 sent B", "host 1 sent B"
+    );
     for policy in [Policy::Cvc, Policy::Oec] {
         let serial = partition_all(g, HOSTS, policy);
         let mut best = f64::INFINITY;
+        let mut sent = [0u64; HOSTS];
         for rep in 0..=REPS {
             let start = Instant::now();
-            let parts = run_cluster(HOSTS, |ep| {
+            let (parts, stats) = run_cluster_with_stats(HOSTS, NetStats::new(HOSTS), |ep| {
                 partition_on_host(g, policy, &Communicator::new(ep))
             });
             let secs = start.elapsed().as_secs_f64();
@@ -63,14 +70,17 @@ fn bench_on_host(g: &Csr, scale: u32) {
                 best = best.min(secs);
             }
             for (host, (d, s)) in parts.iter().zip(&serial).enumerate() {
-                assert_same(d, s, &format!("{policy}, host {host}"));
+                assert_same(d, s, &format!("{input}, {policy}, host {host}"));
             }
+            sent = std::array::from_fn(|h| stats.host_sent(h).0);
         }
         println!(
-            "{:>8} {:>10.2} {:>12.2}",
+            "{:>8} {:>10.2} {:>12.2} {:>14} {:>14}",
             policy.name(),
             best * 1e3,
-            best * 1e9 / g.num_edges() as f64
+            best * 1e9 / g.num_edges() as f64,
+            sent[0],
+            sent[1]
         );
     }
 }
@@ -149,7 +159,8 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = if quick { 16 } else { 19 };
     let g = gen::rmat(scale, 16, RmatProbs::GRAPH500, 28);
-    bench_on_host(&g, scale);
+    bench_on_host(&g, &format!("rmat{scale}"));
+    bench_on_host(&gen::grid(512, 512), "grid 512x512");
     bench_transpose(&g, scale);
     if !quick {
         policies();

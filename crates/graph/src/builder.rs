@@ -82,40 +82,43 @@ impl GraphBuilder {
     /// `(dst, weight)`; with dedup, one edge per `(src, dst)`, the one of
     /// smallest weight.
     ///
-    /// Two walks over the edges: one counts each source's out-degree and
-    /// notes whether every weight is 1, the other is [`fill_csr`].
+    /// Two walks over the edges, each a run of one edge: one counts each
+    /// source's out-degree and notes whether every weight is 1, the other
+    /// is [`fill_csr`].
     pub fn build(&self) -> Csr {
         let kept = Kept(self);
         let mut offsets = vec![0u64; self.num_nodes as usize + 1];
         let mut unit_weights = true;
-        kept.for_each(|s, _, w| {
+        kept.for_each_run(|s, _, weights| {
             offsets[s as usize + 1] += 1;
-            unit_weights &= w == 1;
+            unit_weights &= weights.iter().all(|&w| w == 1);
         });
-        fill_csr(offsets, unit_weights, &kept, self.dedup)
+        fill_csr(offsets, unit_weights, &kept, |v| v, self.dedup)
     }
 }
 
-/// Edges that can be walked more than once: every call of
-/// [`EdgeStream::for_each`] yields the same `(src, dst, weight)` triples.
-/// [`fill_csr`] walks a stream instead of holding a copy of it, so edges
-/// that live in another form (network payloads, another id space) never
-/// have to become a triple list.
+/// Edges that can be walked more than once, as *runs*: edges of one source
+/// handed over together. Every call of [`EdgeStream::for_each_run`] yields
+/// the same runs in the same order. [`fill_csr`] walks a stream instead of
+/// holding a copy of it, so edges that live in another form (network
+/// payloads, another id space) never have to become a list.
 pub trait EdgeStream {
-    /// Calls `sink(src, dst, weight)` once per edge.
-    fn for_each(&self, sink: impl FnMut(u32, u32, u32));
+    /// Calls `sink(src, targets, weights)` once per run: `targets` are the
+    /// run's destinations, `weights` their weights, or empty when every one
+    /// is 1.
+    fn for_each_run(&self, sink: impl FnMut(u32, &[u32], &[u32]));
 }
 
-/// The edges a [`GraphBuilder`] keeps: all of them, minus the self loops
-/// when those are dropped.
+/// The edges a [`GraphBuilder`] keeps, one run per edge: all of them, minus
+/// the self loops when those are dropped.
 struct Kept<'a>(&'a GraphBuilder);
 
 impl EdgeStream for Kept<'_> {
-    fn for_each(&self, mut sink: impl FnMut(u32, u32, u32)) {
+    fn for_each_run(&self, mut sink: impl FnMut(u32, &[u32], &[u32])) {
         let drop_self_loops = self.0.drop_self_loops;
-        for &(s, d, w) in &self.0.edges {
+        for (s, d, w) in &self.0.edges {
             if !(drop_self_loops && s == d) {
-                sink(s, d, w);
+                sink(*s, std::slice::from_ref(d), std::slice::from_ref(w));
             }
         }
     }
@@ -124,17 +127,20 @@ impl EdgeStream for Kept<'_> {
 /// The filling half of a CSR build: lays `edges` out as the [`Csr`] over
 /// `offsets.len() - 1` nodes, rows ordered by source, each row by
 /// `(dst, weight)`; with `dedup`, one edge per `(src, dst)`, the one of
-/// smallest weight.
+/// smallest weight. `id` maps the stream's ids, sources and targets alike,
+/// to the graph's.
 ///
 /// The caller has counted the stream: `offsets[v + 1]` holds the
 /// out-degree of node `v` (and `offsets[0]` is 0), and `unit_weights` says
 /// whether every weight is 1. A prefix sum turns the counts into row bounds
-/// in place, one walk scatters every edge into its source's row, and each
-/// row is sorted. Rows partition the edges by source, so the result is the
-/// order a sort of the whole `(src, dst, weight)` list gives, whatever order
-/// the stream has. The result is unweighted exactly when every kept edge
-/// has weight 1; a stream of unit weights is scattered straight into the
-/// target array.
+/// in place, and one walk copies every run to its source's row at that
+/// row's cursor. Rows partition the edges by source, so once each row is
+/// sorted the result is the order a sort of the whole `(src, dst, weight)`
+/// list gives, whatever order the stream has. The copy notes the rows whose
+/// cells did not arrive ascending, and only those are sorted: a stream that
+/// hands each row over in order pays no sort at all. The result is
+/// unweighted exactly when every kept edge has weight 1; a stream of unit
+/// weights is copied straight into the target array.
 ///
 /// # Panics
 ///
@@ -145,6 +151,7 @@ pub fn fill_csr(
     mut offsets: Vec<u64>,
     unit_weights: bool,
     edges: &impl EdgeStream,
+    id: impl Fn(u32) -> u32,
     dedup: bool,
 ) -> Csr {
     for v in 1..offsets.len() {
@@ -155,10 +162,10 @@ pub fn fill_csr(
             assert_eq!(w, 1, "weight {w} in a stream counted as unit-weight");
             d
         };
-        let targets = sorted_rows(&mut offsets, edges, dedup, unit, |&d| d);
+        let targets = sorted_rows(&mut offsets, edges, id, dedup, unit, |&d| d);
         return Csr::from_parts(offsets, targets, Vec::new());
     }
-    let rows = sorted_rows(&mut offsets, edges, dedup, |d, w| (d, w), |&(d, _)| d);
+    let rows = sorted_rows(&mut offsets, edges, id, dedup, |d, w| (d, w), |&(d, _)| d);
     let targets = rows.iter().map(|&(d, _)| d).collect();
     let weights = if rows.iter().all(|&(_, w)| w == 1) {
         Vec::new()
@@ -168,14 +175,16 @@ pub fn fill_csr(
     Csr::from_parts(offsets, targets, weights)
 }
 
-/// Scatters `cell(dst, weight)` of every edge into its source's row
-/// (`offsets` holds the row bounds), checking both endpoints first, and
-/// sorts each row; with `dedup`, also compacts the rows towards the front,
-/// keeping the first (smallest) cell per `target`, and rewrites `offsets` to
-/// match.
+/// Copies `cell(id(dst), weight)` of every run into row `id(src)` at the
+/// row's cursor (`offsets` holds the row bounds), checking the source (the
+/// targets' range is [`Csr::from_parts`]'s to check), and sorts each row
+/// that did not arrive ascending; with `dedup`, also compacts the rows
+/// towards the front, keeping the first (smallest) cell per `target`, and
+/// rewrites `offsets` to match. `T::default()` is the least cell.
 fn sorted_rows<T: Copy + Ord + Default>(
     offsets: &mut [u64],
     edges: &impl EdgeStream,
+    id: impl Fn(u32) -> u32,
     dedup: bool,
     cell: impl Fn(u32, u32) -> T,
     target: impl Fn(&T) -> u32,
@@ -183,53 +192,87 @@ fn sorted_rows<T: Copy + Ord + Default>(
     let n = offsets.len() - 1;
     let mut cursor = offsets[..n].to_vec();
     let mut rows = vec![T::default(); offsets[n] as usize];
-    edges.for_each(|s, d, w| {
+    // Bit `v % 64` of word `v / 64`: row `v` needs a sort.
+    let mut unsorted = vec![0u64; n.div_ceil(64)];
+    edges.for_each_run(|s, targets, weights| {
+        let v = id(s) as usize;
+        assert!(v < n, "run of source {v} out of range for {n} nodes");
+        let start = cursor[v] as usize;
+        let end = start + targets.len();
+        // A count short of the stream would spill into the next row.
         assert!(
-            (s as usize) < n && (d as usize) < n,
-            "edge ({s}, {d}) out of range for {n} nodes"
+            end as u64 <= offsets[v + 1],
+            "the stream does not match its per-source counts"
         );
-        let slot = &mut cursor[s as usize];
-        rows[*slot as usize] = cell(d, w);
-        *slot += 1;
+        let mut last = if start as u64 > offsets[v] {
+            rows[start - 1]
+        } else {
+            T::default()
+        };
+        let mut ascending = true;
+        let mut put = |slot: &mut T, t: u32, w: u32| {
+            let c = cell(id(t), w);
+            ascending &= last <= c;
+            last = c;
+            *slot = c;
+        };
+        let row = &mut rows[start..end];
+        if weights.is_empty() {
+            for (slot, &t) in row.iter_mut().zip(targets) {
+                put(slot, t, 1);
+            }
+        } else {
+            assert_eq!(weights.len(), targets.len(), "one weight per target");
+            for ((slot, &t), &w) in row.iter_mut().zip(targets).zip(weights) {
+                put(slot, t, w);
+            }
+        }
+        cursor[v] = end as u64;
+        unsorted[v / 64] |= u64::from(!ascending) << (v % 64);
     });
-    // Every row filled exactly: no count was short (which would have
-    // spilled into the next row) or long.
+    // Every row filled exactly: no count was long.
     assert!(
         cursor[..] == offsets[1..],
         "the stream does not match its per-source counts"
     );
-    let mut kept = 0usize;
-    let mut start = 0usize;
+    for (k, &word) in unsorted.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let v = k * 64 + bits.trailing_zeros() as usize;
+            sort_row(&mut rows[offsets[v] as usize..offsets[v + 1] as usize]);
+            bits &= bits - 1;
+        }
+    }
+    if !dedup {
+        return rows;
+    }
+    let (mut kept, mut start) = (0usize, 0usize);
     for v in 0..n {
         let end = offsets[v + 1] as usize;
-        sort_row(&mut rows[start..end]);
-        if dedup {
-            let row_start = kept;
-            for i in start..end {
-                if kept == row_start || target(&rows[kept - 1]) != target(&rows[i]) {
-                    rows[kept] = rows[i];
-                    kept += 1;
-                }
+        let row_start = kept;
+        for i in start..end {
+            if kept == row_start || target(&rows[kept - 1]) != target(&rows[i]) {
+                rows[kept] = rows[i];
+                kept += 1;
             }
-            offsets[v + 1] = kept as u64;
         }
+        offsets[v + 1] = kept as u64;
         start = end;
     }
-    if dedup {
-        rows.truncate(kept);
-    }
+    rows.truncate(kept);
     rows
 }
 
 /// Sorts one row of cells.
 ///
-/// A partition's stream is in source order and leaves most rows as one
-/// ascending run, or as two where the second lies wholly below the first: a
-/// host numbers its masters before its mirrors, so a row in gid order that
-/// reaches mirrors of smaller gid before its masters comes out rotated. The
-/// first is only checked, the second checked and rotated back, each in
-/// linear time; anything else goes to the stable sort, the run-adaptive one
-/// (equal cells are indistinguishable, so the order is the same either way).
+/// A partition's stream hands most rows over ascending, and those are never
+/// sorted (see [`sorted_rows`]). The rows that do come here are ones a
+/// stream handed over in pieces: a graph builder's edges in input order, a
+/// partition row that straddles two hosts' slices, or one whose local ids
+/// do not follow the global order. A row that is two ascending runs with
+/// the second wholly below the first is checked and rotated back in linear
+/// time; anything else goes to the stable sort, the run-adaptive one (equal
+/// cells are indistinguishable, so the order is the same either way).
 fn sort_row<T: Copy + Ord>(row: &mut [T]) {
     let Some(last) = row.last().copied() else {
         return;
@@ -341,27 +384,45 @@ mod tests {
     }
 
     impl EdgeStream for One {
-        fn for_each(&self, mut sink: impl FnMut(u32, u32, u32)) {
-            sink(0, self.dst, self.weight);
+        fn for_each_run(&self, mut sink: impl FnMut(u32, &[u32], &[u32])) {
+            sink(0, &[self.dst], &[self.weight]);
         }
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn fill_csr_rejects_an_out_of_range_edge() {
-        let _ = fill_csr(vec![0, 1, 0], true, &One { dst: 2, weight: 1 }, false);
+        let _ = fill_csr(
+            vec![0, 1, 0],
+            true,
+            &One { dst: 2, weight: 1 },
+            |v| v,
+            false,
+        );
     }
 
     #[test]
     #[should_panic(expected = "does not match its per-source counts")]
     fn fill_csr_rejects_a_stream_that_does_not_match_its_counts() {
-        let _ = fill_csr(vec![0, 0, 1], true, &One { dst: 1, weight: 1 }, false);
+        let _ = fill_csr(
+            vec![0, 0, 1],
+            true,
+            &One { dst: 1, weight: 1 },
+            |v| v,
+            false,
+        );
     }
 
     #[test]
     #[should_panic(expected = "counted as unit-weight")]
     fn fill_csr_rejects_a_weight_in_a_unit_weight_stream() {
-        let _ = fill_csr(vec![0, 1, 0], true, &One { dst: 1, weight: 3 }, false);
+        let _ = fill_csr(
+            vec![0, 1, 0],
+            true,
+            &One { dst: 1, weight: 3 },
+            |v| v,
+            false,
+        );
     }
 
     #[test]

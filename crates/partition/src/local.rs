@@ -73,7 +73,10 @@ struct InEdgeView {
 }
 
 impl LocalGraph {
-    /// Assembles a local graph; used by [`crate::build`].
+    /// Assembles a local graph; used by [`crate::build`]. `has_in` is
+    /// [`LocalGraph::in_edge_words`]: the builder knows which proxies are
+    /// some edge's destination before it fills `graph`, so `targets` is not
+    /// scanned again here.
     ///
     /// # Panics
     ///
@@ -90,6 +93,7 @@ impl LocalGraph {
         graph: Csr,
         gids: Vec<Gid>,
         num_masters: u32,
+        has_in: Vec<u64>,
         master_of: impl Fn(Gid) -> HostId,
     ) -> Self {
         assert_eq!(graph.num_nodes() as usize, gids.len(), "gids per proxy");
@@ -114,10 +118,7 @@ impl LocalGraph {
             sorted_runs_are_disjoint(&gids[..num_masters as usize], &gids[num_masters as usize..]),
             "duplicate gid among proxies"
         );
-        let mut has_in = vec![0u64; gids.len().div_ceil(64)];
-        for &t in graph.targets() {
-            has_in[t as usize / 64] |= 1 << (t % 64);
-        }
+        assert_eq!(has_in.len(), gids.len().div_ceil(64), "in-edge words");
         let has_out = graph.offsets().windows(2).map(|w| w[0] < w[1]).collect();
         LocalGraph {
             host,

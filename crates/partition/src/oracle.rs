@@ -73,6 +73,10 @@ fn oracle_build_local(
     for v in 0..gids.len() {
         offsets[v + 1] += offsets[v];
     }
+    let mut has_in = vec![0u64; gids.len().div_ceil(64)];
+    for &(_, d, _) in &local {
+        has_in[d as usize / 64] |= 1 << (d % 64);
+    }
     let targets = local.iter().map(|&(_, d, _)| d).collect();
     let weights = if local.iter().all(|&(_, _, w)| w == 1) {
         Vec::new()
@@ -88,6 +92,7 @@ fn oracle_build_local(
         Csr::from_parts(offsets, targets, weights),
         gids,
         master_gids.len() as u32,
+        has_in,
         |g| ctx.master_of(g),
     )
 }
@@ -121,14 +126,42 @@ pub(crate) fn assert_same_partition(a: &LocalGraph, b: &LocalGraph, what: &str) 
     assert_eq!(a.topology(), b.topology(), "{what}: local CSR");
 }
 
+/// `g` with every row's edges in reverse order: rows that descend, which
+/// `Csr::from_parts` takes as they are.
+fn reversed_rows(g: &Csr) -> Csr {
+    let (mut targets, mut weights) = (g.targets().to_vec(), g.weights().to_vec());
+    for row in g.offsets().windows(2) {
+        let row = row[0] as usize..row[1] as usize;
+        targets[row.clone()].reverse();
+        if !weights.is_empty() {
+            weights[row].reverse();
+        }
+    }
+    Csr::from_parts(g.offsets().to_vec(), targets, weights)
+}
+
+/// A hub whose row spans every host's slice of the edge list at 2 to 9
+/// hosts: 128 of its 140 edges, with a few rows before and after it.
+fn hub() -> Csr {
+    let mut edges = vec![(0, 5), (0, 33), (1, 7), (2, 9), (2, 40), (3, 1)];
+    edges.extend((0..128).map(|d| (10, d % 64)));
+    edges.extend([(50, 2), (51, 60), (52, 10), (55, 10), (58, 3), (60, 61)]);
+    Csr::from_edge_list(64, &edges)
+}
+
 fn inputs() -> Vec<(&'static str, Csr)> {
     let rmat = gen::rmat(6, 6, Default::default(), 28);
+    let weighted = gen::with_random_weights(&rmat, 9, 3);
     let mut isolated_ends = GraphBuilder::new(40);
     for (s, d) in [(10, 29), (29, 10), (12, 20), (20, 21), (21, 12), (15, 15)] {
         isolated_ends.add_edge(Gid(s), Gid(d), 1);
     }
     vec![
-        ("weighted", gen::with_random_weights(&rmat, 9, 3)),
+        ("descending rows", reversed_rows(&rmat)),
+        ("descending weighted rows", reversed_rows(&weighted)),
+        ("hub", hub()),
+        ("weighted hub", gen::with_random_weights(&hub(), 7, 4)),
+        ("weighted", weighted),
         ("rmat", rmat),
         ("grid", gen::grid(7, 9)),
         (

@@ -11,6 +11,7 @@ use crate::blocks::BlockMap;
 use gluon_graph::{Csr, Gid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// The partitioning strategies implemented by Gluon (paper §3.1 / §5.2).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -230,14 +231,7 @@ impl PolicyCtx {
 
     /// Host that edge `(src, dst)` is assigned to.
     pub fn host_of_edge(&self, src: Gid, dst: Gid) -> usize {
-        self.host_of_edge_from(self.master_of(src), dst)
-    }
-
-    /// [`PolicyCtx::host_of_edge`] for a source whose master is already
-    /// known, so a loop over one source's edges looks it up once.
-    #[inline]
-    pub fn host_of_edge_from(&self, src_master: usize, dst: Gid) -> usize {
-        self.host_of_edge_on(self.source_side(src_master), dst)
+        self.host_of_edge_on(self.source_side(self.master_of(src)), dst)
     }
 
     /// What an edge's host takes from its source, whose master is
@@ -252,6 +246,81 @@ impl PolicyCtx {
         }
     }
 
+    /// The ids `host` masters, when they are one block of consecutive ids:
+    /// under OEC, IEC, CVC and HVC, not under the hashed and streamed
+    /// policies.
+    pub(crate) fn master_block(&self, host: usize) -> Option<Range<u32>> {
+        match self.policy {
+            Policy::RandomOec | Policy::Fennel => None,
+            _ => Some(self.blocks.range(host)),
+        }
+    }
+
+    /// Calls `run(host, edges)` for every *run* of `edges`, in order: a
+    /// maximal stretch of them that all go to `host`. `edges` index
+    /// `targets` and belong to one source, on side `side`.
+    ///
+    /// Under OEC, `RandomOec` and Fennel an edge's host is its source's, so
+    /// the whole stretch is one run and no target is read. Under IEC and
+    /// CVC it is a function of the destination's block, so one block lookup
+    /// serves every following edge whose destination stays in that block,
+    /// each checked with one subtraction and one comparison; a run ends
+    /// where the next block's host differs. Under HVC a hub's in-edges go
+    /// by source, so every edge's host is worked out on its own.
+    #[inline]
+    pub(crate) fn for_each_run(
+        &self,
+        side: SourceSide,
+        targets: &[u32],
+        edges: Range<usize>,
+        mut run: impl FnMut(usize, Range<usize>),
+    ) {
+        if edges.is_empty() {
+            return;
+        }
+        if matches!(
+            self.policy,
+            Policy::Oec | Policy::RandomOec | Policy::Fennel
+        ) {
+            return run(side.0, edges);
+        }
+        let (mut start, mut i, end) = (edges.start, edges.start, edges.end);
+        let mut host = 0;
+        while i < end {
+            let at = i;
+            let next = if self.policy == Policy::Hvc {
+                i += 1;
+                self.host_of_edge_on(side, Gid(targets[at]))
+            } else {
+                let block = self.blocks.owner(Gid(targets[at]));
+                let ids = self.blocks.range(block);
+                i += 1;
+                while i < end && targets[i].wrapping_sub(ids.start) < ids.end - ids.start {
+                    i += 1;
+                }
+                self.host_of_block(side, block)
+            };
+            if at == start {
+                host = next;
+            } else if next != host {
+                run(host, start..at);
+                (host, start) = (next, at);
+            }
+        }
+        run(host, start..end);
+    }
+
+    /// Host of an edge into block `block` from a source on side `side`,
+    /// under IEC and CVC: the block's own host, or under CVC the host in
+    /// the source's grid row and the block's grid column.
+    #[inline]
+    fn host_of_block(&self, side: SourceSide, block: usize) -> usize {
+        match self.policy {
+            Policy::Cvc => side.0 + self.columns[block],
+            _ => block,
+        }
+    }
+
     /// Host of an edge into `dst` from a source on side `side`. Under IEC,
     /// CVC and HVC a node's master is its block, so the destination side is
     /// at most one [`BlockMap::owner`] lookup, and no division.
@@ -259,9 +328,7 @@ impl PolicyCtx {
     pub(crate) fn host_of_edge_on(&self, side: SourceSide, dst: Gid) -> usize {
         match self.policy {
             Policy::Oec | Policy::RandomOec | Policy::Fennel => side.0,
-            Policy::Iec => self.blocks.owner(dst),
-            // The row's first host plus the column of `dst`'s master.
-            Policy::Cvc => side.0 + self.columns[self.blocks.owner(dst)],
+            Policy::Iec | Policy::Cvc => self.host_of_block(side, self.blocks.owner(dst)),
             Policy::Hvc => {
                 if self.in_degrees[dst.index()] > self.hub_threshold {
                     side.0

@@ -35,8 +35,9 @@
 #      assertions: metered work, the same activation list from a 1- and a
 #      2-thread pool, and a listed frontier's round choosing the push;
 #      the partitioning bench's: `partition_on_host`
-#      at 2 hosts equal to `partition_all` under CVC and OEC, and each
-#      host's transpose equal to `transpose_by_sort`), and
+#      at 2 hosts equal to `partition_all` under CVC and OEC, on rmat16
+#      and on the 512x512 grid, and each host's transpose equal to
+#      `transpose_by_sort`), and
 #      the benchmark package under perf/ passes its own tests (unit tests
 #      plus a `--smoke` run of all seven workloads), so a break of the
 #      public functions perf/README.md lists is caught here and not by the
@@ -130,7 +131,7 @@ echo "==> handoff bench --quick (2 and 8 hosts over MemoryTransport: an oversubs
 watchdog 120 cargo bench --quiet -p gluon-bench --bench handoff -- --quick
 echo "==> push_kernel bench --quick (bfs push, activation list at 1 and 2 threads asserted equal, a D-Ligra round from a listed frontier; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench push_kernel -- --quick
-echo "==> partitioning bench --quick (partition_on_host at 2 hosts, CVC and OEC on rmat16, equal to partition_all; each host's transpose equal to the reference; 120s watchdog)"
+echo "==> partitioning bench --quick (partition_on_host at 2 hosts, CVC and OEC on rmat16 and the 512x512 grid, equal to partition_all, with bytes routed per host; each host's transpose equal to the reference; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench partitioning -- --quick
 
 if [[ "$FAST" == "0" ]]; then
