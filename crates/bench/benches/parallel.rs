@@ -113,13 +113,18 @@ fn bench_dispatch(_c: &mut Criterion) {
         });
         let mut sched = SchedScratch::new();
         let mut rows = vec![0usize; Pool::num_chunks(DISPATCH_LEN)];
+        let mut workers = vec![0usize; threads];
         let scratch = per_call_us(DISPATCH_OPS, || {
             pool.for_each_chunk_scratch(
                 DISPATCH_LEN,
                 &mut sched,
                 &mut rows,
+                &mut workers,
                 |r| r.len() as u64,
-                |r, row| *row = r.len(),
+                |r, row, worker| {
+                    *row = r.len();
+                    *worker += 1;
+                },
             );
             black_box(&rows);
         });

@@ -18,6 +18,12 @@
 //!   the share of one of `bfs-grid-mem`'s two hosts): listing the dense bit
 //!   set a sync leaves, the direction heuristic and the push, both reading
 //!   the list. Reported as µs per round.
+//! * **Bins under a moving frontier** — eight Galois bfs runs on one host,
+//!   each from another source, sharing one context and so one bin scratch:
+//!   every source moves the frontier's candidates to other chunks. Prints
+//!   the bytes of bin segments held after each source next to the largest
+//!   single call so far, at 1 and 4 pool threads, and asserts that the
+//!   bins hold no more than that call plus one segment per worker.
 //!
 //! `-- --quick` swaps the rmat16 stand-in for rmat12 and the grid for a
 //! 64 × 128 one so CI can run the whole file in a second; its numbers mean
@@ -28,7 +34,7 @@ use gluon_algos::apps::bfs;
 use gluon_algos::reference::INFINITY;
 use gluon_algos::EngineKind;
 use gluon_engines::ligra::{self, Direction, VertexSubset};
-use gluon_graph::{gen, max_out_degree_node, Lid, RmatProbs};
+use gluon_graph::{gen, max_out_degree_node, Gid, Lid, RmatProbs};
 use gluon_net::{run_cluster, Communicator};
 use gluon_partition::{partition_all, Policy};
 use std::hint::black_box;
@@ -132,6 +138,59 @@ fn bench_activation(scale: u32) {
     }
 }
 
+/// Sources of [`bench_moving_frontier`].
+const SOURCES: u32 = 8;
+
+fn bench_moving_frontier(scale: u32) {
+    let g = gen::rmat(scale, 16, RmatProbs::GRAPH500, 28);
+    let lg = partition_all(&g, 1, Policy::Oec).remove(0);
+    // One source in each eighth of the ids: the first whose out-degree is
+    // at least the mean, as the benchmark's source picker demands.
+    let n = g.num_nodes();
+    let mean = (g.num_edges() / u64::from(n)).max(1);
+    let sources: Vec<Gid> = (0..SOURCES)
+        .map(|k| {
+            (k * (n / SOURCES)..n)
+                .map(Gid)
+                .find(|&v| u64::from(g.out_degree(v)) >= mean)
+                .expect("a source of at least mean degree")
+        })
+        .collect();
+    println!(
+        "
+bin segments held after each galois bfs source (rmat{scale}, one host)"
+    );
+    println!(
+        "{:>8} {:>7} {:>10} {:>14} {:>10}",
+        "threads", "source", "held KiB", "largest KiB", "bound KiB"
+    );
+    for threads in [1usize, 4] {
+        run_cluster(1, |ep| {
+            let comm = Communicator::new(ep);
+            let mut ctx =
+                GluonContext::new(&lg, &comm, OptLevel::default()).with_pool(Pool::new(threads));
+            for (k, &source) in sources.iter().enumerate() {
+                black_box(bfs(&lg, &mut ctx, source, EngineKind::Galois));
+                let bins = ctx.bin_pool().checkout::<u32>("minrelax");
+                let (held, largest) = (bins.held_bytes(), bins.largest_call_bytes());
+                ctx.bin_pool().checkin("minrelax", bins);
+                let bound = largest + threads * BinScratch::<u32>::SEGMENT_BYTES;
+                println!(
+                    "{threads:>8} {k:>7} {:>10.1} {:>14.1} {:>10.1}",
+                    held as f64 / 1024.0,
+                    largest as f64 / 1024.0,
+                    bound as f64 / 1024.0
+                );
+                assert!(
+                    held <= bound,
+                    "{threads} threads, source {k}: {held} bytes of bins held, \
+                     more than the largest call plus a segment per worker ({bound})"
+                );
+            }
+        });
+    }
+}
+
 /// Rounds per timed repetition of [`bench_round`].
 const ROUNDS: usize = 1000;
 
@@ -200,4 +259,5 @@ fn main() {
     bench_activation(scale);
     let (rows, cols) = if quick { (64, 128) } else { (256, 512) };
     bench_round(rows, cols);
+    bench_moving_frontier(scale);
 }

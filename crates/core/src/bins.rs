@@ -1,22 +1,32 @@
-//! Push-style scatter-gather scratch: one bin row per exec chunk, drained
-//! in chunk order, with a recycling pool.
+//! Push-style scatter-gather scratch: one segmented bin per pool worker,
+//! drained in chunk order, with a recycling pool.
 //!
 //! The engines' push-style `edge_map` folds every candidate `(dst, value)`
 //! pair through one sequential apply loop doing random writes into the
 //! label array. [`BinScratch::run`] splits that fold in two:
 //!
-//! 1. **Scatter** — each exec-pool chunk of the frontier emits its
-//!    candidates into its own bin, so the scatter is race-free, runs in
+//! 1. **Scatter** — the exec pool deals the frontier's chunks to its
+//!    workers; each worker appends its chunks' candidates, in ascending
+//!    chunk order, to its own bin, and each chunk records its
+//!    `(worker, start, end)` span of it. The scatter is race-free, runs in
 //!    parallel and is metered exactly like the flat chunked map.
-//! 2. **Drain** — the calling thread applies the bins chunk by chunk, each
-//!    in edge order: exactly the order the flat sequential fold visits the
-//!    candidates.
+//! 2. **Drain** — the calling thread walks the spans in ascending chunk
+//!    order and applies each span's candidates in edge order: exactly the
+//!    order the flat sequential fold visits them.
 //!
 //! The drain *is* the flat fold, so labels and activation sets are
 //! bit-identical to it at any thread count by construction.
 //!
-//! All buffers (bins, schedule state, the activation bitmap and the list
-//! drained out of it) live in a [`BinScratch`] recycled through a
+//! A bin is a list of fixed segments of [`SEGMENT`] entries (32 KiB of
+//! `(u32, u32)`, 64 KiB of `(u32, f64)`). After the drain every segment
+//! goes back to one spare list, and a worker takes a spare when its segment
+//! fills; a segment is allocated only when the spare list is empty. So the
+//! bins hold what the largest call needed, plus at most one partly filled
+//! segment per worker ([`BinScratch::held_bytes`]), however the frontier
+//! moves between chunks from call to call.
+//!
+//! All buffers (segments, spans, schedule state, the activation bitmap and
+//! the list drained out of it) live in a [`BinScratch`] recycled through a
 //! [`BinPool`] keyed like [`crate::SyncArena`] — after a warm-up call the
 //! steady state performs zero heap allocations on a non-spawning pool.
 
@@ -24,18 +34,102 @@ use crate::bitset::DenseBitset;
 use gluon_exec::{Pool, SchedScratch};
 use gluon_graph::Lid;
 use std::any::{Any, TypeId};
+use std::sync::Mutex;
 
-/// The scatter target handed to an `emit` closure: the bin of the calling
-/// chunk.
+/// Entries per bin segment.
+const SEGMENT: usize = 4096;
+
+/// A fixed block of bin entries: capacity [`SEGMENT`], or 0 for a worker
+/// that has not pushed yet this call.
+type Segment<V> = Vec<(u32, V)>;
+
+/// The spare segments of a [`BinScratch`], shared by its workers during
+/// the scatter.
+type Spare<V> = Mutex<Vec<Segment<V>>>;
+
+/// One pool worker's bin for one call: the segments it filled, in order.
+#[derive(Debug)]
+struct WorkerBin<V> {
+    /// This worker's index, recorded in the spans of its chunks.
+    id: u32,
+    /// Filled segments, [`SEGMENT`] entries each.
+    full: Vec<Segment<V>>,
+    /// The segment being filled.
+    tail: Segment<V>,
+}
+
+impl<V> WorkerBin<V> {
+    fn new(id: u32) -> Self {
+        WorkerBin {
+            id,
+            full: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+
+    /// Entries pushed this call: the position of the next one.
+    fn len(&self) -> usize {
+        self.full.len() * SEGMENT + self.tail.len()
+    }
+
+    /// Segment `k` of the bin.
+    fn segment(&self, k: usize) -> &[(u32, V)] {
+        self.full.get(k).unwrap_or(&self.tail)
+    }
+
+    /// Files the tail (unless it is the empty start of a call) and takes a
+    /// spare segment, allocating one only when none is spare.
+    #[cold]
+    #[inline(never)]
+    fn roll(&mut self, spare: &Spare<V>) {
+        let fresh = spare
+            .lock()
+            .expect("spare segments poisoned")
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(SEGMENT));
+        let filled = std::mem::replace(&mut self.tail, fresh);
+        if filled.capacity() != 0 {
+            debug_assert_eq!(filled.len(), SEGMENT);
+            self.full.push(filled);
+        }
+    }
+
+    /// Empties the bin into `spare`, keeping every segment's capacity.
+    fn recycle(&mut self, spare: &mut Vec<Segment<V>>) {
+        let tail = std::mem::take(&mut self.tail);
+        for mut segment in self.full.drain(..).chain(Some(tail)) {
+            if segment.capacity() != 0 {
+                segment.clear();
+                spare.push(segment);
+            }
+        }
+    }
+}
+
+/// Where one chunk's candidates went: entries `start..end` of worker
+/// `worker`'s bin.
+#[derive(Clone, Copy, Debug, Default)]
+struct Span {
+    worker: u32,
+    start: usize,
+    end: usize,
+}
+
+/// The scatter target handed to an `emit` closure: the bin of the worker
+/// running the calling chunk.
 pub struct BinSink<'a, V> {
-    bin: &'a mut Vec<(u32, V)>,
+    bin: &'a mut WorkerBin<V>,
+    spare: &'a Spare<V>,
 }
 
 impl<V> BinSink<'_, V> {
-    /// Appends a candidate update for `dst` to the chunk's bin.
+    /// Appends a candidate update for `dst` to the worker's bin.
     #[inline]
     pub fn push(&mut self, dst: Lid, value: V) {
-        self.bin.push((dst.0, value));
+        if self.bin.tail.len() == self.bin.tail.capacity() {
+            self.bin.roll(self.spare);
+        }
+        self.bin.tail.push((dst.0, value));
     }
 }
 
@@ -62,13 +156,19 @@ pub struct PullScratch<'a> {
 /// relaxation, a k-core trim...).
 ///
 /// Checked out of a [`BinPool`] around an algorithm's round loop and
-/// checked back in afterwards; all interior buffers ratchet to their
-/// high-water sizes during the first call and are reused verbatim after.
+/// checked back in afterwards. The bin segments are held to the largest
+/// call (see the module doc); the other buffers ratchet to their
+/// high-water sizes and are reused verbatim.
 #[derive(Debug)]
 pub struct BinScratch<V> {
-    /// One bin per exec chunk of the members. Grown monotonically; every
-    /// bin is empty (len 0, capacity kept) between calls.
-    bins: Vec<Vec<(u32, V)>>,
+    /// One bin per pool worker; every bin is empty between calls.
+    workers: Vec<WorkerBin<V>>,
+    /// Segments no bin holds: all of them between calls.
+    spare: Spare<V>,
+    /// One span per exec chunk of the members.
+    spans: Vec<Span>,
+    /// Entries of the largest call so far.
+    largest: usize,
     sched: SchedScratch,
     /// The destinations activated this call, one bit per label slot
     /// (empty between calls).
@@ -81,7 +181,10 @@ pub struct BinScratch<V> {
 impl<V> Default for BinScratch<V> {
     fn default() -> Self {
         BinScratch {
-            bins: Vec::new(),
+            workers: Vec::new(),
+            spare: Mutex::new(Vec::new()),
+            spans: Vec::new(),
+            largest: 0,
             sched: SchedScratch::new(),
             seen: DenseBitset::new(0),
             chunk_active: Vec::new(),
@@ -89,6 +192,11 @@ impl<V> Default for BinScratch<V> {
             activated: Vec::new(),
         }
     }
+}
+
+impl<V> BinScratch<V> {
+    /// Bytes of one bin segment.
+    pub const SEGMENT_BYTES: usize = SEGMENT * std::mem::size_of::<(u32, V)>();
 }
 
 impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
@@ -105,15 +213,34 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
         &self.activated
     }
 
+    /// Bytes of bin segments held, spare or in use: at most
+    /// [`BinScratch::largest_call_bytes`] plus one segment
+    /// ([`BinScratch::SEGMENT_BYTES`]) per pool worker.
+    pub fn held_bytes(&self) -> usize {
+        let spare = self.spare.lock().expect("spare segments poisoned");
+        let segments = spare.iter().chain(
+            self.workers
+                .iter()
+                .flat_map(|bin| bin.full.iter().chain(Some(&bin.tail))),
+        );
+        segments.map(Vec::capacity).sum::<usize>() * std::mem::size_of::<(u32, V)>()
+    }
+
+    /// Bytes the candidates of the largest [`BinScratch::run`] so far
+    /// occupied.
+    pub fn largest_call_bytes(&self) -> usize {
+        self.largest * std::mem::size_of::<(u32, V)>()
+    }
+
     /// Runs one push-style scatter-gather over `members`:
     ///
     /// 1. chunks of `members` run `emit(chunk_members, labels, sink)` in
-    ///    parallel, each scattering candidates into its private bin
+    ///    parallel, each scattering candidates into its worker's bin
     ///    (labels are visible *shared* during this phase, matching the
     ///    flat fold where relaxation closures read current labels);
-    /// 2. the calling thread drains the bins in (chunk, edge) order,
-    ///    running `apply(dst, value, &mut labels[dst])` — `true` means
-    ///    "activated";
+    /// 2. the calling thread drains the chunks' spans in (chunk, edge)
+    ///    order, running `apply(dst, value, &mut labels[dst])` — `true`
+    ///    means "activated";
     /// 3. [`BinScratch::activated`] holds the ascending activation list.
     ///
     /// `weight(member)` is the member's metered work-unit cost (e.g. its
@@ -130,44 +257,76 @@ impl<V: Copy + Send + Sync + 'static> BinScratch<V> {
     ) {
         let num_chunks = Pool::num_chunks(members.len());
         let BinScratch {
-            bins,
+            workers,
+            spare,
+            spans,
+            largest,
             sched,
             seen,
             activated,
             ..
         } = self;
 
-        // Scatter: one private bin per chunk, metered like the flat
-        // chunked map (same chunk widths, same weights).
-        if bins.len() < num_chunks {
-            bins.resize_with(num_chunks, Vec::new);
+        // Scatter: each worker appends its chunks to its own bin, each
+        // chunk noting its span; metered like the flat chunked map (same
+        // chunk widths, same weights).
+        while workers.len() < pool.threads() {
+            workers.push(WorkerBin::new(workers.len() as u32));
+        }
+        if spans.len() < num_chunks {
+            spans.resize(num_chunks, Span::default());
         }
         {
             let labels_ro: &[T] = labels;
+            let spare: &Spare<V> = spare;
             pool.for_each_chunk_scratch(
                 members.len(),
                 sched,
-                &mut bins[..num_chunks],
+                &mut spans[..num_chunks],
+                workers,
                 |r| members[r].iter().map(|&m| weight(m)).sum(),
-                |r, bin| emit(&members[r], labels_ro, &mut BinSink { bin }),
+                |r, span, bin| {
+                    let start = bin.len();
+                    emit(&members[r], labels_ro, &mut BinSink { bin, spare });
+                    *span = Span {
+                        worker: bin.id,
+                        start,
+                        end: bin.len(),
+                    };
+                },
             );
         }
 
-        // Drain: the flat fold's visit order, chunk by chunk, each bin in
-        // edge order; bins are left empty with their capacity kept. The
-        // bitmap is re-allocated only when the label count changes.
+        // Drain: the flat fold's visit order, span by span in chunk order,
+        // each in edge order. The bitmap is re-allocated only when the
+        // label count changes.
         if seen.capacity() as usize != labels.len() {
             *seen = DenseBitset::new(labels.len() as u32);
         }
         let mut any = false;
-        for bin in bins[..num_chunks].iter_mut() {
-            for &(d, v) in bin.iter() {
-                if apply(Lid(d), v, &mut labels[d as usize]) {
-                    seen.set(Lid(d));
-                    any = true;
+        let mut entries = 0;
+        for span in &spans[..num_chunks] {
+            let bin = &workers[span.worker as usize];
+            entries += span.end - span.start;
+            let mut at = span.start;
+            while at < span.end {
+                let k = at / SEGMENT;
+                let stop = span.end.min((k + 1) * SEGMENT);
+                for &(d, v) in &bin.segment(k)[at - k * SEGMENT..stop - k * SEGMENT] {
+                    if apply(Lid(d), v, &mut labels[d as usize]) {
+                        seen.set(Lid(d));
+                        any = true;
+                    }
                 }
+                at = stop;
             }
-            bin.clear();
+        }
+        *largest = (*largest).max(entries);
+        // Every segment goes back to the spare list, for any worker to take
+        // next call.
+        let spare = spare.get_mut().expect("spare segments poisoned");
+        for bin in workers.iter_mut() {
+            bin.recycle(spare);
         }
         // The bitmap is the activation list: draining it word by word
         // yields each activated destination once, in ascending order, and
@@ -420,6 +579,53 @@ mod tests {
     }
 
     #[test]
+    fn bins_hold_the_largest_call_plus_a_segment_per_worker() {
+        // 16 chunks of 64 members. Two calls of the same size alternate:
+        // in the first only the first half of the chunks emit, in the
+        // second only the second half. Bins kept per chunk would each
+        // grow to their own chunk's share and hold both halves.
+        const PER_MEMBER: u32 = 40;
+        let n = 1024u32;
+        let members: Vec<Lid> = (0..n).map(Lid).collect();
+        let chunks = Pool::num_chunks(members.len());
+        assert_eq!(chunks, 16);
+        let width = members.len() / chunks;
+        let largest = chunks / 2 * width * PER_MEMBER as usize * 8;
+        for pool in [Pool::new(1), Pool::new(4), Pool::inline(4)] {
+            let mut scratch = BinScratch::<u32>::new();
+            let mut labels = vec![u32::MAX; n as usize];
+            for call in 0..6 {
+                let emitting = if call % 2 == 0 { 0..n / 2 } else { n / 2..n };
+                scratch.run(
+                    &pool,
+                    &members,
+                    &mut labels,
+                    |_| 1,
+                    |chunk, _, sink| {
+                        for m in chunk.iter().filter(|m| emitting.contains(&m.0)) {
+                            for k in 0..PER_MEMBER {
+                                sink.push(Lid((m.0 * 31 + k) % n), k);
+                            }
+                        }
+                    },
+                    |_, v, slot| {
+                        *slot = (*slot).min(v);
+                        false
+                    },
+                );
+                assert_eq!(scratch.largest_call_bytes(), largest);
+                let bound = largest + pool.threads() * BinScratch::<u32>::SEGMENT_BYTES;
+                assert!(
+                    scratch.held_bytes() <= bound,
+                    "{} threads, call {call}: {} bytes held, bound {bound}",
+                    pool.threads(),
+                    scratch.held_bytes()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn pool_round_trips_scratch() {
         let mut pool = BinPool::new();
         let mut s = pool.checkout::<u32>("relax");
@@ -440,16 +646,16 @@ mod tests {
                 true
             },
         );
-        let grown = s.bins.capacity();
-        assert!(grown > 0);
+        let grown = s.held_bytes();
+        assert_eq!(grown, BinScratch::<u32>::SEGMENT_BYTES, "one segment");
         assert_eq!(s.activated(), [Lid(0), Lid(1)]);
         pool.checkin("relax", s);
         assert_eq!(pool.num_sites(), 1);
         // Buffers persist.
         let s = pool.checkout::<u32>("relax");
-        assert_eq!(s.bins.capacity(), grown);
+        assert_eq!(s.held_bytes(), grown);
         pool.checkin("relax", s);
         // Different value type: fresh scratch.
-        assert_eq!(pool.checkout::<f64>("relax").bins.capacity(), 0);
+        assert_eq!(pool.checkout::<f64>("relax").held_bytes(), 0);
     }
 }

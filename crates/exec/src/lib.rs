@@ -33,7 +33,18 @@
 //! cluster shares physical cores between hosts, so wall-clock cannot show
 //! intra-host scaling; the critical path under the real assignment can.
 //!
-//! Every primitive is a thin wrapper over one deal and one dispatch core.
+//! The primitives:
+//!
+//! - [`Pool::for_each_chunk_scratch`] hands chunk `i` its own output slot
+//!   plus the scratch of the worker the deal gave it, and runs one
+//!   worker's chunks in ascending order. The push scatter fills one
+//!   segmented bin per worker through it, each chunk noting its span.
+//! - [`Pool::for_each_chunk_mut_scratch`] splits a mutable slice into the
+//!   chunks, one scratch slot each: the pull sweep over destinations.
+//! - [`Pool::map_chunks`] and [`Pool::reduce`] collect one result per
+//!   chunk on top of the first and fold them in chunk order.
+//!
+//! Each is a thin wrapper over one deal and one dispatch core.
 //! It stages one weight per chunk in a [`SchedScratch`]; the deal maps
 //! chunks to workers; the dispatch core runs the per-worker job lists on
 //! `std::thread::scope` threads — the crate's only spawn site — while
@@ -323,57 +334,75 @@ impl Pool {
         self.record(sched.deal(self.threads));
     }
 
-    /// Runs every job through `run`. A pool that does not spawn, or a call
-    /// with at most one job, runs them in order on the calling thread;
-    /// otherwise job `k` joins the list of worker `owner[k]` and the lists
-    /// are dispatched, worker 0's on the calling thread.
-    fn run_dealt<J: Send>(
+    /// Runs every job through `run`, handing it the scratch of the worker
+    /// that runs it. A pool that does not spawn, or a call with at most one
+    /// job, runs them in order on the calling thread with `workers[0]`;
+    /// otherwise job `k` joins the list of worker `owner[k]`, in job order,
+    /// and the lists are dispatched, list `w` with `workers[w]` and worker
+    /// 0's on the calling thread.
+    fn run_dealt<J: Send, W: Send>(
         &self,
         owner: &[u32],
         jobs: impl Iterator<Item = J>,
-        run: impl Fn(J) + Sync,
+        workers: &mut [W],
+        run: impl Fn(J, &mut W) + Sync,
     ) {
+        assert!(workers.len() >= self.threads, "one scratch per worker");
         if !self.spawns() || owner.len() <= 1 {
-            jobs.for_each(run);
+            let scratch = &mut workers[0];
+            jobs.for_each(|job| run(job, scratch));
             return;
         }
         let mut lists: Vec<Vec<J>> = (0..self.threads).map(|_| Vec::new()).collect();
         for (job, &w) in jobs.zip(owner) {
             lists[w as usize].push(job);
         }
-        let mut lists = lists.into_iter();
+        let mut lists = lists.into_iter().zip(workers.iter_mut());
         let mine = lists.next().expect("at least one worker");
-        let run_list = |list: Vec<J>| list.into_iter().for_each(&run);
+        let run_list = |(list, scratch): (Vec<J>, &mut W)| {
+            list.into_iter().for_each(|job| run(job, scratch));
+        };
         dispatch(lists, &run_list, || run_list(mine));
     }
 
-    /// Chunked parallel scatter into per-chunk scratch slots: chunk `i` of
-    /// `0..len` runs `f(range, &mut slots[i])` — disjoint slots, no write
-    /// races. `weight(range)` is the work-unit cost of a chunk (e.g. the
+    /// Chunked parallel scatter with one output slot per chunk and one
+    /// scratch per worker: chunk `i` of `0..len` runs `f(range,
+    /// &mut outs[i], &mut workers[w])`, where `w` is the worker the deal
+    /// gave it, and one worker runs its chunks in ascending chunk order. A
+    /// pool that does not spawn runs every chunk, in order, with
+    /// `workers[0]`. Slots and worker scratches are disjoint, so there are
+    /// no write races; a chunk records in its slot where its output went in
+    /// the worker's scratch, and the caller reads the slots back in chunk
+    /// order. `weight(range)` is the work-unit cost of a chunk (e.g. the
     /// out-degree sum of its vertices); the pool meters the sequential
     /// total and the critical path of the weight-balanced deal. All
     /// scheduling state is drawn from `sched`, so on a non-spawning pool
     /// the steady state performs **zero** heap allocations. This is the
-    /// scatter half of the binned push edge_map: each chunk owns one bin.
+    /// scatter half of the binned push edge_map: each worker fills one bin
+    /// and each chunk notes its span of it.
     ///
     /// # Panics
     ///
-    /// Panics if `slots` has fewer entries than chunks.
-    pub fn for_each_chunk_scratch<S: Send>(
+    /// Panics if `outs` has fewer entries than chunks or `workers` fewer
+    /// than [`Pool::threads`].
+    pub fn for_each_chunk_scratch<O: Send, W: Send>(
         &self,
         len: usize,
         sched: &mut SchedScratch,
-        slots: &mut [S],
+        outs: &mut [O],
+        workers: &mut [W],
         weight: impl Fn(Range<usize>) -> u64 + Sync,
-        f: impl Fn(Range<usize>, &mut S) + Sync,
+        f: impl Fn(Range<usize>, &mut O, &mut W) + Sync,
     ) {
         assert!(
-            slots.len() >= Self::num_chunks(len),
-            "one scratch slot per chunk"
+            outs.len() >= Self::num_chunks(len),
+            "one output slot per chunk"
         );
         self.deal_chunks(len, sched, weight);
-        let jobs = Self::chunk_ranges(len).zip(slots);
-        self.run_dealt(&sched.owner, jobs, |(range, slot)| f(range, slot));
+        let jobs = Self::chunk_ranges(len).zip(outs);
+        self.run_dealt(&sched.owner, jobs, workers, |(range, out), scratch| {
+            f(range, out, scratch)
+        });
     }
 
     /// Chunked parallel mutation with one exclusive scratch slot per chunk:
@@ -405,9 +434,13 @@ impl Pool {
         );
         self.deal_chunks(data.len(), sched, weight);
         let jobs = data.chunks_mut(width).zip(scratch).enumerate();
-        self.run_dealt(&sched.owner, jobs, |(i, (chunk, slot))| {
-            f(i * width, chunk, slot)
-        });
+        let mut workers = vec![(); self.threads];
+        self.run_dealt(
+            &sched.owner,
+            jobs,
+            &mut workers,
+            |(i, (chunk, slot)), ()| f(i * width, chunk, slot),
+        );
     }
 
     /// Chunked parallel map: applies `f` to each fixed chunk of `0..len`
@@ -421,8 +454,9 @@ impl Pool {
             len,
             &mut SchedScratch::new(),
             &mut slots,
+            &mut vec![(); self.threads],
             |r| r.len() as u64,
-            |r, slot| *slot = Some(f(r)),
+            |r, slot, ()| *slot = Some(f(r)),
         );
         slots
             .into_iter()
@@ -459,7 +493,15 @@ mod tests {
     /// weights and drains the meter.
     fn metered(pool: &Pool, len: usize, weight: impl Fn(Range<usize>) -> u64 + Sync) -> WorkSplit {
         let mut rows = vec![(); Pool::num_chunks(len)];
-        pool.for_each_chunk_scratch(len, &mut SchedScratch::new(), &mut rows, weight, |_, _| {});
+        let mut workers = vec![(); pool.threads()];
+        pool.for_each_chunk_scratch(
+            len,
+            &mut SchedScratch::new(),
+            &mut rows,
+            &mut workers,
+            weight,
+            |_, _, _| {},
+        );
         pool.drain_work()
     }
 
@@ -678,18 +720,116 @@ mod tests {
         for pool in [Pool::sequential(), Pool::inline(4), Pool::new(4)] {
             let len = 5 * MIN_CHUNK + 3;
             let mut slots = vec![0usize; Pool::num_chunks(len)];
+            let mut workers = vec![(); pool.threads()];
             let mut sched = SchedScratch::new();
             pool.for_each_chunk_scratch(
                 len,
                 &mut sched,
                 &mut slots,
+                &mut workers,
                 |r| r.len() as u64,
-                |range, slot| *slot = range.start * 10 + range.len(),
+                |range, slot, ()| *slot = range.start * 10 + range.len(),
             );
             let expected: Vec<usize> = Pool::chunk_ranges(len)
                 .map(|r| r.start * 10 + r.len())
                 .collect();
             assert_eq!(slots, expected);
+        }
+    }
+
+    /// Chunk weights with a hub and a tail of equal ones, so the deal hands
+    /// the workers uneven, interleaved lists.
+    fn skewed(r: Range<usize>) -> u64 {
+        if r.start == 2 * MIN_CHUNK {
+            40
+        } else {
+            (r.start / MIN_CHUNK % 3 + 1) as u64
+        }
+    }
+
+    #[test]
+    fn chunk_scratch_runs_each_chunk_once_with_its_dealt_workers_scratch() {
+        let len = 13 * MIN_CHUNK + 5;
+        let chunks = Pool::num_chunks(len);
+        for threads in [1, 2, 3, 4, 8] {
+            for pool in [Pool::new(threads), Pool::inline(threads)] {
+                let mut sched = SchedScratch::new();
+                // Each chunk counts its visits in its own slot and notes
+                // which worker scratch it was handed; each worker scratch
+                // lists the chunks it ran, in the order it ran them.
+                let mut outs = vec![(usize::MAX, 0u32); chunks];
+                let mut workers: Vec<(usize, Vec<usize>)> =
+                    (0..threads).map(|w| (w, Vec::new())).collect();
+                pool.for_each_chunk_scratch(
+                    len,
+                    &mut sched,
+                    &mut outs,
+                    &mut workers,
+                    skewed,
+                    |r, out, (w, ran)| {
+                        let chunk = r.start / chunk_width(len);
+                        *out = (*w, out.1 + 1);
+                        ran.push(chunk);
+                    },
+                );
+                let spawns = pool.spawns();
+                for (chunk, &(w, visits)) in outs.iter().enumerate() {
+                    assert_eq!(visits, 1, "chunk {chunk} at {threads} threads");
+                    let dealt = if spawns {
+                        sched.owner[chunk] as usize
+                    } else {
+                        0
+                    };
+                    assert_eq!(w, dealt, "chunk {chunk}: its dealt worker's scratch");
+                }
+                for (w, ran) in &workers {
+                    assert!(
+                        ran.windows(2).all(|p| p[0] < p[1]),
+                        "worker {w} at {threads} threads ran {ran:?}"
+                    );
+                    assert!(ran.iter().all(|&c| outs[c].0 == *w));
+                }
+                let ran: usize = workers.iter().map(|(_, ran)| ran.len()).sum();
+                assert_eq!(ran, chunks);
+            }
+        }
+    }
+
+    #[test]
+    fn spawning_and_inline_pools_drain_the_same_sequence() {
+        // The bin pattern in miniature: every chunk appends its elements to
+        // its worker's list and records the span; reading the spans back in
+        // chunk order must give `0..len` whoever ran what.
+        let len = 11 * MIN_CHUNK + 40;
+        let drain = |pool: &Pool| {
+            let mut spans = vec![(0usize, 0usize, 0usize); Pool::num_chunks(len)];
+            let mut workers: Vec<(usize, Vec<usize>)> =
+                (0..pool.threads()).map(|w| (w, Vec::new())).collect();
+            pool.for_each_chunk_scratch(
+                len,
+                &mut SchedScratch::new(),
+                &mut spans,
+                &mut workers,
+                skewed,
+                |r, span, (w, bin)| {
+                    let start = bin.len();
+                    bin.extend(r);
+                    *span = (*w, start, bin.len());
+                },
+            );
+            let drained: Vec<usize> = spans
+                .iter()
+                .flat_map(|&(w, start, end)| workers[w].1[start..end].iter().copied())
+                .collect();
+            (drained, pool.drain_work())
+        };
+        let want: Vec<usize> = (0..len).collect();
+        for threads in 1..=8 {
+            let (spawned, spawned_work) = drain(&Pool::new(threads));
+            let (inline, inline_work) = drain(&Pool::inline(threads));
+            assert_eq!(spawned, want, "{threads} spawning threads");
+            assert_eq!(inline, want, "{threads} inline threads");
+            assert_eq!(spawned_work, inline_work, "{threads} threads: same meter");
         }
     }
 
@@ -738,8 +878,9 @@ mod tests {
                     len,
                     &mut sched,
                     &mut rows,
+                    &mut [(), ()],
                     |r| r.len() as u64,
-                    |range, row| {
+                    |range, row, ()| {
                         row.0 = range;
                         row.1 += 1;
                     },
@@ -772,7 +913,15 @@ mod tests {
             let pool = Pool::new(threads);
             let mut sched = SchedScratch::new();
             let mut rows = vec![(); Pool::num_chunks(len)];
-            pool.for_each_chunk_scratch(len, &mut sched, &mut rows, weight, |_, _| {});
+            let mut workers = vec![(); threads];
+            pool.for_each_chunk_scratch(
+                len,
+                &mut sched,
+                &mut rows,
+                &mut workers,
+                weight,
+                |_, _, _| {},
+            );
             let owner = sched.owner.clone();
             // Worker 0's list runs on the calling thread, worker 1's on a
             // spawned one. The victim is the first job of its list, and
@@ -782,14 +931,21 @@ mod tests {
                 let failed = AtomicBool::new(false);
                 let done = AtomicUsize::new(0);
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    pool.for_each_chunk_scratch(len, &mut sched, &mut rows, weight, |r, _| {
-                        if r.start == victim * MIN_CHUNK {
-                            failed.store(true, Ordering::SeqCst);
-                            panic!("chunk {victim} fails");
-                        }
-                        wait_for(&failed);
-                        done.fetch_add(1, Ordering::SeqCst);
-                    });
+                    pool.for_each_chunk_scratch(
+                        len,
+                        &mut sched,
+                        &mut rows,
+                        &mut workers,
+                        weight,
+                        |r, _, _| {
+                            if r.start == victim * MIN_CHUNK {
+                                failed.store(true, Ordering::SeqCst);
+                                panic!("chunk {victim} fails");
+                            }
+                            wait_for(&failed);
+                            done.fetch_add(1, Ordering::SeqCst);
+                        },
+                    );
                 }));
                 assert!(outcome.is_err(), "{threads} threads: the panic surfaces");
                 // The victim's list stops at the victim; every other list

@@ -163,7 +163,7 @@ pub fn fill_csr(
             d
         };
         let targets = sorted_rows(&mut offsets, edges, id, dedup, unit, |&d| d);
-        return Csr::from_parts(offsets, targets, Vec::new());
+        return Csr::from_checked_targets(offsets, targets, Vec::new());
     }
     let rows = sorted_rows(&mut offsets, edges, id, dedup, |d, w| (d, w), |&(d, _)| d);
     let targets = rows.iter().map(|&(d, _)| d).collect();
@@ -172,12 +172,12 @@ pub fn fill_csr(
     } else {
         rows.iter().map(|&(_, w)| w).collect()
     };
-    Csr::from_parts(offsets, targets, weights)
+    Csr::from_checked_targets(offsets, targets, weights)
 }
 
 /// Copies `cell(id(dst), weight)` of every run into row `id(src)` at the
-/// row's cursor (`offsets` holds the row bounds), checking the source (the
-/// targets' range is [`Csr::from_parts`]'s to check), and sorts each row
+/// row's cursor (`offsets` holds the row bounds), checking that the source
+/// and every mapped target are in range, and sorts each row
 /// that did not arrive ascending; with `dedup`, also compacts the rows
 /// towards the front, keeping the first (smallest) cell per `target`, and
 /// rewrites `offsets` to match. `T::default()` is the least cell.
@@ -211,7 +211,9 @@ fn sorted_rows<T: Copy + Ord + Default>(
         };
         let mut ascending = true;
         let mut put = |slot: &mut T, t: u32, w: u32| {
-            let c = cell(id(t), w);
+            let d = id(t);
+            assert!((d as usize) < n, "edge target out of range");
+            let c = cell(d, w);
             ascending &= last <= c;
             last = c;
             *slot = c;
@@ -397,6 +399,39 @@ mod tests {
             true,
             &One { dst: 2, weight: 1 },
             |v| v,
+            false,
+        );
+    }
+
+    /// An `id` that maps stream id 1 past the last of three nodes.
+    fn one_out_of_range(v: u32) -> u32 {
+        if v == 1 {
+            3
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "edge target out of range")]
+    fn fill_csr_rejects_a_target_its_id_maps_out_of_range() {
+        let _ = fill_csr(
+            vec![0, 1, 0, 0],
+            true,
+            &One { dst: 1, weight: 1 },
+            one_out_of_range,
+            false,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "edge target out of range")]
+    fn fill_csr_rejects_a_weighted_target_its_id_maps_out_of_range() {
+        let _ = fill_csr(
+            vec![0, 1, 0, 0],
+            false,
+            &One { dst: 1, weight: 7 },
+            one_out_of_range,
             false,
         );
     }

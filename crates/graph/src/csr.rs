@@ -124,6 +124,23 @@ impl Csr {
     /// last offset disagrees with `targets.len()`, if a target is out of
     /// range, or if a non-empty `weights` has the wrong length.
     pub fn from_parts(offsets: Vec<u64>, targets: Vec<u32>, weights: Vec<u32>) -> Self {
+        let csr = Csr::from_checked_targets(offsets, targets, weights);
+        let num_nodes = u64::from(csr.num_nodes());
+        assert!(
+            csr.targets.iter().all(|&t| u64::from(t) < num_nodes),
+            "edge target out of range"
+        );
+        csr
+    }
+
+    /// [`Csr::from_parts`] for arrays whose targets the caller has already
+    /// checked to be in range (`fill_csr` checks each one as it writes
+    /// it): every other check still runs.
+    pub(crate) fn from_checked_targets(
+        offsets: Vec<u64>,
+        targets: Vec<u32>,
+        weights: Vec<u32>,
+    ) -> Self {
         assert!(
             !offsets.is_empty(),
             "offsets must have num_nodes + 1 entries"
@@ -136,11 +153,6 @@ impl Csr {
             *offsets.last().expect("non-empty") as usize,
             targets.len(),
             "last offset must equal the edge count"
-        );
-        let num_nodes = (offsets.len() - 1) as u64;
-        assert!(
-            targets.iter().all(|&t| (t as u64) < num_nodes),
-            "edge target out of range"
         );
         assert!(
             weights.is_empty() || weights.len() == targets.len(),

@@ -33,7 +33,9 @@
 #      hand-off (8 hosts on however few cores), the push kernel and the
 #      partitioning benches run their `--quick` passes (the push kernel's
 #      assertions: metered work, the same activation list from a 1- and a
-#      2-thread pool, and a listed frontier's round choosing the push;
+#      2-thread pool, a listed frontier's round choosing the push, and
+#      bins after each of eight bfs sources holding at most the largest
+#      call plus a segment per worker at 1 and 4 threads;
 #      the partitioning bench's: `partition_on_host`
 #      at 2 hosts equal to `partition_all` under CVC and OEC, on rmat16
 #      and on the 512x512 grid, and each host's transpose equal to
@@ -129,7 +131,7 @@ echo "==> pull_kernel bench --quick (one-host pagerank sweep and f64 encode/deco
 watchdog 120 cargo bench --quiet -p gluon-bench --bench pull_kernel -- --quick
 echo "==> handoff bench --quick (2 and 8 hosts over MemoryTransport: an oversubscribed receive must not hang; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench handoff -- --quick
-echo "==> push_kernel bench --quick (bfs push, activation list at 1 and 2 threads asserted equal, a D-Ligra round from a listed frontier; 120s watchdog)"
+echo "==> push_kernel bench --quick (bfs push, activation list at 1 and 2 threads asserted equal, a D-Ligra round from a listed frontier, bins held to the largest call over eight bfs sources at 1 and 4 threads; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench push_kernel -- --quick
 echo "==> partitioning bench --quick (partition_on_host at 2 hosts, CVC and OEC on rmat16 and the 512x512 grid, equal to partition_all, with bytes routed per host; each host's transpose equal to the reference; 120s watchdog)"
 watchdog 120 cargo bench --quiet -p gluon-bench --bench partitioning -- --quick
