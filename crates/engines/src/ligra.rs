@@ -296,10 +296,11 @@ fn edge_map_pull(
 /// engine. `members` (ascending, deduplicated) is cut into fixed chunks;
 /// `emit(src, labels, sink)` runs once per member and walks the member's
 /// out-edges itself (over [`LocalGraph::out_targets`]), pushing `(dst,
-/// value)` candidates into its chunk's bin. It sees the *current* labels as
-/// a shared slice: snapshot/Jacobi semantics — an update is *not* visible
-/// to later edges of the same sweep, unlike [`edge_map`]'s sequential push.
-/// The calling thread then drains the bins in (chunk, edge) order, running
+/// value)` candidates into the bin of the pool worker running its chunk.
+/// It sees the *current* labels as a shared slice: snapshot/Jacobi
+/// semantics — an update is *not* visible to later edges of the same
+/// sweep, unlike [`edge_map`]'s sequential push. The calling thread then
+/// drains each chunk's span of the bins in (chunk, edge) order, running
 /// `apply(dst, value, &mut labels[dst])` — the exact operation order of the
 /// flat sequential fold, so labels and activations are bit-identical at
 /// any thread count. Members are metered by out-degree.

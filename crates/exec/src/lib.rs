@@ -347,7 +347,6 @@ impl Pool {
         workers: &mut [W],
         run: impl Fn(J, &mut W) + Sync,
     ) {
-        assert!(workers.len() >= self.threads, "one scratch per worker");
         if !self.spawns() || owner.len() <= 1 {
             let scratch = &mut workers[0];
             jobs.for_each(|job| run(job, scratch));
@@ -398,6 +397,7 @@ impl Pool {
             outs.len() >= Self::num_chunks(len),
             "one output slot per chunk"
         );
+        assert!(workers.len() >= self.threads, "one scratch per worker");
         self.deal_chunks(len, sched, weight);
         let jobs = Self::chunk_ranges(len).zip(outs);
         self.run_dealt(&sched.owner, jobs, workers, |(range, out), scratch| {

@@ -1,7 +1,8 @@
 //! Parity battery for push-style update binning.
 //!
-//! The binned hot path scatters candidate updates into one bin per exec
-//! chunk in parallel and drains the bins on the calling thread. The
+//! The binned hot path scatters candidate updates into one bin per pool
+//! worker in parallel, each exec chunk noting its span, and drains the
+//! spans in chunk order on the calling thread. The
 //! contract is *bit-identity with the sequential fold*: each destination
 //! sees its candidates in the same (chunk, edge) order at any thread
 //! count, so labels and activations never depend on parallelism.
