@@ -15,8 +15,8 @@ use crate::minrelax;
 use crate::reference::INFINITY;
 use crate::EngineKind;
 use gluon::{
-    CheckpointSnapshot, DenseBitset, FieldSync, GluonContext, MinField, ReadLocation, SumField,
-    SyncError, SyncSpec, SyncValue, WriteLocation,
+    CheckpointSnapshot, DenseBitset, FieldSync, GluonContext, ReadLocation, SumField, SyncError,
+    SyncSpec, SyncValue, WriteLocation,
 };
 use gluon_engines::ligra;
 use gluon_graph::{Gid, Lid};
@@ -71,16 +71,6 @@ const RANK: SyncSpec = SyncSpec::broadcast(ReadLocation::Source).named("rank");
 const DEGREE: SyncSpec = SyncSpec::reduce(WriteLocation::Source).named("degree");
 const ALIVE: SyncSpec = SyncSpec::broadcast(ReadLocation::Any).named("alive");
 const TRIM: SyncSpec = SyncSpec::reduce(WriteLocation::Destination).named("trim");
-const TO_PUSH: SyncSpec = SyncSpec::broadcast(ReadLocation::Source).named("to_push");
-const RESIDUAL: SyncSpec = SyncSpec::reduce(WriteLocation::Destination).named("residual");
-const SIGMA_BCAST: SyncSpec = SyncSpec::broadcast(ReadLocation::Any).named("sigma");
-const DIST_BOTH: SyncSpec =
-    SyncSpec::full(WriteLocation::Destination, ReadLocation::Any).named("dist");
-const SIGMA_REDUCE: SyncSpec = SyncSpec::reduce(WriteLocation::Destination).named("sigma");
-const DELTA_REDUCE: SyncSpec = SyncSpec::reduce(WriteLocation::Source).named("delta");
-const DELTA_BCAST: SyncSpec = SyncSpec::broadcast(ReadLocation::Destination).named("delta");
-const DIST_PUSH: SyncSpec =
-    SyncSpec::full(WriteLocation::Destination, ReadLocation::Source).named("dist");
 
 /// Distributed BFS from `source`. Returns per-proxy distances and the
 /// number of BSP rounds.
@@ -260,12 +250,6 @@ pub fn try_pagerank<T: Transport + ?Sized>(
         assert_eq!(saved.len(), n, "checkpoint from another graph");
         rank = saved;
         iters = u32::try_from(snap.round()).expect("iteration fits u32");
-    }
-    if ctx.finalize_only() {
-        // ContinueStale degradation: masters already hold the restored
-        // epoch's canonical ranks; skip phase 0 and the iteration loop
-        // entirely so no communication happens at all.
-        return Ok((rank, iters));
     }
 
     // Phase 0: assemble *global* out-degrees at every proxy. Local
@@ -450,337 +434,6 @@ pub fn kcore<T: Transport + ?Sized>(
     };
     ctx.bin_pool().checkin("kcore_trim", bins);
     result
-}
-
-/// Distributed *push-style* pagerank with residuals — the dual of
-/// [`pagerank`] ("both push-style and pull-style implementations are
-/// available in D-Ligra", §5.1).
-///
-/// Nodes accumulate `rank` by draining a `residual`: applying a node moves
-/// its residual into its rank and pushes `d * residual / out-degree` to its
-/// out-neighbors' residuals. A master's out-edges are split across hosts
-/// under vertex-cuts, so the push value is *broadcast* to the mirrors that
-/// hold out-edges and the pushed residuals are *reduced* back to masters —
-/// the mirror-image communication pattern of the pull version.
-///
-/// Converges to the same fixpoint as [`pagerank`]; `cfg.tolerance` bounds
-/// the total residual left unapplied.
-pub fn pagerank_push<T: Transport + ?Sized>(
-    lg: &LocalGraph,
-    ctx: &mut GluonContext<'_, T>,
-    cfg: PagerankConfig,
-) -> (Vec<f64>, u32) {
-    let n = lg.num_proxies() as usize;
-    let total_nodes = f64::from(lg.global_nodes().max(1));
-    // Apply threshold: leave at most `tolerance` total residual unapplied.
-    let eps = cfg.tolerance / total_nodes;
-
-    // Global out-degrees, as in the pull version.
-    let mut gdeg: Vec<u32> = (0..n).map(|l| lg.out_degree(Lid(l as u32))).collect();
-    let mut deg_bits = DenseBitset::new(lg.num_proxies());
-    deg_bits.set_all();
-    {
-        let mut field = SumField::new(&mut gdeg);
-        ctx.sync(&OUT_DEGREE, &mut field, &mut deg_bits);
-    }
-
-    let mut rank = vec![0.0f64; n];
-    // Sum-field contract: masters carry the initial mass, mirrors identity.
-    let mut residual = vec![0.0f64; n];
-    for m in lg.masters() {
-        residual[m.index()] = (1.0 - cfg.damping) / total_nodes;
-    }
-    let mut to_push = vec![0.0f64; n];
-    let pool = ctx.pool().clone();
-    let mut bins = ctx.bin_pool().checkout::<f64>("pr_push");
-    let max_rounds = cfg.max_iters.saturating_mul(20).max(100);
-    // Per-round dirty sets and member list, allocated once and cleared per
-    // round.
-    let mut push_bits = DenseBitset::new(lg.num_proxies());
-    let mut res_bits = DenseBitset::new(lg.num_proxies());
-    let mut frontier: Vec<Lid> = Vec::new();
-    let mut rounds = 0u32;
-    let result = loop {
-        rounds += 1;
-        // 1. Apply at masters whose residual is worth draining.
-        push_bits.clear_all();
-        for m in lg.masters() {
-            let r = residual[m.index()];
-            if r > eps {
-                rank[m.index()] += r;
-                residual[m.index()] = 0.0;
-                let deg = f64::from(gdeg[m.index()].max(1));
-                to_push[m.index()] = cfg.damping * r / deg;
-                push_bits.set(m);
-            }
-        }
-        // 2. Ship the push value to the mirrors holding out-edges.
-        {
-            let mut field = CopyField::new(&mut to_push);
-            ctx.sync(&TO_PUSH, &mut field, &mut push_bits);
-        }
-        // 3. Push along local out-edges into local residuals. Candidates
-        // apply in frontier order (ascending lids), so the f64 residual
-        // sums fold in the same order at any thread count.
-        res_bits.clear_all();
-        frontier.clear();
-        frontier.extend(push_bits.iter());
-        ligra::vertex_map_push_pooled(
-            lg,
-            &frontier,
-            &pool,
-            &mut bins,
-            &mut residual,
-            |v, _residual, sink| {
-                let share = to_push[v.index()];
-                if share != 0.0 {
-                    for &dst in lg.out_targets(v) {
-                        sink.push(Lid(dst), share);
-                    }
-                }
-            },
-            |_dst, share, slot| {
-                *slot += share;
-                true
-            },
-        );
-        for &dst in bins.activated() {
-            res_bits.set(dst);
-        }
-        // 4. Reduce pushed residuals to masters.
-        {
-            let mut field = SumField::new(&mut residual);
-            ctx.sync(&RESIDUAL, &mut field, &mut res_bits);
-        }
-        // 5. Quiesce when no master holds an appliable residual.
-        let local_active = lg.masters().any(|m| residual[m.index()] > eps);
-        if !ctx.any_globally(local_active) || rounds >= max_rounds {
-            break (rank, rounds);
-        }
-    };
-    ctx.bin_pool().checkin("pr_push", bins);
-    result
-}
-
-/// Distributed single-source betweenness centrality (Brandes), an extension
-/// beyond the paper's four benchmarks (it is part of the real D-Galois
-/// application suite).
-///
-/// BC is the one workload here whose *backward* phase moves data against
-/// edge direction: per-level dependency sums are written at edge *sources*
-/// and read at edge *destinations*, exercising the
-/// `WriteAtSource`/`ReadAtDestination` sync patterns that the four forward
-/// benchmarks never use.
-///
-/// Returns per-proxy dependency values `delta_s(v)` and the number of BFS
-/// levels.
-pub fn betweenness_source<T: Transport + ?Sized>(
-    lg: &LocalGraph,
-    ctx: &mut GluonContext<'_, T>,
-    source: Gid,
-) -> (Vec<f64>, u32) {
-    let n = lg.num_proxies() as usize;
-    let caps = lg.num_proxies();
-    let mut dist = vec![INFINITY; n];
-    let mut sigma = vec![0.0f64; n];
-
-    // Seed: the master of the source holds sigma 1; ship the canonical
-    // sigma to every proxy of the source before the first level.
-    let mut seed_bits = DenseBitset::new(caps);
-    if let Some(s) = lg.lid(source) {
-        dist[s.index()] = 0;
-        if lg.is_master(s) {
-            sigma[s.index()] = 1.0;
-            seed_bits.set(s);
-        }
-    }
-    {
-        let mut field = CopyField::new(&mut sigma);
-        ctx.sync(&SIGMA_BCAST, &mut field, &mut seed_bits);
-    }
-
-    // Per-level dirty sets of both phases, allocated once and cleared
-    // where a level starts filling them.
-    let mut dist_bits = DenseBitset::new(caps);
-    let mut sig_bits = DenseBitset::new(caps);
-    let mut bcast_bits = DenseBitset::new(caps);
-    let mut delta_bits = DenseBitset::new(caps);
-
-    // ---- Forward phase: level-synchronous BFS with path counting. ----
-    let mut level = 0u32;
-    loop {
-        // Expansion: discover level + 1 through local frontier edges. The
-        // dist field is read at *both* ends later (the sigma pass checks
-        // destinations), so it broadcasts to every mirror.
-        dist_bits.clear_all();
-        let frontier: Vec<Lid> = lg.proxies().filter(|&v| dist[v.index()] == level).collect();
-        ctx.add_work(frontier.iter().map(|&v| u64::from(lg.out_degree(v))).sum());
-        for &v in &frontier {
-            for e in lg.out_edges(v) {
-                if dist[e.dst.index()] > level + 1 {
-                    dist[e.dst.index()] = level + 1;
-                    dist_bits.set(e.dst);
-                }
-            }
-        }
-        {
-            let mut field = MinField::new(&mut dist);
-            ctx.sync(&DIST_BOTH, &mut field, &mut dist_bits);
-        }
-        // Path counting: each local edge from level to level + 1 forwards
-        // sigma. Partial sums reduce to masters, canonical values broadcast
-        // everywhere (the backward phase reads sigma at both ends too).
-        sig_bits.clear_all();
-        // Re-derive: the sync may have revealed remotely-discovered
-        // level-`level` proxies.
-        let frontier: Vec<Lid> = lg.proxies().filter(|&v| dist[v.index()] == level).collect();
-        ctx.add_work(frontier.iter().map(|&v| u64::from(lg.out_degree(v))).sum());
-        for &v in &frontier {
-            let sv = sigma[v.index()];
-            if sv == 0.0 {
-                continue;
-            }
-            for e in lg.out_edges(v) {
-                if dist[e.dst.index()] == level + 1 {
-                    sigma[e.dst.index()] += sv;
-                    sig_bits.set(e.dst);
-                }
-            }
-        }
-        {
-            let mut field = SumField::new(&mut sigma);
-            ctx.sync(&SIGMA_REDUCE, &mut field, &mut sig_bits);
-        }
-        bcast_bits.clear_all();
-        for m in lg.masters() {
-            if dist[m.index()] == level + 1 {
-                bcast_bits.set(m);
-            }
-        }
-        let frontier_nonempty = !bcast_bits.is_empty();
-        {
-            let mut field = CopyField::new(&mut sigma);
-            ctx.sync(&SIGMA_BCAST, &mut field, &mut bcast_bits);
-        }
-        if !ctx.any_globally(frontier_nonempty) {
-            break;
-        }
-        level += 1;
-    }
-    let deepest = level; // nodes exist at levels 0..=deepest
-
-    // ---- Backward phase: dependency accumulation, deepest-first. ----
-    let mut delta = vec![0.0f64; n];
-    let mut l = deepest;
-    loop {
-        // Partial dependency sums at every proxy of a level-l node that
-        // holds outgoing edges — written at edge *sources*.
-        delta_bits.clear_all();
-        let level_nodes: Vec<Lid> = lg.proxies().filter(|&v| dist[v.index()] == l).collect();
-        ctx.add_work(
-            level_nodes
-                .iter()
-                .map(|&v| u64::from(lg.out_degree(v)))
-                .sum(),
-        );
-        for &v in &level_nodes {
-            let sv = sigma[v.index()];
-            if sv == 0.0 {
-                continue;
-            }
-            let mut acc = 0.0f64;
-            for e in lg.out_edges(v) {
-                let u = e.dst.index();
-                if dist[u] == l + 1 && sigma[u] > 0.0 {
-                    acc += sv / sigma[u] * (1.0 + delta[u]);
-                }
-            }
-            if acc != 0.0 {
-                delta[v.index()] += acc;
-                delta_bits.set(v);
-            }
-        }
-        // Reduce source-side partials to masters, then ship the canonical
-        // dependency to the proxies that will read it as an edge
-        // destination one level up.
-        {
-            let mut field = SumField::new(&mut delta);
-            ctx.sync(&DELTA_REDUCE, &mut field, &mut delta_bits);
-        }
-        bcast_bits.clear_all();
-        for m in lg.masters() {
-            if dist[m.index()] == l && delta[m.index()] != 0.0 {
-                bcast_bits.set(m);
-            }
-        }
-        {
-            let mut field = CopyField::new(&mut delta);
-            ctx.sync(&DELTA_BCAST, &mut field, &mut bcast_bits);
-        }
-        if l == 0 {
-            break;
-        }
-        l -= 1;
-    }
-    if let Some(s) = lg.lid(source) {
-        delta[s.index()] = 0.0;
-    }
-    (delta, deepest)
-}
-
-/// Distributed delta-stepping SSSP: like [`sssp`] with the Galois engine,
-/// but within each BSP round the host drains its work in ascending
-/// distance order (bucket width `delta`) instead of FIFO, doing fewer
-/// wasted relaxations on weighted graphs — the Lonestar scheduler married
-/// to Gluon rounds. Returns per-proxy distances and the round count.
-pub fn sssp_delta<T: Transport + ?Sized>(
-    lg: &LocalGraph,
-    ctx: &mut GluonContext<'_, T>,
-    source: Gid,
-    delta: u32,
-) -> (Vec<u32>, u32) {
-    let n = lg.num_proxies();
-    let mut dist = vec![INFINITY; n as usize];
-    let mut active = DenseBitset::new(n);
-    if let Some(s) = lg.lid(source) {
-        dist[s.index()] = 0;
-        active.set(s);
-    }
-    // The spent frontier is cleared and becomes the next changed set.
-    let mut changed = DenseBitset::new(n);
-    let mut rounds = 0u32;
-    loop {
-        rounds += 1;
-        let seeds: Vec<(Lid, u32)> = active
-            .iter()
-            .map(|v| (v, dist[v.index()]))
-            .filter(|&(_, d)| d != INFINITY)
-            .collect();
-        let mut work = 0u64;
-        gluon_engines::galois::for_each_prioritized(n, delta, seeds, |v, prio, wl| {
-            if prio > dist[v.index()] {
-                return; // improved since it was queued
-            }
-            work += u64::from(lg.out_degree(v));
-            let dv = dist[v.index()];
-            for e in lg.out_edges(v) {
-                let nd = dv.saturating_add(e.weight);
-                if nd < dist[e.dst.index()] {
-                    dist[e.dst.index()] = nd;
-                    changed.set(e.dst);
-                    wl.push(e.dst, nd);
-                }
-            }
-        });
-        ctx.add_work(work);
-        std::mem::swap(&mut active, &mut changed);
-        changed.clear_all();
-        let mut field = MinField::new(&mut dist);
-        ctx.sync(&DIST_PUSH, &mut field, &mut active);
-        if !ctx.any_globally(!active.is_empty()) {
-            return (dist, rounds);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -61,9 +61,6 @@ pub enum FailurePolicy {
     /// Return a typed error as soon as the cluster has stopped; never
     /// restart.
     AbortClean,
-    /// Restore the latest complete checkpoint and surface its (stale)
-    /// labels as a degraded outcome, without recomputing anything.
-    ContinueStale,
 }
 
 /// Why a supervised run ([`Run::try_launch`]) could not produce a result.
@@ -78,8 +75,7 @@ pub enum RunError {
         /// What it reported.
         error: SyncError,
     },
-    /// Every allowed attempt failed (or `ContinueStale` found no complete
-    /// checkpoint epoch to fall back to).
+    /// Every allowed attempt failed.
     Unrecoverable {
         /// How many attempts were made.
         attempts: u32,
@@ -94,8 +90,8 @@ pub enum RunError {
         /// What it reported.
         error: SyncError,
     },
-    /// The workload has no fallible/checkpointable path yet (k-core,
-    /// betweenness); use [`Run::launch`].
+    /// The workload has no fallible/checkpointable path yet (k-core); use
+    /// [`Run::launch`].
     Unsupported(&'static str),
 }
 
@@ -181,9 +177,6 @@ pub struct DistOutcome {
     /// Supervised restarts it took to produce this result (0 for a
     /// crash-free run, and always 0 from [`Run::launch`]).
     pub recoveries: u32,
-    /// True when [`FailurePolicy::ContinueStale`] surfaced the last
-    /// checkpoint instead of a completed computation.
-    pub degraded: bool,
 }
 
 impl DistOutcome {
@@ -216,8 +209,6 @@ pub(crate) enum Workload {
     Algo(Algorithm),
     /// k-core membership with the given k (input symmetrized internally).
     Kcore(u32),
-    /// Single-source betweenness centrality.
-    Betweenness,
 }
 
 /// The identity transport wrapper the builder starts with. Wrappers are
@@ -228,9 +219,8 @@ fn identity(ep: MemoryTransport, _attempt: u32) -> MemoryTransport {
     ep
 }
 
-/// Builder for one distributed run. Construct with [`Run::new`],
-/// [`Run::kcore`], or [`Run::betweenness`]; chain settings; finish with
-/// [`launch`](Run::launch).
+/// Builder for one distributed run. Construct with [`Run::new`] or
+/// [`Run::kcore`]; chain settings; finish with [`launch`](Run::launch).
 #[derive(Debug)]
 pub struct Run<'g, W = MemoryTransport, F = fn(MemoryTransport, u32) -> MemoryTransport>
 where
@@ -256,13 +246,6 @@ impl<'g> Run<'g> {
     /// input is symmetrized internally, like cc.
     pub fn kcore(graph: &'g Csr, k: u32) -> Run<'g> {
         Run::with_workload(graph, Workload::Kcore(k))
-    }
-
-    /// A single-source betweenness-centrality run (see
-    /// [`apps::betweenness_source`]): `ranks` holds the per-node
-    /// dependency values, `rounds` the number of BFS levels.
-    pub fn betweenness(graph: &'g Csr, source: Gid) -> Run<'g> {
-        Run::with_workload(graph, Workload::Betweenness).source(source)
     }
 
     fn with_workload(graph: &'g Csr, workload: Workload) -> Run<'g> {
@@ -333,8 +316,7 @@ where
         self
     }
 
-    /// Source node for bfs/sssp/betweenness (default: the maximum
-    /// out-degree node).
+    /// Source node for bfs/sssp (default: the maximum out-degree node).
     #[must_use]
     pub fn source(mut self, source: Gid) -> Self {
         self.setup.source = Some(source);
@@ -494,7 +476,7 @@ where
     pub fn launch(self) -> DistOutcome {
         self.with_threads(false, |_, threads| {
             threads
-                .attempt(0, None, false)
+                .attempt(0, None)
                 .unwrap_or_else(|failed| failed.raise())
         })
     }
@@ -507,7 +489,7 @@ where
     ///
     /// # Errors
     ///
-    /// [`RunError::Unsupported`] for k-core/betweenness workloads;
+    /// [`RunError::Unsupported`] for k-core workloads;
     /// [`RunError::Host`] for deterministic failures (decode errors);
     /// [`RunError::Aborted`]/[`RunError::Unrecoverable`] per the failure
     /// policy.
@@ -515,7 +497,6 @@ where
         match self.setup.workload {
             Workload::Algo(_) => {}
             Workload::Kcore(_) => return Err(RunError::Unsupported("kcore")),
-            Workload::Betweenness => return Err(RunError::Unsupported("betweenness")),
         }
         self.with_threads(true, |setup, threads| {
             supervise(
@@ -593,8 +574,8 @@ pub(crate) struct Input<'g> {
     /// Whether hosts build their in-edges (pagerank's pull, D-Ligra's
     /// direction switch).
     pub(crate) needs_transpose: bool,
-    /// The bfs/sssp/betweenness source: the given one, else the maximum
-    /// out-degree node.
+    /// The bfs/sssp source: the given one, else the maximum out-degree
+    /// node.
     pub(crate) source: Gid,
 }
 
@@ -612,7 +593,7 @@ impl<'g> Input<'g> {
         };
         let needs_transpose = match workload {
             Workload::Algo(algo) => algo == Algorithm::Pagerank || engine == EngineKind::Ligra,
-            Workload::Kcore(_) | Workload::Betweenness => false,
+            Workload::Kcore(_) => false,
         };
         Input {
             csr,
@@ -671,13 +652,11 @@ pub(crate) trait HostSet {
     fn store(&self) -> Option<&CheckpointStore>;
 
     /// Runs attempt `n` (0-based) on fresh hosts, each restored from epoch
-    /// `restore` when one is given; `finalize_only` gathers the restored
-    /// state without computing.
+    /// `restore` when one is given.
     fn attempt(
         &mut self,
         n: u32,
         restore: Option<u64>,
-        finalize_only: bool,
     ) -> Result<DistOutcome, Failed<Self::Failure, Self::Fatal>>;
 }
 
@@ -711,8 +690,7 @@ pub(crate) enum Stop<F, X> {
         /// What it reported.
         failure: F,
     },
-    /// Every allowed attempt failed, or [`FailurePolicy::ContinueStale`]
-    /// found no complete epoch to serve.
+    /// Every allowed attempt failed.
     Unrecoverable {
         /// Attempts made.
         attempts: u32,
@@ -724,10 +702,9 @@ pub(crate) enum Stop<F, X> {
 /// The supervisor of both backends: detect → blame → rollback → replay.
 /// Runs attempts on `hosts`; a fatal failure stops it at once, and any
 /// other is handled per `on_failure` — roll every host back to the newest
-/// epoch all of them saved and replay (at most `max_recoveries` times),
-/// stop, or serve that epoch as a degraded outcome. Each restart records
-/// a `recovery` trace event; the outcome publishes the supervisor
-/// counters into `hub`.
+/// epoch all of them saved and replay (at most `max_recoveries` times), or
+/// stop. Each restart records a `recovery` trace event; the outcome
+/// publishes the supervisor counters into `hub`.
 pub(crate) fn supervise<H: HostSet + ?Sized>(
     hosts: &mut H,
     on_failure: FailurePolicy,
@@ -747,38 +724,16 @@ pub(crate) fn supervise<H: HostSet + ?Sized>(
         } else {
             hosts.store().and_then(|s| s.latest_complete_epoch(world))
         };
-        let (host, failure) = match hosts.attempt(attempt, restore, false) {
-            Ok(out) => return Ok(conclude(out, hub, attempt + 1, false)),
+        let (host, failure) = match hosts.attempt(attempt, restore) {
+            Ok(out) => return Ok(conclude(out, hub, attempt + 1)),
             Err(Failed::Fatal(fatal)) => return Err(Stop::Fatal(fatal)),
             Err(Failed::Host(host, failure)) => (host, failure),
         };
-        match on_failure {
-            FailurePolicy::AbortClean => return Err(Stop::Aborted { host, failure }),
-            FailurePolicy::ContinueStale => {
-                let Some(epoch) = hosts.store().and_then(|s| s.latest_complete_epoch(world)) else {
-                    return Err(Stop::Unrecoverable {
-                        attempts: attempt + 1,
-                        last: failure,
-                    });
-                };
-                tracer.record_event(host, "recovery", host, u64::from(attempt) + 1);
-                // Finalize-only relaunch: restore the stale epoch and
-                // gather it without computing (zero sync rounds, so no
-                // injected crash can re-fire).
-                return match hosts.attempt(attempt + 1, Some(epoch), true) {
-                    Ok(out) => Ok(conclude(out, hub, attempt + 2, true)),
-                    Err(Failed::Fatal(fatal)) => Err(Stop::Fatal(fatal)),
-                    Err(Failed::Host(_, last)) => Err(Stop::Unrecoverable {
-                        attempts: attempt + 2,
-                        last,
-                    }),
-                };
-            }
-            FailurePolicy::Recover => {
-                tracer.record_event(host, "recovery", host, u64::from(attempt) + 1);
-                last = Some(failure);
-            }
+        if on_failure == FailurePolicy::AbortClean {
+            return Err(Stop::Aborted { host, failure });
         }
+        tracer.record_event(host, "recovery", host, u64::from(attempt) + 1);
+        last = Some(failure);
     }
     Err(Stop::Unrecoverable {
         attempts: attempts_allowed,
@@ -790,14 +745,12 @@ pub(crate) fn supervise<H: HostSet + ?Sized>(
 /// publishes the supervisor counters into the hub's cluster registry —
 /// after that attempt, because every attempt starts by rebaselining the
 /// hub, so counters published earlier would read as zero.
-fn conclude(mut out: DistOutcome, hub: &MetricsHub, attempts: u32, degraded: bool) -> DistOutcome {
+fn conclude(mut out: DistOutcome, hub: &MetricsHub, attempts: u32) -> DistOutcome {
     out.recoveries = attempts - 1;
-    out.degraded = degraded;
     if hub.is_enabled() {
         let cluster = hub.cluster();
         cluster.counter("attempts").add(u64::from(attempts));
         cluster.counter("recoveries").add(u64::from(out.recoveries));
-        cluster.gauge("degraded").set(u64::from(degraded));
     }
     out
 }
@@ -836,14 +789,12 @@ where
         &mut self,
         n: u32,
         restore: Option<u64>,
-        finalize_only: bool,
     ) -> Result<DistOutcome, Failed<SyncError, (usize, SyncError)>> {
         let (setup, input) = (self.setup, self.input);
         let ckpt = self.store.as_ref().map(|store| CkptSetup {
             store: store.clone(),
             every: setup.ckpt_every,
             restore_epoch: restore,
-            finalize_only,
         });
         let Setup {
             workload,
@@ -1028,7 +979,6 @@ pub(crate) struct CkptSetup {
     pub(crate) store: CheckpointStore,
     pub(crate) every: Option<u64>,
     pub(crate) restore_epoch: Option<u64>,
-    pub(crate) finalize_only: bool,
 }
 
 /// The per-host compute closure [`host_program`] drives: partition in,
@@ -1077,13 +1027,13 @@ pub(crate) fn host_program<T: Transport>(
         .with_pool(Pool::new(threads).with_metrics(ExecMetrics::register(&host)))
         .with_metrics(host);
     if let Some(ckpt) = ckpt.filter(|c| c.every.is_some() || c.restore_epoch.is_some()) {
-        // `every` is absent only on a finalize-only relaunch of a store
-        // populated by an earlier configuration; u64::MAX never divides a
-        // reachable round, so saving is effectively off.
+        // `every` is absent when the caller gave a `checkpoint_store`
+        // without a `checkpoint_every`: a recovery attempt then restores
+        // an epoch the store already held. u64::MAX never divides a
+        // reachable round, so such a run saves nothing.
         ctx = ctx
             .with_checkpoints(ckpt.store.clone(), ckpt.every.unwrap_or(u64::MAX))
-            .with_restore_epoch(ckpt.restore_epoch)
-            .with_finalize_only(ckpt.finalize_only);
+            .with_restore_epoch(ckpt.restore_epoch);
     }
     ctx.reset_timer();
     let algo_start = Instant::now();
@@ -1108,8 +1058,8 @@ pub(crate) fn host_program<T: Transport>(
 }
 
 /// One host's compute body for `workload`: the fallible, checkpoint-aware
-/// entry point of each paper benchmark; k-core and betweenness have none,
-/// so their results are wrapped as they are.
+/// entry point of each paper benchmark; k-core has none, so its result is
+/// wrapped as it is.
 pub(crate) fn run_workload<T: Transport + ?Sized>(
     lg: &LocalGraph,
     ctx: &mut GluonContext<'_, T>,
@@ -1138,10 +1088,6 @@ pub(crate) fn run_workload<T: Transport + ?Sized>(
         Workload::Kcore(k) => {
             let (alive, rounds) = apps::kcore(lg, ctx, k);
             (alive, Vec::new(), rounds)
-        }
-        Workload::Betweenness => {
-            let (delta, levels) = apps::betweenness_source(lg, ctx, source);
-            (Vec::new(), delta, levels)
         }
     })
 }
@@ -1195,7 +1141,6 @@ pub(crate) fn assemble(
         ),
         net,
         recoveries: 0,
-        degraded: false,
     }
 }
 

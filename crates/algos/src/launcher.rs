@@ -390,14 +390,11 @@ impl HostSet for Workers<'_> {
         Some(&self.store)
     }
 
-    /// Workers have no finalize-only mode: the launcher only recovers.
     fn attempt(
         &mut self,
         n: u32,
         restore: Option<u64>,
-        finalize_only: bool,
     ) -> Result<DistOutcome, Failed<String, LaunchError>> {
-        debug_assert!(!finalize_only, "workers cannot finalize without computing");
         let hosts = self.spec.hosts;
         let listen = match self.spec.kind {
             SocketKind::Tcp => "tcp",
@@ -884,7 +881,6 @@ fn run_worker(args: &WorkerArgs, transport: CrashAt<SocketTransport>, stats: Net
         store,
         every: args.ckpt_every,
         restore_epoch: args.restore_epoch,
-        finalize_only: false,
     };
     let hub = MetricsHub::new(args.world);
     let compute = |lg: &gluon_partition::LocalGraph,

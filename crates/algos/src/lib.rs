@@ -39,8 +39,8 @@ pub use report::{phase_residuals, PhaseResidual, RunReport, REPORT_SCHEMA_VERSIO
 /// The shared-memory engine computing each host's partition: how a
 /// host schedules its local work each round. Every engine runs the same
 /// sweeps; only the push-style relaxations (bfs, sssp, cc) schedule them
-/// differently (see `minrelax.rs`), and pagerank, k-core and push-style
-/// pagerank compute identically under all three.
+/// differently (see `minrelax.rs`), and pagerank and k-core compute
+/// identically under all three.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum EngineKind {
     /// One snapshot sweep per round, pushing or pulling by Ligra's

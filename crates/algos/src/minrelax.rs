@@ -159,11 +159,6 @@ pub(crate) fn try_run<T: Transport + ?Sized>(
         active.copy_from_words(&words);
         rounds = u32::try_from(snap.round()).expect("round fits u32");
     }
-    if ctx.finalize_only() {
-        // ContinueStale degradation: surface the restored epoch's labels
-        // without running (or syncing) any further rounds.
-        return Ok(rounds);
-    }
     // Bin scratch is checked out around the whole round loop, so the
     // steady state recycles every buffer.
     // An error path drops it — the supervisor rebuilds the context anyway.

@@ -174,47 +174,6 @@ pub fn symmetrize(graph: &Csr) -> Csr {
     b.build()
 }
 
-/// Single-source betweenness-centrality dependencies (Brandes): for each
-/// node `v`, the dependency `delta_s(v)` is the sum of the pair-dependency
-/// over shortest paths from `source` passing through `v`, computed on the
-/// unweighted directed graph. `delta[source] = 0`.
-pub fn betweenness_source(graph: &Csr, source: Gid) -> Vec<f64> {
-    let n = graph.num_nodes() as usize;
-    assert!(source.0 < graph.num_nodes(), "source out of range");
-    let mut dist = vec![u32::MAX; n];
-    let mut sigma = vec![0.0f64; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    dist[source.index()] = 0;
-    sigma[source.index()] = 1.0;
-    let mut queue = VecDeque::from([source.0]);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        let dv = dist[v as usize];
-        for e in graph.out_edges(Gid(v)) {
-            let u = e.dst.index();
-            if dist[u] == u32::MAX {
-                dist[u] = dv + 1;
-                queue.push_back(e.dst.0);
-            }
-            if dist[u] == dv + 1 {
-                sigma[u] += sigma[v as usize];
-            }
-        }
-    }
-    let mut delta = vec![0.0f64; n];
-    for &v in order.iter().rev() {
-        let dv = dist[v as usize];
-        for e in graph.out_edges(Gid(v)) {
-            let u = e.dst.index();
-            if dist[u] == dv + 1 && sigma[u] > 0.0 {
-                delta[v as usize] += sigma[v as usize] / sigma[u] * (1.0 + delta[u]);
-            }
-        }
-    }
-    delta[source.index()] = 0.0;
-    delta
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

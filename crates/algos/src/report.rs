@@ -45,7 +45,7 @@ use gluon_trace::Tracer;
 /// Version of the report's JSON schema; bumped whenever a field is
 /// renamed, removed, or changes meaning (additions are backwards
 /// compatible and do not bump it).
-pub const REPORT_SCHEMA_VERSION: u64 = 5;
+pub const REPORT_SCHEMA_VERSION: u64 = 6;
 
 /// A merged, exportable view of one run: outcome + metrics + calibration.
 ///
@@ -152,7 +152,6 @@ fn build_json(outcome: &DistOutcome, hub: &MetricsHub, model: &CostModel, tracer
         ("hosts", Json::from(outcome.host_stats.len())),
         ("rounds", Json::from(outcome.rounds)),
         ("phases", Json::from(outcome.run.phases)),
-        ("degraded", Json::from(outcome.degraded)),
         ("metrics_enabled", Json::from(hub.is_enabled())),
         ("totals", totals_json(outcome, hub)),
         ("wire_modes", wire_modes_json(hub)),

@@ -144,12 +144,10 @@ fn bench_pool_primitive(c: &mut Criterion) {
         let pool = Pool::new(threads);
         c.bench_function(&format!("pool/weighted-reduce/{threads}t"), |b| {
             b.iter(|| {
-                let total = pool.reduce(
-                    degrees.len(),
-                    0u64,
-                    |r| degrees[r].iter().sum(),
-                    |a, b| a + b,
-                );
+                let total = pool
+                    .map_chunks(degrees.len(), |r| degrees[r].iter().sum::<u64>())
+                    .into_iter()
+                    .sum::<u64>();
                 black_box(total)
             })
         });

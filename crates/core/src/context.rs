@@ -263,9 +263,6 @@ struct CheckpointCfg {
     every: u64,
     /// Epoch (= round) to restore from before computing, when recovering.
     restore_epoch: Option<u64>,
-    /// Restore and produce output without running further rounds (the
-    /// `ContinueStale` degradation policy).
-    finalize_only: bool,
 }
 
 /// Splits one sync call into contiguous timed segments, each emitted as a
@@ -480,7 +477,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             store,
             every,
             restore_epoch: None,
-            finalize_only: false,
         });
         self
     }
@@ -494,23 +490,6 @@ impl<'a, T: Transport + ?Sized> GluonContext<'a, T> {
             c.restore_epoch = epoch;
         }
         self
-    }
-
-    /// Puts the context in finalize-only mode: engines restore the chosen
-    /// epoch and produce output without running further rounds (the
-    /// `ContinueStale` degradation policy).
-    #[must_use]
-    pub fn with_finalize_only(mut self, finalize_only: bool) -> Self {
-        if let Some(c) = &mut self.ckpt {
-            c.finalize_only = finalize_only;
-        }
-        self
-    }
-
-    /// Whether engines should skip computation and only finalize restored
-    /// state.
-    pub fn finalize_only(&self) -> bool {
-        self.ckpt.as_ref().is_some_and(|c| c.finalize_only)
     }
 
     /// Whether the engine should snapshot after completing `round`

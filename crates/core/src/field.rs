@@ -5,10 +5,10 @@
 //! from mirrors, how a mirror *resets* after its value has been shipped, and
 //! how a mirror *sets* the canonical value received in a broadcast.
 //!
-//! Ready-made structures cover the reductions the benchmarks use:
-//! [`MinField`] (bfs / sssp / cc), [`MaxField`], [`SumField`] (push-style
-//! pagerank residuals), and [`PairMinField`] for lexicographic argmin
-//! reductions.
+//! Ready-made structures cover the reductions the benchmarks use,
+//! [`MinField`] (bfs / sssp / cc) and [`SumField`] (pagerank's
+//! contributions and out-degrees, k-core's degrees and trims), plus
+//! [`MaxField`].
 //!
 //! # The sum-field contract
 //!
@@ -47,40 +47,6 @@ pub trait FieldSync {
     /// Overwrites proxy `lid` with the canonical value (called at mirrors
     /// during broadcast).
     fn set(&mut self, lid: Lid, value: Self::Value);
-
-    // --- Bulk variants (the paper: "there are also bulk-variants for
-    // GPUs"). Device-backed fields override these with one staged
-    // device↔host transfer; the defaults loop over the scalar methods. ---
-
-    /// Extracts the values of many proxies at once into `out`.
-    fn extract_batch(&self, lids: &[Lid], out: &mut Vec<Self::Value>) {
-        out.clear();
-        out.extend(lids.iter().map(|&l| self.extract(l)));
-    }
-
-    /// Reduces one value into each listed proxy; returns how many changed.
-    fn reduce_batch(&mut self, lids: &[Lid], values: &[Self::Value]) -> usize {
-        assert_eq!(lids.len(), values.len(), "one value per lid");
-        lids.iter()
-            .zip(values)
-            .filter(|&(&l, &v)| self.reduce(l, v))
-            .count()
-    }
-
-    /// Overwrites each listed proxy with its value.
-    fn set_batch(&mut self, lids: &[Lid], values: &[Self::Value]) {
-        assert_eq!(lids.len(), values.len(), "one value per lid");
-        for (&l, &v) in lids.iter().zip(values) {
-            self.set(l, v);
-        }
-    }
-
-    /// Resets many proxies to the reduction identity.
-    fn reset_batch(&mut self, lids: &[Lid]) {
-        for &l in lids {
-            self.reset(l);
-        }
-    }
 }
 
 /// Minimum reduction over a label slice. Reset keeps the current value
@@ -174,7 +140,7 @@ macro_rules! zero_impl {
 zero_impl!(u32, u64, i32, i64, f32, f64);
 
 /// Addition reduction: masters accumulate, mirrors reset to zero after
-/// sending (push-style pagerank residuals).
+/// sending (pagerank's contributions, k-core's trims).
 #[derive(Debug)]
 pub struct SumField<'a, T> {
     data: &'a mut [T],
@@ -210,48 +176,6 @@ where
     }
 
     fn set(&mut self, lid: Lid, value: T) {
-        self.data[lid.index()] = value;
-    }
-}
-
-/// Lexicographic minimum over `(T, U)` pairs (argmin-style reductions).
-#[derive(Debug)]
-pub struct PairMinField<'a, T, U> {
-    data: &'a mut [(T, U)],
-}
-
-impl<'a, T, U> PairMinField<'a, T, U> {
-    /// Wraps the pair slice (one entry per proxy).
-    pub fn new(data: &'a mut [(T, U)]) -> Self {
-        PairMinField { data }
-    }
-}
-
-impl<T, U> FieldSync for PairMinField<'_, T, U>
-where
-    T: SyncValue + PartialOrd,
-    U: SyncValue + PartialOrd,
-{
-    type Value = (T, U);
-
-    fn extract(&self, lid: Lid) -> (T, U) {
-        self.data[lid.index()]
-    }
-
-    fn reduce(&mut self, lid: Lid, value: (T, U)) -> bool {
-        let cur = &mut self.data[lid.index()];
-        let smaller = value.0 < cur.0 || (value.0 == cur.0 && value.1 < cur.1);
-        if smaller {
-            *cur = value;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn reset(&mut self, _lid: Lid) {}
-
-    fn set(&mut self, lid: Lid, value: (T, U)) {
         self.data[lid.index()] = value;
     }
 }
@@ -312,41 +236,6 @@ mod tests {
         assert!((f.extract(Lid(0)) - 1.5).abs() < 1e-12);
         f.reset(Lid(0));
         assert_eq!(f.extract(Lid(0)), 0.0);
-    }
-
-    #[test]
-    fn pair_min_orders_lexicographically() {
-        let mut data = vec![(5u32, 9u32)];
-        let mut f = PairMinField::new(&mut data);
-        assert!(!f.reduce(Lid(0), (5, 10)));
-        assert!(f.reduce(Lid(0), (5, 3)));
-        assert!(f.reduce(Lid(0), (4, 100)));
-        assert_eq!(f.extract(Lid(0)), (4, 100));
-    }
-
-    #[test]
-    fn bulk_variants_match_scalar_behavior() {
-        let mut data = vec![10u32, 20, 30, 40];
-        let mut f = MinField::new(&mut data);
-        let lids = [Lid(0), Lid(2), Lid(3)];
-        let mut out = Vec::new();
-        f.extract_batch(&lids, &mut out);
-        assert_eq!(out, vec![10, 30, 40]);
-        let changed = f.reduce_batch(&lids, &[5, 100, 40]);
-        assert_eq!(changed, 1, "only lid 0 improved");
-        assert_eq!(f.extract(Lid(0)), 5);
-        f.set_batch(&[Lid(1)], &[7]);
-        assert_eq!(f.extract(Lid(1)), 7);
-        f.reset_batch(&lids); // min reset keeps values
-        assert_eq!(f.extract(Lid(0)), 5);
-    }
-
-    #[test]
-    fn sum_reset_batch_zeroes() {
-        let mut data = vec![1.5f64, 2.5];
-        let mut f = SumField::new(&mut data);
-        f.reset_batch(&[Lid(0), Lid(1)]);
-        assert_eq!(data, vec![0.0, 0.0]);
     }
 
     #[test]

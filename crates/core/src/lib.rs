@@ -98,7 +98,7 @@ pub use bitset::{DenseBitset, Iter as BitsetIter};
 pub use checkpoint::{CheckpointSnapshot, CheckpointStore};
 pub use context::{GluonContext, ReadLocation, SyncError, SyncSpec, WriteLocation};
 pub use encode::DecodeError;
-pub use field::{init_field, FieldSync, MaxField, MinField, PairMinField, SumField, Zero};
+pub use field::{init_field, FieldSync, MaxField, MinField, SumField, Zero};
 pub use memo::{FlagFilter, MemoTable, ProxyEntry};
 pub use opts::{OptLevel, ParseOptLevelError};
 pub use stats::{PhaseStats, RunStats, SyncStats, DEFAULT_EDGES_PER_SEC};

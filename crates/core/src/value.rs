@@ -49,8 +49,8 @@ int_sync_value!(i64, 8);
 int_sync_value!(f32, 4);
 int_sync_value!(f64, 8);
 
-/// Pairs encode as the concatenation of their parts (used e.g. for
-/// argmin-style reductions carrying `(value, node)` tuples).
+/// Pairs encode as the concatenation of their parts (a worker's report
+/// writes its `(gid, label)` rows and its phase rows through it).
 impl<A: SyncValue, B: SyncValue> SyncValue for (A, B) {
     const WIRE_BYTES: usize = A::WIRE_BYTES + B::WIRE_BYTES;
 

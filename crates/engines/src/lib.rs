@@ -9,8 +9,7 @@
 //! * [`ligra`] — Ligra's `vertexSubset`, the sequential `edgeMap` with
 //!   direction optimization, and the pooled sweeps every engine runs: one
 //!   binned push ([`ligra::vertex_map_push_pooled`]) and the two pulls;
-//! * [`galois`] — Galois' sequential worklists (`for_each`, FIFO and
-//!   delta-stepping).
+//! * [`galois`] — Galois' sequential FIFO worklist (`for_each`).
 //!
 //! How D-Ligra, D-Galois and D-IrGL schedule these sweeps round by round
 //! lives with the applications (`gluon_algos::minrelax`). Everything here
@@ -24,5 +23,5 @@
 pub mod galois;
 pub mod ligra;
 
-pub use galois::{for_each, for_each_prioritized, DeltaWorklist, Worklist};
+pub use galois::{for_each, Worklist};
 pub use ligra::{edge_map, Direction, EdgeOp, VertexSubset};

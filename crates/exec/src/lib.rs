@@ -41,8 +41,8 @@
 //!   segmented bin per worker through it, each chunk noting its span.
 //! - [`Pool::for_each_chunk_mut_scratch`] splits a mutable slice into the
 //!   chunks, one scratch slot each: the pull sweep over destinations.
-//! - [`Pool::map_chunks`] and [`Pool::reduce`] collect one result per
-//!   chunk on top of the first and fold them in chunk order.
+//! - [`Pool::map_chunks`] collects one result per chunk on top of the
+//!   first, in chunk order, for the caller to fold.
 //!
 //! Each is a thin wrapper over one deal and one dispatch core.
 //! It stages one weight per chunk in a [`SchedScratch`]; the deal maps
@@ -68,13 +68,14 @@
 //! let data: Vec<u64> = (0..10_000).collect();
 //! let pool = Pool::new(4);
 //! // Per-chunk partial sums, combined in chunk order.
-//! let total = pool.reduce(data.len(), 0u64, |r| data[r].iter().sum(), |a, b| a + b);
+//! let sum = |pool: &Pool| -> u64 {
+//!     let partials = pool.map_chunks(data.len(), |r| data[r].iter().sum::<u64>());
+//!     partials.into_iter().sum()
+//! };
+//! let total = sum(&pool);
 //! assert_eq!(total, data.iter().sum::<u64>());
 //! // Bit-identical to any other thread count.
-//! assert_eq!(
-//!     total,
-//!     Pool::sequential().reduce(data.len(), 0u64, |r| data[r].iter().sum(), |a, b| a + b)
-//! );
+//! assert_eq!(total, sum(&Pool::sequential()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -463,23 +464,6 @@ impl Pool {
             .map(|r| r.expect("chunk covered"))
             .collect()
     }
-
-    /// Chunked parallel reduction: maps each fixed chunk with `map`, then
-    /// folds the per-chunk results **in ascending chunk order** with
-    /// `combine` starting from `identity` — the in-order combination that
-    /// keeps floating-point reductions bit-identical to the sequential
-    /// loop.
-    pub fn reduce<R: Send>(
-        &self,
-        len: usize,
-        identity: R,
-        map: impl Fn(Range<usize>) -> R + Sync,
-        mut combine: impl FnMut(R, R) -> R,
-    ) -> R {
-        self.map_chunks(len, map)
-            .into_iter()
-            .fold(identity, &mut combine)
-    }
 }
 
 #[cfg(test)]
@@ -577,12 +561,10 @@ mod tests {
             })
             .collect();
         let run = |t: usize| {
-            Pool::new(t).reduce(
-                data.len(),
-                0.0f64,
-                |r| data[r].iter().fold(0.0f64, |a, b| a + b),
-                |a, b| a + b,
-            )
+            Pool::new(t)
+                .map_chunks(data.len(), |r| data[r].iter().fold(0.0f64, |a, b| a + b))
+                .into_iter()
+                .fold(0.0f64, |a, b| a + b)
         };
         let seq = run(1);
         for t in [2, 5, 8] {
@@ -662,7 +644,10 @@ mod tests {
     fn inline_pool_matches_spawning_pool() {
         let data: Vec<u64> = (0..(3 * CHUNK as u64)).collect();
         let run = |pool: Pool| {
-            let total = pool.reduce(data.len(), 0u64, |r| data[r].iter().sum(), |a, b| a + b);
+            let total = pool
+                .map_chunks(data.len(), |r| data[r].iter().sum::<u64>())
+                .into_iter()
+                .sum::<u64>();
             (total, pool.drain_work())
         };
         let (seq_total, spawned_work) = run(Pool::new(4));
@@ -695,7 +680,11 @@ mod tests {
     fn empty_range_is_fine() {
         let pool = Pool::new(4);
         assert!(pool.map_chunks(0, |_| ()).is_empty());
-        assert_eq!(pool.reduce(0, 7u32, |_| 1, |a, b| a + b), 7);
+        let folded = pool
+            .map_chunks(0, |_| 1u32)
+            .into_iter()
+            .fold(7, |a, b| a + b);
+        assert_eq!(folded, 7);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! endpoint closes, which its peers see as a typed `PeerDown`; the
 //! supervisor restores every host from the latest complete checkpoint
 //! epoch, and deterministic replay lands on ranks bit-identical to the
-//! crash-free run. Then the failure modes: a permanently dead host under
-//! `AbortClean` (typed error, no restart) and under `ContinueStale` (the
-//! last checkpoint served as a degraded result).
+//! crash-free run. Then a permanently dead host under `AbortClean`: a
+//! typed error, no restart.
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
@@ -69,21 +68,4 @@ fn main() {
         .try_launch()
         .expect_err("AbortClean must surface the failure");
     println!("abort-clean: error after {:.0?}: {err}", started.elapsed());
-
-    // And under ContinueStale: the last complete checkpoint is served as a
-    // degraded outcome instead of an error.
-    let plan = FaultPlan::none(7).with_crash(CrashRule::at(1, 20).every_attempt());
-    let stale = Run::new(&graph, Algorithm::Pagerank)
-        .config(&cfg)
-        .checkpoint_every(2)
-        .on_failure(FailurePolicy::ContinueStale)
-        .transport_per_attempt(move |ep, attempt| {
-            FaultyTransport::new(ep, plan.for_attempt(attempt), FaultCounters::new())
-        })
-        .try_launch()
-        .expect("ContinueStale must serve the last checkpoint");
-    println!(
-        "continue-stale: degraded = {}, {} of {} iterations served",
-        stale.degraded, stale.rounds, clean.rounds
-    );
 }

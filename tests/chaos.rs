@@ -48,10 +48,6 @@ fn crash_under_jitter(run: Run<'_>, seed: u64) -> DistOutcome {
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     assert_eq!(counters.crashed(), 1, "seed {seed}: the crash never fired");
     assert!(out.recoveries >= 1, "seed {seed}: no recovery");
-    assert!(
-        !out.degraded,
-        "seed {seed}: full recovery must not be degraded"
-    );
     out
 }
 
@@ -155,23 +151,6 @@ fn kcore_is_bit_identical_under_chaos() {
         |cfg| driver::Run::kcore(&g, 3).config(cfg).launch(),
         |cfg, seed| {
             driver::Run::kcore(&g, 3)
-                .config(cfg)
-                .transport(jitter(seed))
-                .launch()
-        },
-    );
-}
-
-/// Betweenness has no supervised path, so its chaos is the jitter alone.
-#[test]
-fn betweenness_is_bit_identical_under_chaos() {
-    let g = chaos_graph();
-    let src = max_out_degree_node(&g);
-    check_chaos_matrix(
-        "bc",
-        |cfg| driver::Run::betweenness(&g, src).config(cfg).launch(),
-        |cfg, seed| {
-            driver::Run::betweenness(&g, src)
                 .config(cfg)
                 .transport(jitter(seed))
                 .launch()

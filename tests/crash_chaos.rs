@@ -65,7 +65,6 @@ fn check_recovery_matrix(algo: Algorithm, engine: EngineKind, crash_round: u64) 
             let ctx = format!("{algo:?} / {policy:?} / seed {seed}");
             assert!(counters.crashed() >= 1, "{ctx}: the crash never fired");
             assert!(out.recoveries >= 1, "{ctx}: result came without recovery");
-            assert!(!out.degraded, "{ctx}: full recovery must not be degraded");
             let events = tracer.events();
             assert!(
                 events.iter().any(|e| e.name == "recovery"),
@@ -121,7 +120,6 @@ fn supervised_crash_free_run_matches_launch_bitwise() {
             .try_launch()
             .unwrap_or_else(|e| panic!("{algo:?}: crash-free supervised run failed: {e}"));
         assert_eq!(out.recoveries, 0, "{algo:?}: phantom recovery");
-        assert!(!out.degraded, "{algo:?}: phantom degradation");
         assert_eq!(out.rounds, baseline.rounds, "{algo:?}: rounds diverged");
         assert_eq!(out.int_labels, baseline.int_labels, "{algo:?}");
         let got: Vec<u64> = out.ranks.iter().map(|r| r.to_bits()).collect();
@@ -206,52 +204,6 @@ fn abort_clean_stops_at_the_first_failure() {
         1,
         "AbortClean must not relaunch (the crash would have re-armed)"
     );
-}
-
-/// `ContinueStale`: with the victim pinned dead on every attempt, the
-/// supervisor serves the last complete checkpoint epoch as a degraded
-/// outcome. Stale min-relaxation labels over-approximate the fixpoint, so
-/// every served label must be >= the converged one.
-#[test]
-fn continue_stale_serves_the_last_checkpoint_as_degraded() {
-    let g = chaos_graph();
-    let cfg = DistConfig {
-        hosts: HOSTS,
-        policy: Policy::Cvc,
-        opts: OptLevel::OSTI,
-        engine: EngineKind::Ligra,
-    };
-    let baseline = Run::new(&g, Algorithm::Bfs).config(&cfg).launch();
-    assert!(
-        baseline.rounds >= 3,
-        "graph converged too fast for the test"
-    );
-    let plan = FaultPlan::none(21).with_crash(CrashRule::at(2, 3).every_attempt());
-    let out = Run::new(&g, Algorithm::Bfs)
-        .config(&cfg)
-        .checkpoint_every(1)
-        .on_failure(FailurePolicy::ContinueStale)
-        .transport_per_attempt(move |ep, attempt| {
-            FaultyTransport::new(ep, plan.for_attempt(attempt), FaultCounters::new())
-        })
-        .try_launch()
-        .expect("ContinueStale with a complete epoch must produce an outcome");
-    assert!(out.degraded, "stale outcome must be marked degraded");
-    assert!(out.recoveries >= 1, "degradation counts as a recovery");
-    assert!(
-        out.rounds < baseline.rounds,
-        "stale rounds {} must predate convergence at {}",
-        out.rounds,
-        baseline.rounds
-    );
-    assert!(out.rounds >= 1, "at least one epoch must have been served");
-    assert_eq!(out.int_labels.len(), baseline.int_labels.len());
-    for (node, (&stale, &fixed)) in out.int_labels.iter().zip(&baseline.int_labels).enumerate() {
-        assert!(
-            stale >= fixed,
-            "node {node}: stale label {stale} undercuts the fixpoint {fixed}"
-        );
-    }
 }
 
 /// A peer's death reaches the other host as a typed error carrying the
@@ -404,11 +356,6 @@ fn unsupported_workloads_get_a_typed_error() {
     let g = chaos_graph();
     match Run::kcore(&g, 3).try_launch() {
         Err(RunError::Unsupported(what)) => assert_eq!(what, "kcore"),
-        other => panic!("expected Unsupported, got {other:?}"),
-    }
-    let src = gluon_suite::graph::max_out_degree_node(&g);
-    match Run::betweenness(&g, src).try_launch() {
-        Err(RunError::Unsupported(what)) => assert_eq!(what, "betweenness"),
         other => panic!("expected Unsupported, got {other:?}"),
     }
 }

@@ -1,11 +1,11 @@
 //! Focused tests of sync-call semantics, including regressions.
 
 use gluon_suite::algos::{driver, reference, Algorithm, DistConfig, EngineKind};
-use gluon_suite::graph::{gen, Csr, Gid};
+use gluon_suite::graph::{gen, Csr, Gid, Lid};
 use gluon_suite::net::{run_cluster, Communicator};
 use gluon_suite::partition::{partition_on_host, Policy};
 use gluon_suite::substrate::{
-    DenseBitset, GluonContext, MinField, OptLevel, ReadLocation, SyncSpec, WriteLocation,
+    DenseBitset, FieldSync, GluonContext, MinField, OptLevel, ReadLocation, SyncSpec, WriteLocation,
 };
 
 /// Regression: under a general vertex-cut (HVC/UVC), a mirror with both
@@ -168,32 +168,84 @@ fn context_is_reusable_across_runs() {
     }
 }
 
-/// Delta-stepping sssp agrees with the Dijkstra oracle across policies.
-#[test]
-fn delta_stepping_sssp_matches_oracle() {
-    use gluon_suite::algos::apps::sssp_delta;
+/// Broadcast-only field for the test below: a mirror takes the value its
+/// master ships, and a reset keeps it.
+struct Overwrite<'a>(&'a mut [u32]);
 
-    let g = gen::with_random_weights(&gen::rmat(7, 6, Default::default(), 66), 20, 6);
-    let source = gluon_suite::graph::max_out_degree_node(&g);
-    let oracle = reference::sssp(&g, source);
-    for policy in [Policy::Oec, Policy::Cvc, Policy::Hvc] {
-        for delta in [1, 8, 64] {
+impl FieldSync for Overwrite<'_> {
+    type Value = u32;
+
+    fn extract(&self, lid: Lid) -> u32 {
+        self.0[lid.index()]
+    }
+
+    fn reduce(&mut self, lid: Lid, value: u32) -> bool {
+        let changed = self.0[lid.index()] != value;
+        self.0[lid.index()] = value;
+        changed
+    }
+
+    fn reset(&mut self, _lid: Lid) {}
+
+    fn set(&mut self, lid: Lid, value: u32) {
+        self.0[lid.index()] = value;
+    }
+}
+
+/// A broadcast read at edge destinations reaches, under the structural
+/// optimization, exactly the mirrors with a local in-edge, and without it
+/// every mirror.
+#[test]
+fn destination_broadcast_reaches_the_mirrors_with_in_edges() {
+    const SENTINEL: u32 = u32::MAX;
+    let g = gen::rmat(8, 8, Default::default(), 5);
+    let spec = SyncSpec::broadcast(ReadLocation::Destination);
+    // A 1x3 CVC grid keeps every in-edge at its master, so only HVC has
+    // mirrors with a local in-edge.
+    let mut seen_in_edge = false;
+    for policy in [Policy::Hvc, Policy::Cvc] {
+        for opts in [OptLevel::OSTI, OptLevel::UNOPT] {
             let per_host = run_cluster(3, |ep| {
                 let comm = Communicator::new(ep);
                 let lg = partition_on_host(&g, policy, &comm);
-                let mut ctx = GluonContext::new(&lg, &comm, OptLevel::OSTI);
-                let (dist, _) = sssp_delta(&lg, &mut ctx, source, delta);
-                lg.masters()
-                    .map(|m| (lg.gid(m).0, dist[m.index()]))
+                let mut ctx = GluonContext::new(&lg, &comm, opts);
+                let mut value: Vec<u32> = lg
+                    .proxies()
+                    .map(|l| {
+                        if lg.is_master(l) {
+                            lg.gid(l).0 + 1
+                        } else {
+                            SENTINEL
+                        }
+                    })
+                    .collect();
+                let mut bits = DenseBitset::new(lg.num_proxies());
+                for m in lg.masters() {
+                    bits.set(m);
+                }
+                ctx.sync(&spec, &mut Overwrite(&mut value), &mut bits);
+                lg.mirrors()
+                    .map(|m| (lg.has_local_in_edges(m), lg.gid(m).0, value[m.index()]))
                     .collect::<Vec<_>>()
             });
-            let mut got = vec![u32::MAX; g.num_nodes() as usize];
-            for host in per_host {
-                for (gid, d) in host {
-                    got[gid as usize] = d;
-                }
+            let mirrors: Vec<(bool, u32, u32)> = per_host.into_iter().flatten().collect();
+            assert!(
+                mirrors.iter().any(|m| !m.0),
+                "{policy}: the input needs a mirror without a local in-edge"
+            );
+            seen_in_edge |= mirrors.iter().any(|m| m.0);
+            for (has_in, gid, got) in mirrors {
+                let reached = has_in || opts == OptLevel::UNOPT;
+                let want = if reached { gid + 1 } else { SENTINEL };
+                assert_eq!(
+                    got, want,
+                    "{policy} {opts:?}: mirror of {gid}, in-edge {has_in}"
+                );
             }
-            assert_eq!(got, oracle, "{policy} delta {delta}");
         }
     }
+    assert!(
+        seen_in_edge,
+        "the input needs a mirror with a local in-edge"
+    );
 }

@@ -3,7 +3,7 @@
 //! tagging that agrees with the supervisor's books.
 
 use gluon_suite::algos::{driver, Algorithm, DistConfig, DistOutcome};
-use gluon_suite::graph::{gen, max_out_degree_node};
+use gluon_suite::graph::gen;
 use gluon_suite::metrics::json::Json;
 use gluon_suite::metrics::MetricsHub;
 use gluon_suite::net::{CrashRule, FaultCounters, FaultPlan, FaultyTransport};
@@ -52,7 +52,7 @@ fn span_sums_match_comm_secs_for_every_algorithm() {
         assert!(out.rounds > 0);
         assert_span_sums(&tracer, &out, algo.name());
     }
-    // The auxiliary kernels run through the same instrumented sync path.
+    // k-core runs through the same instrumented sync path.
     let tracer = Tracer::new(cfg.hosts);
     let out = driver::Run::kcore(&g, 2)
         .config(&cfg)
@@ -60,13 +60,6 @@ fn span_sums_match_comm_secs_for_every_algorithm() {
         .transport(|ep| ep)
         .launch();
     assert_span_sums(&tracer, &out, "kcore");
-    let tracer = Tracer::new(cfg.hosts);
-    let out = driver::Run::betweenness(&g, max_out_degree_node(&g))
-        .config(&cfg)
-        .tracer(&tracer)
-        .transport(|ep| ep)
-        .launch();
-    assert_span_sums(&tracer, &out, "betweenness");
 }
 
 #[test]
